@@ -60,9 +60,6 @@ func main() {
 		duration   = flag.Int("duration", 1100, "replay: simulated seconds")
 		seed       = flag.Int64("seed", 54, "replay: simulation seed")
 
-		quantPred   = flag.Bool("quant-predict", true, "route batch prediction through the bundle's compiled quantized predictor when present (false forces the float path)")
-		fusedIngest = flag.Bool("fused-ingest", true, "quantize engineered ingest columns straight into the forest's code slab when the predictor is fully quantized (false forces the float scratch-frame route)")
-
 		driftWindow = flag.Int("drift-window", 0, "per-app drift window in samples (0 = default 2048, -1 = disable drift scoring)")
 		swapPolicy  = flag.String("swap-policy", "off", "shadow-retrain policy: off | shadow (train+compare only) | auto (promote winning challengers)")
 		retrainIvl  = flag.Duration("retrain-interval", 10*time.Minute, "how often the shadow challenger is refit and compared")
@@ -76,41 +73,33 @@ func main() {
 	}
 	fmt.Printf("loaded model bundle v%d: %d trees, threshold %.2f, %d raw metrics, schema %.12s…\n",
 		b.Version, b.Model.Forest.NumTrees(), b.Model.Threshold, len(b.Model.RawNames()), b.SchemaHash)
-	if !*quantPred {
-		b.Model.Forest.SetQuantPredict(false)
-	}
-	if b.Model.Forest.QuantActive() {
-		q := b.Model.Forest.Quant()
+	if q := b.Model.Forest.Quant(); q != nil {
 		fmt.Printf("quantized batch predict: on (%d/%d nodes on uint8 codes)\n",
 			q.QuantNodes(), q.QuantNodes()+q.FloatNodes())
-		switch {
-		case !q.FullyQuantized():
-			fmt.Println("fused ingest: off (forest has float side-channel nodes)")
-		case !*fusedIngest:
-			fmt.Println("fused ingest: off (-fused-ingest=false)")
-		default:
+		if q.FullyQuantized() {
 			fmt.Println("fused ingest: on (engineered columns quantize straight into the code slab)")
+		} else {
+			fmt.Println("fused ingest: off (forest has float side-channel nodes)")
 		}
 	} else {
 		fmt.Println("quantized batch predict: off (float tree walk)")
 	}
 
 	svc, err := serving.New(serving.Config{
-		Model:              b.Model,
-		BundleVersion:      b.Version,
-		DebounceK:          *debounceK,
-		DebounceN:          *debounceN,
-		ClearBelow:         *clearBelow,
-		Shards:             *shards,
-		DriftWindow:        *driftWindow,
-		DisableFusedIngest: !*fusedIngest,
+		Model:         b.Model,
+		BundleVersion: b.Version,
+		DebounceK:     *debounceK,
+		DebounceN:     *debounceN,
+		ClearBelow:    *clearBelow,
+		Shards:        *shards,
+		DriftWindow:   *driftWindow,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("instance state sharded %d ways\n", svc.NumShards())
 	if *driftWindow >= 0 && svc.Drift() == nil {
-		fmt.Println("drift scoring disabled: bundle carries no training fingerprint (retrain with a v3 bundle)")
+		fmt.Println("drift scoring disabled: model carries no training fingerprint")
 	}
 
 	mg, err := buildLifecycle(svc, b.Model, *swapPolicy, *reservoir)

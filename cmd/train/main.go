@@ -39,7 +39,6 @@ func main() {
 		splitter  = flag.String("splitter", "exact", "forest split search: exact (sorted scans, the parity reference) or hist (histogram-binned, fast retraining)")
 		bins      = flag.Int("bins", 256, "max quantile bins per column for -splitter hist (2..256)")
 		spillDir  = flag.String("spill-dir", "", "train out of core from a chunked corpus written by datagen -spill-dir (pairs best with -splitter hist)")
-		quantPred = flag.Bool("quant-predict", true, "keep the compiled quantized predictor in the bundle (v4; hist-trained forests only); false drops it and writes a v3 bundle")
 	)
 	flag.Parse()
 	parallel.SetDefaultWorkers(*workers)
@@ -107,9 +106,6 @@ func main() {
 			ctx.Model.TrainSamples, time.Since(start).Round(time.Millisecond), ctx.Model.Pipeline.NumOutputs())
 	}
 
-	if !*quantPred {
-		ctx.Model.Forest.DropQuant()
-	}
 	if err := core.SaveBundleFile(*out, ctx.Model, scale.Seed); err != nil {
 		log.Fatal(err)
 	}

@@ -1,51 +1,46 @@
 package core
 
 import (
-	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
-	"log"
 	"os"
-	"sync"
-
-	"monitorless/internal/pcp"
 )
 
 // A model bundle is the single on-disk artifact the commands exchange:
 // the fitted pipeline and classifier plus the metadata needed to refuse
 // serving against the wrong metric catalog — a format version, the
-// fingerprint of the raw metric schema the model was trained on, and the
-// training seed for provenance. cmd/train writes bundles; cmd/evaluate,
-// cmd/autoscalesim and cmd/serve load them through the one loader below.
-// Files written by older versions of cmd/train still load: bare model
-// gobs are reported as Version 0, and version-1 bundles (whose schema
-// hash covered only the metric names) verify against the legacy name
-// hash. Version 2 fingerprints the full frame schema — names, domains and
-// the utilization/binary/time/log flags — via frame.Schema.Hash, the same
-// function the dataset layer and the serving wire protocol use. Version 3
-// additionally requires a training-distribution fingerprint (per-column
+// fingerprint of the raw metric schema the model was trained on
+// (frame.Schema.Hash: names, domains and the utilization/binary/time/log
+// flags, the same function the dataset layer and the serving wire protocol
+// use), and the training seed for provenance. cmd/train writes bundles;
+// cmd/evaluate, cmd/autoscalesim and cmd/serve load them through the one
+// loader below. This build reads the current format and its predecessor:
+// version 3 requires a training-distribution fingerprint (per-column
 // moments + quantile sketch, frame.Fingerprint) validated against the
 // schema width — the drift-detection reference the lifecycle plane needs.
-// Version 4 carries the forest's compiled quantized predictor (per-feature
-// bin edges + per-node uint8 code thresholds, forest.Compile) inside the
-// forest gob, so a loaded model batch-predicts through the quantized path
-// immediately; models without a compiled form (exact-splitter training,
-// explicit DropQuant) are written as version 3.
+// Version 4 additionally carries the forest's compiled quantized predictor
+// (per-feature bin edges + per-node uint8 code thresholds, forest.Compile)
+// inside the forest gob, so a loaded model batch-predicts through the
+// quantized path immediately; models without a compiled form
+// (exact-splitter training, explicit DropQuant) are written as version 3.
 
-// BundleVersion is the current bundle format version.
-const BundleVersion = 4
+// BundleVersion is the current bundle format version; minBundleVersion is
+// the oldest this build still reads.
+const (
+	BundleVersion    = 4
+	minBundleVersion = 3
+)
 
-// bundleMagic distinguishes bundles from legacy bare-model gobs.
+// bundleMagic distinguishes bundles from other gob streams.
 const bundleMagic = "monitorless-bundle"
 
 // Bundle is a loaded model plus its provenance metadata.
 type Bundle struct {
-	// Version is the format version (0 for legacy bare-model files).
+	// Version is the format version.
 	Version int
-	// SchemaHash fingerprints the raw metric schema. For version ≥ 2 this
-	// is frame.Schema.Hash over the model's RawSchema; for older bundles
-	// it is the legacy pcp.HashNames over the metric names.
+	// SchemaHash fingerprints the raw metric schema: frame.Schema.Hash
+	// over the model's RawSchema.
 	SchemaHash string
 	// TrainSeed is the seed the model was trained with (0 when unknown).
 	TrainSeed int64
@@ -62,43 +57,32 @@ type bundleWire struct {
 	ModelBlob  []byte
 }
 
-// modelSchemaHash is the stored fingerprint for a given format version.
-func modelSchemaHash(m *Model, version int) string {
-	if version >= 2 {
-		return m.RawSchema.Hash()
-	}
-	return pcp.HashNames(m.RawNames())
-}
-
 // BundleVersionFor reports the format version SaveBundle will write for
 // a model: 4 when the forest carries a compiled quantized predictor, 3
-// for fingerprinted models without one, 2 for models without a training
-// fingerprint (loaded from pre-fingerprint artifacts and re-saved) — so
-// the stored version always tells readers which capabilities the bundle
-// carries.
+// otherwise — so the stored version always tells readers which
+// capabilities the bundle carries.
 func BundleVersionFor(m *Model) int {
-	switch {
-	case m.Fingerprint == nil:
-		return 2
-	case m.Forest == nil || m.Forest.Quant() == nil:
+	if m.Forest == nil || m.Forest.Quant() == nil {
 		return 3
-	default:
-		return BundleVersion
 	}
+	return BundleVersion
 }
 
-// SaveBundle writes the bundle, downgrading the stored version to match
-// the model's actual capabilities (see BundleVersionFor).
+// SaveBundle writes the bundle at the version matching the model's
+// capabilities (see BundleVersionFor). A model without a training
+// fingerprint cannot be saved: every readable format requires one.
 func SaveBundle(w io.Writer, m *Model, trainSeed int64) error {
+	if m.Fingerprint == nil {
+		return fmt.Errorf("core: save bundle: model carries no training fingerprint")
+	}
 	blob, err := m.SaveBytes()
 	if err != nil {
 		return fmt.Errorf("core: save bundle: %w", err)
 	}
-	version := BundleVersionFor(m)
 	wire := bundleWire{
 		Magic:      bundleMagic,
-		Version:    version,
-		SchemaHash: modelSchemaHash(m, version),
+		Version:    BundleVersionFor(m),
+		SchemaHash: m.RawSchema.Hash(),
 		TrainSeed:  trainSeed,
 		ModelBlob:  blob,
 	}
@@ -108,46 +92,38 @@ func SaveBundle(w io.Writer, m *Model, trainSeed int64) error {
 	return nil
 }
 
-// LoadBundle reads a bundle written by SaveBundle, falling back to the
-// legacy bare-model format. It verifies the stored schema hash against
-// the decoded model — with the hash function of the bundle's own format
-// version — and rejects bundles from newer format versions.
+// LoadBundle reads a bundle written by SaveBundle. It verifies the stored
+// schema hash against the decoded model and refuses every format version
+// outside [minBundleVersion, BundleVersion]; a gob stream without the
+// bundle header counts as version 0.
 func LoadBundle(r io.Reader) (*Bundle, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("core: load bundle: %w", err)
-	}
 	var wire bundleWire
-	// Gob drops stream fields absent from the receiver, so decoding a
-	// legacy bare-model gob "succeeds" with every field zero; the magic
-	// string is what actually discriminates the formats.
-	if derr := gob.NewDecoder(bytes.NewReader(data)).Decode(&wire); derr != nil || wire.Magic != bundleMagic {
-		m, lerr := Load(bytes.NewReader(data))
-		if lerr != nil {
-			return nil, fmt.Errorf("core: load bundle: not a model bundle (%v) nor a legacy model (%w)", derr, lerr)
-		}
-		warnLegacyBundle(0)
-		return &Bundle{Version: 0, SchemaHash: modelSchemaHash(m, 0), Model: m}, nil
+	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
+		// Bare model gobs from before the bundle header share no field
+		// with bundleWire and land here too.
+		return nil, fmt.Errorf("core: load bundle: not a model bundle (a format version 0 bare-model file must be retrained with this build): %w", err)
 	}
-	if wire.Version < 1 || wire.Version > BundleVersion {
-		return nil, fmt.Errorf("core: load bundle: format version %d not supported (this build reads ≤ %d)", wire.Version, BundleVersion)
+	if wire.Magic != bundleMagic {
+		wire.Version = 0
+	}
+	if wire.Version > BundleVersion {
+		return nil, fmt.Errorf("core: load bundle: format version %d not supported (this build reads %d–%d)", wire.Version, minBundleVersion, BundleVersion)
+	}
+	if wire.Version < minBundleVersion {
+		return nil, fmt.Errorf("core: load bundle: format version %d: retrain with this build (it reads %d–%d)", wire.Version, minBundleVersion, BundleVersion)
 	}
 	m, err := LoadBytes(wire.ModelBlob)
 	if err != nil {
 		return nil, fmt.Errorf("core: load bundle: %w", err)
 	}
-	if got := modelSchemaHash(m, wire.Version); got != wire.SchemaHash {
+	if got := m.RawSchema.Hash(); got != wire.SchemaHash {
 		return nil, fmt.Errorf("core: load bundle: stored schema hash %.12s… does not match the embedded model's schema %.12s… (corrupt or tampered bundle)", wire.SchemaHash, got)
 	}
-	if wire.Version >= 3 {
-		if m.Fingerprint == nil {
-			return nil, fmt.Errorf("core: load bundle: version %d bundle carries no training fingerprint (corrupt bundle)", wire.Version)
-		}
-		if err := m.Fingerprint.Validate(len(m.RawSchema)); err != nil {
-			return nil, fmt.Errorf("core: load bundle: %w", err)
-		}
-	} else {
-		warnLegacyBundle(wire.Version)
+	if m.Fingerprint == nil {
+		return nil, fmt.Errorf("core: load bundle: version %d bundle carries no training fingerprint (corrupt bundle)", wire.Version)
+	}
+	if err := m.Fingerprint.Validate(len(m.RawSchema)); err != nil {
+		return nil, fmt.Errorf("core: load bundle: %w", err)
 	}
 	if wire.Version >= 4 && (m.Forest == nil || m.Forest.Quant() == nil) {
 		// The forest gob already verified the compiled thresholds against a
@@ -156,23 +132,6 @@ func LoadBundle(r io.Reader) (*Bundle, error) {
 	}
 	return &Bundle{Version: wire.Version, SchemaHash: wire.SchemaHash, TrainSeed: wire.TrainSeed, Model: m}, nil
 }
-
-// legacyWarnOnce gates the one-time legacy-bundle warning; the serving
-// plane additionally surfaces a model_bundle_legacy gauge so operators
-// see the condition on /metrics rather than only in startup logs.
-var legacyWarnOnce sync.Once
-
-// warnLegacyBundle logs once that a pre-fingerprint bundle skips drift
-// validation.
-func warnLegacyBundle(version int) {
-	legacyWarnOnce.Do(func() {
-		log.Printf("core: legacy model bundle (version %d): no training fingerprint — drift detection disabled and fingerprint validation skipped; retrain with this build to upgrade to v%d", version, BundleVersion)
-	})
-}
-
-// Legacy reports whether the bundle predates training fingerprints —
-// drift detection has no reference distribution for it.
-func (b *Bundle) Legacy() bool { return b.Version < 3 || b.Model.Fingerprint == nil }
 
 // SaveBundleFile writes a bundle to path.
 func SaveBundleFile(path string, m *Model, trainSeed int64) error {

@@ -3,13 +3,13 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"strings"
 	"testing"
 
 	"monitorless/internal/features"
 	"monitorless/internal/ml/forest"
 	"monitorless/internal/ml/tree"
-	"monitorless/internal/pcp"
 )
 
 func TestBundleRoundTripIdenticalPredictions(t *testing.T) {
@@ -58,24 +58,17 @@ func TestBundleRoundTripIdenticalPredictions(t *testing.T) {
 	}
 }
 
+// TestBundleLegacyFallback: a bare model gob (the pre-bundle "version 0"
+// format) is refused with the retrain advice instead of loading.
 func TestBundleLegacyFallback(t *testing.T) {
 	m, _ := sharedModel(t)
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil { // legacy bare-model format
+	if err := m.Save(&buf); err != nil { // bare-model format
 		t.Fatal(err)
 	}
-	b, err := LoadBundle(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("legacy model did not load: %v", err)
-	}
-	if b.Version != 0 {
-		t.Errorf("legacy Version = %d, want 0", b.Version)
-	}
-	if b.SchemaHash != pcp.HashNames(m.RawNames()) {
-		t.Errorf("legacy SchemaHash not recomputed from model")
-	}
-	if b.Model.TrainSamples != m.TrainSamples {
-		t.Errorf("legacy model fields lost")
+	_, err := LoadBundle(bytes.NewReader(buf.Bytes()))
+	if err == nil || !strings.Contains(err.Error(), "format version 0 bare-model file must be retrained with this build") {
+		t.Fatalf("bare model gob: got %v, want a version-0 refusal", err)
 	}
 }
 
@@ -108,9 +101,6 @@ func TestBundleV3RoundTripFingerprintAndCalibration(t *testing.T) {
 	if b.Version != 3 {
 		t.Fatalf("Version = %d, want 3", b.Version)
 	}
-	if b.Legacy() {
-		t.Fatal("v3 bundle reported as legacy")
-	}
 	if b.Model.Threshold != thr || b.Model.Forest.Threshold() != thr {
 		t.Fatalf("calibrated threshold lost: model %v forest %v, want %v",
 			b.Model.Threshold, b.Model.Forest.Threshold(), thr)
@@ -138,9 +128,11 @@ func TestBundleV3RoundTripFingerprintAndCalibration(t *testing.T) {
 }
 
 // TestBundleCrossVersionRefusal covers the read-side guards: a bundle
-// from a future format version is refused, and a v3 bundle whose stored
-// schema hash does not match the embedded model (a reader expecting a
-// different schema) is refused rather than served.
+// from a future format version is refused, bundles older than current−1
+// (v1/v2, which hashed names only or carried no fingerprint) are refused
+// with the retrain advice, and a bundle whose stored schema hash does not
+// match the embedded model (a reader expecting a different schema) is
+// refused rather than served.
 func TestBundleCrossVersionRefusal(t *testing.T) {
 	m, _ := sharedModel(t)
 	blob, err := m.SaveBytes()
@@ -165,6 +157,17 @@ func TestBundleCrossVersionRefusal(t *testing.T) {
 		t.Fatalf("future version: got %v, want version refusal", err)
 	}
 
+	for _, v := range []int{1, 2} {
+		old := encode(bundleWire{
+			Magic: bundleMagic, Version: v,
+			SchemaHash: m.RawSchema.Hash(), ModelBlob: blob,
+		})
+		want := fmt.Sprintf("format version %d: retrain with this build", v)
+		if _, err := LoadBundle(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version %d: got %v, want %q", v, err, want)
+		}
+	}
+
 	mismatched := encode(bundleWire{
 		Magic: bundleMagic, Version: BundleVersion,
 		SchemaHash: strings.Repeat("ab", 32), ModelBlob: blob,
@@ -175,26 +178,33 @@ func TestBundleCrossVersionRefusal(t *testing.T) {
 	}
 }
 
-// TestBundleLegacyNoFingerprint pins the downgrade path: a model without
-// a fingerprint is written as version 2, loads cleanly, and reports
-// itself legacy so serving can raise the model_bundle_legacy gauge.
+// TestBundleLegacyNoFingerprint: every readable format requires a
+// training fingerprint, so a model without one cannot be saved, and a
+// bundle that lost its fingerprint is refused on load.
 func TestBundleLegacyNoFingerprint(t *testing.T) {
 	shared, _ := sharedModel(t)
 	m := *shared
 	m.Fingerprint = nil
 	var buf bytes.Buffer
-	if err := SaveBundle(&buf, &m, 5); err != nil {
-		t.Fatal(err)
+	if err := SaveBundle(&buf, &m, 5); err == nil || !strings.Contains(err.Error(), "no training fingerprint") {
+		t.Fatalf("saving a fingerprint-less model: got %v, want refusal", err)
 	}
-	b, err := LoadBundle(bytes.NewReader(buf.Bytes()))
+	if buf.Len() != 0 {
+		t.Fatalf("refused save wrote %d bytes", buf.Len())
+	}
+
+	blob, err := m.SaveBytes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Version != 2 {
-		t.Fatalf("fingerprint-less bundle Version = %d, want 2", b.Version)
+	if err := gob.NewEncoder(&buf).Encode(bundleWire{
+		Magic: bundleMagic, Version: 3,
+		SchemaHash: m.RawSchema.Hash(), ModelBlob: blob,
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if !b.Legacy() {
-		t.Fatal("fingerprint-less bundle not reported legacy")
+	if _, err := LoadBundle(&buf); err == nil || !strings.Contains(err.Error(), "no training fingerprint") {
+		t.Fatalf("fingerprint-less v3 bundle: got %v, want refusal", err)
 	}
 }
 

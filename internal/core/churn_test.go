@@ -98,3 +98,65 @@ func TestOrchestratorColdWindow(t *testing.T) {
 		t.Fatal("no prediction from a single observation")
 	}
 }
+
+// TestOrchestratorIngestAtomic: an observation carrying one wrong-width
+// vector is rejected whole. No instance's prediction moves, and the next
+// good observation yields exactly what an orchestrator that never saw the
+// bad one computes — i.e. no instance's feature state advanced either.
+func TestOrchestratorIngestAtomic(t *testing.T) {
+	m, ds := sharedModel(t)
+	rows := ds.FilterRuns(1).Samples
+	ids := []string{"app/a/0", "app/b/0", "app/c/0"}
+	obsAt := func(i int) pcp.Observation {
+		vecs := make(map[string][]float64, len(ids))
+		for k, id := range ids {
+			vecs[id] = rows[(i+7*k)%len(rows)].Values
+		}
+		return pcp.Observation{T: i, Vectors: vecs}
+	}
+
+	o, twin := NewOrchestrator(m), NewOrchestrator(m)
+	for i := 0; i < 5; i++ {
+		for _, orch := range []*Orchestrator{o, twin} {
+			if err := orch.Ingest(obsAt(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// Several attempts: map iteration order decides which instances a
+	// non-atomic ingest would have advanced before reaching the bad one.
+	for try := 0; try < 8; try++ {
+		bad := obsAt(100 + try)
+		bad.Vectors["app/b/0"] = bad.Vectors["app/b/0"][:3]
+		bad.Vectors["app/new/0"] = bad.Vectors["app/a/0"] // must not get registered
+		if err := o.Ingest(bad); err == nil {
+			t.Fatal("wrong-width vector accepted")
+		}
+		for _, id := range ids {
+			got, _ := o.InstancePrediction(id)
+			want, _ := twin.InstancePrediction(id)
+			if got != want {
+				t.Fatalf("rejected observation changed %s: %+v, want %+v", id, got, want)
+			}
+		}
+		if _, ok := o.InstancePrediction("app/new/0"); ok {
+			t.Fatal("rejected observation registered a new instance")
+		}
+	}
+
+	for i := 5; i < 5+2*m.WindowSize(); i++ {
+		for _, orch := range []*Orchestrator{o, twin} {
+			if err := orch.Ingest(obsAt(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, id := range ids {
+			got, _ := o.InstancePrediction(id)
+			want, _ := twin.InstancePrediction(id)
+			if got != want {
+				t.Fatalf("tick %d %s: after a rejected observation %+v, never-failed twin %+v", i, id, got, want)
+			}
+		}
+	}
+}

@@ -1,0 +1,200 @@
+package core
+
+import (
+	"fmt"
+
+	"monitorless/internal/features"
+	"monitorless/internal/frame"
+)
+
+// Engine is the one online inference engine: everything that turns raw
+// per-instance metric vectors into saturation probabilities goes through
+// it — the serving shards, the Orchestrator and the EdgeAgent. It owns an
+// ID→slot registry (dense int32 slots, LIFO free list), the
+// features.StateSlab holding every slot's ring state, and the batch
+// scratch of the two phases:
+//
+//	Step     one columnar features.StepBatchInto over a batch of
+//	         (slot, raw vector) pairs
+//	Predict  one forest walk over the stepped batch
+//
+// A batch has n ≥ 1 samples; serial inference is a batch of one. Every
+// probability is bit-identical to Model.PredictFrame over the instance's
+// full history. The two phases are separate calls so a caller can tap the
+// engineered rows (Row) or time the forest stage between them.
+//
+// An Engine is not synchronised: one goroutine at a time, the caller
+// holds whatever lock guards it. Slices returned by Predict and Row alias
+// engine scratch and are valid until the next Step.
+type Engine struct {
+	model    *Model
+	streamer *features.Streamer
+
+	slotOf map[string]int32
+	ids    []string // slot -> instance ID ("" when free)
+	free   []int32  // LIFO recycled slots
+	states *features.StateSlab
+
+	batch   features.BatchScratch
+	scratch *frame.Scratch // float route only, minted on first use
+	codes   []uint8
+	probs   []float64
+
+	// predictVectors' batch assembly scratch.
+	obsIDs   []string
+	obsSlots []int32
+	obsRaws  [][]float64
+}
+
+// NewEngine returns an empty engine bound to a model and the streamer of
+// its pipeline (callers sharing one model across engines share the
+// streamer, which is immutable).
+func NewEngine(m *Model, str *features.Streamer) *Engine {
+	e := &Engine{slotOf: make(map[string]int32)}
+	e.Bind(m, str)
+	return e
+}
+
+// Bind points the engine at a model generation. With the same streamer (a
+// warm swap: identical pipeline, new forest) every slot's state carries
+// over. A different streamer means a different ring geometry that the old
+// state cannot continue under, so registry and slab restart empty and
+// Bind reports true — the caller resets whatever it indexes by slot.
+func (e *Engine) Bind(m *Model, str *features.Streamer) (reset bool) {
+	e.model = m
+	if e.streamer == str {
+		return false
+	}
+	e.streamer = str
+	clear(e.slotOf)
+	e.ids = e.ids[:0]
+	e.free = e.free[:0]
+	e.states = features.NewStateSlab(str)
+	e.scratch = nil
+	return true
+}
+
+// Lookup returns the slot an instance occupies.
+func (e *Engine) Lookup(id string) (int32, bool) {
+	slot, ok := e.slotOf[id]
+	return slot, ok
+}
+
+// Acquire returns the instance's slot, registering it when unknown: LIFO
+// reuse of a released slot when available (ResetSlot makes recycled rings
+// indistinguishable from fresh ones), append-growth otherwise.
+func (e *Engine) Acquire(id string) (slot int32, isNew bool) {
+	if slot, ok := e.slotOf[id]; ok {
+		return slot, false
+	}
+	if n := len(e.free); n > 0 {
+		slot = e.free[n-1]
+		e.free = e.free[:n-1]
+		e.states.ResetSlot(slot)
+	} else {
+		slot = int32(len(e.ids))
+		e.ids = append(e.ids, "")
+		e.states.EnsureSlots(len(e.ids))
+	}
+	e.ids[slot] = id
+	e.slotOf[id] = slot
+	return slot, true
+}
+
+// Release forgets an instance and recycles its slot, reporting the slot
+// it held.
+func (e *Engine) Release(id string) (int32, bool) {
+	slot, ok := e.slotOf[id]
+	if !ok {
+		return 0, false
+	}
+	delete(e.slotOf, id)
+	e.ids[slot] = ""
+	e.free = append(e.free, slot)
+	return slot, true
+}
+
+// IDs returns the slot→instance-ID table ("" for free slots); its length
+// is the slot high-water mark. Read-only, valid until the next Acquire.
+func (e *Engine) IDs() []string { return e.ids }
+
+// Samples returns how many samples a slot has absorbed.
+func (e *Engine) Samples(slot int32) int { return e.states.Samples(slot) }
+
+// StateBytes returns the allocated footprint of the ring-state slab.
+func (e *Engine) StateBytes() int64 { return e.states.Bytes() }
+
+// CheckWidth validates a raw vector's width without touching any state.
+func (e *Engine) CheckWidth(raw []float64) error { return e.streamer.CheckWidth(raw) }
+
+// Step engineers one batch: sample k is raw vector raws[k] of the
+// instance in slots[k]. Width, slot-range and duplicate-slot errors leave
+// every slot untouched.
+func (e *Engine) Step(slots []int32, raws [][]float64) error {
+	return e.streamer.StepBatchInto(e.states, slots, raws, &e.batch)
+}
+
+// Row gathers stepped sample k's engineered vector, appending onto dst.
+func (e *Engine) Row(k int, dst []float64) []float64 { return e.batch.Row(k, dst) }
+
+// Predict scores the batch the last Step engineered; probs[k] belongs to
+// sample k. The route is decided from the model alone: a fully quantized
+// forest quantizes the engineered columns straight into the uint8 code
+// slab and walks codes (no float frame is materialized); a forest with
+// float side-channel nodes (exact-splitter training) or with the
+// quantized route switched off walks a float scratch frame. Same trees,
+// same accumulation order — the routes are bit-identical.
+func (e *Engine) Predict() []float64 {
+	n := e.batch.Len()
+	f := e.model.Forest
+	if q := f.Quant(); q != nil && f.QuantActive() && q.FullyQuantized() {
+		var err error
+		if e.codes, err = q.QuantizeBatch(e.batch.Cols(), n, e.codes); err == nil {
+			if cap(e.probs) < n {
+				e.probs = make([]float64, n)
+			}
+			e.probs = e.probs[:n]
+			if q.PredictProbaCodes(e.codes, e.probs) == nil {
+				return e.probs
+			}
+		}
+	}
+	if e.scratch == nil {
+		e.scratch = frame.NewScratch(e.model.EngineeredSchema(), 0)
+	}
+	fr := e.scratch.Frame(n)
+	for j, col := range e.batch.Cols() {
+		copy(fr.Col(j), col[:n])
+	}
+	e.probs = e.model.PredictProbaRowsInto(fr, e.probs)
+	return e.probs
+}
+
+// predictVectors scores one map-keyed observation (the Orchestrator and
+// EdgeAgent input) as a single batch: every width is validated before any
+// instance is registered or stepped, so a bad vector rejects the whole
+// observation with no state changed. ids[k] and probs[k] describe sample
+// k; both alias engine scratch.
+func (e *Engine) predictVectors(vectors map[string][]float64) (ids []string, probs []float64, err error) {
+	for id, vec := range vectors {
+		if err := e.CheckWidth(vec); err != nil {
+			return nil, nil, fmt.Errorf("instance %s: %w", id, err)
+		}
+	}
+	if len(vectors) == 0 {
+		return nil, nil, nil
+	}
+	e.obsIDs, e.obsSlots, e.obsRaws = e.obsIDs[:0], e.obsSlots[:0], e.obsRaws[:0]
+	// Map-range order is safe here: every instance's ring state and
+	// prediction are independent of its position in the batch.
+	for id, vec := range vectors {
+		slot, _ := e.Acquire(id)
+		e.obsIDs = append(e.obsIDs, id)
+		e.obsSlots = append(e.obsSlots, slot)
+		e.obsRaws = append(e.obsRaws, vec)
+	}
+	if err := e.Step(e.obsSlots, e.obsRaws); err != nil {
+		return nil, nil, err
+	}
+	return e.obsIDs, e.Predict(), nil
+}

@@ -182,12 +182,13 @@ func ObservationWireSize(obs pcp.Observation) int {
 }
 
 // EdgeAgent runs the saturation model next to the monitoring agent (§5's
-// offloading refinement): it keeps the per-instance windows locally and
-// emits only PredictionReports.
+// offloading refinement): it scores the agent's observations on its own
+// Engine — the same one the Orchestrator runs, so edge and central
+// probabilities are bit-identical — and emits only PredictionReports.
 type EdgeAgent struct {
-	agent   *pcp.Agent
-	model   *Model
-	windows map[string][][]float64
+	agent *pcp.Agent
+	model *Model
+	eng   *Engine // minted on first Observe (the streamer build can fail)
 
 	// BytesSaved accumulates the traffic difference versus shipping the
 	// raw vectors (the quantity §5 wants to trade against agent CPU).
@@ -196,7 +197,7 @@ type EdgeAgent struct {
 
 // NewEdgeAgent wraps a monitoring agent with local inference.
 func NewEdgeAgent(agent *pcp.Agent, model *Model) *EdgeAgent {
-	return &EdgeAgent{agent: agent, model: model, windows: make(map[string][][]float64)}
+	return &EdgeAgent{agent: agent, model: model}
 }
 
 // Observe samples the engine, infers locally, and returns the compact
@@ -206,28 +207,31 @@ func (e *EdgeAgent) Observe(eng *apps.Engine) (PredictionReport, bool, error) {
 	if !ok {
 		return PredictionReport{T: obs.T}, false, nil
 	}
-	report := PredictionReport{T: obs.T, Probs: make(map[string]float64, len(obs.Vectors))}
-	w := e.model.WindowSize()
-	// Map-range order is safe here: each instance's window and prediction
-	// are independent, and the results land in a map keyed by ID.
-	for id, vec := range obs.Vectors {
-		win := append(e.windows[id], vec)
-		if len(win) > w {
-			win = win[len(win)-w:]
-		}
-		e.windows[id] = win
-		prob, _, err := e.model.PredictWindow(win)
+	if e.eng == nil {
+		str, err := e.model.Streamer()
 		if err != nil {
-			return PredictionReport{}, false, fmt.Errorf("core: edge predict %s: %w", id, err)
+			return PredictionReport{}, false, fmt.Errorf("core: edge predict: %w", err)
 		}
-		report.Probs[id] = prob
+		e.eng = NewEngine(e.model, str)
+	}
+	ids, probs, err := e.eng.predictVectors(obs.Vectors)
+	if err != nil {
+		return PredictionReport{}, false, fmt.Errorf("core: edge predict: %w", err)
+	}
+	report := PredictionReport{T: obs.T, Probs: make(map[string]float64, len(ids))}
+	for k, id := range ids {
+		report.Probs[id] = probs[k]
 	}
 	e.BytesSaved += ObservationWireSize(obs) - report.WireSize()
 	return report, true, nil
 }
 
-// Forget drops a departed instance's window.
-func (e *EdgeAgent) Forget(id string) { delete(e.windows, id) }
+// Forget drops a departed instance's feature state.
+func (e *EdgeAgent) Forget(id string) {
+	if e.eng != nil {
+		e.eng.Release(id)
+	}
+}
 
 // IngestReport feeds an edge agent's report into the orchestrator, which
 // then only applies the threshold and the OR aggregation — no feature
@@ -239,9 +243,6 @@ func (o *Orchestrator) IngestReport(r PredictionReport) {
 		if math.IsNaN(prob) {
 			continue
 		}
-		o.preds[id] = Prediction{Prob: prob, Saturated: prob >= o.model.Threshold, T: r.T}
-		if _, known := o.appOf[id]; !known {
-			o.appOf[id] = appFromID(id)
-		}
+		o.setPrediction(id, prob, r.T)
 	}
 }

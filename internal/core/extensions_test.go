@@ -4,9 +4,12 @@ import (
 	"strings"
 	"testing"
 
+	"monitorless/internal/apps"
+	"monitorless/internal/cluster"
 	"monitorless/internal/dataset"
 	"monitorless/internal/features"
 	"monitorless/internal/pcp"
+	"monitorless/internal/workload"
 )
 
 func TestDistillRulesReadable(t *testing.T) {
@@ -135,63 +138,97 @@ func TestTrainScaleInClassifier(t *testing.T) {
 	if idle == nil || busy == nil {
 		t.Skip("run 1 lacks an idle or busy sample at this scale")
 	}
-	w := m.WindowSize()
-	mkWindow := func(v []float64) [][]float64 {
-		win := make([][]float64, w)
-		for i := range win {
-			win[i] = v
+	// Hold each vector for a full warm-up horizon and read the final
+	// probability.
+	steady := func(v []float64) float64 {
+		o := NewOrchestrator(m)
+		for i := 0; i < m.WindowSize(); i++ {
+			if err := o.Ingest(pcp.Observation{T: i, Vectors: map[string][]float64{"x": v}}); err != nil {
+				t.Fatal(err)
+			}
 		}
-		return win
+		p, _ := o.InstancePrediction("x")
+		return p.Prob
 	}
-	pIdle, _, err := m.PredictWindow(mkWindow(idle))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pBusy, _, err := m.PredictWindow(mkWindow(busy))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pIdle, pBusy := steady(idle), steady(busy)
 	if pIdle <= pBusy {
 		t.Errorf("over-provisioning score idle=%.2f should exceed busy=%.2f", pIdle, pBusy)
 	}
 }
 
+// TestEdgeAgentMatchesCentral runs both §5 architectures side by side on
+// one simulated deployment: a central orchestrator fed full observations,
+// and a real EdgeAgent whose compact reports feed a second orchestrator.
+// Both score on the same engine code, so the probabilities must be equal
+// to the bit, including across a Forget/re-register of an instance.
 func TestEdgeAgentMatchesCentral(t *testing.T) {
-	m, ds := sharedModel(t)
+	m, _ := sharedModel(t)
 
-	// Replay one run's vectors through both architectures.
-	run := ds.FilterRuns(1)
+	c, err := cluster.New(apps.TrainingNode("edge-1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := apps.Build(c, "shop", workload.Sine{Min: 50, Max: 1200, Period: 60},
+		[]apps.ServiceSpec{
+			{Name: "web", Node: "edge-1", Profile: apps.SolrProfile(), Visit: 1, CPULimit: 3},
+			{Name: "db", Node: "edge-1", Profile: apps.MemcacheProfile(), Visit: 2, CPULimit: 2},
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := apps.NewEngine(c, app)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Two agents over identically seeded collectors observe the same
+	// vectors (the edge agent's are not otherwise visible to the test).
+	centralAgent := pcp.NewAgent(pcp.NewCollector(pcp.DefaultCatalog(), 21))
 	central := NewOrchestrator(m)
+	edge := NewEdgeAgent(pcp.NewAgent(pcp.NewCollector(pcp.DefaultCatalog(), 21)), m)
 	edgeOrch := NewOrchestrator(m)
-	edge := &EdgeAgent{model: m, windows: make(map[string][][]float64)}
 
-	w := m.WindowSize()
-	var window [][]float64
-	for i, s := range run.Samples {
-		if i >= 3*w {
-			break
-		}
-		obs := pcp.Observation{T: i, Vectors: map[string][]float64{"a/x/0": s.Values}}
-		if err := central.Ingest(obs); err != nil {
-			t.Fatal(err)
-		}
-		// Edge path: local windowing + compact report.
-		window = append(window, s.Values)
-		if len(window) > w {
-			window = window[len(window)-w:]
-		}
-		edge.windows["a/x/0"] = window
-		prob, _, err := m.PredictWindow(window)
+	compared := 0
+	for tick := 0; tick < 3*m.WindowSize(); tick++ {
+		eng.Tick()
+		obs, ok := centralAgent.Observe(eng)
+		rep, okEdge, err := edge.Observe(eng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		edgeOrch.IngestReport(PredictionReport{T: i, Probs: map[string]float64{"a/x/0": prob}})
-
-		pc, _ := central.InstancePrediction("a/x/0")
-		pe, _ := edgeOrch.InstancePrediction("a/x/0")
-		if pc.Prob != pe.Prob || pc.Saturated != pe.Saturated {
-			t.Fatalf("edge and central disagree at %d: %+v vs %+v", i, pc, pe)
+		if ok != okEdge {
+			t.Fatalf("tick %d: central agent ok=%v, edge agent ok=%v", tick, ok, okEdge)
 		}
+		if !ok {
+			continue
+		}
+		if err := central.Ingest(obs); err != nil {
+			t.Fatal(err)
+		}
+		edgeOrch.IngestReport(rep)
+		if len(rep.Probs) != len(obs.Vectors) {
+			t.Fatalf("tick %d: report covers %d instances, observation %d", tick, len(rep.Probs), len(obs.Vectors))
+		}
+		for id := range obs.Vectors {
+			pc, _ := central.InstancePrediction(id)
+			pe, _ := edgeOrch.InstancePrediction(id)
+			if pc != pe {
+				t.Fatalf("tick %d %s: central %+v, edge %+v", tick, id, pc, pe)
+			}
+			compared++
+		}
+		if tick == m.WindowSize() {
+			// A departed-and-replaced instance restarts its feature state
+			// on both sides.
+			for id := range obs.Vectors {
+				central.Forget(id)
+				edge.Forget(id)
+				break
+			}
+		}
+	}
+	if compared == 0 {
+		t.Fatal("no predictions compared")
 	}
 }
 

@@ -58,7 +58,7 @@ type Model struct {
 	// Fingerprint is the training-distribution sketch of the raw frame
 	// (per-column moments + quantile occupancies), the drift-detection
 	// reference the lifecycle plane scores serving traffic against. Nil
-	// for models loaded from pre-fingerprint bundles.
+	// only for models assembled in-process without one.
 	Fingerprint *frame.Fingerprint
 	// TrainSamples and TrainSaturatedFrac document the training set.
 	TrainSamples       int
@@ -127,23 +127,17 @@ func TrainFrame(raw *frame.Frame, cfg TrainConfig) (*Model, error) {
 	}, nil
 }
 
-// WindowSize returns how many trailing raw samples each instance must
-// retain for online prediction.
+// WindowSize returns the pipeline's warm-up horizon in samples (see
+// features.Pipeline.WindowSize).
 func (m *Model) WindowSize() int { return m.Pipeline.WindowSize() }
 
 // Streamer returns the incremental feature evaluator for online serving:
 // O(features) per sample, bit-identical to the batch table path.
 func (m *Model) Streamer() (*features.Streamer, error) { return m.Pipeline.Streamer() }
 
-// PredictVector classifies one already-engineered feature vector.
-func (m *Model) PredictVector(vec []float64) (prob float64, saturated bool) {
-	p := m.Forest.PredictProba(vec)
-	return p, p >= m.Threshold
-}
-
 // EngineeredSchema returns the engineered feature schema the forest
-// consumes — the column layout for the serving layer's per-tick scratch
-// frames.
+// consumes — the column layout of the engine's float scratch frame and
+// the lifecycle reservoir.
 func (m *Model) EngineeredSchema() frame.Schema {
 	names := m.Pipeline.OutputNames()
 	out := make(frame.Schema, len(names))
@@ -153,25 +147,11 @@ func (m *Model) EngineeredSchema() frame.Schema {
 	return out
 }
 
-// PredictProbaRowsInto is the batch serving entry: it scores every row
-// of an already-engineered frame through the forest's flattened
-// tree-outer walk, reusing dst when its capacity suffices. The per-row
-// probabilities are bit-identical to calling PredictVector row by row
-// (the batch walk accumulates trees in the same order); callers apply
-// m.Threshold for the decision.
+// PredictProbaRowsInto scores every row of an already-engineered frame
+// through the forest's batch walk, reusing dst when its capacity
+// suffices; callers apply m.Threshold for the decision.
 func (m *Model) PredictProbaRowsInto(engineered *frame.Frame, dst []float64) []float64 {
 	return m.Forest.PredictProbaFrameRowsInto(engineered, nil, dst)
-}
-
-// PredictWindow classifies the most recent sample of one instance given
-// its trailing window of raw metric vectors (oldest first).
-func (m *Model) PredictWindow(window [][]float64) (prob float64, saturated bool, err error) {
-	vec, err := m.Pipeline.TransformLatest(window)
-	if err != nil {
-		return 0, false, fmt.Errorf("core: predict: %w", err)
-	}
-	p := m.Forest.PredictProba(vec)
-	return p, p >= m.Threshold, nil
 }
 
 // PredictFrame classifies every row of a raw frame (batch evaluation) and
@@ -240,15 +220,11 @@ type FeatureImportance struct {
 	Importance float64
 }
 
-// modelWire is the gob image of a model. RawSchema is the authoritative
-// schema; RawNames is kept on the wire so files written by this version
-// still carry the name list older readers expect, and so files written by
-// older versions (names only) still load.
+// modelWire is the gob image of a model.
 type modelWire struct {
 	PipelineBlob       []byte
 	Forest             *forest.Forest
 	Threshold          float64
-	RawNames           []string
 	RawSchema          frame.Schema
 	Fingerprint        *frame.Fingerprint
 	TrainSamples       int
@@ -265,7 +241,6 @@ func (m *Model) Save(w io.Writer) error {
 		PipelineBlob:       blob,
 		Forest:             m.Forest,
 		Threshold:          m.Threshold,
-		RawNames:           m.RawSchema.Names(),
 		RawSchema:          m.RawSchema,
 		Fingerprint:        m.Fingerprint,
 		TrainSamples:       m.TrainSamples,
@@ -277,10 +252,7 @@ func (m *Model) Save(w io.Writer) error {
 	return nil
 }
 
-// Load deserializes a model written by Save. Models written before the
-// columnar schema (names only) get a bare schema reconstructed from the
-// name list; the pipeline's RawCols carry the full column metadata when
-// it is needed.
+// Load deserializes a model written by Save.
 func Load(r io.Reader) (*Model, error) {
 	var wire modelWire
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
@@ -290,22 +262,11 @@ func Load(r io.Reader) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: load: %w", err)
 	}
-	schema := wire.RawSchema
-	if len(schema) == 0 {
-		if len(pipe.RawCols) == len(wire.RawNames) {
-			schema = frame.Schema(pipe.RawCols).Clone()
-		} else {
-			schema = make(frame.Schema, len(wire.RawNames))
-			for i, n := range wire.RawNames {
-				schema[i] = frame.Col{Name: n}
-			}
-		}
-	}
 	return &Model{
 		Pipeline:           pipe,
 		Forest:             wire.Forest,
 		Threshold:          wire.Threshold,
-		RawSchema:          schema,
+		RawSchema:          wire.RawSchema,
 		Fingerprint:        wire.Fingerprint,
 		TrainSamples:       wire.TrainSamples,
 		TrainSaturatedFrac: wire.TrainSaturatedFrac,

@@ -5,24 +5,20 @@ import (
 	"sort"
 	"sync"
 
-	"monitorless/internal/features"
 	"monitorless/internal/pcp"
 )
 
 // Orchestrator is the paper's §2 central component: it receives the
-// agents' per-instance metric vectors, keeps incremental feature state per
-// instance, infers per-container saturation with the monitorless model,
-// and aggregates instance predictions into application decisions with a
-// logical OR (§4). Inference is O(features) per sample: each vector is
-// folded into the instance's streaming feature state instead of re-running
-// the batch pipeline over a trailing window, and the engineered vectors
-// are bit-identical to the offline table path.
+// agents' per-instance metric vectors, infers per-container saturation
+// with the monitorless model, and aggregates instance predictions into
+// application decisions with a logical OR (§4). Inference runs on one
+// Engine: each observation is a single validate-then-step batch, O(features)
+// per sample, bit-identical to the offline PredictFrame path.
 type Orchestrator struct {
-	mu       sync.Mutex
-	model    *Model
-	streamer *features.Streamer
-	states   map[string]*features.StreamState
-	preds    map[string]Prediction
+	mu    sync.Mutex
+	model *Model
+	eng   *Engine // minted on first Ingest (the streamer build can fail)
+	preds map[string]Prediction
 	// appOf maps instance ID → application name for aggregation.
 	appOf map[string]string
 }
@@ -40,10 +36,9 @@ type Prediction struct {
 // NewOrchestrator returns an orchestrator over a trained model.
 func NewOrchestrator(m *Model) *Orchestrator {
 	return &Orchestrator{
-		model:  m,
-		states: make(map[string]*features.StreamState),
-		preds:  make(map[string]Prediction),
-		appOf:  make(map[string]string),
+		model: m,
+		preds: make(map[string]Prediction),
+		appOf: make(map[string]string),
 	}
 }
 
@@ -64,44 +59,43 @@ func (o *Orchestrator) RegisterInstance(id, app string) {
 func (o *Orchestrator) Forget(id string) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	delete(o.states, id)
+	if o.eng != nil {
+		o.eng.Release(id)
+	}
 	delete(o.preds, id)
 	delete(o.appOf, id)
 }
 
-// Ingest processes one tick's observation: it folds each vector into its
-// instance's incremental feature state and refreshes the instance
-// predictions.
+// Ingest processes one tick's observation as one engine batch and
+// refreshes the instance predictions. It is all-or-nothing: a vector of
+// the wrong width rejects the observation before any instance advances.
 func (o *Orchestrator) Ingest(obs pcp.Observation) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.streamer == nil {
-		s, err := o.model.Streamer()
+	if o.eng == nil {
+		str, err := o.model.Streamer()
 		if err != nil {
 			return fmt.Errorf("core: ingest: %w", err)
 		}
-		o.streamer = s
+		o.eng = NewEngine(o.model, str)
 	}
-	// Map-range order is safe here: every instance's streaming state and
-	// prediction are independent of the others; consumers that need a
-	// deterministic order (SaturatedInstances) sort before returning.
-	for id, vec := range obs.Vectors {
-		st := o.states[id]
-		if st == nil {
-			st = o.streamer.NewState()
-			o.states[id] = st
-		}
-		fvec, err := o.streamer.Step(st, vec)
-		if err != nil {
-			return fmt.Errorf("core: ingest %s: %w", id, err)
-		}
-		prob, sat := o.model.PredictVector(fvec)
-		o.preds[id] = Prediction{Prob: prob, Saturated: sat, T: obs.T}
-		if _, known := o.appOf[id]; !known {
-			o.appOf[id] = appFromID(id)
-		}
+	ids, probs, err := o.eng.predictVectors(obs.Vectors)
+	if err != nil {
+		return fmt.Errorf("core: ingest: %w", err)
+	}
+	for k, id := range ids {
+		o.setPrediction(id, probs[k], obs.T)
 	}
 	return nil
+}
+
+// setPrediction records an instance's probability, auto-registering its
+// application. Callers hold o.mu.
+func (o *Orchestrator) setPrediction(id string, prob float64, t int) {
+	o.preds[id] = Prediction{Prob: prob, Saturated: prob >= o.model.Threshold, T: t}
+	if _, known := o.appOf[id]; !known {
+		o.appOf[id] = appFromID(id)
+	}
 }
 
 // appFromID extracts the application from "<app>/<service>/<n>" IDs.

@@ -2,23 +2,20 @@ package features
 
 import "fmt"
 
-// This file is the columnar form of the streaming evaluator: instead of
-// stepping one sample at a time through the RowStep chain (one interface
-// dispatch per step per sample, one pointer-chased StreamState per
-// instance), a shard batch is transposed once into a column-major scratch
-// and each pipeline step runs over the whole batch column-wise — one
-// dispatch per step per batch, contiguous inner loops. Per-instance ring
-// state lives in a struct-of-arrays StateSlab (slot × stride into two flat
-// float64 slabs) so the batch time stage touches dense memory rather than
-// a heap object per instance.
+// This file is the one feature-stepping path: a batch of n ≥ 1 raw
+// samples is transposed once into a column-major scratch and each pipeline
+// step runs over the whole batch column-wise — one dispatch per step per
+// batch, contiguous inner loops. Per-instance ring state lives in a
+// struct-of-arrays StateSlab (slot × stride into two flat float64 slabs)
+// so the batch time stage touches dense memory rather than a heap object
+// per instance.
 //
-// The hard contract is bit-identity with the serial path: every kernel
-// below performs, per sample, exactly the operations stepCore performs in
-// exactly the same order — only the loop nesting differs, and no sample's
-// arithmetic ever depends on another sample in the batch (each instance's
-// rings are disjoint slab slots). The serial fallbacks (duplicate slot in
-// one batch, steps without a columnar kernel) literally call stepCore, so
-// they are identical by construction rather than by reimplementation.
+// The hard contract is bit-identity with the offline pipeline: per sample,
+// every kernel below performs exactly the operations Pipeline.TransformFrame
+// performs on that instance's history, in the same order — only the loop
+// nesting differs, and no sample's arithmetic ever depends on another
+// sample in the batch (each instance's rings are disjoint slab slots, which
+// is why a batch naming one slot twice is rejected).
 
 // StateSlab holds the incremental stream state for many instances of one
 // Streamer as dense struct-of-arrays storage: sample counts plus the
@@ -39,14 +36,8 @@ func NewStateSlab(s *Streamer) *StateSlab {
 	return &StateSlab{s: s}
 }
 
-// Streamer returns the streamer whose geometry the slab was minted for.
-// Callers use pointer identity to detect that a model swap changed the
-// pipeline and the slab must be re-minted.
-func (sl *StateSlab) Streamer() *Streamer { return sl.s }
-
 // per-slot strides in floats. The prefix stride includes each slot's own
-// permanently-zero leading row (the implicit P[-1]) so one slot's ring
-// slice has exactly the layout stepCore expects.
+// permanently-zero leading row (the implicit P[-1]).
 func (sl *StateSlab) baseStride() int {
 	if sl.s.tf == nil {
 		return 0
@@ -108,35 +99,6 @@ func (sl *StateSlab) Bytes() int64 {
 	return int64(cap(sl.base)+cap(sl.prefix))*8 + int64(cap(sl.n))*4
 }
 
-func (sl *StateSlab) slotBase(slot int32) []float64 {
-	bs := sl.baseStride()
-	if bs == 0 {
-		return nil
-	}
-	off := int(slot) * bs
-	return sl.base[off : off+bs]
-}
-
-func (sl *StateSlab) slotPrefix(slot int32) []float64 {
-	ps := sl.prefStride()
-	if ps == 0 {
-		return nil
-	}
-	off := int(slot) * ps
-	return sl.prefix[off : off+ps]
-}
-
-// StepSlotInto is StepInto against one slab slot: identical semantics and
-// bit-identical results, including the absorbed-count advance on post-step
-// errors.
-func (sl *StateSlab) StepSlotInto(slot int32, raw []float64, sc *StepScratch) ([]float64, error) {
-	vec, absorbed, err := sl.s.stepCore(int(sl.n[slot]), sl.slotBase(slot), sl.slotPrefix(slot), raw, sc)
-	if absorbed {
-		sl.n[slot]++
-	}
-	return vec, err
-}
-
 // BatchScratch owns every reusable buffer StepBatchInto needs: a bump
 // arena for column storage, the ping-pong column-view slices, the
 // per-sample offset tables of the time stage, and the duplicate-slot
@@ -161,7 +123,6 @@ type BatchScratch struct {
 	epoch uint32
 
 	rowBuf []float64
-	step   StepScratch
 
 	// padCol stands in for liveness-masked columns: every dead slot in a
 	// ping-pong view aliases it. Its contents are garbage by design — the
@@ -215,16 +176,16 @@ func (b *BatchScratch) allocCol(n int) []float64 {
 }
 
 // StepBatchInto engineers one batch of raw samples, sample k belonging to
-// slot slots[k], leaving the result column-major in b (see Cols/Row). It
-// is bit-identical to calling StepSlotInto per sample in batch order: the
-// columnar kernels run the same arithmetic in the same per-sample order,
-// and samples never interact (disjoint slots). If the same slot appears
-// twice — callers normally deduplicate upstream — the whole batch takes
-// the per-sample path, which is the serial code itself.
+// slot slots[k], leaving the result column-major in b (see Cols/Row).
+// Every row is bit-identical to the row Pipeline.TransformFrame produces
+// for that sample over its instance's full history, under any partition
+// of the stream into batches: samples never interact (disjoint slots), so
+// a slot may appear at most once per batch — a repeat is rejected.
 //
-// Errors before the time stage leave all slot state untouched; an error
-// in a post-time step (impossible for a consistently fitted pipeline)
-// leaves the batch absorbed into the rings, exactly like StepInto.
+// Errors before the time stage (width, slot range, duplicate slot) leave
+// all slot state untouched; an error in a post-time step (impossible for
+// a consistently fitted pipeline) leaves the batch absorbed into the
+// rings.
 func (s *Streamer) StepBatchInto(sl *StateSlab, slots []int32, raws [][]float64, b *BatchScratch) error {
 	if sl.s != s {
 		return fmt.Errorf("features: stream batch: slab minted for a different streamer")
@@ -264,16 +225,11 @@ func (s *Streamer) StepBatchInto(sl *StateSlab, slots []int32, raws [][]float64,
 		b.epoch = 0
 	}
 	b.epoch++
-	dup := false
 	for _, slot := range slots {
 		if b.mark[slot] == b.epoch {
-			dup = true
-			break
+			return fmt.Errorf("features: stream batch: slot %d appears twice in one batch", slot)
 		}
 		b.mark[slot] = b.epoch
-	}
-	if dup {
-		return s.stepBatchSerial(sl, slots, raws, b)
 	}
 
 	// Transpose the raw rows into column-major arena storage: column-outer,
@@ -315,42 +271,14 @@ func (s *Streamer) StepBatchInto(sl *StateSlab, slots []int32, raws [][]float64,
 	return nil
 }
 
-// stepBatchSerial is the per-sample fallback: stepCore per sample via
-// StepSlotInto, scattered into output columns. Bit-identical to the
-// columnar path by construction (it IS the serial path).
-func (s *Streamer) stepBatchSerial(sl *StateSlab, slots []int32, raws [][]float64, b *BatchScratch) error {
-	n := len(slots)
-	var out [][]float64
-	for k, raw := range raws {
-		vec, err := sl.StepSlotInto(slots[k], raw, &b.step)
-		if err != nil {
-			return err
-		}
-		if out == nil {
-			out = b.cur[:0]
-			for j := 0; j < len(vec); j++ {
-				out = append(out, b.allocCol(n))
-			}
-			b.cur = out
-		}
-		for j, v := range vec {
-			out[j][k] = v
-		}
-	}
-	b.out = out
-	b.n = n
-	return nil
-}
-
 // batchApply runs one row step over the whole batch column-wise. Columns
 // the step passes through unchanged are aliased, not copied; only freshly
 // computed columns cost arena space, and outputs the liveness plan proves
 // dead (live[j] == false; nil live = all live) are skipped entirely — a
 // shared pad column keeps the view's indices aligned. Steps without a
-// columnar kernel (mirroring transformRowInto's append paths exactly —
-// see hasAppendPath) take a gather/TransformRow/scatter fallback, counted
-// in fallbackRows.
-func (s *Streamer) batchApply(step RowStep, live []bool, cols [][]float64, n int, b *BatchScratch) ([][]float64, error) {
+// columnar kernel (see kernelOutWidth) take a gather/TransformRow/scatter
+// fallback, counted in fallbackRows.
+func (s *Streamer) batchApply(step Step, live []bool, cols [][]float64, n int, b *BatchScratch) ([][]float64, error) {
 	next := b.nxt[:0]
 	switch t := step.(type) {
 	case *Expand:
@@ -439,7 +367,7 @@ func (s *Streamer) batchApply(step RowStep, live []bool, cols [][]float64, n int
 			}
 			next = append(next, dst)
 		}
-	default:
+	case RowStep:
 		// No columnar kernel (e.g. PCA): gather each row, run the
 		// allocating TransformRow, scatter the result. Same arithmetic,
 		// same order, just slow — and counted, so it cannot hide.
@@ -450,7 +378,7 @@ func (s *Streamer) batchApply(step RowStep, live []bool, cols [][]float64, n int
 				row = append(row, c[k])
 			}
 			b.rowBuf = row
-			nr, err := step.TransformRow(row)
+			nr, err := t.TransformRow(row)
 			if err != nil {
 				return nil, fmt.Errorf("features: stream %s: %w", step.Name(), err)
 			}
@@ -481,12 +409,14 @@ func aliasSelect(dst, cols [][]float64, keep []int, name string) ([][]float64, e
 	return dst, nil
 }
 
-// batchTime is timeStep over the whole batch: per-sample ring offsets are
-// tabulated once, then every loop runs column-outer over contiguous input
-// columns. Each sample touches only its own slot's rows, so the per-sample
-// arithmetic — prefix accumulation order, clamped spans, lag clamping —
-// is exactly stepCore's. The batch is absorbed here: every slot's count
-// advances, matching StepInto's absorbed-before-post-steps semantics.
+// batchTime is the time-feature stage over the whole batch: per-sample
+// ring offsets are tabulated once, then every loop runs column-outer over
+// contiguous input columns. Each sample touches only its own slot's rows,
+// so the per-sample arithmetic — prefix accumulation order, clamped spans,
+// lag clamping — mirrors TimeFeatures.Transform exactly: averages divide a
+// prefix-sum difference by the clamped span, lags clamp to row 0. The
+// batch is absorbed here: every slot's count advances before the post
+// steps run.
 func (s *Streamer) batchTime(sl *StateSlab, slots []int32, cols [][]float64, n int, b *BatchScratch) ([][]float64, error) {
 	if s.tf == nil {
 		for _, slot := range slots {
@@ -528,7 +458,7 @@ func (s *Streamer) batchTime(sl *StateSlab, slots []int32, cols [][]float64, n i
 	}
 
 	// Prefix accumulation and base-ring write, sample-outer: each sample's
-	// ring rows are contiguous (and L1-hot, like the serial path), while the
+	// ring rows are contiguous (and L1-hot), while the
 	// input columns advance one element per sample — streaming read
 	// pointers the prefetcher follows. Only columns some live window
 	// output reads (the plan's ring sets) are maintained.

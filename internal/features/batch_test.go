@@ -5,201 +5,204 @@ import (
 	"testing"
 )
 
-// batchHarness steps nInst interleaved instance streams through the same
-// fitted pipeline twice — per-sample StepInto against individual
-// StreamStates, and StepBatchInto against a StateSlab — and fails on the
-// first bit difference. Batches are built tick-by-tick with a seeded
-// shuffle so instances interleave in varying order and subsets.
-func batchHarness(t *testing.T, cfg Config, nInst, ticks int, seed int64) {
+// fitStreamer fits cfg on the shared synthetic training table.
+func fitStreamer(t testing.TB, cfg Config) (*Pipeline, *Streamer) {
 	t.Helper()
-	train := synthTable(4, 80, 11)
-	held := synthTable(nInst, ticks, 23+seed)
 	pipe, err := NewPipeline(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pipe.Fit(train); err != nil {
+	if _, err := pipe.Fit(synthTable(4, 80, 11)); err != nil {
 		t.Fatal(err)
 	}
 	str, err := pipe.Streamer()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return pipe, str
+}
 
-	// Reference: one serial StreamState per instance.
-	states := make([]*StreamState, nInst)
-	for i := range states {
-		states[i] = str.NewState()
+// slabDriver steps the runs of a held-out table — one run is one
+// instance's history — through a single StateSlab and compares every
+// engineered row, bit for bit, with the offline reference: the fitted
+// pipeline's TransformFrame over that run's full history.
+type slabDriver struct {
+	t    testing.TB
+	str  *Streamer
+	held *Table // raw histories
+	want *Table // pipe.Transform(held)
+	sl   *StateSlab
+	b    BatchScratch
+	pos  []int // per run: rows stepped so far
+
+	slots []int32
+	raws  [][]float64
+	runs  []int
+	row   []float64
+}
+
+func newSlabDriver(t testing.TB, pipe *Pipeline, str *Streamer, held *Table, nSlots int) *slabDriver {
+	t.Helper()
+	want, err := pipe.Transform(held)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var sc StepScratch
-
 	sl := NewStateSlab(str)
-	sl.EnsureSlots(nInst)
-	var b BatchScratch
+	sl.EnsureSlots(nSlots)
+	return &slabDriver{t: t, str: str, held: held, want: want, sl: sl, pos: make([]int, len(held.Runs))}
+}
 
+// add queues the next unstepped row of run ri, playing in slot, for the
+// pending batch (at most once per run per batch).
+func (d *slabDriver) add(slot int32, ri int) {
+	d.slots = append(d.slots, slot)
+	d.raws = append(d.raws, d.held.Runs[ri].Rows[d.pos[ri]])
+	d.runs = append(d.runs, ri)
+}
+
+// flush steps the queued batch and checks every row against the offline
+// reference.
+func (d *slabDriver) flush() {
+	d.t.Helper()
+	if len(d.slots) == 0 {
+		return
+	}
+	if err := d.str.StepBatchInto(d.sl, d.slots, d.raws, &d.b); err != nil {
+		d.t.Fatal(err)
+	}
+	if d.b.Len() != len(d.slots) || len(d.b.Cols()) != d.str.NumOutputs() {
+		d.t.Fatalf("batch is %d×%d, want %d×%d", d.b.Len(), len(d.b.Cols()), len(d.slots), d.str.NumOutputs())
+	}
+	for k, ri := range d.runs {
+		j := d.pos[ri]
+		d.pos[ri]++
+		want := d.want.Runs[ri].Rows[j]
+		d.row = d.b.Row(k, d.row[:0])
+		if len(d.row) != len(want) {
+			d.t.Fatalf("run %d row %d: stream width %d, offline %d", ri, j, len(d.row), len(want))
+		}
+		for c := range want {
+			if d.row[c] != want[c] {
+				d.t.Fatalf("run %d row %d col %d (%s): stream %v, offline %v",
+					ri, j, c, d.want.Cols[c].Name, d.row[c], want[c])
+			}
+		}
+		if got := d.sl.Samples(d.slots[k]); got != d.pos[ri] {
+			d.t.Fatalf("run %d: slot absorbed %d samples after %d rows", ri, got, d.pos[ri])
+		}
+	}
+	d.slots, d.raws, d.runs = d.slots[:0], d.raws[:0], d.runs[:0]
+}
+
+// driveInterleaved plays 2×nSlots runs through nSlots slots in batches of
+// at most size. Every tick a seeded shuffle picks which slots report, so
+// batches interleave instances in varying order and subsets. Each slot is
+// recycled once: its first occupant stops after a random prefix of its
+// history, the slot is ResetSlot, and a second run starts in it on rings
+// that still hold the first occupant's data.
+func driveInterleaved(t *testing.T, cfg Config, nSlots, ticks, size int, seed int64) {
+	t.Helper()
+	pipe, str := fitStreamer(t, cfg)
+	d := newSlabDriver(t, pipe, str, synthTable(2*nSlots, ticks, 23+seed), nSlots)
 	rng := rand.New(rand.NewSource(seed))
-	pos := make([]int, nInst)
-	var slots []int32
-	var raws [][]float64
-	var want [][]float64
-	for tick := 0; tick < ticks; tick++ {
-		slots, raws, want = slots[:0], raws[:0], want[:0]
-		order := rng.Perm(nInst)
-		for _, i := range order {
-			if pos[i] >= len(held.Runs[i].Rows) || rng.Intn(4) == 0 {
-				continue // this instance skips the tick
+	occupant := make([]int, nSlots) // slot -> run currently playing
+	stopAt := make([]int, nSlots)   // first occupant's prefix length
+	for s := range occupant {
+		occupant[s] = s
+		stopAt[s] = 1 + rng.Intn(ticks)
+	}
+	for tick := 0; tick < 2*ticks; tick++ {
+		for _, s := range rng.Perm(nSlots) {
+			ri := occupant[s]
+			if ri < nSlots && d.pos[ri] >= stopAt[s] {
+				d.sl.ResetSlot(int32(s))
+				ri += nSlots
+				occupant[s] = ri
 			}
-			slots = append(slots, int32(i))
-			raws = append(raws, held.Runs[i].Rows[pos[i]])
-			pos[i]++
-		}
-		for k, i := range slots {
-			vec, err := str.StepInto(states[i], raws[k], &sc)
-			if err != nil {
-				t.Fatal(err)
+			if d.pos[ri] >= ticks || rng.Intn(4) == 0 {
+				continue // history exhausted, or this instance skips the tick
 			}
-			want = append(want, append([]float64(nil), vec...))
-		}
-		if err := str.StepBatchInto(sl, slots, raws, &b); err != nil {
-			t.Fatal(err)
-		}
-		if b.Len() != len(slots) {
-			t.Fatalf("tick %d: batch len %d, want %d", tick, b.Len(), len(slots))
-		}
-		cols := b.Cols()
-		if len(slots) > 0 && len(cols) != str.NumOutputs() {
-			t.Fatalf("tick %d: batch width %d, want %d", tick, len(cols), str.NumOutputs())
-		}
-		var row []float64
-		for k := range slots {
-			row = b.Row(k, row[:0])
-			if len(row) != len(want[k]) {
-				t.Fatalf("tick %d sample %d: batch width %d, serial %d", tick, k, len(row), len(want[k]))
-			}
-			for c := range row {
-				if row[c] != want[k][c] {
-					t.Fatalf("tick %d sample %d col %d: batch %v, serial %v",
-						tick, k, c, row[c], want[k][c])
-				}
+			d.add(int32(s), ri)
+			if len(d.slots) == size {
+				d.flush()
 			}
 		}
-		for _, i := range slots {
-			if sl.Samples(i) != states[i].Samples() {
-				t.Fatalf("tick %d: slot %d absorbed %d, serial state %d",
-					tick, i, sl.Samples(i), states[i].Samples())
-			}
+		d.flush()
+	}
+	for s, ri := range occupant {
+		if ri < nSlots {
+			t.Fatalf("slot %d was never recycled", s)
 		}
 	}
 }
 
+// TestStepBatchMatchesSerialBitIdentical: under every partition of the
+// sample stream into batches — the serial one (size 1) included — each
+// engineered row equals the offline pipeline's row for that instance.
 func TestStepBatchMatchesSerialBitIdentical(t *testing.T) {
 	for name, cfg := range streamConfigs() {
 		t.Run(name, func(t *testing.T) {
-			batchHarness(t, cfg, 7, 40, 5)
+			for _, size := range []int{1, 3, 64, 512} {
+				nSlots := 7
+				if size > nSlots {
+					nSlots = size + size/4 // so full-size batches actually form
+				}
+				driveInterleaved(t, cfg, nSlots, 24, size, int64(size))
+			}
 		})
 	}
 }
 
-// TestStepBatchDuplicateSlotFallsBackSerial exercises the within-batch
-// duplicate-slot path: the whole batch must drop to per-sample stepping
-// and still match the serial reference in batch order.
-func TestStepBatchDuplicateSlotFallsBackSerial(t *testing.T) {
-	train := synthTable(4, 80, 11)
-	held := synthTable(1, 30, 29)
-	pipe, err := NewPipeline(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pipe.Fit(train); err != nil {
-		t.Fatal(err)
-	}
-	str, err := pipe.Streamer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := str.NewState()
-	var sc StepScratch
-	sl := NewStateSlab(str)
-	sl.EnsureSlots(1)
-	var b BatchScratch
-	rows := held.Runs[0].Rows
-	for lo := 0; lo+3 <= len(rows); lo += 3 {
-		batch := rows[lo : lo+3]
-		var want [][]float64
-		for _, raw := range batch {
-			vec, err := str.StepInto(ref, raw, &sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want = append(want, append([]float64(nil), vec...))
+// TestStepBatchDuplicateSlotRejected: a batch naming one slot twice is
+// refused before any ring is touched — every slot's sample count and its
+// next output are what they would have been without the bad batch.
+func TestStepBatchDuplicateSlotRejected(t *testing.T) {
+	pipe, str := fitStreamer(t, DefaultConfig())
+	held := synthTable(3, 30, 29)
+	d := newSlabDriver(t, pipe, str, held, 3)
+	for j := 0; j < 20; j++ {
+		for ri := range held.Runs {
+			d.add(int32(ri), ri)
 		}
-		// All three samples target slot 0 — same instance three times.
-		if err := str.StepBatchInto(sl, []int32{0, 0, 0}, batch, &b); err != nil {
-			t.Fatal(err)
+		d.flush()
+		if j%5 != 4 {
+			continue
 		}
-		var row []float64
-		for k := range batch {
-			row = b.Row(k, row[:0])
-			for c := range row {
-				if row[c] != want[k][c] {
-					t.Fatalf("batch at %d sample %d col %d: batch %v, serial %v", lo, k, c, row[c], want[k][c])
-				}
+		rows := [][]float64{held.Runs[0].Rows[j+1], held.Runs[1].Rows[j+1], held.Runs[0].Rows[j+2]}
+		var b BatchScratch
+		if err := str.StepBatchInto(d.sl, []int32{0, 1, 0}, rows, &b); err == nil {
+			t.Fatal("duplicate slot accepted")
+		}
+		for ri := range held.Runs {
+			if got := d.sl.Samples(int32(ri)); got != j+1 {
+				t.Fatalf("rejected batch advanced slot %d to %d samples, want %d", ri, got, j+1)
 			}
 		}
-	}
-	if sl.Samples(0) != ref.Samples() {
-		t.Fatalf("slot absorbed %d, serial %d", sl.Samples(0), ref.Samples())
+		// The driver's next flush compares every slot's next row with the
+		// offline reference, so a ring the rejected batch touched shows up
+		// as a bit difference.
 	}
 }
 
 // TestStateSlabSlotReuse proves ResetSlot fully recycles a slot: a fresh
-// instance stepped through a just-freed slot must match a fresh serial
-// state bit-for-bit even though the slot's rings still hold the previous
-// instance's data.
+// instance stepped through a just-freed slot must match the offline
+// pipeline over its own history bit-for-bit even though the slot's rings
+// still hold the previous instance's data.
 func TestStateSlabSlotReuse(t *testing.T) {
-	train := synthTable(4, 80, 11)
+	pipe, str := fitStreamer(t, DefaultConfig())
 	held := synthTable(2, 40, 31)
-	pipe, err := NewPipeline(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+	d := newSlabDriver(t, pipe, str, held, 1)
+	for range held.Runs[0].Rows { // first occupant dirties slot 0's rings
+		d.add(0, 0)
+		d.flush()
 	}
-	if _, err := pipe.Fit(train); err != nil {
-		t.Fatal(err)
+	d.sl.ResetSlot(0)
+	if d.sl.Samples(0) != 0 {
+		t.Fatalf("reset slot has %d samples", d.sl.Samples(0))
 	}
-	str, err := pipe.Streamer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sl := NewStateSlab(str)
-	sl.EnsureSlots(1)
-	var b BatchScratch
-	// First occupant dirties slot 0's rings.
-	for _, raw := range held.Runs[0].Rows {
-		if err := str.StepBatchInto(sl, []int32{0}, [][]float64{raw}, &b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sl.ResetSlot(0)
-	if sl.Samples(0) != 0 {
-		t.Fatalf("reset slot has %d samples", sl.Samples(0))
-	}
-	ref := str.NewState()
-	var sc StepScratch
-	var row []float64
-	for j, raw := range held.Runs[1].Rows {
-		want, err := str.StepInto(ref, raw, &sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := str.StepBatchInto(sl, []int32{0}, [][]float64{raw}, &b); err != nil {
-			t.Fatal(err)
-		}
-		row = b.Row(0, row[:0])
-		for c := range row {
-			if row[c] != want[c] {
-				t.Fatalf("row %d col %d: reused slot %v, fresh state %v", j, c, row[c], want[c])
-			}
-		}
+	for range held.Runs[1].Rows {
+		d.add(0, 1)
+		d.flush()
 	}
 }
 
@@ -239,11 +242,12 @@ func TestStepBatchRejectsBadInput(t *testing.T) {
 	}
 }
 
-// FuzzStepBatchVsSerial drives random pipeline layouts and interleaved
-// multi-instance sample orders — including repeated slots within one
-// batch — asserting StepBatchInto stays bit-identical to per-sample
-// StepInto.
-func FuzzStepBatchVsSerial(f *testing.F) {
+// FuzzStepBatchVsTransformFrame drives random pipeline layouts and
+// fuzzer-chosen batch schedules — which instances report each tick, in
+// what order, and where the tick is cut into batches — asserting every
+// StepBatchInto row stays bit-identical to the offline pipeline over the
+// instance's full history.
+func FuzzStepBatchVsTransformFrame(f *testing.F) {
 	f.Add(uint8(0), uint8(3), uint8(20), int64(1))
 	f.Add(uint8(1), uint8(1), uint8(40), int64(2))
 	f.Add(uint8(2), uint8(5), uint8(10), int64(3))
@@ -254,78 +258,31 @@ func FuzzStepBatchVsSerial(f *testing.F) {
 		{Normalize: true, Reduce1: ReduceFilter, Products: true, FilterTopK: 10},
 		{TimeFeatures: true},
 	}
-	train := synthTable(4, 80, 11)
-	pipes := make([]*Pipeline, len(cfgs))
+	type fitted struct {
+		pipe *Pipeline
+		str  *Streamer
+	}
+	pipes := make([]fitted, len(cfgs))
 	for i, cfg := range cfgs {
-		p, err := NewPipeline(cfg)
-		if err != nil {
-			f.Fatal(err)
-		}
-		if _, err := p.Fit(train); err != nil {
-			f.Fatal(err)
-		}
-		pipes[i] = p
+		pipes[i].pipe, pipes[i].str = fitStreamer(f, cfg)
 	}
 	f.Fuzz(func(t *testing.T, cfgSel, nInstRaw, ticksRaw uint8, seed int64) {
-		pipe := pipes[int(cfgSel)%len(pipes)]
+		p := pipes[int(cfgSel)%len(pipes)]
 		nInst := 1 + int(nInstRaw)%6
 		ticks := 1 + int(ticksRaw)%40
-		str, err := pipe.Streamer()
-		if err != nil {
-			t.Fatal(err)
-		}
-		held := synthTable(nInst, ticks+4, seed)
-		states := make([]*StreamState, nInst)
-		for i := range states {
-			states[i] = str.NewState()
-		}
-		var sc StepScratch
-		sl := NewStateSlab(str)
-		sl.EnsureSlots(nInst)
-		var b BatchScratch
+		d := newSlabDriver(t, p.pipe, p.str, synthTable(nInst, ticks, seed), nInst)
 		rng := rand.New(rand.NewSource(seed ^ 0x9e3779b9))
-		pos := make([]int, nInst)
-		var slots []int32
-		var raws [][]float64
-		for tick := 0; tick < ticks; tick++ {
-			slots, raws = slots[:0], raws[:0]
+		for tick := 0; tick < 2*ticks; tick++ {
 			for _, i := range rng.Perm(nInst) {
-				if rng.Intn(3) == 0 {
+				if d.pos[i] >= ticks || rng.Intn(3) == 0 {
 					continue
 				}
-				reps := 1
-				if rng.Intn(8) == 0 {
-					reps = 2 // duplicate slot within the batch
-				}
-				for r := 0; r < reps && pos[i] < len(held.Runs[i].Rows); r++ {
-					slots = append(slots, int32(i))
-					raws = append(raws, held.Runs[i].Rows[pos[i]])
-					pos[i]++
+				d.add(int32(i), i)
+				if rng.Intn(3) == 0 {
+					d.flush() // cut the tick into several batches
 				}
 			}
-			var want [][]float64
-			for k, i := range slots {
-				vec, err := str.StepInto(states[i], raws[k], &sc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want = append(want, append([]float64(nil), vec...))
-			}
-			if err := str.StepBatchInto(sl, slots, raws, &b); err != nil {
-				t.Fatal(err)
-			}
-			var row []float64
-			for k := range slots {
-				row = b.Row(k, row[:0])
-				if len(row) != len(want[k]) {
-					t.Fatalf("tick %d sample %d: width %d vs %d", tick, k, len(row), len(want[k]))
-				}
-				for c := range row {
-					if row[c] != want[k][c] {
-						t.Fatalf("tick %d sample %d col %d: batch %v serial %v", tick, k, c, row[c], want[k][c])
-					}
-				}
-			}
+			d.flush()
 		}
 	})
 }

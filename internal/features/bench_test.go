@@ -25,30 +25,3 @@ func BenchmarkPipelineFit(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkTransformLatest measures the online single-window path.
-func BenchmarkTransformLatest(b *testing.B) {
-	tab := synthTable(4, 200, 2)
-	p, err := NewPipeline(Config{
-		Reduce1:      ReduceFilter,
-		TimeFeatures: true,
-		FilterTopK:   3,
-		FilterTrees:  8,
-		Seed:         2,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := p.Fit(tab); err != nil {
-		b.Fatal(err)
-	}
-	w := p.WindowSize()
-	rows := tab.Runs[0].Rows
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		start := i % (len(rows) - w)
-		if _, err := p.TransformLatest(rows[start : start+w]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

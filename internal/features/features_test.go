@@ -465,45 +465,6 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 }
 
-func TestPipelineOnlineMatchesBatch(t *testing.T) {
-	tab := synthTable(3, 80, 11)
-	p, err := NewPipeline(Config{
-		Reduce1:      ReduceFilter,
-		TimeFeatures: true,
-		FilterTopK:   3,
-		FilterTrees:  8,
-		Seed:         11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := p.Fit(tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Feed run 0 as a stream: at each t the window is the trailing
-	// WindowSize() raw rows; the online vector must equal the batch row
-	// once the window is fully warm.
-	w := p.WindowSize()
-	run := tab.Runs[0]
-	for j := w - 1; j < len(run.Rows); j++ {
-		window := run.Rows[j-w+1 : j+1]
-		online, err := p.TransformLatest(window)
-		if err != nil {
-			t.Fatalf("TransformLatest: %v", err)
-		}
-		want := batch.Runs[0].Rows[j]
-		if len(online) != len(want) {
-			t.Fatalf("online width %d vs batch %d", len(online), len(want))
-		}
-		for k := range want {
-			if math.Abs(online[k]-want[k]) > 1e-9 {
-				t.Fatalf("online[%d]=%v batch=%v at t=%d", k, online[k], want[k], j)
-			}
-		}
-	}
-}
-
 func TestPipelineGobRoundTrip(t *testing.T) {
 	tab := synthTable(3, 60, 12)
 	p, err := NewPipeline(DefaultConfigWith(3, 8, 12))
@@ -547,9 +508,6 @@ func TestPipelineUnfitted(t *testing.T) {
 	}
 	if _, err := p.Transform(synthTable(1, 10, 13)); err == nil {
 		t.Error("unfitted Transform must fail")
-	}
-	if _, err := p.TransformLatest([][]float64{{1, 2, 3, 4}}); err == nil {
-		t.Error("unfitted TransformLatest must fail")
 	}
 }
 

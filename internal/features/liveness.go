@@ -6,26 +6,21 @@ package features
 // backward pass from the pipeline's final outputs tells exactly which
 // intermediate columns can ever reach an engineered feature. The batch
 // kernels skip the rest: the first importance filter typically keeps a
-// few dozen of a few hundred expanded/scaled columns, and on the serial
-// path every sample pays for all of them anyway (a row vector has no
-// cheap way to skip positions without reshaping every downstream index).
-// Columnar layout makes the skip free: a dead column's slot in the
-// ping-pong view is a shared uninitialized pad column that no live
-// computation ever reads.
+// few dozen of a few hundred expanded/scaled columns. Columnar layout
+// makes the skip free: a dead column's slot in the ping-pong view is a
+// shared uninitialized pad column that no live computation ever reads.
 //
-// Bit-identity with the serial path is untouched by construction: a
+// Bit-identity with the offline pipeline is untouched by construction: a
 // masked-off value is, by the backward pass, not an operand of any
 // computation whose result survives to the final vector, and every
-// surviving value is produced by exactly the serial arithmetic. The
+// surviving value is produced by exactly the offline arithmetic. The
 // equivalence and fuzz tests compare final vectors, so they hold the
 // plan to that claim.
 //
 // The ring slabs are masked the same way — prefix rows accumulate only
 // columns some live trailing average reads, the base ring stores only
-// columns some live lag (or the duplicate-slot serial fallback, which
-// computes everything and so tolerates stale values in dead columns)
-// could read. Dead ring columns hold stale garbage; that garbage only
-// ever flows into dead outputs.
+// columns some live lag reads. Dead ring columns hold stale garbage; that
+// garbage only ever flows into dead outputs.
 
 // batchPlan is the per-streamer liveness plan: one live-output mask per
 // row step plus the time-stage index lists. A nil mask means "all live —
@@ -47,9 +42,10 @@ type timePlan struct {
 	lagIdx  [][]int // per lag window, live output columns
 }
 
-// rowStepOutWidth reports a fitted row step's output width, or -1 for
-// steps without a columnar kernel (whose routing the plan cannot see).
-func rowStepOutWidth(step RowStep, in int) int {
+// kernelOutWidth reports a fitted row step's output width, or -1 for
+// steps without a columnar kernel in batchApply (whose routing the plan
+// cannot see).
+func kernelOutWidth(step Step) int {
 	switch t := step.(type) {
 	case *Expand:
 		out := t.In
@@ -66,7 +62,6 @@ func rowStepOutWidth(step RowStep, in int) int {
 	case *Products:
 		return t.InCols + len(t.Pairs)
 	}
-	_ = in
 	return -1
 }
 
@@ -142,7 +137,7 @@ func buildBatchPlan(s *Streamer) *batchPlan {
 	opaque := false
 	for i, st := range s.pre {
 		preIn[i] = w
-		if w = rowStepOutWidth(st, w); w < 0 {
+		if w = kernelOutWidth(st); w < 0 {
 			opaque = true
 			break
 		}
@@ -153,7 +148,7 @@ func buildBatchPlan(s *Streamer) *batchPlan {
 	if !opaque {
 		for i, st := range s.post {
 			postIn[i] = w
-			if w = rowStepOutWidth(st, w); w < 0 {
+			if w = kernelOutWidth(st); w < 0 {
 				opaque = true
 				break
 			}
@@ -185,7 +180,7 @@ func buildBatchPlan(s *Streamer) *batchPlan {
 }
 
 // liveIn maps a step's live-output mask onto its inputs.
-func liveIn(step RowStep, out []bool, inW int) []bool {
+func liveIn(step Step, out []bool, inW int) []bool {
 	in := make([]bool, inW)
 	switch t := step.(type) {
 	case *Expand:

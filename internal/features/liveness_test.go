@@ -65,7 +65,7 @@ func countLive(mask []bool, width int) int {
 // of the expanded columns, the plan must actually prune — raw transposes,
 // pre-filter kernel outputs and ring maintenance all narrower than the
 // unmasked widths. (Bit-identity under the plan is separately proven by
-// TestStepBatchMatchesSerialBitIdentical and FuzzStepBatchVsSerial.)
+// TestStepBatchMatchesSerialBitIdentical and FuzzStepBatchVsTransformFrame.)
 func TestBatchPlanMasksDeadColumns(t *testing.T) {
 	train := liveTable(4, 120, 40, 17)
 	pipe, err := NewPipeline(Config{
@@ -104,7 +104,7 @@ func TestBatchPlanMasksDeadColumns(t *testing.T) {
 	for i, m := range plan.pre {
 		if m != nil {
 			masked++
-			t.Logf("pre[%d] %s: %d/%d live", i, s(str.pre[i]), countLive(m, len(m)), len(m))
+			t.Logf("pre[%d] %s: %d/%d live", i, str.pre[i].Name(), countLive(m, len(m)), len(m))
 		}
 	}
 	if masked == 0 {
@@ -135,8 +135,6 @@ func TestBatchPlanMasksDeadColumns(t *testing.T) {
 			len(plan.tm.prefIdx), str.baseCols, len(plan.tm.ringIdx), str.baseCols)
 	}
 }
-
-func s(st RowStep) string { return st.Name() }
 
 // TestBatchPlanOpaqueStepDisablesMasking: a step without a columnar
 // kernel (PCA) gathers full rows, so nothing upstream of the plan may be

@@ -306,8 +306,9 @@ func (p *Pipeline) OutputNames() []string {
 // NumOutputs returns the engineered feature count.
 func (p *Pipeline) NumOutputs() int { return len(p.OutCols) }
 
-// WindowSize returns how many trailing raw samples TransformLatest needs
-// to compute the time-dependent features exactly (1 when disabled).
+// WindowSize returns the warm-up horizon: after this many samples of an
+// instance every X-AVG/X-LAG window reads only real history instead of
+// the clamped run start (1 when time features are disabled).
 func (p *Pipeline) WindowSize() int {
 	if !p.Cfg.TimeFeatures {
 		return 1
@@ -328,34 +329,6 @@ func (p *Pipeline) WindowSize() int {
 		}
 	}
 	return maxW + 1
-}
-
-// TransformLatest engineers the feature vector for the most recent raw
-// sample of one instance, given its trailing window of raw samples (oldest
-// first). This is the online path the orchestrator uses per prediction.
-func (p *Pipeline) TransformLatest(window [][]float64) ([]float64, error) {
-	if len(window) == 0 {
-		return nil, fmt.Errorf("features: empty window")
-	}
-	if p.RawCols == nil {
-		return nil, fmt.Errorf("features: pipeline is not fitted")
-	}
-	n := len(window)
-	fr := frame.NewDense(frame.Schema(p.RawCols), n, []frame.Span{{ID: 0, Start: 0, End: n}}, nil)
-	for j := range p.RawCols {
-		col := fr.Col(j)
-		for i, row := range window {
-			if len(row) != len(p.RawCols) {
-				return nil, fmt.Errorf("features: window row %d has %d values, want %d", i, len(row), len(p.RawCols))
-			}
-			col[i] = row[j]
-		}
-	}
-	out, err := p.TransformFrame(fr)
-	if err != nil {
-		return nil, err
-	}
-	return out.Row(out.Rows()-1, nil), nil
 }
 
 func registerGobTypes() {

@@ -6,15 +6,15 @@ import (
 )
 
 // This file is the online half of the feature pipeline: an incremental
-// evaluator that engineers one raw sample at a time in O(1) work per
-// sample, producing vectors that are bit-identical to running the fitted
-// batch pipeline over the instance's full history.
+// evaluator that engineers raw samples in O(1) work per sample, producing
+// vectors that are bit-identical to running the fitted batch pipeline
+// (Pipeline.TransformFrame) over the instance's full history.
 //
 // Every pipeline step except TimeFeatures is row-local once fitted, so the
 // stream splits the fitted step chain into the row steps before the time
 // expansion ("pre"), the TimeFeatures step itself, and the row steps after
 // it ("post"). TimeFeatures is the only step with run context: X-AVG needs
-// a trailing sum and X-LAG needs an old row. The stream keeps
+// a trailing sum and X-LAG needs an old row. Each instance keeps
 //
 //   - a ring of the last maxLag+1 pre-transformed ("base") rows, and
 //   - a ring of the last maxAvg+2 per-column prefix-sum vectors
@@ -30,76 +30,18 @@ import (
 // Both rings are flat row-major slabs (ring row r starts at r×baseCols),
 // and the prefix ring carries one extra leading row that is permanently
 // zero — the implicit P[-1] — so a ring offset can always be computed
-// branchlessly. The same flat layout, at a per-slot stride, backs the
-// StateSlab form in batch.go, which is how the per-sample and batch step
-// paths share one arithmetic core.
+// branchlessly. The rings of many instances pack at a per-slot stride into
+// a StateSlab, and the one stepping path is StepBatchInto (batch.go): a
+// single sample is a batch of one.
 
-// RowStep is a fitted Step that can transform one row independently of its
-// run context. Every step except TimeFeatures implements it.
+// RowStep is a fitted Step without a columnar batch kernel that can still
+// transform one row independently of its run context (PCA). The batch step
+// reaches it through a counted gather/TransformRow/scatter fallback.
 type RowStep interface {
 	Step
 	// TransformRow applies the fitted step to a single row, returning a
 	// fresh slice (the input is never mutated).
 	TransformRow(row []float64) ([]float64, error)
-}
-
-// TransformRow implements RowStep.
-func (e *Expand) TransformRow(row []float64) ([]float64, error) {
-	if e.In == 0 {
-		return nil, fmt.Errorf("features: expand: fitted before streaming support; re-fit the pipeline")
-	}
-	if len(row) != e.In {
-		return nil, fmt.Errorf("features: expand: fitted on %d cols, got %d", e.In, len(row))
-	}
-	nr := make([]float64, 0, e.In+5*len(e.TargetIdx))
-	nr = append(nr, row...)
-	for _, ci := range e.LogIdx {
-		nr[ci] = log10p1(nr[ci])
-	}
-	for k, i := range e.TargetIdx {
-		v := row[i]
-		for _, spec := range levelSpecs(e.TargetCPU[k]) {
-			if spec.Test(v) {
-				nr = append(nr, 1)
-			} else {
-				nr = append(nr, 0)
-			}
-		}
-	}
-	return nr, nil
-}
-
-// TransformRow implements RowStep.
-func (s *StandardScale) TransformRow(row []float64) ([]float64, error) {
-	if len(row) != len(s.Mean) {
-		return nil, fmt.Errorf("features: standardize: fitted on %d cols, got %d", len(s.Mean), len(row))
-	}
-	nr := make([]float64, len(row))
-	for i, v := range row {
-		if s.Std[i] > 0 {
-			nr[i] = (v - s.Mean[i]) / s.Std[i]
-		} else {
-			nr[i] = 0
-		}
-	}
-	return nr, nil
-}
-
-// selectRow projects a row onto the kept column indices.
-func selectRow(row []float64, keep []int, step string) ([]float64, error) {
-	nr := make([]float64, len(keep))
-	for i, k := range keep {
-		if k >= len(row) {
-			return nil, fmt.Errorf("features: %s: column %d out of range (%d cols)", step, k, len(row))
-		}
-		nr[i] = row[k]
-	}
-	return nr, nil
-}
-
-// TransformRow implements RowStep.
-func (f *RFFilter) TransformRow(row []float64) ([]float64, error) {
-	return selectRow(row, f.Keep, "rf-filter")
 }
 
 // TransformRow implements RowStep.
@@ -110,38 +52,20 @@ func (p *PCAReduce) TransformRow(row []float64) ([]float64, error) {
 	return p.P.Transform(row)
 }
 
-// TransformRow implements RowStep.
-func (p *Products) TransformRow(row []float64) ([]float64, error) {
-	if len(row) != p.InCols {
-		return nil, fmt.Errorf("features: products fitted on %d cols, got %d", p.InCols, len(row))
-	}
-	nr := make([]float64, 0, len(row)+len(p.Pairs))
-	nr = append(nr, row...)
-	for _, pr := range p.Pairs {
-		nr = append(nr, row[pr[0]]*row[pr[1]])
-	}
-	return nr, nil
-}
-
-// TransformRow implements RowStep.
-func (z *DropZeroVariance) TransformRow(row []float64) ([]float64, error) {
-	return selectRow(row, z.Keep, "drop-zero-variance")
-}
-
-// Streamer evaluates a fitted pipeline incrementally, one raw sample at a
-// time or one shard batch at a time (batch.go). It is immutable after
-// construction — safe for concurrent use; all per-instance mutable state
-// lives in the StreamState/StateSlab values it mints — except for the
-// fallback-row counter, which is atomic.
+// Streamer evaluates a fitted pipeline incrementally, one batch of raw
+// samples at a time (batch.go). It is immutable after construction — safe
+// for concurrent use; all per-instance mutable state lives in the
+// StateSlab values minted for it — except for the fallback-row counter,
+// which is atomic.
 type Streamer struct {
 	pipe      *Pipeline
-	pre, post []RowStep
+	pre, post []Step
 	tf        *TimeFeatures
 	baseCols  int
 	maxAvg    int
 	maxLag    int
 
-	// fallback names the steps with no append-style row path: each sample
+	// fallback names the steps with no columnar kernel: each sample
 	// through such a step costs a fresh TransformRow allocation. The set
 	// is fixed per fitted pipeline (= per model generation), so callers
 	// log it once at install time instead of discovering the hidden
@@ -169,20 +93,19 @@ func (p *Pipeline) Streamer() (*Streamer, error) {
 			s.tf = tf
 			continue
 		}
-		rs, ok := st.(RowStep)
-		if !ok {
-			return nil, fmt.Errorf("features: streamer: step %s has no row path", st.Name())
-		}
 		if e, isExpand := st.(*Expand); isExpand && e.In == 0 {
 			return nil, fmt.Errorf("features: streamer: pipeline predates streaming support; re-fit and re-save the model")
 		}
-		if !hasAppendPath(rs) {
-			s.fallback = append(s.fallback, rs.Name())
+		if kernelOutWidth(st) < 0 {
+			if _, ok := st.(RowStep); !ok {
+				return nil, fmt.Errorf("features: streamer: step %s has no row path", st.Name())
+			}
+			s.fallback = append(s.fallback, st.Name())
 		}
 		if s.tf == nil {
-			s.pre = append(s.pre, rs)
+			s.pre = append(s.pre, st)
 		} else {
-			s.post = append(s.post, rs)
+			s.post = append(s.post, st)
 		}
 	}
 	if s.tf != nil {
@@ -202,19 +125,8 @@ func (p *Pipeline) Streamer() (*Streamer, error) {
 	return s, nil
 }
 
-// hasAppendPath reports whether transformRowInto (and the batch kernels)
-// handle the step without falling back to the allocating TransformRow.
-// Must stay in sync with transformRowInto's switch.
-func hasAppendPath(step RowStep) bool {
-	switch step.(type) {
-	case *Expand, *StandardScale, *RFFilter, *DropZeroVariance, *Products:
-		return true
-	}
-	return false
-}
-
-// FallbackSteps names the fitted steps with no allocation-free row path
-// (e.g. PCA): every sample through them allocates a fresh TransformRow
+// FallbackSteps names the fitted steps with no columnar kernel (e.g.
+// PCA): every sample through them allocates a fresh TransformRow
 // result. Empty for the paper's selected layout. The set is a property of
 // the pipeline — log it once per model generation.
 func (s *Streamer) FallbackSteps() []string { return s.fallback }
@@ -232,7 +144,7 @@ func (s *Streamer) NumOutputs() int { return s.pipe.NumOutputs() }
 func (s *Streamer) NumInputs() int { return s.pipe.InCols }
 
 // CheckWidth validates a raw sample's width, returning exactly the error
-// StepInto would. Batch callers use it to validate before touching any
+// StepBatchInto would. Callers use it to validate before touching any
 // state.
 func (s *Streamer) CheckWidth(raw []float64) error {
 	if len(raw) != s.pipe.InCols {
@@ -245,254 +157,3 @@ func (s *Streamer) CheckWidth(raw []float64) error {
 // carries one extra permanently-zero leading row standing in for P[-1]).
 func (s *Streamer) baseRows() int { return s.maxLag + 1 }
 func (s *Streamer) prefRows() int { return s.maxAvg + 2 }
-
-// StreamState is one instance's incremental feature state: the sample
-// count plus the two flat rings the time-feature expansion needs. Memory
-// is O(window × base columns) regardless of stream length.
-type StreamState struct {
-	n      int
-	base   []float64 // baseRows × baseCols, row-major
-	prefix []float64 // (1 + prefRows) × baseCols; row 0 is the zero P[-1]
-}
-
-// NewState mints a fresh per-instance state.
-func (s *Streamer) NewState() *StreamState {
-	st := &StreamState{}
-	if s.tf != nil {
-		st.base = make([]float64, s.baseRows()*s.baseCols)
-		st.prefix = make([]float64, (1+s.prefRows())*s.baseCols)
-	}
-	return st
-}
-
-// Samples returns how many samples the state has absorbed.
-func (st *StreamState) Samples() int { return st.n }
-
-// Step engineers the feature vector for the next raw sample of the
-// instance, in O(features) work independent of the stream length. The
-// result is bit-identical to transforming the instance's full history
-// through the batch pipeline and taking the last row.
-func (s *Streamer) Step(st *StreamState, raw []float64) ([]float64, error) {
-	return s.StepInto(st, raw, nil)
-}
-
-// StepScratch holds the reusable row buffers StepInto ping-pongs the step
-// chain through, so a steady-state step makes zero allocations. One
-// scratch serves one goroutine at a time; vectors returned by StepInto
-// alias its buffers and are only valid until the next StepInto call with
-// the same scratch.
-type StepScratch struct {
-	bufs [2][]float64
-}
-
-// StepInto is Step with caller-owned scratch buffers: the same arithmetic
-// in the same order (so results stay bit-identical to the batch pipeline),
-// but intermediate and output rows live in sc instead of fresh slices. A
-// nil scratch behaves exactly like Step. Steps without an append-style
-// path (PCA) fall back to their allocating TransformRow; the fallback is
-// counted on the streamer (FallbackRows) so the hidden per-sample cost is
-// observable.
-func (s *Streamer) StepInto(st *StreamState, raw []float64, sc *StepScratch) ([]float64, error) {
-	vec, absorbed, err := s.stepCore(st.n, st.base, st.prefix, raw, sc)
-	if absorbed {
-		st.n++
-	}
-	return vec, err
-}
-
-// stepCore runs the fitted chain for one raw sample against caller-owned
-// rings (a StreamState's, or one StateSlab slot's — both share this exact
-// code path, which is what makes the two forms bit-identical by
-// construction). j is the sample index the rings have absorbed so far.
-// absorbed reports that the time stage committed the sample into the
-// rings — the caller must advance its count even if a post step failed,
-// matching the historical StepInto semantics.
-func (s *Streamer) stepCore(j int, baseRing, prefRing, raw []float64, sc *StepScratch) (vec []float64, absorbed bool, err error) {
-	if len(raw) != s.pipe.InCols {
-		return nil, false, fmt.Errorf("features: stream: pipeline fitted on %d raw cols, got %d", s.pipe.InCols, len(raw))
-	}
-	cur := raw
-	slot := 0
-	apply := func(step RowStep) error {
-		var next []float64
-		var err error
-		handled := false
-		if sc != nil {
-			next, handled, err = transformRowInto(step, sc.bufs[slot][:0], cur)
-			if handled && err == nil {
-				sc.bufs[slot] = next
-				slot ^= 1
-			}
-		}
-		if !handled {
-			if sc != nil {
-				s.fallbackRows.Add(1)
-			}
-			next, err = step.TransformRow(cur)
-		}
-		if err != nil {
-			return fmt.Errorf("features: stream %s: %w", step.Name(), err)
-		}
-		cur = next
-		return nil
-	}
-	for _, step := range s.pre {
-		if err := apply(step); err != nil {
-			return nil, false, err
-		}
-	}
-	if s.tf != nil {
-		var out []float64
-		if sc != nil {
-			out = sc.bufs[slot][:0]
-		}
-		next, err := s.timeStep(j, baseRing, prefRing, cur, out)
-		if err != nil {
-			return nil, false, err
-		}
-		if sc != nil {
-			sc.bufs[slot] = next
-			slot ^= 1
-		}
-		cur = next
-	}
-	absorbed = true
-	for _, step := range s.post {
-		if err := apply(step); err != nil {
-			return nil, true, err
-		}
-	}
-	return cur, true, nil
-}
-
-// transformRowInto is the allocation-free twin of RowStep.TransformRow:
-// it appends the transformed row to dst (which must be empty) and reports
-// whether the step has an append path at all. The arithmetic — every
-// operation and its order — matches TransformRow exactly.
-func transformRowInto(step RowStep, dst, row []float64) ([]float64, bool, error) {
-	switch t := step.(type) {
-	case *Expand:
-		if t.In == 0 {
-			return nil, true, fmt.Errorf("fitted before streaming support; re-fit the pipeline")
-		}
-		if len(row) != t.In {
-			return nil, true, fmt.Errorf("fitted on %d cols, got %d", t.In, len(row))
-		}
-		nr := append(dst, row...)
-		for _, ci := range t.LogIdx {
-			nr[ci] = log10p1(nr[ci])
-		}
-		for k, i := range t.TargetIdx {
-			v := row[i]
-			for _, spec := range levelSpecs(t.TargetCPU[k]) {
-				if spec.Test(v) {
-					nr = append(nr, 1)
-				} else {
-					nr = append(nr, 0)
-				}
-			}
-		}
-		return nr, true, nil
-	case *StandardScale:
-		if len(row) != len(t.Mean) {
-			return nil, true, fmt.Errorf("fitted on %d cols, got %d", len(t.Mean), len(row))
-		}
-		nr := dst
-		for i, v := range row {
-			if t.Std[i] > 0 {
-				nr = append(nr, (v-t.Mean[i])/t.Std[i])
-			} else {
-				nr = append(nr, 0)
-			}
-		}
-		return nr, true, nil
-	case *RFFilter:
-		nr, err := appendSelect(dst, row, t.Keep)
-		return nr, true, err
-	case *DropZeroVariance:
-		nr, err := appendSelect(dst, row, t.Keep)
-		return nr, true, err
-	case *Products:
-		if len(row) != t.InCols {
-			return nil, true, fmt.Errorf("fitted on %d cols, got %d", t.InCols, len(row))
-		}
-		nr := append(dst, row...)
-		for _, pr := range t.Pairs {
-			nr = append(nr, row[pr[0]]*row[pr[1]])
-		}
-		return nr, true, nil
-	}
-	return nil, false, nil
-}
-
-// appendSelect is selectRow appending onto dst.
-func appendSelect(dst, row []float64, keep []int) ([]float64, error) {
-	for _, k := range keep {
-		if k >= len(row) {
-			return nil, fmt.Errorf("column %d out of range (%d cols)", k, len(row))
-		}
-		dst = append(dst, row[k])
-	}
-	return dst, nil
-}
-
-// timeStep appends the X-AVG/X-LAG variants for sample index j onto out
-// (nil for a fresh slice), updating the flat rings. It mirrors
-// TimeFeatures.Transform exactly: averages divide a prefix-sum difference
-// by the clamped span, lags clamp to row 0. The rings own their row
-// storage — base is copied in, never retained — so callers may reuse the
-// slice behind base across steps. prefRing row 0 is the permanent zero
-// P[-1] row; it is read when a window reaches back past the start and
-// never written (ring rows land at offsets ≥ baseCols).
-func (s *Streamer) timeStep(j int, baseRing, prefRing, base, out []float64) ([]float64, error) {
-	if len(base) != s.baseCols {
-		return nil, fmt.Errorf("features: stream time-features fitted on %d cols, got %d", s.baseCols, len(base))
-	}
-	cols := s.baseCols
-	pr := s.prefRows()
-	// P[j][c] = P[j-1][c] + base[c], accumulated in arrival order — the
-	// same additions, in the same order, as the batch prefix sums.
-	prevOff := 0
-	if j > 0 {
-		prevOff = (1 + (j-1)%pr) * cols
-	}
-	pOff := (1 + j%pr) * cols
-	p := prefRing[pOff : pOff+cols]
-	prev := prefRing[prevOff : prevOff+cols]
-	for c := 0; c < cols; c++ {
-		p[c] = prev[c] + base[c]
-	}
-	bOff := (j % s.baseRows()) * cols
-	copy(baseRing[bOff:bOff+cols], base)
-
-	tf := s.tf
-	nr := out
-	if cap(nr) == 0 {
-		nr = make([]float64, 0, cols*(1+len(tf.AvgWindows)+len(tf.LagWindows)))
-	}
-	nr = append(nr, base...)
-	for _, w := range tf.AvgWindows {
-		lo := j - w
-		if lo < 0 {
-			lo = 0
-		}
-		span := float64(j - lo + 1)
-		loOff := 0
-		if lo > 0 {
-			loOff = (1 + (lo-1)%pr) * cols
-		}
-		plo := prefRing[loOff : loOff+cols]
-		for c := 0; c < cols; c++ {
-			nr = append(nr, (p[c]-plo[c])/span)
-		}
-	}
-	for _, w := range tf.LagWindows {
-		src := j - w
-		if src < 0 {
-			src = 0
-		}
-		lOff := (src % s.baseRows()) * cols
-		nr = append(nr, baseRing[lOff:lOff+cols]...)
-	}
-	return nr, nil
-}

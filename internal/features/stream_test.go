@@ -30,49 +30,21 @@ func streamConfigs() map[string]Config {
 	}
 }
 
+// TestStreamerMatchesBatchBitIdentical streams each held-out run alone,
+// one sample per step (a batch of one), against the offline pipeline.
 func TestStreamerMatchesBatchBitIdentical(t *testing.T) {
-	train := synthTable(4, 80, 11)
 	held := synthTable(3, 60, 23)
 	for name, cfg := range streamConfigs() {
 		t.Run(name, func(t *testing.T) {
-			pipe, err := NewPipeline(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := pipe.Fit(train); err != nil {
-				t.Fatal(err)
-			}
-			batch, err := pipe.Transform(held)
-			if err != nil {
-				t.Fatal(err)
-			}
-			str, err := pipe.Streamer()
-			if err != nil {
-				t.Fatal(err)
-			}
+			pipe, str := fitStreamer(t, cfg)
 			if str.NumOutputs() != pipe.NumOutputs() {
 				t.Fatalf("streamer outputs %d, pipeline %d", str.NumOutputs(), pipe.NumOutputs())
 			}
+			d := newSlabDriver(t, pipe, str, held, len(held.Runs))
 			for ri := range held.Runs {
-				st := str.NewState()
-				for j, raw := range held.Runs[ri].Rows {
-					vec, err := str.Step(st, raw)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := batch.Runs[ri].Rows[j]
-					if len(vec) != len(want) {
-						t.Fatalf("run %d row %d: stream width %d, batch %d", ri, j, len(vec), len(want))
-					}
-					for c := range vec {
-						if vec[c] != want[c] {
-							t.Fatalf("run %d row %d col %d (%s): stream %v, batch %v",
-								ri, j, c, batch.Cols[c].Name, vec[c], want[c])
-						}
-					}
-				}
-				if st.Samples() != len(held.Runs[ri].Rows) {
-					t.Fatalf("state absorbed %d samples, want %d", st.Samples(), len(held.Runs[ri].Rows))
+				for range held.Runs[ri].Rows {
+					d.add(int32(ri), ri)
+					d.flush()
 				}
 			}
 		})
@@ -81,42 +53,23 @@ func TestStreamerMatchesBatchBitIdentical(t *testing.T) {
 
 func TestStreamerLongStreamBoundedStateMatchesBatch(t *testing.T) {
 	// A stream several times longer than the time window must still agree
-	// with batch while keeping only O(window) rows of state.
-	train := synthTable(4, 80, 31)
-	pipe, err := NewPipeline(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pipe.Fit(train); err != nil {
-		t.Fatal(err)
-	}
+	// with the offline pipeline while keeping only O(window) rows of state.
+	pipe, str := fitStreamer(t, DefaultConfig())
 	long := synthTable(1, 400, 47)
-	batch, err := pipe.Transform(long)
-	if err != nil {
-		t.Fatal(err)
+	d := newSlabDriver(t, pipe, str, long, 1)
+	before := d.sl.Bytes()
+	for range long.Runs[0].Rows {
+		d.add(0, 0)
+		d.flush()
 	}
-	str, err := pipe.Streamer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := str.NewState()
-	for j, raw := range long.Runs[0].Rows {
-		vec, err := str.Step(st, raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for c := range vec {
-			if vec[c] != batch.Runs[0].Rows[j][c] {
-				t.Fatalf("row %d col %d: stream %v, batch %v", j, c, vec[c], batch.Runs[0].Rows[j][c])
-			}
-		}
-	}
-	// The flat rings must stay O(window × base cols), independent of the
+	// The flat rings stay O(window × base cols), independent of the
 	// 400-sample stream length: base holds maxLag+1 rows and prefix
-	// 1+maxAvg+2 rows at baseCols floats each.
-	if bound := 64 * str.baseCols; len(st.base)+len(st.prefix) > bound {
-		t.Fatalf("stream state is not bounded: %d base + %d prefix floats, want <= %d",
-			len(st.base), len(st.prefix), bound)
+	// 1+maxAvg+2 rows at baseCols floats each, per slot.
+	if d.sl.Bytes() != before {
+		t.Fatalf("slab grew while streaming: %d -> %d bytes", before, d.sl.Bytes())
+	}
+	if perSlot, bound := d.sl.baseStride()+d.sl.prefStride(), 64*str.baseCols; perSlot > bound {
+		t.Fatalf("stream state is not bounded: %d floats per slot, want <= %d", perSlot, bound)
 	}
 }
 
@@ -128,65 +81,23 @@ func TestStreamerRejectsUnfittedAndBadWidth(t *testing.T) {
 	if _, err := pipe.Streamer(); err == nil {
 		t.Fatal("expected error for unfitted pipeline")
 	}
-	train := synthTable(4, 80, 7)
-	if _, err := pipe.Fit(train); err != nil {
-		t.Fatal(err)
-	}
-	str, err := pipe.Streamer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := str.Step(str.NewState(), []float64{1, 2}); err == nil {
+	_, str := fitStreamer(t, DefaultConfig())
+	if err := str.CheckWidth([]float64{1, 2}); err == nil {
 		t.Fatal("expected error for wrong raw width")
 	}
 }
 
 func TestStreamerStatesAreIndependent(t *testing.T) {
-	// Interleaving two instances through one Streamer must give each the
-	// same vectors as streaming them alone (states carry all mutability).
-	train := synthTable(4, 80, 3)
-	pipe, err := NewPipeline(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pipe.Fit(train); err != nil {
-		t.Fatal(err)
-	}
-	str, err := pipe.Streamer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := synthTable(1, 50, 101).Runs[0].Rows
-	b := synthTable(1, 50, 102).Runs[0].Rows
-
-	solo := func(rows [][]float64) [][]float64 {
-		st := str.NewState()
-		var out [][]float64
-		for _, r := range rows {
-			v, err := str.Step(st, r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, v)
-		}
-		return out
-	}
-	wantA, wantB := solo(a), solo(b)
-
-	stA, stB := str.NewState(), str.NewState()
-	for j := range a {
-		va, err := str.Step(stA, a[j])
-		if err != nil {
-			t.Fatal(err)
-		}
-		vb, err := str.Step(stB, b[j])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for c := range va {
-			if va[c] != wantA[j][c] || vb[c] != wantB[j][c] {
-				t.Fatalf("interleaved stream diverged at row %d col %d", j, c)
-			}
-		}
+	// Two instances alternating through one slab must each get the
+	// vectors the offline pipeline computes for their history alone (slots
+	// carry all mutability).
+	pipe, str := fitStreamer(t, DefaultConfig())
+	held := synthTable(2, 50, 101)
+	d := newSlabDriver(t, pipe, str, held, 2)
+	for range held.Runs[0].Rows {
+		d.add(0, 0)
+		d.flush()
+		d.add(1, 1)
+		d.flush()
 	}
 }

@@ -64,7 +64,7 @@ type Forest struct {
 	// binEdges are the per-feature training bin edges retained by the
 	// histogram fit (nil for exact-splitter forests); quant is the
 	// compiled quantized predictor built from them, and quantOff is the
-	// -quant-predict=false routing override. Both serialize with the
+	// SetQuantPredict(false) routing override. Both serialize with the
 	// forest (bundle v4) so a loaded model predicts quantized without
 	// recompiling from raw data.
 	binEdges [][]float64
@@ -274,7 +274,8 @@ func (f *Forest) Quant() *QuantForest { return f.quant }
 func (f *Forest) QuantActive() bool { return f.quant != nil && !f.quantOff }
 
 // SetQuantPredict toggles quantized batch-prediction routing without
-// discarding the compiled form (the cmd-level -quant-predict flags).
+// discarding the compiled form; tests use the float walk it selects as
+// the reference for the quantized one.
 func (f *Forest) SetQuantPredict(on bool) { f.quantOff = !on }
 
 // DropQuant discards the compiled quantized form and its edges; the

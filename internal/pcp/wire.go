@@ -1,8 +1,6 @@
 package pcp
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"sort"
 
@@ -36,24 +34,10 @@ type WireObservation struct {
 	// T is the observation second.
 	T int `json:"t"`
 	// SchemaHash identifies the metric catalog the values are laid out
-	// against (HashNames over the combined metric names). Optional; when
-	// set, receivers reject mismatches.
+	// against (Catalog.SchemaHash). Optional; when set, receivers reject
+	// mismatches.
 	SchemaHash string       `json:"schema_hash,omitempty"`
 	Samples    []WireSample `json:"samples"`
-}
-
-// HashNames fingerprints a metric-name schema: the SHA-256 of the names
-// joined with NUL separators, hex-encoded. Order matters — the vector
-// layout is positional. Kept for legacy (version ≤ 1) model bundles; new
-// fingerprints come from frame.Schema.Hash, which also covers the domain
-// and flag metadata the feature pipeline keys on.
-func HashNames(names []string) string {
-	h := sha256.New()
-	for _, n := range names {
-		h.Write([]byte(n))
-		h.Write([]byte{0})
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // SchemaFromDefs maps metric definitions onto the columnar frame schema —

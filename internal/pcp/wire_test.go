@@ -59,15 +59,3 @@ func TestWireObservationRejectsMalformed(t *testing.T) {
 		t.Error("duplicate instance ID accepted")
 	}
 }
-
-func TestHashNamesOrderSensitive(t *testing.T) {
-	a := HashNames([]string{"x", "y"})
-	b := HashNames([]string{"y", "x"})
-	c := HashNames([]string{"xy"})
-	if a == b || a == c {
-		t.Errorf("hash collisions across reordered/joined schemas: %s %s %s", a, b, c)
-	}
-	if a != HashNames([]string{"x", "y"}) {
-		t.Error("hash not deterministic")
-	}
-}

@@ -77,46 +77,3 @@ func BenchmarkHTTPIngest(b *testing.B) {
 	}
 	b.ReportMetric(float64(8*b.N)/b.Elapsed().Seconds(), "samples/s")
 }
-
-// BenchmarkIncrementalVsWindowed compares the streaming feature path
-// against the legacy batch-over-window path for a single instance.
-func BenchmarkIncrementalVsWindowed(b *testing.B) {
-	m, _ := sharedTestModel(b)
-	width := len(m.RawNames())
-	vec := make([]float64, width)
-	for j := range vec {
-		vec[j] = float64(j%13) * 0.07
-	}
-
-	b.Run("incremental", func(b *testing.B) {
-		streamer, err := m.Streamer()
-		if err != nil {
-			b.Fatal(err)
-		}
-		st := streamer.NewState()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			fvec, err := streamer.Step(st, vec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			m.PredictVector(fvec)
-		}
-	})
-
-	b.Run("windowed", func(b *testing.B) {
-		w := m.WindowSize()
-		window := make([][]float64, 0, w)
-		for len(window) < w {
-			window = append(window, vec)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := m.PredictWindow(window); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

@@ -240,10 +240,10 @@ func TestBinaryIngestMatchesJSONIngest(t *testing.T) {
 }
 
 // TestShardCountEquivalence proves the tick-batched prediction path is
-// bit-identical to the per-row path regardless of sharding: the same
+// bit-identical to the offline path regardless of sharding: the same
 // stream ingested into services sharded 1/4/16 ways must produce
-// identical predictions, all equal to a reference computed sample by
-// sample with the streamer plus per-vector forest walk.
+// identical predictions, all equal to Model.PredictFrame over each
+// instance's full history.
 func TestShardCountEquivalence(t *testing.T) {
 	m, ds := sharedTestModel(t)
 	tab := features.FromDataset(ds.FilterRuns(1, 22, 23))
@@ -258,14 +258,12 @@ func TestShardCountEquivalence(t *testing.T) {
 		svcs[i] = svc
 	}
 
-	// Per-row reference: independent streamer states, one PredictVector
-	// per sample — the pre-batching serving semantics.
-	streamer, err := m.Streamer()
+	// Offline reference: the batch pipeline and forest over every run.
+	_, refProbs, err := m.PredictFrame(tab.Frame())
 	if err != nil {
 		t.Fatal(err)
 	}
-	states := map[string]*features.StreamState{}
-	refProbs := map[string][]float64{}
+	runOf := map[string]int{}
 
 	const ticks = 40
 	for j := 0; j < ticks; j++ {
@@ -276,17 +274,7 @@ func TestShardCountEquivalence(t *testing.T) {
 			}
 			id := fmt.Sprintf("sh/run%d/0", run.ID)
 			obs.Samples = append(obs.Samples, pcp.WireSample{Instance: id, Values: run.Rows[j]})
-			st := states[id]
-			if st == nil {
-				st = streamer.NewState()
-				states[id] = st
-			}
-			fvec, err := streamer.Step(st, run.Rows[j])
-			if err != nil {
-				t.Fatalf("reference step: %v", err)
-			}
-			p, _ := m.PredictVector(fvec)
-			refProbs[id] = append(refProbs[id], p)
+			runOf[id] = run.ID
 		}
 		for i, svc := range svcs {
 			resp, err := svc.Ingest(obs)
@@ -294,8 +282,8 @@ func TestShardCountEquivalence(t *testing.T) {
 				t.Fatalf("shards=%d tick %d: %v", shardCounts[i], j, err)
 			}
 			for id, pred := range resp.Predictions {
-				if want := refProbs[id][j]; pred.Prob != want {
-					t.Fatalf("shards=%d tick %d %s: batched prob %v != per-row prob %v (not bit-identical)",
+				if want := refProbs[runOf[id]][j]; pred.Prob != want {
+					t.Fatalf("shards=%d tick %d %s: batched prob %v != offline prob %v (not bit-identical)",
 						shardCounts[i], j, id, pred.Prob, want)
 				}
 			}
@@ -314,5 +302,63 @@ func TestShardCountEquivalence(t *testing.T) {
 			t.Fatalf("final predictions diverge between shards=%d and shards=%d",
 				shardCounts[0], shardCounts[i])
 		}
+	}
+}
+
+// TestOrchestratorMatchesService feeds the same observations to a
+// core.Orchestrator and a sharded Service. Both are thin callers of
+// core.Engine, so every probability must be equal to the bit — on the
+// float route (exact-splitter model) and the fused code-slab route (hist
+// model), and across an instance being forgotten and re-registered.
+func TestOrchestratorMatchesService(t *testing.T) {
+	exact, ds := sharedTestModel(t)
+	tab := features.FromDataset(ds.FilterRuns(1, 22, 23))
+	for name, m := range map[string]*core.Model{"float-route": exact, "fused-route": histTestModel(t)} {
+		t.Run(name, func(t *testing.T) {
+			svc, err := New(Config{Model: m, Shards: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			orch := core.NewOrchestrator(m)
+			const ticks = 40
+			for j := 0; j < ticks; j++ {
+				wire := pcp.WireObservation{T: j}
+				for _, run := range tab.Runs {
+					if j < len(run.Rows) {
+						wire.Samples = append(wire.Samples, pcp.WireSample{
+							Instance: fmt.Sprintf("eq/run%d/0", run.ID), Values: run.Rows[j]})
+					}
+				}
+				obs, err := wire.Observation()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := orch.Ingest(obs); err != nil {
+					t.Fatal(err)
+				}
+				resp, err := svc.Ingest(wire)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(resp.Predictions) != len(obs.Vectors) {
+					t.Fatalf("tick %d: %d service predictions for %d vectors", j, len(resp.Predictions), len(obs.Vectors))
+				}
+				for id, sp := range resp.Predictions {
+					op, ok := orch.InstancePrediction(id)
+					if !ok || op.Prob != sp.Prob || op.Saturated != sp.Saturated {
+						t.Fatalf("tick %d %s: orchestrator %+v (ok=%v), service prob %v sat %v",
+							j, id, op, ok, sp.Prob, sp.Saturated)
+					}
+				}
+				svc.PutResponse(resp)
+				if j == ticks/2 {
+					id := wire.Samples[0].Instance
+					orch.Forget(id)
+					if !svc.Forget(id) {
+						t.Fatalf("service did not know %s", id)
+					}
+				}
+			}
+		})
 	}
 }

@@ -59,8 +59,9 @@ func histTestModel(tb testing.TB) *core.Model {
 
 // TestFusedIngestShardWorkerInvariance is the fused-route equivalence
 // proof: a fully-quantized model served through the code-slab path must
-// produce bit-identical predictions to the float scratch-frame route
-// (DisableFusedIngest), at every shard count and forest worker count.
+// produce bit-identical predictions to the float scratch-frame route (a
+// copy of the model with SetQuantPredict(false), which the engine routes
+// through the float walk), at every shard count and forest worker count.
 // Shard count changes the batch boundaries (which rows share a code
 // slab); worker count changes how blocks fan out inside a walk. Neither
 // may move a single bit.
@@ -73,12 +74,19 @@ func TestFusedIngestShardWorkerInvariance(t *testing.T) {
 	}
 	tab := features.FromDataset(ds.FilterRuns(1, 22, 23))
 
+	// The float reference: same trees, quantized routing switched off.
+	floatForest := forest.New(m.Forest.Config())
+	*floatForest = *m.Forest
+	floatForest.SetQuantPredict(false)
+	floatModel := *m
+	floatModel.Forest = floatForest
+
 	for _, par := range []int{1, 4, 0} {
 		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
 			q.SetParallelism(par)
 			defer q.SetParallelism(0)
 
-			ref, err := New(Config{Model: m, Shards: 4, DisableFusedIngest: true})
+			ref, err := New(Config{Model: &floatModel, Shards: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,7 +197,7 @@ func TestMidBatchRejectionConsistency(t *testing.T) {
 	resp := ingest(t, 0, "rej/a/0", "rej/a/1")
 	samples0 := resp.Predictions["rej/a/0"].Samples
 	svc.PutResponse(resp)
-	slotsBefore := len(sh.ids)
+	slotsBefore := len(sh.eng.IDs())
 
 	// Duplicate mid-batch: a0 is re-sent after the never-seen a2 was
 	// provisionally registered, so the rollback must unwind a2.
@@ -207,10 +215,16 @@ func TestMidBatchRejectionConsistency(t *testing.T) {
 	if st := svc.Stats(); st.Instances != 2 {
 		t.Fatalf("instances after rejected batch = %d, want 2", st.Instances)
 	}
-	if len(sh.free) != 1 {
-		t.Fatalf("rolled-back slot not on free list: %d free slots, want 1", len(sh.free))
+	var free []int32
+	for slot, id := range sh.eng.IDs() {
+		if id == "" {
+			free = append(free, int32(slot))
+		}
 	}
-	freed := sh.free[0]
+	if len(free) != 1 {
+		t.Fatalf("rolled-back slot not freed: %d free slots, want 1", len(free))
+	}
+	freed := free[0]
 	checkAggConsistency(t, svc)
 
 	// Width mismatch mid-batch: same rollback contract through the other
@@ -239,11 +253,11 @@ func TestMidBatchRejectionConsistency(t *testing.T) {
 	// does not grow past the rejected batch's high-water mark.
 	resp = ingest(t, 4, "rej/a/4")
 	svc.PutResponse(resp)
-	if got, ok := sh.slotOf["rej/a/4"]; !ok || got != freed {
+	if got, ok := sh.eng.Lookup("rej/a/4"); !ok || got != freed {
 		t.Fatalf("new instance got slot %d (ok=%v), want recycled slot %d", got, ok, freed)
 	}
-	if len(sh.ids) != slotsBefore+1 {
-		t.Fatalf("slot registry has %d slots, want %d (freed slot not reused)", len(sh.ids), slotsBefore+1)
+	if n := len(sh.eng.IDs()); n != slotsBefore+1 {
+		t.Fatalf("slot registry has %d slots, want %d (freed slot not reused)", n, slotsBefore+1)
 	}
 	checkAggConsistency(t, svc)
 }

@@ -10,11 +10,10 @@
 //
 // The service is built for fleet-sized deployments: per-instance state is
 // sharded by an FNV-1a hash of the instance ID across a power-of-two
-// number of independently locked shards, each tick's samples are scored
-// through the forest's batch tree-outer walk over a reusable per-shard
-// scratch frame (bit-identical to per-sample PredictVector), and the hot
-// counters live in per-shard padded cells aggregated only at /metrics
-// scrape time. Per-application aggregation keeps per-shard (instances,
+// number of independently locked shards, each shard scores its slice of a
+// tick as one batch on its own core.Engine (the same engine the
+// Orchestrator and EdgeAgent run), and the hot counters live in per-shard
+// padded cells aggregated only at /metrics scrape time. Per-application aggregation keeps per-shard (instances,
 // saturated) counts that are merged at read time, so ingesting a sample
 // is O(1) in the fleet size.
 package serving
@@ -68,12 +67,6 @@ type Config struct {
 	// BundleVersion records the bundle format version the model came from
 	// (0 when the model was constructed in-process rather than loaded).
 	BundleVersion int
-	// DisableFusedIngest forces the ingest predict phase through the float
-	// scratch-frame route even when the active forest is fully quantized.
-	// The fused route (engineered columns → uint8 code slab → tree walk)
-	// is bit-identical; this switch exists for A/B measurement and as an
-	// operational escape hatch.
-	DisableFusedIngest bool
 }
 
 // Prediction is one instance's latest inference.
@@ -219,33 +212,25 @@ type pendSample struct {
 	isNew bool
 }
 
-// shard is one lock domain of per-instance state, struct-of-arrays:
-// slotOf maps an instance ID to a dense slot, and the per-slot arrays
-// (ids/gens/preds) plus the features.StateSlab rings are indexed by it.
-// Freed slots recycle LIFO through free, so a shard's arrays stay as
-// dense as its live population. All batch scratch (column scratch, code
-// slab, probs, pend) is reused across ticks: a steady-state shard batch
-// allocates nothing.
+// shard is one lock domain of per-instance state: a core.Engine (ID→slot
+// registry, ring-state slab, step and predict scratch) plus what serving
+// keeps per slot around it — the duplicate-detection stamps and the
+// latest predictions — and the shard's per-app aggregates. All batch
+// scratch is reused across ticks: a steady-state shard batch allocates
+// nothing.
 type shard struct {
-	mu     sync.Mutex
-	slotOf map[string]int32
-	ids    []string     // slot -> instance ID ("" when free)
-	gens   []uint64     // slot -> last observation gen (duplicate detection)
-	preds  []Prediction // slot -> latest prediction
-	free   []int32      // LIFO recycled slots
-	states *features.StateSlab
-	apps   map[string]*shardApp
+	mu    sync.Mutex
+	eng   *core.Engine
+	gens  []uint64     // slot -> last observation gen (duplicate detection)
+	preds []Prediction // slot -> latest prediction
+	apps  map[string]*shardApp
 
-	batch   features.BatchScratch
-	scratch *frame.Scratch
-	slots   []int32
-	raws    [][]float64
-	codes   []uint8
-	vec     []float64
-	probs   []float64
-	pend    []pendSample
-	gen     uint64
-	// bytes mirrors states.Bytes() so the instance-state gauge reads it
+	slots []int32
+	raws  [][]float64
+	vec   []float64
+	pend  []pendSample
+	gen   uint64
+	// bytes mirrors eng.StateBytes() so the instance-state gauge reads it
 	// without taking the shard lock.
 	bytes atomic.Int64
 	// drift accumulates per-app raw-feature statistics under the shard
@@ -253,48 +238,36 @@ type shard struct {
 	drift *lifecycle.Cell
 }
 
-// allocSlot takes a slot for a new instance: LIFO reuse when available
-// (ResetSlot makes the recycled rings indistinguishable from fresh ones),
-// append-growth otherwise. Callers hold the shard lock and fill ids/
-// slotOf themselves.
-func (sh *shard) allocSlot() int32 {
-	if n := len(sh.free); n > 0 {
-		slot := sh.free[n-1]
-		sh.free = sh.free[:n-1]
-		sh.states.ResetSlot(slot)
-		sh.gens[slot] = 0
-		sh.preds[slot] = Prediction{}
-		return slot
+// register takes a slot for a new instance and seeds the per-slot arrays
+// with its provisional prediction. Callers hold the shard lock.
+func (sh *shard) register(id string, pred Prediction) int32 {
+	slot, _ := sh.eng.Acquire(id)
+	if int(slot) == len(sh.preds) {
+		sh.gens = append(sh.gens, 0)
+		sh.preds = append(sh.preds, pred)
+	} else {
+		sh.preds[slot] = pred
 	}
-	slot := int32(len(sh.ids))
-	sh.ids = append(sh.ids, "")
-	sh.gens = append(sh.gens, 0)
-	sh.preds = append(sh.preds, Prediction{})
-	sh.states.EnsureSlots(len(sh.ids))
 	return slot
 }
 
-// freeSlot releases a slot back to the free list. Callers hold the shard
-// lock and have already removed the slotOf entry.
-func (sh *shard) freeSlot(slot int32) {
-	sh.ids[slot] = ""
-	sh.gens[slot] = 0
-	sh.preds[slot] = Prediction{}
-	sh.free = append(sh.free, slot)
-}
-
-// remintLocked resets the shard for a new streamer geometry: registry,
-// per-app aggregates and state slab all restart empty (capacity kept
-// where the geometry allows). Callers hold the shard lock.
-func (sh *shard) remintLocked(str *features.Streamer) {
-	clear(sh.slotOf)
-	sh.ids = sh.ids[:0]
+// bind points the shard's engine at the model generation a batch (or a
+// cold swap) loaded. The engine drops its registry when the streamer —
+// hence the ring geometry — changed; the per-slot arrays and per-app
+// aggregates indexed by that registry restart with it, so slab geometry
+// and the streamer stepping it can never diverge (warm swaps reuse the
+// streamer pointer, making pointer identity exactly the warm/cold
+// discriminator). Callers hold the shard lock and zero the instance
+// counter when bind reports a reset.
+func (sh *shard) bind(mv *modelVersion) bool {
+	if !sh.eng.Bind(mv.model, mv.streamer) {
+		return false
+	}
 	sh.gens = sh.gens[:0]
 	sh.preds = sh.preds[:0]
-	sh.free = sh.free[:0]
 	clear(sh.apps)
-	sh.states = features.NewStateSlab(str)
-	sh.bytes.Store(sh.states.Bytes())
+	sh.bytes.Store(sh.eng.StateBytes())
+	return true
 }
 
 // paddedInt is a cache-line-padded atomic instance counter (one per
@@ -450,12 +423,9 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Model.Fingerprint != nil && cfg.DriftWindow >= 0 {
 		s.drift = lifecycle.NewMonitor(cfg.Model.Fingerprint, cfg.DriftWindow)
 	}
-	engineered := cfg.Model.EngineeredSchema()
 	for i := range s.shards {
-		s.shards[i].slotOf = make(map[string]int32)
+		s.shards[i].eng = core.NewEngine(cfg.Model, streamer)
 		s.shards[i].apps = make(map[string]*shardApp)
-		s.shards[i].scratch = frame.NewScratch(engineered, 0)
-		s.shards[i].states = features.NewStateSlab(streamer)
 		s.shards[i].drift = lifecycle.NewCell()
 	}
 	logFallbackSteps(streamer, 1)
@@ -491,12 +461,8 @@ func New(cfg Config) (*Service, error) {
 			return float64(s.active.Load().gen)
 		})
 	reg.GaugeFunc("monitorless_model_bundle_legacy",
-		"1 when the active model has no training fingerprint (pre-v3 bundle): drift detection disabled.", nil, func() float64 {
-			mv := s.active.Load()
-			if mv.fp == nil || (mv.bundleVer >= 1 && mv.bundleVer < 3) {
-				return 1
-			}
-			return 0
+		"1 when the active model has no training fingerprint (built in-process without one): drift detection disabled.", nil, func() float64 {
+			return boolGauge(s.active.Load().fp == nil)
 		})
 	if s.drift != nil {
 		reg.CounterFunc("monitorless_drift_windows_total",
@@ -684,13 +650,12 @@ func (s *Service) ingest(w pcp.WireObservation, quiet bool) (*IngestResponse, er
 
 // ingestShard processes one shard's slice of the observation under the
 // shard lock, in phases: (A) validate every sample and register new
-// instances into the slot registry — provisionally, so a failure anywhere
-// in the batch rolls the registrations back without leaving phantom
-// instances or skewed per-app aggregates; (B) one columnar batch feature
-// step over the whole shard batch (bit-identical to per-sample stepping);
-// (C) one batch forest walk — fused through the quantized code slab when
-// the active forest qualifies, via the float scratch frame otherwise;
-// (D) prediction and per-app aggregate updates.
+// instances into the engine's slot registry — provisionally, so a failure
+// anywhere in the batch rolls the registrations back without leaving
+// phantom instances or skewed per-app aggregates; (B) one engine Step over
+// the whole shard batch; (C) one engine Predict (the engine picks the
+// forest route from the model); (D) prediction and per-app aggregate
+// updates.
 func (s *Service) ingestShard(si int, w *pcp.WireObservation, idxs []int32, resp *IngestResponse, quiet bool, touched map[string]struct{}) error {
 	// The active model is loaded exactly once per shard batch: a swap
 	// landing mid-batch does not mix generations within the batch, and
@@ -700,14 +665,10 @@ func (s *Service) ingestShard(si int, w *pcp.WireObservation, idxs []int32, resp
 	sh := &s.shards[si]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	// The state slab is minted for one streamer geometry. A cold swap
-	// nils it (resetInstances); a batch that loaded the new model before
-	// the reset landed re-mints here, so the slab's geometry and the
-	// streamer stepping it can never diverge (warm swaps reuse the
-	// streamer pointer, making pointer identity exactly the warm/cold
-	// discriminator).
-	if sh.states == nil || sh.states.Streamer() != mv.streamer {
-		sh.remintLocked(mv.streamer)
+	// Every batch binds the generation it loaded: a batch that loaded a
+	// cold-swapped model before resetInstances landed (or an old one
+	// after) re-mints the engine state here.
+	if sh.bind(mv) {
 		s.nInst[si].v.Store(0)
 	}
 	sh.gen++
@@ -728,25 +689,24 @@ func (s *Service) ingestShard(si int, w *pcp.WireObservation, idxs []int32, resp
 			if !p.isNew {
 				continue
 			}
-			delete(sh.slotOf, p.id)
+			sh.eng.Release(p.id)
 			if agg := sh.apps[p.app]; agg != nil {
 				agg.instances--
 				if agg.instances == 0 {
 					delete(sh.apps, p.app)
 				}
 			}
-			sh.freeSlot(p.slot)
 			s.nInst[si].v.Add(-1)
 		}
 	}
 	for _, i := range idxs {
 		smp := &w.Samples[i]
-		slot, known := sh.slotOf[smp.Instance]
+		slot, known := sh.eng.Lookup(smp.Instance)
 		if known && sh.gens[slot] == sh.gen {
 			rollback()
 			return fmt.Errorf("serving: duplicate sample for %q", smp.Instance)
 		}
-		if err := mv.streamer.CheckWidth(smp.Values); err != nil {
+		if err := sh.eng.CheckWidth(smp.Values); err != nil {
 			// A rejected sample must not leave a phantom zero-sample
 			// instance behind (it would surface in /predict and inflate
 			// the instance gauge).
@@ -763,10 +723,7 @@ func (s *Service) ingestShard(si int, w *pcp.WireObservation, idxs []int32, resp
 		if !known {
 			// Register with a provisional prediction naming the app, so
 			// the per-app aggregates stay consistent between phases.
-			slot = sh.allocSlot()
-			sh.ids[slot] = smp.Instance
-			sh.slotOf[smp.Instance] = slot
-			sh.preds[slot] = Prediction{T: w.T, App: app, Service: smp.Service, ModelGen: mv.gen}
+			slot = sh.register(smp.Instance, Prediction{T: w.T, App: app, Service: smp.Service, ModelGen: mv.gen})
 			sh.appAgg(app).instances++
 			s.nInst[si].v.Add(1)
 		}
@@ -780,7 +737,7 @@ func (s *Service) ingestShard(si int, w *pcp.WireObservation, idxs []int32, resp
 	// were validated above and serving-level duplicate detection keeps
 	// slots unique within the batch, so an error here means a pipeline
 	// inconsistency — roll the registrations back and reject.
-	if err := mv.streamer.StepBatchInto(sh.states, sh.slots, sh.raws, &sh.batch); err != nil {
+	if err := sh.eng.Step(sh.slots, sh.raws); err != nil {
 		rollback()
 		return fmt.Errorf("serving: ingest batch step: %w", err)
 	}
@@ -789,51 +746,28 @@ func (s *Service) ingestShard(si int, w *pcp.WireObservation, idxs []int32, resp
 			if lbl := w.Samples[i].Label; lbl != nil {
 				// The sink copies the row before returning (it aliases
 				// per-shard scratch).
-				sh.vec = sh.batch.Row(k, sh.vec[:0])
+				sh.vec = sh.eng.Row(k, sh.vec[:0])
 				sink.sink.Add(sh.vec, *lbl)
 			}
 		}
 	}
 
-	// Phase C: one batch walk per shard batch — bit-identical to per-row
-	// PredictVector, much cheaper than re-paging the ensemble per sample.
-	// When the active forest is fully quantized, the engineered columns
-	// quantize straight into the code slab and the walk reads codes —
-	// no float frame is materialized (same codes, same walk kernels, same
-	// accumulation order as the frame route, so still bit-identical).
-	// Timed separately from the surrounding ingest work so /metrics can
-	// attribute the forest's share of the pipeline (predict_stage vs the
-	// whole-batch predict histogram below).
+	// Phase C: one forest walk per shard batch, timed separately from the
+	// surrounding ingest work so /metrics can attribute the forest's share
+	// of the pipeline (predict_stage vs the whole-batch predict histogram
+	// below).
 	predictStart := time.Now()
-	fused := false
-	if q := mv.model.Forest.Quant(); q != nil && mv.model.Forest.QuantActive() &&
-		q.FullyQuantized() && !s.cfg.DisableFusedIngest {
-		var err error
-		if sh.codes, err = q.QuantizeBatch(sh.batch.Cols(), n, sh.codes); err == nil {
-			if cap(sh.probs) < n {
-				sh.probs = make([]float64, n)
-			}
-			sh.probs = sh.probs[:n]
-			fused = q.PredictProbaCodes(sh.codes, sh.probs) == nil
-		}
-	}
-	if !fused {
-		fr := sh.scratch.Frame(n)
-		for j, col := range sh.batch.Cols() {
-			copy(fr.Col(j), col[:n])
-		}
-		sh.probs = mv.model.PredictProbaRowsInto(fr, sh.probs)
-	}
+	probs := sh.eng.Predict()
 	s.hPredictStage.Shard(si).ObserveN(time.Since(predictStart).Seconds()/float64(n), uint64(n))
 
 	for k := range sh.pend {
 		p := &sh.pend[k]
-		prob := sh.probs[k]
+		prob := probs[k]
 		sat := prob >= mv.threshold
 		old := sh.preds[p.slot]
 		sh.preds[p.slot] = Prediction{
 			Prob: prob, Saturated: sat, T: w.T,
-			Samples: sh.states.Samples(p.slot),
+			Samples: sh.eng.Samples(p.slot),
 			App:     p.app, Service: p.svc,
 			ModelGen: mv.gen,
 		}
@@ -843,7 +777,7 @@ func (s *Service) ingestShard(si int, w *pcp.WireObservation, idxs []int32, resp
 		}
 		touched[p.app] = struct{}{}
 	}
-	sh.bytes.Store(sh.states.Bytes())
+	sh.bytes.Store(sh.eng.StateBytes())
 
 	elapsed := time.Since(start).Seconds()
 	s.hPredict.Shard(si).ObserveN(elapsed/float64(n), uint64(n))
@@ -924,11 +858,10 @@ func (s *Service) Forget(id string) bool {
 	sh := &s.shards[si]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	slot, ok := sh.slotOf[id]
+	slot, ok := sh.eng.Release(id)
 	if !ok {
 		return false
 	}
-	delete(sh.slotOf, id)
 	s.nInst[si].v.Add(-1)
 	pred := sh.preds[slot]
 	if agg := sh.apps[pred.App]; agg != nil {
@@ -940,7 +873,6 @@ func (s *Service) Forget(id string) bool {
 			delete(sh.apps, pred.App)
 		}
 	}
-	sh.freeSlot(slot)
 	return true
 }
 
@@ -949,7 +881,7 @@ func (s *Service) InstancePrediction(id string) (Prediction, bool) {
 	sh := &s.shards[shardIndex(id, s.mask)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	slot, ok := sh.slotOf[id]
+	slot, ok := sh.eng.Lookup(id)
 	if !ok {
 		return Prediction{}, false
 	}
@@ -962,8 +894,10 @@ func (s *Service) Predictions() map[string]Prediction {
 	for si := range s.shards {
 		sh := &s.shards[si]
 		sh.mu.Lock()
-		for id, slot := range sh.slotOf {
-			out[id] = sh.preds[slot]
+		for slot, id := range sh.eng.IDs() {
+			if id != "" {
+				out[id] = sh.preds[slot]
+			}
 		}
 		sh.mu.Unlock()
 	}
@@ -987,9 +921,9 @@ func (s *Service) Apps() map[string]AppStatus {
 	for si := range s.shards {
 		sh := &s.shards[si]
 		sh.mu.Lock()
-		for id, slot := range sh.slotOf {
+		for slot, id := range sh.eng.IDs() {
 			pred := &sh.preds[slot]
-			if !pred.Saturated {
+			if id == "" || !pred.Saturated {
 				continue
 			}
 			if st, ok := out[pred.App]; ok {
@@ -1110,7 +1044,7 @@ func (s *Service) Swap(m *core.Model, bundleVersion int, reason string) (SwapEve
 		// monotonic, and announce the new generation's fallback steps.
 		s.fallbackBase.Add(cur.streamer.FallbackRows())
 		logFallbackSteps(nv.streamer, nv.gen)
-		s.resetInstances()
+		s.resetInstances(nv)
 	}
 	if s.drift != nil && nv.fp != cur.fp && nv.fp != nil {
 		// A different training distribution invalidates partial windows;
@@ -1145,24 +1079,18 @@ func (s *Service) SwapHistory() []SwapEvent {
 
 // resetInstances drops all per-instance streaming state and per-shard
 // app aggregates (a cold swap: the new pipeline cannot continue old
-// rings). The state slab is nil'd rather than re-minted here — the next
-// shard batch mints it from the model generation it actually loads, so a
-// batch in flight on the old generation can never step a slab of the
-// wrong geometry. App debouncers survive — their k-of-n windows refill
-// from the new model's decisions on subsequent ticks.
-func (s *Service) resetInstances() {
+// rings) by binding every shard to the new generation. A batch still in
+// flight on the old generation re-binds to the model it loaded, so no
+// batch ever steps a slab of the wrong geometry. App debouncers survive —
+// their k-of-n windows refill from the new model's decisions on
+// subsequent ticks.
+func (s *Service) resetInstances(nv *modelVersion) {
 	for si := range s.shards {
 		sh := &s.shards[si]
 		sh.mu.Lock()
-		clear(sh.slotOf)
-		sh.ids = sh.ids[:0]
-		sh.gens = sh.gens[:0]
-		sh.preds = sh.preds[:0]
-		sh.free = sh.free[:0]
-		sh.states = nil
-		sh.bytes.Store(0)
-		clear(sh.apps)
-		s.nInst[si].v.Store(0)
+		if sh.bind(nv) {
+			s.nInst[si].v.Store(0)
+		}
 		sh.mu.Unlock()
 	}
 }

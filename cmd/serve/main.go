@@ -2,14 +2,11 @@
 // trained model bundle and serves per-instance saturation predictions over
 // HTTP, maintaining incremental per-instance feature state so each
 // ingested sample costs O(features) instead of re-running the batch
-// pipeline. With -replay it instead drives the Table 7 TeaStore autoscaling
-// simulation through the HTTP API and verifies the online path makes
-// exactly the decisions of the in-process orchestrator.
+// pipeline.
 //
 // Usage:
 //
 //	serve -model model.gob [-addr 127.0.0.1:9090] [-debounce-k 3] [-debounce-n 5]
-//	serve -model model.gob -replay [-duration 1100] [-target http://host:port]
 //
 // Endpoints: POST /ingest, GET /predict, GET /apps, DELETE /instances?id=,
 // GET /schema, GET /healthz, GET /metrics (Prometheus text), GET/POST /model
@@ -31,14 +28,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"monitorless/internal/apps"
-	"monitorless/internal/autoscale"
 	"monitorless/internal/core"
-	"monitorless/internal/experiments"
 	"monitorless/internal/lifecycle"
 	"monitorless/internal/serving"
 )
@@ -55,10 +48,6 @@ func main() {
 		clearBelow = flag.Int("clear-below", 1, "clear the alarm when fewer than this many positives remain in the window")
 		shards     = flag.Int("shards", 0, "instance-state shard count, rounded up to a power of two (0 = default)")
 		drain      = flag.Duration("drain", 5*time.Second, "graceful-shutdown drain timeout")
-		replay     = flag.Bool("replay", false, "replay the Table 7 TeaStore loop through the HTTP API and verify it matches the in-process path")
-		target     = flag.String("target", "", "replay: existing serve instance to drive (default: self-host on a loopback port)")
-		duration   = flag.Int("duration", 1100, "replay: simulated seconds")
-		seed       = flag.Int64("seed", 54, "replay: simulation seed")
 
 		driftWindow = flag.Int("drift-window", 0, "per-app drift window in samples (0 = default 2048, -1 = disable drift scoring)")
 		swapPolicy  = flag.String("swap-policy", "off", "shadow-retrain policy: off | shadow (train+compare only) | auto (promote winning challengers)")
@@ -107,12 +96,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if *replay {
-		if err := runReplay(svc, b.Model, *target, *duration, *seed); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 	if err := runServe(svc, mg, *retrainIvl, *addr, *drain); err != nil {
 		log.Fatal(err)
 	}
@@ -201,91 +184,5 @@ func runServe(svc *serving.Service, mg *lifecycle.Manager, retrainIvl time.Durat
 		return err
 	}
 	fmt.Println("drained cleanly")
-	return nil
-}
-
-// runReplay closes the §2 loop over the wire: it simulates the Table 7
-// TeaStore scenario twice with the monitorless policy — once with the
-// in-process orchestrator, once with every prediction fetched from the
-// HTTP API — and verifies the two runs make identical per-tick scaling
-// decisions.
-func runReplay(svc *serving.Service, m *core.Model, target string, duration int, seed int64) error {
-	build := func() (*autoscale.Env, error) {
-		eng, tea, err := experiments.BuildTeaStore(experiments.SockshopInterferenceRate, 7)(
-			apps.TeaStoreLoad(experiments.TeaStoreBase, 9))
-		if err != nil {
-			return nil, err
-		}
-		return &autoscale.Env{Engine: eng, Target: tea, Cluster: eng.Cluster()}, nil
-	}
-	opt := autoscale.Options{
-		Duration:        duration,
-		ReplicaLifespan: 120,
-		SLORt:           0.75,
-		SLOFailFrac:     0.10,
-		Couple:          [][]string{{"recommender", "auth"}},
-		Seed:            seed,
-	}
-
-	record := func(dst *[]string) func(int, []string) {
-		return func(t int, targets []string) {
-			if len(targets) > 0 {
-				*dst = append(*dst, fmt.Sprintf("t=%d scale-out %s", t, strings.Join(targets, ",")))
-			}
-		}
-	}
-
-	var localDecisions []string
-	optLocal := opt
-	optLocal.OnDecision = record(&localDecisions)
-	start := time.Now()
-	resLocal, err := autoscale.Simulate(build, autoscale.MonitorlessScaler{}, m, optLocal)
-	if err != nil {
-		return fmt.Errorf("in-process replay: %w", err)
-	}
-	fmt.Printf("in-process: %d ticks in %s, %d scale-outs, %d SLO violations, +%.1f%% provisioning\n",
-		duration, time.Since(start).Round(time.Millisecond), resLocal.ScaleOuts, resLocal.SLOViolations, resLocal.ProvisioningPct)
-
-	if target == "" {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		server := &http.Server{Handler: serving.NewServer(svc), ReadHeaderTimeout: 5 * time.Second}
-		go server.Serve(ln)
-		defer server.Close()
-		target = "http://" + ln.Addr().String()
-		fmt.Printf("self-hosted model server on %s\n", target)
-	}
-	client := serving.NewClient(target)
-
-	var remoteDecisions []string
-	optRemote := opt
-	optRemote.Predictor = client
-	optRemote.OnDecision = record(&remoteDecisions)
-	start = time.Now()
-	resRemote, err := autoscale.Simulate(build, autoscale.MonitorlessScaler{}, nil, optRemote)
-	if err != nil {
-		return fmt.Errorf("HTTP replay: %w", err)
-	}
-	fmt.Printf("over HTTP:  %d ticks in %s, %d scale-outs, %d SLO violations, +%.1f%% provisioning\n",
-		duration, time.Since(start).Round(time.Millisecond), resRemote.ScaleOuts, resRemote.SLOViolations, resRemote.ProvisioningPct)
-
-	if a, b := strings.Join(localDecisions, "\n"), strings.Join(remoteDecisions, "\n"); a != b {
-		return fmt.Errorf("online path DIVERGES from offline decisions:\n--- in-process ---\n%s\n--- HTTP ---\n%s", a, b)
-	}
-	if resLocal != resRemote {
-		return fmt.Errorf("simulation results diverge:\nin-process %+v\nHTTP       %+v", resLocal, resRemote)
-	}
-	for _, d := range localDecisions {
-		fmt.Println("  ", d)
-	}
-	fmt.Printf("online path reproduces the offline policy decisions exactly (%d decision ticks)\n", len(localDecisions))
-
-	stats, err := client.Healthz()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("server stats: %d instances tracked, %.0f samples ingested\n", stats.Instances, stats.SamplesTotal)
 	return nil
 }

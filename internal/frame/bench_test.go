@@ -6,7 +6,8 @@ import (
 )
 
 // benchRows builds the row-oriented equivalent of a frame, for the
-// row-vs-columnar scan comparison recorded in BENCH_frame.json.
+// row-vs-columnar scan comparison (BenchmarkColumnScanRowOriented against
+// BenchmarkColumnScanColumnar).
 func benchRows(rows, d int, seed int64) [][]float64 {
 	r := rand.New(rand.NewSource(seed))
 	x := make([][]float64, rows)

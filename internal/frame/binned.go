@@ -77,7 +77,7 @@ func BinColumns(cols [][]float64, n, maxBins int, rows []int) *Binned {
 		b.edges[j] = edges
 		dst := b.codes[j*n : (j+1)*n]
 		for i, v := range col {
-			dst[i] = code(edges, v)
+			dst[i] = Quantize(edges, v)
 		}
 		return nil
 	})
@@ -145,17 +145,12 @@ func binEdges(col []float64, rows []int, maxBins int) []float64 {
 	return edges
 }
 
-// code maps a value to its bin: the first bin whose upper edge is ≥ v,
-// or the last bin when v exceeds every edge.
-func code(edges []float64, v float64) uint8 {
-	return Quantize(edges, v)
-}
-
 // Quantize maps a value to its bin code under the given ascending edges:
 // the first bin whose upper edge is ≥ v, or len(edges) (the last bin)
 // when v exceeds every edge. It is the single quantization function of
-// the repo — training codes (BinFrame) and quantized inference
-// (forest.Compile) both use it, which is what makes the invariant
+// the repo — training codes (BinFrame), quantized inference
+// (forest.Compile) and the drift fingerprint (Fingerprint.Bin) all use
+// it, which is what makes the invariant
 // Quantize(edges, v) ≤ b ⟺ v ≤ edges[b] hold for *every* float64 v:
 // −Inf codes to 0 and goes left everywhere, while +Inf and NaN code to
 // len(edges) (the predicate edges[m] ≥ v is false for both) and go right
@@ -165,8 +160,7 @@ func Quantize(edges []float64, v float64) uint8 {
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
 		// The branch must be on edges[m] >= v (not its negation) so NaN
-		// falls through to lo = m+1 and codes past the last edge, matching
-		// sort.SearchFloat64s.
+		// falls through to lo = m+1 and codes past the last edge.
 		if edges[m] >= v {
 			hi = m
 		} else {

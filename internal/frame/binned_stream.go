@@ -171,7 +171,7 @@ func binFrameChunked(fr *Frame, maxBins int, rows []int) (*Binned, error) {
 			dst := b.codes[j*n : (j+1)*n]
 			edges := b.edges[j]
 			for i, v := range col {
-				dst[base+i] = code(edges, v)
+				dst[base+i] = Quantize(edges, v)
 			}
 		}
 		return nil

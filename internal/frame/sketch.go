@@ -3,7 +3,6 @@ package frame
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"monitorless/internal/parallel"
 )
@@ -185,7 +184,7 @@ func sketchColumn(name string, col []float64, bins int) ColFingerprint {
 	cf.Edges = binEdges(col, nil, bins)
 	cf.Props = make([]float64, len(cf.Edges)+1)
 	for _, v := range col {
-		cf.Props[sort.SearchFloat64s(cf.Edges, v)]++
+		cf.Props[Quantize(cf.Edges, v)]++
 	}
 	inv := 1 / float64(len(col))
 	for b := range cf.Props {
@@ -202,7 +201,7 @@ func (fp *Fingerprint) NumBins(j int) int { return len(fp.Cols[j].Edges) + 1 }
 
 // Bin maps a value of column j to its sketch bin index.
 func (fp *Fingerprint) Bin(j int, v float64) int {
-	return sort.SearchFloat64s(fp.Cols[j].Edges, v)
+	return int(Quantize(fp.Cols[j].Edges, v))
 }
 
 // TotalBins returns the summed bin count across columns — the flat
@@ -215,15 +214,29 @@ func (fp *Fingerprint) TotalBins() int {
 	return t
 }
 
-// Validate checks internal consistency against a schema width.
+// Validate checks internal consistency against a schema width, and that
+// every column's edges are safe for Bin: at most MaxFingerprintBins bins
+// (Quantize returns a uint8) and ascending with no NaN. Equal neighbours
+// are legal — the streamed sketch can emit them.
 func (fp *Fingerprint) Validate(cols int) error {
 	if len(fp.Cols) != cols {
 		return fmt.Errorf("frame: fingerprint covers %d columns, schema has %d", len(fp.Cols), cols)
 	}
 	for j := range fp.Cols {
-		if len(fp.Cols[j].Props) != len(fp.Cols[j].Edges)+1 {
+		cf := &fp.Cols[j]
+		if len(cf.Props) != len(cf.Edges)+1 {
 			return fmt.Errorf("frame: fingerprint column %d (%s): %d props for %d edges",
-				j, fp.Cols[j].Name, len(fp.Cols[j].Props), len(fp.Cols[j].Edges))
+				j, cf.Name, len(cf.Props), len(cf.Edges))
+		}
+		if len(cf.Edges) > MaxFingerprintBins-1 {
+			return fmt.Errorf("frame: fingerprint column %d (%s): %d edges, at most %d allowed",
+				j, cf.Name, len(cf.Edges), MaxFingerprintBins-1)
+		}
+		for i, e := range cf.Edges {
+			if math.IsNaN(e) || (i > 0 && e < cf.Edges[i-1]) {
+				return fmt.Errorf("frame: fingerprint column %d (%s): edge %d (%v) is NaN or below its predecessor",
+					j, cf.Name, i, e)
+			}
 		}
 	}
 	return nil

@@ -253,7 +253,7 @@ func fingerprintFrameChunked(fr *Frame, bins int) *Fingerprint {
 			for _, v := range col {
 				dv := v - cf.Mean
 				m2[j] += dv * dv
-				cf.Props[sort.SearchFloat64s(cf.Edges, v)]++
+				cf.Props[Quantize(cf.Edges, v)]++
 			}
 		}
 		return nil

@@ -10,7 +10,7 @@ import (
 // exactRankBounds returns [count(<v)+1, count(≤v)] over the sorted data —
 // the true rank interval of v.
 func exactRankBounds(sorted []float64, v float64) (lo, hi int) {
-	lo = sort.SearchFloat64s(sorted, v) + 1
+	lo = sort.Search(len(sorted), func(i int) bool { return sorted[i] >= v }) + 1
 	hi = sort.Search(len(sorted), func(i int) bool { return sorted[i] > v })
 	return lo, hi
 }

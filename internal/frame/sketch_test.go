@@ -137,6 +137,54 @@ func TestFingerprintFrame(t *testing.T) {
 	if fp.TotalBins() != 10+10+1 {
 		t.Fatalf("TotalBins = %d", fp.TotalBins())
 	}
+
+	// Bin is Quantize — the first bin whose upper edge is ≥ v — on the
+	// values where a binary search could disagree with that definition.
+	edges := fp.Cols[0].Edges
+	probes := []float64{math.NaN(), math.Inf(-1), math.Inf(1)}
+	for i, e := range edges {
+		probes = append(probes, e)
+		if i > 0 {
+			probes = append(probes, (edges[i-1]+e)/2)
+		}
+	}
+	for _, v := range probes {
+		want := len(edges)
+		for i, e := range edges {
+			if e >= v {
+				want = i
+				break
+			}
+		}
+		if got, q := fp.Bin(0, v), int(Quantize(edges, v)); got != want || q != want {
+			t.Fatalf("v=%v: Bin %d, Quantize %d, first edge ≥ v is %d", v, got, q, want)
+		}
+	}
+
+	// Validate rejects edges Bin cannot search: too many for a uint8 code
+	// budget, NaN, or decreasing. Equal neighbours stay legal.
+	withEdges := func(e []float64) *Fingerprint {
+		return &Fingerprint{Cols: []ColFingerprint{{Name: "x", Edges: e, Props: make([]float64, len(e)+1)}}}
+	}
+	ramp := make([]float64, MaxFingerprintBins)
+	for i := range ramp {
+		ramp[i] = float64(i)
+	}
+	if err := withEdges(ramp[:MaxFingerprintBins-1]).Validate(1); err != nil {
+		t.Fatalf("Validate rejected %d edges: %v", MaxFingerprintBins-1, err)
+	}
+	if err := withEdges([]float64{1, 1, 2}).Validate(1); err != nil {
+		t.Fatalf("Validate rejected equal neighbouring edges: %v", err)
+	}
+	for name, e := range map[string][]float64{
+		"oversize":   ramp,
+		"NaN":        {1, math.NaN(), 3},
+		"decreasing": {1, 3, 2},
+	} {
+		if err := withEdges(e).Validate(1); err == nil {
+			t.Errorf("Validate accepted %s edges", name)
+		}
+	}
 }
 
 func TestMomentsObserveAllocs(t *testing.T) {

@@ -520,7 +520,7 @@ func BenchmarkCellObserve(b *testing.B) {
 }
 
 // BenchmarkRetrainChallenger measures one full shadow-retrain round over
-// a populated reservoir (the retrain-latency number in BENCH_drift.json).
+// a populated reservoir (snapshot, challenger fit, holdout comparison).
 func BenchmarkRetrainChallenger(b *testing.B) {
 	m, ds := sharedModel(b)
 	eng := engineeredRows(b, m, ds)

@@ -83,7 +83,7 @@ type ChallengerReport struct {
 	ChampionF1   float64 `json:"champion_f1"`
 	ChallengerF1 float64 `json:"challenger_f1"`
 	// FitSeconds is the challenger's wall-clock training time (the
-	// retrain-latency series in BENCH_drift.json).
+	// retrain latency; BenchmarkRetrainChallenger times the whole round).
 	FitSeconds float64 `json:"fit_seconds"`
 	Win        bool    `json:"win"`
 	Swapped    bool    `json:"swapped"`

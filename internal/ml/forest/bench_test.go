@@ -2,6 +2,7 @@ package forest
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"monitorless/internal/frame"
@@ -81,7 +82,7 @@ func BenchmarkForestPredictBatch(b *testing.B) {
 // benchHistForest fits the histogram-splitter twin of the forest above:
 // same data, same ensemble shape, compiled quantized predictor installed
 // by the fit itself.
-func benchHistForest(b *testing.B) (*Forest, [][]float64) {
+func benchHistForest(b testing.TB) (*Forest, [][]float64) {
 	b.Helper()
 	x, y := benchData(2000, 50)
 	f := New(Config{NumTrees: 30, MinSamplesLeaf: 10, Splitter: tree.Hist, Seed: 1})
@@ -129,4 +130,34 @@ func BenchmarkForestPredictBatchQuantChunked(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchPredictBatch(b, f, ch)
+}
+
+// TestQuantPredictSpeedup gates the quantized walk's reason to exist: on
+// the same hist-trained forest and frame as the benchmarks above it must
+// score a row at least 1.5× faster than the float walk (measured 2.83×).
+// The two are alternated so drift in the host's speed hits both sides,
+// and the medians of three runs each are compared.
+func TestQuantPredictSpeedup(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("timing gate: skipped under -short and the race detector")
+	}
+	f, x := benchHistForest(t)
+	fr := ml.FrameOf(x)
+	nsPerRow := func(quant bool) float64 {
+		f.SetQuantPredict(quant)
+		r := testing.Benchmark(func(b *testing.B) { benchPredictBatch(b, f, fr) })
+		return float64(r.NsPerOp()) / float64(fr.Rows())
+	}
+	floatNs, quantNs := make([]float64, 3), make([]float64, 3)
+	for i := range floatNs {
+		floatNs[i] = nsPerRow(false)
+		quantNs[i] = nsPerRow(true)
+	}
+	sort.Float64s(floatNs)
+	sort.Float64s(quantNs)
+	speedup := floatNs[1] / quantNs[1]
+	t.Logf("float walk %.0f ns/row, quantized walk %.0f ns/row: %.2fx", floatNs[1], quantNs[1], speedup)
+	if speedup < 1.5 {
+		t.Fatalf("quantized walk is only %.2fx faster than the float walk on the same trees, want >= 1.5x", speedup)
+	}
 }

@@ -198,12 +198,6 @@ func FitFrame(c Classifier, fr *frame.Frame, y []int, rows []int) error {
 	return c.Fit(sub.MaterializeRows(), ty)
 }
 
-// PredictFrameAll classifies every frame row, via the batch frame path
-// when the classifier has one and a per-row gather loop otherwise.
-func PredictFrameAll(c Classifier, fr *frame.Frame) []int {
-	return PredictFrameRows(c, fr, nil)
-}
-
 // PredictFrameRows classifies the listed frame rows (nil = all rows),
 // dispatching to the classifier's batch FramePredictor path when
 // available and falling back to one reused gather buffer otherwise.
@@ -228,11 +222,6 @@ func PredictFrameRows(c Classifier, fr *frame.Frame, rows []int) []int {
 	return out
 }
 
-// PredictProbaFrameAll returns P(class 1) for every frame row.
-func PredictProbaFrameAll(c Classifier, fr *frame.Frame) []float64 {
-	return PredictProbaFrameRows(c, fr, nil)
-}
-
 // PredictProbaFrameRows returns P(class 1) for the listed frame rows
 // (nil = all rows), dispatching to the batch FrameProber path when
 // available.
@@ -253,24 +242,6 @@ func PredictProbaFrameRows(c Classifier, fr *frame.Frame, rows []int) []float64 
 		}
 		buf = fr.Row(i, buf)
 		out[p] = c.PredictProba(buf)
-	}
-	return out
-}
-
-// PredictAll applies c.Predict to every row.
-func PredictAll(c Classifier, x [][]float64) []int {
-	out := make([]int, len(x))
-	for i, row := range x {
-		out[i] = c.Predict(row)
-	}
-	return out
-}
-
-// PredictProbaAll applies c.PredictProba to every row.
-func PredictProbaAll(c Classifier, x [][]float64) []float64 {
-	out := make([]float64, len(x))
-	for i, row := range x {
-		out[i] = c.PredictProba(row)
 	}
 	return out
 }

@@ -5,17 +5,6 @@ import (
 	"testing"
 )
 
-type constClassifier struct{ p float64 }
-
-func (c constClassifier) Fit(x [][]float64, y []int) error { return nil }
-func (c constClassifier) PredictProba(x []float64) float64 { return c.p }
-func (c constClassifier) Predict(x []float64) int {
-	if c.p >= 0.5 {
-		return 1
-	}
-	return 0
-}
-
 func TestValidateTrainingSet(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -96,25 +85,5 @@ func TestClassWeightsSingleClass(t *testing.T) {
 func TestClassWeightsUnknownMode(t *testing.T) {
 	if _, err := ClassWeights([]int{0, 1}, "bogus"); err == nil {
 		t.Fatal("expected error for unknown mode")
-	}
-}
-
-func TestPredictAll(t *testing.T) {
-	c := constClassifier{p: 0.7}
-	x := [][]float64{{1}, {2}, {3}}
-	preds := PredictAll(c, x)
-	if len(preds) != 3 {
-		t.Fatalf("len=%d, want 3", len(preds))
-	}
-	for _, p := range preds {
-		if p != 1 {
-			t.Errorf("pred = %d, want 1", p)
-		}
-	}
-	probs := PredictProbaAll(c, x)
-	for _, p := range probs {
-		if p != 0.7 {
-			t.Errorf("proba = %v, want 0.7", p)
-		}
 	}
 }

@@ -87,7 +87,8 @@ func TestReplayClosedLoopMatchesInProcess(t *testing.T) {
 	}
 
 	// The server must have done real work during the loop.
-	metrics, err := NewClient(srv.URL).Metrics()
+	client := NewClient(srv.URL)
+	metrics, err := client.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,5 +96,16 @@ func TestReplayClosedLoopMatchesInProcess(t *testing.T) {
 	// predecessor sample, so the agent withholds t=0).
 	if !strings.Contains(metrics, "monitorless_ingest_observations_total 1099") {
 		t.Error("server did not see one observation per simulated tick")
+	}
+	// /healthz answers and agrees with the scraped sample counter.
+	stats, err := client.Healthz()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Instances == 0 {
+		t.Error("/healthz reports no tracked instances after the loop")
+	}
+	if want := fmt.Sprintf("monitorless_ingest_samples_total %.0f\n", stats.SamplesTotal); !strings.Contains(metrics, want) {
+		t.Errorf("/healthz samples_total %.0f does not match the /metrics counter", stats.SamplesTotal)
 	}
 }

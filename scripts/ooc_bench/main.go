@@ -1,21 +1,19 @@
-// Command ooc_bench is the out-of-core data plane benchmark lane: it caps
-// the Go heap with debug.SetMemoryLimit, streams a Table 1 corpus several
-// times larger than that cap to disk chunks (datagen's -spill-dir path),
-// trains the histogram-forest model directly on the spilled corpus, and
-// records the process's peak RSS into BENCH_ooc.json. The lane fails if
-// the corpus missed its target size or if peak RSS climbed past half the
-// corpus — the signal that some stage materialized the data it was
-// supposed to stream.
+// Command ooc_bench is the out-of-core data plane lane: it caps the Go
+// heap with debug.SetMemoryLimit, streams a Table 1 corpus several times
+// larger than that cap to disk chunks (datagen's -spill-dir path), trains
+// the histogram-forest model directly on the spilled corpus, and prints
+// the process's peak RSS. The lane fails if the corpus missed its target
+// size or if peak RSS climbed past half the corpus — the signal that some
+// stage materialized the data it was supposed to stream.
 //
 // Usage:
 //
-//	go run ./scripts/ooc_bench                      # 10x corpus, BENCH_ooc.json
-//	go run ./scripts/ooc_bench -ratio 4 -memlimit-mb 48 -out /tmp/ooc.json
+//	go run ./scripts/ooc_bench                      # 10x corpus
+//	go run ./scripts/ooc_bench -ratio 4 -memlimit-mb 48
 package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -33,28 +31,6 @@ import (
 	"monitorless/internal/pcp"
 )
 
-// report is the BENCH_ooc.json shape.
-type report struct {
-	MemLimitBytes   int64   `json:"memlimit_bytes"`
-	TargetRatio     float64 `json:"target_ratio"`
-	CorpusRows      int     `json:"corpus_rows"`
-	CorpusCols      int     `json:"corpus_cols"`
-	CorpusBytes     int64   `json:"corpus_bytes"`
-	ChunkRows       int     `json:"chunk_rows"`
-	NumChunks       int     `json:"num_chunks"`
-	RunDuration     int     `json:"run_duration_s"`
-	GenSeconds      float64 `json:"gen_seconds"`
-	GenPeakRSSBytes int64   `json:"gen_peak_rss_bytes"`
-	TrainSeconds    float64 `json:"train_seconds"`
-	PeakRSSBytes    int64   `json:"peak_rss_bytes"`
-	CorpusOverLimit float64 `json:"corpus_over_limit"`
-	PeakOverLimit   float64 `json:"peak_rss_over_limit"`
-	PeakOverCorpus  float64 `json:"peak_rss_over_corpus"`
-	TrainSamples    int     `json:"train_samples"`
-	EngineeredCols  int     `json:"engineered_cols"`
-	ForestTrees     int     `json:"forest_trees"`
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ooc_bench: ")
@@ -63,16 +39,15 @@ func main() {
 		memlimitMB = flag.Int("memlimit-mb", 48, "GOMEMLIMIT cap in MiB")
 		ratio      = flag.Float64("ratio", 10, "target corpus size as a multiple of the memory limit")
 		chunkRows  = flag.Int("chunk-rows", 1024, "rows per spilled chunk")
-		outPath    = flag.String("out", "BENCH_ooc.json", "JSON report path")
 		dir        = flag.String("dir", "", "spill directory (default: a fresh temp dir, removed afterwards)")
 	)
 	flag.Parse()
-	if err := run(*memlimitMB, *ratio, *chunkRows, *outPath, *dir); err != nil {
+	if err := run(*memlimitMB, *ratio, *chunkRows, *dir); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(memlimitMB int, ratio float64, chunkRows int, outPath, dir string) error {
+func run(memlimitMB int, ratio float64, chunkRows int, dir string) error {
 	if memlimitMB < 16 || ratio < 1 || chunkRows < 1 {
 		return fmt.Errorf("memlimit-mb must be >= 16, ratio >= 1, chunk-rows >= 1")
 	}
@@ -147,37 +122,12 @@ func run(memlimitMB int, ratio float64, chunkRows int, outPath, dir string) erro
 	fmt.Printf("trained %d hist trees on %d samples in %.1fs, peak RSS %.1f MiB\n",
 		cfg.Forest.NumTrees, m.TrainSamples, trainSecs, mib(peak))
 
-	rep := report{
-		MemLimitBytes:   limit,
-		TargetRatio:     ratio,
-		CorpusRows:      fr.Rows(),
-		CorpusCols:      fr.NumCols(),
-		CorpusBytes:     corpusBytes,
-		ChunkRows:       chunkRows,
-		NumChunks:       fr.NumChunks(),
-		RunDuration:     duration,
-		GenSeconds:      genSecs,
-		GenPeakRSSBytes: genPeak,
-		TrainSeconds:    trainSecs,
-		PeakRSSBytes:    peak,
-		CorpusOverLimit: float64(corpusBytes) / float64(limit),
-		TrainSamples:    m.TrainSamples,
-		EngineeredCols:  m.Pipeline.NumOutputs(),
-		ForestTrees:     cfg.Forest.NumTrees,
-	}
-	if peak > 0 {
-		rep.PeakOverLimit = float64(peak) / float64(limit)
-		rep.PeakOverCorpus = float64(peak) / float64(corpusBytes)
-	}
-	blob, _ := json.MarshalIndent(rep, "", "  ")
-	blob = append(blob, '\n')
-	if err := os.WriteFile(outPath, blob, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("report written to %s\n", outPath)
+	corpusOverLimit := float64(corpusBytes) / float64(limit)
+	fmt.Printf("%d engineered columns; corpus %.1fx the memory limit, peak RSS %.2fx the limit and %.2fx the corpus\n",
+		m.Pipeline.NumOutputs(), corpusOverLimit, float64(peak)/float64(limit), float64(peak)/float64(corpusBytes))
 
-	if rep.CorpusOverLimit < ratio {
-		return fmt.Errorf("corpus only %.1fx the memory limit, want >= %.0fx", rep.CorpusOverLimit, ratio)
+	if corpusOverLimit < ratio {
+		return fmt.Errorf("corpus only %.1fx the memory limit, want >= %.0fx", corpusOverLimit, ratio)
 	}
 	// Flatness gate: the whole point of the chunked plane is that neither
 	// generation nor training ever holds the corpus. Peak RSS past half

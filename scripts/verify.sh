@@ -17,13 +17,12 @@
 #   spill goldens         — byte-identity goldens with generation and training forced through disk chunks
 #   no-mmap               — frame store tests on the pread fallback
 #   ooc_bench             — corpus 4x a capped GOMEMLIMIT trains without materializing (peak RSS gate)
-#   quant parity          — quantized walk bit-identical to the float walk, unit columns and Table 2 corpus at workers 1/4/8
+#   quant parity          — quantized walk bit-identical to the float walk, unit columns and Table 2 corpus at workers 1/4/8; TestQuantPredictSpeedup: >= 1.5x the float walk per row
 #   predict allocs        — 0 allocs/op batch predict in the float, quant-serial and quant-sharded regimes
 #   online-engine parity  — StepBatchInto bit-identical to Pipeline.TransformFrame under every batch partition; liveness masking; duplicate-slot rejection
 #   engine callers        — shards, Orchestrator and EdgeAgent agree bit for bit; fused vs float route; mid-batch rejection; state gauge; fallback counter
 #   step fuzz             — FuzzStepBatchVsTransformFrame seeds plus 5 s of fresh schedules
 #   step allocs           — 0 allocs per steady-state batch step
-#   predbench + benchdiff — quant speedup over the float walk >= 1.5x and no >15% ratio-normalized regression vs BENCH_predict.json
 #   HTTP smoke            — real cmd/serve on loopback: ingest, predictions, /metrics counters, clean SIGTERM drain
 #   bench module          — bench/ (its own Go module, not built by tier-1) vets and passes its smoke tests: they build the real
 #                           cmd/serve and run all four BENCHMARK.json workloads at toy size, so an internal/ API or flag change
@@ -98,11 +97,12 @@ lane "no-mmap"
 MONITORLESS_NO_MMAP=1 go test -count=1 ./internal/frame/
 
 lane "ooc_bench"
-go run ./scripts/ooc_bench -ratio 4 -memlimit-mb 48 -out /tmp/monitorless-ooc-bench.json
+go run ./scripts/ooc_bench -ratio 4 -memlimit-mb 48
 
 lane "quant parity"
-go test -count=1 -run 'TestQuant|TestHistForestCompilesFullyQuantized|TestExactForestPartialQuant' -v ./internal/ml/forest/
+go test -count=1 -run 'TestQuant(BitIdentity|WorkerCountInvariance|PredictEdgeValues)|TestHistForestCompilesFullyQuantized|TestExactForestPartialQuant' -v ./internal/ml/forest/
 go test -count=1 -run TestTable2QuantBitIdentity $short ./internal/experiments/
+go test -run TestQuantPredictSpeedup -count=1 -v ./internal/ml/forest/
 
 lane "predict allocs"
 go test -run TestForestBatchPredictAllocations -count=1 -v ./internal/ml/forest/
@@ -119,11 +119,6 @@ go test -run '^FuzzStepBatchVsTransformFrame$' -fuzz '^FuzzStepBatchVsTransformF
 
 lane "step allocs"
 go test -run TestStepBatchAllocations -count=1 -v ./internal/features/
-
-lane "predbench + benchdiff"
-go run ./scripts/predbench -out /tmp/monitorless-predbench.json -min-speedup 1.5
-go run ./scripts/benchdiff -old BENCH_predict.json -new /tmp/monitorless-predbench.json \
-    -max-regress 15 -ratio-of PredictBatchDenseFloatHist -skip PredictShardQuant
 
 lane "HTTP smoke"
 go run ./scripts/smoke

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"monitorless/internal/features"
+	"monitorless/internal/frame"
 	"monitorless/internal/ml/forest"
 	"monitorless/internal/ml/tree"
 )
@@ -357,5 +359,74 @@ func TestBundleV4QuantRoundTrip(t *testing.T) {
 	}
 	if b3.Version != 3 || b3.Model.Forest.Quant() != nil {
 		t.Fatalf("downgraded bundle: version %d, quant %v", b3.Version, b3.Model.Forest.Quant() != nil)
+	}
+}
+
+// TestWatchListFollowsLivenessPlan: however a model is assembled — trained
+// or loaded from a bundle — its fingerprint watches exactly the raw
+// columns the pipeline's liveness plan proves live; the list is derived
+// state that never reaches the bundle bytes; and a pipeline whose plan
+// cannot see through a step (PCA) watches every column.
+func TestWatchListFollowsLivenessPlan(t *testing.T) {
+	m, ds := sharedModel(t)
+	wantWatch := func(m *Model) []int32 {
+		t.Helper()
+		s, err := m.Streamer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := s.RawLive()
+		if live == nil {
+			t.Fatal("paper-layout pipeline pruned no raw column")
+		}
+		var want []int32
+		for j, on := range live {
+			if on {
+				want = append(want, int32(j))
+			}
+		}
+		return want
+	}
+	check := func(how string, m *Model) {
+		t.Helper()
+		got, want := m.Fingerprint.Watched(), wantWatch(m)
+		if len(want) == 0 || len(want) >= len(m.RawSchema) {
+			t.Fatalf("%s: liveness plan keeps %d of %d raw columns", how, len(want), len(m.RawSchema))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: watch list %v, liveness plan %v", how, got, want)
+		}
+	}
+	check("trained", m)
+
+	var buf bytes.Buffer
+	if err := SaveBundle(&buf, m, 7); err != nil {
+		t.Fatal(err)
+	}
+	b, err := LoadBundle(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("loaded", b.Model)
+
+	// The same model with no watch list writes the same bytes.
+	bare := *m
+	bare.Fingerprint = &frame.Fingerprint{Rows: m.Fingerprint.Rows, Cols: m.Fingerprint.Cols, Streamed: m.Fingerprint.Streamed}
+	var buf2 bytes.Buffer
+	if err := SaveBundle(&buf2, &bare, 7); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+		t.Fatalf("bundle bytes depend on the watch list: %d vs %d bytes", buf.Len(), buf2.Len())
+	}
+
+	cfg := smallTrainConfig()
+	cfg.Pipeline.Reduce2 = features.ReducePCA
+	pm, err := Train(ds.FilterRuns(1, 8), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(pm.Fingerprint.Watched()); got != len(pm.RawSchema) {
+		t.Fatalf("PCA pipeline watches %d of %d raw columns, want all", got, len(pm.RawSchema))
 	}
 }

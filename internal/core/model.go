@@ -116,7 +116,7 @@ func TrainFrame(raw *frame.Frame, cfg TrainConfig) (*Model, error) {
 	for _, l := range raw.Labels() {
 		saturated += l
 	}
-	return &Model{
+	m := &Model{
 		Pipeline:           pipe,
 		Forest:             fr,
 		Threshold:          cfg.Threshold,
@@ -124,7 +124,23 @@ func TrainFrame(raw *frame.Frame, cfg TrainConfig) (*Model, error) {
 		Fingerprint:        frame.FingerprintFrame(raw, 0),
 		TrainSamples:       raw.Rows(),
 		TrainSaturatedFrac: float64(saturated) / float64(raw.Rows()),
-	}, nil
+	}
+	m.watchLiveInputs()
+	return m, nil
+}
+
+// watchLiveInputs narrows the fingerprint's drift watch list to the raw
+// columns the pipeline's liveness plan proves it can read. Drift on any
+// other column can only trigger a retrain that cannot help: retraining
+// refits the forest behind this same frozen pipeline. A pipeline with no
+// streamer keeps the default (watch everything).
+func (m *Model) watchLiveInputs() {
+	if m.Fingerprint == nil {
+		return
+	}
+	if s, err := m.Pipeline.Streamer(); err == nil {
+		m.Fingerprint.SetWatch(s.RawLive())
+	}
 }
 
 // WindowSize returns the pipeline's warm-up horizon in samples (see
@@ -262,7 +278,7 @@ func Load(r io.Reader) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: load: %w", err)
 	}
-	return &Model{
+	m := &Model{
 		Pipeline:           pipe,
 		Forest:             wire.Forest,
 		Threshold:          wire.Threshold,
@@ -270,7 +286,9 @@ func Load(r io.Reader) (*Model, error) {
 		Fingerprint:        wire.Fingerprint,
 		TrainSamples:       wire.TrainSamples,
 		TrainSaturatedFrac: wire.TrainSaturatedFrac,
-	}, nil
+	}
+	m.watchLiveInputs()
+	return m, nil
 }
 
 // SaveBytes is a convenience wrapper around Save.

@@ -42,6 +42,13 @@ type timePlan struct {
 	lagIdx  [][]int // per lag window, live output columns
 }
 
+// RawLive is the plan's raw-input mask: the columns that can reach an
+// engineered feature. Nil means every column (nothing pruned, or an
+// opaque step degraded the plan to all-live). Besides the transposer it
+// tells the drift observer which raw columns are worth watching. Shared;
+// callers must not modify it.
+func (s *Streamer) RawLive() []bool { return s.plan.rawLive }
+
 // kernelOutWidth reports a fitted row step's output width, or -1 for
 // steps without a columnar kernel in batchApply (whose routing the plan
 // cannot see).

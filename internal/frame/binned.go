@@ -147,10 +147,11 @@ func binEdges(col []float64, rows []int, maxBins int) []float64 {
 
 // Quantize maps a value to its bin code under the given ascending edges:
 // the first bin whose upper edge is ≥ v, or len(edges) (the last bin)
-// when v exceeds every edge. It is the single quantization function of
-// the repo — training codes (BinFrame), quantized inference
-// (forest.Compile) and the drift fingerprint (Fingerprint.Bin) all use
-// it, which is what makes the invariant
+// when v exceeds every edge. It is the definition of quantization in the
+// repo — training codes (BinFrame), quantized inference (forest.Compile)
+// and the fingerprint's training occupancies (sketchColumn) all call it
+// (the drift observer's keyed search, lifecycle.Cell.Observe, is pinned
+// to it bit for bit by test), which is what makes the invariant
 // Quantize(edges, v) ≤ b ⟺ v ≤ edges[b] hold for *every* float64 v:
 // −Inf codes to 0 and goes left everywhere, while +Inf and NaN code to
 // len(edges) (the predicate edges[m] ≥ v is false for both) and go right

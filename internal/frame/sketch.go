@@ -8,11 +8,10 @@ import (
 )
 
 // This file is the statistical half of the model-lifecycle plane: a
-// streaming per-column moment accumulator cheap enough for the serving
-// ingest hot path, and a compact training fingerprint (per-column
-// mean/var plus a quantile sketch) computed once at fit time. Serving
-// compares rolling moments and bin occupancies against the fingerprint
-// to score feature-distribution drift (standardized mean shift, PSI)
+// compact training fingerprint (per-column mean/var plus a quantile
+// sketch) computed once at fit time. Serving compares rolling moments
+// and bin occupancies (internal/lifecycle) against the fingerprint to
+// score feature-distribution drift (standardized mean shift, PSI)
 // without retaining any raw samples.
 
 // DefaultFingerprintBins is the quantile-sketch resolution used when a
@@ -22,79 +21,6 @@ const DefaultFingerprintBins = 10
 
 // MaxFingerprintBins bounds the sketch resolution.
 const MaxFingerprintBins = 64
-
-// Moments is a streaming per-column mean/variance accumulator using
-// Welford's algorithm, with an exact pairwise merge (Chan et al.) so
-// per-shard accumulators can be combined at scrape time. The zero value
-// is not usable; construct with NewMoments. Observe allocates nothing.
-type Moments struct {
-	n    float64
-	mean []float64
-	m2   []float64
-}
-
-// NewMoments returns an accumulator over cols columns.
-func NewMoments(cols int) *Moments {
-	return &Moments{mean: make([]float64, cols), m2: make([]float64, cols)}
-}
-
-// Cols returns the column count.
-func (m *Moments) Cols() int { return len(m.mean) }
-
-// Count returns the number of observed rows.
-func (m *Moments) Count() float64 { return m.n }
-
-// Observe folds one row into the accumulator. len(vals) must equal Cols.
-func (m *Moments) Observe(vals []float64) {
-	m.n++
-	for j, v := range vals {
-		d := v - m.mean[j]
-		m.mean[j] += d / m.n
-		m.m2[j] += d * (v - m.mean[j])
-	}
-}
-
-// Mean returns the running mean of column j (0 before any observation).
-func (m *Moments) Mean(j int) float64 { return m.mean[j] }
-
-// Var returns the running population variance of column j.
-func (m *Moments) Var(j int) float64 {
-	if m.n < 1 {
-		return 0
-	}
-	return m.m2[j] / m.n
-}
-
-// Merge folds accumulator o into m (parallel-variance combination). The
-// result is the exact moment set of the concatenated observation streams
-// up to floating-point association.
-func (m *Moments) Merge(o *Moments) {
-	if o.n == 0 {
-		return
-	}
-	if m.n == 0 {
-		m.n = o.n
-		copy(m.mean, o.mean)
-		copy(m.m2, o.m2)
-		return
-	}
-	n := m.n + o.n
-	for j := range m.mean {
-		d := o.mean[j] - m.mean[j]
-		m.mean[j] += d * o.n / n
-		m.m2[j] += o.m2[j] + d*d*m.n*o.n/n
-	}
-	m.n = n
-}
-
-// Reset zeroes the accumulator in place, keeping its backing storage.
-func (m *Moments) Reset() {
-	m.n = 0
-	for j := range m.mean {
-		m.mean[j] = 0
-		m.m2[j] = 0
-	}
-}
 
 // ColFingerprint is the training-time summary of one column: its first
 // two moments, range, and an equal-frequency quantile sketch (Edges are
@@ -124,6 +50,12 @@ type Fingerprint struct {
 	// min and max are exact either way. The flag travels inside the model
 	// blob, so a v3 bundle records whether its fingerprint was streamed.
 	Streamed bool `json:"streamed,omitempty"`
+
+	// watch is the ascending list of columns drift observation covers;
+	// nil means all of them. It is derived from the pipeline a model
+	// pairs the fingerprint with (SetWatch), never serialized — gob and
+	// JSON skip unexported fields, so bundle bytes do not depend on it.
+	watch []int32
 }
 
 // FingerprintFrame sketches every column of fr: exact moments plus
@@ -196,26 +128,39 @@ func sketchColumn(name string, col []float64, bins int) ColFingerprint {
 // NumCols returns the sketched column count.
 func (fp *Fingerprint) NumCols() int { return len(fp.Cols) }
 
-// NumBins returns the sketch bin count of column j.
-func (fp *Fingerprint) NumBins(j int) int { return len(fp.Cols[j].Edges) + 1 }
-
-// Bin maps a value of column j to its sketch bin index.
-func (fp *Fingerprint) Bin(j int, v float64) int {
-	return int(Quantize(fp.Cols[j].Edges, v))
+// SetWatch restricts drift observation to the columns live marks true —
+// the raw inputs the model's pipeline can actually read. A nil mask, or
+// one that does not match the column count, watches every column. Call
+// it while the fingerprint is still private to the model being
+// assembled; observers read the list without synchronization.
+func (fp *Fingerprint) SetWatch(live []bool) {
+	fp.watch = nil
+	if live == nil || len(live) != len(fp.Cols) {
+		return
+	}
+	fp.watch = make([]int32, 0, len(live))
+	for j, on := range live {
+		if on {
+			fp.watch = append(fp.watch, int32(j))
+		}
+	}
 }
 
-// TotalBins returns the summed bin count across columns — the flat
-// occupancy-slab size drift accumulators allocate once.
-func (fp *Fingerprint) TotalBins() int {
-	t := 0
-	for j := range fp.Cols {
-		t += len(fp.Cols[j].Edges) + 1
+// Watched returns the ascending indices of the columns drift observation
+// covers: the SetWatch list, or every column when there is none.
+func (fp *Fingerprint) Watched() []int32 {
+	if fp.watch != nil {
+		return fp.watch
 	}
-	return t
+	all := make([]int32, len(fp.Cols))
+	for j := range all {
+		all[j] = int32(j)
+	}
+	return all
 }
 
 // Validate checks internal consistency against a schema width, and that
-// every column's edges are safe for Bin: at most MaxFingerprintBins bins
+// every column's edges are safe to search: at most MaxFingerprintBins bins
 // (Quantize returns a uint8) and ascending with no NaN. Equal neighbours
 // are legal — the streamed sketch can emit them.
 func (fp *Fingerprint) Validate(cols int) error {

@@ -20,68 +20,6 @@ func testSketchFrame(t *testing.T, rows int, seed int64) *Frame {
 	return fr
 }
 
-func TestMomentsMatchBatch(t *testing.T) {
-	fr := testSketchFrame(t, 500, 1)
-	m := NewMoments(fr.NumCols())
-	row := make([]float64, fr.NumCols())
-	for i := 0; i < fr.Rows(); i++ {
-		m.Observe(fr.Row(i, row))
-	}
-	if got := m.Count(); got != 500 {
-		t.Fatalf("count = %v, want 500", got)
-	}
-	for j := 0; j < fr.NumCols(); j++ {
-		col := fr.Col(j)
-		var sum float64
-		for _, v := range col {
-			sum += v
-		}
-		mean := sum / float64(len(col))
-		var m2 float64
-		for _, v := range col {
-			m2 += (v - mean) * (v - mean)
-		}
-		wantVar := m2 / float64(len(col))
-		if d := math.Abs(m.Mean(j) - mean); d > 1e-9 {
-			t.Errorf("col %d mean %v, want %v", j, m.Mean(j), mean)
-		}
-		if d := math.Abs(m.Var(j) - wantVar); d > 1e-9 {
-			t.Errorf("col %d var %v, want %v", j, m.Var(j), wantVar)
-		}
-	}
-}
-
-func TestMomentsMergeMatchesSingleStream(t *testing.T) {
-	fr := testSketchFrame(t, 400, 2)
-	whole := NewMoments(fr.NumCols())
-	parts := []*Moments{NewMoments(fr.NumCols()), NewMoments(fr.NumCols()), NewMoments(fr.NumCols())}
-	row := make([]float64, fr.NumCols())
-	for i := 0; i < fr.Rows(); i++ {
-		fr.Row(i, row)
-		whole.Observe(row)
-		parts[i%3].Observe(row)
-	}
-	merged := NewMoments(fr.NumCols())
-	merged.Merge(parts[0])
-	merged.Merge(parts[1])
-	merged.Merge(parts[2])
-	if merged.Count() != whole.Count() {
-		t.Fatalf("merged count %v, want %v", merged.Count(), whole.Count())
-	}
-	for j := 0; j < fr.NumCols(); j++ {
-		if d := math.Abs(merged.Mean(j) - whole.Mean(j)); d > 1e-9 {
-			t.Errorf("col %d merged mean %v, single %v", j, merged.Mean(j), whole.Mean(j))
-		}
-		if d := math.Abs(merged.Var(j) - whole.Var(j)); d > 1e-9 {
-			t.Errorf("col %d merged var %v, single %v", j, merged.Var(j), whole.Var(j))
-		}
-	}
-	merged.Reset()
-	if merged.Count() != 0 || merged.Mean(0) != 0 || merged.Var(0) != 0 {
-		t.Fatal("reset did not zero the accumulator")
-	}
-}
-
 func TestFingerprintFrame(t *testing.T) {
 	fr := testSketchFrame(t, 1000, 3)
 	fp := FingerprintFrame(fr, 10)
@@ -123,23 +61,20 @@ func TestFingerprintFrame(t *testing.T) {
 	if cc.Std != 0 || cc.Min != 4.25 || cc.Max != 4.25 {
 		t.Fatalf("constant col stats %+v", cc)
 	}
-	// Bin() agrees with the training occupancy definition.
-	counts := make([]float64, fp.NumBins(1))
+	// Props are Quantize's occupancies of the training column.
+	counts := make([]float64, len(fp.Cols[1].Props))
 	col := fr.Col(1)
 	for _, v := range col {
-		counts[fp.Bin(1, v)]++
+		counts[Quantize(fp.Cols[1].Edges, v)]++
 	}
 	for b, n := range counts {
 		if got := fp.Cols[1].Props[b]; math.Abs(got-n/1000) > 1e-12 {
 			t.Fatalf("bin %d prop %v, recount %v", b, got, n/1000)
 		}
 	}
-	if fp.TotalBins() != 10+10+1 {
-		t.Fatalf("TotalBins = %d", fp.TotalBins())
-	}
 
-	// Bin is Quantize — the first bin whose upper edge is ≥ v — on the
-	// values where a binary search could disagree with that definition.
+	// Quantize is the first bin whose upper edge is ≥ v, on the values
+	// where a binary search could disagree with that definition.
 	edges := fp.Cols[0].Edges
 	probes := []float64{math.NaN(), math.Inf(-1), math.Inf(1)}
 	for i, e := range edges {
@@ -156,12 +91,26 @@ func TestFingerprintFrame(t *testing.T) {
 				break
 			}
 		}
-		if got, q := fp.Bin(0, v), int(Quantize(edges, v)); got != want || q != want {
-			t.Fatalf("v=%v: Bin %d, Quantize %d, first edge ≥ v is %d", v, got, q, want)
+		if q := int(Quantize(edges, v)); q != want {
+			t.Fatalf("v=%v: Quantize %d, first edge ≥ v is %d", v, q, want)
 		}
 	}
 
-	// Validate rejects edges Bin cannot search: too many for a uint8 code
+	// SetWatch keeps the marked columns; without a usable mask every
+	// column is watched.
+	if w := fp.Watched(); len(w) != 3 || w[0] != 0 || w[2] != 2 {
+		t.Fatalf("default watch list %v, want all three columns", w)
+	}
+	fp.SetWatch([]bool{true, false, true})
+	if w := fp.Watched(); len(w) != 2 || w[0] != 0 || w[1] != 2 {
+		t.Fatalf("watch list %v, want [0 2]", w)
+	}
+	fp.SetWatch([]bool{true})
+	if w := fp.Watched(); len(w) != 3 {
+		t.Fatalf("mismatched mask left watch list %v, want all columns", w)
+	}
+
+	// Validate rejects edges nothing can search: too many for a uint8 code
 	// budget, NaN, or decreasing. Equal neighbours stay legal.
 	withEdges := func(e []float64) *Fingerprint {
 		return &Fingerprint{Cols: []ColFingerprint{{Name: "x", Edges: e, Props: make([]float64, len(e)+1)}}}
@@ -184,14 +133,5 @@ func TestFingerprintFrame(t *testing.T) {
 		if err := withEdges(e).Validate(1); err == nil {
 			t.Errorf("Validate accepted %s edges", name)
 		}
-	}
-}
-
-func TestMomentsObserveAllocs(t *testing.T) {
-	m := NewMoments(32)
-	row := make([]float64, 32)
-	allocs := testing.AllocsPerRun(100, func() { m.Observe(row) })
-	if allocs != 0 {
-		t.Fatalf("Moments.Observe allocates %v/op, want 0", allocs)
 	}
 }

@@ -17,6 +17,7 @@ package lifecycle
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -29,22 +30,81 @@ const psiEps = 1e-4
 // maxTopOffenders bounds the per-app worst-feature list in drift scores.
 const maxTopOffenders = 8
 
-// accum is one application's rolling drift state: streaming moments plus
-// a flat per-feature sketch-bin occupancy slab (offsets owned by the
-// Cell/Monitor that allocated it).
+// plan is a fingerprint compiled for observation: the watched columns
+// (frame.Fingerprint.Watched — the raw inputs the pipeline can read, or
+// all of them) and their sketch edges as flat slabs the hot loop walks
+// without touching the fingerprint. Edges are stored as order-preserving
+// integer keys (sortKey) so the bin search is integer arithmetic.
+// Watched column k's keys are keys[koff[k]:koff[k+1]] and, with one more
+// bin than edges per column, its occupancy counts start at koff[k]+k.
+type plan struct {
+	fp   *frame.Fingerprint
+	cols []int32
+	keys []uint64
+	koff []int32
+}
+
+func compilePlan(fp *frame.Fingerprint) plan {
+	p := plan{fp: fp, cols: fp.Watched()}
+	p.koff = make([]int32, len(p.cols)+1)
+	for k, j := range p.cols {
+		for _, e := range fp.Cols[j].Edges {
+			p.keys = append(p.keys, sortKey(e))
+		}
+		p.koff[k+1] = int32(len(p.keys))
+	}
+	return p
+}
+
+// sortKey maps a non-NaN float64 to a uint64 with the same order: flip
+// every bit of a negative, only the sign bit otherwise. v+0 folds −0 onto
+// +0 first, which compare equal as floats but not as bits.
+func sortKey(v float64) uint64 {
+	b := math.Float64bits(v + 0)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// accum is one application's rolling drift state over the watched
+// columns: Welford moments plus a flat sketch-bin occupancy slab, laid
+// out by the plan of the Cell/Monitor that allocated it.
 type accum struct {
-	mom    *frame.Moments
+	n      float64
+	mean   []float64
+	m2     []float64
 	counts []uint32
 }
 
-func newAccum(cols, totalBins int) *accum {
-	return &accum{mom: frame.NewMoments(cols), counts: make([]uint32, totalBins)}
+func (p *plan) newAccum() *accum {
+	w := len(p.cols)
+	return &accum{mean: make([]float64, w), m2: make([]float64, w), counts: make([]uint32, len(p.keys)+w)}
 }
 
 func (a *accum) reset() {
-	a.mom.Reset()
-	for i := range a.counts {
-		a.counts[i] = 0
+	a.n = 0
+	clear(a.mean)
+	clear(a.m2)
+	clear(a.counts)
+}
+
+// merge folds o into a with the exact pairwise moment combination (Chan
+// et al.), so per-shard accumulators sum to the single-stream result up
+// to floating-point association; occupancies just add.
+func (a *accum) merge(o *accum) {
+	if a.n == 0 {
+		a.n = o.n
+		copy(a.mean, o.mean)
+		copy(a.m2, o.m2)
+	} else {
+		n := a.n + o.n
+		for k := range a.mean {
+			d := o.mean[k] - a.mean[k]
+			a.mean[k] += d * o.n / n
+			a.m2[k] += o.m2[k] + d*d*a.n*o.n/n
+		}
+		a.n = n
+	}
+	for i, c := range o.counts {
+		a.counts[i] += c
 	}
 }
 
@@ -54,8 +114,7 @@ func (a *accum) reset() {
 // the ingest hot path and allocates nothing at steady state (per-app
 // accumulators are created on first sight and reused forever after).
 type Cell struct {
-	fp   *frame.Fingerprint
-	offs []int32
+	plan
 	apps map[string]*accum
 }
 
@@ -64,49 +123,62 @@ type Cell struct {
 // cross-shard coordination.
 func NewCell() *Cell { return &Cell{apps: make(map[string]*accum, 4)} }
 
-// binOffsets computes the flat occupancy-slab offset of each column.
-func binOffsets(fp *frame.Fingerprint) []int32 {
-	offs := make([]int32, fp.NumCols())
-	var t int32
-	for j := range offs {
-		offs[j] = t
-		t += int32(fp.NumBins(j))
-	}
-	return offs
-}
-
 func (c *Cell) rebind(fp *frame.Fingerprint) {
-	c.fp = fp
-	c.offs = binOffsets(fp)
+	c.plan = compilePlan(fp)
 	// Accumulated counts were laid out for the old sketch; drop them.
-	for k := range c.apps {
-		delete(c.apps, k)
-	}
+	clear(c.apps)
 }
 
 // Observe folds one raw metric vector for app into the cell. A
 // fingerprint change (hot swap to a differently-trained bundle) rebinds
 // the cell and discards the stale partial window.
+//
+// Per watched column it does one Welford step and one bin search: the
+// count of edge keys below the value's key, i.e. frame.Quantize's "first
+// bin whose upper edge is ≥ v". Real metric values make every probe of
+// that search a coin flip, so the halving step is computed from the
+// subtraction's borrow instead of branched on (the compiler does not turn
+// the equivalent if into a conditional move).
 func (c *Cell) Observe(fp *frame.Fingerprint, app string, vals []float64) {
 	if fp != c.fp {
 		c.rebind(fp)
 	}
-	if len(vals) != fp.NumCols() {
+	if len(vals) != len(fp.Cols) {
 		return // schema-validated upstream; never mix widths into the slab
 	}
 	a := c.apps[app]
 	if a == nil {
-		a = newAccum(fp.NumCols(), fp.TotalBins())
+		a = c.newAccum()
 		c.apps[app] = a
 	}
-	a.mom.Observe(vals)
-	for j, v := range vals {
-		a.counts[a.countsIndex(c.offs[j], fp.Bin(j, v))]++
+	a.n++
+	n, keys, koff := a.n, c.keys, c.koff
+	mean, m2 := a.mean[:len(c.cols)], a.m2[:len(c.cols)]
+	for k, j := range c.cols {
+		v := vals[j]
+		d := v - mean[k]
+		mu := mean[k] + d/n
+		mean[k] = mu
+		m2[k] += d * (v - mu)
+
+		kv := sortKey(v)
+		if v != v {
+			kv = math.MaxUint64 // NaN of either sign: past every edge
+		}
+		// base ends at koff[k]+bin, and column k's counts start at koff[k]+k.
+		base, size := int(koff[k]), int(koff[k+1]-koff[k])
+		for ; size > 1; size -= size >> 1 {
+			half := size >> 1
+			_, below := bits.Sub64(keys[base+half-1], kv, 0)
+			base += half & -int(below)
+		}
+		if size == 1 {
+			_, below := bits.Sub64(keys[base], kv, 0)
+			base += int(below)
+		}
+		a.counts[base+k]++
 	}
 }
-
-// countsIndex exists so the hot loop's index arithmetic is explicit.
-func (a *accum) countsIndex(off int32, bin int) int32 { return off + int32(bin) }
 
 // FeatureDrift is one feature's drift score within a window.
 type FeatureDrift struct {
@@ -142,9 +214,8 @@ type AppDrift struct {
 // counted in samples per app (the serving -drift-window flag), so busy
 // and quiet applications each complete windows at their own traffic rate.
 type Monitor struct {
-	mu      sync.Mutex
-	fp      *frame.Fingerprint
-	offs    []int32
+	mu sync.Mutex
+	plan
 	window  int
 	apps    map[string]*accum
 	scores  map[string]AppDrift
@@ -162,8 +233,7 @@ func NewMonitor(fp *frame.Fingerprint, windowSamples int) *Monitor {
 		windowSamples = DefaultDriftWindow
 	}
 	return &Monitor{
-		fp:     fp,
-		offs:   binOffsets(fp),
+		plan:   compilePlan(fp),
 		window: windowSamples,
 		apps:   make(map[string]*accum),
 		scores: make(map[string]AppDrift),
@@ -182,8 +252,7 @@ func (m *Monitor) Fingerprint() *frame.Fingerprint {
 func (m *Monitor) Reset(fp *frame.Fingerprint) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.fp = fp
-	m.offs = binOffsets(fp)
+	m.plan = compilePlan(fp)
 	m.apps = make(map[string]*accum)
 	m.scores = make(map[string]AppDrift)
 }
@@ -196,31 +265,29 @@ func (m *Monitor) Reset(fp *frame.Fingerprint) {
 func (m *Monitor) Absorb(c *Cell) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if c.fp != m.fp {
-		// Cell bound to another model generation (or not yet bound):
-		// discard rather than mix sketches.
+	if c.fp != m.fp || len(c.cols) != len(m.cols) {
+		// Cell bound to another model generation (or not yet bound, or
+		// compiled before the fingerprint's watch list was set): discard
+		// rather than mix sketches or slab layouts.
 		if c.fp != nil {
 			c.rebind(c.fp)
 		}
 		return
 	}
 	for app, ca := range c.apps {
-		if ca.mom.Count() == 0 {
+		if ca.n == 0 {
 			continue
 		}
 		ma := m.apps[app]
 		if ma == nil {
-			ma = newAccum(m.fp.NumCols(), m.fp.TotalBins())
+			ma = m.newAccum()
 			m.apps[app] = ma
 		}
-		ma.mom.Merge(ca.mom)
-		for i, n := range ca.counts {
-			ma.counts[i] += n
-		}
+		ma.merge(ca)
 		ca.reset()
-		if int(ma.mom.Count()) >= m.window {
+		if int(ma.n) >= m.window {
 			m.windows++
-			m.scores[app] = scoreWindow(m.fp, m.offs, app, ma, m.windows)
+			m.scores[app] = m.scoreWindow(app, ma, m.windows)
 			ma.reset()
 		}
 	}
@@ -262,25 +329,24 @@ func (m *Monitor) MaxPSI() float64 {
 	return worst
 }
 
-// scoreWindow computes one app's drift score from a completed window.
-// Callers hold m.mu.
-func scoreWindow(fp *frame.Fingerprint, offs []int32, app string, a *accum, window uint64) AppDrift {
-	d := AppDrift{App: app, Samples: int(a.mom.Count()), Window: window}
-	n := a.mom.Count()
+// scoreWindow computes one app's drift score from a completed window,
+// over the watched columns. Callers hold m.mu.
+func (p *plan) scoreWindow(app string, a *accum, window uint64) AppDrift {
+	d := AppDrift{App: app, Samples: int(a.n), Window: window}
+	n := a.n
 	if n == 0 {
 		return d
 	}
-	feats := make([]FeatureDrift, 0, fp.NumCols())
-	for j := 0; j < fp.NumCols(); j++ {
-		ref := &fp.Cols[j]
+	feats := make([]FeatureDrift, 0, len(p.cols))
+	for k, j := range p.cols {
+		ref := &p.fp.Cols[j]
 		fd := FeatureDrift{Name: ref.Name}
 		if ref.Std > 0 {
-			fd.Shift = math.Abs(a.mom.Mean(j)-ref.Mean) / ref.Std
+			fd.Shift = math.Abs(a.mean[k]-ref.Mean) / ref.Std
 		}
-		bins := len(ref.Props)
-		for b := 0; b < bins; b++ {
-			po := float64(a.counts[int(offs[j])+b]) / n
-			pe := ref.Props[b]
+		counts := a.counts[int(p.koff[k])+k:]
+		for b, pe := range ref.Props {
+			po := float64(counts[b]) / n
 			if po < psiEps {
 				po = psiEps
 			}

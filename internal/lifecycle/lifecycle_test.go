@@ -506,19 +506,6 @@ func TestNewManagerValidation(t *testing.T) {
 
 // ---- benchmarks ------------------------------------------------------
 
-func BenchmarkCellObserve(b *testing.B) {
-	fp, fr := syntheticFingerprint(b, 20, 1000)
-	cell := NewCell()
-	vec := make([]float64, 20)
-	cell.Observe(fp, "app", fr.Row(0, vec))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		vec = fr.Row(i%1000, vec)
-		cell.Observe(fp, "app", vec)
-	}
-}
-
 // BenchmarkRetrainChallenger measures one full shadow-retrain round over
 // a populated reservoir (snapshot, challenger fit, holdout comparison).
 func BenchmarkRetrainChallenger(b *testing.B) {

@@ -291,6 +291,11 @@ type ModelInfo struct {
 	// moments; quantile internals are not serialized). Nil for legacy
 	// models.
 	Fingerprint *frame.Fingerprint `json:"fingerprint,omitempty"`
+	// WatchedCols is how many of the fingerprint's columns drift
+	// observation covers — what the drift scores and
+	// monitorless_drift_psi_max gauges range over: the raw inputs the
+	// pipeline reads, or every column when that is unknown.
+	WatchedCols int `json:"watched_cols"`
 	// Drift lists the latest completed-window drift scores per app.
 	Drift []lifecycle.AppDrift `json:"drift,omitempty"`
 	// Swaps is the retained hot-swap history, oldest first.
@@ -321,6 +326,9 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 			Legacy:        st.LegacyBundle,
 			Fingerprint:   m.Fingerprint,
 			Swaps:         s.svc.SwapHistory(),
+		}
+		if m.Fingerprint != nil {
+			info.WatchedCols = len(m.Fingerprint.Watched())
 		}
 		if d := s.svc.Drift(); d != nil {
 			info.Drift = d.Scores()

@@ -717,9 +717,6 @@ func (s *Service) ingestShard(si int, w *pcp.WireObservation, idxs []int32, resp
 		if app == "" {
 			app = appFromID(smp.Instance)
 		}
-		if s.drift != nil && mv.fp != nil {
-			sh.drift.Observe(mv.fp, app, smp.Values)
-		}
 		if !known {
 			// Register with a provisional prediction naming the app, so
 			// the per-app aggregates stay consistent between phases.
@@ -740,6 +737,13 @@ func (s *Service) ingestShard(si int, w *pcp.WireObservation, idxs []int32, resp
 	if err := sh.eng.Step(sh.slots, sh.raws); err != nil {
 		rollback()
 		return fmt.Errorf("serving: ingest batch step: %w", err)
+	}
+	// Drift sees a sample only once its whole shard batch is accepted: a
+	// rejected batch must not leave counts in the window.
+	if s.drift != nil && mv.fp != nil {
+		for k := range sh.pend {
+			sh.drift.Observe(mv.fp, sh.pend[k].app, sh.raws[k])
+		}
 	}
 	if sink != nil {
 		for k, i := range idxs {

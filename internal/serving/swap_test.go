@@ -573,6 +573,7 @@ func TestModelEndpoint(t *testing.T) {
 	for _, want := range []string{
 		`"gen": 1`, `"bundle_version": 3`, `"schema_hash"`, `"fingerprint"`,
 		`"lifecycle"`, `"policy": "shadow"`,
+		fmt.Sprintf(`"watched_cols": %d,`, len(m.Fingerprint.Watched())),
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("GET /model missing %s in:\n%s", want, body[:min(len(body), 600)])

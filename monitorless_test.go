@@ -2,6 +2,8 @@ package monitorless_test
 
 import (
 	"bytes"
+	"os"
+	"os/exec"
 	"sync"
 	"testing"
 
@@ -121,5 +123,27 @@ func TestDefaultTrainConfigIsPaper(t *testing.T) {
 	cfg := monitorless.DefaultTrainConfig()
 	if cfg.Forest.NumTrees != 250 || cfg.Threshold != 0.4 {
 		t.Errorf("default config drifted from the paper: %+v", cfg)
+	}
+}
+
+// TestBenchModuleCompiles type-checks bench/ against the working tree.
+// bench/ is its own Go module, so `go build ./... && go test ./...` never
+// compiles it, and an internal/ rename it depends on would otherwise
+// surface only when the repository benchmark fails to build. Its go.mod
+// has nothing but the replace directive, so this needs no network. go test
+// may serve the result from its cache; scripts/verify.sh runs with -count=1.
+func TestBenchModuleCompiles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("vets a second module; skipped under -short")
+	}
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go is not on PATH")
+	}
+	cmd := exec.Command(goBin, "vet", "./...")
+	cmd.Dir = "bench"
+	cmd.Env = append(os.Environ(), "GOPROXY=off", "GOTOOLCHAIN=local") // as bench/run.sh sets them
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet ./... in bench/: %v\n%s", err, out)
 	}
 }

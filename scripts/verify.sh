@@ -12,7 +12,8 @@
 #   serving race          — sharded ingest + concurrent scrape under -race
 #   ingest allocs         — steady-state ingest allocation budget
 #   lifecycle race        — ingest + drift harvest + reads + warm hot swaps under -race
-#   lifecycle allocs      — ingest budget holds while swaps land; drift cell and reservoir budgets
+#   lifecycle allocs      — ingest budget holds while swaps land; drift cell (one app and interleaved apps) and reservoir budgets
+#   drift fuzz            — FuzzCellObserveVsReference: checked-in seeds plus 5 s of fuzzer-chosen edges and values against the naive reference
 #   wire fuzz             — FuzzWireDecode over the checked-in corpus plus 5 s of fresh mutations
 #   spill goldens         — byte-identity goldens with generation and training forced through disk chunks
 #   no-mmap               — frame store tests on the pread fallback
@@ -24,9 +25,10 @@
 #   step fuzz             — FuzzStepBatchVsTransformFrame seeds plus 5 s of fresh schedules
 #   step allocs           — 0 allocs per steady-state batch step
 #   HTTP smoke            — real cmd/serve on loopback: ingest, predictions, /metrics counters, clean SIGTERM drain
-#   bench module          — bench/ (its own Go module, not built by tier-1) vets and passes its smoke tests: they build the real
-#                           cmd/serve and run all four BENCHMARK.json workloads at toy size, so an internal/ API or flag change
-#                           that would break the repository benchmark fails here first
+#   bench module          — bench/ is its own Go module; tier-1 covers its compilation (TestBenchModuleCompiles vets it against
+#                           the working tree), this lane covers the smoke run: its tests build the real cmd/serve and run all
+#                           four BENCHMARK.json workloads at toy size, so a flag, route or behaviour change that would break
+#                           the repository benchmark fails here first
 #
 # Usage: scripts/verify.sh [-short]
 set -euo pipefail
@@ -85,7 +87,10 @@ go test -race -count=1 -run 'TestLifecycleSwapRace|TestLifecycleEndToEndDriftRet
 
 lane "lifecycle allocs"
 go test -run TestSwapChurnAllocations -count=1 -v ./internal/serving/
-go test -run 'TestCellObserveAllocs|TestReservoirAddAllocs' -count=1 -v ./internal/lifecycle/
+go test -run 'TestCellObserveAllocs|TestAccumObserveAllocs|TestReservoirAddAllocs' -count=1 -v ./internal/lifecycle/
+
+lane "drift fuzz"
+go test -run '^FuzzCellObserveVsReference$' -fuzz '^FuzzCellObserveVsReference$' -fuzztime=5s ./internal/lifecycle/
 
 lane "wire fuzz"
 go test -run '^FuzzWireDecode$' -fuzz '^FuzzWireDecode$' -fuzztime=5s ./internal/serving/

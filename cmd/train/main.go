@@ -106,6 +106,8 @@ func main() {
 			ctx.Model.TrainSamples, time.Since(start).Round(time.Millisecond), ctx.Model.Pipeline.NumOutputs())
 	}
 
+	printFitReport(ctx.Model.Pipeline.FitReport())
+
 	if err := core.SaveBundleFile(*out, ctx.Model, scale.Seed); err != nil {
 		log.Fatal(err)
 	}
@@ -152,5 +154,14 @@ func main() {
 			log.Fatal(err)
 		}
 		experiments.PrintTable3(os.Stdout, rows)
+	}
+}
+
+// printFitReport breaks the feature pipeline's share of the training time
+// down by step.
+func printFitReport(rows []features.StepReport) {
+	fmt.Printf("  %-18s %7s %9s %12s\n", "pipeline step", "in cols", "fit s", "transform s")
+	for _, r := range rows {
+		fmt.Printf("  %-18s %7d %9.3f %12.3f\n", r.Step, r.InCols, r.FitSeconds, r.TransformSeconds)
 	}
 }

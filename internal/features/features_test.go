@@ -4,8 +4,10 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"monitorless/internal/dataset"
+	"monitorless/internal/frame"
 	"monitorless/internal/pcp"
 )
 
@@ -552,5 +554,59 @@ func DefaultConfigWith(topK, trees int, seed int64) Config {
 		FilterTopK:   topK,
 		FilterTrees:  trees,
 		Seed:         seed,
+	}
+}
+
+// The FitFrame ledger names every step once, in order, with its input
+// width, and leaves nothing out: the rows add up to the call's wall-clock
+// time. A decoded pipeline has no ledger and the same bytes as before.
+func TestFitReportAddsUpToFitFrame(t *testing.T) {
+	fr := synthTable(8, 400, 3).Frame()
+	for _, chunked := range []bool{false, true} {
+		in := fr
+		if chunked {
+			var err error
+			if in, err = frame.Rechunk(fr, 256, ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p, err := NewPipeline(DefaultConfigWith(8, 10, 42))
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		if _, err := p.FitFrame(in); err != nil {
+			t.Fatal(err)
+		}
+		wall := time.Since(start).Seconds()
+		rep := p.FitReport()
+		if len(rep) != len(p.Steps) {
+			t.Fatalf("%d report rows for %d steps", len(rep), len(p.Steps))
+		}
+		sum, width := 0.0, fr.NumCols()
+		for i, r := range rep {
+			if r.Step != p.Steps[i].Name() {
+				t.Errorf("row %d is %q, step is %q", i, r.Step, p.Steps[i].Name())
+			}
+			if i == 0 && r.InCols != width {
+				t.Errorf("first row reads %d columns, the frame has %d", r.InCols, width)
+			}
+			sum += r.FitSeconds + r.TransformSeconds
+		}
+		if sum > wall || sum < 0.95*wall {
+			t.Errorf("chunked=%v: rows sum to %.4fs, FitFrame took %.4fs", chunked, sum, wall)
+		}
+
+		blob, err := p.EncodeGob()
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := DecodePipeline(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.FitReport() != nil {
+			t.Error("a decoded pipeline carries a fit report")
+		}
 	}
 }

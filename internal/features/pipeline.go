@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"time"
 
 	"monitorless/internal/frame"
 )
@@ -110,7 +111,26 @@ type Pipeline struct {
 	// RawCols preserves the raw input schema for the online path.
 	RawCols []Column
 	InCols  int
+
+	// report is FitFrame's per-step ledger. Unexported, so gob neither
+	// writes nor expects it: a decoded pipeline has none.
+	report []StepReport
 }
+
+// StepReport is one step's row of the FitFrame ledger: how wide its
+// input was and how long fitting it and transforming the training frame
+// through it took.
+type StepReport struct {
+	Step             string
+	InCols           int
+	FitSeconds       float64
+	TransformSeconds float64
+}
+
+// FitReport returns the per-step ledger of the last FitFrame on this
+// pipeline, in step order; nil for a pipeline that was loaded rather
+// than fitted. The rows add up to FitFrame's wall-clock time.
+func (p *Pipeline) FitReport() []StepReport { return p.report }
 
 // NewPipeline validates the config and returns an unfitted pipeline.
 func NewPipeline(cfg Config) (*Pipeline, error) {
@@ -139,6 +159,7 @@ func (p *Pipeline) FitFrame(fr *frame.Frame) (*frame.Frame, error) {
 	p.InCols = fr.NumCols()
 	p.RawCols = append([]Column(nil), fr.Schema()...)
 	p.Steps = nil
+	p.report = nil
 
 	plan := []Step{&Expand{}}
 	if p.Cfg.Normalize {
@@ -160,10 +181,12 @@ func (p *Pipeline) FitFrame(fr *frame.Frame) (*frame.Frame, error) {
 
 	cur := fr
 	for _, step := range plan {
+		start := time.Now()
 		if err := step.Fit(cur); err != nil {
 			discardIntermediate(cur, fr)
 			return nil, fmt.Errorf("features: fit %s: %w", step.Name(), err)
 		}
+		fitted := time.Now()
 		next, err := applyStep(step, cur, fr)
 		if err != nil {
 			discardIntermediate(cur, fr)
@@ -171,6 +194,12 @@ func (p *Pipeline) FitFrame(fr *frame.Frame) (*frame.Frame, error) {
 		}
 		p.Steps = append(p.Steps, step)
 		discardIntermediate(cur, fr)
+		p.report = append(p.report, StepReport{
+			Step:             step.Name(),
+			InCols:           cur.NumCols(),
+			FitSeconds:       fitted.Sub(start).Seconds(),
+			TransformSeconds: time.Since(fitted).Seconds(),
+		})
 		cur = next
 	}
 	p.OutCols = append([]Column(nil), cur.Schema()...)
@@ -199,8 +228,9 @@ func discardIntermediate(cur, input *frame.Frame) {
 }
 
 // transformChunked applies a fitted step to a chunk-backed frame without
-// materializing it: each run view is materialized alone (memory bounded
-// by the longest run), pushed through the ordinary dense Transform, and
+// materializing it: each run is handed to the ordinary dense Transform
+// alone — as a zero-copy view of its chunk, or copied when it crosses a
+// chunk boundary (memory bounded by the longest run) — and the result is
 // appended to a fresh chunked frame — spilled under spillRoot (the
 // pipeline input's spill dir) when that input lives on disk. Every step
 // is row-local once fitted except TimeFeatures, which restarts its prefix
@@ -209,7 +239,7 @@ func discardIntermediate(cur, input *frame.Frame) {
 func transformChunked(step Step, fr *frame.Frame, spillRoot string) (*frame.Frame, error) {
 	var w *frame.ChunkedWriter
 	emit := func(view *frame.Frame) error {
-		out, err := step.Transform(view.Materialize())
+		out, err := step.Transform(view.DenseView())
 		if err != nil {
 			return err
 		}

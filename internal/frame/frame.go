@@ -357,6 +357,27 @@ func (f *Frame) Materialize() *Frame {
 	return out
 }
 
+// DenseView returns the frame's rows as a dense frame for read-only use:
+// a dense frame is returned as is, a chunk-backed view that lies inside
+// one chunk becomes a zero-copy view of that chunk (valid until the store
+// is closed), and only a view that crosses a chunk boundary is copied,
+// by Materialize. Callers that need to own the result use Materialize or
+// Clone.
+func (f *Frame) DenseView() *Frame {
+	if f.store == nil {
+		return f
+	}
+	cr := f.store.ChunkRows()
+	if f.rows == 0 || f.off/cr != (f.off+f.rows-1)/cr {
+		return f.Materialize()
+	}
+	var v *Frame
+	if err := f.ForEachChunk(func(_ int, ch *Frame) error { v = ch; return nil }); err != nil {
+		panic(fmt.Sprintf("frame: dense view: %v", err))
+	}
+	return v
+}
+
 // Close releases a chunk-backed frame's store (unmapping chunks,
 // dropping caches); on-disk chunk files are left in place. A no-op for
 // dense frames and a frame may not be used after Close.

@@ -373,7 +373,7 @@ type ChunkedWriter struct {
 	dir       string
 	chunkRows int
 	cols      int
-	buf       []float64 // open chunk, column-major, stride = chunkRows
+	buf       []float64 // open chunk, column-major, stride = chunkRows; nil until a row needs it
 	fill      int
 	sealed    int
 	memChunks [][]float64
@@ -401,7 +401,6 @@ func NewChunkedWriter(schema Schema, chunkRows int, dir string) (*ChunkedWriter,
 		dir:       dir,
 		chunkRows: chunkRows,
 		cols:      len(schema),
-		buf:       make([]float64, chunkRows*len(schema)),
 		labeled:   -1,
 	}
 	if dir != "" {
@@ -421,6 +420,28 @@ func (w *ChunkedWriter) Dir() string { return w.dir }
 // Rows returns the number of rows appended so far.
 func (w *ChunkedWriter) Rows() int { return w.rows }
 
+// open returns the open chunk's buffer, allocating it on first use: seal
+// hands a full in-memory buffer to the chunk list rather than copying it.
+func (w *ChunkedWriter) open() []float64 {
+	if w.buf == nil {
+		w.buf = make([]float64, w.chunkRows*w.cols)
+	}
+	return w.buf
+}
+
+// addSpan records rows [start, end) as run runID, extending the trailing
+// span when it is the same run and ends where these rows begin.
+func (w *ChunkedWriter) addSpan(runID, start, end int) {
+	if start == end {
+		return
+	}
+	if k := len(w.spans); k > 0 && w.spans[k-1].ID == runID && w.spans[k-1].End == start {
+		w.spans[k-1].End = end
+	} else {
+		w.spans = append(w.spans, Span{ID: runID, Start: start, End: end})
+	}
+}
+
 func (w *ChunkedWriter) appendRow(runID int, vals []float64) error {
 	if w.done {
 		return fmt.Errorf("frame: append on a finished chunked writer")
@@ -428,30 +449,17 @@ func (w *ChunkedWriter) appendRow(runID int, vals []float64) error {
 	if len(vals) != w.cols {
 		return fmt.Errorf("frame: append row has %d values, schema has %d", len(vals), w.cols)
 	}
+	buf := w.open()
 	for j, v := range vals {
-		w.buf[j*w.chunkRows+w.fill] = v
+		buf[j*w.chunkRows+w.fill] = v
 	}
-	i := w.rows
+	w.addSpan(runID, w.rows, w.rows+1)
 	w.fill++
 	w.rows++
-	if n := len(w.spans); n > 0 && w.spans[n-1].ID == runID && w.spans[n-1].End == i {
-		w.spans[n-1].End = i + 1
-	} else {
-		w.spans = append(w.spans, Span{ID: runID, Start: i, End: i + 1})
-	}
 	if w.fill == w.chunkRows {
 		return w.seal()
 	}
 	return nil
-}
-
-// AppendRow adds an unlabeled row to run runID.
-func (w *ChunkedWriter) AppendRow(runID int, vals []float64) error {
-	if w.labeled == 1 {
-		return fmt.Errorf("frame: unlabeled append on a labeled chunked writer")
-	}
-	w.labeled = 0
-	return w.appendRow(runID, vals)
 }
 
 // AppendLabeledRow adds a labeled row to run runID. Labels are kept in
@@ -469,50 +477,77 @@ func (w *ChunkedWriter) AppendLabeledRow(runID int, vals []float64, label int) e
 	return nil
 }
 
-// AppendFrame appends every row of fr (dense or chunk-backed), carrying
-// its run spans and labels. Frames without spans are appended as a
-// single run 0.
+// AppendFrame appends every row of fr (dense, chunk-backed or a view),
+// carrying its run spans and labels. Frames without spans are appended as
+// a single run 0. Everything that can be refused is refused before the
+// first row is written; the data then moves one column segment per
+// (source chunk, destination chunk) pair.
 func (w *ChunkedWriter) AppendFrame(fr *Frame) error {
-	spans := fr.Spans()
-	if len(spans) == 0 && fr.Rows() > 0 {
-		spans = []Span{{ID: 0, Start: 0, End: fr.Rows()}}
+	if w.done {
+		return fmt.Errorf("frame: append on a finished chunked writer")
+	}
+	if fr.NumCols() != w.cols {
+		return fmt.Errorf("frame: append frame has %d columns, schema has %d", fr.NumCols(), w.cols)
+	}
+	n := fr.Rows()
+	if n == 0 {
+		return nil
 	}
 	labels := fr.Labels()
-	var rowBuf []float64
-	for _, s := range spans {
-		for i := s.Start; i < s.End; i++ {
-			rowBuf = fr.Row(i, rowBuf)
-			var err error
-			if labels != nil {
-				err = w.AppendLabeledRow(s.ID, rowBuf, labels[i])
-			} else {
-				err = w.AppendRow(s.ID, rowBuf)
+	if labels != nil && w.labeled == 0 {
+		return fmt.Errorf("frame: labeled append on an unlabeled chunked writer")
+	}
+	if labels == nil && w.labeled == 1 {
+		return fmt.Errorf("frame: unlabeled append on a labeled chunked writer")
+	}
+	w.labeled = 0
+	if labels != nil {
+		w.labeled = 1
+		w.labels = append(w.labels, labels...)
+	}
+	if len(fr.Spans()) == 0 {
+		w.addSpan(0, w.rows, w.rows+n)
+	}
+	for _, s := range fr.Spans() {
+		w.addSpan(s.ID, w.rows+s.Start, w.rows+s.End)
+	}
+	w.rows += n
+	return fr.ForEachChunk(func(_ int, ch *Frame) error {
+		for off := 0; off < ch.rows; {
+			buf := w.open()
+			m := min(w.chunkRows-w.fill, ch.rows-off)
+			for j := 0; j < w.cols; j++ {
+				copy(buf[j*w.chunkRows+w.fill:], ch.Col(j)[off:off+m])
 			}
-			if err != nil {
-				return err
+			off += m
+			w.fill += m
+			if w.fill == w.chunkRows {
+				if err := w.seal(); err != nil {
+					return err
+				}
 			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
-// seal flushes the open chunk.
+// seal flushes the open chunk: a full in-memory buffer becomes the chunk
+// itself and the next row opens a fresh one; the partial final chunk is
+// compacted to stride = fill.
 func (w *ChunkedWriter) seal() error {
 	if w.fill == 0 {
 		return nil
 	}
-	slab := w.buf[:w.fill*w.cols]
+	slab := w.buf
 	if w.fill < w.chunkRows {
-		// Partial final chunk: compact to stride = fill.
 		slab = make([]float64, w.fill*w.cols)
 		for j := 0; j < w.cols; j++ {
 			copy(slab[j*w.fill:(j+1)*w.fill], w.buf[j*w.chunkRows:j*w.chunkRows+w.fill])
 		}
 	}
 	if w.dir == "" {
-		own := make([]float64, len(slab))
-		copy(own, slab)
-		w.memChunks = append(w.memChunks, own)
+		w.memChunks = append(w.memChunks, slab)
+		w.buf = nil
 	} else {
 		path := filepath.Join(w.dir, chunkFileName(w.sealed))
 		w.created = append(w.created, path)

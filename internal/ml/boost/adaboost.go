@@ -121,13 +121,23 @@ func (a *AdaBoost) fitFrame(fr *frame.Frame, y []int, rows []int) error {
 	// Histogram base trees: quantize the training rows once; every stage
 	// refits over the shared read-only code slab with fresh weights.
 	// BinFrame streams chunk-backed frames through the merge binner, so
-	// the hist path trains out of core; the exact splitter needs whole
-	// columns and densifies a chunked frame up front.
+	// the hist path trains out of core; the exact splitters need whole
+	// columns, densify a chunked frame up front, and share one ranking of
+	// the training rows across stages (nil for the random splitter).
+	tcfg := tree.Config{
+		MaxDepth:        a.cfg.TreeMaxDepth,
+		MinSamplesSplit: a.cfg.TreeMinSamplesSplit,
+		Criterion:       a.cfg.TreeCriterion,
+		Splitter:        a.cfg.TreeSplitter,
+		Bins:            a.cfg.TreeBins,
+	}
 	var bn *frame.Binned
+	var rk *tree.Ranks
 	if a.cfg.TreeSplitter == tree.Hist {
 		bn = frame.BinFrame(fr, a.cfg.TreeBins, rows)
-	} else if fr.Chunked() {
-		fr = fr.Materialize()
+	} else {
+		fr = fr.DenseView()
+		rk = tree.RankFrame(fr, rows, tcfg)
 	}
 
 	// Each stage's prediction pass over the n samples is embarrassingly
@@ -153,19 +163,14 @@ func (a *AdaBoost) fitFrame(fr *frame.Frame, y []int, rows []int) error {
 
 boosting:
 	for stage := 0; stage < a.cfg.NumEstimators; stage++ {
-		t := tree.New(tree.Config{
-			MaxDepth:        a.cfg.TreeMaxDepth,
-			MinSamplesSplit: a.cfg.TreeMinSamplesSplit,
-			Criterion:       a.cfg.TreeCriterion,
-			Splitter:        a.cfg.TreeSplitter,
-			Bins:            a.cfg.TreeBins,
-			Seed:            a.cfg.Seed + int64(stage)*6151,
-		})
+		cfg := tcfg
+		cfg.Seed = a.cfg.Seed + int64(stage)*6151
+		t := tree.New(cfg)
 		var err error
 		if bn != nil {
 			err = t.FitBinnedSamples(bn, rows, ty, w)
 		} else {
-			err = t.FitFrameSamples(fr, rows, ty, w)
+			err = t.FitRankedSamples(fr, rk, rows, ty, w)
 		}
 		if err != nil {
 			return fmt.Errorf("boost: stage %d: %w", stage, err)

@@ -40,7 +40,9 @@ type Config struct {
 	// Splitter selects the per-tree split search: tree.Best (the exact
 	// sorted-scan parity reference, the zero value) or tree.Hist (the
 	// histogram path — the training frame is quantized once and shared
-	// read-only by every tree). Absent in old gob bundles, which
+	// read-only by every tree). Those are the two a forest supports:
+	// FitFrame refuses anything else (tree.Random is AdaBoost's axis in
+	// Table 2, not the forest's). Absent in old gob bundles, which
 	// therefore decode to Best.
 	Splitter tree.Splitter
 	// Bins caps per-column bins for the Hist splitter; 0 = 256.
@@ -117,6 +119,9 @@ func (f *Forest) FitFrame(fr *frame.Frame, y []int, rows []int) error {
 
 // fitFrame is the shared post-validation fitting path.
 func (f *Forest) fitFrame(fr *frame.Frame, y []int, rows []int) error {
+	if f.cfg.Splitter != tree.Best && f.cfg.Splitter != tree.Hist {
+		return fmt.Errorf("forest: splitter %v is not supported (want %v or %v)", f.cfg.Splitter, tree.Best, tree.Hist)
+	}
 	if rows == nil {
 		rows = make([]int, fr.Rows())
 		for i := range rows {
@@ -144,17 +149,32 @@ func (f *Forest) fitFrame(fr *frame.Frame, y []int, rows []int) error {
 	// through the two-pass merge binner — same edges, same codes, never a
 	// materialized column — so a hist forest trains on a corpus that
 	// never fits in memory (the codes slab is 8× smaller than the data).
+	//
+	// Exact path: the splitter scans whole columns and has no out-of-core
+	// form, so a chunked frame densifies here; when the trees offer every
+	// feature at every node the training rows are ranked once and the
+	// ranks shared the same way (rk is nil otherwise). The trees' Splitter
+	// stays zero: the forest picks their fit entry point itself, and the
+	// tree config is part of a saved bundle's bytes.
+	tcfg := tree.Config{
+		MaxDepth:        f.cfg.MaxDepth,
+		MinSamplesSplit: f.cfg.MinSamplesSplit,
+		MinSamplesLeaf:  f.cfg.MinSamplesLeaf,
+		Criterion:       f.cfg.Criterion,
+		MaxFeatures:     f.cfg.MaxFeatures,
+		Bins:            f.cfg.Bins,
+	}
 	var bn *frame.Binned
+	var rk *tree.Ranks
 	if f.cfg.Splitter == tree.Hist {
 		var berr error
 		bn, berr = frame.BinFrameChecked(fr, f.cfg.Bins, rows)
 		if berr != nil {
 			return fmt.Errorf("forest: %w", berr)
 		}
-	} else if fr.Chunked() {
-		// The exact splitter sorts whole columns per node; it has no
-		// out-of-core path, so a chunked frame densifies here.
-		fr = fr.Materialize()
+	} else {
+		fr = fr.DenseView()
+		rk = tree.RankFrame(fr, rows, tcfg)
 	}
 
 	// Each tree's bootstrap RNG and tree seed are pure functions of the
@@ -192,20 +212,14 @@ func (f *Forest) fitFrame(fr *frame.Frame, y []int, rows []int) error {
 			}
 		}
 
-		t := tree.New(tree.Config{
-			MaxDepth:        f.cfg.MaxDepth,
-			MinSamplesSplit: f.cfg.MinSamplesSplit,
-			MinSamplesLeaf:  f.cfg.MinSamplesLeaf,
-			Criterion:       f.cfg.Criterion,
-			MaxFeatures:     f.cfg.MaxFeatures,
-			Bins:            f.cfg.Bins,
-			Seed:            f.cfg.Seed + int64(ti)*104729,
-		})
+		cfg := tcfg
+		cfg.Seed = f.cfg.Seed + int64(ti)*104729
+		t := tree.New(cfg)
 		var ferr error
 		if bn != nil {
 			ferr = t.FitBinnedSamples(bn, smp, by, bw)
 		} else {
-			ferr = t.FitFrameSamples(fr, smp, by, bw)
+			ferr = t.FitRankedSamples(fr, rk, smp, by, bw)
 		}
 		if ferr != nil {
 			return fmt.Errorf("forest: tree %d: %w", ti, ferr)

@@ -3,8 +3,12 @@ package forest
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"monitorless/internal/ml"
+	"monitorless/internal/ml/tree"
 )
 
 func xorData(n int, seed int64) ([][]float64, []int) {
@@ -161,6 +165,27 @@ func TestForestEmptyInput(t *testing.T) {
 	f := New(Config{NumTrees: 4})
 	if err := f.Fit(nil, nil); err == nil {
 		t.Error("expected error for empty training set")
+	}
+}
+
+// A forest supports the best and hist splitters only; before this check a
+// Random forest silently trained best-split trees.
+func TestForestRejectsUnsupportedSplitter(t *testing.T) {
+	x, y := xorData(50, 1)
+	for _, sp := range []tree.Splitter{tree.Random, tree.Splitter(9)} {
+		f := New(Config{NumTrees: 2, Splitter: sp})
+		err := f.FitFrame(ml.FrameOf(x), y, nil)
+		if err == nil {
+			t.Fatalf("splitter %v: FitFrame succeeded", sp)
+		}
+		for _, want := range []string{sp.String(), tree.Best.String(), tree.Hist.String()} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("splitter %v: error %q does not name %q", sp, err, want)
+			}
+		}
+		if err := f.Fit(x, y); err == nil {
+			t.Errorf("splitter %v: Fit succeeded", sp)
+		}
 	}
 }
 

@@ -253,9 +253,9 @@ func TestSplitterString(t *testing.T) {
 
 // The builder arena: growing a tree must not allocate per node beyond the
 // node arrays themselves. Refitting a warm tree (node slabs already at
-// capacity) bounds what remains — fixed builder setup plus the stable
-// sort's small per-call overhead on the exact path, and the O(depth)
-// histogram pool on the hist path. The old per-node scheme allocated two
+// capacity) bounds what remains — fixed builder setup on the exact path
+// (plus the node sort's small per-call overhead when features are
+// subsampled), and the O(depth) histogram pool on the hist path. The old per-node scheme allocated two
 // index slices per split plus a feature list per node and blows these
 // budgets several times over.
 func TestTreeBuilderAllocations(t *testing.T) {
@@ -283,20 +283,43 @@ func TestTreeBuilderAllocations(t *testing.T) {
 		w[i] = 1
 	}
 
-	// Exact path, depth-capped: ≤ 63 internal nodes, 2 features scanned
-	// each → ≤ 126 stable sorts. Budget covers sort overhead + fixed
-	// setup; the removed per-node allocations would roughly double it.
-	exact := New(Config{MaxDepth: 6})
+	// Exact path, every feature offered at every node: no node sorts. A
+	// refit allocates fixed setup only — the frame's ranks (RankFrame's
+	// d×rows int32 slab and value scratch), the per-tree slabs (sorted,
+	// the d×n int32 per-feature order; idx and part, n int32 each; left,
+	// n flags; the counting sort's bucket starts) and the compacted node
+	// slabs — whatever the node count.
+	exact := New(Config{})
 	if err := exact.FitFrameSamples(fr, smp, y, w); err != nil {
 		t.Fatal(err)
+	}
+	if exact.NumNodes() < 100 {
+		t.Fatalf("exact tree too small (%d nodes) for the allocation claim", exact.NumNodes())
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		if err := exact.FitFrameSamples(fr, smp, y, w); err != nil {
 			t.Fatal(err)
 		}
 	})
+	if allocs > 40 {
+		t.Errorf("exact refit allocations = %.0f for %d nodes, want <= 40 (per-node allocation regression)", allocs, exact.NumNodes())
+	}
+
+	// Exact path, one of the two features offered per node, depth-capped:
+	// ≤ 63 internal nodes → ≤ 63 node sorts. Budget covers sort.Slice's
+	// per-call overhead, the per-node feature draw and fixed setup; the
+	// removed per-node index slices would roughly double it.
+	sub := New(Config{MaxDepth: 6, MaxFeatures: 1})
+	if err := sub.FitFrameSamples(fr, smp, y, w); err != nil {
+		t.Fatal(err)
+	}
+	allocs = testing.AllocsPerRun(20, func() {
+		if err := sub.FitFrameSamples(fr, smp, y, w); err != nil {
+			t.Fatal(err)
+		}
+	})
 	if allocs > 150 {
-		t.Errorf("exact refit allocations = %.0f, want <= 150 (per-node allocation regression)", allocs)
+		t.Errorf("subsampled exact refit allocations = %.0f, want <= 150 (per-node allocation regression)", allocs)
 	}
 
 	// Hist path, unbounded depth: hundreds of nodes, yet allocations stay

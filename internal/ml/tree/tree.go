@@ -248,10 +248,7 @@ func (t *Tree) FitFrame(fr *frame.Frame, y []int, rows []int) error {
 // the total weight.
 func prepSamples(n int, smp []int, y []int, w []float64) ([]int, []float64, float64, error) {
 	if smp == nil {
-		smp = make([]int, n)
-		for i := range smp {
-			smp[i] = i
-		}
+		smp = identity(n)
 	}
 	if len(smp) == 0 {
 		return nil, nil, 0, ml.ErrNoData
@@ -300,7 +297,8 @@ func (t *Tree) finishFit() {
 // ValidateTrainingSet); this path never re-scans for NaN/Inf. With
 // Splitter == Hist the frame is quantized here (edges from the sampled
 // rows); callers fitting many trees on one frame should bin once with
-// frame.BinFrame and use FitBinnedSamples instead.
+// frame.BinFrame and use FitBinnedSamples instead — or, for the exact
+// splitters, rank once with RankFrame and use FitRankedSamples.
 func (t *Tree) FitFrameSamples(fr *frame.Frame, smp []int, y []int, w []float64) error {
 	if fr == nil || fr.Rows() == 0 || fr.NumCols() == 0 {
 		return ml.ErrNoData
@@ -308,41 +306,64 @@ func (t *Tree) FitFrameSamples(fr *frame.Frame, smp []int, y []int, w []float64)
 	if t.cfg.Splitter == Hist {
 		return t.FitBinnedSamples(frame.BinFrame(fr, t.cfg.Bins, smp), smp, y, w)
 	}
-	if fr.Chunked() {
-		// The exact splitter needs whole columns; only the hist path above
-		// streams chunk-backed frames.
-		fr = fr.Materialize()
-	}
-	smp, w, totalWeight, err := prepSamples(fr.Rows(), smp, y, w)
+	// The exact splitters need whole columns; only the hist path above
+	// streams chunk-backed frames.
+	fr = fr.DenseView()
+	return t.FitRankedSamples(fr, RankFrame(fr, smp, t.cfg), smp, y, w)
+}
+
+// FitRankedSamples is FitFrameSamples for the exact splitters over a
+// dense, non-empty frame with rk = RankFrame(fr, rows, cfg), rows covering
+// every row smp names: an ensemble ranks its training rows once and shares
+// rk read-only across its trees. A nil rk selects the per-node sort.
+func (t *Tree) FitRankedSamples(fr *frame.Frame, rk *Ranks, smp []int, y []int, w []float64) error {
+	b, err := t.newBuilder(fr, rk, smp, y, w)
 	if err != nil {
 		return err
 	}
-	d := fr.NumCols()
-	cols := make([][]float64, d)
-	for j := range cols {
-		cols[j] = fr.Col(j)
-	}
+	b.build(0, len(b.idx), 0)
+	t.finishFit()
+	return nil
+}
 
+// newBuilder validates the sample triple, resets the tree and lays out
+// the builder arena for one exact-splitter fit.
+func (t *Tree) newBuilder(fr *frame.Frame, rk *Ranks, smp []int, y []int, w []float64) (*builder, error) {
+	smp, w, totalWeight, err := prepSamples(fr.Rows(), smp, y, w)
+	if err != nil {
+		return nil, err
+	}
+	n, d := len(smp), fr.NumCols()
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("tree: %d samples exceed the exact splitter's int32 index space", n)
+	}
 	t.startFit(d)
-	n := len(smp)
 	b := &builder{
 		tree:        t,
-		cols:        cols,
+		cols:        make([][]float64, d),
 		smp:         smp,
 		y:           y,
 		w:           w,
 		rng:         rand.New(rand.NewSource(t.cfg.Seed)),
 		totalWeight: totalWeight,
-		order:       make([]int, n),
-		part:        make([]int, 0, n),
+		idx:         make([]int32, n),
+		part:        make([]int32, n),
+		left:        make([]uint8, n),
 	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+	for j := range b.cols {
+		b.cols[j] = fr.Col(j)
 	}
-	b.build(idx, 0)
-	t.finishFit()
-	return nil
+	for i := range b.idx {
+		b.idx[i] = int32(i)
+	}
+	if rk != nil {
+		b.sorted = rk.sortSamples(smp)
+		b.nodeOrder = func(lo, hi, f int) []int32 { return b.sorted[f*n+lo : f*n+hi] }
+	} else {
+		b.order = make([]int32, n)
+		b.nodeOrder = b.sortedOrder
+	}
+	return b, nil
 }
 
 // startFit resets the node arrays for a fresh fit over d features.
@@ -360,9 +381,23 @@ func (t *Tree) startFit(d int) {
 // builder carries the shared fitting state of the exact splitters. Split
 // finding scans contiguous columns: the value of sample i under feature f
 // is cols[f][smp[i]], one slice lookup instead of a row-pointer chase.
-// order and part are the per-builder arena — every node's sort and
-// partition run inside these two buffers, so growing the tree allocates
-// nothing beyond the node arrays themselves.
+// A node is a range [lo, hi) of the root sample list idx, which every
+// accepted split partitions stably in place, so a node's samples are in
+// ascending index order. The scan wants them in (value, index) order
+// under each candidate feature; nodeOrder supplies that one of two ways,
+// chosen per fit from the tree's own configuration (see RankFrame):
+//
+//   - every feature offered at every node: sorted holds, per feature, the
+//     whole tree's samples in (value, index) order, built at the root from
+//     the shared Ranks, and every accepted split stably partitions each
+//     feature's [lo, hi) on the same go-left flags as idx. A stable
+//     partition of an ordered list is ordered: the range is its own sort.
+//   - features subsampled per node: sortedOrder sorts a copy of the
+//     node's list for each of the few candidates.
+//
+// (value, index) is a total order, so both yield the same permutation and
+// the scan's running sums — hence the tree — are bit-identical. Growing
+// the tree allocates nothing beyond the node arrays themselves.
 type builder struct {
 	tree        *Tree
 	cols        [][]float64 // full backing columns, cols[f][row]
@@ -371,21 +406,23 @@ type builder struct {
 	w           []float64   // per-sample weights
 	rng         *rand.Rand
 	totalWeight float64
-	order       []int // scratch for split scans, reused across nodes
-	part        []int // scratch for in-place partition, reused across nodes
-	allFeats    []int // identity feature list, built lazily when k == d
+	idx         []int32 // root sample list; nodes are subranges
+	nodeOrder   func(lo, hi, f int) []int32
+	sorted      []int32 // presorted mode: feature f's order is sorted[f*n:(f+1)*n]
+	order       []int32 // per-node sort scratch (subsampled mode)
+	part        []int32 // right-hand scratch of the stable partition
+	left        []uint8 // per-sample go-left flag of the split being applied
+	allFeats    []int   // identity feature list, built lazily when k == d
 }
 
 func (b *builder) impurity(total, pos float64) float64 {
 	return impurity(b.tree.cfg.Criterion, total, pos)
 }
 
-// build grows the subtree over idx and returns its node index. idx is a
-// subrange of the builder's root index buffer: children are produced by a
-// stable in-place partition of the same subrange, so the whole recursion
-// shares one index allocation.
-func (b *builder) build(idx []int, depth int) int32 {
+// build grows the subtree over idx[lo:hi] and returns its node index.
+func (b *builder) build(lo, hi, depth int) int32 {
 	t := b.tree
+	idx := b.idx[lo:hi]
 	var total, pos float64
 	for _, i := range idx {
 		total += b.w[i]
@@ -406,48 +443,57 @@ func (b *builder) build(idx []int, depth int) int32 {
 		return nodeIdx
 	}
 
-	feat, thr, gain := b.bestSplit(idx, total, pos)
+	feat, thr, gain := b.bestSplit(lo, hi, total, pos)
 	if feat < 0 {
 		return nodeIdx
 	}
 
-	left, right := b.partition(idx, b.cols[feat], thr)
-	if len(left) < t.cfg.MinSamplesLeaf || len(right) < t.cfg.MinSamplesLeaf {
+	col := b.cols[feat]
+	for _, i := range idx {
+		b.left[i] = 0
+		if col[b.smp[i]] <= thr {
+			b.left[i] = 1
+		}
+	}
+	mid := lo + b.partition(idx)
+	if mid-lo < t.cfg.MinSamplesLeaf || hi-mid < t.cfg.MinSamplesLeaf {
 		return nodeIdx
+	}
+	if b.sorted != nil {
+		for f := range b.cols {
+			b.partition(b.nodeOrder(lo, hi, f))
+		}
 	}
 
 	t.importances[feat] += total / b.totalWeight * gain
 
-	leftIdx := b.build(left, depth+1)
-	rightIdx := b.build(right, depth+1)
+	leftIdx := b.build(lo, mid, depth+1)
+	rightIdx := b.build(mid, hi, depth+1)
 	t.setSplit(nodeIdx, feat, thr, leftIdx, rightIdx)
 	return nodeIdx
 }
 
-// partition splits idx in place around "col[smp[i]] <= thr", keeping both
-// sides in their original relative order: the left samples are compacted
-// into the prefix, the right samples pass through the part scratch buffer
-// and are copied back into the suffix. The two returned slices alias
-// disjoint subranges of idx.
-func (b *builder) partition(idx []int, col []float64, thr float64) (left, right []int) {
-	scratch := b.part[:0]
-	k := 0
-	for _, i := range idx {
-		if col[b.smp[i]] <= thr {
-			idx[k] = i
-			k++
-		} else {
-			scratch = append(scratch, i)
-		}
+// partition moves the samples of list flagged go-left to its front and
+// returns how many there are, keeping both sides in their original
+// relative order. Branch-free: every sample is written to both the
+// prefix and the right-hand scratch, and only one cursor advances.
+func (b *builder) partition(list []int32) int {
+	scratch := b.part[:len(list)]
+	k, r := 0, 0
+	for _, i := range list {
+		l := int(b.left[i])
+		list[k] = i
+		scratch[r] = i
+		k += l
+		r += 1 - l
 	}
-	b.part = scratch
-	copy(idx[k:], scratch)
-	return idx[:k], idx[k:]
+	copy(list[k:], scratch[:r])
+	return k
 }
 
 // bestSplit searches the candidate features for the best (feature,
 // threshold) pair; returns feature -1 when no split improves impurity.
-func (b *builder) bestSplit(idx []int, total, pos float64) (int, float64, float64) {
+func (b *builder) bestSplit(lo, hi int, total, pos float64) (int, float64, float64) {
 	t := b.tree
 	features := b.sampleFeatures()
 	parentImp := b.impurity(total, pos)
@@ -457,9 +503,9 @@ func (b *builder) bestSplit(idx []int, total, pos float64) (int, float64, float6
 		var thr, gain float64
 		var ok bool
 		if t.cfg.Splitter == Random {
-			thr, gain, ok = b.randomSplit(idx, f, total, pos, parentImp)
+			thr, gain, ok = b.randomSplit(b.idx[lo:hi], f, total, pos, parentImp)
 		} else {
-			thr, gain, ok = b.scanSplits(idx, f, total, pos, parentImp)
+			thr, gain, ok = b.scanSplits(b.nodeOrder(lo, hi, f), f, total, pos, parentImp)
 		}
 		if ok && gain > bestGain {
 			bestFeat, bestThr, bestGain = f, thr, gain
@@ -494,15 +540,16 @@ func (b *builder) sampleFeatures() []int {
 	d := b.tree.nFeatures
 	if resolveMaxFeatures(b.tree.cfg.MaxFeatures, d) >= d {
 		if b.allFeats == nil {
-			b.allFeats = identityFeats(d)
+			b.allFeats = identity(d)
 		}
 		return b.allFeats
 	}
 	return sampleFeatures(b.rng, d, b.tree.cfg.MaxFeatures)
 }
 
-func identityFeats(d int) []int {
-	all := make([]int, d)
+// identity returns 0, 1, …, n-1.
+func identity(n int) []int {
+	all := make([]int, n)
 	for i := range all {
 		all[i] = i
 	}
@@ -512,25 +559,18 @@ func identityFeats(d int) []int {
 func sampleFeatures(rng *rand.Rand, d, maxFeatures int) []int {
 	k := resolveMaxFeatures(maxFeatures, d)
 	if k >= d {
-		return identityFeats(d)
+		return identity(d)
 	}
 	perm := rng.Perm(d)
 	return perm[:k]
 }
 
-// scanSplits sorts idx by feature f and scans all boundaries. The sort
-// keys come from one contiguous column and the order buffer is builder
-// scratch, so the scan allocates nothing. Ties are broken by sample
-// index, making the comparator a total order: the resulting permutation
-// — and therefore the scan's running sums and the fitted tree — is a
-// pure function of the training set, never of how the sort algorithm
-// happens to permute equal keys. Because the stable partition keeps
-// every node's index list ascending, this order is exactly the stable
-// sort's order, at unstable-sort (pdqsort) speed.
-func (b *builder) scanSplits(idx []int, f int, total, pos, parentImp float64) (float64, float64, bool) {
+// sortedOrder is nodeOrder when features are subsampled: the node's
+// samples sorted by (value under f, sample index) in the order scratch.
+func (b *builder) sortedOrder(lo, hi, f int) []int32 {
 	col, smp := b.cols[f], b.smp
-	order := b.order[:len(idx)]
-	copy(order, idx)
+	order := b.order[:hi-lo]
+	copy(order, b.idx[lo:hi])
 	sort.Slice(order, func(a, c int) bool {
 		va, vc := col[smp[order[a]]], col[smp[order[c]]]
 		if va != vc {
@@ -538,7 +578,16 @@ func (b *builder) scanSplits(idx []int, f int, total, pos, parentImp float64) (f
 		}
 		return order[a] < order[c]
 	})
+	return order
+}
 
+// scanSplits scans all boundaries of order, the node's samples in
+// (value under f, sample index) order. Ties are broken by sample index,
+// making that a total order: the permutation — and therefore the scan's
+// running sums and the fitted tree — is a pure function of the training
+// set, never of how a sort algorithm happens to permute equal keys.
+func (b *builder) scanSplits(order []int32, f int, total, pos, parentImp float64) (float64, float64, bool) {
+	col, smp := b.cols[f], b.smp
 	minLeaf := b.tree.cfg.MinSamplesLeaf
 	var leftW, leftPos float64
 	bestGain, bestThr := 0.0, 0.0
@@ -571,7 +620,7 @@ func (b *builder) scanSplits(idx []int, f int, total, pos, parentImp float64) (f
 
 // randomSplit draws a single uniform threshold between the observed min and
 // max of feature f (scikit-learn's ExtraTree-style random splitter).
-func (b *builder) randomSplit(idx []int, f int, total, pos, parentImp float64) (float64, float64, bool) {
+func (b *builder) randomSplit(idx []int32, f int, total, pos, parentImp float64) (float64, float64, bool) {
 	col, smp := b.cols[f], b.smp
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, i := range idx {

@@ -8,7 +8,8 @@
 #   tree arena allocs     — tree growth makes no per-node allocations
 #   simulator allocs      — arbitration, tick arena and frame-native collection stay 0 allocs/op
 #   dataset golden        — generated frames hash to the recorded fixture at several worker counts
-#   benchmark smoke       — tree/forest/engine/agent benchmarks still compile and run (-benchtime=1x)
+#   exact split parity    — presorted and per-node orderings bit-identical to the test-only reference sort: TestExactSplitMatchesReference plus 5 s of FuzzExactSplitVsReference
+#   benchmark smoke       — tree/forest/filter/append/engine/agent benchmarks still compile and run (-benchtime=1x)
 #   serving race          — sharded ingest + concurrent scrape under -race
 #   ingest allocs         — steady-state ingest allocation budget
 #   lifecycle race        — ingest + drift harvest + reads + warm hot swaps under -race
@@ -70,9 +71,15 @@ go test -run 'TestObserveTickAllocations|TestCollectSnapshotReuse' -count=1 -v .
 lane "dataset golden"
 go test -run TestGenerateGoldenFrameBytes -count=1 -v ./internal/dataset/
 
+lane "exact split parity"
+go test -count=1 -run '^TestExactSplitMatchesReference$' -v ./internal/ml/tree/
+go test -run '^FuzzExactSplitVsReference$' -fuzz '^FuzzExactSplitVsReference$' -fuzztime=5s ./internal/ml/tree/
+
 lane "benchmark smoke"
 go test -run '^$' -bench 'BenchmarkTreeFit' -benchtime=1x ./internal/ml/tree/
 go test -run '^$' -bench 'BenchmarkForest' -benchtime=1x ./internal/ml/forest/
+go test -run '^$' -bench 'BenchmarkRFFilterFit' -benchtime=1x ./internal/features/
+go test -run '^$' -bench 'BenchmarkAppendFrame' -benchtime=1x ./internal/frame/
 go test -run '^$' -bench 'BenchmarkEngineTick' -benchtime=1x ./internal/apps/
 go test -run '^$' -bench 'BenchmarkAgentObserveTick' -benchtime=1x ./internal/pcp/
 

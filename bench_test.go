@@ -265,7 +265,7 @@ func BenchmarkPredictionLatency(b *testing.B) {
 	slot, _ := eng.Acquire("elgg/web/0")
 	slots := []int32{slot}
 	raws := make([][]float64, 1)
-	rows := elgg.Raw.Runs[0].Rows
+	rows := elgg.Raw.RunView(0).MaterializeRows()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		raws[0] = rows[i%len(rows)]

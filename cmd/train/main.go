@@ -55,8 +55,9 @@ func main() {
 	scale.Bins = *bins
 
 	var (
-		ctx *experiments.Context
-		err error
+		ctx    *experiments.Context
+		corpus *dataset.Dataset // the in-memory corpus the model trained on, for -rules
+		err    error
 	)
 	if *spillDir != "" {
 		if *data != "" {
@@ -96,6 +97,7 @@ func main() {
 		fmt.Printf("trained on %d samples (%.1f%% saturated) in %s\n",
 			len(ds.Samples), 100*ds.SaturatedFraction(), time.Since(start).Round(time.Millisecond))
 		ctx = &experiments.Context{Scale: scale, Model: m}
+		corpus = ds
 	} else {
 		start := time.Now()
 		ctx, err = experiments.NewContext(scale)
@@ -104,6 +106,7 @@ func main() {
 		}
 		fmt.Printf("generated %d samples and trained in %s (%d engineered features)\n",
 			ctx.Model.TrainSamples, time.Since(start).Round(time.Millisecond), ctx.Model.Pipeline.NumOutputs())
+		corpus = ctx.Report.Dataset
 	}
 
 	printFitReport(ctx.Model.Pipeline.FitReport())
@@ -121,15 +124,10 @@ func main() {
 		experiments.PrintTable4(os.Stdout, experiments.Table4(ctx, 30))
 	}
 	if *rules {
-		if ctx.Report == nil {
-			log.Fatal("-rules requires in-process generation (omit -data)")
+		if corpus == nil {
+			log.Fatal("-rules needs the training corpus in memory (omit -spill-dir)")
 		}
-		tab := features.FromDataset(ctx.Report.Dataset)
-		distilled, err := ctx.Model.DistillRules(tab, 3)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fidelity, err := ctx.Model.SurrogateFidelity(tab, 3)
+		distilled, fidelity, err := ctx.Model.Distill(corpus.Frame(), 3)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -216,13 +216,6 @@ type Options struct {
 	Warmup int
 	// Seed drives metric collection noise.
 	Seed int64
-	// ScaleInModel optionally enables the §5 extension: replicas whose
-	// service the over-provisioning classifier flags are retired early
-	// (before the fixed lifespan), reducing provisioning cost.
-	ScaleInModel *core.Model
-	// ScaleInGrace is the minimum replica age before early retirement
-	// (default 30 s).
-	ScaleInGrace int
 	// Predictor overrides the in-process inference path: when set, each
 	// tick's observation goes through it instead of an orchestrator built
 	// from the model argument (e.g. a serving.Client for over-the-wire
@@ -253,9 +246,6 @@ func (o Options) withDefaults() Options {
 	if o.Warmup <= 0 {
 		o.Warmup = 5
 	}
-	if o.ScaleInGrace <= 0 {
-		o.ScaleInGrace = 30
-	}
 	return o
 }
 
@@ -270,9 +260,6 @@ type Result struct {
 	ProvisioningPct float64
 	// ScaleOuts counts replica launches.
 	ScaleOuts int
-	// EarlyRetirements counts replicas removed before their lifespan by
-	// the optional over-provisioning detector.
-	EarlyRetirements int
 }
 
 // Env builds a fresh simulation environment for one policy run: the
@@ -286,11 +273,10 @@ type Env struct {
 // BuildEnv constructs a fresh Env; policies must not share engines.
 type BuildEnv func() (*Env, error)
 
-// replica tracks a scale-out with its birth tick and expiry.
+// replica tracks a scale-out with its expiry tick.
 type replica struct {
 	id      string
 	service string
-	born    int
 	expiry  int
 }
 
@@ -307,13 +293,9 @@ func Simulate(build BuildEnv, scaler Scaler, model *core.Model, opt Options) (Re
 	if predictor == nil && model != nil {
 		predictor = NewModelPredictor(model)
 	}
-	var scaleInOrch *core.Orchestrator
 	var agent *pcp.Agent
-	if predictor != nil || opt.ScaleInModel != nil {
+	if predictor != nil {
 		agent = pcp.NewAgent(pcp.NewCollector(pcp.DefaultCatalog(), opt.Seed))
-	}
-	if opt.ScaleInModel != nil {
-		scaleInOrch = core.NewOrchestrator(opt.ScaleInModel)
 	}
 
 	baseline := 0
@@ -330,82 +312,45 @@ func Simulate(build BuildEnv, scaler Scaler, model *core.Model, opt Options) (Re
 		containerSm float64
 		ticksSm     int
 		scaleOuts   int
-		earlyRetire int
 	)
 
 	for t := 0; t < opt.Duration; t++ {
 		env.Engine.Tick()
 
-		// Monitorless inference path (saturation and, optionally, the
-		// over-provisioning detector share one agent observation).
+		// Monitorless inference path.
 		predicted := map[string]bool{}
-		overProvisioned := map[string]bool{}
 		if agent != nil {
 			if obs, ok := agent.Observe(env.Engine); ok {
-				if predictor != nil {
-					sat, err := predictor.Predict(obs)
-					if err != nil {
-						return Result{}, fmt.Errorf("autoscale: predict at t=%d: %w", t, err)
-					}
-					// Map-range order is safe here: this only builds a
-					// set; every read of `predicted` is a keyed lookup.
-					for id, s := range sat {
-						if s {
-							predicted[id] = true
-						}
-					}
+				sat, err := predictor.Predict(obs)
+				if err != nil {
+					return Result{}, fmt.Errorf("autoscale: predict at t=%d: %w", t, err)
 				}
-				if scaleInOrch != nil {
-					if err := scaleInOrch.Ingest(obs); err != nil {
-						return Result{}, err
-					}
-					// A *service* is over-provisioned only when every
-					// one of its instances is flagged (conservative, §5).
-					flagged := map[string]bool{}
-					for _, id := range scaleInOrch.SaturatedInstances() {
-						flagged[id] = true
-					}
-					for _, s := range env.Target.Services() {
-						all := len(s.Instances()) > 0
-						for _, inst := range s.Instances() {
-							if !flagged[inst.Ctr.ID] {
-								all = false
-								break
-							}
-						}
-						if all {
-							overProvisioned[s.Name] = true
-						}
+				// Map-range order is safe here: this only builds a set;
+				// every read of `predicted` is a keyed lookup.
+				for id, s := range sat {
+					if s {
+						predicted[id] = true
 					}
 				}
 			}
 		}
 
-		// Expire replicas: after the lifespan, or early when the
-		// over-provisioning detector clears the service (§5 extension).
+		// Expire replicas after their lifespan.
 		kept := live[:0]
 		for _, r := range live {
-			retire := t >= r.expiry
-			if !retire && overProvisioned[r.service] && t >= r.born+opt.ScaleInGrace {
-				retire = true
-				earlyRetire++
-			}
-			if retire {
-				if svc, ok := env.Target.Service(r.service); ok {
-					svc.RemoveInstance(r.id)
-				}
-				if err := env.Cluster.Remove(r.id); err != nil {
-					return Result{}, fmt.Errorf("autoscale: scale-in %s: %w", r.id, err)
-				}
-				if predictor != nil {
-					predictor.Forget(r.id)
-				}
-				if scaleInOrch != nil {
-					scaleInOrch.Forget(r.id)
-				}
+			if t < r.expiry {
+				kept = append(kept, r)
 				continue
 			}
-			kept = append(kept, r)
+			if svc, ok := env.Target.Service(r.service); ok {
+				svc.RemoveInstance(r.id)
+			}
+			if err := env.Cluster.Remove(r.id); err != nil {
+				return Result{}, fmt.Errorf("autoscale: scale-in %s: %w", r.id, err)
+			}
+			if predictor != nil {
+				predictor.Forget(r.id)
+			}
 		}
 		live = kept
 
@@ -468,7 +413,7 @@ func Simulate(build BuildEnv, scaler Scaler, model *core.Model, opt Options) (Re
 				return Result{}, fmt.Errorf("autoscale: scale-out %s: %w", id, err)
 			}
 			svc.AddInstance(ctr)
-			live = append(live, replica{id: id, service: svcName, born: t, expiry: t + opt.ReplicaLifespan})
+			live = append(live, replica{id: id, service: svcName, expiry: t + opt.ReplicaLifespan})
 			scaleOuts++
 		}
 
@@ -489,11 +434,10 @@ func Simulate(build BuildEnv, scaler Scaler, model *core.Model, opt Options) (Re
 
 	avg := containerSm / float64(ticksSm)
 	return Result{
-		Policy:           scaler.Name(),
-		SLOViolations:    violations,
-		ProvisioningPct:  100 * (avg - float64(baseline)) / float64(baseline),
-		ScaleOuts:        scaleOuts,
-		EarlyRetirements: earlyRetire,
+		Policy:          scaler.Name(),
+		SLOViolations:   violations,
+		ProvisioningPct: 100 * (avg - float64(baseline)) / float64(baseline),
+		ScaleOuts:       scaleOuts,
 	}, nil
 }
 

@@ -41,12 +41,12 @@ func TestBundleRoundTripIdenticalPredictions(t *testing.T) {
 	}
 
 	// Loaded model must predict bit-identically to the original.
-	tab := features.FromDataset(ds.FilterRuns(1))
-	origPreds, origProbs, err := m.PredictTable(tab)
+	fr := ds.FilterRuns(1).Frame()
+	origPreds, origProbs, err := m.PredictFrame(fr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotPreds, gotProbs, err := b.Model.PredictTable(tab)
+	gotPreds, gotProbs, err := b.Model.PredictFrame(fr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,21 +76,17 @@ func TestBundleLegacyFallback(t *testing.T) {
 
 // TestBundleV3RoundTripFingerprintAndCalibration pins the v3 format: the
 // bundle carries the training fingerprint through gob encode/decode, and
-// a calibrated threshold survives the round trip.
+// a recalibrated (non-default) threshold survives the round trip.
 func TestBundleV3RoundTripFingerprintAndCalibration(t *testing.T) {
-	shared, ds := sharedModel(t)
-	m := *shared // shallow copy so SetThreshold does not disturb other tests
+	shared, _ := sharedModel(t)
+	m := *shared // copies of the model and its forest, so the new threshold does not disturb other tests
 	fr := forest.New(m.Forest.Config())
 	*fr = *m.Forest
 	m.Forest = fr
 
-	// Calibrate against an unlabeled target run and apply the result.
-	tab := features.FromDataset(ds.FilterRuns(1))
-	thr, err := m.CalibrateThreshold(tab, 0.10, 0.25, 0.75)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.SetThreshold(thr)
+	const thr = 0.55
+	m.Threshold = thr
+	m.Forest.SetThreshold(thr)
 
 	var buf bytes.Buffer
 	if err := SaveBundle(&buf, &m, 9); err != nil {
@@ -327,12 +323,12 @@ func TestBundleV4QuantRoundTrip(t *testing.T) {
 		t.Fatalf("loaded hist forest not fully quantized: %d float nodes", lf.Quant().FloatNodes())
 	}
 
-	tab := features.FromDataset(ds.FilterRuns(1))
-	_, origProbs, err := m.PredictTable(tab)
+	raw := ds.FilterRuns(1).Frame()
+	_, origProbs, err := m.PredictFrame(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, gotProbs, err := b.Model.PredictTable(tab)
+	_, gotProbs, err := b.Model.PredictFrame(raw)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,9 +103,9 @@ func TestTrainAndEvaluateHeldOutRun(t *testing.T) {
 		t.Errorf("TrainSamples = %d, want %d", m.TrainSamples, len(trainDS.Samples))
 	}
 
-	preds, probs, err := m.PredictTable(features.FromDataset(testDS))
+	preds, probs, err := m.PredictFrame(testDS.Frame())
 	if err != nil {
-		t.Fatalf("PredictTable: %v", err)
+		t.Fatalf("PredictFrame: %v", err)
 	}
 	pred := preds[1]
 	truth := testDS.Y()
@@ -140,12 +140,12 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 		t.Error("model metadata lost in round trip")
 	}
 	// Predictions must be identical.
-	tab := features.FromDataset(ds.FilterRuns(1))
-	p1, _, err := m.PredictTable(tab)
+	fr := ds.FilterRuns(1).Frame()
+	p1, _, err := m.PredictFrame(fr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, _, err := back.PredictTable(tab)
+	p2, _, err := back.PredictFrame(fr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,26 +300,5 @@ func TestOrchestratorRegisterInstance(t *testing.T) {
 	preds := o.AppPredictions()
 	if _, ok := preds["myapp"]; !ok {
 		t.Errorf("registered app missing from predictions: %v", preds)
-	}
-}
-
-func TestBusDeliversToOrchestrator(t *testing.T) {
-	m, ds := sharedModel(t)
-	o := NewOrchestrator(m)
-	bus := NewBus(4)
-
-	done := make(chan error, 1)
-	go func() { done <- bus.Consume(o) }()
-
-	vec := ds.Samples[0].Values
-	for i := 0; i < 3; i++ {
-		bus.Publish(pcp.Observation{T: i, Vectors: map[string][]float64{"a/b/0": vec}})
-	}
-	bus.Close()
-	if err := <-done; err != nil {
-		t.Fatalf("Consume: %v", err)
-	}
-	if _, ok := o.InstancePrediction("a/b/0"); !ok {
-		t.Error("bus observations did not reach the orchestrator")
 	}
 }

@@ -1,10 +1,8 @@
 // The paper's §5 discussion sketches four follow-up directions; this file
-// implements three of them on top of the core model:
+// implements two of them on top of the core model:
 //
 //   - Interpretability: distill the forest into a depth-restricted
 //     decision tree and render operator-readable scaling rules.
-//   - Scale-in: train a second classifier that detects *over-provisioned*
-//     instances so the orchestrator can conservatively scale in.
 //   - Architecture refinement: run inference at the monitoring agent and
 //     ship only compact prediction reports to the orchestrator, trading
 //     agent CPU for network traffic.
@@ -16,8 +14,7 @@ import (
 	"sort"
 
 	"monitorless/internal/apps"
-	"monitorless/internal/dataset"
-	"monitorless/internal/features"
+	"monitorless/internal/frame"
 	"monitorless/internal/ml/tree"
 	"monitorless/internal/pcp"
 )
@@ -26,29 +23,41 @@ import (
 // Interpretability (§5 "Interpretability").
 // ---------------------------------------------------------------------
 
-// DistillRules fits a depth-restricted CART tree to mimic the forest's
-// decisions on the given raw table and returns its paths as readable
-// rules, most-covered first. This is the paper's proposed alternative to
-// LIME: a small surrogate model whose structure *is* the explanation.
-func (m *Model) DistillRules(t *features.Table, maxDepth int) ([]tree.Rule, error) {
+// Distill fits a depth-restricted CART tree (maxDepth <= 0 selects 3) to
+// mimic the forest's decisions on the given raw frame and returns its
+// paths as readable rules, most-covered first, plus its fidelity: the
+// share of rows on which the surrogate agrees with the forest. This is the
+// paper's proposed alternative to LIME: a small surrogate model whose
+// structure *is* the explanation, and the interpretability/accuracy
+// trade-off the paper wants to explore.
+func (m *Model) Distill(raw *frame.Frame, maxDepth int) ([]tree.Rule, float64, error) {
 	if maxDepth <= 0 {
 		maxDepth = 3
 	}
-	engineered, err := m.Pipeline.Transform(t)
+	engineered, err := m.Pipeline.TransformFrame(raw)
 	if err != nil {
-		return nil, fmt.Errorf("core: distill: %w", err)
+		return nil, 0, fmt.Errorf("core: distill: %w", err)
 	}
-	x, _, _ := engineered.Flatten()
+	if engineered.Chunked() {
+		defer engineered.Discard()
+	}
 	// The surrogate learns the *model's* labels, not the ground truth.
-	y := make([]int, len(x))
-	for i, row := range x {
-		if m.Forest.PredictProba(row) >= m.Threshold {
+	probs := m.Forest.PredictProbaFrameRows(engineered, nil)
+	y := make([]int, len(probs))
+	for i, q := range probs {
+		if q >= m.Threshold {
 			y[i] = 1
 		}
 	}
 	surrogate := tree.New(tree.Config{MaxDepth: maxDepth, MinSamplesLeaf: 10, Criterion: tree.Entropy})
-	if err := surrogate.Fit(x, y); err != nil {
-		return nil, fmt.Errorf("core: distill surrogate: %w", err)
+	if err := surrogate.FitFrame(engineered, y, nil); err != nil {
+		return nil, 0, fmt.Errorf("core: distill surrogate: %w", err)
+	}
+	agree := 0
+	for i, label := range y {
+		if (surrogate.PredictProbaFrameRow(engineered, i) >= 0.5) == (label == 1) {
+			agree++
+		}
 	}
 	rules := surrogate.Rules(m.Pipeline.OutputNames())
 	sort.SliceStable(rules, func(i, j int) bool {
@@ -58,92 +67,7 @@ func (m *Model) DistillRules(t *features.Table, maxDepth int) ([]tree.Rule, erro
 		}
 		return rules[i].Prob > rules[j].Prob
 	})
-	return rules, nil
-}
-
-// SurrogateFidelity measures how often a depth-restricted surrogate agrees
-// with the forest on the given table — the interpretability/accuracy
-// trade-off the paper wants to explore.
-func (m *Model) SurrogateFidelity(t *features.Table, maxDepth int) (float64, error) {
-	if maxDepth <= 0 {
-		maxDepth = 3
-	}
-	engineered, err := m.Pipeline.Transform(t)
-	if err != nil {
-		return 0, err
-	}
-	x, _, _ := engineered.Flatten()
-	y := make([]int, len(x))
-	for i, row := range x {
-		if m.Forest.PredictProba(row) >= m.Threshold {
-			y[i] = 1
-		}
-	}
-	surrogate := tree.New(tree.Config{MaxDepth: maxDepth, MinSamplesLeaf: 10, Criterion: tree.Entropy})
-	if err := surrogate.Fit(x, y); err != nil {
-		return 0, err
-	}
-	agree := 0
-	for i, row := range x {
-		if surrogate.Predict(row) == y[i] {
-			agree++
-		}
-	}
-	return float64(agree) / float64(len(x)), nil
-}
-
-// ---------------------------------------------------------------------
-// Scale-in classifier (§5 "Using monitorless for autoscaling").
-// ---------------------------------------------------------------------
-
-// BuildScaleInDataset relabels a generated training corpus for the
-// over-provisioning detector: a sample is positive when the application
-// was *not* saturated and its KPI sat below idleFrac of the saturation
-// threshold Υ — i.e. the instance could serve the load with fewer
-// replicas. Runs without a discovered Υ are skipped (their idleness
-// cannot be judged).
-func BuildScaleInDataset(rep *dataset.Report, idleFrac float64) (*dataset.Dataset, error) {
-	if rep == nil || rep.Dataset == nil {
-		return nil, fmt.Errorf("core: nil training report")
-	}
-	if idleFrac <= 0 || idleFrac >= 1 {
-		return nil, fmt.Errorf("core: idleFrac %v outside (0,1)", idleFrac)
-	}
-	out := &dataset.Dataset{Defs: rep.Dataset.Defs}
-	for _, s := range rep.Dataset.Samples {
-		lab, ok := rep.Thresholds[s.RunID]
-		if !ok || !lab.Saturates() {
-			continue
-		}
-		ns := s
-		ns.Label = 0
-		if s.Label == 0 && s.KPI < idleFrac*lab.Threshold {
-			ns.Label = 1 // over-provisioned
-		}
-		out.Samples = append(out.Samples, ns)
-	}
-	if len(out.Samples) == 0 {
-		return nil, fmt.Errorf("core: no labeled samples for scale-in training")
-	}
-	return out, nil
-}
-
-// TrainScaleIn fits the over-provisioning classifier. The same pipeline
-// layout applies; the decision threshold is conservative (0.6) because
-// wrongly scaling in is costlier than keeping a replica (§5).
-func TrainScaleIn(rep *dataset.Report, cfg TrainConfig, idleFrac float64) (*Model, error) {
-	ds, err := BuildScaleInDataset(rep, idleFrac)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Threshold == 0 || cfg.Threshold == 0.4 {
-		cfg.Threshold = 0.6
-	}
-	m, err := Train(ds, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("core: scale-in: %w", err)
-	}
-	return m, nil
+	return rules, float64(agree) / float64(len(y)), nil
 }
 
 // ---------------------------------------------------------------------

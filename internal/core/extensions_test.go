@@ -6,17 +6,15 @@ import (
 
 	"monitorless/internal/apps"
 	"monitorless/internal/cluster"
-	"monitorless/internal/dataset"
-	"monitorless/internal/features"
 	"monitorless/internal/pcp"
 	"monitorless/internal/workload"
 )
 
-func TestDistillRulesReadable(t *testing.T) {
+func TestDistillReadableRules(t *testing.T) {
 	m, ds := sharedModel(t)
-	rules, err := m.DistillRules(features.FromDataset(ds), 3)
+	rules, _, err := m.Distill(ds.Frame(), 3)
 	if err != nil {
-		t.Fatalf("DistillRules: %v", err)
+		t.Fatalf("Distill: %v", err)
 	}
 	if len(rules) == 0 {
 		t.Fatal("no rules distilled")
@@ -43,14 +41,14 @@ func TestDistillRulesReadable(t *testing.T) {
 	}
 }
 
-func TestSurrogateFidelity(t *testing.T) {
+func TestDistillFidelityGrowsWithDepth(t *testing.T) {
 	m, ds := sharedModel(t)
-	tab := features.FromDataset(ds)
-	shallow, err := m.SurrogateFidelity(tab, 2)
+	raw := ds.Frame()
+	_, shallow, err := m.Distill(raw, 2)
 	if err != nil {
-		t.Fatalf("SurrogateFidelity: %v", err)
+		t.Fatalf("Distill: %v", err)
 	}
-	deep, err := m.SurrogateFidelity(tab, 6)
+	_, deep, err := m.Distill(raw, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,100 +57,6 @@ func TestSurrogateFidelity(t *testing.T) {
 	}
 	if deep < shallow-1e-9 {
 		t.Errorf("deeper surrogate less faithful: %.3f vs %.3f", deep, shallow)
-	}
-}
-
-func TestBuildScaleInDataset(t *testing.T) {
-	rep, _ := trainSubset(t)
-	ds, err := BuildScaleInDataset(rep, 0.3)
-	if err != nil {
-		t.Fatalf("BuildScaleInDataset: %v", err)
-	}
-	if len(ds.Samples) == 0 {
-		t.Fatal("no scale-in samples")
-	}
-	frac := ds.SaturatedFraction() // here: over-provisioned fraction
-	if frac <= 0 || frac >= 1 {
-		t.Errorf("degenerate over-provisioning mix %.2f", frac)
-	}
-	// Over-provisioned samples must all be non-saturated originally and
-	// idle relative to their run's threshold.
-	orig := map[[2]int]dataset.Sample{}
-	for _, s := range rep.Dataset.Samples {
-		orig[[2]int{s.RunID, s.T}] = s
-	}
-	checked := 0
-	for _, s := range ds.Samples {
-		if s.Label != 1 {
-			continue
-		}
-		o := orig[[2]int{s.RunID, s.T}]
-		if o.Label != 0 {
-			t.Fatal("an originally saturated sample was marked over-provisioned")
-		}
-		lab := rep.Thresholds[s.RunID]
-		if s.KPI >= 0.3*lab.Threshold {
-			t.Fatalf("sample with KPI %.1f marked idle against Υ %.1f", s.KPI, lab.Threshold)
-		}
-		checked++
-	}
-	if checked == 0 {
-		t.Error("no positive scale-in samples verified")
-	}
-}
-
-func TestBuildScaleInDatasetValidation(t *testing.T) {
-	if _, err := BuildScaleInDataset(nil, 0.3); err == nil {
-		t.Error("expected error for nil report")
-	}
-	rep, _ := trainSubset(t)
-	if _, err := BuildScaleInDataset(rep, 0); err == nil {
-		t.Error("expected error for idleFrac 0")
-	}
-	if _, err := BuildScaleInDataset(rep, 1.5); err == nil {
-		t.Error("expected error for idleFrac > 1")
-	}
-}
-
-func TestTrainScaleInClassifier(t *testing.T) {
-	rep, ds := trainSubset(t)
-	m, err := TrainScaleIn(rep, smallTrainConfig(), 0.3)
-	if err != nil {
-		t.Fatalf("TrainScaleIn: %v", err)
-	}
-	if m.Threshold != 0.6 {
-		t.Errorf("scale-in threshold %.2f, want the conservative 0.6", m.Threshold)
-	}
-	// The detector must separate idle from saturated samples: pick one of
-	// each from run 1 and compare probabilities.
-	var idle, busy []float64
-	lab := rep.Thresholds[1]
-	for _, s := range ds.FilterRuns(1).Samples {
-		if s.Label == 0 && s.KPI < 0.2*lab.Threshold && idle == nil {
-			idle = s.Values
-		}
-		if s.Label == 1 && busy == nil {
-			busy = s.Values
-		}
-	}
-	if idle == nil || busy == nil {
-		t.Skip("run 1 lacks an idle or busy sample at this scale")
-	}
-	// Hold each vector for a full warm-up horizon and read the final
-	// probability.
-	steady := func(v []float64) float64 {
-		o := NewOrchestrator(m)
-		for i := 0; i < m.WindowSize(); i++ {
-			if err := o.Ingest(pcp.Observation{T: i, Vectors: map[string][]float64{"x": v}}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		p, _ := o.InstancePrediction("x")
-		return p.Prob
-	}
-	pIdle, pBusy := steady(idle), steady(busy)
-	if pIdle <= pBusy {
-		t.Errorf("over-provisioning score idle=%.2f should exceed busy=%.2f", pIdle, pBusy)
 	}
 }
 

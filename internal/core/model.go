@@ -202,12 +202,6 @@ func (m *Model) PredictFrame(fr *frame.Frame) (map[int][]int, map[int][]float64,
 	return preds, probs, nil
 }
 
-// PredictTable classifies every row of a raw table (row-oriented adapter
-// over PredictFrame).
-func (m *Model) PredictTable(t *features.Table) (map[int][]int, map[int][]float64, error) {
-	return m.PredictFrame(t.Frame())
-}
-
 // FeatureImportances pairs engineered feature names with the forest's
 // importance weights, sorted descending (Table 4).
 func (m *Model) FeatureImportances() []FeatureImportance {

@@ -156,35 +156,3 @@ func (o *Orchestrator) AppPredictions() map[string]bool {
 	}
 	return out
 }
-
-// Bus is the in-process stand-in for the agents→orchestrator network path
-// (§2's "orchestrator periodically receives metrics from the agents").
-// Agents publish observations; the orchestrator consumes them.
-type Bus struct {
-	ch chan pcp.Observation
-}
-
-// NewBus returns a bus with the given buffer depth.
-func NewBus(depth int) *Bus {
-	if depth <= 0 {
-		depth = 16
-	}
-	return &Bus{ch: make(chan pcp.Observation, depth)}
-}
-
-// Publish sends one observation (blocks when the buffer is full).
-func (b *Bus) Publish(obs pcp.Observation) { b.ch <- obs }
-
-// Close ends the stream.
-func (b *Bus) Close() { close(b.ch) }
-
-// Consume feeds every published observation into the orchestrator until
-// the bus closes, returning the first ingest error.
-func (b *Bus) Consume(o *Orchestrator) error {
-	for obs := range b.ch {
-		if err := o.Ingest(obs); err != nil {
-			return err
-		}
-	}
-	return nil
-}

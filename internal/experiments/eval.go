@@ -9,6 +9,7 @@ import (
 	"monitorless/internal/core"
 	"monitorless/internal/dataset"
 	"monitorless/internal/features"
+	"monitorless/internal/frame"
 	"monitorless/internal/label"
 	"monitorless/internal/ml"
 	"monitorless/internal/ml/score"
@@ -24,9 +25,9 @@ type BuildTarget func(load workload.Pattern) (*apps.Engine, *apps.App, error)
 // series, ground-truth labels, and the utilization series the threshold
 // baselines consume.
 type EvalData struct {
-	// Raw holds one features.Run per instance (run ID = instance index),
-	// rows aligned across instances tick by tick.
-	Raw *features.Table
+	// Raw holds one span per instance (span ID = instance index), rows
+	// aligned across instances tick by tick.
+	Raw *frame.Frame
 	// InstIDs maps run ID → container ID.
 	InstIDs []string
 	// ServiceOf maps container ID → service name.
@@ -93,16 +94,13 @@ func CollectEval(build BuildTarget, load workload.Pattern, opt CollectOptions) (
 	sort.Strings(ids)
 
 	data := &EvalData{
-		Raw:       &features.Table{Cols: cat.FrameSchema()},
 		InstIDs:   ids,
 		ServiceOf: serviceOf,
 		CPUUtil:   map[string][]float64{},
 		MemUtil:   map[string][]float64{},
 		Threshold: lab,
 	}
-	for i := range ids {
-		data.Raw.Runs = append(data.Raw.Runs, features.Run{ID: i})
-	}
+	rows := make([][][]float64, len(ids)) // per instance, per recorded tick
 
 	// Resolve each recorded ID to its container once: the per-tick lookup
 	// then goes through the agent's slot index instead of a string map.
@@ -146,7 +144,7 @@ func CollectEval(build BuildTarget, load workload.Pattern, opt CollectOptions) (
 			src := ts.Vector(ts.Index(ctrOf[i]))
 			vec := make([]float64, len(src))
 			copy(vec, src)
-			data.Raw.Runs[i].Rows = append(data.Raw.Runs[i].Rows, vec)
+			rows[i] = append(rows[i], vec)
 			data.CPUUtil[id] = append(data.CPUUtil[id], vec[cpuIdx])
 			data.MemUtil[id] = append(data.MemUtil[id], vec[memIdx])
 		}
@@ -157,6 +155,14 @@ func CollectEval(build BuildTarget, load workload.Pattern, opt CollectOptions) (
 	}
 	if len(data.Truth) == 0 {
 		return nil, fmt.Errorf("experiments: evaluation recorded no samples")
+	}
+	data.Raw = frame.New(cat.FrameSchema(), len(ids)*len(data.Truth))
+	for i, inst := range rows {
+		for _, vec := range inst {
+			if err := data.Raw.Append(i, vec); err != nil {
+				return nil, fmt.Errorf("experiments: %w", err)
+			}
+		}
 	}
 	return data, nil
 }
@@ -177,7 +183,7 @@ func (e *EvalData) SaturatedFraction() float64 {
 // and aggregates per tick with the paper's logical OR. It returns the
 // aggregated series and the per-instance prediction series.
 func (e *EvalData) ModelPredictions(m *core.Model) (appPred []int, perInst map[string][]int, err error) {
-	preds, _, err := m.PredictTable(e.Raw)
+	preds, _, err := m.PredictFrame(e.Raw)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -188,7 +194,7 @@ func (e *EvalData) ModelPredictions(m *core.Model) (appPred []int, perInst map[s
 // features of a fitted pipeline (the Table 3 comparison path). The
 // engineered frame is walked span by span through one gather buffer.
 func (e *EvalData) ClassifierPredictions(pipe *features.Pipeline, clf ml.Classifier) ([]int, error) {
-	engineered, err := pipe.TransformFrame(e.Raw.Frame())
+	engineered, err := pipe.TransformFrame(e.Raw)
 	if err != nil {
 		return nil, err
 	}

@@ -365,30 +365,30 @@ func TestScalePresets(t *testing.T) {
 
 func TestEngineeredTrainingSubsampling(t *testing.T) {
 	c := sharedContext(t)
-	full, yFull, gFull, err := engineeredTraining(c, 0)
+	full, err := engineeredTrainingFrame(c, 0)
 	if err != nil {
-		t.Fatalf("engineeredTraining: %v", err)
+		t.Fatalf("engineeredTrainingFrame: %v", err)
 	}
-	if len(full) != len(yFull) || len(full) != len(gFull) {
-		t.Fatal("misaligned outputs")
+	if len(full.Labels()) != full.Rows() {
+		t.Fatal("misaligned labels")
 	}
-	if len(full) != len(c.Report.Dataset.Samples) {
-		t.Errorf("full pass returned %d rows for %d samples", len(full), len(c.Report.Dataset.Samples))
+	if full.Rows() != len(c.Report.Dataset.Samples) {
+		t.Errorf("full pass returned %d rows for %d samples", full.Rows(), len(c.Report.Dataset.Samples))
 	}
-	sub, ySub, gSub, err := engineeredTraining(c, 500)
+	sub, err := engineeredTrainingFrame(c, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sub) > 520 || len(sub) < 300 {
-		t.Errorf("subsample size %d, want ≈500", len(sub))
+	if sub.Rows() > 520 || sub.Rows() < 300 {
+		t.Errorf("subsample size %d, want ≈500", sub.Rows())
 	}
-	if len(sub) != len(ySub) || len(sub) != len(gSub) {
-		t.Fatal("misaligned subsample outputs")
+	if err := sub.Validate(); err != nil || len(sub.Labels()) != sub.Rows() {
+		t.Fatalf("misaligned subsample: %v", err)
 	}
 	// Strided subsampling must retain samples from many runs (grouped CV
 	// needs at least 5 groups).
 	groups := map[int]bool{}
-	for _, g := range gSub {
+	for _, g := range sub.GroupIDs() {
 		groups[g] = true
 	}
 	if len(groups) < 5 {

@@ -212,17 +212,3 @@ func recentPositive(pred []int, t, k int) bool {
 	}
 	return false
 }
-
-// RampCurve is a convenience for examples: it exposes the (α, β) curve of
-// a fresh ramp run of any builder, for visual inspection as §2.2 advises.
-func RampCurve(build BuildTarget, maxRate float64, seconds int) (loads, observed []float64, err error) {
-	eng, app, err := build(workload.Ramp{From: maxRate / 100, To: maxRate, Duration: seconds})
-	if err != nil {
-		return nil, nil, err
-	}
-	eng.Run(seconds, func(int) {
-		loads = append(loads, app.KPI.Offered)
-		observed = append(observed, app.KPI.Throughput)
-	})
-	return loads, observed, nil
-}

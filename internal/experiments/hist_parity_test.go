@@ -25,7 +25,7 @@ func TestTable2HistExactParity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewContext: %v", err)
 	}
-	x, y, groups, err := engineeredTraining(ctx, 0)
+	fr, err := engineeredTrainingFrame(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestTable2HistExactParity(t *testing.T) {
 				Seed:           ctx.Scale.Seed,
 			}), nil
 		}
-		res, err := cv.CrossValidate(factory, nil, x, y, groups, 5)
+		res, err := cv.CrossValidateFrame(factory, nil, fr, nil, 5)
 		if err != nil {
 			t.Fatalf("cv(%v): %v", sp, err)
 		}

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"monitorless/internal/features"
 	"monitorless/internal/ml"
 	"monitorless/internal/ml/cv"
 	"monitorless/internal/ml/forest"
@@ -71,13 +70,13 @@ func parityDump(t *testing.T, ctx *Context) string {
 
 // predictTrainingCorpus batch-classifies the Table 1 corpus per run.
 func predictTrainingCorpus(ctx *Context) (map[int][]int, map[int][]float64, error) {
-	return ctx.Model.PredictTable(features.FromDataset(ctx.Report.Dataset))
+	return ctx.Model.PredictFrame(ctx.Report.Dataset.Frame())
 }
 
 // crossValidateSelected runs grouped 5-fold CV for the paper's selected
 // random-forest configuration over the engineered training corpus.
 func crossValidateSelected(ctx *Context) (cv.Result, error) {
-	x, y, groups, err := engineeredTraining(ctx, 0)
+	fr, err := engineeredTrainingFrame(ctx, 0)
 	if err != nil {
 		return cv.Result{}, err
 	}
@@ -89,7 +88,7 @@ func crossValidateSelected(ctx *Context) (cv.Result, error) {
 			Seed:           ctx.Scale.Seed,
 		}), nil
 	}
-	return cv.CrossValidate(factory, map[string]any{"min_samples_leaf": 20}, x, y, groups, 5)
+	return cv.CrossValidateFrame(factory, map[string]any{"min_samples_leaf": 20}, fr, nil, 5)
 }
 
 // TestTable2PipelineParityGolden locks the full Table 2 pipeline — dataset

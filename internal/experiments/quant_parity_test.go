@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"monitorless/internal/ml"
 	"monitorless/internal/ml/forest"
 	"monitorless/internal/ml/tree"
 )
@@ -25,7 +24,7 @@ func TestTable2QuantBitIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewContext: %v", err)
 	}
-	x, y, _, err := engineeredTraining(ctx, 0)
+	fr, err := engineeredTrainingFrame(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +36,7 @@ func TestTable2QuantBitIdentity(t *testing.T) {
 		Splitter:       tree.Hist,
 		Seed:           ctx.Scale.Seed,
 	})
-	if err := f.Fit(x, y); err != nil {
+	if err := f.FitFrame(fr, nil, nil); err != nil {
 		t.Fatalf("fit: %v", err)
 	}
 	q := f.Quant()
@@ -48,7 +47,6 @@ func TestTable2QuantBitIdentity(t *testing.T) {
 		t.Fatalf("engineered-corpus hist forest not fully quantized: %d float nodes", q.FloatNodes())
 	}
 
-	fr := ml.FrameOf(x)
 	f.SetQuantPredict(false)
 	want := f.PredictProbaFrameRows(fr, nil)
 	f.SetQuantPredict(true)
@@ -67,8 +65,10 @@ func TestTable2QuantBitIdentity(t *testing.T) {
 
 	// The walk must also agree with the per-row reference on a sample of
 	// rows — the serving plane's single-vector path.
-	for i := 0; i < len(x); i += 997 {
-		if p := f.PredictProba(x[i]); math.Float64bits(p) != math.Float64bits(want[i]) {
+	var row []float64
+	for i := 0; i < fr.Rows(); i += 997 {
+		row = fr.Row(i, row)
+		if p := f.PredictProba(row); math.Float64bits(p) != math.Float64bits(want[i]) {
 			t.Fatalf("row %d: per-row %v vs batch %v", i, p, want[i])
 		}
 	}

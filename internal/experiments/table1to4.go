@@ -313,17 +313,6 @@ func subsampleGrouped(fr *frame.Frame, idx []int) *frame.Frame {
 	return out
 }
 
-// engineeredTraining is the row-oriented adapter over
-// engineeredTrainingFrame, kept for callers that still want materialized
-// rows (and to pin the frame path to the row path in tests).
-func engineeredTraining(ctx *Context, maxRows int) (x [][]float64, y, groups []int, err error) {
-	fr, err := engineeredTrainingFrame(ctx, maxRows)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return fr.MaterializeRows(), fr.Labels(), fr.GroupIDs(), nil
-}
-
 // Table3Row is one algorithm comparison row: training time, per-sample
 // classification time and F1₂ on the first validation set (Elgg).
 type Table3Row struct {

@@ -3,16 +3,18 @@ package features
 import (
 	"math/rand"
 	"testing"
+
+	"monitorless/internal/frame"
 )
 
-// fitStreamer fits cfg on the shared synthetic training table.
+// fitStreamer fits cfg on the shared synthetic training frame.
 func fitStreamer(t testing.TB, cfg Config) (*Pipeline, *Streamer) {
 	t.Helper()
 	pipe, err := NewPipeline(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pipe.Fit(synthTable(4, 80, 11)); err != nil {
+	if _, err := pipe.FitFrame(synthFrame(4, 80, 11)); err != nil {
 		t.Fatal(err)
 	}
 	str, err := pipe.Streamer()
@@ -22,15 +24,25 @@ func fitStreamer(t testing.TB, cfg Config) (*Pipeline, *Streamer) {
 	return pipe, str
 }
 
-// slabDriver steps the runs of a held-out table — one run is one
+// runRows materializes each run of fr as its own row-major slice.
+func runRows(fr *frame.Frame) [][][]float64 {
+	out := make([][][]float64, fr.NumRuns())
+	for k := range out {
+		out[k] = fr.RunView(k).MaterializeRows()
+	}
+	return out
+}
+
+// slabDriver steps the runs of a held-out frame — one run is one
 // instance's history — through a single StateSlab and compares every
 // engineered row, bit for bit, with the offline reference: the fitted
 // pipeline's TransformFrame over that run's full history.
 type slabDriver struct {
 	t    testing.TB
 	str  *Streamer
-	held *Table // raw histories
-	want *Table // pipe.Transform(held)
+	held [][][]float64 // raw histories, per run
+	want [][][]float64 // pipe.TransformFrame(held), per run
+	cols []string      // engineered column names
 	sl   *StateSlab
 	b    BatchScratch
 	pos  []int // per run: rows stepped so far
@@ -41,22 +53,23 @@ type slabDriver struct {
 	row   []float64
 }
 
-func newSlabDriver(t testing.TB, pipe *Pipeline, str *Streamer, held *Table, nSlots int) *slabDriver {
+func newSlabDriver(t testing.TB, pipe *Pipeline, str *Streamer, held *frame.Frame, nSlots int) *slabDriver {
 	t.Helper()
-	want, err := pipe.Transform(held)
+	want, err := pipe.TransformFrame(held)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sl := NewStateSlab(str)
 	sl.EnsureSlots(nSlots)
-	return &slabDriver{t: t, str: str, held: held, want: want, sl: sl, pos: make([]int, len(held.Runs))}
+	return &slabDriver{t: t, str: str, held: runRows(held), want: runRows(want), cols: want.Schema().Names(),
+		sl: sl, pos: make([]int, held.NumRuns())}
 }
 
 // add queues the next unstepped row of run ri, playing in slot, for the
 // pending batch (at most once per run per batch).
 func (d *slabDriver) add(slot int32, ri int) {
 	d.slots = append(d.slots, slot)
-	d.raws = append(d.raws, d.held.Runs[ri].Rows[d.pos[ri]])
+	d.raws = append(d.raws, d.held[ri][d.pos[ri]])
 	d.runs = append(d.runs, ri)
 }
 
@@ -76,7 +89,7 @@ func (d *slabDriver) flush() {
 	for k, ri := range d.runs {
 		j := d.pos[ri]
 		d.pos[ri]++
-		want := d.want.Runs[ri].Rows[j]
+		want := d.want[ri][j]
 		d.row = d.b.Row(k, d.row[:0])
 		if len(d.row) != len(want) {
 			d.t.Fatalf("run %d row %d: stream width %d, offline %d", ri, j, len(d.row), len(want))
@@ -84,7 +97,7 @@ func (d *slabDriver) flush() {
 		for c := range want {
 			if d.row[c] != want[c] {
 				d.t.Fatalf("run %d row %d col %d (%s): stream %v, offline %v",
-					ri, j, c, d.want.Cols[c].Name, d.row[c], want[c])
+					ri, j, c, d.cols[c], d.row[c], want[c])
 			}
 		}
 		if got := d.sl.Samples(d.slots[k]); got != d.pos[ri] {
@@ -103,7 +116,7 @@ func (d *slabDriver) flush() {
 func driveInterleaved(t *testing.T, cfg Config, nSlots, ticks, size int, seed int64) {
 	t.Helper()
 	pipe, str := fitStreamer(t, cfg)
-	d := newSlabDriver(t, pipe, str, synthTable(2*nSlots, ticks, 23+seed), nSlots)
+	d := newSlabDriver(t, pipe, str, synthFrame(2*nSlots, ticks, 23+seed), nSlots)
 	rng := rand.New(rand.NewSource(seed))
 	occupant := make([]int, nSlots) // slot -> run currently playing
 	stopAt := make([]int, nSlots)   // first occupant's prefix length
@@ -158,22 +171,22 @@ func TestStepBatchMatchesSerialBitIdentical(t *testing.T) {
 // next output are what they would have been without the bad batch.
 func TestStepBatchDuplicateSlotRejected(t *testing.T) {
 	pipe, str := fitStreamer(t, DefaultConfig())
-	held := synthTable(3, 30, 29)
-	d := newSlabDriver(t, pipe, str, held, 3)
+	d := newSlabDriver(t, pipe, str, synthFrame(3, 30, 29), 3)
+	held := d.held
 	for j := 0; j < 20; j++ {
-		for ri := range held.Runs {
+		for ri := range held {
 			d.add(int32(ri), ri)
 		}
 		d.flush()
 		if j%5 != 4 {
 			continue
 		}
-		rows := [][]float64{held.Runs[0].Rows[j+1], held.Runs[1].Rows[j+1], held.Runs[0].Rows[j+2]}
+		rows := [][]float64{held[0][j+1], held[1][j+1], held[0][j+2]}
 		var b BatchScratch
 		if err := str.StepBatchInto(d.sl, []int32{0, 1, 0}, rows, &b); err == nil {
 			t.Fatal("duplicate slot accepted")
 		}
-		for ri := range held.Runs {
+		for ri := range held {
 			if got := d.sl.Samples(int32(ri)); got != j+1 {
 				t.Fatalf("rejected batch advanced slot %d to %d samples, want %d", ri, got, j+1)
 			}
@@ -190,9 +203,8 @@ func TestStepBatchDuplicateSlotRejected(t *testing.T) {
 // still hold the previous instance's data.
 func TestStateSlabSlotReuse(t *testing.T) {
 	pipe, str := fitStreamer(t, DefaultConfig())
-	held := synthTable(2, 40, 31)
-	d := newSlabDriver(t, pipe, str, held, 1)
-	for range held.Runs[0].Rows { // first occupant dirties slot 0's rings
+	d := newSlabDriver(t, pipe, str, synthFrame(2, 40, 31), 1)
+	for range d.held[0] { // first occupant dirties slot 0's rings
 		d.add(0, 0)
 		d.flush()
 	}
@@ -200,7 +212,7 @@ func TestStateSlabSlotReuse(t *testing.T) {
 	if d.sl.Samples(0) != 0 {
 		t.Fatalf("reset slot has %d samples", d.sl.Samples(0))
 	}
-	for range held.Runs[1].Rows {
+	for range d.held[1] {
 		d.add(0, 1)
 		d.flush()
 	}
@@ -209,12 +221,12 @@ func TestStateSlabSlotReuse(t *testing.T) {
 // TestStepBatchRejectsBadInput: width and slot-range errors must be
 // detected before any slot state mutates.
 func TestStepBatchRejectsBadInput(t *testing.T) {
-	train := synthTable(4, 80, 11)
+	train := synthFrame(4, 80, 11)
 	pipe, err := NewPipeline(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pipe.Fit(train); err != nil {
+	if _, err := pipe.FitFrame(train); err != nil {
 		t.Fatal(err)
 	}
 	str, err := pipe.Streamer()
@@ -224,7 +236,7 @@ func TestStepBatchRejectsBadInput(t *testing.T) {
 	sl := NewStateSlab(str)
 	sl.EnsureSlots(2)
 	var b BatchScratch
-	good := train.Runs[0].Rows[0]
+	good := train.Row(0, nil)
 	if err := str.StepBatchInto(sl, []int32{0, 1}, [][]float64{good, {1, 2}}, &b); err == nil {
 		t.Fatal("expected width error")
 	}
@@ -270,7 +282,7 @@ func FuzzStepBatchVsTransformFrame(f *testing.F) {
 		p := pipes[int(cfgSel)%len(pipes)]
 		nInst := 1 + int(nInstRaw)%6
 		ticks := 1 + int(ticksRaw)%40
-		d := newSlabDriver(t, p.pipe, p.str, synthTable(nInst, ticks, seed), nInst)
+		d := newSlabDriver(t, p.pipe, p.str, synthFrame(nInst, ticks, seed), nInst)
 		rng := rand.New(rand.NewSource(seed ^ 0x9e3779b9))
 		for tick := 0; tick < 2*ticks; tick++ {
 			for _, i := range rng.Perm(nInst) {
@@ -294,13 +306,12 @@ func TestStepBatchAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under the race detector")
 	}
-	train := synthTable(4, 80, 11)
-	held := synthTable(8, 64, 37)
+	held := runRows(synthFrame(8, 64, 37))
 	pipe, err := NewPipeline(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pipe.Fit(train); err != nil {
+	if _, err := pipe.FitFrame(synthFrame(4, 80, 11)); err != nil {
 		t.Fatal(err)
 	}
 	str, err := pipe.Streamer()
@@ -318,7 +329,7 @@ func TestStepBatchAllocations(t *testing.T) {
 	step := func(tick int) {
 		for i := range slots {
 			slots[i] = int32(i)
-			raws[i] = held.Runs[i].Rows[tick%len(held.Runs[i].Rows)]
+			raws[i] = held[i][tick%len(held[i])]
 		}
 		if err := str.StepBatchInto(sl, slots, raws, &b); err != nil {
 			t.Fatal(err)

@@ -8,9 +8,9 @@ import (
 )
 
 // BenchmarkPipelineFit measures the full §3.3 pipeline fit on a synthetic
-// multi-run table.
+// multi-run frame.
 func BenchmarkPipelineFit(b *testing.B) {
-	tab := synthTable(6, 200, 1)
+	fr := synthFrame(6, 200, 1)
 	for i := 0; i < b.N; i++ {
 		p, err := NewPipeline(Config{
 			Normalize:    true,
@@ -25,7 +25,7 @@ func BenchmarkPipelineFit(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := p.Fit(tab); err != nil {
+		if _, err := p.FitFrame(fr); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -37,8 +37,7 @@ func framesEqualBits(t *testing.T, want, got *frame.Frame) {
 // chunk-sweep fits (StandardScale, DropZeroVariance), the per-run
 // streaming transform, and the RF filter's run-view materialization.
 func TestPipelineChunkedMatchesDense(t *testing.T) {
-	tab := synthTable(4, 120, 42)
-	dense := tab.Frame()
+	dense := synthFrame(4, 120, 42)
 	chunked, err := frame.Rechunk(dense, 64, t.TempDir())
 	if err != nil {
 		t.Fatalf("Rechunk: %v", err)

@@ -11,10 +11,30 @@ import (
 	"monitorless/internal/pcp"
 )
 
-// synthTable builds a table with a clear signal: column 0 ("C-CPU-U",
+// buildFrame lays out per-run rows as a frame whose span IDs count from 1,
+// labeled with the per-run labels, or unlabeled when labels is nil.
+func buildFrame(cols []Column, runs [][][]float64, labels [][]int) *frame.Frame {
+	fr := frame.New(cols, 0)
+	for r, rows := range runs {
+		for i, row := range rows {
+			var err error
+			if labels == nil {
+				err = fr.Append(r+1, row)
+			} else {
+				err = fr.AppendLabeled(r+1, row, labels[r][i])
+			}
+			if err != nil {
+				panic(err)
+			}
+		}
+	}
+	return fr
+}
+
+// synthFrame builds a frame with a clear signal: column 0 ("C-CPU-U",
 // utilization) drives the label; column 1 is log-scaled bytes; column 2 is
 // pure noise; column 3 is a constant.
-func synthTable(runs, rowsPerRun int, seed int64) *Table {
+func synthFrame(runs, rowsPerRun int, seed int64) *frame.Frame {
 	r := rand.New(rand.NewSource(seed))
 	cols := []Column{
 		{Name: "C-CPU-U", Domain: "cpu", Util: true},
@@ -22,25 +42,24 @@ func synthTable(runs, rowsPerRun int, seed int64) *Table {
 		{Name: "noise.metric", Domain: "other"},
 		{Name: "constant.metric", Domain: "other"},
 	}
-	t := &Table{Cols: cols}
-	for g := 0; g < runs; g++ {
-		run := Run{ID: g + 1}
+	rows := make([][][]float64, runs)
+	labels := make([][]int, runs)
+	for g := range rows {
 		for i := 0; i < rowsPerRun; i++ {
 			util := 100 * r.Float64()
 			lbl := 0
 			if util > 85 {
 				lbl = 1
 			}
-			run.Rows = append(run.Rows, []float64{util, 1e6 * r.Float64(), r.NormFloat64(), 7})
-			run.Labels = append(run.Labels, lbl)
+			rows[g] = append(rows[g], []float64{util, 1e6 * r.Float64(), r.NormFloat64(), 7})
+			labels[g] = append(labels[g], lbl)
 		}
-		t.Runs = append(t.Runs, run)
 	}
-	return t
+	return buildFrame(cols, rows, labels)
 }
 
-func colIndex(t *Table, name string) int {
-	for i, c := range t.Cols {
+func colIndex(fr *frame.Frame, name string) int {
+	for i, c := range fr.Schema() {
 		if c.Name == name {
 			return i
 		}
@@ -48,33 +67,23 @@ func colIndex(t *Table, name string) int {
 	return -1
 }
 
-// fitStep and transformStep adapt the frame-based Step interface to the
-// row-oriented tables these tests construct.
-func fitStep(s Step, tab *Table) error {
-	return s.Fit(tab.Frame())
-}
-
-func transformStep(s Step, tab *Table) (*Table, error) {
-	out, err := s.Transform(tab.Frame())
-	if err != nil {
+// fitTransform fits s on fr and returns the transformed frame.
+func fitTransform(s Step, fr *frame.Frame) (*frame.Frame, error) {
+	if err := s.Fit(fr); err != nil {
 		return nil, err
 	}
-	return FromFrame(out), nil
+	return s.Transform(fr)
 }
 
 func TestExpandAddsLevelBits(t *testing.T) {
-	tab := synthTable(2, 50, 1)
-	e := &Expand{}
-	if err := fitStep(e, tab); err != nil {
-		t.Fatal(err)
-	}
-	out, err := transformStep(e, tab)
+	fr := synthFrame(2, 50, 1)
+	out, err := fitTransform(&Expand{}, fr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// C-CPU-U is a CPU util: 5 level bits appended.
-	if out.NumCols() != tab.NumCols()+5 {
-		t.Fatalf("expanded to %d cols, want %d", out.NumCols(), tab.NumCols()+5)
+	if out.NumCols() != fr.NumCols()+5 {
+		t.Fatalf("expanded to %d cols, want %d", out.NumCols(), fr.NumCols()+5)
 	}
 	for _, name := range []string{"C-CPU-LOW", "C-CPU-MEDIUM", "C-CPU-HIGH", "C-CPU-VERYHIGH", "C-CPU-EXTREME"} {
 		if colIndex(out, name) < 0 {
@@ -86,18 +95,16 @@ func TestExpandAddsLevelBits(t *testing.T) {
 	lowIdx := colIndex(out, "C-CPU-LOW")
 	highIdx := colIndex(out, "C-CPU-HIGH")
 	veryIdx := colIndex(out, "C-CPU-VERYHIGH")
-	for ri := range out.Runs {
-		for _, row := range out.Runs[ri].Rows {
-			u := row[utilIdx]
-			if (u < 50) != (row[lowIdx] == 1) {
-				t.Fatal("LOW bit wrong")
-			}
-			if (u > 80) != (row[highIdx] == 1) {
-				t.Fatal("HIGH bit wrong")
-			}
-			if (u > 90) != (row[veryIdx] == 1) {
-				t.Fatal("VERYHIGH bit wrong")
-			}
+	for i := 0; i < out.Rows(); i++ {
+		u := out.At(i, utilIdx)
+		if (u < 50) != (out.At(i, lowIdx) == 1) {
+			t.Fatal("LOW bit wrong")
+		}
+		if (u > 80) != (out.At(i, highIdx) == 1) {
+			t.Fatal("HIGH bit wrong")
+		}
+		if (u > 90) != (out.At(i, veryIdx) == 1) {
+			t.Fatal("VERYHIGH bit wrong")
 		}
 	}
 }
@@ -108,63 +115,46 @@ func TestExpandSixteenBitsOnFullCatalog(t *testing.T) {
 	cat := pcp.DefaultCatalog()
 	ds := &dataset.Dataset{Defs: cat.CombinedDefs()}
 	ds.Samples = append(ds.Samples, dataset.Sample{RunID: 1, Values: make([]float64, len(ds.Defs))})
-	tab := FromDataset(ds)
-	e := &Expand{}
-	if err := fitStep(e, tab); err != nil {
-		t.Fatal(err)
-	}
-	out, err := transformStep(e, tab)
+	fr := ds.Frame()
+	out, err := fitTransform(&Expand{}, fr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	added := out.NumCols() - tab.NumCols()
+	added := out.NumCols() - fr.NumCols()
 	if added != 16 {
 		t.Errorf("added %d binary features, want the paper's 16", added)
 	}
 }
 
 func TestExpandLogScaling(t *testing.T) {
-	tab := synthTable(1, 10, 2)
-	e := &Expand{}
-	if err := fitStep(e, tab); err != nil {
-		t.Fatal(err)
-	}
-	out, err := transformStep(e, tab)
+	fr := synthFrame(1, 10, 2)
+	out, err := fitTransform(&Expand{}, fr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := colIndex(out, "disk.bytes")
-	for j, row := range out.Runs[0].Rows {
-		want := math.Log10(1 + tab.Runs[0].Rows[j][1])
-		if math.Abs(row[idx]-want) > 1e-9 {
-			t.Fatalf("log scaling wrong: %v vs %v", row[idx], want)
+	got := out.Col(colIndex(out, "disk.bytes"))
+	for j, v := range fr.Col(1) {
+		if want := math.Log10(1 + v); math.Abs(got[j]-want) > 1e-9 {
+			t.Fatalf("log scaling wrong: %v vs %v", got[j], want)
 		}
 	}
 }
 
 func TestStandardScale(t *testing.T) {
-	tab := synthTable(2, 200, 3)
-	s := &StandardScale{}
-	if err := fitStep(s, tab); err != nil {
-		t.Fatal(err)
-	}
-	out, err := transformStep(s, tab)
+	out, err := fitTransform(&StandardScale{}, synthFrame(2, 200, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Column 0 must have ~0 mean, ~1 std; constant column must be 0.
 	var sum, sq float64
-	n := 0
-	for ri := range out.Runs {
-		for _, row := range out.Runs[ri].Rows {
-			sum += row[0]
-			sq += row[0] * row[0]
-			if row[3] != 0 {
-				t.Fatal("constant column must scale to 0")
-			}
-			n++
+	for i, v := range out.Col(0) {
+		sum += v
+		sq += v * v
+		if out.At(i, 3) != 0 {
+			t.Fatal("constant column must scale to 0")
 		}
 	}
+	n := out.Rows()
 	mean := sum / float64(n)
 	std := math.Sqrt(sq/float64(n) - mean*mean)
 	if math.Abs(mean) > 1e-9 || math.Abs(std-1) > 1e-9 {
@@ -173,41 +163,34 @@ func TestStandardScale(t *testing.T) {
 }
 
 func TestRFFilterKeepsSignal(t *testing.T) {
-	tab := synthTable(4, 150, 4)
+	fr := synthFrame(4, 150, 4)
 	f := &RFFilter{TopK: 2, Trees: 10, Seed: 4}
-	if err := fitStep(f, tab); err != nil {
-		t.Fatal(err)
-	}
-	out, err := transformStep(f, tab)
+	out, err := fitTransform(f, fr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if colIndex(out, "C-CPU-U") < 0 {
 		t.Errorf("filter dropped the signal feature; kept %v", f.KeepNames)
 	}
-	if out.NumCols() >= tab.NumCols() {
+	if out.NumCols() >= fr.NumCols() {
 		t.Errorf("filter kept everything (%d cols)", out.NumCols())
 	}
 }
 
 func TestRFFilterNoLabeledRuns(t *testing.T) {
-	tab := synthTable(1, 20, 5)
-	for i := range tab.Runs[0].Labels {
-		tab.Runs[0].Labels[i] = 0 // single class
+	fr := synthFrame(1, 20, 5)
+	labels := fr.Labels()
+	for i := range labels {
+		labels[i] = 0 // single class
 	}
 	f := &RFFilter{TopK: 2}
-	if err := fitStep(f, tab); err == nil {
+	if err := f.Fit(fr); err == nil {
 		t.Error("expected error when no mixed-class run exists")
 	}
 }
 
 func TestPCAReduceStep(t *testing.T) {
-	tab := synthTable(2, 100, 6)
-	p := &PCAReduce{MaxComponents: 2, VarianceTarget: 0.9999}
-	if err := fitStep(p, tab); err != nil {
-		t.Fatal(err)
-	}
-	out, err := transformStep(p, tab)
+	out, err := fitTransform(&PCAReduce{MaxComponents: 2, VarianceTarget: 0.9999}, synthFrame(2, 100, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,26 +199,19 @@ func TestPCAReduceStep(t *testing.T) {
 	if out.NumCols() < 1 || out.NumCols() > 2 {
 		t.Fatalf("PCA kept %d cols, want 1-2", out.NumCols())
 	}
-	if out.Cols[0].Name != "PC01" {
-		t.Errorf("PCA column name %q", out.Cols[0].Name)
+	if out.Schema()[0].Name != "PC01" {
+		t.Errorf("PCA column name %q", out.Schema()[0].Name)
 	}
 	// Labels must survive.
-	if out.Runs[0].Labels == nil {
+	if out.Labels() == nil {
 		t.Error("labels lost through PCA")
 	}
 }
 
 func TestTimeFeaturesValues(t *testing.T) {
-	cols := []Column{{Name: "m", Domain: "cpu"}}
-	tab := &Table{
-		Cols: cols,
-		Runs: []Run{{ID: 1, Rows: [][]float64{{1}, {2}, {3}, {4}, {5}, {6}}}},
-	}
-	tf := &TimeFeatures{AvgWindows: []int{1}, LagWindows: []int{2}}
-	if err := fitStep(tf, tab); err != nil {
-		t.Fatal(err)
-	}
-	out, err := transformStep(tf, tab)
+	fr := buildFrame([]Column{{Name: "m", Domain: "cpu"}},
+		[][][]float64{{{1}, {2}, {3}, {4}, {5}, {6}}}, nil)
+	out, err := fitTransform(&TimeFeatures{AvgWindows: []int{1}, LagWindows: []int{2}}, fr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,45 +220,33 @@ func TestTimeFeaturesValues(t *testing.T) {
 	}
 	avgIdx := colIndex(out, "m-AVG1")
 	lagIdx := colIndex(out, "m-LAGGED2")
-	rows := out.Runs[0].Rows
 	// AVG1 at t=3: mean(3,4) = 3.5. LAGGED2 at t=3: value at t=1 → 2.
-	if rows[3][avgIdx] != 3.5 {
-		t.Errorf("AVG1[3] = %v, want 3.5", rows[3][avgIdx])
+	if v := out.At(3, avgIdx); v != 3.5 {
+		t.Errorf("AVG1[3] = %v, want 3.5", v)
 	}
-	if rows[3][lagIdx] != 2 {
-		t.Errorf("LAGGED2[3] = %v, want 2", rows[3][lagIdx])
+	if v := out.At(3, lagIdx); v != 2 {
+		t.Errorf("LAGGED2[3] = %v, want 2", v)
 	}
 	// Early rows: truncated average, clamped lag.
-	if rows[0][avgIdx] != 1 || rows[0][lagIdx] != 1 {
-		t.Errorf("row 0 time features = %v/%v, want 1/1", rows[0][avgIdx], rows[0][lagIdx])
+	if out.At(0, avgIdx) != 1 || out.At(0, lagIdx) != 1 {
+		t.Errorf("row 0 time features = %v/%v, want 1/1", out.At(0, avgIdx), out.At(0, lagIdx))
 	}
 	// Time-derived columns are marked.
-	if !out.Cols[avgIdx].TimeDerived || !out.Cols[lagIdx].TimeDerived {
+	if cols := out.Schema(); !cols[avgIdx].TimeDerived || !cols[lagIdx].TimeDerived {
 		t.Error("time-derived flags missing")
 	}
 }
 
 func TestTimeFeaturesRunBoundary(t *testing.T) {
-	cols := []Column{{Name: "m", Domain: "cpu"}}
-	tab := &Table{
-		Cols: cols,
-		Runs: []Run{
-			{ID: 1, Rows: [][]float64{{10}, {10}}},
-			{ID: 2, Rows: [][]float64{{99}, {99}}},
-		},
-	}
-	tf := &TimeFeatures{AvgWindows: []int{1}, LagWindows: []int{1}}
-	if err := fitStep(tf, tab); err != nil {
-		t.Fatal(err)
-	}
-	out, err := transformStep(tf, tab)
+	fr := buildFrame([]Column{{Name: "m", Domain: "cpu"}},
+		[][][]float64{{{10}, {10}}, {{99}, {99}}}, nil)
+	out, err := fitTransform(&TimeFeatures{AvgWindows: []int{1}, LagWindows: []int{1}}, fr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Run 2's first row must not see run 1's history.
-	lagIdx := colIndex(out, "m-LAGGED1")
-	if out.Runs[1].Rows[0][lagIdx] != 99 {
-		t.Errorf("lag leaked across runs: %v", out.Runs[1].Rows[0][lagIdx])
+	if v := out.At(out.Spans()[1].Start, colIndex(out, "m-LAGGED1")); v != 99 {
+		t.Errorf("lag leaked across runs: %v", v)
 	}
 }
 
@@ -296,17 +260,12 @@ func TestProductsEligibility(t *testing.T) {
 		{Name: "S-MEM-U", Domain: "mem", Util: true},
 		{Name: "old-AVG1", Domain: "cpu", TimeDerived: true},
 	}
-	tab := &Table{Cols: cols, Runs: []Run{{ID: 1, Rows: [][]float64{{2, 3, 5, 1, 90, 40, 9}}}}}
-	p := &Products{}
-	if err := fitStep(p, tab); err != nil {
-		t.Fatal(err)
-	}
-	out, err := transformStep(p, tab)
+	out, err := fitTransform(&Products{}, buildFrame(cols, [][][]float64{{{2, 3, 5, 1, 90, 40, 9}}}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	names := map[string]bool{}
-	for _, c := range out.Cols {
+	for _, c := range out.Schema() {
 		names[c.Name] = true
 	}
 	// Unbounded metrics never join products (scale-dependent products do
@@ -337,20 +296,13 @@ func TestProductsEligibility(t *testing.T) {
 		}
 	}
 	// Product values are actual products.
-	row := out.Runs[0].Rows[0]
-	idx := colIndex(out, "C-CPU-U × S-MEM-U")
-	if row[idx] != 3600 {
-		t.Errorf("product value %v, want 3600", row[idx])
+	if v := out.At(0, colIndex(out, "C-CPU-U × S-MEM-U")); v != 3600 {
+		t.Errorf("product value %v, want 3600", v)
 	}
 }
 
 func TestDropZeroVariance(t *testing.T) {
-	tab := synthTable(1, 50, 7)
-	z := &DropZeroVariance{}
-	if err := fitStep(z, tab); err != nil {
-		t.Fatal(err)
-	}
-	out, err := transformStep(z, tab)
+	out, err := fitTransform(&DropZeroVariance{}, synthFrame(1, 50, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,44 +311,6 @@ func TestDropZeroVariance(t *testing.T) {
 	}
 	if colIndex(out, "C-CPU-U") < 0 {
 		t.Error("varying column dropped")
-	}
-}
-
-func TestMinMaxAndCoverage(t *testing.T) {
-	train := synthTable(2, 100, 8)
-	s, err := FitMinMax(train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scaled, err := s.Transform(train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ri := range scaled.Runs {
-		for _, row := range scaled.Runs[ri].Rows {
-			for i, v := range row {
-				if v < -1e-9 || v > 1+1e-9 {
-					t.Fatalf("training value %v outside [0,1] at col %d", v, i)
-				}
-			}
-		}
-	}
-	// Validation data with an out-of-range feature triggers the §3.2.3
-	// coverage alarm.
-	val := synthTable(1, 10, 9)
-	val.Runs[0].Rows[0][1] = 1e9 // outside trained byte range
-	gaps, err := s.CoverageGaps(val)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, g := range gaps {
-		if g == "disk.bytes" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("coverage gaps %v missing disk.bytes", gaps)
 	}
 }
 
@@ -414,20 +328,8 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestGridConfigs(t *testing.T) {
-	cfgs := GridConfigs()
-	if len(cfgs) != 60 {
-		t.Errorf("grid has %d configs, want 60 (72 minus 12 unfeasible)", len(cfgs))
-	}
-	for _, c := range cfgs {
-		if c.Validate() != nil {
-			t.Errorf("grid contains invalid config %+v", c)
-		}
-	}
-}
-
 func TestPipelineEndToEnd(t *testing.T) {
-	tab := synthTable(4, 120, 10)
+	fr := synthFrame(4, 120, 10)
 	p, err := NewPipeline(Config{
 		Normalize:    true,
 		Reduce1:      ReduceFilter,
@@ -441,39 +343,31 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := p.Fit(tab)
+	out, err := p.FitFrame(fr)
 	if err != nil {
-		t.Fatalf("Fit: %v", err)
+		t.Fatalf("FitFrame: %v", err)
 	}
-	if out.NumRows() != tab.NumRows() {
-		t.Errorf("row count changed: %d vs %d", out.NumRows(), tab.NumRows())
+	if out.Rows() != fr.Rows() {
+		t.Errorf("row count changed: %d vs %d", out.Rows(), fr.Rows())
 	}
 	if p.NumOutputs() == 0 {
 		t.Fatal("no output features")
 	}
-	// Transform must reproduce the fit-time output.
-	again, err := p.Transform(tab)
+	// TransformFrame must reproduce the fit-time output.
+	again, err := p.TransformFrame(fr)
 	if err != nil {
-		t.Fatalf("Transform: %v", err)
+		t.Fatalf("TransformFrame: %v", err)
 	}
-	for ri := range out.Runs {
-		for j := range out.Runs[ri].Rows {
-			for k := range out.Runs[ri].Rows[j] {
-				if out.Runs[ri].Rows[j][k] != again.Runs[ri].Rows[j][k] {
-					t.Fatal("Transform does not reproduce Fit output")
-				}
-			}
-		}
-	}
+	framesEqualBits(t, out, again)
 }
 
 func TestPipelineGobRoundTrip(t *testing.T) {
-	tab := synthTable(3, 60, 12)
+	fr := synthFrame(3, 60, 12)
 	p, err := NewPipeline(DefaultConfigWith(3, 8, 12))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Fit(tab); err != nil {
+	if _, err := p.FitFrame(fr); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := p.EncodeGob()
@@ -484,23 +378,15 @@ func TestPipelineGobRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodePipeline: %v", err)
 	}
-	a, err := p.Transform(tab)
+	a, err := p.TransformFrame(fr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := back.Transform(tab)
+	b, err := back.TransformFrame(fr)
 	if err != nil {
-		t.Fatalf("decoded Transform: %v", err)
+		t.Fatalf("decoded TransformFrame: %v", err)
 	}
-	for ri := range a.Runs {
-		for j := range a.Runs[ri].Rows {
-			for k := range a.Runs[ri].Rows[j] {
-				if a.Runs[ri].Rows[j][k] != b.Runs[ri].Rows[j][k] {
-					t.Fatal("decoded pipeline disagrees with original")
-				}
-			}
-		}
-	}
+	framesEqualBits(t, a, b)
 }
 
 func TestPipelineUnfitted(t *testing.T) {
@@ -508,38 +394,8 @@ func TestPipelineUnfitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Transform(synthTable(1, 10, 13)); err == nil {
-		t.Error("unfitted Transform must fail")
-	}
-}
-
-func TestFromDataset(t *testing.T) {
-	cat := pcp.DefaultCatalog()
-	ds := &dataset.Dataset{Defs: cat.CombinedDefs()}
-	for run := 1; run <= 2; run++ {
-		for tt := 0; tt < 3; tt++ {
-			ds.Samples = append(ds.Samples, dataset.Sample{
-				RunID:  run,
-				T:      tt,
-				Label:  tt % 2,
-				Values: make([]float64, len(ds.Defs)),
-			})
-		}
-	}
-	tab := FromDataset(ds)
-	if len(tab.Runs) != 2 {
-		t.Fatalf("got %d runs, want 2", len(tab.Runs))
-	}
-	if tab.NumRows() != 6 {
-		t.Errorf("got %d rows, want 6", tab.NumRows())
-	}
-	x, y, groups := tab.Flatten()
-	if len(x) != 6 || len(y) != 6 || len(groups) != 6 {
-		t.Error("Flatten lengths wrong")
-	}
-	// Utilization metadata must carry over.
-	if i := colIndex(tab, "C-CPU-U"); i < 0 || !tab.Cols[i].Util {
-		t.Error("C-CPU-U util flag missing")
+	if _, err := p.TransformFrame(synthFrame(1, 10, 13)); err == nil {
+		t.Error("unfitted TransformFrame must fail")
 	}
 }
 
@@ -561,7 +417,7 @@ func DefaultConfigWith(topK, trees int, seed int64) Config {
 // width, and leaves nothing out: the rows add up to the call's wall-clock
 // time. A decoded pipeline has no ledger and the same bytes as before.
 func TestFitReportAddsUpToFitFrame(t *testing.T) {
-	fr := synthTable(8, 400, 3).Frame()
+	fr := synthFrame(8, 400, 3)
 	for _, chunked := range []bool{false, true} {
 		in := fr
 		if chunked {

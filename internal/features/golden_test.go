@@ -9,20 +9,24 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"monitorless/internal/frame"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// goldenDump serializes a fitted pipeline's output table exactly: every
+// goldenDump serializes a fitted pipeline's output frame exactly: every
 // float is formatted with the shortest round-trippable representation, so
-// two dumps are equal iff the tables are bit-identical.
-func goldenDump(p *Pipeline, out *Table) string {
+// two dumps are equal iff the frames are bit-identical.
+func goldenDump(p *Pipeline, out *frame.Frame) string {
 	var b strings.Builder
 	b.WriteString("features: " + strings.Join(p.OutputNames(), ",") + "\n")
-	for _, run := range out.Runs {
-		fmt.Fprintf(&b, "run %d\n", run.ID)
-		for i, row := range run.Rows {
-			b.WriteString(strconv.Itoa(run.Labels[i]))
+	var row []float64
+	for _, sp := range out.Spans() {
+		fmt.Fprintf(&b, "run %d\n", sp.ID)
+		for i := sp.Start; i < sp.End; i++ {
+			b.WriteString(strconv.Itoa(out.Labels()[i]))
+			row = out.Row(i, row)
 			for _, v := range row {
 				b.WriteByte(' ')
 				b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
@@ -35,20 +39,19 @@ func goldenDump(p *Pipeline, out *Table) string {
 
 // TestPipelineGolden locks the full feature pipeline (normalize → filter →
 // time features → products → filter) to a committed fixture for a seeded
-// synthetic table. Any change to the engineered features — a reordered
+// synthetic frame. Any change to the engineered features — a reordered
 // map walk, a float reassociation in a parallel path, a changed default —
 // shows up as a byte diff. Refresh intentionally with:
 //
 //	go test ./internal/features/ -run TestPipelineGolden -update
 func TestPipelineGolden(t *testing.T) {
-	tab := synthTable(3, 60, 42)
 	p, err := NewPipeline(DefaultConfigWith(8, 10, 42))
 	if err != nil {
 		t.Fatalf("NewPipeline: %v", err)
 	}
-	out, err := p.Fit(tab)
+	out, err := p.FitFrame(synthFrame(3, 60, 42))
 	if err != nil {
-		t.Fatalf("Fit: %v", err)
+		t.Fatalf("FitFrame: %v", err)
 	}
 	got := goldenDump(p, out)
 
@@ -79,7 +82,7 @@ func TestPipelineGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out2, err := p2.Fit(synthTable(3, 60, 42))
+	out2, err := p2.FitFrame(synthFrame(3, 60, 42))
 	if err != nil {
 		t.Fatal(err)
 	}

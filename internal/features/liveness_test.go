@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"monitorless/internal/frame"
 )
 
-// liveTable builds a wide synthetic table (many raw metrics, a clear
+// liveFrame builds a wide synthetic frame (many raw metrics, a clear
 // signal in a handful of them) so an aggressive importance filter leaves
 // most expanded columns provably dead.
-func liveTable(runs, rowsPerRun, width int, seed int64) *Table {
+func liveFrame(runs, rowsPerRun, width int, seed int64) *frame.Frame {
 	r := rand.New(rand.NewSource(seed))
 	cols := []Column{{Name: "C-CPU-U", Domain: "cpu", Util: true}}
 	for i := 1; i < width; i++ {
@@ -21,9 +23,9 @@ func liveTable(runs, rowsPerRun, width int, seed int64) *Table {
 		}
 		cols = append(cols, c)
 	}
-	t := &Table{Cols: cols}
-	for g := 0; g < runs; g++ {
-		run := Run{ID: g + 1}
+	rows := make([][][]float64, runs)
+	labels := make([][]int, runs)
+	for g := range rows {
 		for i := 0; i < rowsPerRun; i++ {
 			util := 100 * r.Float64()
 			lbl := 0
@@ -39,12 +41,11 @@ func liveTable(runs, rowsPerRun, width int, seed int64) *Table {
 					row[j] = 1e5 * r.Float64()
 				}
 			}
-			run.Rows = append(run.Rows, row)
-			run.Labels = append(run.Labels, lbl)
+			rows[g] = append(rows[g], row)
+			labels[g] = append(labels[g], lbl)
 		}
-		t.Runs = append(t.Runs, run)
 	}
-	return t
+	return buildFrame(cols, rows, labels)
 }
 
 func countLive(mask []bool, width int) int {
@@ -67,7 +68,7 @@ func countLive(mask []bool, width int) int {
 // unmasked widths. (Bit-identity under the plan is separately proven by
 // TestStepBatchMatchesSerialBitIdentical and FuzzStepBatchVsTransformFrame.)
 func TestBatchPlanMasksDeadColumns(t *testing.T) {
-	train := liveTable(4, 120, 40, 17)
+	train := liveFrame(4, 120, 40, 17)
 	pipe, err := NewPipeline(Config{
 		Normalize:    true,
 		Reduce1:      ReduceFilter,
@@ -81,7 +82,7 @@ func TestBatchPlanMasksDeadColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pipe.Fit(train); err != nil {
+	if _, err := pipe.FitFrame(train); err != nil {
 		t.Fatal(err)
 	}
 	str, err := pipe.Streamer()
@@ -140,7 +141,7 @@ func TestBatchPlanMasksDeadColumns(t *testing.T) {
 // kernel (PCA) gathers full rows, so nothing upstream of the plan may be
 // pruned — the pass must degrade to the all-live plan.
 func TestBatchPlanOpaqueStepDisablesMasking(t *testing.T) {
-	train := liveTable(4, 120, 20, 19)
+	train := liveFrame(4, 120, 20, 19)
 	pipe, err := NewPipeline(Config{
 		Normalize:    true,
 		Reduce1:      ReducePCA,
@@ -150,7 +151,7 @@ func TestBatchPlanOpaqueStepDisablesMasking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pipe.Fit(train); err != nil {
+	if _, err := pipe.FitFrame(train); err != nil {
 		t.Fatal(err)
 	}
 	str, err := pipe.Streamer()

@@ -1,3 +1,9 @@
+// Package features implements the paper's §3.3 feature engineering
+// pipeline: hot-encoded CPU/MEM utilization levels, logarithmic scaling of
+// unbounded byte metrics, standard-score normalization, random-forest
+// importance filtering and PCA reduction, X-AVG/X-LAG time-dependent
+// variants, multiplicative feature combinations, zero-variance removal,
+// and the pipeline (§3.3.7) that orders them.
 package features
 
 import (
@@ -20,6 +26,12 @@ const (
 	ReduceFilter ReduceKind = "filter"
 	ReducePCA    ReduceKind = "pca"
 )
+
+// Column is the metadata of one feature column. It is an alias of
+// frame.Col — the single schema representation shared by the dataset
+// layer, this pipeline, and the model bundle (one fingerprint function,
+// frame.Schema.Hash, instead of three parallel schema structs).
+type Column = frame.Col
 
 // Config declares a pipeline layout over the §3.3.7 grid axes.
 type Config struct {
@@ -74,35 +86,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// GridConfigs enumerates the §3.3.7 search space (steps 2–5), excluding
-// the unfeasible no-reduction + products combination.
-func GridConfigs() []Config {
-	reduces := []ReduceKind{ReduceNone, ReduceFilter, ReducePCA}
-	var out []Config
-	for _, norm := range []bool{false, true} {
-		for _, r1 := range reduces {
-			for _, timeF := range []bool{false, true} {
-				for _, prod := range []bool{false, true} {
-					for _, r2 := range reduces {
-						c := Config{
-							Normalize:    norm,
-							Reduce1:      r1,
-							TimeFeatures: timeF,
-							Products:     prod,
-							Reduce2:      r2,
-							FilterTopK:   30,
-						}
-						if c.Validate() == nil {
-							out = append(out, c)
-						}
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
 // Pipeline is the fitted §3.3 feature-engineering chain.
 type Pipeline struct {
 	Cfg     Config
@@ -153,8 +136,7 @@ func (p *Pipeline) buildReduce(kind ReduceKind, seedOffset int64) Step {
 }
 
 // FitFrame learns every step on the training frame and returns the
-// transformed training frame. This is the primary (columnar) training
-// entry point; Fit is the row-oriented adapter over it.
+// transformed training frame.
 func (p *Pipeline) FitFrame(fr *frame.Frame) (*frame.Frame, error) {
 	p.InCols = fr.NumCols()
 	p.RawCols = append([]Column(nil), fr.Schema()...)
@@ -276,19 +258,6 @@ func transformChunked(step Step, fr *frame.Frame, spillRoot string) (*frame.Fram
 	return w.Finish()
 }
 
-// Fit learns every step on the training table and returns the transformed
-// training table (row-oriented adapter over FitFrame).
-func (p *Pipeline) Fit(t *Table) (*Table, error) {
-	if err := t.validate(); err != nil {
-		return nil, err
-	}
-	out, err := p.FitFrame(t.Frame())
-	if err != nil {
-		return nil, err
-	}
-	return FromFrame(out), nil
-}
-
 // TransformFrame applies the fitted pipeline to a frame with the same raw
 // schema as the training frame.
 func (p *Pipeline) TransformFrame(fr *frame.Frame) (*frame.Frame, error) {
@@ -309,19 +278,6 @@ func (p *Pipeline) TransformFrame(fr *frame.Frame) (*frame.Frame, error) {
 		cur = next
 	}
 	return cur, nil
-}
-
-// Transform applies the fitted pipeline to a table with the same raw
-// schema as the training table (row-oriented adapter over TransformFrame).
-func (p *Pipeline) Transform(t *Table) (*Table, error) {
-	if len(p.Steps) == 0 {
-		return nil, fmt.Errorf("features: pipeline is not fitted")
-	}
-	out, err := p.TransformFrame(t.Frame())
-	if err != nil {
-		return nil, err
-	}
-	return FromFrame(out), nil
 }
 
 // OutputNames lists the engineered feature names after fitting.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"monitorless/internal/frame"
 	"monitorless/internal/linalg"
@@ -725,106 +724,4 @@ func (z *DropZeroVariance) Transform(fr *frame.Frame) (*frame.Frame, error) {
 		return nil, fmt.Errorf("features: drop-zero-variance: %w", err)
 	}
 	return out, nil
-}
-
-// ---------------------------------------------------------------------
-// MinMax scaling + coverage validation (§3.2.3).
-// ---------------------------------------------------------------------
-
-// MinMaxScaler rescales features to [0, 1] using training extrema and, per
-// the paper's §3.2.3 iterative methodology, reports validation features
-// that fall outside the trained range (insufficient training coverage).
-type MinMaxScaler struct {
-	Min, Max []float64
-	Names    []string
-}
-
-// FitMinMaxFrame learns the per-column extrema from a frame.
-func FitMinMaxFrame(fr *frame.Frame) (*MinMaxScaler, error) {
-	if fr.Rows() == 0 {
-		return nil, fmt.Errorf("features: minmax: empty table")
-	}
-	d := fr.NumCols()
-	s := &MinMaxScaler{
-		Min:   make([]float64, d),
-		Max:   make([]float64, d),
-		Names: fr.Schema().Names(),
-	}
-	for j := 0; j < d; j++ {
-		s.Min[j] = math.Inf(1)
-		s.Max[j] = math.Inf(-1)
-		for _, v := range fr.Col(j) {
-			s.Min[j] = math.Min(s.Min[j], v)
-			s.Max[j] = math.Max(s.Max[j], v)
-		}
-	}
-	return s, nil
-}
-
-// FitMinMax learns the per-column extrema (row-oriented adapter).
-func FitMinMax(t *Table) (*MinMaxScaler, error) {
-	return FitMinMaxFrame(t.Frame())
-}
-
-// TransformFrame rescales a frame to [0,1] (values outside the trained
-// range extrapolate beyond the unit interval, which is exactly the
-// coverage signal).
-func (s *MinMaxScaler) TransformFrame(fr *frame.Frame) (*frame.Frame, error) {
-	if fr.NumCols() != len(s.Min) {
-		return nil, fmt.Errorf("features: minmax fitted on %d cols, got %d", len(s.Min), fr.NumCols())
-	}
-	out := fr.Derive(fr.Schema().Clone())
-	for j := 0; j < fr.NumCols(); j++ {
-		src, dst := fr.Col(j), out.Col(j)
-		span := s.Max[j] - s.Min[j]
-		if span > 0 {
-			lo := s.Min[j]
-			for i, v := range src {
-				dst[i] = (v - lo) / span
-			}
-		}
-	}
-	return out, nil
-}
-
-// Transform rescales a table (row-oriented adapter over TransformFrame).
-func (s *MinMaxScaler) Transform(t *Table) (*Table, error) {
-	out, err := s.TransformFrame(t.Frame())
-	if err != nil {
-		return nil, err
-	}
-	return FromFrame(out), nil
-}
-
-// CoverageGaps returns the names of features whose validation values fall
-// outside the trained min/max range (the paper's trigger for designing
-// additional training cases).
-func (s *MinMaxScaler) CoverageGaps(val *Table) ([]string, error) {
-	return s.CoverageGapsFrame(val.Frame())
-}
-
-// CoverageGapsFrame is the frame-native coverage check.
-func (s *MinMaxScaler) CoverageGapsFrame(val *frame.Frame) ([]string, error) {
-	if val.NumCols() != len(s.Min) {
-		return nil, fmt.Errorf("features: coverage: fitted on %d cols, got %d", len(s.Min), val.NumCols())
-	}
-	var names []string
-	for j := 0; j < val.NumCols(); j++ {
-		for _, v := range val.Col(j) {
-			if v < s.Min[j] || v > s.Max[j] {
-				names = append(names, s.Names[j])
-				break
-			}
-		}
-	}
-	return names, nil
-}
-
-// describeSteps is a debugging aid listing step names.
-func describeSteps(steps []Step) string {
-	names := make([]string, len(steps))
-	for i, s := range steps {
-		names[i] = s.Name()
-	}
-	return strings.Join(names, " → ")
 }

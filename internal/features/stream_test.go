@@ -33,16 +33,16 @@ func streamConfigs() map[string]Config {
 // TestStreamerMatchesBatchBitIdentical streams each held-out run alone,
 // one sample per step (a batch of one), against the offline pipeline.
 func TestStreamerMatchesBatchBitIdentical(t *testing.T) {
-	held := synthTable(3, 60, 23)
+	held := synthFrame(3, 60, 23)
 	for name, cfg := range streamConfigs() {
 		t.Run(name, func(t *testing.T) {
 			pipe, str := fitStreamer(t, cfg)
 			if str.NumOutputs() != pipe.NumOutputs() {
 				t.Fatalf("streamer outputs %d, pipeline %d", str.NumOutputs(), pipe.NumOutputs())
 			}
-			d := newSlabDriver(t, pipe, str, held, len(held.Runs))
-			for ri := range held.Runs {
-				for range held.Runs[ri].Rows {
+			d := newSlabDriver(t, pipe, str, held, held.NumRuns())
+			for ri, rows := range d.held {
+				for range rows {
 					d.add(int32(ri), ri)
 					d.flush()
 				}
@@ -55,10 +55,9 @@ func TestStreamerLongStreamBoundedStateMatchesBatch(t *testing.T) {
 	// A stream several times longer than the time window must still agree
 	// with the offline pipeline while keeping only O(window) rows of state.
 	pipe, str := fitStreamer(t, DefaultConfig())
-	long := synthTable(1, 400, 47)
-	d := newSlabDriver(t, pipe, str, long, 1)
+	d := newSlabDriver(t, pipe, str, synthFrame(1, 400, 47), 1)
 	before := d.sl.Bytes()
-	for range long.Runs[0].Rows {
+	for range d.held[0] {
 		d.add(0, 0)
 		d.flush()
 	}
@@ -92,9 +91,8 @@ func TestStreamerStatesAreIndependent(t *testing.T) {
 	// vectors the offline pipeline computes for their history alone (slots
 	// carry all mutability).
 	pipe, str := fitStreamer(t, DefaultConfig())
-	held := synthTable(2, 50, 101)
-	d := newSlabDriver(t, pipe, str, held, 2)
-	for range held.Runs[0].Rows {
+	d := newSlabDriver(t, pipe, str, synthFrame(2, 50, 101), 2)
+	for range d.held[0] {
 		d.add(0, 0)
 		d.flush()
 		d.add(1, 1)

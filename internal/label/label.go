@@ -28,15 +28,6 @@ func (l Labeler) Label(kpi float64) int {
 	return 0
 }
 
-// LabelSeries labels each KPI reading.
-func (l Labeler) LabelSeries(kpis []float64) []int {
-	out := make([]int, len(kpis))
-	for i, v := range kpis {
-		out[i] = l.Label(v)
-	}
-	return out
-}
-
 // Saturates reports whether the labeler can ever produce a positive label.
 func (l Labeler) Saturates() bool { return !math.IsInf(l.Threshold, 1) }
 
@@ -77,47 +68,4 @@ func DiscoverThreshold(load, kpi []float64, opt Options) (Labeler, *kneedle.Resu
 		return Labeler{Threshold: math.Inf(1)}, res, nil
 	}
 	return Labeler{Threshold: best.Y}, res, nil
-}
-
-// MonotonicBins groups a possibly noisy (load, kpi) series into load-sorted
-// bins and averages the KPI per bin, producing the strictly-increasing-x
-// curve Kneedle requires. Useful when the ramp experiment's offered load is
-// jittered.
-func MonotonicBins(load, kpi []float64, bins int) (x, y []float64, err error) {
-	if len(load) != len(kpi) {
-		return nil, nil, fmt.Errorf("label: %d loads vs %d KPI readings", len(load), len(kpi))
-	}
-	if bins < 2 {
-		return nil, nil, fmt.Errorf("label: need at least 2 bins, got %d", bins)
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range load {
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-	}
-	if hi <= lo {
-		return nil, nil, ErrNoSpread
-	}
-	sums := make([]float64, bins)
-	counts := make([]int, bins)
-	width := (hi - lo) / float64(bins)
-	for i, v := range load {
-		b := int((v - lo) / width)
-		if b >= bins {
-			b = bins - 1
-		}
-		sums[b] += kpi[i]
-		counts[b]++
-	}
-	for b := 0; b < bins; b++ {
-		if counts[b] == 0 {
-			continue
-		}
-		x = append(x, lo+(float64(b)+0.5)*width)
-		y = append(y, sums[b]/float64(counts[b]))
-	}
-	if len(x) < 5 {
-		return nil, nil, fmt.Errorf("label: only %d populated bins", len(x))
-	}
-	return x, y, nil
 }

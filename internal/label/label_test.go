@@ -1,7 +1,6 @@
 package label
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -79,51 +78,5 @@ func TestLabelerBoundary(t *testing.T) {
 	}
 	if l.Label(10.01) != 1 {
 		t.Error("KPI above Υ is saturated")
-	}
-	got := l.LabelSeries([]float64{5, 15, 10})
-	want := []int{0, 1, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("LabelSeries[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-}
-
-func TestMonotonicBins(t *testing.T) {
-	// Shuffled, jittered load values with y = 2x: bins must recover a
-	// strictly increasing x and roughly linear y.
-	r := rand.New(rand.NewSource(3))
-	var load, kpi []float64
-	for i := 0; i < 500; i++ {
-		x := r.Float64() * 100
-		load = append(load, x)
-		kpi = append(kpi, 2*x)
-	}
-	x, y, err := MonotonicBins(load, kpi, 20)
-	if err != nil {
-		t.Fatalf("MonotonicBins: %v", err)
-	}
-	for i := 1; i < len(x); i++ {
-		if x[i] <= x[i-1] {
-			t.Fatal("bin centers not strictly increasing")
-		}
-	}
-	for i := range x {
-		if math.Abs(y[i]-2*x[i]) > 12 {
-			t.Errorf("bin %d: y=%v, want ~%v", i, y[i], 2*x[i])
-		}
-	}
-}
-
-func TestMonotonicBinsErrors(t *testing.T) {
-	if _, _, err := MonotonicBins([]float64{1}, []float64{1, 2}, 5); err == nil {
-		t.Error("expected length mismatch error")
-	}
-	if _, _, err := MonotonicBins([]float64{1, 2}, []float64{1, 2}, 1); err == nil {
-		t.Error("expected bin count error")
-	}
-	same := []float64{3, 3, 3, 3}
-	if _, _, err := MonotonicBins(same, same, 4); err == nil {
-		t.Error("expected no-spread error")
 	}
 }

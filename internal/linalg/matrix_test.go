@@ -1,11 +1,52 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// FromRows builds a matrix from a slice of equally sized rows.
+// The data is copied.
+func FromRows(rows [][]float64) (*Matrix, error) {
+	if len(rows) == 0 {
+		return New(0, 0), nil
+	}
+	cols := len(rows[0])
+	m := New(len(rows), cols)
+	for i, r := range rows {
+		if len(r) != cols {
+			return nil, fmt.Errorf("linalg: ragged input: row %d has %d cols, want %d", i, len(r), cols)
+		}
+		copy(m.Data[i*cols:(i+1)*cols], r)
+	}
+	return m, nil
+}
+
+// Mul returns a×b.
+func Mul(a, b *Matrix) (*Matrix, error) {
+	if a.Cols != b.Rows {
+		return nil, fmt.Errorf("linalg: dimension mismatch %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
+	}
+	out := New(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Row(i)
+		orow := out.Row(i)
+		for k := 0; k < a.Cols; k++ {
+			aik := arow[k]
+			if aik == 0 {
+				continue
+			}
+			brow := b.Row(k)
+			for j := 0; j < b.Cols; j++ {
+				orow[j] += aik * brow[j]
+			}
+		}
+	}
+	return out, nil
+}
 
 func TestFromRows(t *testing.T) {
 	m, err := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})

@@ -31,13 +31,13 @@ func benchFactory(seed int64) Factory {
 // approaches a GOMAXPROCS-fold speedup; on one core the two are
 // equivalent modulo pool overhead.
 func BenchmarkCrossValidateParallel(b *testing.B) {
-	x, y, g := synthGrouped(10, 60, 12, 3)
+	fr := synthFrame(10, 60, 12, 3)
 	run := func(b *testing.B, workers int) {
 		parallel.SetDefaultWorkers(workers)
 		defer parallel.SetDefaultWorkers(0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := CrossValidate(benchFactory(7), nil, x, y, g, 5); err != nil {
+			if _, err := CrossValidateFrame(benchFactory(7), nil, fr, nil, 5); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -23,6 +23,9 @@ func histForestFactory(seed int64) Factory {
 	}
 }
 
+// synthCut is the column-0 value above which synthFrame labels a row 1.
+const synthCut = 0.55
+
 // synthFrame builds a deterministic labeled frame whose spans are the CV
 // groups, with a learnable signal in column 0.
 func synthFrame(groups, rowsPerGroup, d int, seed int64) *frame.Frame {
@@ -42,7 +45,7 @@ func synthFrame(groups, rowsPerGroup, d int, seed int64) *frame.Frame {
 			for j := 0; j < d; j++ {
 				v := rng.Float64()
 				fr.Set(i, j, v)
-				if j == 0 && v > 0.55 {
+				if j == 0 && v > synthCut {
 					labels[i] = 1
 				}
 			}

@@ -61,65 +61,14 @@ type Result struct {
 	FoldF1 []float64
 }
 
-// CrossValidate fits the factory's model on each training fold and scores
-// it on the held-out fold, returning the averaged result. Folds are
-// evaluated concurrently on the shared worker pool; fold scores are
-// assembled in fold-index order, so the result is bit-identical to the
-// serial evaluation regardless of GOMAXPROCS.
-func CrossValidate(factory Factory, params map[string]any, x [][]float64, y, groups []int, k int) (Result, error) {
-	folds, err := GroupKFold(groups, k)
-	if err != nil {
-		return Result{}, err
-	}
-	confs, err := parallel.Map(len(folds), func(fi int) (score.Confusion, error) {
-		holdout := folds[fi]
-		inFold := make([]bool, len(x))
-		for _, i := range holdout {
-			inFold[i] = true
-		}
-		trainX := make([][]float64, 0, len(x)-len(holdout))
-		trainY := make([]int, 0, len(x)-len(holdout))
-		for i := range x {
-			if !inFold[i] {
-				trainX = append(trainX, x[i])
-				trainY = append(trainY, y[i])
-			}
-		}
-		clf, err := factory(params)
-		if err != nil {
-			return score.Confusion{}, fmt.Errorf("cv: factory: %w", err)
-		}
-		if err := clf.Fit(trainX, trainY); err != nil {
-			return score.Confusion{}, fmt.Errorf("cv: fit: %w", err)
-		}
-		pred := make([]int, len(holdout))
-		truth := make([]int, len(holdout))
-		for j, i := range holdout {
-			pred[j] = clf.Predict(x[i])
-			truth[j] = y[i]
-		}
-		return score.Count(pred, truth)
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	res := Result{Params: params}
-	for _, c := range confs {
-		res.FoldF1 = append(res.FoldF1, c.F1())
-		res.MeanF1 += c.F1()
-		res.MeanAccuracy += c.Accuracy()
-	}
-	res.MeanF1 /= float64(len(folds))
-	res.MeanAccuracy /= float64(len(folds))
-	return res, nil
-}
-
-// CrossValidateFrame is the frame-native counterpart of CrossValidate:
-// the run structure comes from the frame's spans, y nil means the frame's
-// labels, and each training fold is an index view into the shared
+// CrossValidateFrame fits the factory's model on each training fold and
+// scores it on the held-out fold, returning the averaged result. The run
+// structure (the groups) comes from the frame's spans, y nil means the
+// frame's labels, and each training fold is an index view into the shared
 // read-only frame — no fold ever copies the feature matrix. Folds run
 // concurrently on the shared worker pool; scores are assembled in
-// fold-index order, so the result is deterministic.
+// fold-index order, so the result is bit-identical to the serial
+// evaluation regardless of GOMAXPROCS.
 func CrossValidateFrame(factory Factory, params map[string]any, fr *frame.Frame, y []int, k int) (Result, error) {
 	if y == nil {
 		y = fr.Labels()
@@ -205,27 +154,10 @@ func (g Grid) Enumerate() []map[string]any {
 	return assignments
 }
 
-// GridSearch cross-validates every assignment in the grid and returns all
-// results sorted by descending mean F1, best first. Candidates run
-// concurrently; the stable sort over the index-ordered results keeps the
-// ranking identical to the serial search.
-func GridSearch(factory Factory, grid Grid, x [][]float64, y, groups []int, k int) ([]Result, error) {
-	assignments := grid.Enumerate()
-	if len(assignments) == 0 {
-		return nil, fmt.Errorf("cv: empty grid")
-	}
-	results, err := parallel.Map(len(assignments), func(i int) (Result, error) {
-		return CrossValidate(factory, assignments[i], x, y, groups, k)
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.SliceStable(results, func(i, j int) bool { return results[i].MeanF1 > results[j].MeanF1 })
-	return results, nil
-}
-
 // GridSearchFrame cross-validates every grid assignment over the frame
 // and returns all results sorted by descending mean F1, best first.
+// Candidates run concurrently; the stable sort over the index-ordered
+// results keeps the ranking identical to the serial search.
 func GridSearchFrame(factory Factory, grid Grid, fr *frame.Frame, y []int, k int) ([]Result, error) {
 	assignments := grid.Enumerate()
 	if len(assignments) == 0 {

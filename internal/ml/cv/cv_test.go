@@ -2,7 +2,6 @@ package cv
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"monitorless/internal/ml"
@@ -26,25 +25,8 @@ func (c *thresholdClassifier) Predict(x []float64) int {
 	return 0
 }
 
-func makeGrouped(nGroups, perGroup int, seed int64) (x [][]float64, y, groups []int) {
-	r := rand.New(rand.NewSource(seed))
-	for g := 0; g < nGroups; g++ {
-		for i := 0; i < perGroup; i++ {
-			v := r.Float64()
-			x = append(x, []float64{v})
-			label := 0
-			if v > 0.5 {
-				label = 1
-			}
-			y = append(y, label)
-			groups = append(groups, g)
-		}
-	}
-	return x, y, groups
-}
-
 func TestGroupKFoldPartition(t *testing.T) {
-	_, _, groups := makeGrouped(10, 7, 1)
+	groups := synthFrame(10, 7, 1, 1).GroupIDs()
 	folds, err := GroupKFold(groups, 5)
 	if err != nil {
 		t.Fatalf("GroupKFold: %v", err)
@@ -95,7 +77,7 @@ func TestGroupKFoldErrors(t *testing.T) {
 }
 
 func TestGroupKFoldDeterministic(t *testing.T) {
-	_, _, groups := makeGrouped(8, 3, 2)
+	groups := synthFrame(8, 3, 1, 2).GroupIDs()
 	f1, err := GroupKFold(groups, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -117,13 +99,13 @@ func TestGroupKFoldDeterministic(t *testing.T) {
 }
 
 func TestCrossValidateScoresPerfectModel(t *testing.T) {
-	x, y, groups := makeGrouped(10, 20, 3)
+	fr := synthFrame(10, 20, 1, 3)
 	factory := func(params map[string]any) (ml.Classifier, error) {
-		return &thresholdClassifier{thr: Float(params, "thr", 0.5)}, nil
+		return &thresholdClassifier{thr: Float(params, "thr", synthCut)}, nil
 	}
-	res, err := CrossValidate(factory, map[string]any{"thr": 0.5}, x, y, groups, 5)
+	res, err := CrossValidateFrame(factory, map[string]any{"thr": synthCut}, fr, nil, 5)
 	if err != nil {
-		t.Fatalf("CrossValidate: %v", err)
+		t.Fatalf("CrossValidateFrame: %v", err)
 	}
 	if res.MeanF1 < 0.99 {
 		t.Errorf("MeanF1 = %v, want ~1 for the true threshold", res.MeanF1)
@@ -134,20 +116,20 @@ func TestCrossValidateScoresPerfectModel(t *testing.T) {
 }
 
 func TestGridSearchRecoversBestParam(t *testing.T) {
-	x, y, groups := makeGrouped(10, 30, 4)
+	fr := synthFrame(10, 30, 1, 4)
 	factory := func(params map[string]any) (ml.Classifier, error) {
 		return &thresholdClassifier{thr: Float(params, "thr", 0)}, nil
 	}
-	grid := Grid{"thr": {0.1, 0.3, 0.5, 0.7, 0.9}}
-	results, err := GridSearch(factory, grid, x, y, groups, 5)
+	grid := Grid{"thr": {0.15, 0.35, synthCut, 0.75, 0.95}}
+	results, err := GridSearchFrame(factory, grid, fr, nil, 5)
 	if err != nil {
-		t.Fatalf("GridSearch: %v", err)
+		t.Fatalf("GridSearchFrame: %v", err)
 	}
 	if len(results) != 5 {
 		t.Fatalf("got %d results, want 5", len(results))
 	}
-	if best := Float(results[0].Params, "thr", -1); best != 0.5 {
-		t.Errorf("best thr = %v, want 0.5", best)
+	if best := Float(results[0].Params, "thr", -1); best != synthCut {
+		t.Errorf("best thr = %v, want %v", best, synthCut)
 	}
 	for i := 1; i < len(results); i++ {
 		if results[i].MeanF1 > results[i-1].MeanF1 {
@@ -174,13 +156,13 @@ func TestGridEnumerate(t *testing.T) {
 
 func TestGridSearchEmptyGrid(t *testing.T) {
 	// An empty grid has exactly one (empty) assignment — it must still run.
-	x, y, groups := makeGrouped(4, 5, 5)
+	fr := synthFrame(4, 5, 1, 5)
 	factory := func(params map[string]any) (ml.Classifier, error) {
-		return &thresholdClassifier{thr: 0.5}, nil
+		return &thresholdClassifier{thr: synthCut}, nil
 	}
-	results, err := GridSearch(factory, Grid{}, x, y, groups, 2)
+	results, err := GridSearchFrame(factory, Grid{}, fr, nil, 2)
 	if err != nil {
-		t.Fatalf("GridSearch: %v", err)
+		t.Fatalf("GridSearchFrame: %v", err)
 	}
 	if len(results) != 1 {
 		t.Errorf("got %d results, want 1", len(results))
@@ -188,11 +170,11 @@ func TestGridSearchEmptyGrid(t *testing.T) {
 }
 
 func TestGridSearchFactoryError(t *testing.T) {
-	x, y, groups := makeGrouped(4, 5, 6)
+	fr := synthFrame(4, 5, 1, 6)
 	factory := func(params map[string]any) (ml.Classifier, error) {
 		return nil, fmt.Errorf("nope")
 	}
-	if _, err := GridSearch(factory, Grid{}, x, y, groups, 2); err == nil {
+	if _, err := GridSearchFrame(factory, Grid{}, fr, nil, 2); err == nil {
 		t.Error("expected factory error to propagate")
 	}
 }

@@ -1,7 +1,6 @@
 package cv
 
 import (
-	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -10,28 +9,6 @@ import (
 	"monitorless/internal/ml/forest"
 	"monitorless/internal/ml/tree"
 )
-
-// synthGrouped builds a deterministic grouped training set with a learnable
-// signal in column 0.
-func synthGrouped(groups, rowsPerGroup, d int, seed int64) (x [][]float64, y, g []int) {
-	rng := rand.New(rand.NewSource(seed))
-	for gi := 0; gi < groups; gi++ {
-		for r := 0; r < rowsPerGroup; r++ {
-			row := make([]float64, d)
-			for c := range row {
-				row[c] = rng.Float64()
-			}
-			label := 0
-			if row[0] > 0.55 {
-				label = 1
-			}
-			x = append(x, row)
-			y = append(y, label)
-			g = append(g, gi)
-		}
-	}
-	return x, y, g
-}
 
 func forestFactory(seed int64) Factory {
 	return func(params map[string]any) (ml.Classifier, error) {
@@ -57,11 +34,11 @@ func atGOMAXPROCS(n int, f func()) {
 // behind the PR's core guarantee: for a fixed seed, the parallel fold
 // evaluation returns bit-identical results at any pool width.
 func TestCrossValidateDeterministicAcrossGOMAXPROCS(t *testing.T) {
-	x, y, g := synthGrouped(6, 40, 8, 11)
+	fr := synthFrame(6, 40, 8, 11)
 	run := func() Result {
-		r, err := CrossValidate(forestFactory(7), map[string]any{"n_estimators": 10}, x, y, g, 3)
+		r, err := CrossValidateFrame(forestFactory(7), map[string]any{"n_estimators": 10}, fr, nil, 3)
 		if err != nil {
-			t.Fatalf("CrossValidate: %v", err)
+			t.Fatalf("CrossValidateFrame: %v", err)
 		}
 		return r
 	}
@@ -69,17 +46,17 @@ func TestCrossValidateDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	atGOMAXPROCS(1, func() { narrow = run() })
 	atGOMAXPROCS(8, func() { wide = run() })
 	if !reflect.DeepEqual(narrow, wide) {
-		t.Errorf("CrossValidate differs across GOMAXPROCS:\n 1: %+v\n 8: %+v", narrow, wide)
+		t.Errorf("CrossValidateFrame differs across GOMAXPROCS:\n 1: %+v\n 8: %+v", narrow, wide)
 	}
 }
 
 func TestGridSearchDeterministicAcrossGOMAXPROCS(t *testing.T) {
-	x, y, g := synthGrouped(6, 30, 6, 13)
+	fr := synthFrame(6, 30, 6, 13)
 	grid := Grid{"n_estimators": []any{4, 8, 12}}
 	run := func() []Result {
-		rs, err := GridSearch(forestFactory(3), grid, x, y, g, 3)
+		rs, err := GridSearchFrame(forestFactory(3), grid, fr, nil, 3)
 		if err != nil {
-			t.Fatalf("GridSearch: %v", err)
+			t.Fatalf("GridSearchFrame: %v", err)
 		}
 		return rs
 	}
@@ -87,14 +64,14 @@ func TestGridSearchDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	atGOMAXPROCS(1, func() { narrow = run() })
 	atGOMAXPROCS(8, func() { wide = run() })
 	if !reflect.DeepEqual(narrow, wide) {
-		t.Errorf("GridSearch ranking differs across GOMAXPROCS:\n 1: %+v\n 8: %+v", narrow, wide)
+		t.Errorf("GridSearchFrame ranking differs across GOMAXPROCS:\n 1: %+v\n 8: %+v", narrow, wide)
 	}
 }
 
 // TestCrossValidateErrorDeterministic asserts the parallel loop reports
 // the same (lowest-fold) error the serial loop would have stopped at.
 func TestCrossValidateErrorDeterministic(t *testing.T) {
-	x, y, g := synthGrouped(6, 10, 4, 17)
+	fr := synthFrame(6, 10, 4, 17)
 	// A factory whose classifiers fail to fit: every fold errors; the
 	// reported message must be stable across pool widths.
 	factory := func(map[string]any) (ml.Classifier, error) {
@@ -102,11 +79,11 @@ func TestCrossValidateErrorDeterministic(t *testing.T) {
 	}
 	var msg1, msg8 string
 	atGOMAXPROCS(1, func() {
-		_, err := CrossValidate(factory, nil, x, y, g, 3)
+		_, err := CrossValidateFrame(factory, nil, fr, nil, 3)
 		msg1 = err.Error()
 	})
 	atGOMAXPROCS(8, func() {
-		_, err := CrossValidate(factory, nil, x, y, g, 3)
+		_, err := CrossValidateFrame(factory, nil, fr, nil, 3)
 		msg8 = err.Error()
 	})
 	if msg1 != msg8 {

@@ -77,7 +77,6 @@ type Forest struct {
 var _ ml.Classifier = (*Forest)(nil)
 var _ ml.FeatureImporter = (*Forest)(nil)
 var _ ml.FrameFitter = (*Forest)(nil)
-var _ ml.FrameProber = (*Forest)(nil)
 var _ ml.FramePredictor = (*Forest)(nil)
 
 // New returns an unfitted forest.

@@ -51,17 +51,10 @@ type WeightedFitter interface {
 	FitWeighted(x [][]float64, y []int, w []float64) error
 }
 
-// FrameProber is implemented by classifiers with a batch frame-native
-// probability path (the flattened forest): all listed rows are scored in
-// one pass without per-row feature gathering, bit-identical to calling
-// PredictProba row by row.
-type FrameProber interface {
-	// PredictProbaFrameRows returns P(class 1) for every listed frame
-	// row (rows nil = all rows), in rows order.
-	PredictProbaFrameRows(fr *frame.Frame, rows []int) []float64
-}
-
-// FramePredictor is the class-label counterpart of FrameProber.
+// FramePredictor is implemented by classifiers with a batch frame-native
+// class path (the flattened forest): all listed rows are scored in one
+// pass without per-row feature gathering, bit-identical to calling Predict
+// row by row.
 type FramePredictor interface {
 	// PredictFrameRows returns the predicted class of every listed frame
 	// row (rows nil = all rows), in rows order.
@@ -75,9 +68,6 @@ type FeatureImporter interface {
 	// feature, summing to 1 (or all zeros for a degenerate fit).
 	FeatureImportances() []float64
 }
-
-// ErrNotFitted is returned by predictions on an untrained model.
-var ErrNotFitted = errors.New("ml: model is not fitted")
 
 // ErrNoData is returned when Fit receives an empty training set.
 var ErrNoData = errors.New("ml: empty training set")
@@ -218,30 +208,6 @@ func PredictFrameRows(c Classifier, fr *frame.Frame, rows []int) []int {
 		}
 		buf = fr.Row(i, buf)
 		out[p] = c.Predict(buf)
-	}
-	return out
-}
-
-// PredictProbaFrameRows returns P(class 1) for the listed frame rows
-// (nil = all rows), dispatching to the batch FrameProber path when
-// available.
-func PredictProbaFrameRows(c Classifier, fr *frame.Frame, rows []int) []float64 {
-	if fp, ok := c.(FrameProber); ok {
-		return fp.PredictProbaFrameRows(fr, rows)
-	}
-	n := fr.Rows()
-	if rows != nil {
-		n = len(rows)
-	}
-	out := make([]float64, n)
-	buf := make([]float64, fr.NumCols())
-	for p := range out {
-		i := p
-		if rows != nil {
-			i = rows[p]
-		}
-		buf = fr.Row(i, buf)
-		out[p] = c.PredictProba(buf)
 	}
 	return out
 }

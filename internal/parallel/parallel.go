@@ -5,8 +5,8 @@
 // uniformly and, above all, *deterministically*: results are always
 // assembled in task-index order, errors are reported for the lowest
 // failing index (exactly what the equivalent serial loop would have
-// returned), and per-task randomness is derived from a splitmix64-style
-// seed stream keyed by task index, never by scheduling order. A run at
+// returned), and each call site derives per-task seeds from the task
+// index, never from scheduling order. A run at
 // GOMAXPROCS=1 and a run at GOMAXPROCS=64 therefore produce bit-identical
 // output for the same seed; the determinism tests across the repo enforce
 // this.
@@ -254,32 +254,3 @@ func MapStream[T any](n int, fn func(i int) (T, error), consume func(i int, v T)
 	wg.Wait()
 	return firstErr
 }
-
-// splitmix64 is the finalizer of Steele et al.'s SplitMix generator: a
-// bijective avalanche function whose outputs over sequential inputs are
-// statistically independent streams.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// DeriveSeed derives the i-th seed of the stream rooted at base. Derived
-// seeds depend only on (base, i) — never on which worker ran the task or
-// in what order — and nearby indices yield decorrelated seeds, unlike
-// base+i arithmetic which feeds near-identical states to simple PRNGs.
-func DeriveSeed(base int64, i int) int64 {
-	return int64(splitmix64(splitmix64(uint64(base)) + uint64(i)))
-}
-
-// SeedStream hands out per-task seeds for one fan-out site.
-type SeedStream struct {
-	base int64
-}
-
-// NewSeedStream roots a stream at the given base seed.
-func NewSeedStream(base int64) SeedStream { return SeedStream{base: base} }
-
-// Seed returns the seed for task index i.
-func (s SeedStream) Seed(i int) int64 { return DeriveSeed(s.base, i) }

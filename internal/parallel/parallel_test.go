@@ -138,10 +138,9 @@ func TestSetDefaultWorkers(t *testing.T) {
 // the property every call site in the repo depends on.
 func TestMapSchedulingIndependence(t *testing.T) {
 	job := func(workers int) []float64 {
-		stream := NewSeedStream(42)
 		out := make([]float64, 64)
 		err := Do(context.Background(), workers, 64, func(i int) error {
-			rng := rand.New(rand.NewSource(stream.Seed(i)))
+			rng := rand.New(rand.NewSource(42 + int64(i)*7919)) // the forest's per-tree formula
 			s := 0.0
 			for k := 0; k < 1000; k++ {
 				s += rng.Float64()
@@ -163,66 +162,6 @@ func TestMapSchedulingIndependence(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestDeriveSeedProperties(t *testing.T) {
-	// Distinct indices must yield distinct seeds; the same (base, i) must
-	// always yield the same seed; different bases must diverge.
-	seen := map[int64]int{}
-	for i := 0; i < 10000; i++ {
-		s := DeriveSeed(7, i)
-		if prev, dup := seen[s]; dup {
-			t.Fatalf("seed collision between indices %d and %d", prev, i)
-		}
-		seen[s] = i
-	}
-	if DeriveSeed(7, 3) != DeriveSeed(7, 3) {
-		t.Error("DeriveSeed not a pure function")
-	}
-	if DeriveSeed(7, 3) == DeriveSeed(8, 3) {
-		t.Error("different bases must give different seeds")
-	}
-	// Sequential indices must not produce near-identical generator states:
-	// the low bits should differ about half the time across the stream.
-	diffBits := 0
-	for i := 0; i < 64; i++ {
-		x := uint64(DeriveSeed(1, i)) ^ uint64(DeriveSeed(1, i+1))
-		for ; x != 0; x &= x - 1 {
-			diffBits++
-		}
-	}
-	if avg := float64(diffBits) / 64; avg < 20 || avg > 44 {
-		t.Errorf("adjacent seeds differ by %.1f bits on average, want ~32", avg)
-	}
-}
-
-func TestSeedStreamMatchesDeriveSeed(t *testing.T) {
-	s := NewSeedStream(99)
-	for i := 0; i < 10; i++ {
-		if s.Seed(i) != DeriveSeed(99, i) {
-			t.Fatalf("SeedStream.Seed(%d) diverges from DeriveSeed", i)
-		}
-	}
-}
-
-// FuzzDeriveSeed asserts the derivation never collides for small index
-// windows regardless of base, and is insensitive to worker interleaving
-// by construction (pure function of base and index).
-func FuzzDeriveSeed(f *testing.F) {
-	f.Add(int64(0))
-	f.Add(int64(42))
-	f.Add(int64(-1))
-	f.Add(int64(1 << 62))
-	f.Fuzz(func(t *testing.T, base int64) {
-		seen := map[int64]bool{}
-		for i := 0; i < 256; i++ {
-			s := DeriveSeed(base, i)
-			if seen[s] {
-				t.Fatalf("collision at base %d index %d", base, i)
-			}
-			seen[s] = true
-		}
-	})
 }
 
 func BenchmarkForEach(b *testing.B) {

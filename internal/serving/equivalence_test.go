@@ -34,11 +34,11 @@ func streamMatchesBatchWire(t *testing.T, m *core.Model, ds *dataset.Dataset) (r
 
 func streamMatchesBatchOpt(t *testing.T, m *core.Model, ds *dataset.Dataset, wire bool) (rows int, metrics string) {
 	t.Helper()
-	eval := ds.FilterRuns(1, 22)
-	tab := features.FromDataset(eval)
-	preds, probs, err := m.PredictTable(tab)
+	raw := ds.FilterRuns(1, 22).Frame()
+	runs := runsOf(raw)
+	preds, probs, err := m.PredictFrame(raw)
 	if err != nil {
-		t.Fatalf("PredictTable: %v", err)
+		t.Fatalf("PredictFrame: %v", err)
 	}
 
 	svc, err := New(Config{Model: m})
@@ -52,7 +52,7 @@ func streamMatchesBatchOpt(t *testing.T, m *core.Model, ds *dataset.Dataset, wir
 
 	ids := map[int]string{}
 	maxLen := 0
-	for _, run := range tab.Runs {
+	for _, run := range runs {
 		ids[run.ID] = fmt.Sprintf("eval/run%d/0", run.ID)
 		if len(run.Rows) > maxLen {
 			maxLen = len(run.Rows)
@@ -61,7 +61,7 @@ func streamMatchesBatchOpt(t *testing.T, m *core.Model, ds *dataset.Dataset, wir
 
 	for j := 0; j < maxLen; j++ {
 		obs := pcp.Observation{T: j, Vectors: map[string][]float64{}}
-		for _, run := range tab.Runs {
+		for _, run := range runs {
 			if j < len(run.Rows) {
 				obs.Vectors[ids[run.ID]] = run.Rows[j]
 			}
@@ -71,7 +71,7 @@ func streamMatchesBatchOpt(t *testing.T, m *core.Model, ds *dataset.Dataset, wir
 			t.Fatalf("Ingest tick %d: %v", j, err)
 		}
 		anySat := false
-		for _, run := range tab.Runs {
+		for _, run := range runs {
 			if j >= len(run.Rows) {
 				continue
 			}
@@ -190,7 +190,7 @@ func TestHTTPStreamingMatchesBatchPredictions(t *testing.T) {
 // allowed is the bytes on the wire.
 func TestBinaryIngestMatchesJSONIngest(t *testing.T) {
 	m, ds := sharedTestModel(t)
-	tab := features.FromDataset(ds.FilterRuns(1, 23))
+	runs := runsOf(ds.FilterRuns(1, 23).Frame())
 
 	type lane struct {
 		wire bool
@@ -213,7 +213,7 @@ func TestBinaryIngestMatchesJSONIngest(t *testing.T) {
 	const ticks = 40
 	for j := 0; j < ticks; j++ {
 		obs := pcp.Observation{T: j, Vectors: map[string][]float64{}}
-		for _, run := range tab.Runs {
+		for _, run := range runs {
 			if j < len(run.Rows) {
 				obs.Vectors[fmt.Sprintf("eq/run%d/0", run.ID)] = run.Rows[j]
 			}
@@ -246,7 +246,8 @@ func TestBinaryIngestMatchesJSONIngest(t *testing.T) {
 // instance's full history.
 func TestShardCountEquivalence(t *testing.T) {
 	m, ds := sharedTestModel(t)
-	tab := features.FromDataset(ds.FilterRuns(1, 22, 23))
+	raw := ds.FilterRuns(1, 22, 23).Frame()
+	runs := runsOf(raw)
 
 	shardCounts := []int{1, 4, 16}
 	svcs := make([]*Service, len(shardCounts))
@@ -259,7 +260,7 @@ func TestShardCountEquivalence(t *testing.T) {
 	}
 
 	// Offline reference: the batch pipeline and forest over every run.
-	_, refProbs, err := m.PredictFrame(tab.Frame())
+	_, refProbs, err := m.PredictFrame(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +269,7 @@ func TestShardCountEquivalence(t *testing.T) {
 	const ticks = 40
 	for j := 0; j < ticks; j++ {
 		obs := pcp.WireObservation{T: j}
-		for _, run := range tab.Runs {
+		for _, run := range runs {
 			if j >= len(run.Rows) {
 				continue
 			}
@@ -312,7 +313,7 @@ func TestShardCountEquivalence(t *testing.T) {
 // model), and across an instance being forgotten and re-registered.
 func TestOrchestratorMatchesService(t *testing.T) {
 	exact, ds := sharedTestModel(t)
-	tab := features.FromDataset(ds.FilterRuns(1, 22, 23))
+	runs := runsOf(ds.FilterRuns(1, 22, 23).Frame())
 	for name, m := range map[string]*core.Model{"float-route": exact, "fused-route": histTestModel(t)} {
 		t.Run(name, func(t *testing.T) {
 			svc, err := New(Config{Model: m, Shards: 4})
@@ -323,7 +324,7 @@ func TestOrchestratorMatchesService(t *testing.T) {
 			const ticks = 40
 			for j := 0; j < ticks; j++ {
 				wire := pcp.WireObservation{T: j}
-				for _, run := range tab.Runs {
+				for _, run := range runs {
 					if j < len(run.Rows) {
 						wire.Samples = append(wire.Samples, pcp.WireSample{
 							Instance: fmt.Sprintf("eq/run%d/0", run.ID), Values: run.Rows[j]})

@@ -72,7 +72,7 @@ func TestFusedIngestShardWorkerInvariance(t *testing.T) {
 	if q == nil || !m.Forest.QuantActive() || !q.FullyQuantized() {
 		t.Fatal("hist model is not fully quantized; fused-route test premise broken")
 	}
-	tab := features.FromDataset(ds.FilterRuns(1, 22, 23))
+	runs := runsOf(ds.FilterRuns(1, 22, 23).Frame())
 
 	// The float reference: same trees, quantized routing switched off.
 	floatForest := forest.New(m.Forest.Config())
@@ -101,7 +101,7 @@ func TestFusedIngestShardWorkerInvariance(t *testing.T) {
 			const ticks = 30
 			for j := 0; j < ticks; j++ {
 				obs := pcp.WireObservation{T: j}
-				for _, run := range tab.Runs {
+				for _, run := range runs {
 					if j < len(run.Rows) {
 						obs.Samples = append(obs.Samples, pcp.WireSample{
 							Instance: fmt.Sprintf("fused/run%d/0", run.ID),

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"monitorless/internal/features"
 	"monitorless/internal/pcp"
 )
 
@@ -95,11 +94,11 @@ func shardIndexGolden(id string) uint64 {
 func rawRows(t *testing.T) [][]float64 {
 	t.Helper()
 	_, ds := sharedTestModel(t)
-	tab := features.FromDataset(ds.FilterRuns(1))
-	if len(tab.Runs) == 0 || len(tab.Runs[0].Rows) < 32 {
+	rows := ds.FilterRuns(1).Frame().MaterializeRows()
+	if len(rows) < 32 {
 		t.Fatal("shared dataset has no usable run")
 	}
-	return tab.Runs[0].Rows
+	return rows
 }
 
 // TestShardedIngestRace hammers one service from concurrent writers with

@@ -7,6 +7,7 @@ import (
 	"monitorless/internal/core"
 	"monitorless/internal/dataset"
 	"monitorless/internal/features"
+	"monitorless/internal/frame"
 	"monitorless/internal/ml/forest"
 	"monitorless/internal/ml/tree"
 )
@@ -62,6 +63,23 @@ func sharedTestModel(tb testing.TB) (*core.Model, *dataset.Dataset) {
 		tb.Fatalf("shared test model: %v", testErr)
 	}
 	return testModel, testData
+}
+
+// evalRun is one span of a raw frame: its run ID and its rows in time
+// order.
+type evalRun struct {
+	ID   int
+	Rows [][]float64
+}
+
+// runsOf splits a raw frame into its runs, the per-instance histories the
+// streaming tests replay tick by tick.
+func runsOf(fr *frame.Frame) []evalRun {
+	out := make([]evalRun, fr.NumRuns())
+	for k, sp := range fr.Spans() {
+		out[k] = evalRun{ID: sp.ID, Rows: fr.RunView(k).MaterializeRows()}
+	}
+	return out
 }
 
 // newTestService wraps the shared model in a service with the given

@@ -58,16 +58,11 @@ const (
 
 var wireMagic = []byte("MLBF")
 
-// EncodeWire serializes an observation into a binary batch frame. All
-// samples must share one vector width; SchemaHash, when set, must be a
-// hex SHA-256 (64 hex digits).
-func EncodeWire(obs pcp.WireObservation) ([]byte, error) {
-	return AppendWire(nil, obs)
-}
-
 // AppendWire appends the binary frame encoding of obs to dst (which may
 // be nil) and returns the extended slice — the allocation-free encode
-// path for senders that reuse a buffer per tick.
+// path for senders that reuse a buffer per tick. All samples must share
+// one vector width; SchemaHash, when set, must be a hex SHA-256 (64 hex
+// digits).
 func AppendWire(dst []byte, obs pcp.WireObservation) ([]byte, error) {
 	if len(obs.Samples) == 0 {
 		return nil, fmt.Errorf("serving: wire encode: observation with no samples")

@@ -24,9 +24,9 @@ func testWireObservation() pcp.WireObservation {
 
 func TestWireRoundTrip(t *testing.T) {
 	obs := testWireObservation()
-	b, err := EncodeWire(obs)
+	b, err := AppendWire(nil, obs)
 	if err != nil {
-		t.Fatalf("EncodeWire: %v", err)
+		t.Fatalf("AppendWire: %v", err)
 	}
 	got, err := DecodeWire(b)
 	if err != nil {
@@ -40,9 +40,9 @@ func TestWireRoundTrip(t *testing.T) {
 	nanObs := pcp.WireObservation{T: -7, Samples: []pcp.WireSample{
 		{Instance: "a", Values: []float64{math.Float64frombits(0x7ff8_0000_dead_beef)}},
 	}}
-	b, err = EncodeWire(nanObs)
+	b, err = AppendWire(nil, nanObs)
 	if err != nil {
-		t.Fatalf("EncodeWire: %v", err)
+		t.Fatalf("AppendWire: %v", err)
 	}
 	got, err = DecodeWire(b)
 	if err != nil {
@@ -61,7 +61,7 @@ func TestWireRoundTrip(t *testing.T) {
 
 func TestWireAppendReusesBuffer(t *testing.T) {
 	obs := testWireObservation()
-	buf, err := EncodeWire(obs)
+	buf, err := AppendWire(nil, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,17 +111,17 @@ func TestWireEncodeRejects(t *testing.T) {
 		},
 	}
 	for name, mk := range cases {
-		if _, err := EncodeWire(mk()); err == nil {
+		if _, err := AppendWire(nil, mk()); err == nil {
 			t.Errorf("%s: no error", name)
 		}
 	}
-	if _, err := EncodeWire(base); err != nil {
+	if _, err := AppendWire(nil, base); err != nil {
 		t.Fatalf("baseline observation rejected: %v", err)
 	}
 }
 
 func TestWireDecodeRejects(t *testing.T) {
-	valid, err := EncodeWire(testWireObservation())
+	valid, err := AppendWire(nil, testWireObservation())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestWireDecodeRejects(t *testing.T) {
 // guard). A successful decode must re-encode and decode to the same
 // observation.
 func FuzzWireDecode(f *testing.F) {
-	valid, err := EncodeWire(testWireObservation())
+	valid, err := AppendWire(nil, testWireObservation())
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func FuzzWireDecode(f *testing.F) {
 			}
 		}
 		// Round trip: re-encoding must succeed and decode identically.
-		b2, err := EncodeWire(obs)
+		b2, err := AppendWire(nil, obs)
 		if err != nil {
 			t.Fatalf("re-encode of decoded observation failed: %v", err)
 		}

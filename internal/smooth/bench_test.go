@@ -21,14 +21,3 @@ func BenchmarkSavGolApply(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkMovingAverage(b *testing.B) {
-	y := make([]float64, 1000)
-	for i := range y {
-		y[i] = float64(i % 97)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MovingAverage(y, 15)
-	}
-}

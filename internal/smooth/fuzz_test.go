@@ -75,20 +75,3 @@ func FuzzSavGol(f *testing.F) {
 		}
 	})
 }
-
-// FuzzMovingAverage covers the fallback smoother used for short series.
-func FuzzMovingAverage(f *testing.F) {
-	f.Add(encodeSeries(nil), 3)
-	f.Add(encodeSeries([]float64{1}), 1)
-	f.Add(encodeSeries([]float64{1, 2, 3}), 0)
-	f.Add(encodeSeries([]float64{math.NaN(), math.Inf(1)}), 2)
-
-	f.Fuzz(func(t *testing.T, data []byte, window int) {
-		y := decodeSeries(data)
-		out := MovingAverage(y, window)
-		if len(out) != len(y) {
-			t.Fatalf("MovingAverage changed length: in %d out %d (window=%d)",
-				len(y), len(out), window)
-		}
-	})
-}

@@ -141,26 +141,3 @@ func Smooth(y []float64, window, order int) ([]float64, error) {
 	}
 	return f.Apply(y)
 }
-
-// MovingAverage returns the trailing moving average of y with the given
-// window (used for X-AVG feature variants elsewhere; kept here with the
-// other smoothing primitives).
-func MovingAverage(y []float64, window int) []float64 {
-	if window < 1 {
-		window = 1
-	}
-	out := make([]float64, len(y))
-	sum := 0.0
-	for i, v := range y {
-		sum += v
-		if i >= window {
-			sum -= y[i-window]
-		}
-		n := window
-		if i+1 < window {
-			n = i + 1
-		}
-		out[i] = sum / float64(n)
-	}
-	return out
-}

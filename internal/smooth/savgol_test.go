@@ -130,56 +130,3 @@ func TestSavGolIdentityWindow(t *testing.T) {
 		}
 	}
 }
-
-func TestMovingAverage(t *testing.T) {
-	y := []float64{2, 4, 6, 8}
-	got := MovingAverage(y, 2)
-	want := []float64{2, 3, 5, 7}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Errorf("MovingAverage[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestMovingAverageWindowOne(t *testing.T) {
-	y := []float64{1, 2, 3}
-	got := MovingAverage(y, 1)
-	for i := range y {
-		if got[i] != y[i] {
-			t.Errorf("window-1 average changed data at %d", i)
-		}
-	}
-	// Degenerate window values clamp to 1.
-	got = MovingAverage(y, 0)
-	for i := range y {
-		if got[i] != y[i] {
-			t.Errorf("window-0 average changed data at %d", i)
-		}
-	}
-}
-
-// Property: moving average is bounded by the min/max of the inputs.
-func TestMovingAverageBounds(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(50)
-		y := make([]float64, n)
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for i := range y {
-			y[i] = r.NormFloat64()
-			lo = math.Min(lo, y[i])
-			hi = math.Max(hi, y[i])
-		}
-		out := MovingAverage(y, 1+r.Intn(10))
-		for _, v := range out {
-			if v < lo-1e-9 || v > hi+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}

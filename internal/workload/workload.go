@@ -203,34 +203,6 @@ func (s Sum) At(t int) float64 {
 	return total
 }
 
-// Scale multiplies a pattern by a constant factor (the paper scales
-// sinnoise1000 down to 1/10 for the Elgg front-end).
-type Scale struct {
-	P      Pattern
-	Factor float64
-}
-
-// At implements Pattern.
-func (s Scale) At(t int) float64 { return s.P.At(t) * s.Factor }
-
-// Clip bounds a pattern to [Min, Max].
-type Clip struct {
-	P        Pattern
-	Min, Max float64
-}
-
-// At implements Pattern.
-func (c Clip) At(t int) float64 {
-	v := c.P.At(t)
-	if v < c.Min {
-		return c.Min
-	}
-	if c.Max > 0 && v > c.Max {
-		return c.Max
-	}
-	return v
-}
-
 // hashNoise returns a deterministic pseudo-random value in [-1, 1] for a
 // (seed, t) pair. A fresh PRNG per point keeps patterns stateless and
 // safe for concurrent use.
@@ -266,15 +238,6 @@ var (
 // WriteFraction returns the fraction of operations that hit the write path
 // (updates, inserts and the write half of each RMW).
 func (m Mix) WriteFraction() float64 { return m.Update + m.Insert + m.RMW }
-
-// Replay samples a Pattern into a rate series of the given length.
-func Replay(p Pattern, seconds int) []float64 {
-	out := make([]float64, seconds)
-	for t := range out {
-		out[t] = p.At(t)
-	}
-	return out
-}
 
 // NewJittered wraps p with small multiplicative noise, used to decorrelate
 // repeated runs of the same configuration.

@@ -148,27 +148,6 @@ func TestLocustHatch(t *testing.T) {
 	}
 }
 
-func TestSumAndScale(t *testing.T) {
-	p := Sum{Constant{Rate: 10}, Constant{Rate: 5}}
-	if p.At(0) != 15 {
-		t.Errorf("Sum = %v, want 15", p.At(0))
-	}
-	s := Scale{P: p, Factor: 0.1}
-	if math.Abs(s.At(0)-1.5) > 1e-12 {
-		t.Errorf("Scale = %v, want 1.5", s.At(0))
-	}
-}
-
-func TestClip(t *testing.T) {
-	p := Clip{P: Ramp{From: -10, To: 100, Duration: 100}, Min: 0, Max: 50}
-	if p.At(0) != 0 {
-		t.Errorf("Clip min failed: %v", p.At(0))
-	}
-	if p.At(99) != 50 {
-		t.Errorf("Clip max failed: %v", p.At(99))
-	}
-}
-
 func TestMixes(t *testing.T) {
 	for _, m := range []Mix{MixA, MixB, MixD, MixF} {
 		total := m.Read + m.Update + m.Insert + m.RMW
@@ -181,18 +160,6 @@ func TestMixes(t *testing.T) {
 	}
 	if MixA.WriteFraction() != 0.5 || MixB.WriteFraction() != 0.05 {
 		t.Error("A/B write fractions do not match YCSB")
-	}
-}
-
-func TestReplay(t *testing.T) {
-	series := Replay(Constant{Rate: 3}, 5)
-	if len(series) != 5 {
-		t.Fatalf("len = %d, want 5", len(series))
-	}
-	for _, v := range series {
-		if v != 3 {
-			t.Fatal("replay value mismatch")
-		}
 	}
 }
 

@@ -3,6 +3,7 @@
 #
 #   build / vet / test    — tier-1: everything compiles, vets and passes
 #   race                  — the whole suite under the race detector (-count=1 defeats the cache)
+#   reachability          — every exported package-level name under internal/ has a non-test caller (TestExportedNamesHaveCallers)
 #   simulator race        — cluster/apps/pcp tick path under -race
 #   frame allocs          — zero-copy views stay header-only, column access allocation-free
 #   tree arena allocs     — tree growth makes no per-node allocations
@@ -53,6 +54,9 @@ go test $short ./...
 
 lane "race"
 go test -race -count=1 $short ./...
+
+lane "reachability"
+go test -run TestExportedNamesHaveCallers -count=1 -v .
 
 lane "simulator race"
 go test -race -count=1 ./internal/cluster/ ./internal/apps/ ./internal/pcp/

@@ -63,13 +63,8 @@ func main() {
 	fmt.Printf("loaded model bundle v%d: %d trees, threshold %.2f, %d raw metrics, schema %.12s…\n",
 		b.Version, b.Model.Forest.NumTrees(), b.Model.Threshold, len(b.Model.RawNames()), b.SchemaHash)
 	if q := b.Model.Forest.Quant(); q != nil {
-		fmt.Printf("quantized batch predict: on (%d/%d nodes on uint8 codes)\n",
-			q.QuantNodes(), q.QuantNodes()+q.FloatNodes())
-		if q.FullyQuantized() {
-			fmt.Println("fused ingest: on (engineered columns quantize straight into the code slab)")
-		} else {
-			fmt.Println("fused ingest: off (forest has float side-channel nodes)")
-		}
+		fmt.Printf("quantized batch predict: on (packed walk over uint8 codes of %d columns)\n", q.NumSlots())
+		fmt.Println("fused ingest: on (engineered columns quantize straight into the code slab)")
 	} else {
 		fmt.Println("quantized batch predict: off (float tree walk)")
 	}

@@ -115,8 +115,8 @@ func main() {
 		log.Fatal(err)
 	}
 	if q := ctx.Model.Forest.Quant(); q != nil {
-		fmt.Printf("compiled quantized predictor: %d/%d nodes on uint8 codes over %d columns\n",
-			q.QuantNodes(), q.QuantNodes()+q.FloatNodes(), q.NumSlots())
+		fmt.Printf("compiled quantized predictor: %d trees packed over uint8 codes of %d columns\n",
+			ctx.Model.Forest.NumTrees(), q.NumSlots())
 	}
 	fmt.Printf("model bundle (v%d) saved to %s\n", core.BundleVersionFor(ctx.Model), *out)
 

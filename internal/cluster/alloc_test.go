@@ -4,8 +4,7 @@ import "testing"
 
 // TestArbitrateAllocations pins the slice-based arbitration hot path at
 // zero steady-state allocations: with a warmed scratch, ArbitrateInto
-// must not touch the heap (the map-keyed Arbitrate wrapper is the
-// boundary path and is allowed to allocate).
+// must not touch the heap.
 func TestArbitrateAllocations(t *testing.T) {
 	c, err := New(NewNode("n1", 8, 64, 500, 1000))
 	if err != nil {

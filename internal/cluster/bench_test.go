@@ -13,16 +13,21 @@ func BenchmarkArbitrate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	demands := map[string]Demand{}
 	for i := 0; i < 12; i++ {
-		id := fmt.Sprintf("app/svc%d/0", i)
-		if err := c.Place("bench", &Container{ID: id, CPULimit: 2}); err != nil {
+		if err := c.Place("bench", &Container{ID: fmt.Sprintf("app/svc%d/0", i), CPULimit: 2}); err != nil {
 			b.Fatal(err)
 		}
-		demands[id] = Demand{CPU: 1.5, Disk: 50, Net: 100, MemBW: 3}
 	}
+	ctrs := n.Placed()
+	demands := make([]Demand, len(ctrs))
+	for i := range demands {
+		demands[i] = Demand{CPU: 1.5, Disk: 50, Net: 100, MemBW: 3}
+	}
+	grants := make([]Grant, len(ctrs))
+	var scr ArbScratch
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.Arbitrate(demands)
+		n.ArbitrateInto(ctrs, demands, grants, &scr)
 	}
 }

@@ -287,7 +287,7 @@ type cpuState struct {
 	granted float64
 }
 
-// ArbScratch holds Arbitrate's reusable working state so steady-state
+// ArbScratch holds ArbitrateInto's reusable working state so steady-state
 // arbitration performs no allocations. A scratch may be reused across
 // ticks and across nodes, but not concurrently.
 type ArbScratch struct {
@@ -306,8 +306,7 @@ type ArbScratch struct {
 // iteration order is the floating-point accumulation order, so a sorted
 // slice makes arbitration bit-reproducible. A nil ctrs[i] is treated as a
 // container without a cgroup CPU limit. Every element participates in the
-// water-fill (zero demands included), mirroring one entry per map key in
-// the Arbitrate boundary wrapper.
+// water-fill (zero demands included).
 func (n *Node) ArbitrateInto(ctrs []*Container, demands []Demand, grants []Grant, scr *ArbScratch) {
 	if len(demands) != len(ctrs) || len(grants) != len(ctrs) {
 		panic("cluster: ArbitrateInto slice length mismatch")
@@ -386,40 +385,4 @@ func (n *Node) ArbitrateInto(ctrs []*Container, demands []Demand, grants []Grant
 			CPUThrottled: s.rawWant > s.want+1e-12,
 		}
 	}
-}
-
-// Arbitrate is the map-keyed boundary wrapper over ArbitrateInto for
-// callers outside the tick hot path. demands is keyed by container ID and
-// must only contain containers placed on this node (unknown IDs are
-// treated as unlimited containers). The map is reduced to ID-sorted
-// slices before arbitration, so map iteration order never reaches the
-// floating-point accumulation: results are bit-identical for any map
-// layout.
-func (n *Node) Arbitrate(demands map[string]Demand) map[string]Grant {
-	ids := make([]string, 0, len(demands))
-	for id := range demands {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-
-	ctrs := make([]*Container, len(ids))
-	dem := make([]Demand, len(ids))
-	for i, id := range ids {
-		for _, ctr := range n.containers {
-			if ctr.ID == id {
-				ctrs[i] = ctr
-				break
-			}
-		}
-		dem[i] = demands[id]
-	}
-	grants := make([]Grant, len(ids))
-	var scr ArbScratch
-	n.ArbitrateInto(ctrs, dem, grants, &scr)
-
-	out := make(map[string]Grant, len(ids))
-	for i, id := range ids {
-		out[id] = grants[i]
-	}
-	return out
 }

@@ -109,13 +109,32 @@ func TestLeastLoadedNode(t *testing.T) {
 	}
 }
 
+// arbitrate runs ArbitrateInto over every container placed on n, the way
+// the simulator's tick does, with demands keyed by container ID (an absent
+// ID demands nothing), and returns the grants keyed the same way.
+func arbitrate(n *Node, demands map[string]Demand) map[string]Grant {
+	ctrs := n.Placed()
+	dem := make([]Demand, len(ctrs))
+	for i, ctr := range ctrs {
+		dem[i] = demands[ctr.ID]
+	}
+	grants := make([]Grant, len(ctrs))
+	var scr ArbScratch
+	n.ArbitrateInto(ctrs, dem, grants, &scr)
+	out := make(map[string]Grant, len(ctrs))
+	for i, ctr := range ctrs {
+		out[ctr.ID] = grants[i]
+	}
+	return out
+}
+
 func TestArbitrateUncontended(t *testing.T) {
 	c := newTestCluster(t)
 	n, _ := c.Node("n1") // 8 cores, 400 MB/s disk, 1000 Mbps
 	if err := c.Place("n1", &Container{ID: "a"}); err != nil {
 		t.Fatal(err)
 	}
-	g := n.Arbitrate(map[string]Demand{"a": {CPU: 2, Disk: 100, Net: 100, MemBW: 1}})
+	g := arbitrate(n, map[string]Demand{"a": {CPU: 2, Disk: 100, Net: 100, MemBW: 1}})
 	ga := g["a"]
 	if ga.CPU != 2 || ga.Disk != 100 || ga.Net != 100 || ga.MemBW != 1 {
 		t.Errorf("uncontended grant clipped: %+v", ga)
@@ -131,7 +150,7 @@ func TestArbitrateCgroupLimit(t *testing.T) {
 	if err := c.Place("n1", &Container{ID: "a", CPULimit: 1.5}); err != nil {
 		t.Fatal(err)
 	}
-	g := n.Arbitrate(map[string]Demand{"a": {CPU: 4}})
+	g := arbitrate(n, map[string]Demand{"a": {CPU: 4}})
 	if got := g["a"].CPU; math.Abs(got-1.5) > 1e-9 {
 		t.Errorf("granted %v, want cgroup limit 1.5", got)
 	}
@@ -148,7 +167,7 @@ func TestArbitrateHostContention(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g := n.Arbitrate(map[string]Demand{
+	g := arbitrate(n, map[string]Demand{
 		"a": {CPU: 3},
 		"b": {CPU: 3},
 	})
@@ -170,7 +189,7 @@ func TestArbitrateMaxMinFavorsSmall(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g := n.Arbitrate(map[string]Demand{
+	g := arbitrate(n, map[string]Demand{
 		"small": {CPU: 0.5},
 		"big":   {CPU: 10},
 	})
@@ -190,7 +209,7 @@ func TestArbitrateDiskProportional(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g := n.Arbitrate(map[string]Demand{
+	g := arbitrate(n, map[string]Demand{
 		"a": {Disk: 300},
 		"b": {Disk: 300},
 	})
@@ -227,7 +246,7 @@ func TestArbitrateConservation(t *testing.T) {
 				MemBW: r.Float64() * 30,
 			}
 		}
-		grants := n.Arbitrate(demands)
+		grants := arbitrate(n, demands)
 		var cpu, disk, net, bw float64
 		for id, g := range grants {
 			d := demands[id]

@@ -11,7 +11,6 @@ import (
 	"monitorless/internal/features"
 	"monitorless/internal/frame"
 	"monitorless/internal/ml/forest"
-	"monitorless/internal/ml/tree"
 )
 
 func TestBundleRoundTripIdenticalPredictions(t *testing.T) {
@@ -285,20 +284,14 @@ func TestBundleFileRoundTrip(t *testing.T) {
 
 // TestBundleV4QuantRoundTrip pins the v4 format: a histogram-trained
 // model saves with its compiled quantized predictor (version 4), the
-// loaded model routes batch prediction through the quantized path, its
+// loaded model carries the recompiled predictor, its
 // predictions are bit-identical to the original's, and dropping the
 // compiled form downgrades the next save to v3.
 func TestBundleV4QuantRoundTrip(t *testing.T) {
 	_, ds := trainSubset(t)
-	cfg := smallTrainConfig()
-	cfg.Forest.Splitter = tree.Hist
-	cfg.Forest.NumTrees = 15
-	m, err := Train(ds.FilterRuns(1, 8, 22), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Forest.Quant() == nil || !m.Forest.QuantActive() {
-		t.Fatal("hist training did not install an active compiled quantized predictor")
+	m := sharedHistModel(t)
+	if m.Forest.Quant() == nil {
+		t.Fatal("hist training did not install a compiled quantized predictor")
 	}
 	if v := BundleVersionFor(m); v != BundleVersion {
 		t.Fatalf("BundleVersionFor(hist model) = %d, want %d", v, BundleVersion)
@@ -316,11 +309,8 @@ func TestBundleV4QuantRoundTrip(t *testing.T) {
 		t.Fatalf("loaded Version = %d, want %d", b.Version, BundleVersion)
 	}
 	lf := b.Model.Forest
-	if lf.Quant() == nil || !lf.QuantActive() {
-		t.Fatal("loaded v4 bundle has no active quantized predictor")
-	}
-	if !lf.Quant().FullyQuantized() {
-		t.Fatalf("loaded hist forest not fully quantized: %d float nodes", lf.Quant().FloatNodes())
+	if lf.Quant() == nil {
+		t.Fatal("loaded v4 bundle has no quantized predictor")
 	}
 
 	raw := ds.FilterRuns(1).Frame()

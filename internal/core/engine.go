@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"monitorless/internal/features"
-	"monitorless/internal/frame"
 )
 
 // Engine is the one online inference engine: everything that turns raw
@@ -35,10 +34,9 @@ type Engine struct {
 	free   []int32  // LIFO recycled slots
 	states *features.StateSlab
 
-	batch   features.BatchScratch
-	scratch *frame.Scratch // float route only, minted on first use
-	codes   []uint8
-	probs   []float64
+	batch features.BatchScratch
+	codes []uint8
+	probs []float64
 
 	// predictVectors' batch assembly scratch.
 	obsIDs   []string
@@ -70,7 +68,6 @@ func (e *Engine) Bind(m *Model, str *features.Streamer) (reset bool) {
 	e.ids = e.ids[:0]
 	e.free = e.free[:0]
 	e.states = features.NewStateSlab(str)
-	e.scratch = nil
 	return true
 }
 
@@ -138,18 +135,18 @@ func (e *Engine) Step(slots []int32, raws [][]float64) error {
 func (e *Engine) Row(k int, dst []float64) []float64 { return e.batch.Row(k, dst) }
 
 // Predict scores the batch the last Step engineered; probs[k] belongs to
-// sample k. The route is decided from the model alone: a fully quantized
-// forest quantizes the engineered columns straight into the uint8 code
-// slab and walks codes (no float frame is materialized); a forest with
-// float side-channel nodes (exact-splitter training) or with the
-// quantized route switched off walks a float scratch frame. Same trees,
-// same accumulation order — the routes are bit-identical.
+// sample k. The route is decided from the model alone: a compiled forest
+// quantizes the engineered columns straight into the uint8 code slab and
+// walks codes; an uncompiled one (exact-splitter training) runs the float
+// walk over the same columns. Neither copies the batch, and the routes
+// are bit-identical.
 func (e *Engine) Predict() []float64 {
 	n := e.batch.Len()
+	cols := e.batch.Cols()
 	f := e.model.Forest
-	if q := f.Quant(); q != nil && f.QuantActive() && q.FullyQuantized() {
+	if q := f.Quant(); q != nil {
 		var err error
-		if e.codes, err = q.QuantizeBatch(e.batch.Cols(), n, e.codes); err == nil {
+		if e.codes, err = q.QuantizeBatch(cols, n, e.codes); err == nil {
 			if cap(e.probs) < n {
 				e.probs = make([]float64, n)
 			}
@@ -159,14 +156,7 @@ func (e *Engine) Predict() []float64 {
 			}
 		}
 	}
-	if e.scratch == nil {
-		e.scratch = frame.NewScratch(e.model.EngineeredSchema(), 0)
-	}
-	fr := e.scratch.Frame(n)
-	for j, col := range e.batch.Cols() {
-		copy(fr.Col(j), col[:n])
-	}
-	e.probs = e.model.PredictProbaRowsInto(fr, e.probs)
+	e.probs = f.PredictProbaColsInto(cols, n, e.probs)
 	return e.probs
 }
 

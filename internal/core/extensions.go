@@ -53,9 +53,16 @@ func (m *Model) Distill(raw *frame.Frame, maxDepth int) ([]tree.Rule, float64, e
 	if err := surrogate.FitFrame(engineered, y, nil); err != nil {
 		return nil, 0, fmt.Errorf("core: distill surrogate: %w", err)
 	}
+	sur := make([]float64, len(y))
+	if err := engineered.ForEachChunk(func(base int, ch *frame.Frame) error {
+		surrogate.AccumProba(ch.Cols(nil), nil, sur[base:base+ch.Rows()])
+		return nil
+	}); err != nil {
+		return nil, 0, fmt.Errorf("core: distill fidelity: %w", err)
+	}
 	agree := 0
 	for i, label := range y {
-		if (surrogate.PredictProbaFrameRow(engineered, i) >= 0.5) == (label == 1) {
+		if (sur[i] >= 0.5) == (label == 1) {
 			agree++
 		}
 	}

@@ -152,8 +152,7 @@ func (m *Model) WindowSize() int { return m.Pipeline.WindowSize() }
 func (m *Model) Streamer() (*features.Streamer, error) { return m.Pipeline.Streamer() }
 
 // EngineeredSchema returns the engineered feature schema the forest
-// consumes — the column layout of the engine's float scratch frame and
-// the lifecycle reservoir.
+// consumes — the column layout of the lifecycle reservoir.
 func (m *Model) EngineeredSchema() frame.Schema {
 	names := m.Pipeline.OutputNames()
 	out := make(frame.Schema, len(names))
@@ -161,13 +160,6 @@ func (m *Model) EngineeredSchema() frame.Schema {
 		out[i] = frame.Col{Name: n}
 	}
 	return out
-}
-
-// PredictProbaRowsInto scores every row of an already-engineered frame
-// through the forest's batch walk, reusing dst when its capacity
-// suffices; callers apply m.Threshold for the decision.
-func (m *Model) PredictProbaRowsInto(engineered *frame.Frame, dst []float64) []float64 {
-	return m.Forest.PredictProbaFrameRowsInto(engineered, nil, dst)
 }
 
 // PredictFrame classifies every row of a raw frame (batch evaluation) and
@@ -271,6 +263,11 @@ func Load(r io.Reader) (*Model, error) {
 	pipe, err := features.DecodePipeline(wire.PipelineBlob)
 	if err != nil {
 		return nil, fmt.Errorf("core: load: %w", err)
+	}
+	// The engine walks the forest straight over the pipeline's output
+	// columns, so the two widths must agree.
+	if wire.Forest == nil || wire.Forest.NumFeatures() != pipe.NumOutputs() {
+		return nil, fmt.Errorf("core: load: forest does not read the pipeline's %d engineered features", pipe.NumOutputs())
 	}
 	m := &Model{
 		Pipeline:           pipe,

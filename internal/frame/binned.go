@@ -47,11 +47,7 @@ func BinFrame(fr *Frame, maxBins int, rows []int) *Binned {
 		}
 		return b
 	}
-	cols := make([][]float64, fr.NumCols())
-	for j := range cols {
-		cols[j] = fr.Col(j)
-	}
-	return BinColumns(cols, fr.Rows(), maxBins, rows)
+	return BinColumns(fr.Cols(nil), fr.Rows(), maxBins, rows)
 }
 
 // BinColumns is the column-slice form of BinFrame for callers that hold

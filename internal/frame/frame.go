@@ -125,6 +125,19 @@ func (f *Frame) Col(j int) []float64 {
 	return f.data[base : base+f.rows : base+f.rows]
 }
 
+// Cols returns every column's Col segment in schema order, reusing dst's
+// capacity: the column-major batch form the tree walks read.
+func (f *Frame) Cols(dst [][]float64) [][]float64 {
+	if cap(dst) < len(f.schema) {
+		dst = make([][]float64, 0, len(f.schema))
+	}
+	dst = dst[:0]
+	for j := range f.schema {
+		dst = append(dst, f.Col(j))
+	}
+	return dst
+}
+
 // At returns the value at row i, column j. On a chunk-backed frame this
 // routes through the store (correct but per-cell; chunk iteration is the
 // fast path).

@@ -120,10 +120,10 @@ func (a *AdaBoost) fitFrame(fr *frame.Frame, y []int, rows []int) error {
 
 	// Histogram base trees: quantize the training rows once; every stage
 	// refits over the shared read-only code slab with fresh weights.
-	// BinFrame streams chunk-backed frames through the merge binner, so
-	// the hist path trains out of core; the exact splitters need whole
-	// columns, densify a chunked frame up front, and share one ranking of
-	// the training rows across stages (nil for the random splitter).
+	// BinFrame streams chunk-backed frames through the merge binner; the
+	// exact splitters need whole columns, densify a chunked frame up
+	// front, and share one ranking of the training rows across stages (nil
+	// for the random splitter).
 	tcfg := tree.Config{
 		MaxDepth:        a.cfg.TreeMaxDepth,
 		MinSamplesSplit: a.cfg.TreeMinSamplesSplit,
@@ -143,20 +143,19 @@ func (a *AdaBoost) fitFrame(fr *frame.Frame, y []int, rows []int) error {
 	// Each stage's prediction pass over the n samples is embarrassingly
 	// parallel: fixed-size chunks write disjoint ranges of probs by
 	// index, so the buffer's contents — and the strictly serial weight
-	// update that consumes it — are identical at any pool width.
+	// update that consumes it — are identical at any pool width. Every
+	// stage scores every training row, so a chunked frame (hist path)
+	// densifies once for it, as gradient boosting's fit does.
 	probs := make([]float64, n)
+	cols := fr.DenseView().Cols(nil)
 	const predChunk = 512
 	nChunks := (n + predChunk - 1) / predChunk
 	predictStage := func(t *tree.Tree) {
 		_ = parallel.ForEach(nChunks, func(c int) error {
 			lo := c * predChunk
-			hi := lo + predChunk
-			if hi > n {
-				hi = n
-			}
-			for i := lo; i < hi; i++ {
-				probs[i] = t.PredictProbaFrameRow(fr, rows[i])
-			}
+			hi := min(lo+predChunk, n)
+			clear(probs[lo:hi])
+			t.AccumProba(cols, rows[lo:hi], probs[lo:hi])
 			return nil
 		})
 	}

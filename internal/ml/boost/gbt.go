@@ -99,12 +99,7 @@ func (g *GBT) Fit(x [][]float64, y []int) error {
 	if _, err := ml.ValidateTrainingSet(x, y); err != nil {
 		return err
 	}
-	fr := ml.FrameOf(x)
-	cols := make([][]float64, fr.NumCols())
-	for j := range cols {
-		cols[j] = fr.Col(j)
-	}
-	return g.fitColumns(cols, y)
+	return g.fitColumns(ml.FrameOf(x).Cols(nil), y)
 }
 
 // FitFrame trains on the frame rows listed in rows (nil = all), with y
@@ -122,14 +117,11 @@ func (g *GBT) FitFrame(fr *frame.Frame, y []int, rows []int) error {
 		// corpus itself; a chunked frame densifies rather than thrash.
 		fr = fr.Materialize()
 	}
+	if rows == nil {
+		return g.fitColumns(fr.Cols(nil), y)
+	}
 	d := fr.NumCols()
 	cols := make([][]float64, d)
-	if rows == nil {
-		for j := range cols {
-			cols[j] = fr.Col(j)
-		}
-		return g.fitColumns(cols, y)
-	}
 	flat := make([]float64, len(rows)*d)
 	ty := make([]int, len(rows))
 	for p, i := range rows {

@@ -100,7 +100,7 @@ func benchHistForest(b testing.TB) (*Forest, [][]float64) {
 // the exact same trees.
 func BenchmarkForestPredictBatchHistFloat(b *testing.B) {
 	f, x := benchHistForest(b)
-	f.SetQuantPredict(false)
+	f.DropQuant()
 	benchPredictBatch(b, f, ml.FrameOf(x))
 }
 
@@ -142,16 +142,17 @@ func TestQuantPredictSpeedup(t *testing.T) {
 		t.Skip("timing gate: skipped under -short and the race detector")
 	}
 	f, x := benchHistForest(t)
+	ref := *f
+	ref.DropQuant()
 	fr := ml.FrameOf(x)
-	nsPerRow := func(quant bool) float64 {
-		f.SetQuantPredict(quant)
+	nsPerRow := func(f *Forest) float64 {
 		r := testing.Benchmark(func(b *testing.B) { benchPredictBatch(b, f, fr) })
 		return float64(r.NsPerOp()) / float64(fr.Rows())
 	}
 	floatNs, quantNs := make([]float64, 3), make([]float64, 3)
 	for i := range floatNs {
-		floatNs[i] = nsPerRow(false)
-		quantNs[i] = nsPerRow(true)
+		floatNs[i] = nsPerRow(&ref)
+		quantNs[i] = nsPerRow(f)
 	}
 	sort.Float64s(floatNs)
 	sort.Float64s(quantNs)

@@ -1,10 +1,9 @@
 // Code-slab entry points: the fused serving ingest path quantizes
 // engineered feature columns straight into a caller-owned block-tiled
 // code slab (QuantizeBatch) and walks it (PredictProbaCodes), skipping
-// the float frame materialization and the per-block quantize stage of
-// the regular predict path. The slab layout, the quantization kernel,
-// and the tree-walk kernels are exactly the ones runBlock uses, so the
-// fused route is bit-identical to quantizing inside predictInto — same
+// the per-block quantize stage of the regular predict path. The slab
+// layout, the quantization kernel and the block walk are exactly the ones
+// runBlock uses, so the fused route is bit-identical to accumCols — same
 // codes, same walk, same tree accumulation order, same final division.
 package forest
 
@@ -15,14 +14,11 @@ import (
 	"monitorless/internal/parallel"
 )
 
-// BlockRows exposes the row-block tile size of the code slab layout.
-func (q *QuantForest) BlockRows() int { return quantBlockRows }
-
 // QuantizeBatch codes n rows of engineered feature columns (cols[j][k] =
 // feature j of row k, the layout features.BatchScratch.Cols produces)
 // into the block-tiled column-major slab PredictProbaCodes walks: block
-// b's codes for slot si start at (b*NumSlots+si)*BlockRows. Only the
-// columns some quantized node actually tests are coded. dst is grown as
+// b's codes for slot si start at (b*NumSlots+si)*256. Only the columns
+// some node actually tests are coded. dst is grown as
 // needed and returned; rows past n within the last block are left stale,
 // exactly like runBlock's tail blocks.
 func (q *QuantForest) QuantizeBatch(cols [][]float64, n int, dst []uint8) ([]uint8, error) {
@@ -54,16 +50,10 @@ func (q *QuantForest) QuantizeBatch(cols [][]float64, n int, dst []uint8) ([]uin
 
 // PredictProbaCodes accumulates mean leaf probabilities over a
 // pre-quantized code slab (QuantizeBatch layout) for len(out) rows.
-// Only fully-quantized forests qualify — a float side-channel node would
-// need the source values the fused path never materializes; the caller
-// routes mixed forests through the float frame instead. Blocks fan out
-// under the same parallelism knob as the regular predict path and write
-// disjoint out ranges, so the result is bit-identical at any worker
-// count — and bit-identical to predictInto over the same rows.
+// Blocks fan out under the same parallelism knob as the regular predict
+// path and write disjoint out ranges, so the result is bit-identical at
+// any worker count — and bit-identical to accumCols over the same rows.
 func (q *QuantForest) PredictProbaCodes(codes []uint8, out []float64) error {
-	if !q.FullyQuantized() {
-		return fmt.Errorf("forest: predict codes: forest has %d float side-channel nodes", q.nFloat)
-	}
 	n := len(out)
 	ns := len(q.slotCols)
 	nb := (n + quantBlockRows - 1) / quantBlockRows
@@ -96,21 +86,9 @@ func (q *QuantForest) PredictProbaCodes(codes []uint8, out []float64) error {
 	return nil
 }
 
-// walkBlockCodes walks every tree over one resident block of the slab,
-// in tree index order, accumulating into the block's disjoint out rows —
-// runBlock's walk loop minus the quantize stage (already done) and the
-// mixed case (excluded by the FullyQuantized gate).
+// walkBlockCodes walks block b of the slab into its disjoint out rows.
 func (q *QuantForest) walkBlockCodes(codes []uint8, b, ns int, out []float64) {
 	lo := b * quantBlockRows
 	hi := min(lo+quantBlockRows, len(out))
-	cb := codes[b*ns*quantBlockRows:]
-	outB := out[lo:hi]
-	for ti := range q.trees {
-		qt := &q.trees[ti]
-		if qt.packed != nil {
-			qt.accumBlockPacked(cb, outB)
-		} else {
-			qt.accumBlockQuant(cb, outB)
-		}
-	}
+	q.walkBlock(codes[b*ns*quantBlockRows:], out[lo:hi])
 }

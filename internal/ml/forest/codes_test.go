@@ -3,7 +3,6 @@ package forest
 import (
 	"testing"
 
-	"monitorless/internal/frame"
 	"monitorless/internal/ml"
 	"monitorless/internal/ml/tree"
 )
@@ -63,25 +62,9 @@ func TestPredictCodesBitIdentical(t *testing.T) {
 	assertBitIdentical(t, "short batch", want[:short], outS)
 }
 
-// TestPredictCodesRejects pins the refusal paths: partially-quantized
-// forests (float side-channel nodes need source values the slab doesn't
-// carry), undersized slabs, and wrong column counts.
+// TestPredictCodesRejects pins the refusal paths: wrong column counts,
+// rows beyond the columns, and undersized slabs.
 func TestPredictCodesRejects(t *testing.T) {
-	x, y := quantData(1200, 9)
-	f := fitQuantForest(t, x, y, tree.Best)
-	fr := ml.FrameOf(x)
-	bn := frame.BinFrame(fr, 0, nil)
-	if err := f.CompileQuant(bn.Edges()); err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	q := f.Quant()
-	if q.FullyQuantized() {
-		t.Fatal("exact forest unexpectedly fully quantized; test premise broken")
-	}
-	if err := q.PredictProbaCodes(make([]uint8, q.NumSlots()*q.BlockRows()), make([]float64, 8)); err == nil {
-		t.Fatal("partially-quantized forest must refuse the codes path")
-	}
-
 	xh, yh := quantData(400, 3)
 	fh := fitQuantForest(t, xh, yh, tree.Hist)
 	qh := fh.Quant()

@@ -9,6 +9,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
+	"sync"
 
 	"monitorless/internal/frame"
 	"monitorless/internal/ml"
@@ -63,15 +65,11 @@ type Forest struct {
 	nFeatures   int
 	fitted      bool
 
-	// binEdges are the per-feature training bin edges retained by the
-	// histogram fit (nil for exact-splitter forests); quant is the
-	// compiled quantized predictor built from them, and quantOff is the
-	// SetQuantPredict(false) routing override. Both serialize with the
-	// forest (bundle v4) so a loaded model predicts quantized without
-	// recompiling from raw data.
-	binEdges [][]float64
-	quant    *QuantForest
-	quantOff bool
+	// quant is the compiled quantized predictor the histogram fit builds
+	// from its training bin edges (nil for exact-splitter forests). When
+	// present, every batch prediction walks it. Its edges serialize with
+	// the forest (bundle v4) and are recompiled on load.
+	quant *QuantForest
 }
 
 var _ ml.Classifier = (*Forest)(nil)
@@ -250,58 +248,39 @@ func (f *Forest) fitFrame(fr *frame.Frame, y []int, rows []int) error {
 	if bn != nil {
 		// Histogram thresholds are exact bin-edge values, so compiling
 		// against the training edges lowers every node to a uint8 code
-		// compare — batch prediction routes through the quantized path
-		// from here on, bit-identical to the float walk. Dimensions match
-		// by construction, so a compile error is impossible; degrade to
-		// the float path rather than failing the fit if it ever happens.
+		// compare — batch prediction walks the packed form from here on,
+		// bit-identical to the float walk. A forest too wide or too deep
+		// for the packed word (see Compile) keeps the float walk instead.
 		if err := f.CompileQuant(bn.Edges()); err != nil {
-			f.binEdges, f.quant = nil, nil
+			f.quant = nil
 		}
 	}
 	return nil
 }
 
 // CompileQuant compiles the fitted forest against the given per-feature
-// bin edges and installs the result: subsequent batch prediction routes
-// through the quantized path (unless SetQuantPredict(false)). The
-// histogram fit calls this automatically with its training edges;
-// exact-splitter forests may be compiled explicitly against edges from
-// frame.BinFrame — nodes whose thresholds are not edge values keep the
-// float side-channel.
+// bin edges and installs the result: every later batch prediction walks
+// the packed form. The histogram fit calls this with its training edges
+// and the bundle loader with the stored ones; on error (see Compile) the
+// forest is left as it was.
 func (f *Forest) CompileQuant(edges [][]float64) error {
 	q, err := Compile(f, edges)
 	if err != nil {
 		return err
 	}
-	f.binEdges = edges
 	f.quant = q
 	return nil
 }
 
 // Quant returns the compiled quantized predictor, or nil when the
-// forest has not been compiled (exact-splitter fit, legacy bundle).
+// forest has not been compiled (exact-splitter fit, v3 bundle).
 func (f *Forest) Quant() *QuantForest { return f.quant }
 
-// QuantActive reports whether batch prediction currently routes through
-// the quantized path.
-func (f *Forest) QuantActive() bool { return f.quant != nil && !f.quantOff }
-
-// SetQuantPredict toggles quantized batch-prediction routing without
-// discarding the compiled form; tests use the float walk it selects as
-// the reference for the quantized one.
-func (f *Forest) SetQuantPredict(on bool) { f.quantOff = !on }
-
 // DropQuant discards the compiled quantized form and its edges; the
-// forest predicts through the float path and serializes as a pre-v4
-// bundle.
-func (f *Forest) DropQuant() {
-	f.binEdges, f.quant = nil, nil
-	f.quantOff = false
-}
-
-// BinEdges returns the per-feature edges the quantized predictor was
-// compiled against (nil when not compiled; read-only).
-func (f *Forest) BinEdges() [][]float64 { return f.binEdges }
+// forest predicts through the float walk and serializes as a v3 bundle.
+// A copy with the form dropped (ref := *f; ref.DropQuant()) is the float
+// reference for the compiled walk.
+func (f *Forest) DropQuant() { f.quant = nil }
 
 // PredictProba returns the mean leaf probability across trees.
 func (f *Forest) PredictProba(x []float64) float64 {
@@ -324,74 +303,152 @@ func (f *Forest) Predict(x []float64) int {
 }
 
 // PredictProbaFrameRows returns the mean leaf probability for every
-// listed frame row (rows nil = all rows) in one batch: each flattened
-// tree is walked over all rows before the next tree, so the slab of one
-// tree stays hot in cache instead of re-paging the whole ensemble per
-// row. The per-row additions happen in the same tree order as
-// PredictProba's loop, so the result is bit-identical to calling
-// PredictProba row by row.
+// listed frame row (rows nil = all rows) in one batch: each tree walks a
+// whole block of rows before the next tree, so one tree's nodes stay hot
+// in cache instead of re-paging the whole ensemble per row. The per-row
+// additions happen in the same tree order as PredictProba's loop, so the
+// result is bit-identical to calling PredictProba row by row.
 func (f *Forest) PredictProbaFrameRows(fr *frame.Frame, rows []int) []float64 {
 	return f.PredictProbaFrameRowsInto(fr, rows, nil)
 }
 
 // PredictProbaFrameRowsInto is PredictProbaFrameRows with a caller-owned
-// output buffer: dst is reused when its capacity suffices (the serving
-// tick loop passes a per-shard slab so steady-state batch prediction
-// allocates nothing). The accumulation order is identical to the
-// allocating path, so results stay bit-identical to per-row PredictProba.
+// output buffer: dst is reused when its capacity suffices, so
+// steady-state batch prediction over a dense frame allocates nothing.
+//
+// It is the one place a frame becomes column blocks, for both walks: a
+// dense frame is one block, a chunk-backed frame one block per resident
+// chunk, and a row list over a chunked frame is bucketed by chunk and
+// walked while each chunk is resident.
 func (f *Forest) PredictProbaFrameRowsInto(fr *frame.Frame, rows []int, dst []float64) []float64 {
 	n := fr.Rows()
 	if rows != nil {
 		n = len(rows)
 	}
+	out := f.zeroed(n, dst)
+	if !f.fitted {
+		return out
+	}
+	var err error
+	switch {
+	case !fr.Chunked():
+		f.accumFrame(fr, rows, out)
+	case rows == nil:
+		err = fr.ForEachChunk(func(base int, ch *frame.Frame) error {
+			f.accumFrame(ch, nil, out[base:base+ch.Rows()])
+			return nil
+		})
+	default:
+		err = f.accumChunkedRows(fr, rows, out)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("forest: chunked predict: %v", err))
+	}
+	f.mean(out)
+	return out
+}
+
+// PredictProbaColsInto scores the first n rows of the column-major batch
+// cols (cols[j][k] = feature j of row k) into dst, reused when its
+// capacity suffices — the float route of the online engine, which holds
+// its engineered batch as columns. A compiled forest walks the packed
+// form here too.
+func (f *Forest) PredictProbaColsInto(cols [][]float64, n int, dst []float64) []float64 {
+	out := f.zeroed(n, dst)
+	if f.fitted {
+		f.accumCols(cols, nil, out)
+		f.mean(out)
+	}
+	return out
+}
+
+// zeroed sizes dst to n rows: zeros for a fitted forest to accumulate
+// into, the uninformed 0.5 for an unfitted one.
+func (f *Forest) zeroed(n int, dst []float64) []float64 {
 	if cap(dst) < n {
 		dst = make([]float64, n)
 	}
 	out := dst[:n]
+	fill := 0.0
 	if !f.fitted {
-		for i := range out {
-			out[i] = 0.5
-		}
-		return out
+		fill = 0.5
 	}
 	for i := range out {
-		out[i] = 0
+		out[i] = fill
 	}
-	// Compiled quantized path: uint8-code traversal over block-tiled row
-	// slabs, bit-identical to the float walk below (every lowered node
-	// decides exactly as its float compare would, and per-row tree
-	// accumulation order is unchanged). Row lists over chunk-backed
-	// frames stay on the float path — it reads cells through the store,
-	// while block quantization wants contiguous columns.
-	if q := f.quant; q != nil && !f.quantOff && !(fr.Chunked() && rows != nil) {
-		q.predictInto(fr, rows, out)
-		return out
-	}
-	if rows == nil && fr.Chunked() {
-		// Chunk-backed batch predict: walk each resident chunk through
-		// every tree before touching the next chunk, accumulating into the
-		// chunk's slice of out. Each row still receives its tree
-		// contributions in tree order, so the result is bit-identical to
-		// the dense tree-outer walk.
-		if err := fr.ForEachChunk(func(base int, ch *frame.Frame) error {
-			sub := out[base : base+ch.Rows()]
-			for _, t := range f.trees {
-				t.AccumProbaFrameRows(ch, nil, sub)
-			}
-			return nil
-		}); err != nil {
-			panic(fmt.Sprintf("forest: chunked predict: %v", err))
-		}
-	} else {
-		for _, t := range f.trees {
-			t.AccumProbaFrameRows(fr, rows, out)
-		}
-	}
+	return out
+}
+
+// mean turns accumulated tree sums into the ensemble mean.
+func (f *Forest) mean(out []float64) {
 	nt := float64(len(f.trees))
 	for i := range out {
 		out[i] /= nt
 	}
-	return out
+}
+
+// colHeaders pools the per-call column-header slice accumFrame hands the
+// walks, so dense batch prediction stays allocation-free.
+var colHeaders = sync.Pool{New: func() any { return new([][]float64) }}
+
+// accumFrame adds the tree sums of the listed rows (nil = all) of a dense
+// frame into out.
+func (f *Forest) accumFrame(fr *frame.Frame, rows []int, out []float64) {
+	hp := colHeaders.Get().(*[][]float64)
+	cols := fr.Cols(*hp)
+	f.accumCols(cols, rows, out)
+	clear(cols)
+	*hp = cols[:0]
+	colHeaders.Put(hp)
+}
+
+// accumCols adds the tree sums of len(out) rows of cols into out (rows
+// nil = row p for out[p]) through the forest's one walk: the packed
+// kernel when compiled, the float walk otherwise.
+func (f *Forest) accumCols(cols [][]float64, rows []int, out []float64) {
+	if f.quant != nil {
+		f.quant.accumCols(cols, rows, out)
+		return
+	}
+	for _, t := range f.trees {
+		t.AccumProba(cols, rows, out)
+	}
+}
+
+// accumChunkedRows scores a row list over a chunk-backed frame: the list
+// is ordered by row, each chunk of the spanned row range is loaded once,
+// and the rows falling in it are walked while it is resident. Results are
+// scattered back to the rows' list positions; a row's tree sum is the
+// same whichever block it was walked in.
+func (f *Forest) accumChunkedRows(fr *frame.Frame, rows []int, out []float64) error {
+	if len(rows) == 0 {
+		return nil
+	}
+	order := make([]int, len(rows)) // list positions in row order
+	for p := range order {
+		order[p] = p
+	}
+	sort.Slice(order, func(a, b int) bool { return rows[order[a]] < rows[order[b]] })
+	first, last := rows[order[0]], rows[order[len(order)-1]]
+	local := make([]int, 0, len(rows))
+	sums := make([]float64, len(rows))
+	next := 0
+	return fr.RowRange(first, last+1).ForEachChunk(func(base int, ch *frame.Frame) error {
+		lo, end := next, first+base+ch.Rows()
+		for next < len(order) && rows[order[next]] < end {
+			next++
+		}
+		local = local[:0]
+		for _, p := range order[lo:next] {
+			local = append(local, rows[p]-first-base)
+		}
+		sub := sums[lo:next]
+		f.accumFrame(ch, local, sub)
+		for i, p := range order[lo:next] {
+			out[p] = sub[i]
+		}
+		return nil
+	})
 }
 
 // PredictFrameRows applies the decision threshold to a batch of rows.
@@ -422,6 +479,9 @@ func (f *Forest) FeatureImportances() []float64 {
 
 // NumTrees returns the ensemble size.
 func (f *Forest) NumTrees() int { return len(f.trees) }
+
+// NumFeatures returns the row width the fitted forest reads.
+func (f *Forest) NumFeatures() int { return f.nFeatures }
 
 // Config returns a copy of the forest's hyper-parameters — the
 // champion's recipe a lifecycle retrain reuses for its challenger.

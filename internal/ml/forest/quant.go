@@ -6,15 +6,15 @@
 // walked by every tree while resident — the inference-side half of the
 // LightGBM-style binning the training path already does.
 //
-// Bit-identity, not approximation: a node is lowered to a code compare
-// only when its float threshold is exactly some edges[c] of its feature,
-// and frame.Quantize guarantees code(v) ≤ c ⟺ v ≤ edges[c] for every
-// float64 v (±Inf and NaN included). Histogram-trained trees record
-// thresholds as exact edge values, so they compile fully quantized;
-// nodes whose threshold is not an edge (exact-splitter trees) keep a
-// float side-channel and read the source frame directly. Accumulation
-// order per row is tree order, the same as the float batch walk, so the
-// compiled path returns bit-identical probabilities at any worker count.
+// Bit-identity, not approximation: a forest compiles only when every
+// node's float threshold is exactly some edges[c] of its feature, and
+// frame.Quantize guarantees code(v) ≤ c ⟺ v ≤ edges[c] for every float64
+// v (±Inf and NaN included). Histogram-trained trees record thresholds as
+// exact edge values, so they compile; exact-splitter trees (midpoint
+// thresholds) do not, and keep the float walk. There is no partial form:
+// a compiled forest is packed end to end. Accumulation order per row is
+// tree order, the same as the float walk, so the compiled path returns
+// bit-identical probabilities at any worker count.
 //
 // Two micro-architectural choices make the compiled walk fast rather
 // than merely smaller:
@@ -25,18 +25,19 @@
 //     search with a per-column uniform grid that maps a value to a
 //     starting code in O(1) plus a short scan — the search's 8 dependent
 //     loads become ~2.
-//   - Fully-quantized trees walk a packed form: one uint32 per node
-//     carrying (code threshold, feature slot pre-scaled by the column
-//     stride, left child), so a traversal step is two loads and three
-//     ALU ops with no data-dependent branch (the child is selected by
-//     adding the comparison's sign bit — right = left + 1 by a
-//     breadth-first renumbering). Four rows are interleaved per tree so
-//     their independent pointer chases overlap instead of serializing
-//     on load latency, and four is chosen so the whole walk state stays
-//     in registers.
+//   - Trees walk a packed form: one uint32 per node carrying (code
+//     threshold, feature slot pre-scaled by the column stride, left
+//     child), so a traversal step is two loads and three ALU ops with no
+//     data-dependent branch (the child is selected by adding the
+//     comparison's sign bit — right = left + 1 by a breadth-first
+//     renumbering). Four rows are interleaved per tree so their
+//     independent pointer chases overlap instead of serializing on load
+//     latency, and four is chosen so the whole walk state stays in
+//     registers.
 package forest
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -53,10 +54,10 @@ import (
 const quantBlockRows = 256
 
 // Packed-node field layout (quantTree.packed): bits 0-7 code threshold,
-// 8-15 feature slot, 16-31 left child; nodes are renumbered breadth-
+// 8-16 feature slot, 17-31 left child; nodes are renumbered breadth-
 // first at pack time so a node's right child is always left+1 and a
-// single 16-bit field addresses both. Because the code slab is
-// column-major with a 256-byte stride, `w & 0xff00` IS the slot's byte
+// single 15-bit field addresses both. Because the code slab is
+// column-major with a 256-byte stride, `w & 0x1ff00` IS the slot's byte
 // offset into the slab (slot × 256) — the walk extracts it with one
 // AND, no shift. A threshold byte of 0xff marks a leaf: real thresholds
 // are edge indices, which are < len(edges) ≤ 255 and therefore ≤ 254,
@@ -65,10 +66,11 @@ const quantBlockRows = 256
 // and rows that finish early spin harmlessly until the whole interleave
 // group is done.
 const (
-	packedShiftFeat = 8
-	packedShiftKid  = 16
-	packedLeafThr   = 0xff
-	packedMaxNodes  = 1 << 16 // the child field is 16-bit
+	packedSlotMask = 0x1ff00
+	packedShiftKid = 17
+	packedLeafThr  = 0xff
+	packedMaxSlots = 1 << 9  // the slot field is 9-bit
+	packedMaxNodes = 1 << 15 // the child field is 15-bit
 )
 
 // QuantForest is the compiled quantized form of a fitted Forest. It is
@@ -77,45 +79,28 @@ const (
 type QuantForest struct {
 	nFeatures int
 	// edges[j] is the ascending bin-edge set of source column j; nil or
-	// empty for columns no quantized node tests (single-distinct-value
-	// columns, columns the forest never splits on).
+	// empty for columns no node tests (single-distinct-value columns,
+	// columns the forest never splits on).
 	edges [][]float64
 	// slotCols maps code-slab slot -> source column: only columns some
-	// quantized node actually tests get quantized per block.
+	// node actually tests get quantized per block.
 	slotCols []int32
-	// slotOf maps source column -> slot, -1 when the column needs none.
-	slotOf []int32
 	// grids[slot] accelerates Quantize for that slot's column (zero value
 	// = plain binary search).
 	grids []colGrid
 	trees []quantTree
 	// par bounds block-level parallelism (0 = the pool default width).
-	par int
-	// nQuant/nFloat count lowered vs side-channel internal nodes.
-	nQuant, nFloat int
-	pool           sync.Pool // *quantScratch
+	par  int
+	pool sync.Pool // *quantScratch
 }
 
-// quantTree is one lowered tree. left/right/fthr/prob alias the source
-// tree's compacted slabs (read-only); feat is rewritten so internal
-// nodes index the code slab: feat[i] < 0 marks a leaf, flags[i] == 0
-// means feat[i] is a code-slab slot compared against qthr[i], and
-// flags[i] == 1 means feat[i] is a source column compared against
-// fthr[i] in the float domain (the side-channel). packed/pprob are the
-// branchless walk form in its own breadth-first numbering, built only
-// for fully-quantized trees that fit the 16-bit child field; mixed or
-// oversized trees walk the slab form.
+// quantTree is one compiled tree: qthr holds each source node's code
+// threshold in the source tree's numbering (0 for leaves; the v4 wire
+// form), packed/prob the walk form in its own breadth-first numbering.
 type quantTree struct {
-	feat   []int32
-	left   []int32
-	right  []int32
 	qthr   []uint8
-	flags  []uint8
-	fthr   []float64
-	prob   []float64
 	packed []uint32
-	pprob  []float64
-	mixed  bool
+	prob   []float64
 }
 
 // colGrid is the per-column quantization accelerator: a uniform grid
@@ -259,13 +244,16 @@ type quantScratch struct {
 	gath  []float64
 }
 
-// Compile lowers a fitted SoA forest into its quantized form against the
-// given per-source-column bin edges (edges[j] ascending, nil/empty for
-// columns without a useful binning). It does not modify f. Every node
-// whose threshold coincides exactly with an edge of its feature becomes
-// a uint8 code compare; the rest keep the float side-channel. A
-// histogram-trained forest compiled against its own training edges is
-// fully quantized by construction (hist thresholds are edge values).
+// Compile lowers a fitted forest into its packed quantized form against
+// the given per-source-column bin edges (edges[j] ascending, nil/empty for
+// columns without a useful binning). It does not modify f. It returns the
+// whole forest packed or an error — never a partial form: every edge set
+// must be a valid code map (at most frame.MaxBins-1 edges, no NaN, none
+// below its predecessor), every node's threshold must be an edge of the
+// column it tests, and the forest must fit the packed word (at most 512
+// tested columns, 32 768 nodes per tree). A histogram-trained forest
+// compiled against its own training edges meets all three at the
+// repository's shapes; an exact-splitter forest fails the second.
 func Compile(f *Forest, edges [][]float64) (*QuantForest, error) {
 	if f == nil || !f.fitted {
 		return nil, fmt.Errorf("forest: compile: forest is not fitted")
@@ -273,113 +261,96 @@ func Compile(f *Forest, edges [][]float64) (*QuantForest, error) {
 	if len(edges) != f.nFeatures {
 		return nil, fmt.Errorf("forest: compile: %d edge sets for %d features", len(edges), f.nFeatures)
 	}
+	for j, e := range edges {
+		if len(e) > frame.MaxBins-1 {
+			return nil, fmt.Errorf("forest: compile: column %d has %d edges, at most %d allowed", j, len(e), frame.MaxBins-1)
+		}
+		for i, v := range e {
+			if math.IsNaN(v) || (i > 0 && v < e[i-1]) {
+				return nil, fmt.Errorf("forest: compile: column %d edge %d (%v) is NaN or below its predecessor", j, i, v)
+			}
+		}
+	}
+	// Pass 1: every node must compare against an edge; the columns tested
+	// get a slot in the per-block code slab, in column order.
 	q := &QuantForest{
 		nFeatures: f.nFeatures,
 		edges:     edges,
 		par:       f.cfg.Parallelism,
-		trees:     make([]quantTree, 0, len(f.trees)),
+		trees:     make([]quantTree, len(f.trees)),
 	}
-	// Pass 1: find the columns some quantizable node tests — only those
-	// need a slot in the per-block code slab. Columns tested exclusively
-	// through the float side-channel (and columns never split on at all)
-	// are skipped entirely by block quantization.
 	used := make([]bool, f.nFeatures)
-	for _, t := range f.trees {
+	for ti, t := range f.trees {
 		feat, _, _, thr, _ := t.Slabs()
+		if len(feat) == 0 || len(feat) > packedMaxNodes {
+			return nil, fmt.Errorf("forest: compile: tree %d has %d nodes, the packed form holds 1 to %d", ti, len(feat), packedMaxNodes)
+		}
+		qthr := make([]uint8, len(feat))
 		for i, fc := range feat {
 			if fc < 0 {
 				continue
 			}
-			if _, ok := edgeIndex(edges[fc], thr[i]); ok {
-				used[fc] = true
+			c, ok := edgeIndex(edges[fc], thr[i])
+			if !ok {
+				return nil, fmt.Errorf("forest: compile: tree %d node %d: threshold %v is not a bin edge of column %d", ti, i, thr[i], fc)
 			}
+			qthr[i] = uint8(c)
+			used[fc] = true
 		}
+		q.trees[ti].qthr = qthr
 	}
-	q.slotOf = make([]int32, f.nFeatures)
-	for j := range q.slotOf {
-		q.slotOf[j] = -1
-	}
+	slotOf := make([]int32, f.nFeatures) // source column -> slot, tested columns only
 	for j, u := range used {
 		if u {
-			q.slotOf[j] = int32(len(q.slotCols))
+			slotOf[j] = int32(len(q.slotCols))
 			q.slotCols = append(q.slotCols, int32(j))
 		}
 	}
-	// The packed walk form carries the slot in 8 bits; more distinct
-	// tested columns than that (impossible at the paper's feature counts,
-	// but cheap to guard) just means the slab walk form everywhere.
-	packable := len(q.slotCols) <= 256
+	if len(q.slotCols) > packedMaxSlots {
+		return nil, fmt.Errorf("forest: compile: %d tested columns, the packed form holds %d", len(q.slotCols), packedMaxSlots)
+	}
 	q.grids = make([]colGrid, len(q.slotCols))
 	for si, col := range q.slotCols {
 		q.grids[si] = buildGrid(edges[col])
 	}
-	// Pass 2: lower each tree. The float slabs are aliased, never copied.
-	for _, t := range f.trees {
-		feat, left, right, thr, prob := t.Slabs()
-		qt := quantTree{
-			feat:  make([]int32, len(feat)),
-			left:  left,
-			right: right,
-			qthr:  make([]uint8, len(feat)),
-			flags: make([]uint8, len(feat)),
-			fthr:  thr,
-			prob:  prob,
-		}
-		for i, fc := range feat {
-			if fc < 0 {
-				qt.feat[i] = -1
-				continue
-			}
-			if c, ok := edgeIndex(edges[fc], thr[i]); ok {
-				qt.feat[i] = q.slotOf[fc]
-				qt.qthr[i] = uint8(c)
-				q.nQuant++
-			} else {
-				qt.feat[i] = fc
-				qt.flags[i] = 1
-				qt.mixed = true
-				q.nFloat++
-			}
-		}
-		if !qt.mixed && packable && len(feat) <= packedMaxNodes {
-			qt.packed, qt.pprob = packTree(&qt)
-		}
-		q.trees = append(q.trees, qt)
+	// Pass 2: pack each tree.
+	for ti, t := range f.trees {
+		feat, left, right, _, prob := t.Slabs()
+		q.trees[ti].pack(feat, left, right, prob, slotOf)
 	}
 	return q, nil
 }
 
-// packTree builds the branchless walk form of a fully-quantized tree:
-// one uint32 per node in a breadth-first renumbering that makes every
-// right child its left sibling + 1, plus the leaf probabilities in the
-// same numbering. Leaves carry the reserved threshold 0xff, slot 0, and
-// self-loop through their left field.
-func packTree(qt *quantTree) ([]uint32, []float64) {
-	n := len(qt.feat)
-	// Pass 1: breadth-first order. Children are appended as a pair, so
-	// the right child's new index is always the left's + 1.
+// pack builds the branchless walk form: one uint32 per node in a
+// breadth-first renumbering that makes every right child its left
+// sibling + 1, plus the leaf probabilities in the same numbering. Leaves
+// carry the reserved threshold 0xff, slot 0, and self-loop through their
+// child field. slotOf maps a source column to its code-slab slot.
+func (qt *quantTree) pack(feat, left, right []int32, prob []float64, slotOf []int32) {
+	n := len(feat)
+	// Breadth-first order. Children are appended as a pair, so the right
+	// child's new index is always the left's + 1.
 	order := make([]int32, 1, n)
 	newIdx := make([]int32, n)
 	for qi := 0; qi < len(order); qi++ {
 		old := order[qi]
 		newIdx[old] = int32(qi)
-		if qt.feat[old] >= 0 {
-			order = append(order, qt.left[old], qt.right[old])
+		if feat[old] >= 0 {
+			order = append(order, left[old], right[old])
 		}
 	}
-	packed := make([]uint32, len(order))
-	prob := make([]float64, len(order))
+	qt.packed = make([]uint32, len(order))
+	qt.prob = make([]float64, len(order))
 	for ni, old := range order {
-		prob[ni] = qt.prob[old]
-		if qt.feat[old] < 0 {
-			packed[ni] = packedLeafThr | uint32(ni)<<packedShiftKid
+		qt.prob[ni] = prob[old]
+		if feat[old] < 0 {
+			qt.packed[ni] = packedLeafThr | uint32(ni)<<packedShiftKid
 			continue
 		}
-		packed[ni] = uint32(qt.qthr[old]) |
-			uint32(uint8(qt.feat[old]))<<packedShiftFeat |
-			uint32(uint16(newIdx[qt.left[old]]))<<packedShiftKid
+		qt.packed[ni] = uint32(qt.qthr[old]) |
+			uint32(slotOf[feat[old]])*quantBlockRows |
+			uint32(newIdx[left[old]])<<packedShiftKid
 	}
-	return packed, prob
 }
 
 // edgeIndex reports whether thr is exactly one of the ascending edges,
@@ -394,28 +365,14 @@ func edgeIndex(edges []float64, thr float64) (int, bool) {
 	return 0, false
 }
 
-// NumTrees returns the ensemble size.
-func (q *QuantForest) NumTrees() int { return len(q.trees) }
-
 // NumSlots returns how many source columns the per-block quantization
 // touches (the code slab is NumSlots × blockRows bytes).
 func (q *QuantForest) NumSlots() int { return len(q.slotCols) }
 
-// QuantNodes returns the number of internal nodes lowered to uint8
-// code compares.
-func (q *QuantForest) QuantNodes() int { return q.nQuant }
-
-// FloatNodes returns the number of internal nodes kept on the float
-// side-channel (0 for a histogram-trained forest compiled against its
-// training edges).
-func (q *QuantForest) FloatNodes() int { return q.nFloat }
-
-// FullyQuantized reports whether every internal node compares codes.
-func (q *QuantForest) FullyQuantized() bool { return q.nFloat == 0 }
-
-// Edges returns the per-column edge sets the predictor was compiled
-// against (read-only; aliased, not copied).
-func (q *QuantForest) Edges() [][]float64 { return q.edges }
+// FullyQuantized reports whether every node compares codes. Compile
+// returns nothing else, so it is always true; it stays for callers that
+// assert the compiled form.
+func (q *QuantForest) FullyQuantized() bool { return true }
 
 // SetParallelism bounds block-level fan-out (0 = pool default, 1 =
 // serial). Prediction output is bit-identical at any setting.
@@ -430,35 +387,14 @@ func (q *QuantForest) getScratch() *quantScratch {
 	return s
 }
 
-// predictInto accumulates mean leaf probabilities for the listed rows
-// into out (caller-zeroed, len n). rows nil = every frame row; chunked
-// frames iterate ForEachChunk with per-chunk block tiling, so an
-// out-of-core corpus scores without densifying. rows != nil requires a
-// dense frame (the Forest router falls back to the float path for row
-// lists over chunked frames).
-func (q *QuantForest) predictInto(fr *frame.Frame, rows []int, out []float64) {
-	if rows == nil {
-		if err := fr.ForEachChunk(func(base int, ch *frame.Frame) error {
-			q.accumRange(ch, nil, out[base:base+ch.Rows()])
-			return nil
-		}); err != nil {
-			panic(fmt.Sprintf("forest: quantized chunked predict: %v", err))
-		}
-	} else {
-		q.accumRange(fr, rows, out)
-	}
-	nt := float64(len(q.trees))
-	for i := range out {
-		out[i] /= nt
-	}
-}
-
-// accumRange tiles len(out) rows into quantBlockRows blocks and fans the
-// blocks out. Each block writes a disjoint out sub-slice and accumulates
+// accumCols adds the tree sums of len(out) rows of the column-major batch
+// cols into out (caller-zeroed): out[p] takes row rows[p], or row p when
+// rows is nil. It tiles the rows into quantBlockRows blocks and fans the
+// blocks out; each block writes a disjoint out sub-slice and accumulates
 // trees in index order within it, so the result is bit-identical at any
-// worker count. Single-block batches (the serving shard path) and
-// explicit parallelism 1 run inline with zero closure allocation.
-func (q *QuantForest) accumRange(fr *frame.Frame, rows []int, out []float64) {
+// worker count. Single-block batches and explicit parallelism 1 run
+// inline with zero closure allocation.
+func (q *QuantForest) accumCols(cols [][]float64, rows []int, out []float64) {
 	n := len(out)
 	nBlocks := (n + quantBlockRows - 1) / quantBlockRows
 	workers := q.par
@@ -467,75 +403,58 @@ func (q *QuantForest) accumRange(fr *frame.Frame, rows []int, out []float64) {
 	}
 	if workers == 1 || nBlocks == 1 {
 		for b := 0; b < nBlocks; b++ {
-			lo := b * quantBlockRows
-			hi := min(lo+quantBlockRows, n)
-			q.runBlock(fr, rows, lo, hi, out)
+			q.runBlock(cols, rows, b, out)
 		}
 		return
 	}
 	// fn never returns an error and the context never cancels, so the
 	// pool error is structurally nil.
 	_ = parallel.Do(context.Background(), workers, nBlocks, func(b int) error {
-		lo := b * quantBlockRows
-		hi := min(lo+quantBlockRows, n)
-		q.runBlock(fr, rows, lo, hi, out)
+		q.runBlock(cols, rows, b, out)
 		return nil
 	})
 }
 
-// runBlock quantizes rows [lo, hi) of the batch into a pooled
-// column-major code slab — codes[slot*quantBlockRows+r], each column's
-// codes contiguous with a fixed 256-byte stride — then walks every tree
-// over the resident block, accumulating into out[lo:hi]. The stride is
-// fixed (not the block length) so the packed walk can fold slot×stride
-// into the node word at compile time; short tail blocks just leave the
-// slab's upper rows stale and unread.
-func (q *QuantForest) runBlock(fr *frame.Frame, rows []int, lo, hi int, out []float64) {
-	bl := hi - lo
-	ns := len(q.slotCols)
+// runBlock quantizes block b of the batch into a pooled column-major
+// code slab — codes[slot*quantBlockRows+r], each column's codes
+// contiguous with a fixed 256-byte stride — then walks every tree over
+// the resident block. The stride is fixed (not the block length) so the
+// packed walk can fold slot×stride into the node word at compile time;
+// short tail blocks just leave the slab's upper rows stale and unread.
+func (q *QuantForest) runBlock(cols [][]float64, rows []int, b int, out []float64) {
+	lo := b * quantBlockRows
+	hi := min(lo+quantBlockRows, len(out))
 	s := q.getScratch()
-	codes := s.codes[:ns*quantBlockRows]
+	codes := s.codes[:len(q.slotCols)*quantBlockRows]
 	for si, col := range q.slotCols {
-		var src []float64
+		src := cols[col]
 		if rows == nil {
-			src = fr.Col(int(col))[lo:hi]
+			src = src[lo:hi]
 		} else {
-			full := fr.Col(int(col))
-			src = s.gath[:bl]
+			g := s.gath[:hi-lo]
 			for i, ri := range rows[lo:hi] {
-				src[i] = full[ri]
+				g[i] = src[ri]
 			}
+			src = g
 		}
 		quantizeCol(q.edges[col], &q.grids[si], src, codes[si*quantBlockRows:])
 	}
-	outB := out[lo:hi]
-	// The float side-channel reads the source frame per node visit; the
-	// accessor is hoisted so mixed trees share one closure per block.
-	var at func(r int, col int32) float64
-	for ti := range q.trees {
-		qt := &q.trees[ti]
-		switch {
-		case qt.packed != nil:
-			qt.accumBlockPacked(codes, outB)
-		case !qt.mixed:
-			qt.accumBlockQuant(codes, outB)
-		default:
-			if at == nil {
-				if rows == nil {
-					at = func(r int, col int32) float64 { return fr.At(lo+r, int(col)) }
-				} else {
-					at = func(r int, col int32) float64 { return fr.At(rows[lo+r], int(col)) }
-				}
-			}
-			qt.accumBlockMixed(codes, at, outB)
-		}
-	}
+	q.walkBlock(codes, out[lo:hi])
 	q.pool.Put(s)
 }
 
-// accumBlockPacked is the hot kernel. Four rows advance through the
-// tree together: each step is two loads (packed node word, row's code
-// byte) plus shift/mask ALU, and the child pointer is selected by the
+// walkBlock walks every tree over one resident block of codes, in tree
+// index order, accumulating into the block's out rows — the one walk
+// behind both runBlock and PredictProbaCodes.
+func (q *QuantForest) walkBlock(codes []uint8, out []float64) {
+	for ti := range q.trees {
+		q.trees[ti].accumBlock(codes, out)
+	}
+}
+
+// accumBlock is the hot kernel. Four rows advance through the tree
+// together: each step is two loads (packed node word, row's code byte)
+// plus shift/mask ALU, and the child pointer is selected by the
 // comparison's sign bit — no data-dependent branch, so the four
 // independent chases pipeline instead of serializing on load latency.
 // Rows that reach a leaf early self-loop until the group's AND-ed leaf
@@ -551,10 +470,11 @@ func (q *QuantForest) runBlock(fr *frame.Frame, rows []int, lo, hi int, out []fl
 // The loads go through unsafe pointers (like frame's slab reinterpret
 // casts) because eight bounds checks per level cost more than the
 // arithmetic: every index is structurally in range — node indices come
-// from the packed 16-bit child fields of the same tree, and code
-// offsets are slot*256 + row with slot < ns and row < the block length.
-func (qt *quantTree) accumBlockPacked(codes []uint8, out []float64) {
-	packed, prob := qt.packed, qt.pprob
+// from the packed 15-bit child fields of the same tree, and code
+// offsets are slot*256 + row with slot < NumSlots and row < the block
+// length.
+func (qt *quantTree) accumBlock(codes []uint8, out []float64) {
+	packed, prob := qt.packed, qt.prob
 	pp := unsafe.Pointer(unsafe.SliceData(packed))
 	rp := unsafe.Pointer(unsafe.SliceData(prob))
 	op := unsafe.Pointer(unsafe.SliceData(out))
@@ -605,112 +525,47 @@ func (qt *quantTree) accumBlockPacked(codes []uint8, out []float64) {
 				out[r] += prob[k]
 				break
 			}
-			c := codes[int(w&0xff00)+r]
+			c := codes[int(w&packedSlotMask)+r]
 			d := uint32(int32(w&0xff)-int32(c)) >> 31
 			k = int(w>>packedShiftKid) + int(d)
 		}
 	}
 }
 
-// packedStep advances one node: load the lane's code byte (w & 0xff00
+// packedStep advances one node: load the lane's code byte (w & 0x1ff00
 // is the slot's slab offset, lane its row offset), compare it against
 // the packed threshold byte, and add the comparison's sign bit to the
 // left-child index (right = left + 1 by the breadth-first renumbering;
 // a leaf's 0xff threshold keeps the sign bit 0 and its child field
 // points at itself).
 func packedStep(w uint32, cg unsafe.Pointer, lane uintptr) uintptr {
-	c := *(*uint8)(unsafe.Add(cg, uintptr(w&0xff00)+lane))
+	c := *(*uint8)(unsafe.Add(cg, uintptr(w&packedSlotMask)+lane))
 	d := uint32(int32(w&0xff)-int32(c)) >> 31
 	return uintptr(w>>packedShiftKid) + uintptr(d)
 }
 
-// accumBlockQuant is the slab-form walk for fully-quantized trees that
-// exceed the packed form's 16-bit node indexing or 8-bit slot field:
-// byte compares over the column-major slab with an early-exit leaf
-// branch.
-func (qt *quantTree) accumBlockQuant(codes []uint8, out []float64) {
-	feat, left, right, qthr, prob := qt.feat, qt.left, qt.right, qt.qthr, qt.prob
-	for r := range out {
-		k := int32(0)
-		for {
-			f := feat[k]
-			if f < 0 {
-				out[r] += prob[k]
-				break
-			}
-			if codes[int(f)*quantBlockRows+r] <= qthr[k] {
-				k = left[k]
-			} else {
-				k = right[k]
-			}
-		}
-	}
-}
-
-// accumBlockMixed walks a tree with float side-channel nodes: quantized
-// nodes compare codes, side-channel nodes read the source value through
-// at and compare in the float domain — bit-identical to the pure float
-// walk on both node kinds.
-func (qt *quantTree) accumBlockMixed(codes []uint8, at func(r int, col int32) float64, out []float64) {
-	for r := range out {
-		k := int32(0)
-		for {
-			f := qt.feat[k]
-			if f < 0 {
-				out[r] += qt.prob[k]
-				break
-			}
-			var goLeft bool
-			if qt.flags[k] != 0 {
-				goLeft = at(r, f) <= qt.fthr[k]
-			} else {
-				goLeft = codes[int(f)*quantBlockRows+r] <= qt.qthr[k]
-			}
-			if goLeft {
-				k = qt.left[k]
-			} else {
-				k = qt.right[k]
-			}
-		}
-	}
-}
-
-// wireThresholds flattens the compiled per-tree code thresholds and
-// side-channel flags for bundle serialization (the v4 compiled form).
-func (q *QuantForest) wireThresholds() (qthr, flags [][]uint8) {
-	qthr = make([][]uint8, len(q.trees))
-	flags = make([][]uint8, len(q.trees))
-	for i := range q.trees {
-		qthr[i] = q.trees[i].qthr
-		flags[i] = q.trees[i].flags
-	}
-	return qthr, flags
-}
-
 // checkWire verifies stored compiled thresholds against this (freshly
 // recompiled) form — the bundle loader's integrity check that a v4 file
-// was not corrupted between the schema hash and the forest blob.
+// was not corrupted between the schema hash and the forest blob. The
+// stored side-channel flags are a retired format field: every one must
+// be zero.
 func (q *QuantForest) checkWire(qthr, flags [][]uint8) error {
 	if len(qthr) != len(q.trees) || len(flags) != len(q.trees) {
 		return fmt.Errorf("forest: quantized form: %d/%d stored threshold sets for %d trees",
 			len(qthr), len(flags), len(q.trees))
 	}
 	for i := range q.trees {
-		if !bytesEqual(qthr[i], q.trees[i].qthr) || !bytesEqual(flags[i], q.trees[i].flags) {
+		if !bytes.Equal(qthr[i], q.trees[i].qthr) {
 			return fmt.Errorf("forest: quantized form: tree %d stored code thresholds diverge from recompiled form (corrupt bundle)", i)
+		}
+		if len(flags[i]) != len(qthr[i]) {
+			return fmt.Errorf("forest: quantized form: tree %d has %d stored flags for %d nodes (corrupt bundle)", i, len(flags[i]), len(qthr[i]))
+		}
+		for _, fl := range flags[i] {
+			if fl != 0 {
+				return fmt.Errorf("forest: quantized form: tree %d carries float side-channel flags, which this build does not read", i)
+			}
 		}
 	}
 	return nil
-}
-
-func bytesEqual(a, b []uint8) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,8 +1,10 @@
 package forest
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"monitorless/internal/frame"
@@ -64,42 +66,34 @@ func assertBitIdentical(t *testing.T, label string, want, got []float64) {
 }
 
 // floatProbs computes the reference probabilities through the float tree
-// walk with quant routing forced off, restoring routing afterwards.
+// walk of a copy with the compiled form dropped.
 func floatProbs(f *Forest, fr *frame.Frame, rows []int) []float64 {
-	f.SetQuantPredict(false)
-	out := f.PredictProbaFrameRows(fr, rows)
-	f.SetQuantPredict(true)
-	return out
+	ref := *f
+	ref.DropQuant()
+	return ref.PredictProbaFrameRows(fr, rows)
 }
 
 // TestHistForestCompilesFullyQuantized pins the core lowering guarantee:
-// histogram thresholds are exact bin-edge values, so every internal node
-// of a hist-trained forest becomes a uint8 code compare, and columns the
-// forest never tests (the constant column) get no code-slab slot.
+// histogram thresholds are exact bin-edge values, so a hist-trained
+// forest compiles, and columns the forest never tests (the constant
+// column) get no code-slab slot.
 func TestHistForestCompilesFullyQuantized(t *testing.T) {
 	x, y := quantData(1500, 5)
 	f := fitQuantForest(t, x, y, tree.Hist)
 	q := f.Quant()
-	if q == nil {
+	if q == nil || !q.FullyQuantized() {
 		t.Fatal("hist fit did not compile a quantized predictor")
 	}
-	if !f.QuantActive() {
-		t.Fatal("quantized routing not active after hist fit")
-	}
-	if !q.FullyQuantized() || q.FloatNodes() != 0 {
-		t.Fatalf("hist forest not fully quantized: %d quant, %d float nodes",
-			q.QuantNodes(), q.FloatNodes())
-	}
-	if q.QuantNodes() == 0 {
-		t.Fatal("no quantized nodes — forest learned nothing")
+	if q.NumSlots() == 0 {
+		t.Fatal("no tested column — forest learned nothing")
 	}
 	// Column 2 is constant: unsplittable, so no slot may be assigned.
 	if q.NumSlots() >= ml.FrameOf(x).NumCols() {
 		t.Fatalf("slot count %d not below column count %d (constant column got a slot)",
 			q.NumSlots(), ml.FrameOf(x).NumCols())
 	}
-	if got := len(f.BinEdges()); got != len(x[0]) {
-		t.Fatalf("BinEdges: %d edge sets for %d columns", got, len(x[0]))
+	if got := len(q.edges); got != len(x[0]) {
+		t.Fatalf("%d edge sets for %d columns", got, len(x[0]))
 	}
 }
 
@@ -128,8 +122,7 @@ func TestQuantBitIdentityDense(t *testing.T) {
 
 // TestQuantBitIdentityChunked: a chunk-backed frame must score through
 // the quantized per-chunk tiling bit-identically to the dense walk, and
-// a row list over a chunked frame (which routes to the float fallback)
-// must match too.
+// a row list over a chunked frame (bucketed by chunk) must match too.
 func TestQuantBitIdentityChunked(t *testing.T) {
 	x, y := quantData(1500, 5)
 	f := fitQuantForest(t, x, y, tree.Hist)
@@ -179,7 +172,7 @@ func TestQuantWorkerCountInvariance(t *testing.T) {
 func TestQuantPredictEdgeValues(t *testing.T) {
 	x, y := quantData(1500, 5)
 	f := fitQuantForest(t, x, y, tree.Hist)
-	edges := f.BinEdges()
+	edges := f.Quant().edges
 
 	var probes [][]float64
 	add := func(mutate func(row []float64)) {
@@ -219,11 +212,11 @@ func TestQuantPredictEdgeValues(t *testing.T) {
 	}
 }
 
-// TestExactForestPartialQuant compiles an exact-splitter forest against
-// BinFrame edges: integer-column midpoints coincide with bin edges and
-// lower to code compares, continuous-column midpoints do not and keep
-// the float side-channel — and the mixed walk stays bit-identical.
-func TestExactForestPartialQuant(t *testing.T) {
+// TestExactForestRefusesQuant: exact-splitter thresholds are midpoints
+// between training values, not bin edges, so compiling an exact forest
+// against BinFrame edges must fail and leave the forest on its float
+// walk with no predictor installed.
+func TestExactForestRefusesQuant(t *testing.T) {
 	x, y := quantData(1200, 9)
 	f := fitQuantForest(t, x, y, tree.Best)
 	if f.Quant() != nil {
@@ -232,26 +225,19 @@ func TestExactForestPartialQuant(t *testing.T) {
 	fr := ml.FrameOf(x)
 	want := f.PredictProbaFrameRows(fr, nil)
 
-	bn := frame.BinFrame(fr, 0, nil)
-	if err := f.CompileQuant(bn.Edges()); err != nil {
-		t.Fatalf("compile: %v", err)
+	if err := f.CompileQuant(frame.BinFrame(fr, 0, nil).Edges()); err == nil {
+		t.Fatal("exact forest compiled; its continuous-column midpoints are not bin edges")
 	}
-	q := f.Quant()
-	if q.QuantNodes() == 0 {
-		t.Fatal("no node lowered — tied integer columns should produce edge-coincident midpoints")
+	if f.Quant() != nil {
+		t.Fatal("failed CompileQuant left a predictor behind")
 	}
-	if q.FloatNodes() == 0 {
-		t.Fatal("no side-channel node — continuous-column midpoints should not be edge values")
-	}
-	assertBitIdentical(t, "mixed-tree walk", want, f.PredictProbaFrameRows(fr, nil))
-
-	f.DropQuant()
-	if f.Quant() != nil || f.BinEdges() != nil {
-		t.Fatal("DropQuant left compiled state behind")
-	}
+	assertBitIdentical(t, "float walk after refusal", want, f.PredictProbaFrameRows(fr, nil))
 }
 
-// TestCompileErrors pins the two refusal paths.
+// TestCompileErrors pins the refusal paths: an unfitted forest, a
+// mismatched edge-set count, and edge sets that are not valid code maps
+// (too many edges for a uint8 code, NaN, descending) even on a column no
+// node tests. Equal neighbours are legal.
 func TestCompileErrors(t *testing.T) {
 	if _, err := Compile(New(Config{NumTrees: 3}), nil); err == nil {
 		t.Fatal("compile of an unfitted forest must fail")
@@ -260,6 +246,26 @@ func TestCompileErrors(t *testing.T) {
 	f := fitQuantForest(t, x, y, tree.Hist)
 	if _, err := Compile(f, make([][]float64, 2)); err == nil {
 		t.Fatal("compile with a mismatched edge-set count must fail")
+	}
+	wide := make([]float64, frame.MaxBins)
+	for i := range wide {
+		wide[i] = float64(i)
+	}
+	for name, e := range map[string][]float64{
+		"too many edges": wide,
+		"NaN edge":       {1, math.NaN(), 3},
+		"descending":     {1, 3, 2},
+	} {
+		edges := append([][]float64(nil), f.Quant().edges...)
+		edges[2] = e // the constant column: never tested
+		if _, err := Compile(f, edges); err == nil {
+			t.Errorf("%s: compile succeeded", name)
+		}
+	}
+	edges := append([][]float64(nil), f.Quant().edges...)
+	edges[2] = []float64{1, 2, 2, 3}
+	if _, err := Compile(f, edges); err != nil {
+		t.Errorf("equal neighbouring edges refused: %v", err)
 	}
 }
 
@@ -273,6 +279,8 @@ func TestForestBatchPredictAllocations(t *testing.T) {
 	}
 	x, y := quantData(600, 5) // 3 blocks
 	f := fitQuantForest(t, x, y, tree.Hist)
+	ref := *f
+	ref.DropQuant()
 	fr := ml.FrameOf(x)
 	dst := make([]float64, fr.Rows())
 
@@ -284,11 +292,11 @@ func TestForestBatchPredictAllocations(t *testing.T) {
 		prep func()
 		call func()
 	}{
-		{"float", func() { f.SetQuantPredict(false) },
+		{"float", func() {},
+			func() { ref.PredictProbaFrameRowsInto(fr, nil, dst) }},
+		{"quant-serial", func() { f.Quant().SetParallelism(1) },
 			func() { f.PredictProbaFrameRowsInto(fr, nil, dst) }},
-		{"quant-serial", func() { f.SetQuantPredict(true); f.Quant().SetParallelism(1) },
-			func() { f.PredictProbaFrameRowsInto(fr, nil, dst) }},
-		{"quant-shard", func() { f.SetQuantPredict(true); f.Quant().SetParallelism(0) },
+		{"quant-shard", func() { f.Quant().SetParallelism(0) },
 			func() { f.PredictProbaFrameRowsInto(shard, nil, shardDst) }},
 	}
 	for _, tc := range cases {
@@ -296,5 +304,113 @@ func TestForestBatchPredictAllocations(t *testing.T) {
 		if n := testing.AllocsPerRun(50, tc.call); n != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", tc.name, n)
 		}
+	}
+}
+
+// wideData draws d standard-normal columns that all carry part of the
+// label's signal, so a hist forest ends up testing nearly every column.
+func wideData(n, d int, seed int64) ([][]float64, []int) {
+	r := rand.New(rand.NewSource(seed))
+	x := make([][]float64, n)
+	y := make([]int, n)
+	for i := range x {
+		row := make([]float64, d)
+		s := 0.0
+		for j := range row {
+			row[j] = r.NormFloat64()
+			s += row[j]
+		}
+		x[i] = row
+		if s+3*r.NormFloat64() > 0 {
+			y[i] = 1
+		}
+	}
+	return x, y
+}
+
+// TestQuantWideForestPacks pins the forest shape offline-train runs: a
+// hist forest testing 300+ columns — past what an 8-bit slot field holds
+// — compiles packed and matches the float walk bit for bit on a dense
+// frame, a chunked frame and row lists over both, at 1, 4 and 8 workers.
+// Past the packed word's limits (512 tested columns, 32 768 nodes per
+// tree) the fit must keep the float walk and still match per-row
+// PredictProba.
+func TestQuantWideForestPacks(t *testing.T) {
+	x, y := wideData(1500, 320, 1)
+	f := New(Config{NumTrees: 24, MinSamplesLeaf: 3, Splitter: tree.Hist, Seed: 5})
+	if err := f.Fit(x, y); err != nil {
+		t.Fatal(err)
+	}
+	q := f.Quant()
+	if q == nil {
+		t.Fatal("wide hist forest did not compile")
+	}
+	if q.NumSlots() < 300 {
+		t.Fatalf("forest tests %d columns, want >= 300", q.NumSlots())
+	}
+	dense := ml.FrameOf(x)
+	chunked, err := frame.Rechunk(dense, 333, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer chunked.Close()
+	var rows []int
+	for i := len(x) - 1; i >= 0; i -= 7 {
+		rows = append(rows, i, i/2) // out of order, with repeats
+	}
+	want := floatProbs(f, dense, nil)
+	wantRows := make([]float64, len(rows))
+	for p, i := range rows {
+		wantRows[p] = want[i]
+	}
+	assertBitIdentical(t, "float walk, row list over chunked", wantRows, floatProbs(f, chunked, rows))
+	for _, w := range []int{1, 4, 8} {
+		q.SetParallelism(w)
+		assertBitIdentical(t, fmt.Sprintf("dense, %d workers", w), want, f.PredictProbaFrameRows(dense, nil))
+		assertBitIdentical(t, fmt.Sprintf("chunked, %d workers", w), want, f.PredictProbaFrameRows(chunked, nil))
+		assertBitIdentical(t, fmt.Sprintf("dense rows, %d workers", w), wantRows, f.PredictProbaFrameRows(dense, rows))
+		assertBitIdentical(t, fmt.Sprintf("chunked rows, %d workers", w), wantRows, f.PredictProbaFrameRows(chunked, rows))
+	}
+	q.SetParallelism(0)
+
+	noisy := func() ([][]float64, []int) {
+		x, y := wideData(80000, 3, 3)
+		r := rand.New(rand.NewSource(4))
+		for i := range y {
+			y[i] = r.Intn(2) // pure label noise: the tree grows to near-singleton leaves
+		}
+		return x, y
+	}
+	for _, tc := range []struct {
+		name, refusal string
+		data          func() ([][]float64, []int)
+		cfg           Config
+	}{
+		{"past 512 slots", "tested columns", func() ([][]float64, []int) { return wideData(1500, 640, 2) },
+			Config{NumTrees: 40, MinSamplesLeaf: 1, Splitter: tree.Hist, Seed: 6}},
+		{"past 32768 nodes", "nodes", noisy,
+			Config{NumTrees: 1, MinSamplesLeaf: 1, MaxFeatures: -2, Splitter: tree.Hist, Seed: 7}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			x, y := tc.data()
+			f := New(tc.cfg)
+			if err := f.Fit(x, y); err != nil {
+				t.Fatal(err)
+			}
+			if f.Quant() != nil {
+				t.Fatalf("forest past the packed limits compiled (%d slots)", f.Quant().NumSlots())
+			}
+			fr := ml.FrameOf(x)
+			_, err := Compile(f, frame.BinFrame(fr, 0, nil).Edges())
+			if err == nil || !strings.Contains(err.Error(), tc.refusal) {
+				t.Fatalf("compile error %v, want one naming %q", err, tc.refusal)
+			}
+			got := f.PredictProbaFrameRows(fr, nil)
+			for i := 0; i < len(x); i += 97 {
+				if p := f.PredictProba(x[i]); math.Float64bits(p) != math.Float64bits(got[i]) {
+					t.Fatalf("row %d: per-row %v vs batch %v", i, p, got[i])
+				}
+			}
+		})
 	}
 }

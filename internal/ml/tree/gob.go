@@ -42,10 +42,15 @@ func (t *Tree) GobEncode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// GobDecode implements gob.GobDecoder.
+// GobDecode implements gob.GobDecoder. Bundles arrive over the network
+// (POST /model), so the node slabs are validated before anything walks
+// them.
 func (t *Tree) GobDecode(data []byte) error {
 	var w treeWire
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
+		return fmt.Errorf("tree: gob decode: %w", err)
+	}
+	if err := w.valid(); err != nil {
 		return fmt.Errorf("tree: gob decode: %w", err)
 	}
 	t.cfg = w.Cfg
@@ -58,5 +63,44 @@ func (t *Tree) GobDecode(data []byte) error {
 	t.importances = w.Importances
 	t.fitted = w.Fitted
 	t.compact()
+	return nil
+}
+
+// valid checks that the decoded slabs form a tree every walk finishes in
+// range: the five node slabs have one entry per node, a fitted tree has a
+// root, every internal node i tests a feature in [0, NFeatures) and has
+// two children in (i, n) that no other node claims — the builders append
+// children after their parent, so every fitted tree passes, strictly
+// increasing indices rule out cycles and single parents rule out shared
+// subtrees — and every leaf probability lies in [0, 1].
+func (w *treeWire) valid() error {
+	n := len(w.Features)
+	if len(w.Left) != n || len(w.Right) != n || len(w.Thresholds) != n || len(w.Probs) != n {
+		return fmt.Errorf("node slabs disagree: %d features, %d left, %d right, %d thresholds, %d probs",
+			n, len(w.Left), len(w.Right), len(w.Thresholds), len(w.Probs))
+	}
+	if w.Fitted && n == 0 {
+		return fmt.Errorf("fitted tree has no nodes")
+	}
+	claimed := make([]bool, n)
+	for i, f := range w.Features {
+		if f < 0 {
+			if p := w.Probs[i]; !(p >= 0 && p <= 1) {
+				return fmt.Errorf("leaf %d: probability %v outside [0, 1]", i, p)
+			}
+			continue
+		}
+		if int(f) >= w.NFeatures {
+			return fmt.Errorf("node %d tests feature %d of %d", i, f, w.NFeatures)
+		}
+		l, r := int(w.Left[i]), int(w.Right[i])
+		if l <= i || r <= i || l >= n || r >= n {
+			return fmt.Errorf("node %d: children %d, %d not in (%d, %d)", i, l, r, i, n)
+		}
+		if l == r || claimed[l] || claimed[r] {
+			return fmt.Errorf("node %d: child %d or %d has another parent", i, l, r)
+		}
+		claimed[l], claimed[r] = true, true
+	}
 	return nil
 }

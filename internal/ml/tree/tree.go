@@ -340,7 +340,7 @@ func (t *Tree) newBuilder(fr *frame.Frame, rk *Ranks, smp []int, y []int, w []fl
 	t.startFit(d)
 	b := &builder{
 		tree:        t,
-		cols:        make([][]float64, d),
+		cols:        fr.Cols(nil),
 		smp:         smp,
 		y:           y,
 		w:           w,
@@ -349,9 +349,6 @@ func (t *Tree) newBuilder(fr *frame.Frame, rk *Ranks, smp []int, y []int, w []fl
 		idx:         make([]int32, n),
 		part:        make([]int32, n),
 		left:        make([]uint8, n),
-	}
-	for j := range b.cols {
-		b.cols[j] = fr.Col(j)
 	}
 	for i := range b.idx {
 		b.idx[i] = int32(i)
@@ -680,33 +677,13 @@ func (t *Tree) PredictProba(x []float64) float64 {
 	}
 }
 
-// PredictProbaFrameRow returns P(y=1) for frame row i, reading only the
-// features on the root-to-leaf path straight out of the frame — no row
-// gather. Used by the boosting stage loops.
-func (t *Tree) PredictProbaFrameRow(fr *frame.Frame, i int) float64 {
-	if !t.fitted {
-		return 0.5
-	}
-	k := int32(0)
-	for {
-		f := t.feature[k]
-		if f < 0 {
-			return t.prob[k]
-		}
-		if fr.At(i, int(f)) <= t.threshold[k] {
-			k = t.left[k]
-		} else {
-			k = t.right[k]
-		}
-	}
-}
-
-// AccumProbaFrameRows walks every listed frame row (rows nil = all rows)
-// and adds its leaf probability into acc[p] for row rows[p]. The adds
-// land in row order, so an ensemble summing trees in a fixed order
-// performs bit-identical arithmetic to a per-row loop over the same
-// trees — this is the batch inference kernel behind PredictFrame.
-func (t *Tree) AccumProbaFrameRows(fr *frame.Frame, rows []int, acc []float64) {
+// AccumProba is the batch float walk: it adds the leaf probability of
+// len(acc) rows of the column-major batch cols (cols[j][i] = feature j of
+// row i) into acc, acc[p] taking row rows[p], or row p when rows is nil.
+// The adds land in row order, so an ensemble summing trees in a fixed
+// order performs bit-identical arithmetic to a per-row PredictProba loop
+// over the same trees.
+func (t *Tree) AccumProba(cols [][]float64, rows []int, acc []float64) {
 	if !t.fitted {
 		for p := range acc {
 			acc[p] += 0.5
@@ -714,25 +691,11 @@ func (t *Tree) AccumProbaFrameRows(fr *frame.Frame, rows []int, acc []float64) {
 		return
 	}
 	feature, left, right, threshold, prob := t.feature, t.left, t.right, t.threshold, t.prob
-	if rows == nil {
-		for i := 0; i < fr.Rows(); i++ {
-			k := int32(0)
-			for {
-				f := feature[k]
-				if f < 0 {
-					acc[i] += prob[k]
-					break
-				}
-				if fr.At(i, int(f)) <= threshold[k] {
-					k = left[k]
-				} else {
-					k = right[k]
-				}
-			}
+	for p := range acc {
+		i := p
+		if rows != nil {
+			i = rows[p]
 		}
-		return
-	}
-	for p, i := range rows {
 		k := int32(0)
 		for {
 			f := feature[k]
@@ -740,7 +703,7 @@ func (t *Tree) AccumProbaFrameRows(fr *frame.Frame, rows []int, acc []float64) {
 				acc[p] += prob[k]
 				break
 			}
-			if fr.At(i, int(f)) <= threshold[k] {
+			if cols[f][i] <= threshold[k] {
 				k = left[k]
 			} else {
 				k = right[k]
@@ -767,12 +730,14 @@ func (t *Tree) FeatureImportances() []float64 {
 // NumNodes reports the size of the fitted tree.
 func (t *Tree) NumNodes() int { return len(t.feature) }
 
+// NumFeatures reports the row width the fitted tree reads.
+func (t *Tree) NumFeatures() int { return t.nFeatures }
+
 // Slabs exposes the fitted tree's flattened node arrays read-only:
 // node i is (feature[i], threshold[i], left[i], right[i], prob[i]) and
 // feature[i] < 0 marks a leaf (prob[i] is its P(y=1)). The slices alias
 // the tree's compacted slabs and must not be mutated — forest.Compile
-// reads them to lower the tree into its quantized form and aliases the
-// float slabs directly.
+// reads them to lower the tree into its packed form.
 func (t *Tree) Slabs() (feature, left, right []int32, threshold, prob []float64) {
 	return t.feature, t.left, t.right, t.threshold, t.prob
 }

@@ -31,8 +31,8 @@ func newAllocRig(t testing.TB) *apps.Engine {
 // TestObserveTickAllocations pins the frame-native collection path at
 // zero steady-state allocations: with a warm plan and slabs, one tick of
 // collection + rate conversion over 21 containers must not touch the
-// heap. (The map-keyed Observe/Collect adapters allocate by design; they
-// are the wire-path boundary.)
+// heap. (The map-keyed Observe adapter allocates by design; it is the
+// wire-path boundary.)
 func TestObserveTickAllocations(t *testing.T) {
 	eng := newAllocRig(t)
 	agent := NewAgent(NewCollector(DefaultCatalog(), 1))
@@ -48,24 +48,5 @@ func TestObserveTickAllocations(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("Tick+ObserveTick allocates %.1f objects/op steady state, want 0", allocs)
-	}
-}
-
-// TestCollectSnapshotReuse pins the Collect boundary adapter's map reuse:
-// after two calls the snapshot maps and vectors are recycled, so
-// steady-state Collect performs no allocations either.
-func TestCollectSnapshotReuse(t *testing.T) {
-	eng := newAllocRig(t)
-	col := NewCollector(DefaultCatalog(), 2)
-	for i := 0; i < 3; i++ {
-		eng.Tick()
-		col.Collect(eng)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		eng.Tick()
-		col.Collect(eng)
-	})
-	if allocs > 0 {
-		t.Errorf("Tick+Collect allocates %.1f objects/op steady state, want 0", allocs)
 	}
 }

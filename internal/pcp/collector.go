@@ -9,24 +9,6 @@ import (
 	"monitorless/internal/cluster"
 )
 
-// Snapshot is one tick's raw metric readings: counters are cumulative, as
-// a real PCP agent reports them. Snapshots returned by Collect alias
-// reusable collector buffers: treat them as read-only, valid until the
-// second following Collect call (one previous snapshot may be held for
-// rate diffing). The maps are a wire-path convenience only; their
-// iteration order is never used inside the collector, so it cannot leak
-// into emitted values.
-type Snapshot struct {
-	// T is the simulation second of the reading.
-	T int
-	// Host maps node name to its raw host vector.
-	Host map[string][]float64
-	// Ctr maps container ID to its raw container vector.
-	Ctr map[string][]float64
-	// NodeOf maps container ID to its node name.
-	NodeOf map[string]string
-}
-
 // instRef is one service instance in collection order, resolved to
 // integer coordinates: plan node index and cluster slot.
 type instRef struct {
@@ -53,7 +35,8 @@ type collectPlan struct {
 	aggs      []nodeAggregate // per node scratch, reset each tick
 }
 
-// rawTick is one tick's raw readings in slot-indexed form: host vectors
+// rawTick is one tick's raw readings in slot-indexed form (counters are
+// cumulative, as a real PCP agent reports them): host vectors
 // by plan node index, container vectors by cluster slot. Two buffers
 // rotate, so a reading stays valid until the second following collection
 // (the agent diffs the previous tick against the current one).
@@ -85,10 +68,8 @@ type Collector struct {
 	ctrWalk   [][]float64  // by cluster slot
 	ctrOwner  []*cluster.Container
 
-	raw     [2]rawTick
-	flip    int
-	snap    [2]*Snapshot // Collect adapters aliasing the raw buffers
-	snapGen [2]uint64
+	raw  [2]rawTick
+	flip int
 }
 
 // NewCollector returns a collector over the catalog with deterministic
@@ -291,37 +272,6 @@ func (c *Collector) collectRaw(eng *apps.Engine) *rawTick {
 		c.fillCtr(r.ctr, p.nodes[r.node], r.st, rt.ctr[r.slot])
 	}
 	return rt
-}
-
-// Collect produces a snapshot of every node and container in the engine.
-// It is the map-keyed boundary adapter over the slot-indexed raw path:
-// the returned snapshot's vectors alias the collector's rotating buffers
-// and its maps are rebuilt only when the topology changes, so
-// steady-state collection reuses the previous tick's maps and slices.
-func (c *Collector) Collect(eng *apps.Engine) *Snapshot {
-	rt := c.collectRaw(eng)
-	idx := c.flip ^ 1 // the buffer collectRaw just filled
-	p := &c.plan
-	s := c.snap[idx]
-	if s == nil || c.snapGen[idx] != c.planGen {
-		s = &Snapshot{
-			Host:   make(map[string][]float64, len(p.nodes)),
-			Ctr:    make(map[string][]float64, len(p.refs)),
-			NodeOf: make(map[string]string, len(p.refs)),
-		}
-		for ni, node := range p.nodes {
-			s.Host[node.Name] = rt.host[ni]
-		}
-		for i := range p.refs {
-			r := &p.refs[i]
-			s.Ctr[r.ctr.ID] = rt.ctr[r.slot]
-			s.NodeOf[r.ctr.ID] = p.nodes[r.node].Name
-		}
-		c.snap[idx] = s
-		c.snapGen[idx] = c.planGen
-	}
-	s.T = rt.t
-	return s
 }
 
 // bump adds a (noisy, non-negative) increment to a cumulative counter.

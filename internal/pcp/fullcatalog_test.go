@@ -109,20 +109,20 @@ func TestFullCatalogCountersMonotone(t *testing.T) {
 	eng, _ := newTestRig(t, 300, 3, 0)
 	cat := FullCatalog()
 	col := NewCollector(cat, 12)
-	var prev *Snapshot
+	var prev *rawTick // collectRaw's buffers rotate: the previous tick stays valid
 	for i := 0; i < 4; i++ {
 		eng.Tick()
-		snap := col.Collect(eng)
+		tick := col.collectRaw(eng)
 		if prev != nil {
-			for node, cur := range snap.Host {
+			for node, cur := range tick.host {
 				for j, d := range cat.HostDefs {
-					if d.Kind == Counter && cur[j] < prev.Host[node][j]-1e-9 {
+					if d.Kind == Counter && cur[j] < prev.host[node][j]-1e-9 {
 						t.Fatalf("host counter %s decreased", d.Name)
 					}
 				}
 			}
 		}
-		prev = snap
+		prev = tick
 	}
 }
 

@@ -79,27 +79,30 @@ func TestCollectorCountersMonotone(t *testing.T) {
 	eng, _ := newTestRig(t, 100, 3, 0)
 	cat := DefaultCatalog()
 	col := NewCollector(cat, 1)
-	var prev *Snapshot
+	var prev *rawTick // collectRaw's buffers rotate: the previous tick stays valid
 	for i := 0; i < 5; i++ {
 		eng.Tick()
-		snap := col.Collect(eng)
+		tick := col.collectRaw(eng)
 		if prev != nil {
-			for node, cur := range snap.Host {
+			for node, cur := range tick.host {
 				for j, d := range cat.HostDefs {
-					if d.Kind == Counter && cur[j] < prev.Host[node][j]-1e-9 {
+					if d.Kind == Counter && cur[j] < prev.host[node][j]-1e-9 {
 						t.Fatalf("host counter %s decreased", d.Name)
 					}
 				}
 			}
-			for id, cur := range snap.Ctr {
+			for slot, cur := range tick.ctr {
+				if cur == nil {
+					continue
+				}
 				for j, d := range cat.ContainerDefs {
-					if d.Kind == Counter && cur[j] < prev.Ctr[id][j]-1e-9 {
+					if d.Kind == Counter && cur[j] < prev.ctr[slot][j]-1e-9 {
 						t.Fatalf("container counter %s decreased", d.Name)
 					}
 				}
 			}
 		}
-		prev = snap
+		prev = tick
 	}
 }
 

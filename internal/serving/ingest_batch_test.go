@@ -58,10 +58,11 @@ func histTestModel(tb testing.TB) *core.Model {
 }
 
 // TestFusedIngestShardWorkerInvariance is the fused-route equivalence
-// proof: a fully-quantized model served through the code-slab path must
-// produce bit-identical predictions to the float scratch-frame route (a
-// copy of the model with SetQuantPredict(false), which the engine routes
-// through the float walk), at every shard count and forest worker count.
+// proof: a compiled model served through the code-slab path must produce
+// bit-identical predictions to the float route (a copy of the model with
+// the compiled form dropped, which the engine scores through the float
+// walk over the same columns), at every shard count and forest worker
+// count.
 // Shard count changes the batch boundaries (which rows share a code
 // slab); worker count changes how blocks fan out inside a walk. Neither
 // may move a single bit.
@@ -69,17 +70,16 @@ func TestFusedIngestShardWorkerInvariance(t *testing.T) {
 	m := histTestModel(t)
 	_, ds := sharedTestModel(t)
 	q := m.Forest.Quant()
-	if q == nil || !m.Forest.QuantActive() || !q.FullyQuantized() {
-		t.Fatal("hist model is not fully quantized; fused-route test premise broken")
+	if q == nil {
+		t.Fatal("hist model is not compiled; fused-route test premise broken")
 	}
 	runs := runsOf(ds.FilterRuns(1, 22, 23).Frame())
 
-	// The float reference: same trees, quantized routing switched off.
-	floatForest := forest.New(m.Forest.Config())
-	*floatForest = *m.Forest
-	floatForest.SetQuantPredict(false)
+	// The float reference: same trees, compiled form dropped.
+	floatForest := *m.Forest
+	floatForest.DropQuant()
 	floatModel := *m
-	floatModel.Forest = floatForest
+	floatModel.Forest = &floatForest
 
 	for _, par := range []int{1, 4, 0} {
 		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {

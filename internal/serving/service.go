@@ -967,7 +967,7 @@ func (s *Service) Stats() Stats {
 		ModelGen:      mv.gen,
 		BundleVersion: mv.bundleVer,
 		LegacyBundle:  mv.fp == nil,
-		QuantPredict:  mv.model.Forest.QuantActive(),
+		QuantPredict:  mv.model.Forest.Quant() != nil,
 		Swaps:         s.nSwaps.Load(),
 	}
 }

@@ -20,7 +20,8 @@
 #   spill goldens         — byte-identity goldens with generation and training forced through disk chunks
 #   no-mmap               — frame store tests on the pread fallback
 #   ooc_bench             — corpus 4x a capped GOMEMLIMIT trains without materializing (peak RSS gate)
-#   quant parity          — quantized walk bit-identical to the float walk, unit columns and Table 2 corpus at workers 1/4/8; TestQuantPredictSpeedup: >= 1.5x the float walk per row
+#   quant parity          — packed walk bit-identical to the float walk, unit columns, a 300+-column forest (dense, chunked, row lists) and Table 2 corpus at workers 1/4/8; compile refuses exact forests, bad edge sets and forests past the packed limits; TestQuantPredictSpeedup: >= 1.5x the float walk per row
+#   malformed bundles     — a bundle whose forest would loop, index past the row, emit a non-probability or carry a bad edge set fails to load, and POST /model answers 400 and keeps the old model
 #   predict allocs        — 0 allocs/op batch predict in the float, quant-serial and quant-sharded regimes
 #   online-engine parity  — StepBatchInto bit-identical to Pipeline.TransformFrame under every batch partition; liveness masking; duplicate-slot rejection
 #   engine callers        — shards, Orchestrator and EdgeAgent agree bit for bit; fused vs float route; mid-batch rejection; state gauge; fallback counter
@@ -70,7 +71,7 @@ go test -run TestTreeBuilderAllocations -count=1 -v ./internal/ml/tree/
 lane "simulator allocs"
 go test -run TestArbitrateAllocations -count=1 -v ./internal/cluster/
 go test -run 'TestEngineTickAllocations' -count=1 -v ./internal/apps/
-go test -run 'TestObserveTickAllocations|TestCollectSnapshotReuse' -count=1 -v ./internal/pcp/
+go test -run 'TestObserveTickAllocations' -count=1 -v ./internal/pcp/
 
 lane "dataset golden"
 go test -run TestGenerateGoldenFrameBytes -count=1 -v ./internal/dataset/
@@ -116,9 +117,13 @@ lane "ooc_bench"
 go run ./scripts/ooc_bench -ratio 4 -memlimit-mb 48
 
 lane "quant parity"
-go test -count=1 -run 'TestQuant(BitIdentity|WorkerCountInvariance|PredictEdgeValues)|TestHistForestCompilesFullyQuantized|TestExactForestPartialQuant' -v ./internal/ml/forest/
+go test -count=1 -run 'TestQuant(BitIdentity|WorkerCountInvariance|PredictEdgeValues|WideForestPacks)|TestExactForestRefusesQuant|TestCompileErrors' -v ./internal/ml/forest/
 go test -count=1 -run TestTable2QuantBitIdentity $short ./internal/experiments/
 go test -run TestQuantPredictSpeedup -count=1 -v ./internal/ml/forest/
+
+lane "malformed bundles"
+go test -count=1 -run TestLoadBundleRejectsMalformedForest -v ./internal/core/
+go test -count=1 -run TestModelEndpointRejectsMalformedForest -v ./internal/serving/
 
 lane "predict allocs"
 go test -run TestForestBatchPredictAllocations -count=1 -v ./internal/ml/forest/

@@ -77,3 +77,33 @@ func BenchmarkHTTPIngest(b *testing.B) {
 	}
 	b.ReportMetric(float64(8*b.N)/b.Elapsed().Seconds(), "samples/s")
 }
+
+// BenchmarkDecodeJSON is the JSON ingest decode on an agent-sized body
+// (16 samples of Table 1 rows at catalog width): encoding_json is the
+// reflective json.Decoder the handler used to run, scratch is
+// DecodeJSONScratch into reused slabs.
+func BenchmarkDecodeJSON(b *testing.B) {
+	const samples = 16
+	body := jsonBody(b, samples)
+	b.Run("encoding_json", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			if _, err := referenceDecode(body); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*samples), "ns/sample")
+	})
+	b.Run("scratch", func(b *testing.B) {
+		var sc WireScratch
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			if _, err := DecodeJSONScratch(body, &sc); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*samples), "ns/sample")
+	})
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -13,16 +14,15 @@ import (
 	"monitorless/internal/core"
 	"monitorless/internal/frame"
 	"monitorless/internal/lifecycle"
-	"monitorless/internal/pcp"
 )
 
 // maxIngestBytes bounds one /ingest request body (a binary batch frame
 // carrying ~8k instances at catalog width is ~17 MB).
 const maxIngestBytes = 64 << 20
 
-// bodyPool recycles frame read buffers across /ingest requests. DecodeWire
-// copies identifiers and values out of the input, so the buffer can be
-// returned as soon as decoding finishes.
+// bodyPool recycles request-body buffers across /ingest requests. Both
+// decoders copy identifiers and values out of the input, so the buffer can
+// be returned as soon as decoding finishes.
 var bodyPool sync.Pool
 
 // wireScratchPool recycles decode slabs (sample headers + value matrix)
@@ -30,28 +30,21 @@ var bodyPool sync.Pool
 // the observation before the handler returns the scratch.
 var wireScratchPool sync.Pool
 
-// readFrameBody reads a binary frame body, reusing a pooled buffer sized
-// from Content-Length when the client declares one (io.ReadAll would grow
-// and re-copy a multi-megabyte frame several times per request). The
-// returned release func recycles the buffer; call it only after the frame
-// bytes are no longer referenced.
-func readFrameBody(r *http.Request) (body []byte, release func(), err error) {
-	release = func() {}
-	if n := r.ContentLength; n > 0 && n <= maxIngestBytes {
-		bp, _ := bodyPool.Get().(*[]byte)
-		if bp == nil || cap(*bp) < int(n) {
-			b := make([]byte, n)
-			bp = &b
-		}
-		body = (*bp)[:n]
-		if _, err := io.ReadFull(r.Body, body); err != nil {
-			bodyPool.Put(bp)
-			return nil, release, err
-		}
-		return body, func() { bodyPool.Put(bp) }, nil
+// readBody reads a request body into the pooled buffer *bp, sized from
+// Content-Length (io.ReadAll would grow and re-copy a multi-megabyte frame
+// several times per request); a body of undeclared length is read whole
+// into fresh memory. The body may alias *bp until the buffer is put back.
+func readBody(r *http.Request, bp *[]byte) ([]byte, error) {
+	n := r.ContentLength
+	if n <= 0 || n > maxIngestBytes {
+		return io.ReadAll(r.Body)
 	}
-	body, err = io.ReadAll(r.Body)
-	return body, release, err
+	if cap(*bp) < int(n) {
+		*bp = make([]byte, n)
+	}
+	body := (*bp)[:n]
+	_, err := io.ReadFull(r.Body, body)
+	return body, err
 }
 
 // Server is the HTTP front of a Service:
@@ -78,15 +71,26 @@ type Server struct {
 // NewServer wraps a service with its HTTP API.
 func NewServer(svc *Service) *Server {
 	s := &Server{svc: svc, mux: http.NewServeMux()}
-	s.mux.HandleFunc("/ingest", s.handleIngest)
-	s.mux.HandleFunc("/predict", s.handlePredict)
-	s.mux.HandleFunc("/apps", s.handleApps)
-	s.mux.HandleFunc("/instances", s.handleInstances)
-	s.mux.HandleFunc("/schema", s.handleSchema)
-	s.mux.HandleFunc("/model", s.handleModel)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
+	s.route("/ingest", s.handleIngest)
+	s.route("/predict", s.handlePredict)
+	s.route("/apps", s.handleApps)
+	s.route("/instances", s.handleInstances)
+	s.route("/schema", s.handleSchema)
+	s.route("/model", s.handleModel)
+	s.route("/healthz", s.handleHealthz)
+	s.route("/metrics", s.handleMetrics)
 	return s
+}
+
+// route registers a handler and has it name its pattern to ServeHTTP's
+// request metrics.
+func (s *Server) route(pattern string, h http.HandlerFunc) {
+	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		if sw, ok := w.(*statusWriter); ok {
+			sw.route = pattern
+		}
+		h(w, r)
+	})
 }
 
 // AttachLifecycle surfaces a lifecycle manager's retrain status on
@@ -104,10 +108,12 @@ func (s *Server) lifecycleManager() *lifecycle.Manager {
 	return s.lc
 }
 
-// statusWriter captures the response code for request metrics.
+// statusWriter captures the response code and matched route for request
+// metrics.
 type statusWriter struct {
 	http.ResponseWriter
-	code int
+	code  int
+	route string
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -117,14 +123,16 @@ func (w *statusWriter) WriteHeader(code int) {
 
 // ServeHTTP dispatches and instruments every request.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+	// Label by the matched route, never the raw path: every distinct
+	// unknown path would otherwise add series that are never freed.
+	sw := &statusWriter{ResponseWriter: w, code: http.StatusOK, route: "other"}
 	start := time.Now()
 	s.mux.ServeHTTP(sw, r)
 	reg := s.svc.Registry()
-	reg.Counter("monitorless_http_requests_total", "HTTP requests by path and status code.",
-		Labels{"path": r.URL.Path, "code": fmt.Sprint(sw.code)}).Inc()
-	reg.Histogram("monitorless_http_request_seconds", "HTTP request latency by path.",
-		nil, Labels{"path": r.URL.Path}).Observe(time.Since(start).Seconds())
+	reg.Counter("monitorless_http_requests_total", "HTTP requests by route and status code.",
+		Labels{"path": sw.route, "code": strconv.Itoa(sw.code)}).Inc()
+	reg.Histogram("monitorless_http_request_seconds", "HTTP request latency by route.",
+		nil, Labels{"path": sw.route}).Observe(time.Since(start).Seconds())
 }
 
 // writeJSON renders one response body.
@@ -158,49 +166,48 @@ func isWireContentType(ct string) bool {
 // handleIngest accepts one observation per POST, negotiated by
 // Content-Type: the binary batch frame (WireContentType or
 // application/octet-stream) or the JSON compat encoding (anything else).
-// Both decode into the same pcp.WireObservation and flow through the
-// same Service.Ingest, so the two encodings are behaviourally identical.
-// ?quiet=1 suppresses the per-instance prediction echo in the response —
-// the high-throughput agent path.
+// Both read the body into a pooled buffer and decode it into pooled
+// WireScratch slabs; both admit the same observations (finite values
+// only) and flow through the same Service.Ingest, so the two encodings
+// are behaviourally identical. ?quiet=1 suppresses the per-instance
+// prediction echo in the response — the high-throughput agent path.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxIngestBytes)
-	var obs pcp.WireObservation
-	var scratch *WireScratch
+	decode := DecodeJSONScratch
 	if isWireContentType(r.Header.Get("Content-Type")) {
-		body, release, err := readFrameBody(r)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "read frame: %v", err)
-			return
-		}
-		scratch, _ = wireScratchPool.Get().(*WireScratch)
-		if scratch == nil {
-			scratch = &WireScratch{}
-		}
-		// The observation aliases the scratch slabs until ingest returns;
-		// everything the service keeps (strings, feature state) is copied
-		// out by then, so the scratch goes back to the pool right after.
-		defer wireScratchPool.Put(scratch)
-		obs, err = DecodeWireScratch(body, scratch)
-		release()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	} else {
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&obs); err != nil {
-			writeError(w, http.StatusBadRequest, "decode observation: %v", err)
-			return
-		}
+		decode = DecodeWireScratch
+	}
+	r.Body = http.MaxBytesReader(w, r.Body, maxIngestBytes)
+	bp, _ := bodyPool.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	body, err := readBody(r, bp)
+	if err != nil {
+		bodyPool.Put(bp)
+		writeError(w, http.StatusBadRequest, "read body: %v", err)
+		return
+	}
+	scratch, _ := wireScratchPool.Get().(*WireScratch)
+	if scratch == nil {
+		scratch = &WireScratch{}
+	}
+	// The observation aliases the scratch slabs until ingest returns;
+	// everything the service keeps (strings, feature state) is copied out
+	// by then, so the scratch goes back to the pool right after.
+	defer wireScratchPool.Put(scratch)
+	obs, err := decode(body, scratch)
+	bodyPool.Put(bp)
+	if err != nil {
+		s.svc.mBadRequests.Inc()
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	quiet := r.URL.Query().Get("quiet") == "1"
 	var resp *IngestResponse
-	var err error
 	if quiet {
 		resp, err = s.svc.IngestQuiet(obs)
 	} else {

@@ -1,6 +1,10 @@
 package serving
 
 import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -241,6 +245,90 @@ func TestAppDebounceOverHTTP(t *testing.T) {
 	for i := range debs {
 		if debs[i] && i == 0 && raws[0] {
 			t.Fatal("debounced alarm raised on first raw positive with k=2")
+		}
+	}
+}
+
+// TestHTTPRejectsNonFiniteFrame pins that a binary frame carrying one NaN
+// or ±Inf is a 400 counted as malformed, and that it leaves the
+// instance's state alone: a non-finite value in the X-AVG prefix ring
+// would poison its windowed averages for good.
+func TestHTTPRejectsNonFiniteFrame(t *testing.T) {
+	svc := newTestService(t, 1, 1)
+	srv := NewServer(svc)
+	post := func(obs pcp.WireObservation) *httptest.ResponseRecorder {
+		t.Helper()
+		b, err := AppendWire(nil, obs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(b))
+		req.Header.Set("Content-Type", WireContentType)
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		return rec
+	}
+	for tick := 0; tick < 2; tick++ {
+		if rec := post(pcp.ToWire(testObservation(t, svc, tick, 2), "", nil)); rec.Code != http.StatusOK {
+			t.Fatalf("tick %d: %d %s", tick, rec.Code, rec.Body)
+		}
+	}
+	id := instanceID(1)
+	before, ok := svc.InstancePrediction(id)
+	if !ok {
+		t.Fatal("instance missing after ingest")
+	}
+	for k, v := range []float64{math.NaN(), math.Inf(1)} {
+		obs := pcp.ToWire(testObservation(t, svc, 2+k, 2), "", nil)
+		obs.Samples[1].Values[3] = v
+		if rec := post(obs); rec.Code != http.StatusBadRequest {
+			t.Fatalf("frame with %v: %d, want 400", v, rec.Code)
+		}
+		after, _ := svc.InstancePrediction(id)
+		if after.Samples != before.Samples || math.Float64bits(after.Prob) != math.Float64bits(before.Prob) {
+			t.Fatalf("frame with %v moved %s: %+v → %+v", v, id, before, after)
+		}
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if want := `monitorless_ingest_rejects_total{reason="malformed"} 2`; !strings.Contains(rec.Body.String(), want) {
+		t.Fatalf("metrics missing %q", want)
+	}
+}
+
+// TestHTTPMetricsLabelCardinality pins that request metrics are labelled
+// by route: a thousand distinct unknown paths share one "other" series.
+func TestHTTPMetricsLabelCardinality(t *testing.T) {
+	svc := newTestService(t, 1, 1)
+	srv := NewServer(svc)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		path := fmt.Sprintf("/%x/%d", rng.Uint64(), i)
+		srv.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, path, nil))
+	}
+	srv.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	text := rec.Body.String()
+	series := map[string]int{}
+	for _, line := range strings.Split(text, "\n") {
+		for _, fam := range []string{"monitorless_http_requests_total{", "monitorless_http_request_seconds_count{"} {
+			if strings.HasPrefix(line, fam) {
+				series[fam]++
+			}
+		}
+	}
+	for fam, n := range series {
+		if n > 3 {
+			t.Errorf("%s has %d series after 1000 unknown paths, want ≤ 3", fam, n)
+		}
+	}
+	for _, want := range []string{
+		`monitorless_http_requests_total{code="404",path="other"} 1000`,
+		`monitorless_http_requests_total{code="200",path="/healthz"} 1`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics missing %q", want)
 		}
 	}
 }

@@ -1,11 +1,13 @@
 package serving
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -91,7 +93,7 @@ func shardIndexGolden(id string) uint64 {
 
 // rawRows returns real raw metric rows (valid catalog-width vectors) for
 // feeding concurrent ingest tests.
-func rawRows(t *testing.T) [][]float64 {
+func rawRows(t testing.TB) [][]float64 {
 	t.Helper()
 	_, ds := sharedTestModel(t)
 	rows := ds.FilterRuns(1).Frame().MaterializeRows()
@@ -336,6 +338,79 @@ func TestIngestAllocations(t *testing.T) {
 	}
 	if got := str.FallbackRows(); got != 0 {
 		t.Fatalf("fallback rows = %d after kernelized ingest, want 0", got)
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps the status and drops the
+// body, so a handler's own allocations can be measured without a
+// recorder's buffer.
+type discardWriter struct {
+	h    http.Header
+	code int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) WriteHeader(code int)        { w.code = code }
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+
+// TestJSONIngestAllocations bounds the JSON agent path. Once warm,
+// DecodeJSONScratch on a 16-sample body allocates only the instance-ID
+// strings (the slabs are reused); a whole ServeHTTP JSON ingest with the
+// prediction echo stays within 2 KB per sample (encoding/json's reflective
+// decode alone took ~26 KB).
+func TestJSONIngestAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted under the race detector")
+	}
+	const samples = 16
+	body := jsonBody(t, samples)
+	var sc WireScratch
+	for w := 0; w < 3; w++ {
+		if _, err := DecodeJSONScratch(body, &sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := DecodeJSONScratch(body, &sc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("DecodeJSONScratch: %v allocs per %d-sample body", allocs, samples)
+	if allocs > samples+2 {
+		t.Fatalf("warm DecodeJSONScratch allocates %v times per %d-sample body, want ≤ %d", allocs, samples, samples+2)
+	}
+
+	svc := newTestService(t, 1, 1)
+	srv := NewServer(svc)
+	w := &discardWriter{h: http.Header{}}
+	rd := bytes.NewReader(body)
+	req := httptest.NewRequest(http.MethodPost, "/ingest", nil)
+	req.ContentLength = int64(len(body))
+	ingest := func() {
+		rd.Reset(body)
+		req.Body = io.NopCloser(rd)
+		clear(w.h)
+		w.code = http.StatusOK
+		srv.ServeHTTP(w, req)
+		if w.code != http.StatusOK {
+			t.Fatalf("JSON ingest answered %d", w.code)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		ingest()
+	}
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		ingest()
+	}
+	runtime.ReadMemStats(&after)
+	perSample := float64(after.TotalAlloc-before.TotalAlloc) / (runs * samples)
+	t.Logf("ServeHTTP JSON ingest with echo: %.0f B/sample, %.1f allocs/sample",
+		perSample, float64(after.Mallocs-before.Mallocs)/(runs*samples))
+	if perSample > 2048 {
+		t.Fatalf("ServeHTTP JSON ingest allocates %.0f B/sample, want ≤ 2048", perSample)
 	}
 }
 

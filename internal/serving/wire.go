@@ -133,11 +133,13 @@ func appendWireString(dst []byte, s string) ([]byte, error) {
 }
 
 // WireScratch recycles a decode's two slabs (the sample headers and the
-// value matrix) across frames. Identifier strings are still freshly
-// allocated — they outlive the frame inside the service's instance maps.
+// value matrix) across requests of either encoding. Identifier strings are
+// still freshly allocated — they outlive the request inside the service's
+// instance maps.
 type WireScratch struct {
 	samples []pcp.WireSample
 	vals    []float64
+	spans   []valSpan // JSON only: per-sample value ranges while vals grows
 }
 
 // DecodeWire parses a binary batch frame. Any malformed input yields an
@@ -228,8 +230,39 @@ func DecodeWireScratch(b []byte, sc *WireScratch) (pcp.WireObservation, error) {
 	} else {
 		vals = make([]float64, count*width)
 	}
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[off+i*8:]))
+	// A value is non-finite exactly when its 11 exponent bits are all
+	// ones, i.e. when adding one to the masked exponent carries into bit
+	// 63; OR-ing that sum over the copy keeps the loop branch-free. Four
+	// values per step with two accumulators keep the check off the copy's
+	// critical path, so the loop is no slower than a bare copy.
+	const expMask, expOne = 0x7ff0_0000_0000_0000, 1 << 52
+	var nonFinite, nonFinite2 uint64
+	src := rest[off:]
+	i := 0
+	for ; i+4 <= len(vals) && len(src) >= 32; i += 4 {
+		b0 := binary.LittleEndian.Uint64(src[0:])
+		b1 := binary.LittleEndian.Uint64(src[8:])
+		b2 := binary.LittleEndian.Uint64(src[16:])
+		b3 := binary.LittleEndian.Uint64(src[24:])
+		src = src[32:]
+		nonFinite |= (b0&expMask + expOne) | (b1&expMask + expOne)
+		nonFinite2 |= (b2&expMask + expOne) | (b3&expMask + expOne)
+		v := vals[i : i+4 : i+4]
+		v[0], v[1], v[2], v[3] = math.Float64frombits(b0), math.Float64frombits(b1), math.Float64frombits(b2), math.Float64frombits(b3)
+	}
+	for ; i < len(vals); i++ {
+		bits := binary.LittleEndian.Uint64(src)
+		src = src[8:]
+		nonFinite |= bits&expMask + expOne
+		vals[i] = math.Float64frombits(bits)
+	}
+	if (nonFinite|nonFinite2)>>63 != 0 {
+		for i, v := range vals {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return zero, fmt.Errorf("serving: wire decode: sample %d value %d is %v; only finite values are accepted",
+					i/width, i%width, v)
+			}
+		}
 	}
 	for i := range samples {
 		samples[i].Values = vals[i*width : (i+1)*width : (i+1)*width]

@@ -2,6 +2,7 @@ package serving
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -16,7 +17,7 @@ func testWireObservation() pcp.WireObservation {
 		SchemaHash: strings.Repeat("ab", 32),
 		Samples: []pcp.WireSample{
 			{Instance: "shop/web/0", App: "shop", Service: "web", Values: []float64{1, 2.5, -3}},
-			{Instance: "shop/web/1", Values: []float64{0, math.Inf(1), math.SmallestNonzeroFloat64}},
+			{Instance: "shop/web/1", Values: []float64{0, math.MaxFloat64, math.SmallestNonzeroFloat64}},
 			{Instance: "db/pg/0", App: "db", Values: []float64{-0.0, 1e300, 42}},
 		},
 	}
@@ -36,11 +37,8 @@ func TestWireRoundTrip(t *testing.T) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, obs)
 	}
 
-	// NaN payloads survive bitwise (DeepEqual can't see that).
-	nanObs := pcp.WireObservation{T: -7, Samples: []pcp.WireSample{
-		{Instance: "a", Values: []float64{math.Float64frombits(0x7ff8_0000_dead_beef)}},
-	}}
-	b, err = AppendWire(nil, nanObs)
+	negT := pcp.WireObservation{T: -7, Samples: []pcp.WireSample{{Instance: "a", Values: []float64{1}}}}
+	b, err = AppendWire(nil, negT)
 	if err != nil {
 		t.Fatalf("AppendWire: %v", err)
 	}
@@ -48,14 +46,66 @@ func TestWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeWire: %v", err)
 	}
-	if bits := math.Float64bits(got.Samples[0].Values[0]); bits != 0x7ff8_0000_dead_beef {
-		t.Fatalf("NaN payload not preserved: %#x", bits)
-	}
 	if got.T != -7 {
 		t.Fatalf("negative T not preserved: %d", got.T)
 	}
 	if got.SchemaHash != "" {
 		t.Fatalf("unset schema hash decoded as %q", got.SchemaHash)
+	}
+}
+
+// nonFiniteFrames encodes testWireObservation with one value replaced by
+// NaN (with a payload), +Inf and -Inf — frames JSON cannot carry.
+func nonFiniteFrames(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	out := map[string][]byte{}
+	for name, v := range map[string]float64{
+		"NaN":  math.Float64frombits(0x7ff8_0000_dead_beef),
+		"+Inf": math.Inf(1),
+		"-Inf": math.Inf(-1),
+	} {
+		obs := testWireObservation()
+		obs.Samples[2].Values[1] = v
+		b, err := AppendWire(nil, obs)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[name] = b
+	}
+	return out
+}
+
+// TestWireDecodeRejectsNonFinite pins that the binary frame admits only
+// the finite values the JSON encoding can carry.
+func TestWireDecodeRejectsNonFinite(t *testing.T) {
+	for name, b := range nonFiniteFrames(t) {
+		if _, err := DecodeWire(b); err == nil || !strings.Contains(err.Error(), "sample 2 value 1") {
+			t.Errorf("%s: err = %v, want a rejection naming sample 2 value 1", name, err)
+		}
+	}
+	// Every position is checked: each lane of the unrolled copy and the
+	// tail after it.
+	for i := 0; i < 9; i++ {
+		obs := testWireObservation()
+		obs.Samples[i/3].Values[i%3] = math.Inf(-1)
+		b, err := AppendWire(nil, obs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("sample %d value %d", i/3, i%3)
+		if _, err := DecodeWire(b); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("-Inf at %s: err = %v", want, err)
+		}
+	}
+	// The largest finite magnitudes and the subnormals are not caught.
+	obs := testWireObservation()
+	obs.Samples[0].Values = []float64{-math.MaxFloat64, -math.SmallestNonzeroFloat64, math.Float64frombits(0x7fef_ffff_ffff_ffff)}
+	b, err := AppendWire(nil, obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeWire(b); err != nil {
+		t.Fatalf("finite extremes rejected: %v", err)
 	}
 }
 
@@ -175,6 +225,9 @@ func FuzzWireDecode(f *testing.F) {
 	inflated := append([]byte(nil), valid...)
 	binary.LittleEndian.PutUint32(inflated[50:], 1<<22-1)
 	f.Add(inflated)
+	nf := nonFiniteFrames(f)
+	f.Add(nf["NaN"])
+	f.Add(nf["+Inf"])
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		obs, err := DecodeWire(b)
@@ -192,6 +245,11 @@ func FuzzWireDecode(f *testing.F) {
 			}
 			if len(obs.Samples[i].Values) != width {
 				t.Fatalf("sample %d width %d != %d", i, len(obs.Samples[i].Values), width)
+			}
+			for j, v := range obs.Samples[i].Values {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("sample %d value %d decoded as %v", i, j, v)
+				}
 			}
 		}
 		// Round trip: re-encoding must succeed and decode identically.

@@ -12,11 +12,12 @@
 #   exact split parity    — presorted and per-node orderings bit-identical to the test-only reference sort: TestExactSplitMatchesReference plus 5 s of FuzzExactSplitVsReference
 #   benchmark smoke       — tree/forest/filter/append/engine/agent benchmarks still compile and run (-benchtime=1x)
 #   serving race          — sharded ingest + concurrent scrape under -race
-#   ingest allocs         — steady-state ingest allocation budget
+#   ingest allocs         — steady-state ingest allocation budget; JSON path: warm DecodeJSONScratch allocates only the ID strings, ServeHTTP JSON ingest with echo ≤ 2 KB/sample
 #   lifecycle race        — ingest + drift harvest + reads + warm hot swaps under -race
 #   lifecycle allocs      — ingest budget holds while swaps land; drift cell (one app and interleaved apps) and reservoir budgets
 #   drift fuzz            — FuzzCellObserveVsReference: checked-in seeds plus 5 s of fuzzer-chosen edges and values against the naive reference
 #   wire fuzz             — FuzzWireDecode over the checked-in corpus plus 5 s of fresh mutations
+#   json fuzz             — FuzzDecodeJSONVsReference: DecodeJSONScratch against json.Decoder+DisallowUnknownFields, seeds plus 5 s of fresh mutations
 #   spill goldens         — byte-identity goldens with generation and training forced through disk chunks
 #   no-mmap               — frame store tests on the pread fallback
 #   ooc_bench             — corpus 4x a capped GOMEMLIMIT trains without materializing (peak RSS gate)
@@ -92,7 +93,7 @@ lane "serving race"
 go test -race -count=1 -run 'TestShardedIngestRace|TestScrapeDuringIngestRace' -v ./internal/serving/
 
 lane "ingest allocs"
-go test -run TestIngestAllocations -count=1 -v ./internal/serving/
+go test -run 'TestIngestAllocations|TestJSONIngestAllocations' -count=1 -v ./internal/serving/
 
 lane "lifecycle race"
 go test -race -count=1 -run 'TestLifecycleSwapRace|TestLifecycleEndToEndDriftRetrainSwap' -v ./internal/serving/
@@ -106,6 +107,9 @@ go test -run '^FuzzCellObserveVsReference$' -fuzz '^FuzzCellObserveVsReference$'
 
 lane "wire fuzz"
 go test -run '^FuzzWireDecode$' -fuzz '^FuzzWireDecode$' -fuzztime=5s ./internal/serving/
+
+lane "json fuzz"
+go test -run '^FuzzDecodeJSONVsReference$' -fuzz '^FuzzDecodeJSONVsReference$' -fuzztime=5s ./internal/serving/
 
 lane "spill goldens"
 MONITORLESS_FORCE_SPILL=1 go test -count=1 -run 'Golden|Parity' ./internal/frame/ ./internal/dataset/ ./internal/experiments/

@@ -25,16 +25,14 @@ func main() {
 	log.SetPrefix("datagen: ")
 
 	var (
-		out       = flag.String("out", "training.csv", "output CSV path ('-' for stdout)")
-		catalog   = flag.String("catalog", "default", "metric catalog: default (~290 metrics) or full (the paper's 952 host + 88 container)")
-		duration  = flag.Int("duration", 900, "measured seconds per run")
-		ramp      = flag.Int("ramp", 500, "threshold-discovery ramp seconds")
-		runs      = flag.String("runs", "", "comma-separated Table 1 run IDs (default: all 25)")
-		seed      = flag.Int64("seed", 42, "random seed")
-		summary   = flag.Bool("summary", true, "print the per-run summary to stderr")
-		workers   = flag.Int("parallel", 0, "worker pool size for concurrent run groups (0 = GOMAXPROCS)")
-		spillDir  = flag.String("spill-dir", "", "stream the corpus to this directory as column-major chunks instead of CSV (flat generation memory; train reads it with -spill-dir)")
-		chunkRows = flag.Int("chunk-rows", 0, "rows per spilled chunk (0 = default)")
+		out      = flag.String("out", "training.csv", "output CSV path ('-' for stdout)")
+		catalog  = flag.String("catalog", "default", "metric catalog: default (~290 metrics) or full (the paper's 952 host + 88 container)")
+		duration = flag.Int("duration", 900, "measured seconds per run")
+		ramp     = flag.Int("ramp", 500, "threshold-discovery ramp seconds")
+		runs     = flag.String("runs", "", "comma-separated Table 1 run IDs (default: all 25)")
+		seed     = flag.Int64("seed", 42, "random seed")
+		summary  = flag.Bool("summary", true, "print the per-run summary to stderr")
+		workers  = flag.Int("parallel", 0, "worker pool size for concurrent run groups (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 	parallel.SetDefaultWorkers(*workers)
@@ -73,24 +71,6 @@ func main() {
 	default:
 		log.Fatalf("unknown -catalog %q (want default or full)", *catalog)
 	}
-	if *spillDir != "" {
-		// Out-of-core path: sealed chunks flush to disk as generation
-		// advances, so memory stays flat regardless of corpus size. The
-		// spill directory (manifest + chunks + labels) is the output;
-		// no CSV is written.
-		opts.SpillDir = *spillDir
-		opts.ChunkRows = *chunkRows
-		fr, _, err := dataset.GenerateFrame(cfgs, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer fr.Close()
-		bytes := int64(fr.Rows()) * int64(fr.NumCols()) * 8
-		fmt.Fprintf(os.Stderr, "spilled %d rows x %d cols (%.1f MiB in %d chunks of %d rows) to %s\n",
-			fr.Rows(), fr.NumCols(), float64(bytes)/(1<<20), fr.NumChunks(), fr.ChunkRows(), *spillDir)
-		return
-	}
-
 	rep, err := dataset.Generate(cfgs, opts)
 	if err != nil {
 		log.Fatal(err)

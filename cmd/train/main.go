@@ -18,7 +18,6 @@ import (
 	"monitorless/internal/dataset"
 	"monitorless/internal/experiments"
 	"monitorless/internal/features"
-	"monitorless/internal/frame"
 	"monitorless/internal/ml/tree"
 	"monitorless/internal/parallel"
 	"monitorless/internal/pcp"
@@ -38,7 +37,6 @@ func main() {
 		workers   = flag.Int("parallel", 0, "worker pool size for generation and evaluation sweeps (0 = GOMAXPROCS)")
 		splitter  = flag.String("splitter", "exact", "forest split search: exact (sorted scans, the parity reference) or hist (histogram-binned, fast retraining)")
 		bins      = flag.Int("bins", 256, "max quantile bins per column for -splitter hist (2..256)")
-		spillDir  = flag.String("spill-dir", "", "train out of core from a chunked corpus written by datagen -spill-dir (pairs best with -splitter hist)")
 	)
 	flag.Parse()
 	parallel.SetDefaultWorkers(*workers)
@@ -56,28 +54,10 @@ func main() {
 
 	var (
 		ctx    *experiments.Context
-		corpus *dataset.Dataset // the in-memory corpus the model trained on, for -rules
+		corpus *dataset.Dataset // the corpus the model trained on, for -rules
 		err    error
 	)
-	if *spillDir != "" {
-		if *data != "" {
-			log.Fatal("-spill-dir and -data are mutually exclusive")
-		}
-		fr, err := frame.OpenSpill(*spillDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		start := time.Now()
-		chunks := fr.NumChunks()
-		m, err := core.TrainFrame(fr, scale.TrainConfig())
-		fr.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("trained out of core on %d samples (%.1f%% saturated, %d chunks) in %s\n",
-			m.TrainSamples, 100*m.TrainSaturatedFrac, chunks, time.Since(start).Round(time.Millisecond))
-		ctx = &experiments.Context{Scale: scale, Model: m}
-	} else if *data != "" {
+	if *data != "" {
 		f, err := os.Open(*data)
 		if err != nil {
 			log.Fatal(err)
@@ -124,9 +104,6 @@ func main() {
 		experiments.PrintTable4(os.Stdout, experiments.Table4(ctx, 30))
 	}
 	if *rules {
-		if corpus == nil {
-			log.Fatal("-rules needs the training corpus in memory (omit -spill-dir)")
-		}
 		distilled, fidelity, err := ctx.Model.Distill(corpus.Frame(), 3)
 		if err != nil {
 			log.Fatal(err)

@@ -397,7 +397,7 @@ func TestWatchListFollowsLivenessPlan(t *testing.T) {
 
 	// The same model with no watch list writes the same bytes.
 	bare := *m
-	bare.Fingerprint = &frame.Fingerprint{Rows: m.Fingerprint.Rows, Cols: m.Fingerprint.Cols, Streamed: m.Fingerprint.Streamed}
+	bare.Fingerprint = &frame.Fingerprint{Rows: m.Fingerprint.Rows, Cols: m.Fingerprint.Cols}
 	var buf2 bytes.Buffer
 	if err := SaveBundle(&buf2, &bare, 7); err != nil {
 		t.Fatal(err)

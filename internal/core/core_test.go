@@ -108,7 +108,7 @@ func TestTrainAndEvaluateHeldOutRun(t *testing.T) {
 		t.Fatalf("PredictFrame: %v", err)
 	}
 	pred := preds[1]
-	truth := testDS.Y()
+	truth := testDS.Frame().Labels()
 	if len(pred) != len(truth) {
 		t.Fatalf("prediction length %d vs %d labels", len(pred), len(truth))
 	}

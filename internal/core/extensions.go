@@ -38,9 +38,6 @@ func (m *Model) Distill(raw *frame.Frame, maxDepth int) ([]tree.Rule, float64, e
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: distill: %w", err)
 	}
-	if engineered.Chunked() {
-		defer engineered.Discard()
-	}
 	// The surrogate learns the *model's* labels, not the ground truth.
 	probs := m.Forest.PredictProbaFrameRows(engineered, nil)
 	y := make([]int, len(probs))
@@ -54,12 +51,7 @@ func (m *Model) Distill(raw *frame.Frame, maxDepth int) ([]tree.Rule, float64, e
 		return nil, 0, fmt.Errorf("core: distill surrogate: %w", err)
 	}
 	sur := make([]float64, len(y))
-	if err := engineered.ForEachChunk(func(base int, ch *frame.Frame) error {
-		surrogate.AccumProba(ch.Cols(nil), nil, sur[base:base+ch.Rows()])
-		return nil
-	}); err != nil {
-		return nil, 0, fmt.Errorf("core: distill fidelity: %w", err)
-	}
+	surrogate.AccumProba(engineered.Cols(nil), nil, sur)
 	agree := 0
 	for i, label := range y {
 		if (sur[i] >= 0.5) == (label == 1) {

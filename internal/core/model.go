@@ -79,12 +79,7 @@ func Train(ds *dataset.Dataset, cfg TrainConfig) (*Model, error) {
 }
 
 // TrainFrame fits the feature pipeline and classifier directly on a raw
-// labeled frame — dense or chunk-backed. A chunked frame streams through
-// every stage that supports it (pipeline fit/transform, histogram forest
-// binning, fingerprinting), so training memory stays bounded by the chunk
-// working set rather than the corpus; the fitted model is bit-identical
-// to training on the densified frame. Chunk-backed intermediates are
-// discarded as training advances; the caller keeps ownership of raw.
+// labeled frame.
 func TrainFrame(raw *frame.Frame, cfg TrainConfig) (*Model, error) {
 	if raw == nil || raw.Rows() == 0 {
 		return nil, fmt.Errorf("core: empty training dataset")
@@ -104,12 +99,8 @@ func TrainFrame(raw *frame.Frame, cfg TrainConfig) (*Model, error) {
 	fcfg := cfg.Forest
 	fcfg.Threshold = cfg.Threshold
 	fr := forest.New(fcfg)
-	ferr := fr.FitFrame(engineered, nil, nil)
-	if engineered != raw && engineered.Chunked() {
-		engineered.Discard()
-	}
-	if ferr != nil {
-		return nil, fmt.Errorf("core: forest: %w", ferr)
+	if err := fr.FitFrame(engineered, nil, nil); err != nil {
+		return nil, fmt.Errorf("core: forest: %w", err)
 	}
 
 	saturated := 0

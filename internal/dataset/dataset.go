@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"monitorless/internal/frame"
+	"monitorless/internal/parallel"
 	"monitorless/internal/pcp"
 )
 
@@ -58,72 +59,54 @@ func (d *Dataset) Schema() frame.Schema { return pcp.SchemaFromDefs(d.Defs) }
 // Frame converts the dataset into a columnar frame: one contiguous
 // column-major backing array with one span per run (first-appearance
 // order, time order within each run) and the saturation labels attached.
-// This is the training-side entry onto the columnar data plane.
+// This is the training-side entry onto the columnar data plane. Each
+// sample's row is its run's first row plus its rank within the run; the
+// exact-size frame is then filled row by row, in parallel over blocks of
+// columns, so the first touch of its pages is spread over the pool too.
 func (d *Dataset) Frame() *frame.Frame {
-	// Group sample indices by run, preserving both orders.
 	order := map[int]int{}
-	var runs [][]int
-	var ids []int
+	var ids, next []int
 	for i := range d.Samples {
 		id := d.Samples[i].RunID
 		ri, ok := order[id]
 		if !ok {
-			ri = len(runs)
+			ri = len(ids)
 			order[id] = ri
-			runs = append(runs, nil)
 			ids = append(ids, id)
+			next = append(next, 0)
 		}
-		runs[ri] = append(runs[ri], i)
+		next[ri]++
 	}
-	spans := make([]frame.Span, len(runs))
-	labels := make([]int, 0, len(d.Samples))
+	spans := make([]frame.Span, len(ids))
 	base := 0
-	for ri, idx := range runs {
-		spans[ri] = frame.Span{ID: ids[ri], Start: base, End: base + len(idx)}
-		base += len(idx)
-		for _, si := range idx {
-			labels = append(labels, d.Samples[si].Label)
-		}
+	for ri, id := range ids {
+		spans[ri] = frame.Span{ID: id, Start: base, End: base + next[ri]}
+		next[ri] = base
+		base = spans[ri].End
+	}
+	rowOf := make([]int, len(d.Samples))
+	labels := make([]int, len(d.Samples))
+	for i := range d.Samples {
+		ri := order[d.Samples[i].RunID]
+		rowOf[i] = next[ri]
+		next[ri]++
+		labels[rowOf[i]] = d.Samples[i].Label
 	}
 	fr := frame.NewDense(d.Schema(), len(d.Samples), spans, labels)
-	for j := range d.Defs {
-		col := fr.Col(j)
-		p := 0
-		for _, idx := range runs {
-			for _, si := range idx {
-				col[p] = d.Samples[si].Values[j]
-				p++
+	cols := fr.Cols(nil)
+	const block = 32
+	_ = parallel.ForEach((len(cols)+block-1)/block, func(b int) error {
+		lo, hi := b*block, min((b+1)*block, len(cols))
+		part := cols[lo:hi]
+		for i := range d.Samples {
+			p := rowOf[i]
+			for j, v := range d.Samples[i].Values[lo:hi] {
+				part[j][p] = v
 			}
 		}
-	}
+		return nil
+	})
 	return fr
-}
-
-// X returns the feature matrix (rows alias the samples' value slices).
-func (d *Dataset) X() [][]float64 {
-	out := make([][]float64, len(d.Samples))
-	for i := range d.Samples {
-		out[i] = d.Samples[i].Values
-	}
-	return out
-}
-
-// Y returns the label vector.
-func (d *Dataset) Y() []int {
-	out := make([]int, len(d.Samples))
-	for i := range d.Samples {
-		out[i] = d.Samples[i].Label
-	}
-	return out
-}
-
-// Groups returns the run IDs (cross-validation groups).
-func (d *Dataset) Groups() []int {
-	out := make([]int, len(d.Samples))
-	for i := range d.Samples {
-		out[i] = d.Samples[i].RunID
-	}
-	return out
 }
 
 // SaturatedFraction is the share of positive labels (paper: 26% in training).
@@ -136,17 +119,6 @@ func (d *Dataset) SaturatedFraction() float64 {
 		n += d.Samples[i].Label
 	}
 	return float64(n) / float64(len(d.Samples))
-}
-
-// Merge appends another dataset with the same schema.
-func (d *Dataset) Merge(other *Dataset) error {
-	if len(d.Defs) == 0 {
-		d.Defs = other.Defs
-	} else if len(d.Defs) != len(other.Defs) {
-		return fmt.Errorf("dataset: schema mismatch (%d vs %d metrics)", len(d.Defs), len(other.Defs))
-	}
-	d.Samples = append(d.Samples, other.Samples...)
-	return nil
 }
 
 // RunIDs returns the distinct run IDs in first-appearance order.

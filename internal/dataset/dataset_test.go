@@ -30,15 +30,6 @@ func TestDatasetAccessors(t *testing.T) {
 	if got := d.Names(); got[0] != "a" || got[1] != "b" {
 		t.Errorf("Names = %v", got)
 	}
-	if x := d.X(); len(x) != 3 || x[1][1] != 4 {
-		t.Errorf("X malformed: %v", x)
-	}
-	if y := d.Y(); y[0] != 0 || y[1] != 1 {
-		t.Errorf("Y malformed: %v", y)
-	}
-	if g := d.Groups(); g[2] != 2 {
-		t.Errorf("Groups malformed: %v", g)
-	}
 	if f := d.SaturatedFraction(); math.Abs(f-1.0/3.0) > 1e-12 {
 		t.Errorf("SaturatedFraction = %v", f)
 	}
@@ -55,23 +46,6 @@ func TestFilterRuns(t *testing.T) {
 	f := d.FilterRuns(2)
 	if len(f.Samples) != 1 || f.Samples[0].RunID != 2 {
 		t.Errorf("FilterRuns(2) = %+v", f.Samples)
-	}
-}
-
-func TestMerge(t *testing.T) {
-	d := &Dataset{}
-	if err := d.Merge(tinyDataset()); err != nil {
-		t.Fatalf("Merge into empty: %v", err)
-	}
-	if err := d.Merge(tinyDataset()); err != nil {
-		t.Fatalf("Merge same schema: %v", err)
-	}
-	if len(d.Samples) != 6 {
-		t.Errorf("merged %d samples, want 6", len(d.Samples))
-	}
-	bad := &Dataset{Defs: []pcp.MetricDef{{Name: "only"}}}
-	if err := d.Merge(bad); err == nil {
-		t.Error("expected schema mismatch error")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"monitorless/internal/apps"
 	"monitorless/internal/cluster"
+	"monitorless/internal/frame"
 	"monitorless/internal/label"
 	"monitorless/internal/parallel"
 	"monitorless/internal/pcp"
@@ -23,13 +24,6 @@ type GenOptions struct {
 	Seed int64
 	// Catalog defaults to pcp.DefaultCatalog().
 	Catalog *pcp.Catalog
-	// SpillDir, when set, makes GenerateFrame write sealed chunks to this
-	// directory instead of keeping them on the heap (out-of-core corpus).
-	// Generate ignores it.
-	SpillDir string
-	// ChunkRows is the row count per chunk for GenerateFrame (default
-	// frame.DefaultChunkRows).
-	ChunkRows int
 }
 
 func (o GenOptions) withDefaults() GenOptions {
@@ -81,6 +75,16 @@ func Generate(cfgs []RunConfig, opt GenOptions) (*Report, error) {
 		}
 	}
 	return rep, nil
+}
+
+// GenerateFrame is Generate followed by Dataset.Frame: the labeled corpus
+// as one dense frame, plus each run's Υ-labeler.
+func GenerateFrame(cfgs []RunConfig, opt GenOptions) (*frame.Frame, map[int]label.Labeler, error) {
+	rep, err := Generate(cfgs, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rep.Dataset.Frame(), rep.Thresholds, nil
 }
 
 // buildGroup assembles a fresh training host running every config of the

@@ -55,42 +55,32 @@ func frameDigest(fr *frame.Frame) string {
 // TestGenerateGoldenFrameBytes pins the generated Table 1/2 corpus to a
 // committed fixture: the frame produced by Generate must stay byte-for-byte
 // identical across refactors of the simulator hot path, and identical at
-// any -parallel worker count. The fixture was recorded before the
+// any -parallel worker count, through both doors: Generate followed by
+// Dataset.Frame, and GenerateFrame. The fixture was recorded before the
 // slot-registry/arena refactor, so a pass proves the refactor preserved
 // every emitted bit.
 func TestGenerateGoldenFrameBytes(t *testing.T) {
 	cfgs := Table1()
 	opt := GenOptions{Duration: 200, RampSeconds: 150, Seed: 42}
-	// With MONITORLESS_FORCE_SPILL set, the same fixture must fall out of
-	// the streaming generation path with a disk-backed chunk store — the
-	// out-of-core corpus is contractually byte-identical to the in-memory
-	// one.
-	forceSpill := os.Getenv("MONITORLESS_FORCE_SPILL") != ""
-
 	digests := make(map[int]string)
 	var schemaHash string
 	var rows int
 	for _, workers := range []int{1, 4, 8} {
 		parallel.SetDefaultWorkers(workers)
-		var fr *frame.Frame
-		if forceSpill {
-			o := opt
-			o.SpillDir = filepath.Join(t.TempDir(), fmt.Sprintf("w%d", workers))
-			o.ChunkRows = 512
-			ch, _, err := GenerateFrame(cfgs, o)
-			if err != nil {
-				parallel.SetDefaultWorkers(0)
-				t.Fatalf("generate frame (workers=%d): %v", workers, err)
-			}
-			fr = ch.Materialize()
-			ch.Close()
-		} else {
-			rep, err := Generate(cfgs, opt)
-			if err != nil {
-				parallel.SetDefaultWorkers(0)
-				t.Fatalf("generate (workers=%d): %v", workers, err)
-			}
-			fr = rep.Dataset.Frame()
+		rep, err := Generate(cfgs, opt)
+		if err != nil {
+			parallel.SetDefaultWorkers(0)
+			t.Fatalf("generate (workers=%d): %v", workers, err)
+		}
+		fr := rep.Dataset.Frame()
+		door, _, err := GenerateFrame(cfgs, opt)
+		if err != nil {
+			parallel.SetDefaultWorkers(0)
+			t.Fatalf("generate frame (workers=%d): %v", workers, err)
+		}
+		if got, want := frameDigest(door), frameDigest(fr); got != want {
+			parallel.SetDefaultWorkers(0)
+			t.Fatalf("GenerateFrame and Generate+Frame disagree (workers=%d)", workers)
 		}
 		parallel.SetDefaultWorkers(0)
 		digests[workers] = frameDigest(fr)

@@ -9,12 +9,10 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 
 	"monitorless/internal/core"
 	"monitorless/internal/dataset"
 	"monitorless/internal/features"
-	"monitorless/internal/frame"
 	"monitorless/internal/ml/forest"
 	"monitorless/internal/ml/tree"
 	"monitorless/internal/parallel"
@@ -122,12 +120,6 @@ type Context struct {
 	Model  *core.Model
 }
 
-// ForceSpillEnv, when set to a non-empty value, reroutes NewContext's
-// training through a disk-spilled chunk-backed copy of the corpus. The
-// parity goldens run under it in CI: every table they check must come out
-// bit-identical whether the model trained in memory or out of core.
-const ForceSpillEnv = "MONITORLESS_FORCE_SPILL"
-
 // NewContext generates the full Table 1 corpus and trains the model.
 func NewContext(s Scale) (*Context, error) {
 	rep, err := dataset.Generate(dataset.Table1(), dataset.GenOptions{
@@ -138,30 +130,11 @@ func NewContext(s Scale) (*Context, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: training data: %w", err)
 	}
-	m, err := trainModel(rep, s)
+	m, err := core.Train(rep.Dataset, s.TrainConfig())
 	if err != nil {
 		return nil, fmt.Errorf("experiments: train: %w", err)
 	}
 	return &Context{Scale: s, Report: rep, Model: m}, nil
-}
-
-// trainModel fits the monitorless model, out of core when ForceSpillEnv
-// is set.
-func trainModel(rep *dataset.Report, s Scale) (*core.Model, error) {
-	if os.Getenv(ForceSpillEnv) == "" {
-		return core.Train(rep.Dataset, s.TrainConfig())
-	}
-	dir, err := os.MkdirTemp("", "monitorless-spill-*")
-	if err != nil {
-		return nil, fmt.Errorf("spill dir: %w", err)
-	}
-	chunked, err := frame.Rechunk(rep.Dataset.Frame(), frame.DefaultChunkRows, dir)
-	if err != nil {
-		os.RemoveAll(dir)
-		return nil, fmt.Errorf("spill corpus: %w", err)
-	}
-	defer chunked.Discard()
-	return core.TrainFrame(chunked, s.TrainConfig())
 }
 
 // EvalSet bundles the evaluation datasets behind Tables 3 and 5–8; unset

@@ -58,7 +58,7 @@ func BenchmarkRFFilterFit(b *testing.B) {
 	}
 	// The first filter is fitted on the whole corpus so the second sees the
 	// paper layout's width; each case then times one run's fit.
-	scaled := fitApply(b, &StandardScale{}, fitApply(b, &Expand{}, raw.Materialize()))
+	scaled := fitApply(b, &StandardScale{}, fitApply(b, &Expand{}, raw))
 	wide := fitApply(b, &Products{}, fitApply(b, &TimeFeatures{}, fitApply(b, &RFFilter{Seed: 101}, scaled)))
 	if wide.NumCols() <= 600 {
 		b.Fatalf("engineered width %d no longer selects the √d filter", wide.NumCols())

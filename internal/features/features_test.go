@@ -11,6 +11,28 @@ import (
 	"monitorless/internal/pcp"
 )
 
+// framesEqualBits compares two dense frames bit-for-bit: schema names,
+// dimensions and every cell's float64 bit pattern.
+func framesEqualBits(t *testing.T, want, got *frame.Frame) {
+	t.Helper()
+	if got.NumCols() != want.NumCols() || got.Rows() != want.Rows() {
+		t.Fatalf("shape mismatch: got %dx%d, want %dx%d",
+			got.Rows(), got.NumCols(), want.Rows(), want.NumCols())
+	}
+	for j := 0; j < want.NumCols(); j++ {
+		if got.Schema()[j].Name != want.Schema()[j].Name {
+			t.Fatalf("col %d name %q, want %q", j, got.Schema()[j].Name, want.Schema()[j].Name)
+		}
+		wc, gc := want.Col(j), got.Col(j)
+		for i := range wc {
+			if math.Float64bits(wc[i]) != math.Float64bits(gc[i]) {
+				t.Fatalf("col %d row %d: %x != %x (%v vs %v)",
+					j, i, math.Float64bits(gc[i]), math.Float64bits(wc[i]), gc[i], wc[i])
+			}
+		}
+	}
+}
+
 // buildFrame lays out per-run rows as a frame whose span IDs count from 1,
 // labeled with the per-run labels, or unlabeled when labels is nil.
 func buildFrame(cols []Column, runs [][][]float64, labels [][]int) *frame.Frame {
@@ -418,51 +440,42 @@ func DefaultConfigWith(topK, trees int, seed int64) Config {
 // time. A decoded pipeline has no ledger and the same bytes as before.
 func TestFitReportAddsUpToFitFrame(t *testing.T) {
 	fr := synthFrame(8, 400, 3)
-	for _, chunked := range []bool{false, true} {
-		in := fr
-		if chunked {
-			var err error
-			if in, err = frame.Rechunk(fr, 256, ""); err != nil {
-				t.Fatal(err)
-			}
+	p, err := NewPipeline(DefaultConfigWith(8, 10, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := p.FitFrame(fr); err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(start).Seconds()
+	rep := p.FitReport()
+	if len(rep) != len(p.Steps) {
+		t.Fatalf("%d report rows for %d steps", len(rep), len(p.Steps))
+	}
+	sum, width := 0.0, fr.NumCols()
+	for i, r := range rep {
+		if r.Step != p.Steps[i].Name() {
+			t.Errorf("row %d is %q, step is %q", i, r.Step, p.Steps[i].Name())
 		}
-		p, err := NewPipeline(DefaultConfigWith(8, 10, 42))
-		if err != nil {
-			t.Fatal(err)
+		if i == 0 && r.InCols != width {
+			t.Errorf("first row reads %d columns, the frame has %d", r.InCols, width)
 		}
-		start := time.Now()
-		if _, err := p.FitFrame(in); err != nil {
-			t.Fatal(err)
-		}
-		wall := time.Since(start).Seconds()
-		rep := p.FitReport()
-		if len(rep) != len(p.Steps) {
-			t.Fatalf("%d report rows for %d steps", len(rep), len(p.Steps))
-		}
-		sum, width := 0.0, fr.NumCols()
-		for i, r := range rep {
-			if r.Step != p.Steps[i].Name() {
-				t.Errorf("row %d is %q, step is %q", i, r.Step, p.Steps[i].Name())
-			}
-			if i == 0 && r.InCols != width {
-				t.Errorf("first row reads %d columns, the frame has %d", r.InCols, width)
-			}
-			sum += r.FitSeconds + r.TransformSeconds
-		}
-		if sum > wall || sum < 0.95*wall {
-			t.Errorf("chunked=%v: rows sum to %.4fs, FitFrame took %.4fs", chunked, sum, wall)
-		}
+		sum += r.FitSeconds + r.TransformSeconds
+	}
+	if sum > wall || sum < 0.95*wall {
+		t.Errorf("rows sum to %.4fs, FitFrame took %.4fs", sum, wall)
+	}
 
-		blob, err := p.EncodeGob()
-		if err != nil {
-			t.Fatal(err)
-		}
-		q, err := DecodePipeline(blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if q.FitReport() != nil {
-			t.Error("a decoded pipeline carries a fit report")
-		}
+	blob, err := p.EncodeGob()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := DecodePipeline(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.FitReport() != nil {
+		t.Error("a decoded pipeline carries a fit report")
 	}
 }

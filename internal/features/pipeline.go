@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -165,17 +164,14 @@ func (p *Pipeline) FitFrame(fr *frame.Frame) (*frame.Frame, error) {
 	for _, step := range plan {
 		start := time.Now()
 		if err := step.Fit(cur); err != nil {
-			discardIntermediate(cur, fr)
 			return nil, fmt.Errorf("features: fit %s: %w", step.Name(), err)
 		}
 		fitted := time.Now()
-		next, err := applyStep(step, cur, fr)
+		next, err := step.Transform(cur)
 		if err != nil {
-			discardIntermediate(cur, fr)
 			return nil, fmt.Errorf("features: transform %s during fit: %w", step.Name(), err)
 		}
 		p.Steps = append(p.Steps, step)
-		discardIntermediate(cur, fr)
 		p.report = append(p.report, StepReport{
 			Step:             step.Name(),
 			InCols:           cur.NumCols(),
@@ -186,76 +182,6 @@ func (p *Pipeline) FitFrame(fr *frame.Frame) (*frame.Frame, error) {
 	}
 	p.OutCols = append([]Column(nil), cur.Schema()...)
 	return cur, nil
-}
-
-// applyStep runs one fitted step over a frame, routing chunk-backed input
-// through the per-run streaming transform. root is the pipeline's original
-// input frame: every intermediate spills into a sibling directory under
-// root's spill dir, never nested inside the previous intermediate's —
-// discarding intermediate i must not destroy intermediate i+1's chunks.
-func applyStep(step Step, fr, root *frame.Frame) (*frame.Frame, error) {
-	if fr.Chunked() {
-		return transformChunked(step, fr, root.SpillDir())
-	}
-	return step.Transform(fr)
-}
-
-// discardIntermediate releases a chunk-backed intermediate frame (its
-// resident chunks, and its spill files when disk-backed). The caller's
-// input frame is never touched.
-func discardIntermediate(cur, input *frame.Frame) {
-	if cur != input && cur.Chunked() {
-		cur.Discard()
-	}
-}
-
-// transformChunked applies a fitted step to a chunk-backed frame without
-// materializing it: each run is handed to the ordinary dense Transform
-// alone — as a zero-copy view of its chunk, or copied when it crosses a
-// chunk boundary (memory bounded by the longest run) — and the result is
-// appended to a fresh chunked frame — spilled under spillRoot (the
-// pipeline input's spill dir) when that input lives on disk. Every step
-// is row-local once fitted except TimeFeatures, which restarts its prefix
-// sums at span boundaries, so per-run transformation is bit-identical to
-// transforming the whole frame at once.
-func transformChunked(step Step, fr *frame.Frame, spillRoot string) (*frame.Frame, error) {
-	var w *frame.ChunkedWriter
-	emit := func(view *frame.Frame) error {
-		out, err := step.Transform(view.DenseView())
-		if err != nil {
-			return err
-		}
-		if w == nil {
-			dir := ""
-			if spillRoot != "" {
-				d, err := os.MkdirTemp(spillRoot, "xform-*")
-				if err != nil {
-					return fmt.Errorf("spill dir: %w", err)
-				}
-				dir = d
-			}
-			w, err = frame.NewChunkedWriter(out.Schema(), fr.ChunkRows(), dir)
-			if err != nil {
-				return err
-			}
-		}
-		return w.AppendFrame(out)
-	}
-	var err error
-	if fr.NumRuns() == 0 {
-		err = emit(fr)
-	} else {
-		for k := 0; k < fr.NumRuns() && err == nil; k++ {
-			err = emit(fr.RunView(k))
-		}
-	}
-	if err != nil {
-		if w != nil {
-			w.Abort()
-		}
-		return nil, err
-	}
-	return w.Finish()
 }
 
 // TransformFrame applies the fitted pipeline to a frame with the same raw
@@ -269,12 +195,10 @@ func (p *Pipeline) TransformFrame(fr *frame.Frame) (*frame.Frame, error) {
 	}
 	cur := fr
 	for _, step := range p.Steps {
-		next, err := applyStep(step, cur, fr)
+		next, err := step.Transform(cur)
 		if err != nil {
-			discardIntermediate(cur, fr)
 			return nil, fmt.Errorf("features: transform %s: %w", step.Name(), err)
 		}
-		discardIntermediate(cur, fr)
 		cur = next
 	}
 	return cur, nil

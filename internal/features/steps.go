@@ -191,9 +191,6 @@ func (s *StandardScale) Fit(fr *frame.Frame) error {
 	d := fr.NumCols()
 	s.Mean = make([]float64, d)
 	s.Std = make([]float64, d)
-	if fr.Chunked() {
-		return s.fitChunked(fr, n, d)
-	}
 	for j := 0; j < d; j++ {
 		col := fr.Col(j)
 		for _, v := range col {
@@ -204,42 +201,6 @@ func (s *StandardScale) Fit(fr *frame.Frame) error {
 			dv := v - s.Mean[j]
 			s.Std[j] += dv * dv
 		}
-		s.Std[j] = math.Sqrt(s.Std[j] / float64(n))
-	}
-	return nil
-}
-
-// fitChunked is Fit for chunk-backed frames: two chunk sweeps that add the
-// same per-column values in the same row order as the dense loops, so the
-// fitted Mean and Std are bit-identical to an in-memory fit.
-func (s *StandardScale) fitChunked(fr *frame.Frame, n, d int) error {
-	err := fr.ForEachChunk(func(_ int, ch *frame.Frame) error {
-		for j := 0; j < d; j++ {
-			for _, v := range ch.Col(j) {
-				s.Mean[j] += v
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("features: standardize: %w", err)
-	}
-	for j := 0; j < d; j++ {
-		s.Mean[j] /= float64(n)
-	}
-	err = fr.ForEachChunk(func(_ int, ch *frame.Frame) error {
-		for j := 0; j < d; j++ {
-			for _, v := range ch.Col(j) {
-				dv := v - s.Mean[j]
-				s.Std[j] += dv * dv
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("features: standardize: %w", err)
-	}
-	for j := 0; j < d; j++ {
 		s.Std[j] = math.Sqrt(s.Std[j] / float64(n))
 	}
 	return nil
@@ -413,13 +374,6 @@ func (p *PCAReduce) Fit(fr *frame.Frame) error {
 	}
 	if p.VarianceTarget <= 0 {
 		p.VarianceTarget = 0.9999
-	}
-	if fr.Chunked() {
-		// PCA factorizes the full covariance structure; there is no
-		// streaming decomposition that stays bit-identical to the dense
-		// one, so this step is the documented whole-frame escape hatch of
-		// the out-of-core path (the paper's selected layout never uses it).
-		fr = fr.Materialize()
 	}
 	m, err := linalg.FromFrame(fr)
 	if err != nil {
@@ -666,48 +620,13 @@ func (z *DropZeroVariance) Fit(fr *frame.Frame) error {
 		return fmt.Errorf("features: drop-zero-variance: empty table")
 	}
 	z.Keep = z.Keep[:0]
-	if fr.Chunked() {
-		// One chunk sweep: remember each column's first value, flag the
-		// column once any later value differs. Same Keep set as the dense
-		// scan, never a materialized column.
-		d := fr.NumCols()
-		firsts := make([]float64, d)
-		varied := make([]bool, d)
-		err := fr.ForEachChunk(func(base int, ch *frame.Frame) error {
-			for j := 0; j < d; j++ {
-				if varied[j] {
-					continue
-				}
-				col := ch.Col(j)
-				if base == 0 {
-					firsts[j] = col[0]
-				}
-				for _, v := range col {
-					if v != firsts[j] {
-						varied[j] = true
-						break
-					}
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("features: drop-zero-variance: %w", err)
-		}
-		for j := 0; j < d; j++ {
-			if varied[j] {
+	for j := 0; j < fr.NumCols(); j++ {
+		col := fr.Col(j)
+		first := col[0]
+		for _, v := range col[1:] {
+			if v != first {
 				z.Keep = append(z.Keep, j)
-			}
-		}
-	} else {
-		for j := 0; j < fr.NumCols(); j++ {
-			col := fr.Col(j)
-			first := col[0]
-			for _, v := range col[1:] {
-				if v != first {
-					z.Keep = append(z.Keep, j)
-					break
-				}
+				break
 			}
 		}
 	}

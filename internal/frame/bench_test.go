@@ -81,27 +81,3 @@ func BenchmarkRowRangeView(b *testing.B) {
 	}
 	_ = sink
 }
-
-// BenchmarkAppendFrame appends 25 run-sized dense frames (595 rows at the
-// standardized catalog width, as the chunked pipeline does after every
-// step) into one in-memory chunked frame of default-height chunks.
-func BenchmarkAppendFrame(b *testing.B) {
-	run := testFrame(1, 595, 283, 31)
-	b.SetBytes(int64(25 * run.Rows() * run.NumCols() * 8))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		w, err := NewChunkedWriter(run.Schema(), 0, "")
-		if err != nil {
-			b.Fatal(err)
-		}
-		for k := 0; k < 25; k++ {
-			if err := w.AppendFrame(run); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := w.Finish(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

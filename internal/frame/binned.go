@@ -37,16 +37,6 @@ type Binned struct {
 // from the listed fitting rows (nil = every row); codes are computed for
 // every frame row.
 func BinFrame(fr *Frame, maxBins int, rows []int) *Binned {
-	if fr.Chunked() {
-		// Chunk-backed frames stream (binned_stream.go) with bit-identical
-		// edges and codes; I/O failure panics here — training entry points
-		// use BinFrameChecked to propagate it instead.
-		b, err := binFrameChunked(fr, maxBins, rows)
-		if err != nil {
-			panic(fmt.Sprintf("frame: streaming bin: %v", err))
-		}
-		return b
-	}
 	return BinColumns(fr.Cols(nil), fr.Rows(), maxBins, rows)
 }
 

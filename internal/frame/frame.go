@@ -26,21 +26,11 @@
 // groups, §3.4) described by Spans; labels are optional and aliased, not
 // copied, across views and column selections — they are never mutated by
 // transforms.
-//
-// Out-of-core frames: a Frame may instead be backed by a chunked Store
-// (store.go) — fixed row-count column-major chunks, in memory or spilled
-// to disk. Chunk-backed frames are read-only; Col/Set/Append panic or
-// error on them, while At/Row/RowRange/RunView work transparently and
-// ForEachChunk exposes each chunk as a zero-copy dense sub-frame (the
-// chunk-iterating row-range API the learners and pipeline stream over).
-// On a dense frame (store == nil, the only kind hot paths ever see)
-// every accessor takes exactly the pre-seam code path.
 package frame
 
 import (
 	"fmt"
 	"math"
-	"os"
 )
 
 // Span describes one run: rows [Start, End) of the frame belong to the
@@ -61,7 +51,6 @@ type Frame struct {
 	spans  []Span
 	labels []int // nil, or exactly rows entries aligned with the view
 	owned  bool  // false for views; only owners may append
-	store  Store // nil for dense frames; the chunked backing otherwise
 }
 
 // NewDense returns an exact-size owning frame with rows zeroed rows, the
@@ -114,13 +103,8 @@ func (f *Frame) Rows() int { return f.rows }
 func (f *Frame) NumCols() int { return len(f.schema) }
 
 // Col returns the zero-copy contiguous backing segment of column j.
-// Writing through it mutates every view sharing the backing. A
-// chunk-backed frame has no whole-column slab; iterate ForEachChunk (each
-// chunk's columns are contiguous) or Materialize first.
+// Writing through it mutates every view sharing the backing.
 func (f *Frame) Col(j int) []float64 {
-	if f.store != nil {
-		panic("frame: Col on a chunk-backed frame (iterate ForEachChunk or call Materialize)")
-	}
 	base := j*f.stride + f.off
 	return f.data[base : base+f.rows : base+f.rows]
 }
@@ -138,35 +122,13 @@ func (f *Frame) Cols(dst [][]float64) [][]float64 {
 	return dst
 }
 
-// At returns the value at row i, column j. On a chunk-backed frame this
-// routes through the store (correct but per-cell; chunk iteration is the
-// fast path).
+// At returns the value at row i, column j.
 func (f *Frame) At(i, j int) float64 {
-	if f.store != nil {
-		return f.storeAt(i, j)
-	}
 	return f.data[j*f.stride+f.off+i]
 }
 
-// storeAt is the chunk-backed cell read, kept out of At so the dense
-// path stays inlinable.
-func (f *Frame) storeAt(i, j int) float64 {
-	cr := f.store.ChunkRows()
-	g := f.off + i
-	k := g / cr
-	data, err := f.store.ChunkData(k)
-	if err != nil {
-		panic(fmt.Sprintf("frame: chunk %d read failed: %v", k, err))
-	}
-	return data[j*f.store.ChunkLen(k)+g%cr]
-}
-
-// Set assigns the value at row i, column j. Chunk-backed frames are
-// read-only.
+// Set assigns the value at row i, column j.
 func (f *Frame) Set(i, j int, v float64) {
-	if f.store != nil {
-		panic("frame: Set on a read-only chunk-backed frame")
-	}
 	f.data[j*f.stride+f.off+i] = v
 }
 
@@ -177,21 +139,6 @@ func (f *Frame) Row(i int, dst []float64) []float64 {
 		dst = make([]float64, d)
 	}
 	dst = dst[:d]
-	if f.store != nil {
-		cr := f.store.ChunkRows()
-		g := f.off + i
-		k := g / cr
-		data, err := f.store.ChunkData(k)
-		if err != nil {
-			panic(fmt.Sprintf("frame: chunk %d read failed: %v", k, err))
-		}
-		cl := f.store.ChunkLen(k)
-		local := g % cr
-		for j := 0; j < d; j++ {
-			dst[j] = data[j*cl+local]
-		}
-		return dst
-	}
 	for j := 0; j < d; j++ {
 		dst[j] = f.data[j*f.stride+f.off+i]
 	}
@@ -232,7 +179,6 @@ func (f *Frame) RowRange(lo, hi int) *Frame {
 		stride: f.stride,
 		off:    f.off + lo,
 		rows:   hi - lo,
-		store:  f.store,
 	}
 	if f.labels != nil {
 		v.labels = f.labels[lo:hi]
@@ -269,155 +215,14 @@ func (f *Frame) RunView(k int) *Frame {
 	return f.RowRange(s.Start, s.End)
 }
 
-// Chunked reports whether this frame (or the frame it is a view of) is
-// backed by a chunked store rather than one dense slab.
-func (f *Frame) Chunked() bool { return f.store != nil }
+// Chunked reports false: every frame is dense. It exists only for the
+// benchmark's offline job, which asks before discarding an intermediate;
+// the next change to the benchmark removes the call and this method.
+func (f *Frame) Chunked() bool { return false }
 
-// ChunkRows returns the chunk height of a chunk-backed frame, 0 for a
-// dense one — the geometry hint derived frames inherit.
-func (f *Frame) ChunkRows() int {
-	if f.store == nil {
-		return 0
-	}
-	return f.store.ChunkRows()
-}
-
-// NumChunks returns the backing store's chunk count, 0 for a dense frame.
-func (f *Frame) NumChunks() int {
-	if f.store == nil {
-		return 0
-	}
-	return f.store.NumChunks()
-}
-
-// SpillDir returns the on-disk spill directory backing this frame, or ""
-// for dense and in-memory-chunked frames.
-func (f *Frame) SpillDir() string {
-	if s, ok := f.store.(*spillStore); ok {
-		return s.dir
-	}
-	return ""
-}
-
-// ForEachChunk is the chunk-iterating row-range API: it calls fn once
-// per chunk intersecting this view, in row order, with base the view-
-// relative row index of the chunk's first row and ch a zero-copy *dense*
-// sub-frame of that chunk (contiguous columns, clipped spans, aliased
-// labels). On a dense frame it degrades to a single fn(0, f) call with
-// no copying at all, so chunk-iterating consumers pay nothing when the
-// data is in memory. Iteration stops at the first error (fn's or the
-// store's).
-func (f *Frame) ForEachChunk(fn func(base int, ch *Frame) error) error {
-	if f.store == nil {
-		return fn(0, f)
-	}
-	cr := f.store.ChunkRows()
-	glo, ghi := f.off, f.off+f.rows
-	if glo == ghi {
-		return nil
-	}
-	for k := glo / cr; k*cr < ghi; k++ {
-		data, err := f.store.ChunkData(k)
-		if err != nil {
-			return err
-		}
-		cl := f.store.ChunkLen(k)
-		lo, hi := k*cr, k*cr+cl
-		if lo < glo {
-			lo = glo
-		}
-		if hi > ghi {
-			hi = ghi
-		}
-		ch := &Frame{
-			schema: f.schema,
-			data:   data,
-			stride: cl,
-			off:    lo - k*cr,
-			rows:   hi - lo,
-			spans:  clipSpans(f.spans, lo-glo, hi-glo),
-		}
-		if f.labels != nil {
-			ch.labels = f.labels[lo-glo : hi-glo]
-		}
-		if err := fn(lo-glo, ch); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Materialize copies a chunk-backed frame (or view) into a fresh dense
-// owning frame with byte-identical contents — the escape hatch for
-// consumers that need whole contiguous columns. Spans are copied, labels
-// aliased (same contract as transforms). Dense frames return themselves
-// unchanged. Panics if the store fails mid-read: a half-materialized
-// frame is not a recoverable state for the callers on this path.
-func (f *Frame) Materialize() *Frame {
-	if f.store == nil {
-		return f
-	}
-	out := NewDense(f.schema, f.rows, cloneSpans(f.spans), f.labels)
-	err := f.ForEachChunk(func(base int, ch *Frame) error {
-		for j := range f.schema {
-			copy(out.Col(j)[base:base+ch.rows], ch.Col(j))
-		}
-		return nil
-	})
-	if err != nil {
-		panic(fmt.Sprintf("frame: materialize: %v", err))
-	}
-	return out
-}
-
-// DenseView returns the frame's rows as a dense frame for read-only use:
-// a dense frame is returned as is, a chunk-backed view that lies inside
-// one chunk becomes a zero-copy view of that chunk (valid until the store
-// is closed), and only a view that crosses a chunk boundary is copied,
-// by Materialize. Callers that need to own the result use Materialize or
-// Clone.
-func (f *Frame) DenseView() *Frame {
-	if f.store == nil {
-		return f
-	}
-	cr := f.store.ChunkRows()
-	if f.rows == 0 || f.off/cr != (f.off+f.rows-1)/cr {
-		return f.Materialize()
-	}
-	var v *Frame
-	if err := f.ForEachChunk(func(_ int, ch *Frame) error { v = ch; return nil }); err != nil {
-		panic(fmt.Sprintf("frame: dense view: %v", err))
-	}
-	return v
-}
-
-// Close releases a chunk-backed frame's store (unmapping chunks,
-// dropping caches); on-disk chunk files are left in place. A no-op for
-// dense frames and a frame may not be used after Close.
-func (f *Frame) Close() error {
-	if f.store == nil {
-		return nil
-	}
-	return f.store.Close()
-}
-
-// Discard closes a chunk-backed frame and deletes its spill directory.
-// It is for frames whose storage the caller owns — generation temp dirs
-// and chunked pipeline intermediates — never for a user-supplied corpus
-// directory. A no-op for dense frames.
-func (f *Frame) Discard() error {
-	if f.store == nil {
-		return nil
-	}
-	dir := f.SpillDir()
-	err := f.store.Close()
-	if dir != "" {
-		if rerr := os.RemoveAll(dir); err == nil {
-			err = rerr
-		}
-	}
-	return err
-}
+// Discard is a no-op kept only for the same benchmark call as Chunked,
+// and goes with it.
+func (f *Frame) Discard() error { return nil }
 
 // grow reallocates the backing so at least need more rows fit.
 func (f *Frame) grow(need int) {
@@ -494,18 +299,6 @@ func (f *Frame) SelectColumns(keep []int) (*Frame, error) {
 		schema[i] = f.schema[k]
 	}
 	out := NewDense(schema, f.rows, cloneSpans(f.spans), f.labels)
-	if f.store != nil {
-		err := f.ForEachChunk(func(base int, ch *Frame) error {
-			for i, k := range keep {
-				copy(out.Col(i)[base:base+ch.rows], ch.Col(k))
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
 	for i, k := range keep {
 		copy(out.Col(i), f.Col(k))
 	}
@@ -516,12 +309,6 @@ func (f *Frame) SelectColumns(keep []int) (*Frame, error) {
 // result carries the gathered labels and a single synthetic span (run
 // structure is not preserved across an arbitrary gather).
 func (f *Frame) SelectRows(idx []int) *Frame {
-	if f.store != nil {
-		// Arbitrary gathers over a chunked frame would touch chunks in
-		// index order; this adapter path is small-subset only, so one
-		// dense copy is simpler and correct.
-		return f.Materialize().SelectRows(idx)
-	}
 	out := NewDense(f.schema, len(idx), []Span{{ID: 0, Start: 0, End: len(idx)}}, nil)
 	for j := 0; j < len(f.schema); j++ {
 		src := f.Col(j)
@@ -544,17 +331,11 @@ func (f *Frame) SelectRows(idx []int) *Frame {
 // spans included). On a view, exactly the view's rows are copied: the
 // result's backing is rows·cols values (len == cap per column), labels
 // and spans are the view-relative ones — nothing of the parent outside
-// the view leaks into the clone. Chunk-backed frames clone to dense.
+// the view leaks into the clone.
 func (f *Frame) Clone() *Frame {
 	var lab []int
 	if f.labels != nil {
 		lab = append([]int(nil), f.labels...)
-	}
-	if f.store != nil {
-		out := f.Materialize()
-		out.schema = f.schema.Clone()
-		out.labels = lab
-		return out
 	}
 	out := NewDense(f.schema.Clone(), f.rows, cloneSpans(f.spans), lab)
 	for j := range f.schema {
@@ -572,21 +353,6 @@ func (f *Frame) MaterializeRows() [][]float64 {
 	for i := range rows {
 		rows[i] = flat[i*d : (i+1)*d : (i+1)*d]
 	}
-	if f.store != nil {
-		err := f.ForEachChunk(func(base int, ch *Frame) error {
-			for j := 0; j < d; j++ {
-				col := ch.Col(j)
-				for i, v := range col {
-					rows[base+i][j] = v
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			panic(fmt.Sprintf("frame: materialize rows: %v", err))
-		}
-		return rows
-	}
 	for j := 0; j < d; j++ {
 		col := f.Col(j)
 		for i, v := range col {
@@ -601,19 +367,6 @@ func (f *Frame) MaterializeRows() [][]float64 {
 // learner's frame-native fit path relies on it instead of per-learner
 // ad-hoc handling.
 func (f *Frame) CheckFinite() error {
-	if f.store != nil {
-		return f.ForEachChunk(func(base int, ch *Frame) error {
-			for j := range ch.schema {
-				col := ch.Col(j)
-				for i, v := range col {
-					if math.IsNaN(v) || math.IsInf(v, 0) {
-						return fmt.Errorf("frame: non-finite value %v at row %d, column %d (%s)", v, base+i, j, f.schema[j].Name)
-					}
-				}
-			}
-			return nil
-		})
-	}
 	for j := range f.schema {
 		col := f.Col(j)
 		for i, v := range col {

@@ -273,3 +273,95 @@ func TestDeriveSharesSpansAndLabels(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// buildDense makes a labeled multi-run dense frame with deterministic
+// pseudo-random contents.
+func buildDense(t *testing.T, rows, cols, runs int, seed int64) *Frame {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	fr := New(testSchema(cols), rows)
+	vals := make([]float64, cols)
+	for i := 0; i < rows; i++ {
+		run := i * runs / rows
+		for j := range vals {
+			// Mix of continuous values and heavy ties.
+			if j%4 == 3 {
+				vals[j] = float64(rng.Intn(3))
+			} else {
+				vals[j] = rng.NormFloat64() * float64(j+1)
+			}
+		}
+		if err := fr.AppendLabeled(run, vals, rng.Intn(2)); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+	}
+	return fr
+}
+
+// TestCloneRowRangeView is the regression test for Clone/SelectColumns on
+// row-range views: the clone must copy exactly the view's rows — correct
+// values, len == cap == view rows per column — and share nothing with
+// the parent outside the view.
+func TestCloneRowRangeView(t *testing.T) {
+	parent := buildDense(t, 200, 4, 2, 8)
+	lo, hi := 37, 141
+	v := parent.RowRange(lo, hi)
+	c := v.Clone()
+
+	if c.Rows() != hi-lo {
+		t.Fatalf("clone rows %d, want %d", c.Rows(), hi-lo)
+	}
+	for j := 0; j < c.NumCols(); j++ {
+		col := c.Col(j)
+		if len(col) != hi-lo || cap(col) != hi-lo {
+			t.Fatalf("clone column %d: len %d cap %d, want both %d", j, len(col), cap(col), hi-lo)
+		}
+		for i := range col {
+			if col[i] != parent.At(lo+i, j) {
+				t.Fatalf("clone cell (%d,%d) = %v, want parent(%d,%d) = %v", i, j, col[i], lo+i, j, parent.At(lo+i, j))
+			}
+		}
+	}
+	if got, want := len(c.Labels()), hi-lo; got != want {
+		t.Fatalf("clone labels %d, want %d", got, want)
+	}
+	for i, l := range c.Labels() {
+		if l != parent.Labels()[lo+i] {
+			t.Fatalf("clone label %d = %d, want %d", i, l, parent.Labels()[lo+i])
+		}
+	}
+	// Mutating the clone must not touch the parent.
+	before := parent.At(lo, 0)
+	c.Set(0, 0, before+1)
+	if parent.At(lo, 0) != before {
+		t.Fatalf("clone aliases the parent backing")
+	}
+	// Span bookkeeping must be view-relative and tile the clone.
+	if err := c.Validate(); err != nil {
+		t.Fatalf("clone validate: %v", err)
+	}
+
+	// SelectColumns on the same view: values restricted to view rows,
+	// exact-size columns.
+	sel, err := v.SelectColumns([]int{3, 1})
+	if err != nil {
+		t.Fatalf("select: %v", err)
+	}
+	if sel.Rows() != hi-lo {
+		t.Fatalf("select rows %d, want %d", sel.Rows(), hi-lo)
+	}
+	for p, src := range []int{3, 1} {
+		col := sel.Col(p)
+		if len(col) != hi-lo || cap(col) != hi-lo {
+			t.Fatalf("select column %d: len %d cap %d, want both %d", p, len(col), cap(col), hi-lo)
+		}
+		for i := range col {
+			if col[i] != parent.At(lo+i, src) {
+				t.Fatalf("select cell (%d,%d) = %v, want %v", i, p, col[i], parent.At(lo+i, src))
+			}
+		}
+	}
+	if err := sel.Validate(); err != nil {
+		t.Fatalf("select validate: %v", err)
+	}
+}

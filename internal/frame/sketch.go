@@ -44,12 +44,6 @@ type Fingerprint struct {
 	Rows int `json:"rows"`
 	// Cols holds one sketch per schema column, in schema order.
 	Cols []ColFingerprint `json:"cols"`
-	// Streamed marks a fingerprint computed out of core: the quantile
-	// edges came from the bounded-memory streaming sketch
-	// (QuantileSketch) rather than an exact whole-column sort; moments,
-	// min and max are exact either way. The flag travels inside the model
-	// blob, so a v3 bundle records whether its fingerprint was streamed.
-	Streamed bool `json:"streamed,omitempty"`
 
 	// watch is the ascending list of columns drift observation covers;
 	// nil means all of them. It is derived from the pipeline a model
@@ -71,9 +65,6 @@ func FingerprintFrame(fr *Frame, bins int) *Fingerprint {
 		bins = MaxFingerprintBins
 	case bins < 2:
 		bins = 2
-	}
-	if fr.Chunked() {
-		return fingerprintFrameChunked(fr, bins)
 	}
 	fp := &Fingerprint{Rows: fr.Rows(), Cols: make([]ColFingerprint, fr.NumCols())}
 	_ = parallel.ForEach(fr.NumCols(), func(j int) error {
@@ -162,7 +153,8 @@ func (fp *Fingerprint) Watched() []int32 {
 // Validate checks internal consistency against a schema width, and that
 // every column's edges are safe to search: at most MaxFingerprintBins bins
 // (Quantize returns a uint8) and ascending with no NaN. Equal neighbours
-// are legal — the streamed sketch can emit them.
+// are legal: bundles from builds that sketched out-of-core corpora
+// carry them.
 func (fp *Fingerprint) Validate(cols int) error {
 	if len(fp.Cols) != cols {
 		return fmt.Errorf("frame: fingerprint covers %d columns, schema has %d", len(fp.Cols), cols)

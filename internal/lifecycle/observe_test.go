@@ -98,7 +98,7 @@ func catalogFingerprint(t testing.TB) (*frame.Fingerprint, *frame.Frame) {
 			catalogErr = err
 			return
 		}
-		catalogRows = fr.Materialize()
+		catalogRows = fr
 		catalogFP = frame.FingerprintFrame(catalogRows, 0)
 	})
 	if catalogErr != nil {

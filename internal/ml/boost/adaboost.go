@@ -119,11 +119,9 @@ func (a *AdaBoost) fitFrame(fr *frame.Frame, y []int, rows []int) error {
 	a.alphas = a.alphas[:0]
 
 	// Histogram base trees: quantize the training rows once; every stage
-	// refits over the shared read-only code slab with fresh weights.
-	// BinFrame streams chunk-backed frames through the merge binner; the
-	// exact splitters need whole columns, densify a chunked frame up
-	// front, and share one ranking of the training rows across stages (nil
-	// for the random splitter).
+	// refits over the shared read-only code slab with fresh weights. The
+	// exact splitters share one ranking of the training rows across
+	// stages (nil for the random splitter).
 	tcfg := tree.Config{
 		MaxDepth:        a.cfg.TreeMaxDepth,
 		MinSamplesSplit: a.cfg.TreeMinSamplesSplit,
@@ -136,18 +134,15 @@ func (a *AdaBoost) fitFrame(fr *frame.Frame, y []int, rows []int) error {
 	if a.cfg.TreeSplitter == tree.Hist {
 		bn = frame.BinFrame(fr, a.cfg.TreeBins, rows)
 	} else {
-		fr = fr.DenseView()
 		rk = tree.RankFrame(fr, rows, tcfg)
 	}
 
 	// Each stage's prediction pass over the n samples is embarrassingly
 	// parallel: fixed-size chunks write disjoint ranges of probs by
 	// index, so the buffer's contents — and the strictly serial weight
-	// update that consumes it — are identical at any pool width. Every
-	// stage scores every training row, so a chunked frame (hist path)
-	// densifies once for it, as gradient boosting's fit does.
+	// update that consumes it — are identical at any pool width.
 	probs := make([]float64, n)
-	cols := fr.DenseView().Cols(nil)
+	cols := fr.Cols(nil)
 	const predChunk = 512
 	nChunks := (n + predChunk - 1) / predChunk
 	predictStage := func(t *tree.Tree) {

@@ -111,12 +111,6 @@ func (g *GBT) FitFrame(fr *frame.Frame, y []int, rows []int) error {
 	if err != nil {
 		return err
 	}
-	if fr.Chunked() {
-		// Gradient boosting keeps per-sample margins over every training
-		// row and scans full columns each round, so its working set is the
-		// corpus itself; a chunked frame densifies rather than thrash.
-		fr = fr.Materialize()
-	}
 	if rows == nil {
 		return g.fitColumns(fr.Cols(nil), y)
 	}

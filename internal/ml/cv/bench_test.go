@@ -1,13 +1,46 @@
 package cv
 
 import (
+	"math/rand"
 	"testing"
 
+	"monitorless/internal/frame"
 	"monitorless/internal/ml"
 	"monitorless/internal/ml/forest"
 	"monitorless/internal/ml/tree"
 	"monitorless/internal/parallel"
 )
+
+// synthCut is the column-0 value above which synthFrame labels a row 1.
+const synthCut = 0.55
+
+// synthFrame builds a deterministic labeled frame whose spans are the CV
+// groups, with a learnable signal in column 0.
+func synthFrame(groups, rowsPerGroup, d int, seed int64) *frame.Frame {
+	rng := rand.New(rand.NewSource(seed))
+	rows := groups * rowsPerGroup
+	schema := make(frame.Schema, d)
+	for j := range schema {
+		schema[j] = frame.Col{Name: "c" + string(rune('a'+j))}
+	}
+	spans := make([]frame.Span, groups)
+	labels := make([]int, rows)
+	fr := frame.NewDense(schema, rows, spans, labels)
+	for gi := 0; gi < groups; gi++ {
+		spans[gi] = frame.Span{ID: gi + 1, Start: gi * rowsPerGroup, End: (gi + 1) * rowsPerGroup}
+		for r := 0; r < rowsPerGroup; r++ {
+			i := gi*rowsPerGroup + r
+			for j := 0; j < d; j++ {
+				v := rng.Float64()
+				fr.Set(i, j, v)
+				if j == 0 && v > synthCut {
+					labels[i] = 1
+				}
+			}
+		}
+	}
+	return fr
+}
 
 // benchFactory pins the forest's internal tree parallelism to 1 so the
 // serial/pool comparison below measures the fold-level fan-out alone —

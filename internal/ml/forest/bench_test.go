@@ -121,17 +121,6 @@ func BenchmarkForestPredictBatchQuantSerial(b *testing.B) {
 	benchPredictBatch(b, f, ml.FrameOf(x))
 }
 
-// BenchmarkForestPredictBatchQuantChunked scores a chunk-backed frame
-// through the quantized path: per-chunk block tiling, no densify.
-func BenchmarkForestPredictBatchQuantChunked(b *testing.B) {
-	f, x := benchHistForest(b)
-	ch, err := frame.Rechunk(ml.FrameOf(x), 512, "")
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchPredictBatch(b, f, ch)
-}
-
 // TestQuantPredictSpeedup gates the quantized walk's reason to exist: on
 // the same hist-trained forest and frame as the benchmarks above it must
 // score a row at least 1.5× faster than the float walk (measured 2.83×).

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"monitorless/internal/frame"
@@ -142,14 +141,9 @@ func (f *Forest) fitFrame(fr *frame.Frame, y []int, rows []int) error {
 
 	// Histogram path: quantize the frame exactly once (edges from the
 	// training rows, codes for all rows) and share the read-only code
-	// slab across every bootstrap resample. Chunk-backed frames stream
-	// through the two-pass merge binner — same edges, same codes, never a
-	// materialized column — so a hist forest trains on a corpus that
-	// never fits in memory (the codes slab is 8× smaller than the data).
+	// slab across every bootstrap resample.
 	//
-	// Exact path: the splitter scans whole columns and has no out-of-core
-	// form, so a chunked frame densifies here; when the trees offer every
-	// feature at every node the training rows are ranked once and the
+	// Exact path: when the trees offer every feature at every node the training rows are ranked once and the
 	// ranks shared the same way (rk is nil otherwise). The trees' Splitter
 	// stays zero: the forest picks their fit entry point itself, and the
 	// tree config is part of a saved bundle's bytes.
@@ -164,13 +158,8 @@ func (f *Forest) fitFrame(fr *frame.Frame, y []int, rows []int) error {
 	var bn *frame.Binned
 	var rk *tree.Ranks
 	if f.cfg.Splitter == tree.Hist {
-		var berr error
-		bn, berr = frame.BinFrameChecked(fr, f.cfg.Bins, rows)
-		if berr != nil {
-			return fmt.Errorf("forest: %w", berr)
-		}
+		bn = frame.BinFrame(fr, f.cfg.Bins, rows)
 	} else {
-		fr = fr.DenseView()
 		rk = tree.RankFrame(fr, rows, tcfg)
 	}
 
@@ -316,10 +305,7 @@ func (f *Forest) PredictProbaFrameRows(fr *frame.Frame, rows []int) []float64 {
 // output buffer: dst is reused when its capacity suffices, so
 // steady-state batch prediction over a dense frame allocates nothing.
 //
-// It is the one place a frame becomes column blocks, for both walks: a
-// dense frame is one block, a chunk-backed frame one block per resident
-// chunk, and a row list over a chunked frame is bucketed by chunk and
-// walked while each chunk is resident.
+// It is the one place a frame becomes column blocks, for both walks.
 func (f *Forest) PredictProbaFrameRowsInto(fr *frame.Frame, rows []int, dst []float64) []float64 {
 	n := fr.Rows()
 	if rows != nil {
@@ -329,21 +315,7 @@ func (f *Forest) PredictProbaFrameRowsInto(fr *frame.Frame, rows []int, dst []fl
 	if !f.fitted {
 		return out
 	}
-	var err error
-	switch {
-	case !fr.Chunked():
-		f.accumFrame(fr, rows, out)
-	case rows == nil:
-		err = fr.ForEachChunk(func(base int, ch *frame.Frame) error {
-			f.accumFrame(ch, nil, out[base:base+ch.Rows()])
-			return nil
-		})
-	default:
-		err = f.accumChunkedRows(fr, rows, out)
-	}
-	if err != nil {
-		panic(fmt.Sprintf("forest: chunked predict: %v", err))
-	}
+	f.accumFrame(fr, rows, out)
 	f.mean(out)
 	return out
 }
@@ -413,42 +385,6 @@ func (f *Forest) accumCols(cols [][]float64, rows []int, out []float64) {
 	for _, t := range f.trees {
 		t.AccumProba(cols, rows, out)
 	}
-}
-
-// accumChunkedRows scores a row list over a chunk-backed frame: the list
-// is ordered by row, each chunk of the spanned row range is loaded once,
-// and the rows falling in it are walked while it is resident. Results are
-// scattered back to the rows' list positions; a row's tree sum is the
-// same whichever block it was walked in.
-func (f *Forest) accumChunkedRows(fr *frame.Frame, rows []int, out []float64) error {
-	if len(rows) == 0 {
-		return nil
-	}
-	order := make([]int, len(rows)) // list positions in row order
-	for p := range order {
-		order[p] = p
-	}
-	sort.Slice(order, func(a, b int) bool { return rows[order[a]] < rows[order[b]] })
-	first, last := rows[order[0]], rows[order[len(order)-1]]
-	local := make([]int, 0, len(rows))
-	sums := make([]float64, len(rows))
-	next := 0
-	return fr.RowRange(first, last+1).ForEachChunk(func(base int, ch *frame.Frame) error {
-		lo, end := next, first+base+ch.Rows()
-		for next < len(order) && rows[order[next]] < end {
-			next++
-		}
-		local = local[:0]
-		for _, p := range order[lo:next] {
-			local = append(local, rows[p]-first-base)
-		}
-		sub := sums[lo:next]
-		f.accumFrame(ch, local, sub)
-		for i, p := range order[lo:next] {
-			out[p] = sub[i]
-		}
-		return nil
-	})
 }
 
 // PredictFrameRows applies the decision threshold to a batch of rows.

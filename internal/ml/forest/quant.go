@@ -461,7 +461,7 @@ func (q *QuantForest) walkBlock(codes []uint8, out []float64) {
 // bits end the walk; per-row probabilities are then added in row order.
 // Four (not eight) rows per group because the working set — four node
 // indices, four node words, one code base, and the node-table base — is
-// what fits in registers; an eight-row group spills half its state to
+// what fits in registers; an eight-row group pushes half its state to
 // the stack and puts store-forward latency on the critical
 // pointer-chase chain. The column-major slab makes all four lanes share
 // one base pointer (lane offsets are the constants 0..3), which is what

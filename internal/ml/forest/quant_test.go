@@ -120,32 +120,6 @@ func TestQuantBitIdentityDense(t *testing.T) {
 	assertBitIdentical(t, "row subset", floatProbs(f, fr, rows), f.PredictProbaFrameRows(fr, rows))
 }
 
-// TestQuantBitIdentityChunked: a chunk-backed frame must score through
-// the quantized per-chunk tiling bit-identically to the dense walk, and
-// a row list over a chunked frame (bucketed by chunk) must match too.
-func TestQuantBitIdentityChunked(t *testing.T) {
-	x, y := quantData(1500, 5)
-	f := fitQuantForest(t, x, y, tree.Hist)
-	dense := ml.FrameOf(x)
-	want := floatProbs(f, dense, nil)
-
-	for _, chunkRows := range []int{97, 256, 700} {
-		ch, err := frame.Rechunk(dense, chunkRows, "")
-		if err != nil {
-			t.Fatalf("rechunk(%d): %v", chunkRows, err)
-		}
-		assertBitIdentical(t, "chunked full-frame", want, f.PredictProbaFrameRows(ch, nil))
-
-		rows := []int{0, 313, 96, 97, 98, len(x) - 1}
-		wantSub := make([]float64, len(rows))
-		for p, i := range rows {
-			wantSub[p] = want[i]
-		}
-		assertBitIdentical(t, "chunked row list", wantSub, f.PredictProbaFrameRows(ch, rows))
-		ch.Close()
-	}
-}
-
 // TestQuantWorkerCountInvariance: disjoint per-block output ranges and
 // in-block tree-order accumulation make the result bit-identical at any
 // block-level parallelism.
@@ -330,8 +304,8 @@ func wideData(n, d int, seed int64) ([][]float64, []int) {
 
 // TestQuantWideForestPacks pins the forest shape offline-train runs: a
 // hist forest testing 300+ columns — past what an 8-bit slot field holds
-// — compiles packed and matches the float walk bit for bit on a dense
-// frame, a chunked frame and row lists over both, at 1, 4 and 8 workers.
+// — compiles packed and matches the float walk bit for bit on a frame and
+// a row list over it, at 1, 4 and 8 workers.
 // Past the packed word's limits (512 tested columns, 32 768 nodes per
 // tree) the fit must keep the float walk and still match per-row
 // PredictProba.
@@ -349,11 +323,6 @@ func TestQuantWideForestPacks(t *testing.T) {
 		t.Fatalf("forest tests %d columns, want >= 300", q.NumSlots())
 	}
 	dense := ml.FrameOf(x)
-	chunked, err := frame.Rechunk(dense, 333, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer chunked.Close()
 	var rows []int
 	for i := len(x) - 1; i >= 0; i -= 7 {
 		rows = append(rows, i, i/2) // out of order, with repeats
@@ -363,13 +332,11 @@ func TestQuantWideForestPacks(t *testing.T) {
 	for p, i := range rows {
 		wantRows[p] = want[i]
 	}
-	assertBitIdentical(t, "float walk, row list over chunked", wantRows, floatProbs(f, chunked, rows))
+	assertBitIdentical(t, "float walk, row list", wantRows, floatProbs(f, dense, rows))
 	for _, w := range []int{1, 4, 8} {
 		q.SetParallelism(w)
 		assertBitIdentical(t, fmt.Sprintf("dense, %d workers", w), want, f.PredictProbaFrameRows(dense, nil))
-		assertBitIdentical(t, fmt.Sprintf("chunked, %d workers", w), want, f.PredictProbaFrameRows(chunked, nil))
 		assertBitIdentical(t, fmt.Sprintf("dense rows, %d workers", w), wantRows, f.PredictProbaFrameRows(dense, rows))
-		assertBitIdentical(t, fmt.Sprintf("chunked rows, %d workers", w), wantRows, f.PredictProbaFrameRows(chunked, rows))
 	}
 	q.SetParallelism(0)
 

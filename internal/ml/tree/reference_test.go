@@ -165,24 +165,6 @@ func TestExactSplitMatchesReference(t *testing.T) {
 		requireSameTree(t, got, want)
 	})
 
-	t.Run("chunk-backed input", func(t *testing.T) {
-		for _, chunkRows := range []int{64, 512} { // many chunks; one chunk (zero-copy view)
-			ch, err := frame.Rechunk(fr, chunkRows, "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := Config{MaxDepth: 5, MinSamplesLeaf: 2, Criterion: Entropy}
-			want, got := New(cfg), New(cfg)
-			if err := fitReference(want, fr, smp, y, w); err != nil {
-				t.Fatal(err)
-			}
-			if err := got.FitFrameSamples(ch, smp, y, w); err != nil {
-				t.Fatal(err)
-			}
-			requireSameTree(t, got, want)
-		}
-	})
-
 	if RankFrame(fr, nil, Config{MaxFeatures: -1}) != nil || RankFrame(fr, nil, Config{Splitter: Random}) != nil {
 		t.Error("RankFrame ranked for a tree that sorts per node or not at all")
 	}

@@ -306,9 +306,6 @@ func (t *Tree) FitFrameSamples(fr *frame.Frame, smp []int, y []int, w []float64)
 	if t.cfg.Splitter == Hist {
 		return t.FitBinnedSamples(frame.BinFrame(fr, t.cfg.Bins, smp), smp, y, w)
 	}
-	// The exact splitters need whole columns; only the hist path above
-	// streams chunk-backed frames.
-	fr = fr.DenseView()
 	return t.FitRankedSamples(fr, RankFrame(fr, smp, t.cfg), smp, y, w)
 }
 

@@ -139,118 +139,3 @@ func Do(ctx context.Context, workers, n int, fn func(i int) error) error {
 	}
 	return ctx.Err()
 }
-
-// MapStream runs fn(i) for every i in [0, n) on at most DefaultWorkers()
-// goroutines and hands each result to consume in strict index order, as
-// soon as it and all of its predecessors have completed. consume never
-// runs concurrently with itself, so the caller can fold results into a
-// stream (e.g. append generated run groups to an on-disk chunk writer)
-// without holding all n results in memory: workers stop claiming new
-// task indices more than 2×workers ahead of the drain point, bounding
-// in-flight results by the window rather than by n. On error — from fn
-// or from consume — the error of the lowest failing index is returned
-// (the same error the equivalent serial produce-then-consume loop would
-// have stopped at); results past a failure are discarded, not consumed.
-func MapStream[T any](n int, fn func(i int) (T, error), consume func(i int, v T) error) error {
-	if n <= 0 {
-		return nil
-	}
-	workers := DefaultWorkers()
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		// Inline serial path: produce and consume in lockstep.
-		for i := 0; i < n; i++ {
-			v, err := fn(i)
-			if err != nil {
-				return err
-			}
-			if err := consume(i, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	window := 2 * workers
-	var (
-		mu        sync.Mutex
-		cond      = sync.NewCond(&mu)
-		results   = make(map[int]T, window)
-		next      int // next task index to claim
-		drain     int // next index to hand to consume
-		consuming bool
-		firstIdx  = n
-		firstErr  error
-		failed    bool
-		wg        sync.WaitGroup
-	)
-	record := func(i int, err error) {
-		// Callers hold mu.
-		if i < firstIdx {
-			firstIdx, firstErr = i, err
-		}
-		failed = true
-		cond.Broadcast()
-	}
-	worker := func() {
-		defer wg.Done()
-		for {
-			mu.Lock()
-			for !failed && next < n && next >= drain+window {
-				cond.Wait()
-			}
-			if failed || next >= n {
-				mu.Unlock()
-				return
-			}
-			i := next
-			next++
-			mu.Unlock()
-
-			v, err := fn(i)
-
-			mu.Lock()
-			if err != nil {
-				record(i, err)
-				mu.Unlock()
-				return
-			}
-			results[i] = v
-			// Drain every consecutive completed result starting at the
-			// drain point. The `consuming` flag serializes consumers: a
-			// worker that finds another one mid-consume leaves its result
-			// in the map and goes back to producing — the active consumer
-			// will pick it up on its next loop iteration.
-			if !consuming {
-				consuming = true
-				for !failed {
-					rv, ok := results[drain]
-					if !ok {
-						break
-					}
-					delete(results, drain)
-					idx := drain
-					mu.Unlock()
-					cerr := consume(idx, rv)
-					mu.Lock()
-					if cerr != nil {
-						record(idx, cerr)
-						break
-					}
-					drain++
-					cond.Broadcast()
-				}
-				consuming = false
-			}
-			mu.Unlock()
-		}
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go worker()
-	}
-	wg.Wait()
-	return firstErr
-}

@@ -18,10 +18,7 @@
 #   drift fuzz            — FuzzCellObserveVsReference: checked-in seeds plus 5 s of fuzzer-chosen edges and values against the naive reference
 #   wire fuzz             — FuzzWireDecode over the checked-in corpus plus 5 s of fresh mutations
 #   json fuzz             — FuzzDecodeJSONVsReference: DecodeJSONScratch against json.Decoder+DisallowUnknownFields, seeds plus 5 s of fresh mutations
-#   spill goldens         — byte-identity goldens with generation and training forced through disk chunks
-#   no-mmap               — frame store tests on the pread fallback
-#   ooc_bench             — corpus 4x a capped GOMEMLIMIT trains without materializing (peak RSS gate)
-#   quant parity          — packed walk bit-identical to the float walk, unit columns, a 300+-column forest (dense, chunked, row lists) and Table 2 corpus at workers 1/4/8; compile refuses exact forests, bad edge sets and forests past the packed limits; TestQuantPredictSpeedup: >= 1.5x the float walk per row
+#   quant parity          — packed walk bit-identical to the float walk, unit columns, a 300+-column forest (whole frame and row lists) and Table 2 corpus at workers 1/4/8; compile refuses exact forests, bad edge sets and forests past the packed limits; TestQuantPredictSpeedup: >= 1.5x the float walk per row
 #   malformed bundles     — a bundle whose forest would loop, index past the row, emit a non-probability or carry a bad edge set fails to load, and POST /model answers 400 and keeps the old model
 #   predict allocs        — 0 allocs/op batch predict in the float, quant-serial and quant-sharded regimes
 #   online-engine parity  — StepBatchInto bit-identical to Pipeline.TransformFrame under every batch partition; liveness masking; duplicate-slot rejection
@@ -85,7 +82,7 @@ lane "benchmark smoke"
 go test -run '^$' -bench 'BenchmarkTreeFit' -benchtime=1x ./internal/ml/tree/
 go test -run '^$' -bench 'BenchmarkForest' -benchtime=1x ./internal/ml/forest/
 go test -run '^$' -bench 'BenchmarkRFFilterFit' -benchtime=1x ./internal/features/
-go test -run '^$' -bench 'BenchmarkAppendFrame' -benchtime=1x ./internal/frame/
+go test -run '^$' -bench 'BenchmarkAppendStreaming' -benchtime=1x ./internal/frame/
 go test -run '^$' -bench 'BenchmarkEngineTick' -benchtime=1x ./internal/apps/
 go test -run '^$' -bench 'BenchmarkAgentObserveTick' -benchtime=1x ./internal/pcp/
 
@@ -110,15 +107,6 @@ go test -run '^FuzzWireDecode$' -fuzz '^FuzzWireDecode$' -fuzztime=5s ./internal
 
 lane "json fuzz"
 go test -run '^FuzzDecodeJSONVsReference$' -fuzz '^FuzzDecodeJSONVsReference$' -fuzztime=5s ./internal/serving/
-
-lane "spill goldens"
-MONITORLESS_FORCE_SPILL=1 go test -count=1 -run 'Golden|Parity' ./internal/frame/ ./internal/dataset/ ./internal/experiments/
-
-lane "no-mmap"
-MONITORLESS_NO_MMAP=1 go test -count=1 ./internal/frame/
-
-lane "ooc_bench"
-go run ./scripts/ooc_bench -ratio 4 -memlimit-mb 48
 
 lane "quant parity"
 go test -count=1 -run 'TestQuant(BitIdentity|WorkerCountInvariance|PredictEdgeValues|WideForestPacks)|TestExactForestRefusesQuant|TestCompileErrors' -v ./internal/ml/forest/

@@ -1,13 +1,16 @@
 package features
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"monitorless/internal/dataset"
 	"monitorless/internal/frame"
+	"monitorless/internal/parallel"
 	"monitorless/internal/pcp"
 )
 
@@ -196,6 +199,56 @@ func TestRFFilterKeepsSignal(t *testing.T) {
 	}
 	if out.NumCols() >= fr.NumCols() {
 		t.Errorf("filter kept everything (%d cols)", out.NumCols())
+	}
+}
+
+// The per-run forests fit side by side; Keep must not depend on how many
+// run at once. Each of the six runs carries its signal in a different
+// column band (so the union is wider than any one run's top-K), and one
+// run is single-class (skipped).
+func TestRFFilterKeepWorkerInvariant(t *testing.T) {
+	defer parallel.SetDefaultWorkers(0)
+	const runs, rowsPerRun, d = 6, 120, 48
+	r := rand.New(rand.NewSource(21))
+	cols := make([]Column, d)
+	for j := range cols {
+		cols[j] = Column{Name: fmt.Sprintf("m%02d", j), Domain: "other"}
+	}
+	rows := make([][][]float64, runs)
+	labels := make([][]int, runs)
+	for g := range rows {
+		for i := 0; i < rowsPerRun; i++ {
+			row := make([]float64, d)
+			for j := range row {
+				row[j] = r.NormFloat64()
+			}
+			lbl := 0
+			if g < runs-1 && row[7*g]+0.5*row[7*g+3]+0.3*r.NormFloat64() > 0.4 {
+				lbl = 1
+			}
+			rows[g] = append(rows[g], row)
+			labels[g] = append(labels[g], lbl)
+		}
+	}
+	fr := buildFrame(cols, rows, labels)
+
+	var want []int
+	for _, workers := range []int{1, 4, 8} {
+		parallel.SetDefaultWorkers(workers)
+		f := &RFFilter{TopK: 4, Trees: 6, Seed: 9}
+		if err := f.Fit(fr); err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = f.Keep
+			if len(want) <= 4 {
+				t.Fatalf("Keep %v is no wider than one run's top-K; the corpus no longer exercises the union", want)
+			}
+			continue
+		}
+		if !slices.Equal(f.Keep, want) {
+			t.Fatalf("workers %d: Keep %v, workers 1: %v", workers, f.Keep, want)
+		}
 	}
 }
 

@@ -1,14 +1,17 @@
 package features
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"monitorless/internal/frame"
 	"monitorless/internal/linalg"
 	"monitorless/internal/ml/forest"
 	"monitorless/internal/ml/tree"
+	"monitorless/internal/parallel"
 )
 
 // Step is one fitted pipeline stage over the columnar data plane. Fit
@@ -260,63 +263,30 @@ func (f *RFFilter) Fit(fr *frame.Frame) error {
 	if f.MaxDepth <= 0 {
 		f.MaxDepth = 5
 	}
+	// Consider every feature at every split while the schema is small:
+	// importance then concentrates on the strongest separators
+	// (utilizations, throttling) instead of smearing across the dozens of
+	// correlated throughput-scale metrics — matching the clean per-run
+	// top-30 lists the paper reports. On wide engineered schemas (the
+	// post-product second filter) fall back to √d subsampling to bound the
+	// fit cost; those candidates all derive from already-selected signal
+	// features.
+	maxFeat := -2 // all features
+	if fr.NumCols() > 600 {
+		maxFeat = -1 // √d
+	}
+	// Each run's forest is seeded by its run ID, so the runs fit side by
+	// side and Keep is the same at any worker count.
+	tops, err := parallel.Map(fr.NumRuns(), func(k int) ([]int, error) {
+		return f.runTopK(fr.RunView(k), maxFeat)
+	})
+	if err != nil {
+		return err
+	}
 	keep := map[int]bool{}
-	for k := 0; k < fr.NumRuns(); k++ {
-		run := fr.RunView(k)
-		labels := run.Labels()
-		if labels == nil || run.Rows() == 0 {
-			continue
-		}
-		// Single-class runs carry no importance signal.
-		first := labels[0]
-		pure := true
-		for _, l := range labels {
-			if l != first {
-				pure = false
-				break
-			}
-		}
-		if pure {
-			continue
-		}
-		// Consider every feature at every split while the schema is
-		// small: importance then concentrates on the strongest
-		// separators (utilizations, throttling) instead of smearing
-		// across the dozens of correlated throughput-scale metrics —
-		// matching the clean per-run top-30 lists the paper reports.
-		// On wide engineered schemas (the post-product second filter)
-		// fall back to √d subsampling to bound the fit cost; those
-		// candidates all derive from already-selected signal features.
-		maxFeat := -2 // all features
-		if fr.NumCols() > 600 {
-			maxFeat = -1 // √d
-		}
-		rf := forest.New(forest.Config{
-			NumTrees:       f.Trees,
-			MaxDepth:       f.MaxDepth,
-			MinSamplesLeaf: 5,
-			MaxFeatures:    maxFeat,
-			Seed:           f.Seed + int64(run.Spans()[0].ID),
-			Criterion:      tree.Entropy,
-		})
-		if err := rf.FitFrame(run, nil, nil); err != nil {
-			return fmt.Errorf("features: rf-filter run %d: %w", run.Spans()[0].ID, err)
-		}
-		imp := rf.FeatureImportances()
-		type fi struct {
-			idx int
-			v   float64
-		}
-		ranked := make([]fi, len(imp))
-		for i, v := range imp {
-			ranked[i] = fi{i, v}
-		}
-		sort.Slice(ranked, func(a, b int) bool { return ranked[a].v > ranked[b].v })
-		for k := 0; k < f.TopK && k < len(ranked); k++ {
-			if ranked[k].v <= 0 {
-				break
-			}
-			keep[ranked[k].idx] = true
+	for _, top := range tops {
+		for _, i := range top {
+			keep[i] = true
 		}
 	}
 	if len(keep) == 0 {
@@ -341,6 +311,46 @@ func (f *RFFilter) Fit(fr *frame.Frame) error {
 		f.KeepNames[i] = fr.Schema()[k].Name
 	}
 	return nil
+}
+
+// runTopK fits one run's forest and returns its TopK most important
+// columns, ranked by importance descending and then column index, and
+// stopping at the first zero importance. Runs without labels or with a
+// single class carry no importance signal and return nil.
+func (f *RFFilter) runTopK(run *frame.Frame, maxFeat int) ([]int, error) {
+	labels := run.Labels()
+	if len(labels) == 0 || !slices.ContainsFunc(labels, func(l int) bool { return l != labels[0] }) {
+		return nil, nil
+	}
+	rf := forest.New(forest.Config{
+		NumTrees:       f.Trees,
+		MaxDepth:       f.MaxDepth,
+		MinSamplesLeaf: 5,
+		MaxFeatures:    maxFeat,
+		Seed:           f.Seed + int64(run.Spans()[0].ID),
+		Criterion:      tree.Entropy,
+	})
+	if err := rf.FitFrame(run, nil, nil); err != nil {
+		return nil, fmt.Errorf("features: rf-filter run %d: %w", run.Spans()[0].ID, err)
+	}
+	imp := rf.FeatureImportances()
+	ranked := make([]int, len(imp))
+	for i := range ranked {
+		ranked[i] = i
+	}
+	slices.SortFunc(ranked, func(a, b int) int {
+		if c := cmp.Compare(imp[b], imp[a]); c != 0 {
+			return c
+		}
+		return a - b
+	})
+	top := ranked[:min(f.TopK, len(ranked))]
+	for k, i := range top {
+		if imp[i] <= 0 {
+			return top[:k], nil
+		}
+	}
+	return top, nil
 }
 
 // Transform implements Step.

@@ -254,8 +254,8 @@ func TestSplitterString(t *testing.T) {
 // The builder arena: growing a tree must not allocate per node beyond the
 // node arrays themselves. Refitting a warm tree (node slabs already at
 // capacity) bounds what remains — fixed builder setup on the exact path
-// (plus the node sort's small per-call overhead when features are
-// subsampled), and the O(depth) histogram pool on the hist path. The old per-node scheme allocated two
+// (plus the per-node feature draw when features are subsampled), and the
+// O(depth) histogram pool on the hist path. The old per-node scheme allocated two
 // index slices per split plus a feature list per node and blows these
 // budgets several times over.
 func TestTreeBuilderAllocations(t *testing.T) {
@@ -305,10 +305,27 @@ func TestTreeBuilderAllocations(t *testing.T) {
 		t.Errorf("exact refit allocations = %.0f for %d nodes, want <= 40 (per-node allocation regression)", allocs, exact.NumNodes())
 	}
 
+	// The same refit with entropy reads the unit-weight table, which is
+	// built once per process — warmed here, before the measured fits —
+	// and never per tree.
+	unitEntropy()
+	ent := New(Config{Criterion: Entropy})
+	if err := ent.FitFrameSamples(fr, smp, y, w); err != nil {
+		t.Fatal(err)
+	}
+	allocs = testing.AllocsPerRun(20, func() {
+		if err := ent.FitFrameSamples(fr, smp, y, w); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 40 {
+		t.Errorf("entropy exact refit allocations = %.0f for %d nodes, want <= 40", allocs, ent.NumNodes())
+	}
+
 	// Exact path, one of the two features offered per node, depth-capped:
-	// ≤ 63 internal nodes → ≤ 63 node sorts. Budget covers sort.Slice's
-	// per-call overhead, the per-node feature draw and fixed setup; the
-	// removed per-node index slices would roughly double it.
+	// ≤ 63 internal nodes → ≤ 63 node sorts, which sort a builder-arena
+	// scratch in place. Budget covers the per-node feature draw and fixed
+	// setup; the removed per-node index slices would roughly double it.
 	sub := New(Config{MaxDepth: 6, MaxFeatures: 1})
 	if err := sub.FitFrameSamples(fr, smp, y, w); err != nil {
 		t.Fatal(err)

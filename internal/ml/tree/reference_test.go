@@ -25,12 +25,14 @@ func referenceOrder(order []int32, col []float64, smp []int) {
 	})
 }
 
-// fitReference fits t with every node's order produced by referenceOrder.
+// fitReference fits t with every node's order produced by referenceOrder
+// and every impurity computed, never read from the unit-weight table.
 func fitReference(t *Tree, fr *frame.Frame, smp, y []int, w []float64) error {
 	b, err := t.newBuilder(fr, nil, smp, y, w)
 	if err != nil {
 		return err
 	}
+	b.entropy = nil
 	b.nodeOrder = func(lo, hi, f int) []int32 {
 		order := b.order[:hi-lo]
 		copy(order, b.idx[lo:hi])
@@ -165,6 +167,60 @@ func TestExactSplitMatchesReference(t *testing.T) {
 		requireSameTree(t, got, want)
 	})
 
+	// Unit weights: entropy fits of at most maxUnitEntropy samples read the
+	// table, so these cases compare it against the computed reference —
+	// nil and explicit weights, bootstrap duplicates, both order modes,
+	// and sample counts on either side of the cap.
+	big, bigLabels := splitCorpus(1100, 13)
+	for _, n := range []int{400, maxUnitEntropy, maxUnitEntropy + 1} {
+		smp := make([]int, n)
+		y := make([]int, n)
+		ones := make([]float64, n)
+		for i := range smp {
+			smp[i] = r.Intn(big.Rows())
+			y[i] = bigLabels[smp[i]]
+			ones[i] = 1
+		}
+		for _, maxFeat := range []int{0, -1} {
+			for _, depth := range []int{5, 0} {
+				for _, w := range [][]float64{nil, ones} {
+					cfg := Config{MaxDepth: depth, MinSamplesLeaf: 2, Criterion: Entropy, MaxFeatures: maxFeat, Seed: 3}
+					t.Run(fmt.Sprintf("unit/n%d/feat%d/depth%d/nilw%v", n, maxFeat, depth, w == nil), func(t *testing.T) {
+						b, err := New(cfg).newBuilder(big, nil, smp, y, w)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if cached := b.entropy != nil; cached != (n <= maxUnitEntropy) {
+							t.Fatalf("n=%d: entropy table in use = %v", n, cached)
+						}
+						want, got := New(cfg), New(cfg)
+						if err := fitReference(want, big, smp, y, w); err != nil {
+							t.Fatal(err)
+						}
+						if err := got.FitFrameSamples(big, smp, y, w); err != nil {
+							t.Fatal(err)
+						}
+						requireSameTree(t, got, want)
+						if depth == 0 && want.NumNodes() < 30 {
+							t.Fatalf("unlimited tree has only %d nodes", want.NumNodes())
+						}
+					})
+				}
+			}
+		}
+	}
+	t.Run("all rows, nil weights, entropy", func(t *testing.T) {
+		cfg := Config{MinSamplesLeaf: 3, Criterion: Entropy}
+		want, got := New(cfg), New(cfg)
+		if err := fitReference(want, fr, nil, labels, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := got.FitFrameSamples(fr, nil, labels, nil); err != nil {
+			t.Fatal(err)
+		}
+		requireSameTree(t, got, want)
+	})
+
 	if RankFrame(fr, nil, Config{MaxFeatures: -1}) != nil || RankFrame(fr, nil, Config{Splitter: Random}) != nil {
 		t.Error("RankFrame ranked for a tree that sorts per node or not at all")
 	}
@@ -172,7 +228,9 @@ func TestExactSplitMatchesReference(t *testing.T) {
 
 // fuzzSplitCase decodes a fuzzer input into a small training set. Values
 // come from a coarse signed grid (with −0) so ties are the rule; weights,
-// labels and the sample → row map come from the same bytes.
+// labels and the sample → row map come from the same bytes. Bit 7 of the
+// min-leaf byte selects unit weights (bit 6 then passes them as nil), the
+// entropy criterion's table-lookup path.
 func fuzzSplitCase(data []byte) (fr *frame.Frame, smp, y []int, w []float64, cfg Config) {
 	if len(data) < 8 {
 		return nil, nil, nil, nil, cfg
@@ -185,6 +243,7 @@ func fuzzSplitCase(data []byte) (fr *frame.Frame, smp, y []int, w []float64, cfg
 		MaxFeatures:    -int(data[3] >> 7), // all, or √d
 		Seed:           int64(data[4]),
 	}
+	unit, nilW := data[2]&0x80 != 0, data[2]&0x40 != 0
 	data = data[5:]
 	nRows := len(data) / (d + 1)
 	if nRows < 2 {
@@ -208,6 +267,12 @@ func fuzzSplitCase(data []byte) (fr *frame.Frame, smp, y []int, w []float64, cfg
 		smp[i] = (int(b)*31 + i*7) % nRows
 		y[i] = int(b>>3) & 1
 		w[i] = float64(1+int(b)%9) / 3
+		if unit {
+			w[i] = 1
+		}
+	}
+	if unit && nilW {
+		w = nil
 	}
 	return ml.FrameOf(x), smp, y, w, cfg
 }
@@ -222,6 +287,17 @@ func FuzzExactSplitVsReference(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Add([]byte{3, 0, 0, 0x80, 1, 0, 0xff, 0, 0xff, 0, 0xff, 9, 0, 0xff, 0, 0xff, 0, 0xff, 1})
+	// Unit-weight entropy fits over d = 4, min leaf 2, unlimited depth, in
+	// both order modes, explicit and nil weights: 60 samples, then 1 024
+	// (683 rows, the table's cap) and 1 026 (684 rows, computed).
+	for i, nRows := range []int{40, 683, 684} {
+		for j, mode := range []byte{0, 0x80} {
+			seed := make([]byte, 5+5*nRows)
+			r.Read(seed)
+			copy(seed, []byte{3, 0, 0x81 | byte(j)<<6, 1 | mode, byte(i)})
+			f.Add(seed)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, smp, y, w, cfg := fuzzSplitCase(data)
 		if fr == nil {

@@ -11,8 +11,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
+	"sync"
 
 	"monitorless/internal/frame"
 	"monitorless/internal/ml"
@@ -69,6 +70,28 @@ func impurity(c Criterion, total, pos float64) float64 {
 		return 2 * p * (1 - p)
 	}
 }
+
+// maxUnitEntropy caps the sample count of the fits that read entropy from
+// unitEntropy: a 900-s paper-scale training run is ~895 rows.
+const maxUnitEntropy = 1024
+
+// unitEntropy tabulates impurity(Entropy, a, b) at index a(a+1)/2 + b for
+// every integer pair 0 ≤ b ≤ a ≤ maxUnitEntropy (525 825 entries, 4.2 MB),
+// built once per process on first use. When every sample weight of an
+// exact fit is exactly 1, each weight sum the splitter forms — node totals,
+// running left sums and their right-hand differences — is an exact integer
+// no larger than the sample count, so a lookup returns the very bits the
+// call would compute.
+var unitEntropy = sync.OnceValue(func() []float64 {
+	h := make([]float64, (maxUnitEntropy+1)*(maxUnitEntropy+2)/2)
+	for a := 0; a <= maxUnitEntropy; a++ {
+		row := h[a*(a+1)/2:]
+		for b := 0; b <= a; b++ {
+			row[b] = impurity(Entropy, float64(a), float64(b))
+		}
+	}
+	return h
+})
 
 // Splitter selects how candidate thresholds are generated.
 type Splitter int
@@ -350,14 +373,28 @@ func (t *Tree) newBuilder(fr *frame.Frame, rk *Ranks, smp []int, y []int, w []fl
 	for i := range b.idx {
 		b.idx[i] = int32(i)
 	}
+	if t.cfg.Criterion == Entropy && n <= maxUnitEntropy && unitWeights(w) {
+		b.entropy = unitEntropy()
+	}
 	if rk != nil {
 		b.sorted = rk.sortSamples(smp)
 		b.nodeOrder = func(lo, hi, f int) []int32 { return b.sorted[f*n+lo : f*n+hi] }
 	} else {
 		b.order = make([]int32, n)
+		b.keys = make([]sortKey, n)
 		b.nodeOrder = b.sortedOrder
 	}
 	return b, nil
+}
+
+// unitWeights reports whether every weight is exactly 1.
+func unitWeights(w []float64) bool {
+	for _, v := range w {
+		if v != 1 {
+			return false
+		}
+	}
+	return true
 }
 
 // startFit resets the node arrays for a fresh fit over d features.
@@ -386,12 +423,15 @@ func (t *Tree) startFit(d int) {
 //     the shared Ranks, and every accepted split stably partitions each
 //     feature's [lo, hi) on the same go-left flags as idx. A stable
 //     partition of an ordered list is ordered: the range is its own sort.
-//   - features subsampled per node: sortedOrder sorts a copy of the
-//     node's list for each of the few candidates.
+//   - features subsampled per node: sortedOrder gathers the node's
+//     (value, index) pairs for each of the few candidates and sorts them.
 //
 // (value, index) is a total order, so both yield the same permutation and
 // the scan's running sums — hence the tree — are bit-identical. Growing
 // the tree allocates nothing beyond the node arrays themselves.
+//
+// Entropy fits with unit weights and at most maxUnitEntropy samples read
+// the criterion from the unitEntropy table instead of computing it.
 type builder struct {
 	tree        *Tree
 	cols        [][]float64 // full backing columns, cols[f][row]
@@ -402,15 +442,21 @@ type builder struct {
 	totalWeight float64
 	idx         []int32 // root sample list; nodes are subranges
 	nodeOrder   func(lo, hi, f int) []int32
-	sorted      []int32 // presorted mode: feature f's order is sorted[f*n:(f+1)*n]
-	order       []int32 // per-node sort scratch (subsampled mode)
-	part        []int32 // right-hand scratch of the stable partition
-	left        []uint8 // per-sample go-left flag of the split being applied
-	allFeats    []int   // identity feature list, built lazily when k == d
+	sorted      []int32   // presorted mode: feature f's order is sorted[f*n:(f+1)*n]
+	order       []int32   // per-node sort scratch (subsampled mode)
+	keys        []sortKey // per-node (value, index) pairs (subsampled mode)
+	entropy     []float64 // unitEntropy when it applies to this fit, else nil
+	part        []int32   // right-hand scratch of the stable partition
+	left        []uint8   // per-sample go-left flag of the split being applied
+	allFeats    []int     // identity feature list, built lazily when k == d
 }
 
 func (b *builder) impurity(total, pos float64) float64 {
-	return impurity(b.tree.cfg.Criterion, total, pos)
+	if b.entropy == nil {
+		return impurity(b.tree.cfg.Criterion, total, pos)
+	}
+	a := int(total)
+	return b.entropy[a*(a+1)/2+int(pos)]
 }
 
 // build grows the subtree over idx[lo:hi] and returns its node index.
@@ -559,19 +605,39 @@ func sampleFeatures(rng *rand.Rand, d, maxFeatures int) []int {
 	return perm[:k]
 }
 
+// sortKey is one sample of a node under a candidate feature.
+type sortKey struct {
+	v float64
+	i int32
+}
+
+// cmpSortKey orders by value, then sample index. −0 and +0 compare equal
+// (and fall through to the index), as they do in the scan.
+func cmpSortKey(x, y sortKey) int {
+	switch {
+	case x.v < y.v:
+		return -1
+	case x.v > y.v:
+		return 1
+	}
+	return int(x.i) - int(y.i)
+}
+
 // sortedOrder is nodeOrder when features are subsampled: the node's
 // samples sorted by (value under f, sample index) in the order scratch.
+// The values are gathered next to their indices first, so the sort
+// compares in place instead of chasing smp and col per comparison.
 func (b *builder) sortedOrder(lo, hi, f int) []int32 {
 	col, smp := b.cols[f], b.smp
+	keys := b.keys[:hi-lo]
+	for p, i := range b.idx[lo:hi] {
+		keys[p] = sortKey{col[smp[i]], i}
+	}
+	slices.SortFunc(keys, cmpSortKey)
 	order := b.order[:hi-lo]
-	copy(order, b.idx[lo:hi])
-	sort.Slice(order, func(a, c int) bool {
-		va, vc := col[smp[order[a]]], col[smp[order[c]]]
-		if va != vc {
-			return va < vc
-		}
-		return order[a] < order[c]
-	})
+	for p, k := range keys {
+		order[p] = k.i
+	}
 	return order
 }
 

@@ -228,6 +228,25 @@ func TestTreeEntropyCriterion(t *testing.T) {
 	}
 }
 
+// Every entry of the unit-weight entropy table is the bits impurity
+// computes for its integer pair, so reading it can never move a split.
+func TestUnitEntropyTableExact(t *testing.T) {
+	h := unitEntropy()
+	if want := (maxUnitEntropy + 1) * (maxUnitEntropy + 2) / 2; len(h) != want {
+		t.Fatalf("table has %d entries, want %d", len(h), want)
+	}
+	k := 0
+	for a := 0; a <= maxUnitEntropy; a++ {
+		for b := 0; b <= a; b++ {
+			want := impurity(Entropy, float64(a), float64(b))
+			if math.Float64bits(h[k]) != math.Float64bits(want) {
+				t.Fatalf("H(%d, %d) = %v, impurity computes %v", a, b, h[k], want)
+			}
+			k++
+		}
+	}
+}
+
 func TestTreeDeterministicWithSeed(t *testing.T) {
 	x, y := bandData(300, 4, 9)
 	t1 := New(Config{MaxFeatures: 2, Seed: 42})

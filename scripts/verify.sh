@@ -9,7 +9,10 @@
 #   tree arena allocs     — tree growth makes no per-node allocations
 #   simulator allocs      — arbitration, tick arena and frame-native collection stay 0 allocs/op
 #   dataset golden        — generated frames hash to the recorded fixture at several worker counts
-#   exact split parity    — presorted and per-node orderings bit-identical to the test-only reference sort: TestExactSplitMatchesReference plus 5 s of FuzzExactSplitVsReference
+#   exact split parity    — presorted and per-node orderings and the unit-weight entropy table bit-identical to the test-only reference
+#                           (per-node sort, entropy always computed): TestExactSplitMatchesReference (weighted cases, and unit weights
+#                           nil/explicit at n 400/1024/1025 in both order modes), TestUnitEntropyTableExact, 5 s of
+#                           FuzzExactSplitVsReference, and TestRFFilterKeepWorkerInvariant (filter Keep equal at workers 1/4/8)
 #   benchmark smoke       — tree/forest/filter/append/engine/agent benchmarks still compile and run (-benchtime=1x)
 #   serving race          — sharded ingest + concurrent scrape under -race
 #   ingest allocs         — steady-state ingest allocation budget; JSON path: warm DecodeJSONScratch allocates only the ID strings, ServeHTTP JSON ingest with echo ≤ 2 KB/sample
@@ -75,7 +78,8 @@ lane "dataset golden"
 go test -run TestGenerateGoldenFrameBytes -count=1 -v ./internal/dataset/
 
 lane "exact split parity"
-go test -count=1 -run '^TestExactSplitMatchesReference$' -v ./internal/ml/tree/
+go test -count=1 -run '^(TestExactSplitMatchesReference|TestUnitEntropyTableExact)$' -v ./internal/ml/tree/
+go test -count=1 -run '^TestRFFilterKeepWorkerInvariant$' -v ./internal/features/
 go test -run '^FuzzExactSplitVsReference$' -fuzz '^FuzzExactSplitVsReference$' -fuzztime=5s ./internal/ml/tree/
 
 lane "benchmark smoke"

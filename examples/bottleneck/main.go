@@ -1,5 +1,5 @@
 // Bottleneck analysis: monitorless as a black-box diagnosis tool. Run the
-// 14-service Sockshop under a load spike and ask the orchestrator *which*
+// 14-service Sockshop under a load spike and ask the Service *which*
 // service instances it predicts saturated — without touching a single
 // application metric (§1: "it can be used as a basis for ... performance
 // bottleneck analysis").
@@ -57,7 +57,10 @@ func main() {
 	}
 
 	agent := pcp.NewAgent(pcp.NewCollector(pcp.DefaultCatalog(), 9))
-	orch := monitorless.NewOrchestrator(model)
+	svc, err := monitorless.NewService(model)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Count per-instance saturation predictions over the run.
 	hits := map[string]int{}
@@ -68,10 +71,11 @@ func main() {
 		if !ok {
 			continue
 		}
-		if err := orch.Ingest(obs); err != nil {
+		sat, err := svc.Predict(obs)
+		if err != nil {
 			log.Fatal(err)
 		}
-		for _, id := range orch.SaturatedInstances() {
+		for id := range sat {
 			hits[id]++
 		}
 		ticks++

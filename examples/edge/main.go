@@ -1,5 +1,5 @@
 // Agent-side inference (the paper's §5 architecture refinement): instead
-// of shipping ~290 metrics per instance per second to the orchestrator,
+// of shipping ~290 metrics per instance per second to the central service,
 // run the model next to the monitoring agent and ship one probability per
 // instance. This example runs both architectures side by side on the same
 // deployment, verifies they make identical decisions, and reports the
@@ -55,15 +55,18 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Centralized path: agent ships full vectors, orchestrator infers.
+	// Centralized path: agent ships full vectors, the Service infers.
 	centralAgent := pcp.NewAgent(pcp.NewCollector(pcp.DefaultCatalog(), 21))
-	central := monitorless.NewOrchestrator(model)
+	central, err := monitorless.NewService(model)
+	if err != nil {
+		log.Fatal(err)
+	}
 	centralBytes := 0
 
 	// Edge path: the same collection, but inference happens at the agent
-	// and only a compact report crosses the "network".
+	// and only a compact report crosses the "network"; the center just
+	// applies the threshold and the OR.
 	edgeAgent := core.NewEdgeAgent(pcp.NewAgent(pcp.NewCollector(pcp.DefaultCatalog(), 21)), model)
-	edgeOrch := monitorless.NewOrchestrator(model)
 	edgeBytes := 0
 
 	agreements, decisions := 0, 0
@@ -73,7 +76,7 @@ func main() {
 		obs, ok := centralAgent.Observe(eng)
 		if ok {
 			centralBytes += core.ObservationWireSize(obs)
-			if err := central.Ingest(obs); err != nil {
+			if _, err := central.Predict(obs); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -82,14 +85,17 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		edgeSat := false
 		if ok2 {
 			edgeBytes += rep.WireSize()
-			edgeOrch.IngestReport(rep)
+			for _, prob := range rep.Probs {
+				edgeSat = edgeSat || prob >= model.Threshold
+			}
 		}
 
 		if ok && ok2 {
 			decisions++
-			if central.AppSaturated("shop") == edgeOrch.AppSaturated("shop") {
+			if central.Apps()["shop"].Raw == edgeSat {
 				agreements++
 			}
 		}

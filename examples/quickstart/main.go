@@ -1,6 +1,7 @@
 // Quickstart: train a monitorless model on a handful of Table 1 runs,
-// persist it, and use the orchestrator to classify live metric vectors
-// from a simulated deployment — the end-to-end §2 loop in ~100 lines.
+// persist it, and use an in-process Service to classify live metric
+// vectors from a simulated deployment — the end-to-end §2 loop in ~100
+// lines.
 package main
 
 import (
@@ -47,7 +48,7 @@ func main() {
 	fmt.Printf("trained: %d engineered features, decision threshold %.1f\n",
 		model.Pipeline.NumOutputs(), model.Threshold)
 
-	// 3. Persist and reload (what a production orchestrator would do).
+	// 3. Persist and reload (what a production model server would do).
 	var buf bytes.Buffer
 	if err := model.Save(&buf); err != nil {
 		log.Fatal(err)
@@ -79,10 +80,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 5. Wire the monitoring agent to the orchestrator and watch the
+	// 5. Wire the monitoring agent to the Service and watch the
 	//    predictions flip as the spike arrives (≈571 req/s capacity).
 	agent := pcp.NewAgent(pcp.NewCollector(pcp.DefaultCatalog(), 7))
-	orch := monitorless.NewOrchestrator(model)
+	svc, err := monitorless.NewService(model)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("\n  t   load  served   RT(ms)  predicted")
 	for t := 0; t < 120; t++ {
@@ -91,14 +95,14 @@ func main() {
 		if !ok {
 			continue
 		}
-		if err := orch.Ingest(obs); err != nil {
+		if _, err := svc.Predict(obs); err != nil {
 			log.Fatal(err)
 		}
 		if t%10 != 9 {
 			continue
 		}
 		state := "ok"
-		if orch.AppSaturated("shop") {
+		if svc.Apps()["shop"].Saturated {
 			state = "SATURATED"
 		}
 		fmt.Printf("%4d %6.0f %7.0f %8.0f  %s\n",

@@ -15,6 +15,7 @@ import (
 	"monitorless/internal/cluster"
 	"monitorless/internal/core"
 	"monitorless/internal/pcp"
+	"monitorless/internal/serving"
 )
 
 // InstanceInfo is one service instance's state as seen by a scaler.
@@ -158,45 +159,18 @@ func (NoScaling) Name() string { return "No Scaling (baseline)" }
 func (NoScaling) Decide(Snapshot) []string { return nil }
 
 // Predictor supplies per-instance saturation predictions for one tick's
-// observation. It is the seam between the scaling loop and the inference
-// engine: the in-process implementation wraps an orchestrator, the serving
-// implementation ships the observation to a remote model server over HTTP
-// and returns its verdicts, closing the §2 loop over the wire.
+// observation. It is the seam between the scaling loop and the one fleet
+// state, serving.Service: in-process the Service itself implements it,
+// over the wire a serving.Client ships the observation to a remote model
+// server, closing the §2 loop over HTTP.
 type Predictor interface {
-	// Predict ingests one observation and returns the set of instance IDs
-	// currently predicted saturated.
+	// Predict ingests one observation and returns the saturated instances
+	// among those in obs.
 	Predict(obs pcp.Observation) (map[string]bool, error)
-	// Forget drops a departed instance's inference state (scale-in).
-	Forget(id string)
+	// Forget drops a departed instance's inference state (scale-in) and
+	// reports whether the instance was known.
+	Forget(id string) bool
 }
-
-// ModelPredictor adapts an in-process orchestrator to the Predictor
-// contract.
-type ModelPredictor struct {
-	orch *core.Orchestrator
-}
-
-var _ Predictor = (*ModelPredictor)(nil)
-
-// NewModelPredictor wraps a trained model in an in-process predictor.
-func NewModelPredictor(m *core.Model) *ModelPredictor {
-	return &ModelPredictor{orch: core.NewOrchestrator(m)}
-}
-
-// Predict implements Predictor.
-func (p *ModelPredictor) Predict(obs pcp.Observation) (map[string]bool, error) {
-	if err := p.orch.Ingest(obs); err != nil {
-		return nil, err
-	}
-	out := map[string]bool{}
-	for _, id := range p.orch.SaturatedInstances() {
-		out[id] = true
-	}
-	return out, nil
-}
-
-// Forget implements Predictor.
-func (p *ModelPredictor) Forget(id string) { p.orch.Forget(id) }
 
 // Options configures a scaling simulation.
 type Options struct {
@@ -217,7 +191,7 @@ type Options struct {
 	// Seed drives metric collection noise.
 	Seed int64
 	// Predictor overrides the in-process inference path: when set, each
-	// tick's observation goes through it instead of an orchestrator built
+	// tick's observation goes through it instead of a serving.Service built
 	// from the model argument (e.g. a serving.Client for over-the-wire
 	// inference).
 	Predictor Predictor
@@ -291,7 +265,13 @@ func Simulate(build BuildEnv, scaler Scaler, model *core.Model, opt Options) (Re
 
 	predictor := opt.Predictor
 	if predictor == nil && model != nil {
-		predictor = NewModelPredictor(model)
+		// Drift monitoring is off and the zero debounce is 1-of-1: the
+		// scaler reads each tick's raw per-instance verdicts.
+		svc, err := serving.New(serving.Config{Model: model, DriftWindow: -1})
+		if err != nil {
+			return Result{}, fmt.Errorf("autoscale: %w", err)
+		}
+		predictor = svc
 	}
 	var agent *pcp.Agent
 	if predictor != nil {

@@ -11,7 +11,6 @@ import (
 	"monitorless/internal/ml/forest"
 	"monitorless/internal/ml/score"
 	"monitorless/internal/ml/tree"
-	"monitorless/internal/pcp"
 )
 
 // smallTrainConfig keeps tests fast while exercising the full pipeline.
@@ -221,84 +220,5 @@ func TestDefaultTrainConfigMirrorsPaper(t *testing.T) {
 	}
 	if cfg.Threshold != 0.4 {
 		t.Errorf("threshold %v, want 0.4", cfg.Threshold)
-	}
-}
-
-func TestOrchestratorORAggregation(t *testing.T) {
-	m, ds := sharedModel(t)
-	o := NewOrchestrator(m)
-
-	// Feed synthetic observations: instance A gets genuine saturated-run
-	// vectors, instance B gets idle vectors.
-	satRun := ds.FilterRuns(1) // solr: has both classes
-	var satVec, idleVec []float64
-	for _, s := range satRun.Samples {
-		if s.Label == 1 && satVec == nil {
-			satVec = s.Values
-		}
-		if s.Label == 0 && idleVec == nil {
-			idleVec = s.Values
-		}
-	}
-	if satVec == nil || idleVec == nil {
-		t.Fatal("run 1 lacks one of the classes")
-	}
-
-	w := m.WindowSize()
-	for i := 0; i < w+2; i++ {
-		obs := pcp.Observation{T: i, Vectors: map[string][]float64{
-			"shop/web/0": satVec,
-			"shop/db/0":  idleVec,
-		}}
-		if err := o.Ingest(obs); err != nil {
-			t.Fatalf("Ingest: %v", err)
-		}
-	}
-
-	pw, ok := o.InstancePrediction("shop/web/0")
-	if !ok {
-		t.Fatal("missing prediction for shop/web/0")
-	}
-	pd, ok := o.InstancePrediction("shop/db/0")
-	if !ok {
-		t.Fatal("missing prediction for shop/db/0")
-	}
-	if !pw.Saturated {
-		t.Errorf("saturated vector not flagged (prob %.2f)", pw.Prob)
-	}
-	if pd.Saturated {
-		t.Errorf("idle vector flagged saturated (prob %.2f)", pd.Prob)
-	}
-	// OR aggregation: the app is saturated because one instance is.
-	if !o.AppSaturated("shop") {
-		t.Error("AppSaturated(shop) = false, want OR over instances = true")
-	}
-	apps := o.AppPredictions()
-	if !apps["shop"] {
-		t.Error("AppPredictions missing shop=true")
-	}
-	sat := o.SaturatedInstances()
-	if len(sat) != 1 || sat[0] != "shop/web/0" {
-		t.Errorf("SaturatedInstances = %v", sat)
-	}
-
-	// Forget drops the saturated instance; the app clears.
-	o.Forget("shop/web/0")
-	if o.AppSaturated("shop") {
-		t.Error("app still saturated after Forget")
-	}
-}
-
-func TestOrchestratorRegisterInstance(t *testing.T) {
-	m, ds := sharedModel(t)
-	o := NewOrchestrator(m)
-	o.RegisterInstance("weird-id", "myapp")
-	vec := ds.Samples[0].Values
-	if err := o.Ingest(pcp.Observation{T: 0, Vectors: map[string][]float64{"weird-id": vec}}); err != nil {
-		t.Fatal(err)
-	}
-	preds := o.AppPredictions()
-	if _, ok := preds["myapp"]; !ok {
-		t.Errorf("registered app missing from predictions: %v", preds)
 	}
 }

@@ -1,17 +1,12 @@
 package core
 
-import (
-	"fmt"
-
-	"monitorless/internal/features"
-)
+import "monitorless/internal/features"
 
 // Engine is the one online inference engine: everything that turns raw
 // per-instance metric vectors into saturation probabilities goes through
-// it — the serving shards, the Orchestrator and the EdgeAgent. It owns an
-// ID→slot registry (dense int32 slots, LIFO free list), the
-// features.StateSlab holding every slot's ring state, and the batch
-// scratch of the two phases:
+// it — the serving shards and the EdgeAgent. It owns an ID→slot registry
+// (dense int32 slots, LIFO free list), the features.StateSlab holding
+// every slot's ring state, and the batch scratch of the two phases:
 //
 //	Step     one columnar features.StepBatchInto over a batch of
 //	         (slot, raw vector) pairs
@@ -37,11 +32,6 @@ type Engine struct {
 	batch features.BatchScratch
 	codes []uint8
 	probs []float64
-
-	// predictVectors' batch assembly scratch.
-	obsIDs   []string
-	obsSlots []int32
-	obsRaws  [][]float64
 }
 
 // NewEngine returns an empty engine bound to a model and the streamer of
@@ -121,9 +111,6 @@ func (e *Engine) Samples(slot int32) int { return e.states.Samples(slot) }
 // StateBytes returns the allocated footprint of the ring-state slab.
 func (e *Engine) StateBytes() int64 { return e.states.Bytes() }
 
-// CheckWidth validates a raw vector's width without touching any state.
-func (e *Engine) CheckWidth(raw []float64) error { return e.streamer.CheckWidth(raw) }
-
 // Step engineers one batch: sample k is raw vector raws[k] of the
 // instance in slots[k]. Width, slot-range and duplicate-slot errors leave
 // every slot untouched.
@@ -158,33 +145,4 @@ func (e *Engine) Predict() []float64 {
 	}
 	e.probs = f.PredictProbaColsInto(cols, n, e.probs)
 	return e.probs
-}
-
-// predictVectors scores one map-keyed observation (the Orchestrator and
-// EdgeAgent input) as a single batch: every width is validated before any
-// instance is registered or stepped, so a bad vector rejects the whole
-// observation with no state changed. ids[k] and probs[k] describe sample
-// k; both alias engine scratch.
-func (e *Engine) predictVectors(vectors map[string][]float64) (ids []string, probs []float64, err error) {
-	for id, vec := range vectors {
-		if err := e.CheckWidth(vec); err != nil {
-			return nil, nil, fmt.Errorf("instance %s: %w", id, err)
-		}
-	}
-	if len(vectors) == 0 {
-		return nil, nil, nil
-	}
-	e.obsIDs, e.obsSlots, e.obsRaws = e.obsIDs[:0], e.obsSlots[:0], e.obsRaws[:0]
-	// Map-range order is safe here: every instance's ring state and
-	// prediction are independent of its position in the batch.
-	for id, vec := range vectors {
-		slot, _ := e.Acquire(id)
-		e.obsIDs = append(e.obsIDs, id)
-		e.obsSlots = append(e.obsSlots, slot)
-		e.obsRaws = append(e.obsRaws, vec)
-	}
-	if err := e.Step(e.obsSlots, e.obsRaws); err != nil {
-		return nil, nil, err
-	}
-	return e.obsIDs, e.Predict(), nil
 }

@@ -4,13 +4,12 @@
 //   - Interpretability: distill the forest into a depth-restricted
 //     decision tree and render operator-readable scaling rules.
 //   - Architecture refinement: run inference at the monitoring agent and
-//     ship only compact prediction reports to the orchestrator, trading
-//     agent CPU for network traffic.
+//     ship only compact prediction reports to the central service,
+//     trading agent CPU for network traffic.
 package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"monitorless/internal/apps"
@@ -73,9 +72,9 @@ func (m *Model) Distill(raw *frame.Frame, maxDepth int) ([]tree.Rule, float64, e
 // Agent-side inference (§5 "Refine the architecture").
 // ---------------------------------------------------------------------
 
-// PredictionReport is the compact agent→orchestrator message of the
-// offloaded architecture: per-instance probabilities instead of full
-// metric vectors.
+// PredictionReport is the compact agent→center message of the offloaded
+// architecture: per-instance probabilities instead of full metric
+// vectors.
 type PredictionReport struct {
 	// T is the observation second.
 	T int
@@ -106,12 +105,17 @@ func ObservationWireSize(obs pcp.Observation) int {
 
 // EdgeAgent runs the saturation model next to the monitoring agent (§5's
 // offloading refinement): it scores the agent's observations on its own
-// Engine — the same one the Orchestrator runs, so edge and central
+// Engine — the same one each serving shard runs, so edge and central
 // probabilities are bit-identical — and emits only PredictionReports.
 type EdgeAgent struct {
 	agent *pcp.Agent
 	model *Model
 	eng   *Engine // minted on first Observe (the streamer build can fail)
+
+	// batch assembly scratch
+	ids   []string
+	slots []int32
+	raws  [][]float64
 
 	// BytesSaved accumulates the traffic difference versus shipping the
 	// raw vectors (the quantity §5 wants to trade against agent CPU).
@@ -137,13 +141,32 @@ func (e *EdgeAgent) Observe(eng *apps.Engine) (PredictionReport, bool, error) {
 		}
 		e.eng = NewEngine(e.model, str)
 	}
-	ids, probs, err := e.eng.predictVectors(obs.Vectors)
-	if err != nil {
+	// One batch per observation. Every width is validated before any
+	// instance is registered or stepped, so a bad vector rejects the whole
+	// observation with no state changed.
+	for id, vec := range obs.Vectors {
+		if err := e.eng.streamer.CheckWidth(vec); err != nil {
+			return PredictionReport{}, false, fmt.Errorf("core: edge predict: instance %s: %w", id, err)
+		}
+	}
+	report := PredictionReport{T: obs.T, Probs: make(map[string]float64, len(obs.Vectors))}
+	if len(obs.Vectors) == 0 {
+		return report, true, nil
+	}
+	e.ids, e.slots, e.raws = e.ids[:0], e.slots[:0], e.raws[:0]
+	// Map-range order is safe here: every instance's ring state and
+	// prediction are independent of its position in the batch.
+	for id, vec := range obs.Vectors {
+		slot, _ := e.eng.Acquire(id)
+		e.ids = append(e.ids, id)
+		e.slots = append(e.slots, slot)
+		e.raws = append(e.raws, vec)
+	}
+	if err := e.eng.Step(e.slots, e.raws); err != nil {
 		return PredictionReport{}, false, fmt.Errorf("core: edge predict: %w", err)
 	}
-	report := PredictionReport{T: obs.T, Probs: make(map[string]float64, len(ids))}
-	for k, id := range ids {
-		report.Probs[id] = probs[k]
+	for k, prob := range e.eng.Predict() {
+		report.Probs[e.ids[k]] = prob
 	}
 	e.BytesSaved += ObservationWireSize(obs) - report.WireSize()
 	return report, true, nil
@@ -153,19 +176,5 @@ func (e *EdgeAgent) Observe(eng *apps.Engine) (PredictionReport, bool, error) {
 func (e *EdgeAgent) Forget(id string) {
 	if e.eng != nil {
 		e.eng.Release(id)
-	}
-}
-
-// IngestReport feeds an edge agent's report into the orchestrator, which
-// then only applies the threshold and the OR aggregation — no feature
-// engineering at the center.
-func (o *Orchestrator) IngestReport(r PredictionReport) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for id, prob := range r.Probs {
-		if math.IsNaN(prob) {
-			continue
-		}
-		o.setPrediction(id, prob, r.T)
 	}
 }

@@ -1,8 +1,9 @@
 // Package core assembles the paper's contribution: the monitorless model —
 // a feature pipeline plus a random-forest classifier trained on labeled
 // platform metrics from representative services (§3) — and the online
-// orchestrator that turns per-container metric vectors into saturation
-// predictions and application-level decisions (§2).
+// engine that turns per-container metric vectors into saturation
+// probabilities (§2). Per-instance fleet state and the per-application
+// OR live in internal/serving.
 package core
 
 import (

@@ -7,7 +7,7 @@ import (
 	"monitorless/internal/frame"
 )
 
-// Wire encoding for the agents→orchestrator network path: one observation
+// Wire encoding for the agents→model-server network path: one observation
 // per tick, carrying each instance's processed metric vector in catalog
 // order. Values travel positionally; the schema hash pins the sender and
 // receiver to the same catalog so a silently reordered or truncated vector

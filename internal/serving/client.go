@@ -15,7 +15,7 @@ import (
 
 // Client talks to a Server over HTTP and satisfies the autoscaler's
 // Predictor seam, so the §4.2.2 scaling loop can run against a remote
-// model server instead of an in-process orchestrator.
+// model server instead of an in-process Service.
 type Client struct {
 	base string
 	http *http.Client
@@ -120,36 +120,33 @@ func (c *Client) Ingest(obs pcp.Observation) (*IngestResponse, error) {
 	return &out, nil
 }
 
-// Predict implements the autoscaler's Predictor seam: it ingests the
-// observation and returns the instances predicted saturated.
+// Predict ingests the observation over HTTP and returns the saturated
+// instances among those in obs: the autoscaler's Predictor seam, served
+// remotely (Service.Predict is the same contract in-process).
 func (c *Client) Predict(obs pcp.Observation) (map[string]bool, error) {
 	resp, err := c.Ingest(obs)
 	if err != nil {
 		return nil, err
 	}
-	out := map[string]bool{}
-	for id, p := range resp.Predictions {
-		if p.Saturated {
-			out[id] = true
-		}
-	}
-	return out, nil
+	return saturatedIn(resp.Predictions), nil
 }
 
-// Forget drops one instance's server-side state (scale-in). Errors are
-// swallowed to satisfy the Predictor contract — a missed forget only
-// leaves a stale prediction that ages out of the app it belonged to.
-func (c *Client) Forget(id string) {
+// Forget drops one instance's server-side state (scale-in) and reports
+// whether the server knew it. Transport errors report false — a missed
+// forget only leaves a stale prediction that ages out of the app it
+// belonged to.
+func (c *Client) Forget(id string) bool {
 	req, err := http.NewRequest(http.MethodDelete, c.base+"/instances?id="+url.QueryEscape(id), nil)
 	if err != nil {
-		return
+		return false
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return
+		return false
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
+	return resp.StatusCode == http.StatusOK
 }
 
 // Apps fetches the per-application decisions.

@@ -10,8 +10,8 @@ import (
 // TestRejectedBatchLeavesDriftWindowUntouched: a batch that fails
 // validation part-way must not leave its earlier samples in the drift
 // window. The batch's last sample duplicates its first, so the rejection
-// comes after two good samples have been through phase A; with a window
-// of two they would complete a window on their own.
+// comes after two good samples have been validated; with a window of two
+// they would complete a window on their own.
 func TestRejectedBatchLeavesDriftWindowUntouched(t *testing.T) {
 	m, _ := sharedTestModel(t)
 	svc, err := New(Config{Model: m, Shards: 1, DriftWindow: 2})

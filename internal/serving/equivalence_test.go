@@ -305,61 +305,3 @@ func TestShardCountEquivalence(t *testing.T) {
 		}
 	}
 }
-
-// TestOrchestratorMatchesService feeds the same observations to a
-// core.Orchestrator and a sharded Service. Both are thin callers of
-// core.Engine, so every probability must be equal to the bit — on the
-// float route (exact-splitter model) and the fused code-slab route (hist
-// model), and across an instance being forgotten and re-registered.
-func TestOrchestratorMatchesService(t *testing.T) {
-	exact, ds := sharedTestModel(t)
-	runs := runsOf(ds.FilterRuns(1, 22, 23).Frame())
-	for name, m := range map[string]*core.Model{"float-route": exact, "fused-route": histTestModel(t)} {
-		t.Run(name, func(t *testing.T) {
-			svc, err := New(Config{Model: m, Shards: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			orch := core.NewOrchestrator(m)
-			const ticks = 40
-			for j := 0; j < ticks; j++ {
-				wire := pcp.WireObservation{T: j}
-				for _, run := range runs {
-					if j < len(run.Rows) {
-						wire.Samples = append(wire.Samples, pcp.WireSample{
-							Instance: fmt.Sprintf("eq/run%d/0", run.ID), Values: run.Rows[j]})
-					}
-				}
-				obs, err := wire.Observation()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := orch.Ingest(obs); err != nil {
-					t.Fatal(err)
-				}
-				resp, err := svc.Ingest(wire)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(resp.Predictions) != len(obs.Vectors) {
-					t.Fatalf("tick %d: %d service predictions for %d vectors", j, len(resp.Predictions), len(obs.Vectors))
-				}
-				for id, sp := range resp.Predictions {
-					op, ok := orch.InstancePrediction(id)
-					if !ok || op.Prob != sp.Prob || op.Saturated != sp.Saturated {
-						t.Fatalf("tick %d %s: orchestrator %+v (ok=%v), service prob %v sat %v",
-							j, id, op, ok, sp.Prob, sp.Saturated)
-					}
-				}
-				svc.PutResponse(resp)
-				if j == ticks/2 {
-					id := wire.Samples[0].Instance
-					orch.Forget(id)
-					if !svc.Forget(id) {
-						t.Fatalf("service did not know %s", id)
-					}
-				}
-			}
-		})
-	}
-}

@@ -92,10 +92,16 @@ func TestHTTPIngestPredictForget(t *testing.T) {
 		t.Fatalf("stats = %+v", stats)
 	}
 
-	// Forget drops state; a second delete 404s.
-	c.Forget(instanceID(1))
+	// Forget drops state and reports it knew the instance; a second
+	// delete 404s.
+	if !c.Forget(instanceID(1)) {
+		t.Fatal("forget of a known instance reported it unknown")
+	}
 	if _, ok := svc.InstancePrediction(instanceID(1)); ok {
 		t.Fatal("forget did not drop instance")
+	}
+	if c.Forget(instanceID(1)) {
+		t.Fatal("second forget reported the instance known")
 	}
 	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/instances?id="+instanceID(1), nil)
 	resp, err := http.DefaultClient.Do(req)

@@ -2,6 +2,8 @@ package serving
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -166,12 +168,11 @@ func checkAggConsistency(t *testing.T, svc *Service) {
 }
 
 // TestMidBatchRejectionConsistency pins the atomic-batch rejection
-// contract: a shard batch that fails validation mid-way (duplicate
-// instance, wrong vector width) must roll back every provisional
-// registration it made — no phantom zero-sample instances, no inflated
-// per-app aggregates, no leaked slots — and must not have absorbed any
-// sample of the failing batch into feature rings. The rolled-back slot
-// must be recycled by the next insertion.
+// contract: a batch that fails validation mid-way (duplicate instance,
+// wrong vector width) must leave no registration behind — no phantom
+// zero-sample instances, no inflated per-app aggregates, no taken or
+// leaked slots — and must not have absorbed any sample of the failing
+// batch into feature rings. The next insertion takes the next slot.
 func TestMidBatchRejectionConsistency(t *testing.T) {
 	m, _ := sharedTestModel(t)
 	svc, err := New(Config{Model: m, Shards: 1})
@@ -199,8 +200,8 @@ func TestMidBatchRejectionConsistency(t *testing.T) {
 	svc.PutResponse(resp)
 	slotsBefore := len(sh.eng.IDs())
 
-	// Duplicate mid-batch: a0 is re-sent after the never-seen a2 was
-	// provisionally registered, so the rollback must unwind a2.
+	// Duplicate mid-batch: a0 is re-sent after the never-seen a2, which
+	// must not get registered.
 	obs := pcp.WireObservation{T: 1, Samples: []pcp.WireSample{
 		{Instance: "rej/a/0", Values: rows[1]},
 		{Instance: "rej/a/2", Values: rows[2]},
@@ -215,19 +216,12 @@ func TestMidBatchRejectionConsistency(t *testing.T) {
 	if st := svc.Stats(); st.Instances != 2 {
 		t.Fatalf("instances after rejected batch = %d, want 2", st.Instances)
 	}
-	var free []int32
-	for slot, id := range sh.eng.IDs() {
-		if id == "" {
-			free = append(free, int32(slot))
-		}
+	if n := len(sh.eng.IDs()); n != slotsBefore {
+		t.Fatalf("rejected batch took slots: registry has %d, want %d", n, slotsBefore)
 	}
-	if len(free) != 1 {
-		t.Fatalf("rolled-back slot not freed: %d free slots, want 1", len(free))
-	}
-	freed := free[0]
 	checkAggConsistency(t, svc)
 
-	// Width mismatch mid-batch: same rollback contract through the other
+	// Width mismatch mid-batch: same contract through the other
 	// validation error.
 	obs = pcp.WireObservation{T: 2, Samples: []pcp.WireSample{
 		{Instance: "rej/a/0", Values: rows[1]},
@@ -249,15 +243,123 @@ func TestMidBatchRejectionConsistency(t *testing.T) {
 	}
 	svc.PutResponse(resp)
 
-	// The freed slot is recycled by the next new instance; the registry
-	// does not grow past the rejected batch's high-water mark.
+	// The next new instance takes the next slot: the rejected batches
+	// left no hole in the registry.
 	resp = ingest(t, 4, "rej/a/4")
 	svc.PutResponse(resp)
-	if got, ok := sh.eng.Lookup("rej/a/4"); !ok || got != freed {
-		t.Fatalf("new instance got slot %d (ok=%v), want recycled slot %d", got, ok, freed)
+	if got, ok := sh.eng.Lookup("rej/a/4"); !ok || got != int32(slotsBefore) {
+		t.Fatalf("new instance got slot %d (ok=%v), want %d", got, ok, slotsBefore)
 	}
 	if n := len(sh.eng.IDs()); n != slotsBefore+1 {
-		t.Fatalf("slot registry has %d slots, want %d (freed slot not reused)", n, slotsBefore+1)
+		t.Fatalf("slot registry has %d slots, want %d", n, slotsBefore+1)
+	}
+	checkAggConsistency(t, svc)
+}
+
+// TestIngestAtomicAcrossShards pins the all-or-nothing contract of one
+// observation across shards: a bad sample (wrong width, a duplicate ID)
+// routed to a later shard than good samples must reject the whole
+// observation before any shard steps. No prediction, sample count,
+// aggregate or instance gauge moves, no new ID is registered, and the
+// next clean ticks equal those of a twin that never saw the bad
+// observation.
+func TestIngestAtomicAcrossShards(t *testing.T) {
+	m, _ := sharedTestModel(t)
+	rows := rawRows(t)
+	svc, err := New(Config{Model: m, Shards: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := New(Config{Model: m, Shards: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The bad sample goes to the highest shard the IDs reach, so shards
+	// that a shard-by-shard commit would step first hold good samples.
+	var ids []string
+	last := ""
+	for k := 0; k < 12; k++ {
+		id := fmt.Sprintf("atom/s%d/0", k)
+		ids = append(ids, id)
+		if last == "" || svc.ShardOf(id) > svc.ShardOf(last) {
+			last = id
+		}
+	}
+	fresh := "atom/new/0" // must not get registered
+	for _, id := range []string{ids[0], fresh} {
+		if svc.ShardOf(id) >= svc.ShardOf(last) {
+			t.Fatalf("%s routes to shard %d, not before the bad sample's %d", id, svc.ShardOf(id), svc.ShardOf(last))
+		}
+	}
+	obsAt := func(tick int) pcp.WireObservation {
+		obs := pcp.WireObservation{T: tick}
+		for k, id := range ids {
+			obs.Samples = append(obs.Samples, pcp.WireSample{Instance: id, Values: rows[(tick+7*k)%len(rows)]})
+		}
+		return obs
+	}
+	ingestBoth := func(tick int) {
+		t.Helper()
+		var resps [2]*IngestResponse
+		for i, s := range []*Service{svc, twin} {
+			resp, err := s.Ingest(obsAt(tick))
+			if err != nil {
+				t.Fatalf("tick %d: %v", tick, err)
+			}
+			resps[i] = resp
+		}
+		if !reflect.DeepEqual(resps[0], resps[1]) {
+			t.Fatalf("tick %d: service %+v, never-failed twin %+v", tick, resps[0], resps[1])
+		}
+		svc.PutResponse(resps[0])
+		twin.PutResponse(resps[1])
+	}
+	for tick := 0; tick < 5; tick++ {
+		ingestBoth(tick)
+	}
+
+	bad := map[string]func(obs *pcp.WireObservation){
+		"wrong width": func(obs *pcp.WireObservation) {
+			k := slices.Index(ids, last)
+			obs.Samples[k].Values = obs.Samples[k].Values[:3]
+		},
+		"duplicate": func(obs *pcp.WireObservation) {
+			obs.Samples = append(obs.Samples, pcp.WireSample{Instance: last, Values: rows[0]})
+		},
+		"new instance, wrong width": func(obs *pcp.WireObservation) {
+			obs.Samples = append(obs.Samples, pcp.WireSample{Instance: last + "x", Values: rows[0][:3]})
+		},
+	}
+	for name, corrupt := range bad {
+		obs := obsAt(100)
+		obs.Samples = append(obs.Samples, pcp.WireSample{Instance: fresh, Values: rows[1]})
+		corrupt(&obs)
+		if _, err := svc.Ingest(obs); err == nil {
+			t.Fatalf("%s: observation accepted", name)
+		}
+		if got, want := svc.Predictions(), twin.Predictions(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: rejected observation moved predictions:\n got %+v\nwant %+v", name, got, want)
+		}
+		if _, ok := svc.InstancePrediction(fresh); ok {
+			t.Fatalf("%s: rejected observation registered %s", name, fresh)
+		}
+		if got, want := svc.Apps(), twin.Apps(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: rejected observation moved aggregates:\n got %+v\nwant %+v", name, got, want)
+		}
+		if got, want := svc.Stats().SamplesTotal, twin.Stats().SamplesTotal; got != want {
+			t.Fatalf("%s: samples total %v, twin %v", name, got, want)
+		}
+		for _, g := range []string{"monitorless_instances", "monitorless_instance_state_bytes"} {
+			if got, want := scrapeGauge(t, svc, g), scrapeGauge(t, twin, g); got != want {
+				t.Fatalf("%s: %s = %v, twin %v", name, g, got, want)
+			}
+		}
+		checkAggConsistency(t, svc)
+	}
+
+	for tick := 5; tick < 5+2*m.WindowSize(); tick++ {
+		ingestBoth(tick)
 	}
 	checkAggConsistency(t, svc)
 }

@@ -1,15 +1,24 @@
-package serving
+package serving_test
 
 import (
 	"fmt"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
 	"monitorless/internal/apps"
 	"monitorless/internal/autoscale"
 	"monitorless/internal/experiments"
+	"monitorless/internal/serving"
 )
+
+// replayGolden pins the closed loop below: one "t:targets" line per tick
+// that scaled out, then the autoscale.Result. It was recorded from the
+// unsharded in-process predictor that preceded serving.Service as Table
+// 7's inference path, so it proves the Service reproduces that policy's
+// decisions tick for tick.
+const replayGolden = "testdata/replay_teastore_seed54.golden"
 
 // decisionLog records every tick's scale-out targets.
 type decisionLog struct {
@@ -24,12 +33,21 @@ func (l *decisionLog) hook() func(int, []string) {
 	}
 }
 
+// transcript renders a run in the golden's format.
+func (l *decisionLog) transcript(res autoscale.Result) string {
+	return strings.Join(l.lines, "\n") + "\n" + fmt.Sprintf("result %+v\n", res)
+}
+
 // TestReplayClosedLoopMatchesInProcess proves the online serving path
-// closes the §2 loop: the Table 7 monitorless policy simulated with
-// predictions fetched over HTTP must make exactly the per-tick scaling
-// decisions of the in-process orchestrator path.
+// closes the §2 loop: the Table 7 monitorless policy simulated on the
+// in-process Service and with predictions fetched over HTTP must both
+// make exactly the per-tick scaling decisions of the golden.
 func TestReplayClosedLoopMatchesInProcess(t *testing.T) {
-	m, _ := sharedTestModel(t)
+	m, _ := serving.SharedTestModel(t)
+	want, err := os.ReadFile(replayGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	build := func() (*autoscale.Env, error) {
 		eng, tea, err := experiments.BuildTeaStore(experiments.SockshopInterferenceRate, 7)(
@@ -50,7 +68,7 @@ func TestReplayClosedLoopMatchesInProcess(t *testing.T) {
 		Seed:            54,
 	}
 
-	// Reference: in-process inference.
+	// In-process: Simulate builds its own Service from the model.
 	var local decisionLog
 	optLocal := opt
 	optLocal.OnDecision = local.hook()
@@ -58,36 +76,35 @@ func TestReplayClosedLoopMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatalf("in-process simulate: %v", err)
 	}
+	if len(local.lines) == 0 {
+		t.Fatal("in-process run made no scaling decisions — scenario too quiet to prove anything")
+	}
+	if got := local.transcript(resLocal); got != string(want) {
+		t.Fatalf("in-process decisions diverge from %s:\n--- golden ---\n%s--- in-process ---\n%s", replayGolden, want, got)
+	}
 
 	// Same policy with every prediction served over HTTP.
-	svc, err := New(Config{Model: m})
+	svc, err := serving.New(serving.Config{Model: m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewServer(svc))
+	srv := httptest.NewServer(serving.NewServer(svc))
 	defer srv.Close()
 
 	var remote decisionLog
 	optRemote := opt
-	optRemote.Predictor = NewClient(srv.URL)
+	optRemote.Predictor = serving.NewClient(srv.URL)
 	optRemote.OnDecision = remote.hook()
 	resRemote, err := autoscale.Simulate(build, autoscale.MonitorlessScaler{}, nil, optRemote)
 	if err != nil {
 		t.Fatalf("HTTP simulate: %v", err)
 	}
-
-	if len(local.lines) == 0 {
-		t.Fatal("reference run made no scaling decisions — scenario too quiet to prove anything")
-	}
-	if got, want := strings.Join(remote.lines, "\n"), strings.Join(local.lines, "\n"); got != want {
-		t.Fatalf("HTTP decisions diverge from in-process:\n--- in-process ---\n%s\n--- HTTP ---\n%s", want, got)
-	}
-	if resRemote != resLocal {
-		t.Fatalf("simulation results diverge:\nin-process %+v\nHTTP       %+v", resLocal, resRemote)
+	if got := remote.transcript(resRemote); got != string(want) {
+		t.Fatalf("HTTP decisions diverge from %s:\n--- golden ---\n%s--- HTTP ---\n%s", replayGolden, want, got)
 	}
 
 	// The server must have done real work during the loop.
-	client := NewClient(srv.URL)
+	client := serving.NewClient(srv.URL)
 	metrics, err := client.Metrics()
 	if err != nil {
 		t.Fatal(err)

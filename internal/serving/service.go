@@ -12,10 +12,14 @@
 // sharded by an FNV-1a hash of the instance ID across a power-of-two
 // number of independently locked shards, each shard scores its slice of a
 // tick as one batch on its own core.Engine (the same engine the
-// Orchestrator and EdgeAgent run), and the hot counters live in per-shard
-// padded cells aggregated only at /metrics scrape time. Per-application aggregation keeps per-shard (instances,
-// saturated) counts that are merged at read time, so ingesting a sample
-// is O(1) in the fleet size.
+// EdgeAgent runs), and the hot counters live in per-shard padded cells
+// aggregated only at /metrics scrape time. Per-application aggregation
+// keeps per-shard (instances, saturated) counts that are merged at read
+// time, so ingesting a sample is O(1) in the fleet size.
+//
+// The Service is the one fleet-state holder: cmd/serve wraps it in HTTP,
+// and the Table 7 autoscaler, the edge check and the root facade drive it
+// in-process.
 package serving
 
 import (
@@ -214,14 +218,12 @@ type pendSample struct {
 
 // shard is one lock domain of per-instance state: a core.Engine (ID→slot
 // registry, ring-state slab, step and predict scratch) plus what serving
-// keeps per slot around it — the duplicate-detection stamps and the
-// latest predictions — and the shard's per-app aggregates. All batch
-// scratch is reused across ticks: a steady-state shard batch allocates
-// nothing.
+// keeps per slot around it — the latest predictions — and the shard's
+// per-app aggregates. All batch scratch is reused across ticks: a
+// steady-state shard batch allocates nothing.
 type shard struct {
 	mu    sync.Mutex
 	eng   *core.Engine
-	gens  []uint64     // slot -> last observation gen (duplicate detection)
 	preds []Prediction // slot -> latest prediction
 	apps  map[string]*shardApp
 
@@ -229,7 +231,6 @@ type shard struct {
 	raws  [][]float64
 	vec   []float64
 	pend  []pendSample
-	gen   uint64
 	// bytes mirrors eng.StateBytes() so the instance-state gauge reads it
 	// without taking the shard lock.
 	bytes atomic.Int64
@@ -243,7 +244,6 @@ type shard struct {
 func (sh *shard) register(id string, pred Prediction) int32 {
 	slot, _ := sh.eng.Acquire(id)
 	if int(slot) == len(sh.preds) {
-		sh.gens = append(sh.gens, 0)
 		sh.preds = append(sh.preds, pred)
 	} else {
 		sh.preds[slot] = pred
@@ -263,7 +263,6 @@ func (sh *shard) bind(mv *modelVersion) bool {
 	if !sh.eng.Bind(mv.model, mv.streamer) {
 		return false
 	}
-	sh.gens = sh.gens[:0]
 	sh.preds = sh.preds[:0]
 	clear(sh.apps)
 	sh.bytes.Store(sh.eng.StateBytes())
@@ -287,10 +286,13 @@ type appEntry struct {
 }
 
 // routeScratch is the pooled per-request routing state: per-shard sample
-// index lists plus the touched-app set.
+// index lists, the touched-app set, and the request's instance IDs keyed
+// by their routing hash (value: the first sample index) for duplicate
+// detection.
 type routeScratch struct {
 	perShard [][]int32
 	touched  map[string]struct{}
+	seen     map[uint64]int32
 }
 
 // Service holds the model, sharded per-instance streaming state, and
@@ -359,7 +361,10 @@ func shardCount(n int) int {
 // power-of-two shard count. It is a pure function of the ID bytes —
 // stable across restarts, processes and architectures — so external
 // systems may pre-partition traffic by the same hash.
-func shardIndex(id string, mask uint64) uint64 {
+func shardIndex(id string, mask uint64) uint64 { return idHash(id) & mask }
+
+// idHash is the FNV-1a 64 hash of an instance ID.
+func idHash(id string) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -369,7 +374,7 @@ func shardIndex(id string, mask uint64) uint64 {
 		h ^= uint64(id[i])
 		h *= prime64
 	}
-	return h & mask
+	return h
 }
 
 // New builds a service around a trained model. It fails if the model's
@@ -555,12 +560,14 @@ func (s *Service) getRoute() *routeScratch {
 		rs = &routeScratch{
 			perShard: make([][]int32, len(s.shards)),
 			touched:  make(map[string]struct{}, 8),
+			seen:     make(map[uint64]int32, 64),
 		}
 	}
 	for i := range rs.perShard {
 		rs.perShard[i] = rs.perShard[i][:0]
 	}
 	clear(rs.touched)
+	clear(rs.seen)
 	return rs
 }
 
@@ -591,15 +598,31 @@ func (s *Service) ingest(w pcp.WireObservation, quiet bool) (*IngestResponse, er
 		return nil, fmt.Errorf("serving: observation with no samples")
 	}
 
+	// The routing pass validates every sample before any shard lock, so a
+	// rejected observation changes no state: no shard has stepped, no ID is
+	// registered. Widths are checked against the active streamer; Swap
+	// refuses a schema change, so every generation expects the same width.
 	rs := s.getRoute()
 	defer s.routePool.Put(rs)
+	str := s.active.Load().streamer
 	for i := range w.Samples {
-		id := w.Samples[i].Instance
-		if id == "" {
+		smp := &w.Samples[i]
+		if smp.Instance == "" {
 			s.mBadRequests.Inc()
 			return nil, fmt.Errorf("serving: sample %d has empty instance ID", i)
 		}
-		si := shardIndex(id, s.mask)
+		if err := str.CheckWidth(smp.Values); err != nil {
+			s.mBadRequests.Inc()
+			return nil, fmt.Errorf("serving: ingest %s: %w", smp.Instance, err)
+		}
+		h := idHash(smp.Instance)
+		if first, ok := rs.seen[h]; !ok {
+			rs.seen[h] = int32(i)
+		} else if repeatsEarlier(w.Samples, int(first), i) {
+			s.mBadRequests.Inc()
+			return nil, fmt.Errorf("serving: duplicate sample for %q", smp.Instance)
+		}
+		si := h & s.mask
 		rs.perShard[si] = append(rs.perShard[si], int32(i))
 	}
 
@@ -648,14 +671,26 @@ func (s *Service) ingest(w pcp.WireObservation, quiet bool) (*IngestResponse, er
 	return resp, nil
 }
 
-// ingestShard processes one shard's slice of the observation under the
-// shard lock, in phases: (A) validate every sample and register new
-// instances into the engine's slot registry — provisionally, so a failure
-// anywhere in the batch rolls the registrations back without leaving
-// phantom instances or skewed per-app aggregates; (B) one engine Step over
-// the whole shard batch; (C) one engine Predict (the engine picks the
-// forest route from the model); (D) prediction and per-app aggregate
-// updates.
+// repeatsEarlier reports whether sample i repeats the ID of a sample in
+// [first, i), where first is the earliest sample sharing i's routing
+// hash. Past the first comparison the scan only runs on a 64-bit hash
+// collision between distinct IDs.
+func repeatsEarlier(smps []pcp.WireSample, first, i int) bool {
+	for j := first; j < i; j++ {
+		if smps[j].Instance == smps[i].Instance {
+			return true
+		}
+	}
+	return false
+}
+
+// ingestShard processes one shard's slice of an already validated
+// observation under the shard lock, in phases: (A) register new instances
+// into the engine's slot registry, provisionally, so a Step failure rolls
+// the registrations back without leaving phantom instances or skewed
+// per-app aggregates; (B) one engine Step over the whole shard batch; (C)
+// one engine Predict (the engine picks the forest route from the model);
+// (D) prediction and per-app aggregate updates.
 func (s *Service) ingestShard(si int, w *pcp.WireObservation, idxs []int32, resp *IngestResponse, quiet bool, touched map[string]struct{}) error {
 	// The active model is loaded exactly once per shard batch: a swap
 	// landing mid-batch does not mix generations within the batch, and
@@ -671,48 +706,15 @@ func (s *Service) ingestShard(si int, w *pcp.WireObservation, idxs []int32, resp
 	if sh.bind(mv) {
 		s.nInst[si].v.Store(0)
 	}
-	sh.gen++
 	start := time.Now()
 
 	n := len(idxs)
 	sh.pend = sh.pend[:0]
 	sh.slots = sh.slots[:0]
 	sh.raws = sh.raws[:0]
-	// rollback undoes this batch's provisional registrations: a rejected
-	// observation must not leave phantom zero-sample instances, inflated
-	// per-app aggregates, or leaked slots behind. Pre-existing instances
-	// need no undo — phase A mutates nothing about them except the
-	// duplicate stamp, which the next batch's gen bump retires.
-	rollback := func() {
-		for k := range sh.pend {
-			p := &sh.pend[k]
-			if !p.isNew {
-				continue
-			}
-			sh.eng.Release(p.id)
-			if agg := sh.apps[p.app]; agg != nil {
-				agg.instances--
-				if agg.instances == 0 {
-					delete(sh.apps, p.app)
-				}
-			}
-			s.nInst[si].v.Add(-1)
-		}
-	}
 	for _, i := range idxs {
 		smp := &w.Samples[i]
 		slot, known := sh.eng.Lookup(smp.Instance)
-		if known && sh.gens[slot] == sh.gen {
-			rollback()
-			return fmt.Errorf("serving: duplicate sample for %q", smp.Instance)
-		}
-		if err := sh.eng.CheckWidth(smp.Values); err != nil {
-			// A rejected sample must not leave a phantom zero-sample
-			// instance behind (it would surface in /predict and inflate
-			// the instance gauge).
-			rollback()
-			return fmt.Errorf("serving: ingest %s: %w", smp.Instance, err)
-		}
 		app := smp.App
 		if app == "" {
 			app = appFromID(smp.Instance)
@@ -724,18 +726,30 @@ func (s *Service) ingestShard(si int, w *pcp.WireObservation, idxs []int32, resp
 			sh.appAgg(app).instances++
 			s.nInst[si].v.Add(1)
 		}
-		sh.gens[slot] = sh.gen
 		sh.slots = append(sh.slots, slot)
 		sh.raws = append(sh.raws, smp.Values)
 		sh.pend = append(sh.pend, pendSample{slot: slot, id: smp.Instance, app: app, svc: smp.Service, isNew: !known})
 	}
 
-	// Phase B: one columnar feature step for the whole shard batch. Widths
-	// were validated above and serving-level duplicate detection keeps
-	// slots unique within the batch, so an error here means a pipeline
-	// inconsistency — roll the registrations back and reject.
+	// Phase B: one columnar feature step for the whole shard batch. The
+	// routing pass validated widths and kept slots unique within the
+	// observation, so an error here means a pipeline inconsistency — roll
+	// the registrations back and reject.
 	if err := sh.eng.Step(sh.slots, sh.raws); err != nil {
-		rollback()
+		// Pre-existing instances need no undo: phase A mutates nothing
+		// about them.
+		for k := range sh.pend {
+			if p := &sh.pend[k]; p.isNew {
+				sh.eng.Release(p.id)
+				if agg := sh.apps[p.app]; agg != nil {
+					agg.instances--
+					if agg.instances == 0 {
+						delete(sh.apps, p.app)
+					}
+				}
+				s.nInst[si].v.Add(-1)
+			}
+		}
 		return fmt.Errorf("serving: ingest batch step: %w", err)
 	}
 	// Drift sees a sample only once its whole shard batch is accepted: a
@@ -853,6 +867,29 @@ func (s *Service) appStatus(app string) AppStatus {
 		sh.mu.Unlock()
 	}
 	return st
+}
+
+// Predict ingests one map-keyed observation and returns the saturated
+// instances among those in obs: the autoscaler's Predictor seam, served
+// in-process (Client.Predict is the same contract over HTTP).
+func (s *Service) Predict(obs pcp.Observation) (map[string]bool, error) {
+	resp, err := s.Ingest(pcp.ToWire(obs, s.schemaHash, nil))
+	if err != nil {
+		return nil, err
+	}
+	defer s.PutResponse(resp)
+	return saturatedIn(resp.Predictions), nil
+}
+
+// saturatedIn returns the IDs of the predictions flagged saturated.
+func saturatedIn(preds map[string]Prediction) map[string]bool {
+	out := map[string]bool{}
+	for id, p := range preds {
+		if p.Saturated {
+			out[id] = true
+		}
+	}
+	return out
 }
 
 // Forget drops an instance's streaming state and prediction (scale-in),

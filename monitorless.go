@@ -22,8 +22,9 @@
 //   - internal/ml/... — from-scratch learners (random forest, CART,
 //     AdaBoost, gradient-boosted trees, logistic regression, linear SVC,
 //     MLP) plus scoring and grouped cross-validation;
-//   - internal/core — model training, persistence and the online
-//     orchestrator;
+//   - internal/core — model training, persistence and the online engine;
+//   - internal/serving — the §2 central component: sharded per-instance
+//     state, per-application OR aggregation and its HTTP server;
 //   - internal/autoscale — the §4.2.2 autoscaling study;
 //   - internal/experiments — one driver per paper table/figure.
 //
@@ -31,8 +32,8 @@
 //
 //	report, _ := monitorless.GenerateTrainingData(monitorless.DataOptions{})
 //	model, _ := monitorless.Train(report.Dataset, monitorless.DefaultTrainConfig())
-//	orch := monitorless.NewOrchestrator(model)
-//	// feed pcp observations → orch.Ingest(obs); read orch.AppPredictions()
+//	svc, _ := monitorless.NewService(model)
+//	// feed pcp observations → svc.Predict(obs); read svc.Apps()
 package monitorless
 
 import (
@@ -41,6 +42,7 @@ import (
 	"monitorless/internal/core"
 	"monitorless/internal/dataset"
 	"monitorless/internal/pcp"
+	"monitorless/internal/serving"
 )
 
 // Model is a trained monitorless saturation classifier.
@@ -50,12 +52,12 @@ type Model = core.Model
 // hyper-parameters.
 type TrainConfig = core.TrainConfig
 
-// Orchestrator ingests per-instance metric vectors, infers saturation per
-// container and aggregates per application with a logical OR.
-type Orchestrator = core.Orchestrator
+// Service ingests per-instance metric vectors, infers saturation per
+// container and aggregates per application with a logical OR (§2, §4).
+type Service = serving.Service
 
 // Prediction is one instance's latest inference.
-type Prediction = core.Prediction
+type Prediction = serving.Prediction
 
 // Dataset is a labeled training corpus.
 type Dataset = dataset.Dataset
@@ -80,8 +82,9 @@ var LoadModel = core.Load
 // LoadModelBytes deserializes a model from a byte slice.
 var LoadModelBytes = core.LoadBytes
 
-// NewOrchestrator returns an online orchestrator over a trained model.
-func NewOrchestrator(m *Model) *Orchestrator { return core.NewOrchestrator(m) }
+// NewService returns an in-process Service over a trained model with the
+// serving defaults (1-of-1 debounce, DefaultShards shards).
+func NewService(m *Model) (*Service, error) { return serving.New(serving.Config{Model: m}) }
 
 // DataOptions sizes training-data generation. The zero value generates
 // the paper's full 25-run Table 1 corpus at default durations.

@@ -8,8 +8,6 @@ import (
 	"testing"
 
 	"monitorless"
-
-	"monitorless/internal/pcp"
 )
 
 var (
@@ -82,8 +80,11 @@ func TestFacadeTrainAndPredict(t *testing.T) {
 		t.Fatalf("LoadModelBytes: %v", err)
 	}
 
-	// Orchestrate a synthetic observation stream through the facade.
-	orch := monitorless.NewOrchestrator(back)
+	// Serve a synthetic observation stream through the facade.
+	svc, err := monitorless.NewService(back)
+	if err != nil {
+		t.Fatalf("NewService: %v", err)
+	}
 	var satVec []float64
 	for _, s := range report.Dataset.Samples {
 		if s.Label == 1 {
@@ -96,18 +97,18 @@ func TestFacadeTrainAndPredict(t *testing.T) {
 	}
 	for i := 0; i < back.WindowSize()+1; i++ {
 		obs := monitorless.Observation{T: i, Vectors: map[string][]float64{"app/svc/0": satVec}}
-		if err := orch.Ingest(pcp.Observation(obs)); err != nil {
-			t.Fatalf("Ingest: %v", err)
+		if _, err := svc.Predict(obs); err != nil {
+			t.Fatalf("Predict: %v", err)
 		}
 	}
-	pred, ok := orch.InstancePrediction("app/svc/0")
+	pred, ok := svc.InstancePrediction("app/svc/0")
 	if !ok {
 		t.Fatal("no prediction recorded")
 	}
 	if !pred.Saturated {
 		t.Errorf("training-set saturated vector not flagged (prob %.2f)", pred.Prob)
 	}
-	if !orch.AppSaturated("app") {
+	if !svc.Apps()["app"].Raw {
 		t.Error("OR aggregation missed the saturated instance")
 	}
 }

@@ -25,7 +25,8 @@
 #   malformed bundles     — a bundle whose forest would loop, index past the row, emit a non-probability or carry a bad edge set fails to load, and POST /model answers 400 and keeps the old model
 #   predict allocs        — 0 allocs/op batch predict in the float, quant-serial and quant-sharded regimes
 #   online-engine parity  — StepBatchInto bit-identical to Pipeline.TransformFrame under every batch partition; liveness masking; duplicate-slot rejection
-#   engine callers        — shards, Orchestrator and EdgeAgent agree bit for bit; fused vs float route; mid-batch rejection; state gauge; fallback counter
+#   engine callers        — shards and EdgeAgent agree bit for bit; fused vs float route; all-or-nothing ingest across shards; mid-batch rejection;
+#                           Table 7 closed loop in-process and over HTTP against its golden; state gauge; fallback counter
 #   step fuzz             — FuzzStepBatchVsTransformFrame seeds plus 5 s of fresh schedules
 #   step allocs           — 0 allocs per steady-state batch step
 #   HTTP smoke            — real cmd/serve on loopback: ingest, predictions, /metrics counters, clean SIGTERM drain
@@ -128,8 +129,8 @@ lane "online-engine parity"
 go test -count=1 -run 'TestStepBatch|TestStateSlab|TestBatchPlan|TestStreamer' ./internal/features/
 
 lane "engine callers"
-go test -count=1 -run 'TestOrchestratorIngestAtomic|TestEdgeAgentMatchesCentral' ./internal/core/
-go test -count=1 -run 'TestOrchestratorMatchesService|TestShardCountEquivalence|TestFusedIngestShardWorkerInvariance|TestMidBatchRejectionConsistency|TestInstanceStateBytesGauge|TestIngestFallbackCounter' ./internal/serving/
+go test -count=1 -run 'TestEdgeAgentMatchesCentral' ./internal/core/
+go test -count=1 -run 'TestIngestAtomicAcrossShards|TestReplayClosedLoopMatchesInProcess|TestShardCountEquivalence|TestFusedIngestShardWorkerInvariance|TestMidBatchRejectionConsistency|TestInstanceStateBytesGauge|TestIngestFallbackCounter' ./internal/serving/
 
 lane "step fuzz"
 go test -run '^FuzzStepBatchVsTransformFrame$' -fuzz '^FuzzStepBatchVsTransformFrame$' -fuzztime=5s ./internal/features/

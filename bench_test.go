@@ -100,7 +100,7 @@ func BenchmarkTable1_Datagen(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(rep.Dataset.Samples) == 0 {
+		if rep.Dataset.Frame().Rows() == 0 {
 			b.Fatal("no samples")
 		}
 	}

@@ -95,7 +95,7 @@ func main() {
 
 	if *summary {
 		fmt.Fprintf(os.Stderr, "%d samples over %d runs, %.1f%% saturated\n",
-			len(rep.Dataset.Samples), len(rep.Dataset.RunIDs()), 100*rep.Dataset.SaturatedFraction())
+			rep.Dataset.Frame().Rows(), len(rep.Dataset.RunIDs()), 100*rep.Dataset.SaturatedFraction())
 		ctx := &experiments.Context{Report: rep}
 		experiments.PrintTable1(os.Stderr, experiments.Table1Summary(ctx))
 	}

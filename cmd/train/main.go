@@ -75,7 +75,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("trained on %d samples (%.1f%% saturated) in %s\n",
-			len(ds.Samples), 100*ds.SaturatedFraction(), time.Since(start).Round(time.Millisecond))
+			ds.Frame().Rows(), 100*ds.SaturatedFraction(), time.Since(start).Round(time.Millisecond))
 		ctx = &experiments.Context{Scale: scale, Model: m}
 		corpus = ds
 	} else {

@@ -34,7 +34,7 @@ func main() {
 		log.Fatal(err)
 	}
 	ds := report.Dataset
-	fmt.Printf("  %d samples, %.0f%% saturated\n", len(ds.Samples), 100*ds.SaturatedFraction())
+	fmt.Printf("  %d samples, %.0f%% saturated\n", ds.Frame().Rows(), 100*ds.SaturatedFraction())
 
 	// 2. Train. The default configuration mirrors the paper (§3.4); we
 	//    shrink the forest for example speed.

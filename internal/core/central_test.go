@@ -20,12 +20,13 @@ import (
 // (solr), which holds both classes.
 func classExemplars(t *testing.T, ds *dataset.Dataset) (sat, idle []float64) {
 	t.Helper()
-	for _, s := range ds.FilterRuns(1).Samples {
-		if s.Label == 1 && sat == nil {
-			sat = s.Values
+	fr := ds.FilterRuns(1).Frame()
+	for i, l := range fr.Labels() {
+		if l == 1 && sat == nil {
+			sat = fr.Row(i, nil)
 		}
-		if s.Label == 0 && idle == nil {
-			idle = s.Values
+		if l == 0 && idle == nil {
+			idle = fr.Row(i, nil)
 		}
 	}
 	if sat == nil || idle == nil {
@@ -99,7 +100,7 @@ func TestOrchestratorORAggregation(t *testing.T) {
 func TestOrchestratorRegisterInstance(t *testing.T) {
 	m, ds := core.SharedModel(t)
 	svc, ingest := newCentral(t, m)
-	ingest(pcp.WireSample{Instance: "weird-id", App: "myapp", Values: ds.Samples[0].Values})
+	ingest(pcp.WireSample{Instance: "weird-id", App: "myapp", Values: ds.Frame().Row(0, nil)})
 	if p, _ := svc.InstancePrediction("weird-id"); p.App != "myapp" {
 		t.Fatalf("explicit App ignored: %+v", p)
 	}

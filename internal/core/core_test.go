@@ -90,7 +90,7 @@ func TestTrainAndEvaluateHeldOutRun(t *testing.T) {
 	// Hold out run 1 (solr, container CPU) for evaluation.
 	trainDS := ds.FilterRuns(6, 8, 10, 22, 23)
 	testDS := ds.FilterRuns(1)
-	if len(testDS.Samples) == 0 {
+	if testDS.Frame().Rows() == 0 {
 		t.Fatal("no held-out samples")
 	}
 
@@ -98,8 +98,8 @@ func TestTrainAndEvaluateHeldOutRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	if m.TrainSamples != len(trainDS.Samples) {
-		t.Errorf("TrainSamples = %d, want %d", m.TrainSamples, len(trainDS.Samples))
+	if m.TrainSamples != trainDS.Frame().Rows() {
+		t.Errorf("TrainSamples = %d, want %d", m.TrainSamples, trainDS.Frame().Rows())
 	}
 
 	preds, probs, err := m.PredictFrame(testDS.Frame())

@@ -95,6 +95,50 @@ func TestGenerateFrameMatchesGenerate(t *testing.T) {
 	}
 }
 
+// TestSharedFrameStaysReadOnly: Dataset.Frame returns the corpus itself,
+// not a copy, so a consumer that wrote into its input would corrupt every
+// later reader. Training twice and transforming once must leave the
+// frame's bits, spans and labels untouched, and the two bundles must be
+// byte-identical.
+func TestSharedFrameStaysReadOnly(t *testing.T) {
+	var cfgs []dataset.RunConfig
+	for _, c := range dataset.Table1() {
+		if c.ID == 1 || c.ID == 22 {
+			cfgs = append(cfgs, c)
+		}
+	}
+	rep, err := dataset.Generate(cfgs, dataset.GenOptions{Duration: 300, RampSeconds: 200, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := rep.Dataset
+	if ds.Frame() != ds.Frame() {
+		t.Fatal("Frame must return the same frame on every call")
+	}
+	before := frameDigest(ds.Frame())
+	var bundles [2][]byte
+	var m *Model
+	for i := range bundles {
+		if m, err = Train(ds, smallTrainConfig()); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := SaveBundle(&buf, m, 9); err != nil {
+			t.Fatal(err)
+		}
+		bundles[i] = buf.Bytes()
+	}
+	if _, err := m.Pipeline.TransformFrame(ds.Frame()); err != nil {
+		t.Fatal(err)
+	}
+	if after := frameDigest(ds.Frame()); after != before {
+		t.Fatalf("training or transforming wrote into the shared frame: digest %.12s… → %.12s…", before, after)
+	}
+	if !bytes.Equal(bundles[0], bundles[1]) {
+		t.Fatalf("retraining on the shared frame changed the bundle (%d vs %d bytes)", len(bundles[0]), len(bundles[1]))
+	}
+}
+
 // fixedProbeFrame is the 64-row frame the streamed-bundle fixture's
 // probabilities were recorded on: each column sweeps its training range
 // [Min, Max] in a per-column order, one run, no labels.

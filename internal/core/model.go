@@ -69,11 +69,11 @@ type Model struct {
 // RawNames lists the expected raw metric names in vector order.
 func (m *Model) RawNames() []string { return m.RawSchema.Names() }
 
-// Train fits the feature pipeline and classifier on a labeled dataset.
-// The dataset is converted once into a columnar frame; the feature
-// pipeline and the forest both train on it without materializing rows.
+// Train fits the feature pipeline and classifier on a labeled dataset's
+// frame; the feature pipeline and the forest both train on it without
+// materializing rows or writing to it.
 func Train(ds *dataset.Dataset, cfg TrainConfig) (*Model, error) {
-	if ds == nil || len(ds.Samples) == 0 {
+	if ds == nil {
 		return nil, fmt.Errorf("core: empty training dataset")
 	}
 	return TrainFrame(ds.Frame(), cfg)

@@ -5,6 +5,7 @@ import (
 
 	"monitorless/internal/apps"
 	"monitorless/internal/cluster"
+	"monitorless/internal/frame"
 	"monitorless/internal/parallel"
 	"monitorless/internal/pcp"
 )
@@ -39,11 +40,12 @@ func BenchmarkGenerateParallel(b *testing.B) {
 
 // BenchmarkGenerateCorpus measures the dataset assembly hot loop at corpus
 // scale: the 21-container multi-tenant deployment ticked one simulated hour
-// (3600 ticks) per iteration with per-instance sample collection, the same
-// tick → ObserveTick → slab-append structure generateGroup runs for every
-// Table 1 group.
+// (3600 ticks) per iteration, each container's rows written straight into
+// its own span of one dense corpus — the same tick → ObserveTick →
+// frame-row write structure generateGroup runs for every Table 1 group.
 func BenchmarkGenerateCorpus(b *testing.B) {
 	cat := pcp.DefaultCatalog()
+	const ticks, warmup = 3600, 5
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c, err := cluster.New(apps.EvalNodes()...)
@@ -63,46 +65,48 @@ func BenchmarkGenerateCorpus(b *testing.B) {
 			b.Fatal(err)
 		}
 		type handle struct {
-			runID int
-			kpi   float64
-			ctr   *cluster.Container
+			app *apps.App
+			ctr *cluster.Container
 		}
 		var handles []handle
-		for ai, a := range []*apps.App{tea, shop} {
+		for _, a := range []*apps.App{tea, shop} {
 			for _, s := range a.Services() {
 				for _, inst := range s.Instances() {
-					handles = append(handles, handle{runID: ai, kpi: a.KPI.Throughput, ctr: inst.Ctr})
+					handles = append(handles, handle{app: a, ctr: inst.Ctr})
 				}
 			}
 		}
+		n := ticks - warmup
+		spans := make([]frame.Span, len(handles))
+		for h := range spans {
+			spans[h] = frame.Span{ID: h, Start: h * n, End: (h + 1) * n}
+		}
+		ds := newDataset(cat.CombinedDefs(), len(handles)*n, spans)
+		cols := ds.fr.Cols(nil)
 		agent := pcp.NewAgent(pcp.NewCollector(cat, 7))
-		width := len(cat.HostDefs) + len(cat.ContainerDefs)
-		slab := make([]float64, 0, len(handles)*(3600-5)*width)
-		samples := make([]Sample, 0, len(handles)*(3600-5))
-		for t := 0; t < 3600; t++ {
+		k := 0
+		for t := 0; t < ticks; t++ {
 			eng.Tick()
 			ts, ok := agent.ObserveTick(eng)
-			if !ok || t < 5 {
+			if !ok || t < warmup {
 				continue
 			}
-			for _, h := range handles {
-				ri := ts.Index(h.ctr)
+			for h, hd := range handles {
+				ri := ts.Index(hd.ctr)
 				if ri < 0 {
-					continue
+					b.Fatalf("container %s unobserved at t=%d", hd.ctr.ID, t)
 				}
-				start := len(slab)
-				slab = append(slab, ts.Vector(ri)...)
-				samples = append(samples, Sample{
-					RunID:  h.runID,
-					T:      t,
-					Label:  0,
-					KPI:    h.kpi,
-					Values: slab[start:len(slab):len(slab)],
-				})
+				p := spans[h].Start + k
+				for j, v := range ts.Vector(ri) {
+					cols[j][p] = v
+				}
+				ds.t[p] = int32(t)
+				ds.kpi[p] = hd.app.KPI.Throughput
 			}
+			k++
 		}
-		if len(samples) == 0 {
-			b.Fatal("no samples collected")
+		if k != n {
+			b.Fatalf("wrote %d rows per container, want %d", k, n)
 		}
 	}
 }

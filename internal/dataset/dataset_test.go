@@ -3,30 +3,36 @@ package dataset
 import (
 	"bytes"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"monitorless/internal/apps"
 	"monitorless/internal/cluster"
+	"monitorless/internal/frame"
 	"monitorless/internal/pcp"
 	"monitorless/internal/workload"
 )
 
-func tinyDataset() *Dataset {
-	return &Dataset{
-		Defs: []pcp.MetricDef{
-			{Name: "a", Kind: pcp.Gauge, Domain: pcp.DomCPU},
-			{Name: "b", Kind: pcp.Counter, Domain: pcp.DomMem},
-		},
-		Samples: []Sample{
-			{RunID: 1, T: 0, Label: 0, KPI: 12.5, Values: []float64{1.5, 2}},
-			{RunID: 1, T: 1, Label: 1, KPI: 900, Values: []float64{3, 4}},
-			{RunID: 2, T: 0, Label: 0, KPI: 7, Values: []float64{5, 6.25}},
-		},
+// tinyCSV holds two runs whose rows interleave, the way older writers
+// emitted a parallel pair tick by tick.
+const tinyCSV = `runid,t,label,kpi,a,b
+1,0,0,12.5,1.5,2
+2,0,0,7,5,6.25
+1,1,1,900,3,4
+`
+
+func tinyDataset(t *testing.T) *Dataset {
+	t.Helper()
+	d, err := ReadCSV(strings.NewReader(tinyCSV), nil)
+	if err != nil {
+		t.Fatalf("ReadCSV: %v", err)
 	}
+	return d
 }
 
 func TestDatasetAccessors(t *testing.T) {
-	d := tinyDataset()
+	d := tinyDataset(t)
 	if got := d.Names(); got[0] != "a" || got[1] != "b" {
 		t.Errorf("Names = %v", got)
 	}
@@ -39,54 +45,81 @@ func TestDatasetAccessors(t *testing.T) {
 	if (&Dataset{}).SaturatedFraction() != 0 {
 		t.Error("empty dataset fraction should be 0")
 	}
+	if d.Frame() != d.Frame() {
+		t.Error("Frame must return the stored frame, not a copy")
+	}
+}
+
+// TestReadCSVGroupsRuns checks that interleaved rows are regrouped by run
+// in first-appearance order, file order kept within each run, with T and
+// KPI following their rows.
+func TestReadCSVGroupsRuns(t *testing.T) {
+	d := tinyDataset(t)
+	fr := d.Frame()
+	if err := fr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	want := []frame.Span{{ID: 1, Start: 0, End: 2}, {ID: 2, Start: 2, End: 3}}
+	if !reflect.DeepEqual(fr.Spans(), want) {
+		t.Errorf("spans = %v, want %v", fr.Spans(), want)
+	}
+	if got := fr.Col(0); !reflect.DeepEqual(got, []float64{1.5, 3, 5}) {
+		t.Errorf("column a = %v", got)
+	}
+	if got := fr.Col(1); !reflect.DeepEqual(got, []float64{2, 4, 6.25}) {
+		t.Errorf("column b = %v", got)
+	}
+	if got := fr.Labels(); !reflect.DeepEqual(got, []int{0, 1, 0}) {
+		t.Errorf("labels = %v", got)
+	}
+	if !reflect.DeepEqual(d.t, []int32{0, 1, 0}) || !reflect.DeepEqual(d.kpi, []float64{12.5, 900, 7}) {
+		t.Errorf("t = %v, kpi = %v", d.t, d.kpi)
+	}
 }
 
 func TestFilterRuns(t *testing.T) {
-	d := tinyDataset()
+	d := tinyDataset(t)
 	f := d.FilterRuns(2)
-	if len(f.Samples) != 1 || f.Samples[0].RunID != 2 {
-		t.Errorf("FilterRuns(2) = %+v", f.Samples)
+	fr := f.Frame()
+	if fr.Rows() != 1 || !reflect.DeepEqual(f.RunIDs(), []int{2}) {
+		t.Fatalf("FilterRuns(2): %d rows, runs %v", fr.Rows(), f.RunIDs())
+	}
+	if fr.At(0, 0) != 5 || fr.At(0, 1) != 6.25 || f.t[0] != 0 || f.kpi[0] != 7 {
+		t.Errorf("FilterRuns(2) row = %v, t %d, kpi %v", fr.Row(0, nil), f.t[0], f.kpi[0])
+	}
+	if both := d.FilterRuns(2, 1); frameDigest(both.Frame()) != frameDigest(d.Frame()) ||
+		!reflect.DeepEqual(both.t, d.t) || !reflect.DeepEqual(both.kpi, d.kpi) {
+		t.Error("FilterRuns over every run must reproduce the dataset in frame order")
 	}
 }
 
 func TestCSVRoundTrip(t *testing.T) {
-	d := tinyDataset()
+	d := tinyDataset(t)
 	var buf bytes.Buffer
 	if err := d.WriteCSV(&buf); err != nil {
 		t.Fatalf("WriteCSV: %v", err)
+	}
+	if strings.HasPrefix(buf.String(), tinyCSV) {
+		t.Fatal("WriteCSV must group rows by run")
 	}
 	back, err := ReadCSV(&buf, nil)
 	if err != nil {
 		t.Fatalf("ReadCSV: %v", err)
 	}
-	if len(back.Samples) != len(d.Samples) {
-		t.Fatalf("round trip lost samples: %d vs %d", len(back.Samples), len(d.Samples))
+	if frameDigest(back.Frame()) != frameDigest(d.Frame()) {
+		t.Error("round trip changed the frame")
 	}
-	for i := range d.Samples {
-		a, b := d.Samples[i], back.Samples[i]
-		if a.RunID != b.RunID || a.T != b.T || a.Label != b.Label {
-			t.Fatalf("sample %d metadata mismatch", i)
-		}
-		if math.Abs(a.KPI-b.KPI) > 1e-9 {
-			t.Fatalf("sample %d KPI mismatch: %v vs %v", i, a.KPI, b.KPI)
-		}
-		for j := range a.Values {
-			if math.Abs(a.Values[j]-b.Values[j]) > 1e-9 {
-				t.Fatalf("sample %d value %d: %v vs %v", i, j, a.Values[j], b.Values[j])
-			}
-		}
+	if !reflect.DeepEqual(back.t, d.t) || !reflect.DeepEqual(back.kpi, d.kpi) {
+		t.Errorf("round trip changed T/KPI: %v %v vs %v %v", back.t, back.kpi, d.t, d.kpi)
 	}
 }
 
 func TestReadCSVWithCatalog(t *testing.T) {
 	cat := pcp.DefaultCatalog()
-	d := &Dataset{Defs: cat.CombinedDefs()}
-	d.Samples = append(d.Samples, Sample{RunID: 1, Values: make([]float64, len(d.Defs))})
-	var buf bytes.Buffer
-	if err := d.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCSV(&buf, cat)
+	names := (&Dataset{Defs: cat.CombinedDefs()}).Names()
+	row := "1,0,0,0" + strings.Repeat(",0", len(names))
+	csv := "runid,t,label,kpi," + strings.Join(names, ",") + "\n" + row + "\n"
+	back, err := ReadCSV(strings.NewReader(csv), cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,8 +243,8 @@ func TestGenerateSmallRun(t *testing.T) {
 		t.Fatalf("Generate: %v", err)
 	}
 	d := rep.Dataset
-	if len(d.Samples) == 0 {
-		t.Fatal("no samples generated")
+	if d.Frame().Rows() != 2*(300-5) {
+		t.Fatalf("generated %d rows, want Duration-Warmup per run", d.Frame().Rows())
 	}
 	if len(d.Defs) == 0 {
 		t.Fatal("no schema")

@@ -44,41 +44,53 @@ func (o GenOptions) withDefaults() GenOptions {
 
 // Report is the outcome of a generation pass.
 type Report struct {
-	// Dataset holds all labeled samples.
+	// Dataset is the labeled corpus.
 	Dataset *Dataset
 	// Thresholds maps run ID to the Υ-labeler discovered by its ramp.
 	Thresholds map[int]label.Labeler
 }
 
 // Generate executes the given Table 1 configurations (parallel partners
-// together) and returns the labeled dataset. Independent run-config
-// groups simulate concurrently, each on its own cluster, engine and
-// seeded collector; the per-group results are merged in group order, so
-// the report is bit-identical to a serial pass for the same seed.
+// together) and returns the labeled dataset. The frame layout is fixed
+// before anything runs: runs in PairGroups order, each with exactly
+// Duration−Warmup rows (apps.Build places one container per config).
+// Independent run-config groups then simulate concurrently, each on its
+// own cluster, engine and seeded collector, writing straight into their
+// own disjoint spans, so the report is bit-identical to a serial pass for
+// the same seed.
 func Generate(cfgs []RunConfig, opt GenOptions) (*Report, error) {
 	opt = opt.withDefaults()
 	groups := PairGroups(cfgs)
-	parts, err := parallel.Map(len(groups), func(gi int) (*groupResult, error) {
-		return generateGroup(groups[gi], opt)
+	perRun := max(opt.Duration-opt.Warmup, 0)
+	var spans []frame.Span
+	first := make([]int, len(groups)) // each group's first run
+	for gi, g := range groups {
+		first[gi] = len(spans)
+		for _, cfg := range g {
+			spans = append(spans, frame.Span{ID: cfg.ID, Start: len(spans) * perRun, End: (len(spans) + 1) * perRun})
+		}
+	}
+	if perRun == 0 {
+		spans = nil // a run with no rows gets no span
+	}
+	ds := newDataset(opt.Catalog.CombinedDefs(), len(spans)*perRun, spans)
+	parts, err := parallel.Map(len(groups), func(gi int) (map[int]label.Labeler, error) {
+		return generateGroup(groups[gi], opt, ds, first[gi])
 	})
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{
-		Dataset:    &Dataset{Defs: opt.Catalog.CombinedDefs()},
-		Thresholds: make(map[int]label.Labeler),
-	}
+	rep := &Report{Dataset: ds, Thresholds: make(map[int]label.Labeler)}
 	for _, part := range parts {
-		rep.Dataset.Samples = append(rep.Dataset.Samples, part.samples...)
-		for id, lab := range part.thresholds {
+		for id, lab := range part {
 			rep.Thresholds[id] = lab
 		}
 	}
 	return rep, nil
 }
 
-// GenerateFrame is Generate followed by Dataset.Frame: the labeled corpus
-// as one dense frame, plus each run's Υ-labeler.
+// GenerateFrame is Generate followed by Dataset.Frame (no copy): the
+// labeled corpus as one dense frame, plus each run's Υ-labeler.
 func GenerateFrame(cfgs []RunConfig, opt GenOptions) (*frame.Frame, map[int]label.Labeler, error) {
 	rep, err := Generate(cfgs, opt)
 	if err != nil {
@@ -116,15 +128,11 @@ func buildGroup(group []RunConfig, loads []workload.Pattern) (*apps.Engine, []*a
 	return eng, appList, nil
 }
 
-// groupResult is one group's contribution to the report, kept separate so
-// concurrent groups never share mutable state.
-type groupResult struct {
-	samples    []Sample
-	thresholds map[int]label.Labeler
-}
-
-func generateGroup(group []RunConfig, opt GenOptions) (*groupResult, error) {
-	res := &groupResult{thresholds: make(map[int]label.Labeler)}
+// generateGroup discovers each config's Υ, then runs the measured phase
+// and writes config i's rows into span first+i of ds. It touches no
+// other rows, so concurrent groups never share mutable state.
+func generateGroup(group []RunConfig, opt GenOptions, ds *Dataset, first int) (map[int]label.Labeler, error) {
+	thresholds := make(map[int]label.Labeler)
 
 	// --- Phase 1: simultaneous linear ramps discover each run's Υ. ----
 	ramps := make([]workload.Pattern, len(group))
@@ -152,7 +160,7 @@ func generateGroup(group []RunConfig, opt GenOptions) (*groupResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dataset: threshold for run %d: %w", cfg.ID, err)
 		}
-		res.thresholds[cfg.ID] = lab
+		thresholds[cfg.ID] = lab
 	}
 
 	// --- Phase 2: measured run under the Table 1 traffic. -------------
@@ -166,58 +174,42 @@ func generateGroup(group []RunConfig, opt GenOptions) (*groupResult, error) {
 	}
 	agent := pcp.NewAgent(pcp.NewCollector(opt.Catalog, opt.Seed+int64(group[0].ID)*1009))
 
-	// The topology is fixed for the whole measured run, so resolve each
-	// config's containers once (in sample emission order) instead of
-	// walking apps/services/instances every tick.
-	type instHandle struct {
-		cfgIdx int
-		ctr    *cluster.Container
-	}
-	var handles []instHandle
+	// The topology is fixed for the whole measured run: resolve each
+	// config's single container once.
+	ctrs := make([]*cluster.Container, len(group))
 	for i := range group {
-		for _, s := range appList[i].Services() {
-			for _, inst := range s.Instances() {
-				handles = append(handles, instHandle{cfgIdx: i, ctr: inst.Ctr})
-			}
-		}
+		ctrs[i] = appList[i].Services()[0].Instances()[0].Ctr
 	}
-
-	// Frame-native assembly: each tick's vectors are copied out of the
-	// agent's reusable slab into one growing row-major value slab — no
-	// per-tick Observation maps, no per-sample vector allocations.
-	width := len(opt.Catalog.CombinedDefs())
-	rows := len(handles) * (opt.Duration - opt.Warmup)
-	if rows < 0 {
-		rows = 0
-	}
-	slab := make([]float64, 0, rows*width)
-	res.samples = make([]Sample, 0, rows)
-
+	cols := ds.fr.Cols(nil)
+	labels := ds.fr.Labels()
+	k := 0 // rows written per run so far
 	for t := 0; t < opt.Duration; t++ {
 		eng.Tick()
 		ts, ok := agent.ObserveTick(eng)
 		if !ok || t < opt.Warmup {
 			continue
 		}
-		for _, h := range handles {
-			ri := ts.Index(h.ctr)
-			if ri < 0 {
-				continue
+		for i, ctr := range ctrs {
+			sp := ds.fr.Spans()[first+i]
+			ri := ts.Index(ctr)
+			p := sp.Start + k
+			if ri < 0 || p >= sp.End {
+				return nil, fmt.Errorf("dataset: run %d: no row %d of its %d-row span at t=%d", group[i].ID, k, sp.End-sp.Start, t)
 			}
-			cfg := group[h.cfgIdx]
-			kpi := appList[h.cfgIdx].KPI.Throughput
-			start := len(slab)
-			slab = append(slab, ts.Vector(ri)...)
-			res.samples = append(res.samples, Sample{
-				RunID:  cfg.ID,
-				T:      t,
-				Label:  res.thresholds[cfg.ID].Label(kpi),
-				KPI:    kpi,
-				Values: slab[start:len(slab):len(slab)],
-			})
+			for j, v := range ts.Vector(ri) {
+				cols[j][p] = v
+			}
+			kpi := appList[i].KPI.Throughput
+			labels[p] = thresholds[group[i].ID].Label(kpi)
+			ds.t[p] = int32(t)
+			ds.kpi[p] = kpi
 		}
+		k++
 	}
-	return res, nil
+	if n := opt.Duration - opt.Warmup; n > 0 && k != n {
+		return nil, fmt.Errorf("dataset: run %d's group produced %d rows per run for %d-row spans", group[0].ID, k, n)
+	}
+	return thresholds, nil
 }
 
 // BuildFunc constructs a fresh engine and target application under the

@@ -372,8 +372,8 @@ func TestEngineeredTrainingSubsampling(t *testing.T) {
 	if len(full.Labels()) != full.Rows() {
 		t.Fatal("misaligned labels")
 	}
-	if full.Rows() != len(c.Report.Dataset.Samples) {
-		t.Errorf("full pass returned %d rows for %d samples", full.Rows(), len(c.Report.Dataset.Samples))
+	if full.Rows() != c.Report.Dataset.Frame().Rows() {
+		t.Errorf("full pass returned %d rows for %d samples", full.Rows(), c.Report.Dataset.Frame().Rows())
 	}
 	sub, err := engineeredTrainingFrame(c, 500)
 	if err != nil {

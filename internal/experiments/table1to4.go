@@ -42,7 +42,7 @@ func Table1Summary(ctx *Context) []Table1Row {
 			Service:     cfg.Service,
 			Traffic:     cfg.TrafficDesc,
 			Bottleneck:  cfg.Bottleneck,
-			Samples:     len(sub.Samples),
+			Samples:     sub.Frame().Rows(),
 			Saturated:   sub.SaturatedFraction(),
 			ThresholdY:  lab.Threshold,
 			NeverSat:    !lab.Saturates(),

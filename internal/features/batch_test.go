@@ -218,6 +218,27 @@ func TestStateSlabSlotReuse(t *testing.T) {
 	}
 }
 
+// TestStateSlabBytes: Bytes is the slab's whole allocation — four bytes
+// of sample count plus both float rings per slot — before and after a
+// growth.
+func TestStateSlabBytes(t *testing.T) {
+	_, str := fitStreamer(t, DefaultConfig())
+	sl := NewStateSlab(str)
+	if sl.baseStride() == 0 || sl.prefStride() == 0 {
+		t.Fatal("default pipeline has no time-feature rings")
+	}
+	if sl.Bytes() != 0 {
+		t.Fatalf("empty slab reports %d bytes", sl.Bytes())
+	}
+	for _, k := range []int{1, 40} {
+		sl.EnsureSlots(k)
+		want := int64(sl.Slots()) * (4 + 8*int64(sl.baseStride()+sl.prefStride()))
+		if got := sl.Bytes(); got != want {
+			t.Fatalf("%d slots: Bytes = %d, want %d", sl.Slots(), got, want)
+		}
+	}
+}
+
 // TestStepBatchRejectsBadInput: width and slot-range errors must be
 // detected before any slot state mutates.
 func TestStepBatchRejectsBadInput(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"monitorless/internal/dataset"
 	"monitorless/internal/frame"
 	"monitorless/internal/parallel"
 	"monitorless/internal/pcp"
@@ -138,9 +137,7 @@ func TestExpandSixteenBitsOnFullCatalog(t *testing.T) {
 	// On the real catalog (host+container CPU and MEM utils) the paper's
 	// 16 binary features appear: 2×5 CPU bits + 2×3 MEM bits.
 	cat := pcp.DefaultCatalog()
-	ds := &dataset.Dataset{Defs: cat.CombinedDefs()}
-	ds.Samples = append(ds.Samples, dataset.Sample{RunID: 1, Values: make([]float64, len(ds.Defs))})
-	fr := ds.Frame()
+	fr := frame.NewDense(pcp.SchemaFromDefs(cat.CombinedDefs()), 1, []frame.Span{{ID: 1, End: 1}}, []int{0})
 	out, err := fitTransform(&Expand{}, fr)
 	if err != nil {
 		t.Fatal(err)

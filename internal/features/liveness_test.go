@@ -3,6 +3,7 @@ package features
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"monitorless/internal/frame"
@@ -171,6 +172,55 @@ func TestBatchPlanOpaqueStepDisablesMasking(t *testing.T) {
 		if len(plan.tm.prefIdx) != str.baseCols || len(plan.tm.ringIdx) != str.baseCols {
 			t.Fatalf("opaque plan must maintain full rings: pref %d ring %d of %d",
 				len(plan.tm.prefIdx), len(plan.tm.ringIdx), str.baseCols)
+		}
+	}
+}
+
+// TestDropZeroVarianceLivenessMatchesBruteForce checks the backward pass
+// through a DropZeroVariance step whose outputs are only partly live
+// (an importance filter after it keeps two of its four outputs) against
+// a brute-force reference: a raw column is live iff perturbing it moves
+// some engineered output.
+func TestDropZeroVarianceLivenessMatchesBruteForce(t *testing.T) {
+	const width, rows = 6, 8
+	cols := make([]Column, width)
+	for j := range cols {
+		cols[j] = Column{Name: fmt.Sprintf("m%d", j), Domain: "other"}
+	}
+	raw := frame.NewDense(cols, rows, []frame.Span{{ID: 1, End: rows}}, nil)
+	r := rand.New(rand.NewSource(23))
+	for j := 0; j < width; j++ {
+		for i := range raw.Col(j) {
+			raw.Col(j)[i] = r.Float64()
+		}
+	}
+	pipe := &Pipeline{InCols: width, Steps: []Step{
+		&DropZeroVariance{Keep: []int{0, 2, 3, 5}},
+		&RFFilter{Keep: []int{1, 3}},
+	}}
+	str, err := pipe.Streamer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := pipe.TransformFrame(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < width; k++ {
+		bumped := raw.Clone()
+		for i := range bumped.Col(k) {
+			bumped.Col(k)[i] += 1
+		}
+		out, err := pipe.TransformFrame(bumped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		moved := false
+		for j := 0; j < out.NumCols(); j++ {
+			moved = moved || !slices.Equal(out.Col(j), base.Col(j))
+		}
+		if live := str.RawLive() == nil || str.RawLive()[k]; live != moved {
+			t.Errorf("raw column %d: plan says live=%v, perturbing it moves an output: %v", k, live, moved)
 		}
 	}
 }

@@ -381,3 +381,44 @@ func TestQuantWideForestPacks(t *testing.T) {
 		})
 	}
 }
+
+// TestQuantizeColMatchesQuantize holds quantizeCol's grid path to
+// frame.Quantize at every position of its four-row unroll and in the
+// tail: every edge and its ±1-ulp neighbours, ±0, NaN and ±Inf, over an
+// edge range starting above zero (a grid cell computed from the wrong
+// offset starts its scan past the true code) and one straddling zero.
+func TestQuantizeColMatchesQuantize(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	ranges := [][2]float64{{10, 100}, {-3, 5}}
+	for _, rg := range ranges {
+		edges := make([]float64, 64)
+		for i := range edges {
+			edges[i] = rg[0] + (rg[1]-rg[0])*(float64(i)+0.3*r.Float64())/float64(len(edges)-1)
+		}
+		edges[0], edges[len(edges)-1] = rg[0], rg[1]
+		g := buildGrid(edges)
+		if g.start == nil {
+			t.Fatalf("edges %v..%v built no grid", rg[0], rg[1])
+		}
+		inputs := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)}
+		for _, e := range edges {
+			inputs = append(inputs, math.Nextafter(e, math.Inf(-1)), e, math.Nextafter(e, math.Inf(1)))
+		}
+		// Shifting by 0..3 puts every input at every unroll position;
+		// lengths not divisible by four also run the tail.
+		for shift := 0; shift < 4; shift++ {
+			src := append(make([]float64, shift), inputs...)
+			for k := range src[:shift] {
+				src[k] = edges[k]
+			}
+			dst := make([]uint8, len(src))
+			quantizeCol(edges, &g, src, dst)
+			for i, v := range src {
+				if want := frame.Quantize(edges, v); dst[i] != want {
+					t.Fatalf("range %v, shift %d, row %d (unroll slot %d): quantizeCol(%v) = %d, Quantize = %d",
+						rg, shift, i, i%4, v, dst[i], want)
+				}
+			}
+		}
+	}
+}

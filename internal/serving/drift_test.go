@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"monitorless/internal/features"
 	"monitorless/internal/pcp"
 )
 
@@ -117,5 +118,67 @@ func TestDriftWatchesOnlyLiveColumns(t *testing.T) {
 	if name := fp.Cols[live].Name; liveSc.MaxPSI <= 0.25 || liveSc.MaxPSIFeature != name || liveSc.MaxShiftFeature != name {
 		t.Errorf("shifting watched column %q: MaxPSI %v on %q, MaxShift on %q — want major drift attributed to it",
 			name, liveSc.MaxPSI, liveSc.MaxPSIFeature, liveSc.MaxShiftFeature)
+	}
+}
+
+// TestSwapResetsDriftOnlyOnNewFingerprint: a partial drift window is
+// kept across a cold swap to a bundle that shares the serving
+// fingerprint, and dropped by one whose fingerprint differs — after
+// which windows fill and score against the new reference.
+func TestSwapResetsDriftOnlyOnNewFingerprint(t *testing.T) {
+	m, _ := sharedTestModel(t)
+	rows := rawRows(t)
+	blob, err := m.Pipeline.EncodeGob()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const window, before = 10, 6
+	run := func(newFP bool) (afterRest, afterFull uint64) {
+		svc, err := New(Config{Model: m, Shards: 1, DriftWindow: window})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tick := 0
+		feed := func(n int) uint64 {
+			for ; n > 0; n-- {
+				resp, err := svc.IngestQuiet(obsFor(tick, []string{"a/s/0"}, rows, tick))
+				if err != nil {
+					t.Fatal(err)
+				}
+				svc.PutResponse(resp)
+				tick++
+			}
+			svc.HarvestDrift()
+			return svc.Drift().Windows()
+		}
+		if n := feed(before); n != 0 {
+			t.Fatalf("%d of %d samples completed %d window(s)", before, window, n)
+		}
+		// A cold candidate: same engineered layout, different pipeline gob.
+		pipe, err := features.DecodePipeline(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pipe.RawCols[0].Domain = "tweaked-for-cold-swap"
+		m2 := *m
+		m2.Pipeline = pipe
+		if newFP {
+			fp := *m.Fingerprint
+			m2.Fingerprint = &fp
+		}
+		if ev, err := svc.Swap(&m2, 0, "cold"); err != nil || !ev.Cold {
+			t.Fatalf("swap: %+v, %v", ev, err)
+		}
+		return feed(window - before), feed(before)
+	}
+	if rest, _ := run(false); rest != 1 {
+		t.Errorf("same fingerprint: the pre-swap partial window was dropped (%d windows after %d more samples, want 1)", rest, window-before)
+	}
+	rest, full := run(true)
+	if rest != 0 {
+		t.Errorf("new fingerprint: the pre-swap partial window survived (%d windows after %d more samples, want 0)", rest, window-before)
+	}
+	if full != 1 {
+		t.Errorf("new fingerprint: %d windows after a full post-swap window, want 1", full)
 	}
 }

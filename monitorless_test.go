@@ -86,9 +86,10 @@ func TestFacadeTrainAndPredict(t *testing.T) {
 		t.Fatalf("NewService: %v", err)
 	}
 	var satVec []float64
-	for _, s := range report.Dataset.Samples {
-		if s.Label == 1 {
-			satVec = s.Values
+	fr := report.Dataset.Frame()
+	for i, l := range fr.Labels() {
+		if l == 1 {
+			satVec = fr.Row(i, nil)
 			break
 		}
 	}

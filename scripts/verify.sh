@@ -8,7 +8,9 @@
 #   frame allocs          — zero-copy views stay header-only, column access allocation-free
 #   tree arena allocs     — tree growth makes no per-node allocations
 #   simulator allocs      — arbitration, tick arena and frame-native collection stay 0 allocs/op
-#   dataset golden        — generated frames hash to the recorded fixture at several worker counts
+#   dataset golden        — generated frames hash to the recorded fixture at several worker counts; frame, T and KPI identical at
+#                           GOMAXPROCS 1 and 8; CSV round trip; GenerateFrame ≡ Generate (same frame, same bundle); the corpus
+#                           frame Dataset.Frame shares is left untouched by training and transforming
 #   exact split parity    — presorted and per-node orderings and the unit-weight entropy table bit-identical to the test-only reference
 #                           (per-node sort, entropy always computed): TestExactSplitMatchesReference (weighted cases, and unit weights
 #                           nil/explicit at n 400/1024/1025 in both order modes), TestUnitEntropyTableExact, 5 s of
@@ -21,10 +23,11 @@
 #   drift fuzz            — FuzzCellObserveVsReference: checked-in seeds plus 5 s of fuzzer-chosen edges and values against the naive reference
 #   wire fuzz             — FuzzWireDecode over the checked-in corpus plus 5 s of fresh mutations
 #   json fuzz             — FuzzDecodeJSONVsReference: DecodeJSONScratch against json.Decoder+DisallowUnknownFields, seeds plus 5 s of fresh mutations
-#   quant parity          — packed walk bit-identical to the float walk, unit columns, a 300+-column forest (whole frame and row lists) and Table 2 corpus at workers 1/4/8; compile refuses exact forests, bad edge sets and forests past the packed limits; TestQuantPredictSpeedup: >= 1.5x the float walk per row
+#   quant parity          — quantizeCol ≡ frame.Quantize at every unroll position (edges, ±1 ulp, ±0, NaN, ±Inf); packed walk bit-identical to the float walk, unit columns, a 300+-column forest (whole frame and row lists) and Table 2 corpus at workers 1/4/8; compile refuses exact forests, bad edge sets and forests past the packed limits; TestQuantPredictSpeedup: >= 1.5x the float walk per row
 #   malformed bundles     — a bundle whose forest would loop, index past the row, emit a non-probability or carry a bad edge set fails to load, and POST /model answers 400 and keeps the old model
 #   predict allocs        — 0 allocs/op batch predict in the float, quant-serial and quant-sharded regimes
-#   online-engine parity  — StepBatchInto bit-identical to Pipeline.TransformFrame under every batch partition; liveness masking; duplicate-slot rejection
+#   online-engine parity  — StepBatchInto bit-identical to Pipeline.TransformFrame under every batch partition; liveness masking, and the
+#                           backward pass against a perturb-one-column reference; StateSlab.Bytes exact; duplicate-slot rejection
 #   engine callers        — shards and EdgeAgent agree bit for bit; fused vs float route; all-or-nothing ingest across shards; mid-batch rejection;
 #                           Table 7 closed loop in-process and over HTTP against its golden; state gauge; fallback counter
 #   step fuzz             — FuzzStepBatchVsTransformFrame seeds plus 5 s of fresh schedules
@@ -76,7 +79,8 @@ go test -run 'TestEngineTickAllocations' -count=1 -v ./internal/apps/
 go test -run 'TestObserveTickAllocations' -count=1 -v ./internal/pcp/
 
 lane "dataset golden"
-go test -run TestGenerateGoldenFrameBytes -count=1 -v ./internal/dataset/
+go test -run 'TestGenerateGoldenFrameBytes|TestGenerateDeterministicAcrossGOMAXPROCS|TestCSV' -count=1 -v ./internal/dataset/
+go test -run 'TestGenerateFrameMatchesGenerate|TestSharedFrameStaysReadOnly' -count=1 -v ./internal/core/
 
 lane "exact split parity"
 go test -count=1 -run '^(TestExactSplitMatchesReference|TestUnitEntropyTableExact)$' -v ./internal/ml/tree/
@@ -114,7 +118,7 @@ lane "json fuzz"
 go test -run '^FuzzDecodeJSONVsReference$' -fuzz '^FuzzDecodeJSONVsReference$' -fuzztime=5s ./internal/serving/
 
 lane "quant parity"
-go test -count=1 -run 'TestQuant(BitIdentity|WorkerCountInvariance|PredictEdgeValues|WideForestPacks)|TestExactForestRefusesQuant|TestCompileErrors' -v ./internal/ml/forest/
+go test -count=1 -run 'TestQuant(BitIdentity|WorkerCountInvariance|PredictEdgeValues|WideForestPacks)|TestQuantizeColMatchesQuantize|TestExactForestRefusesQuant|TestCompileErrors' -v ./internal/ml/forest/
 go test -count=1 -run TestTable2QuantBitIdentity $short ./internal/experiments/
 go test -run TestQuantPredictSpeedup -count=1 -v ./internal/ml/forest/
 
@@ -126,7 +130,7 @@ lane "predict allocs"
 go test -run TestForestBatchPredictAllocations -count=1 -v ./internal/ml/forest/
 
 lane "online-engine parity"
-go test -count=1 -run 'TestStepBatch|TestStateSlab|TestBatchPlan|TestStreamer' ./internal/features/
+go test -count=1 -run 'TestStepBatch|TestStateSlab|TestBatchPlan|TestDropZeroVarianceLiveness|TestStreamer' ./internal/features/
 
 lane "engine callers"
 go test -count=1 -run 'TestEdgeAgentMatchesCentral' ./internal/core/

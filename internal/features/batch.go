@@ -20,8 +20,11 @@ import "fmt"
 // StateSlab holds the incremental stream state for many instances of one
 // Streamer as dense struct-of-arrays storage: sample counts plus the
 // base/prefix rings of every slot packed at a fixed per-slot stride into
-// two flat slabs. Slot lifecycle (which instance owns which slot, free
-// lists) belongs to the caller; the slab only stores state.
+// two flat slabs. A ring row holds only the columns the liveness plan's
+// ring set names (liveness.go) — a prefix row len(prefIdx) floats, a base
+// row len(ringIdx) — so a slot carries no cell that no live window reads.
+// Slot lifecycle (which instance owns which slot, free lists) belongs to
+// the caller; the slab only stores state.
 type StateSlab struct {
 	s      *Streamer
 	n      []int32   // per-slot absorbed sample count
@@ -36,20 +39,24 @@ func NewStateSlab(s *Streamer) *StateSlab {
 	return &StateSlab{s: s}
 }
 
-// per-slot strides in floats. The prefix stride includes each slot's own
-// permanently-zero leading row (the implicit P[-1]).
+// per-slot strides in floats: ring rows times the ring set's width. The
+// prefix stride includes each slot's own permanently-zero leading row (the
+// implicit P[-1]). Either may be zero on its own — a plan can read
+// trailing averages but no lag, or the reverse.
 func (sl *StateSlab) baseStride() int {
-	if sl.s.tf == nil {
+	tm := sl.s.plan.tm
+	if tm == nil {
 		return 0
 	}
-	return sl.s.baseRows() * sl.s.baseCols
+	return sl.s.baseRows() * len(tm.ringIdx)
 }
 
 func (sl *StateSlab) prefStride() int {
-	if sl.s.tf == nil {
+	tm := sl.s.plan.tm
+	if tm == nil {
 		return 0
 	}
-	return (1 + sl.s.prefRows()) * sl.s.baseCols
+	return (1 + sl.s.prefRows()) * len(tm.prefIdx)
 }
 
 // Slots returns the slab capacity in slots.
@@ -72,15 +79,13 @@ func (sl *StateSlab) EnsureSlots(k int) {
 	n := make([]int32, ns)
 	copy(n, sl.n)
 	sl.n = n
-	if bs := sl.baseStride(); bs > 0 {
-		base := make([]float64, ns*bs)
-		copy(base, sl.base)
-		sl.base = base
-		ps := sl.prefStride()
-		prefix := make([]float64, ns*ps)
-		copy(prefix, sl.prefix)
-		sl.prefix = prefix
-	}
+	// Each ring grows on its own stride: a zero stride allocates nothing.
+	base := make([]float64, ns*sl.baseStride())
+	copy(base, sl.base)
+	sl.base = base
+	prefix := make([]float64, ns*sl.prefStride())
+	copy(prefix, sl.prefix)
+	sl.prefix = prefix
 	sl.slots = ns
 }
 
@@ -428,6 +433,8 @@ func (s *Streamer) batchTime(sl *StateSlab, slots []int32, cols [][]float64, n i
 		return nil, fmt.Errorf("features: stream time-features fitted on %d cols, got %d", s.baseCols, len(cols))
 	}
 	nc := s.baseCols
+	tm := s.plan.tm
+	pc, rc := len(tm.prefIdx), len(tm.ringIdx) // packed ring row widths
 	pr := s.prefRows()
 	br := s.baseRows()
 	bStride, pStride := sl.baseStride(), sl.prefStride()
@@ -448,35 +455,34 @@ func (s *Streamer) batchTime(sl *StateSlab, slots []int32, cols [][]float64, n i
 		pb := int(slot) * pStride // slot's zero row (the implicit P[-1])
 		b.js[k] = j
 		b.pbases[k] = pb
-		b.offs[k] = pb + (1+j%pr)*nc
+		b.offs[k] = pb + (1+j%pr)*pc
 		if j > 0 {
-			b.prevs[k] = pb + (1+(j-1)%pr)*nc
+			b.prevs[k] = pb + (1+(j-1)%pr)*pc
 		} else {
 			b.prevs[k] = pb
 		}
-		b.baseOffs[k] = int(slot)*bStride + (j%br)*nc
+		b.baseOffs[k] = int(slot)*bStride + (j%br)*rc
 	}
 
 	// Prefix accumulation and base-ring write, sample-outer: each sample's
 	// ring rows are contiguous (and L1-hot), while the
 	// input columns advance one element per sample — streaming read
-	// pointers the prefetcher follows. Only columns some live window
-	// output reads (the plan's ring sets) are maintained.
-	tm := s.plan.tm
+	// pointers the prefetcher follows. Ring cell p holds the plan's p-th
+	// ring-set column.
 	prefix, base := sl.prefix, sl.base
 	for k := 0; k < n; k++ {
 		off, pv := b.offs[k], b.prevs[k]
-		dst := prefix[off : off+nc : off+nc]
-		prv := prefix[pv : pv+nc : pv+nc]
-		for _, c := range tm.prefIdx {
-			dst[c] = prv[c] + cols[c][k]
+		dst := prefix[off : off+pc : off+pc]
+		prv := prefix[pv : pv+pc : pv+pc]
+		for p, c := range tm.prefIdx {
+			dst[p] = prv[p] + cols[c][k]
 		}
 	}
 	for k := 0; k < n; k++ {
 		off := b.baseOffs[k]
-		dst := base[off : off+nc : off+nc]
-		for _, c := range tm.ringIdx {
-			dst[c] = cols[c][k]
+		dst := base[off : off+rc : off+rc]
+		for p, c := range tm.ringIdx {
+			dst[p] = cols[c][k]
 		}
 	}
 
@@ -503,7 +509,7 @@ func (s *Streamer) batchTime(sl *StateSlab, slots []int32, cols [][]float64, n i
 			}
 			b.spans[k] = float64(j - lo + 1)
 			if lo > 0 {
-				b.wOffs[k] = b.pbases[k] + (1+(lo-1)%pr)*nc
+				b.wOffs[k] = b.pbases[k] + (1+(lo-1)%pr)*pc
 			} else {
 				b.wOffs[k] = b.pbases[k]
 			}
@@ -518,14 +524,15 @@ func (s *Streamer) batchTime(sl *StateSlab, slots []int32, cols [][]float64, n i
 				next = append(next, b.pad(n))
 			}
 		}
+		pos := tm.avgPos[wi]
 		for k := 0; k < n; k++ {
 			off, wo := b.offs[k], b.wOffs[k]
-			po := prefix[off : off+nc : off+nc]
-			pw := prefix[wo : wo+nc : wo+nc]
+			po := prefix[off : off+pc : off+pc]
+			pw := prefix[wo : wo+pc : wo+pc]
 			span := b.spans[k]
 			p := k
-			for _, c := range idx {
-				flat[p] = (po[c] - pw[c]) / span
+			for _, q := range pos {
+				flat[p] = (po[q] - pw[q]) / span
 				p += n
 			}
 		}
@@ -544,7 +551,7 @@ func (s *Streamer) batchTime(sl *StateSlab, slots []int32, cols [][]float64, n i
 			if src < 0 {
 				src = 0
 			}
-			b.wOffs[k] = int(slots[k])*bStride + (src%br)*nc
+			b.wOffs[k] = int(slots[k])*bStride + (src%br)*rc
 		}
 		flat := b.allocCol(lc * n)
 		li := 0
@@ -556,12 +563,13 @@ func (s *Streamer) batchTime(sl *StateSlab, slots []int32, cols [][]float64, n i
 				next = append(next, b.pad(n))
 			}
 		}
+		pos := tm.lagPos[wi]
 		for k := 0; k < n; k++ {
 			wo := b.wOffs[k]
-			src := base[wo : wo+nc : wo+nc]
+			src := base[wo : wo+rc : wo+rc]
 			p := k
-			for _, c := range idx {
-				flat[p] = src[c]
+			for _, q := range pos {
+				flat[p] = src[q]
 				p += n
 			}
 		}

@@ -7,14 +7,14 @@ import (
 	"monitorless/internal/frame"
 )
 
-// fitStreamer fits cfg on the shared synthetic training frame.
-func fitStreamer(t testing.TB, cfg Config) (*Pipeline, *Streamer) {
+// fitStreamer fits the fixture's layout on its training frame.
+func fitStreamer(t testing.TB, fx streamFixture) (*Pipeline, *Streamer) {
 	t.Helper()
-	pipe, err := NewPipeline(cfg)
+	pipe, err := NewPipeline(fx.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pipe.FitFrame(synthFrame(4, 80, 11)); err != nil {
+	if _, err := pipe.FitFrame(fx.frame(4, 80, 11)); err != nil {
 		t.Fatal(err)
 	}
 	str, err := pipe.Streamer()
@@ -113,10 +113,10 @@ func (d *slabDriver) flush() {
 // recycled once: its first occupant stops after a random prefix of its
 // history, the slot is ResetSlot, and a second run starts in it on rings
 // that still hold the first occupant's data.
-func driveInterleaved(t *testing.T, cfg Config, nSlots, ticks, size int, seed int64) {
+func driveInterleaved(t *testing.T, fx streamFixture, nSlots, ticks, size int, seed int64) {
 	t.Helper()
-	pipe, str := fitStreamer(t, cfg)
-	d := newSlabDriver(t, pipe, str, synthFrame(2*nSlots, ticks, 23+seed), nSlots)
+	pipe, str := fitStreamer(t, fx)
+	d := newSlabDriver(t, pipe, str, fx.frame(2*nSlots, ticks, 23+seed), nSlots)
 	rng := rand.New(rand.NewSource(seed))
 	occupant := make([]int, nSlots) // slot -> run currently playing
 	stopAt := make([]int, nSlots)   // first occupant's prefix length
@@ -153,14 +153,14 @@ func driveInterleaved(t *testing.T, cfg Config, nSlots, ticks, size int, seed in
 // sample stream into batches — the serial one (size 1) included — each
 // engineered row equals the offline pipeline's row for that instance.
 func TestStepBatchMatchesSerialBitIdentical(t *testing.T) {
-	for name, cfg := range streamConfigs() {
+	for name, fx := range streamFixtures() {
 		t.Run(name, func(t *testing.T) {
 			for _, size := range []int{1, 3, 64, 512} {
 				nSlots := 7
 				if size > nSlots {
 					nSlots = size + size/4 // so full-size batches actually form
 				}
-				driveInterleaved(t, cfg, nSlots, 24, size, int64(size))
+				driveInterleaved(t, fx, nSlots, 24, size, int64(size))
 			}
 		})
 	}
@@ -170,7 +170,7 @@ func TestStepBatchMatchesSerialBitIdentical(t *testing.T) {
 // refused before any ring is touched — every slot's sample count and its
 // next output are what they would have been without the bad batch.
 func TestStepBatchDuplicateSlotRejected(t *testing.T) {
-	pipe, str := fitStreamer(t, DefaultConfig())
+	pipe, str := fitStreamer(t, synth(DefaultConfig()))
 	d := newSlabDriver(t, pipe, str, synthFrame(3, 30, 29), 3)
 	held := d.held
 	for j := 0; j < 20; j++ {
@@ -200,10 +200,12 @@ func TestStepBatchDuplicateSlotRejected(t *testing.T) {
 // TestStateSlabSlotReuse proves ResetSlot fully recycles a slot: a fresh
 // instance stepped through a just-freed slot must match the offline
 // pipeline over its own history bit-for-bit even though the slot's rings
-// still hold the previous instance's data.
+// still hold the previous instance's data. The history fixture keeps
+// cells in both rings, so the first occupant really dirties them.
 func TestStateSlabSlotReuse(t *testing.T) {
-	pipe, str := fitStreamer(t, DefaultConfig())
-	d := newSlabDriver(t, pipe, str, synthFrame(2, 40, 31), 1)
+	fx := historyFixture()
+	pipe, str := fitStreamer(t, fx)
+	d := newSlabDriver(t, pipe, str, fx.frame(2, 40, 31), 1)
 	for range d.held[0] { // first occupant dirties slot 0's rings
 		d.add(0, 0)
 		d.flush()
@@ -219,20 +221,22 @@ func TestStateSlabSlotReuse(t *testing.T) {
 }
 
 // TestStateSlabBytes: Bytes is the slab's whole allocation — four bytes
-// of sample count plus both float rings per slot — before and after a
-// growth.
+// of sample count plus both packed float rings per slot, each ring row
+// exactly as wide as the plan's ring set — before and after a growth.
 func TestStateSlabBytes(t *testing.T) {
-	_, str := fitStreamer(t, DefaultConfig())
+	_, str := fitStreamer(t, historyFixture())
 	sl := NewStateSlab(str)
 	if sl.baseStride() == 0 || sl.prefStride() == 0 {
-		t.Fatal("default pipeline has no time-feature rings")
+		t.Fatal("history pipeline has no time-feature rings")
 	}
 	if sl.Bytes() != 0 {
 		t.Fatalf("empty slab reports %d bytes", sl.Bytes())
 	}
+	tm := str.plan.tm
+	perSlot := int64(4 + 8*(str.baseRows()*len(tm.ringIdx)+(1+str.prefRows())*len(tm.prefIdx)))
 	for _, k := range []int{1, 40} {
 		sl.EnsureSlots(k)
-		want := int64(sl.Slots()) * (4 + 8*int64(sl.baseStride()+sl.prefStride()))
+		want := int64(sl.Slots()) * perSlot
 		if got := sl.Bytes(); got != want {
 			t.Fatalf("%d slots: Bytes = %d, want %d", sl.Slots(), got, want)
 		}
@@ -285,25 +289,31 @@ func FuzzStepBatchVsTransformFrame(f *testing.F) {
 	f.Add(uint8(1), uint8(1), uint8(40), int64(2))
 	f.Add(uint8(2), uint8(5), uint8(10), int64(3))
 	f.Add(uint8(3), uint8(4), uint8(15), int64(4))
-	cfgs := []Config{
-		DefaultConfig(),
-		{Normalize: true, Reduce1: ReducePCA, TimeFeatures: true, PCAMax: 6},
-		{Normalize: true, Reduce1: ReduceFilter, Products: true, FilterTopK: 10},
-		{TimeFeatures: true},
+	f.Add(uint8(4), uint8(5), uint8(39), int64(5))
+	f.Add(uint8(5), uint8(3), uint8(30), int64(6))
+	fxs := []streamFixture{
+		synth(DefaultConfig()),
+		synth(Config{Normalize: true, Reduce1: ReducePCA, TimeFeatures: true, PCAMax: 6}),
+		synth(Config{Normalize: true, Reduce1: ReduceFilter, Products: true, FilterTopK: 10}),
+		synth(Config{TimeFeatures: true}),
+		historyFixture(),
+		trailingFixture(),
 	}
 	type fitted struct {
-		pipe *Pipeline
-		str  *Streamer
+		pipe  *Pipeline
+		str   *Streamer
+		frame func(runs, rowsPerRun int, seed int64) *frame.Frame
 	}
-	pipes := make([]fitted, len(cfgs))
-	for i, cfg := range cfgs {
-		pipes[i].pipe, pipes[i].str = fitStreamer(f, cfg)
+	pipes := make([]fitted, len(fxs))
+	for i, fx := range fxs {
+		pipes[i].pipe, pipes[i].str = fitStreamer(f, fx)
+		pipes[i].frame = fx.frame
 	}
 	f.Fuzz(func(t *testing.T, cfgSel, nInstRaw, ticksRaw uint8, seed int64) {
 		p := pipes[int(cfgSel)%len(pipes)]
 		nInst := 1 + int(nInstRaw)%6
 		ticks := 1 + int(ticksRaw)%40
-		d := newSlabDriver(t, p.pipe, p.str, synthFrame(nInst, ticks, seed), nInst)
+		d := newSlabDriver(t, p.pipe, p.str, p.frame(nInst, ticks, seed), nInst)
 		rng := rand.New(rand.NewSource(seed ^ 0x9e3779b9))
 		for tick := 0; tick < 2*ticks; tick++ {
 			for _, i := range rng.Perm(nInst) {

@@ -17,10 +17,11 @@ package features
 // equivalence and fuzz tests compare final vectors, so they hold the
 // plan to that claim.
 //
-// The ring slabs are masked the same way — prefix rows accumulate only
-// columns some live trailing average reads, the base ring stores only
-// columns some live lag reads. Dead ring columns hold stale garbage; that
-// garbage only ever flows into dead outputs.
+// The rings are pruned the same way, and packed: a prefix ring row holds
+// only the columns some live trailing average reads (prefIdx), a base ring
+// row only the columns some live lag reads (ringIdx), cell p of a row
+// holding column prefIdx[p] (resp. ringIdx[p]). A dead ring column has no
+// cell at all, so a slot costs exactly the state its live windows read.
 
 // batchPlan is the per-streamer liveness plan: one live-output mask per
 // row step plus the time-stage index lists. A nil mask means "all live —
@@ -33,13 +34,16 @@ type batchPlan struct {
 }
 
 // timePlan is the time stage's slice of the plan as index lists (the
-// kernels iterate them directly): which columns each window emits, and
-// the union sets the two rings must maintain for them.
+// kernels iterate them directly): which columns each window emits, the
+// union sets the two rings hold for them, and where each window column
+// sits in its ring row.
 type timePlan struct {
-	prefIdx []int   // prefix-ring columns to accumulate
-	ringIdx []int   // base-ring columns to store
+	prefIdx []int   // prefix-ring columns; cell p holds column prefIdx[p]
+	ringIdx []int   // base-ring columns; cell p holds column ringIdx[p]
 	avgIdx  [][]int // per avg window, live output columns
 	lagIdx  [][]int // per lag window, live output columns
+	avgPos  [][]int // per avg window, avgIdx[w][i]'s cell in a prefix row
+	lagPos  [][]int // per lag window, lagIdx[w][i]'s cell in a base row
 }
 
 // RawLive is the plan's raw-input mask: the columns that can reach an
@@ -108,20 +112,22 @@ func fullIdx(n int) []int {
 	return idx
 }
 
-// fullTimePlan emits every window column and maintains both rings in
-// full — the plan when liveness cannot be traced past the time stage.
+// fullTimePlan emits every window column and keeps both rings full width
+// (identity positions) — the plan when liveness cannot be traced past the
+// time stage.
 func (s *Streamer) fullTimePlan() *timePlan {
 	if s.tf == nil {
 		return nil
 	}
-	nc := s.baseCols
-	all := fullIdx(nc)
+	all := fullIdx(s.baseCols)
 	tp := &timePlan{prefIdx: all, ringIdx: all}
 	for range s.tf.AvgWindows {
 		tp.avgIdx = append(tp.avgIdx, all)
+		tp.avgPos = append(tp.avgPos, all)
 	}
 	for range s.tf.LagWindows {
 		tp.lagIdx = append(tp.lagIdx, all)
+		tp.lagPos = append(tp.lagPos, all)
 	}
 	return tp
 }
@@ -267,10 +273,29 @@ func (s *Streamer) timePlanFrom(out []bool) (*timePlan, []bool) {
 	}
 	tp.prefIdx = idxOf(prefNeed)
 	tp.ringIdx = idxOf(ringNeed)
+	tp.avgPos = ringPos(tp.avgIdx, tp.prefIdx, nc)
+	tp.lagPos = ringPos(tp.lagIdx, tp.ringIdx, nc)
 
 	in := make([]bool, nc)
 	for c := 0; c < nc; c++ {
 		in[c] = out[c] || prefNeed[c] || ringNeed[c]
 	}
 	return tp, in
+}
+
+// ringPos maps each window's output columns onto their cells in a packed
+// ring row holding the columns in set.
+func ringPos(wins [][]int, set []int, nc int) [][]int {
+	cell := make([]int, nc)
+	for p, c := range set {
+		cell[c] = p
+	}
+	pos := make([][]int, len(wins))
+	for w, win := range wins {
+		pos[w] = make([]int, len(win))
+		for i, c := range win {
+			pos[w][i] = cell[c]
+		}
+	}
+	return pos
 }

@@ -27,12 +27,15 @@ import (
 // approximate: a running windowed sum (add new, subtract evicted) would
 // drift from the batch prefix differences in the last ulps.
 //
-// Both rings are flat row-major slabs (ring row r starts at r×baseCols),
-// and the prefix ring carries one extra leading row that is permanently
-// zero — the implicit P[-1] — so a ring offset can always be computed
-// branchlessly. The rings of many instances pack at a per-slot stride into
-// a StateSlab, and the one stepping path is StepBatchInto (batch.go): a
-// single sample is a batch of one.
+// Both rings are flat row-major slabs whose rows hold only the columns
+// the liveness plan's ring sets name (liveness.go): a prefix row is
+// len(prefIdx) floats wide, a base row len(ringIdx), and each window reads
+// its columns through precomputed cell positions. The prefix ring carries
+// one extra leading row that is permanently zero — the implicit P[-1] —
+// so a ring offset can always be computed branchlessly. The rings of many
+// instances pack at a per-slot stride into a StateSlab, and the one
+// stepping path is StepBatchInto (batch.go): a single sample is a batch of
+// one.
 
 // RowStep is a fitted Step without a columnar batch kernel that can still
 // transform one row independently of its run context (PCA). The batch step

@@ -26,11 +26,14 @@
 #   quant parity          — quantizeCol ≡ frame.Quantize at every unroll position (edges, ±1 ulp, ±0, NaN, ±Inf); packed walk bit-identical to the float walk, unit columns, a 300+-column forest (whole frame and row lists) and Table 2 corpus at workers 1/4/8; compile refuses exact forests, bad edge sets and forests past the packed limits; TestQuantPredictSpeedup: >= 1.5x the float walk per row
 #   malformed bundles     — a bundle whose forest would loop, index past the row, emit a non-probability or carry a bad edge set fails to load, and POST /model answers 400 and keeps the old model
 #   predict allocs        — 0 allocs/op batch predict in the float, quant-serial and quant-sharded regimes
-#   online-engine parity  — StepBatchInto bit-identical to Pipeline.TransformFrame under every batch partition; liveness masking, and the
-#                           backward pass against a perturb-one-column reference; StateSlab.Bytes exact; duplicate-slot rejection
+#   online-engine parity  — StepBatchInto bit-identical to Pipeline.TransformFrame under every batch partition, over compact rings (each
+#                           ring row packed to the plan's ring set) on the history fixtures: one whose prefix and base rings hold
+#                           different proper subsets (TestRingFixtureGeometry), one with a prefix ring only; liveness masking, and the
+#                           backward pass against a perturb-one-column reference; StateSlab.Bytes exact at the packed stride;
+#                           slot reuse over dirtied rings; duplicate-slot rejection
 #   engine callers        — shards and EdgeAgent agree bit for bit; fused vs float route; all-or-nothing ingest across shards; mid-batch rejection;
 #                           Table 7 closed loop in-process and over HTTP against its golden; state gauge; fallback counter
-#   step fuzz             — FuzzStepBatchVsTransformFrame seeds plus 5 s of fresh schedules
+#   step fuzz             — FuzzStepBatchVsTransformFrame seeds (all six layouts, the two history fixtures included) plus 5 s of fresh schedules
 #   step allocs           — 0 allocs per steady-state batch step
 #   HTTP smoke            — real cmd/serve on loopback: ingest, predictions, /metrics counters, clean SIGTERM drain
 #   bench module          — bench/ is its own Go module; tier-1 covers its compilation (TestBenchModuleCompiles vets it against
@@ -130,7 +133,7 @@ lane "predict allocs"
 go test -run TestForestBatchPredictAllocations -count=1 -v ./internal/ml/forest/
 
 lane "online-engine parity"
-go test -count=1 -run 'TestStepBatch|TestStateSlab|TestBatchPlan|TestDropZeroVarianceLiveness|TestStreamer' ./internal/features/
+go test -count=1 -run 'TestStepBatch|TestStateSlab|TestRingFixture|TestBatchPlan|TestDropZeroVarianceLiveness|TestStreamer' ./internal/features/
 
 lane "engine callers"
 go test -count=1 -run 'TestEdgeAgentMatchesCentral' ./internal/core/

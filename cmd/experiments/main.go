@@ -3,12 +3,15 @@
 //
 // Usage:
 //
-//	experiments [-scale small|full] [-run all|fig2|table1|...|table8|fig3|ablation] [-series] [-parallel N]
+//	experiments [-scale small|full] [-run all|fig2|table1|...|table8|fig3|ablation] [-model model.gob] [-series] [-parallel N]
 //
 // -scale small (default) runs everything in a couple of minutes; -scale
 // full approaches the paper's run lengths and forest size. -parallel
 // bounds the shared worker pool (0 = GOMAXPROCS); results are identical
-// at any setting.
+// at any setting. -model evaluates a saved bundle instead of generating
+// the Table 1 corpus and training in-process: fig2, table4–table8 and
+// fig3 run against it (all of them under -run all), while table1–table3
+// and ablation need the corpus and are refused when named.
 package main
 
 import (
@@ -16,13 +19,22 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
+	"monitorless/internal/core"
 	"monitorless/internal/experiments"
 	"monitorless/internal/ml/tree"
 	"monitorless/internal/parallel"
+	"monitorless/internal/pcp"
 )
+
+// runNames lists the -run entries in the order they print.
+var runNames = []string{"all", "fig2", "table1", "table2", "table3", "table4", "table5", "table6", "fig3", "table7", "ablation", "table8"}
+
+// corpusRuns need the Table 1 corpus, which a saved bundle does not carry.
+var corpusRuns = []string{"table1", "table2", "table3", "ablation"}
 
 func main() {
 	log.SetFlags(0)
@@ -35,13 +47,19 @@ func main() {
 		workers   = flag.Int("parallel", 0, "worker pool size for the parallel sweeps (0 = GOMAXPROCS)")
 		splitter  = flag.String("splitter", "exact", "forest split search: exact (sorted scans, the parity reference) or hist (histogram-binned, fast retraining)")
 		bins      = flag.Int("bins", 256, "max quantile bins per column for -splitter hist (2..256)")
+		modelPath = flag.String("model", "", "evaluate this saved model bundle instead of training in-process")
 	)
 	flag.Parse()
 	parallel.SetDefaultWorkers(*workers)
 
-	scale := experiments.Small()
-	if *scaleName == "full" {
+	var scale experiments.Scale
+	switch *scaleName {
+	case "small":
+		scale = experiments.Small()
+	case "full":
 		scale = experiments.Full()
+	default:
+		log.Fatalf("unknown -scale %q (want small or full)", *scaleName)
 	}
 	sp, err := tree.ParseSplitter(*splitter)
 	if err != nil {
@@ -52,9 +70,28 @@ func main() {
 
 	want := map[string]bool{}
 	for _, part := range strings.Split(*run, ",") {
-		want[strings.TrimSpace(part)] = true
+		name := strings.TrimSpace(part)
+		if !slices.Contains(runNames, name) {
+			log.Fatalf("unknown -run entry %q (want a comma-separated list of %s)", name, strings.Join(runNames, ", "))
+		}
+		want[name] = true
 	}
-	sel := func(name string) bool { return want["all"] || want[name] }
+	// With -model, "all" means every run a bundle can serve; a corpus run
+	// named explicitly is refused.
+	sel := func(name string) bool {
+		return want[name] || (want["all"] && (*modelPath == "" || !slices.Contains(corpusRuns, name)))
+	}
+	if *modelPath != "" {
+		var refused []string
+		for _, name := range corpusRuns {
+			if want[name] {
+				refused = append(refused, name)
+			}
+		}
+		if len(refused) > 0 {
+			log.Fatalf("-model: run(s) %s need the Table 1 corpus, which a saved bundle does not carry; drop -model or select other runs", strings.Join(refused, ", "))
+		}
+	}
 
 	start := time.Now()
 
@@ -75,10 +112,21 @@ func main() {
 		return
 	}
 
-	fmt.Fprintf(os.Stderr, "building context (Table 1 corpus + model) at scale %q...\n", scale.Name)
-	ctx, err := experiments.NewContext(scale)
-	if err != nil {
-		log.Fatal(err)
+	var ctx *experiments.Context
+	if *modelPath != "" {
+		b, err := core.LoadBundleFile(*modelPath)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := b.CheckSchema(pcp.DefaultCatalog().CombinedNames()); err != nil {
+			log.Fatal(err)
+		}
+		ctx = &experiments.Context{Scale: scale, Model: b.Model}
+	} else {
+		fmt.Fprintf(os.Stderr, "building context (Table 1 corpus + model) at scale %q...\n", scale.Name)
+		if ctx, err = experiments.NewContext(scale); err != nil {
+			log.Fatal(err)
+		}
 	}
 	fmt.Fprintf(os.Stderr, "context ready after %s: %d samples, %.1f%% saturated, %d features\n",
 		time.Since(start).Round(time.Millisecond), ctx.Model.TrainSamples,

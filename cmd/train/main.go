@@ -1,10 +1,11 @@
 // Command train fits the monitorless model on a training corpus (either a
 // datagen CSV or a freshly generated Table 1 corpus) and persists it.
-// With -table3 it also reproduces the paper's algorithm comparison.
+// The saved bundle is what cmd/serve loads and cmd/experiments -model
+// evaluates.
 //
 // Usage:
 //
-//	train -out model.gob [-data training.csv] [-scale small|full] [-table3] [-rules] [-parallel N]
+//	train -out model.gob [-data training.csv] [-scale small|full] [-rules] [-parallel N]
 package main
 
 import (
@@ -31,7 +32,6 @@ func main() {
 		data      = flag.String("data", "", "training CSV from datagen (default: generate in-process)")
 		out       = flag.String("out", "model.gob", "model output path")
 		scaleName = flag.String("scale", "small", "experiment scale: small or full")
-		table3    = flag.Bool("table3", false, "also run the Table 3 algorithm comparison")
 		table4    = flag.Bool("table4", true, "print the Table 4 feature importances")
 		rules     = flag.Bool("rules", false, "distill the model into operator-readable scaling rules (§5 interpretability)")
 		workers   = flag.Int("parallel", 0, "worker pool size for generation and evaluation sweeps (0 = GOMAXPROCS)")
@@ -41,9 +41,14 @@ func main() {
 	flag.Parse()
 	parallel.SetDefaultWorkers(*workers)
 
-	scale := experiments.Small()
-	if *scaleName == "full" {
+	var scale experiments.Scale
+	switch *scaleName {
+	case "small":
+		scale = experiments.Small()
+	case "full":
 		scale = experiments.Full()
+	default:
+		log.Fatalf("unknown -scale %q (want small or full)", *scaleName)
 	}
 	sp, perr := tree.ParseSplitter(*splitter)
 	if perr != nil {
@@ -115,20 +120,6 @@ func main() {
 			}
 			fmt.Println(" ", r)
 		}
-	}
-	if *table3 {
-		if ctx.Report == nil {
-			log.Fatal("-table3 requires in-process generation (omit -data)")
-		}
-		elgg, err := experiments.CollectElgg(ctx)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rows, err := experiments.Table3(ctx, elgg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.PrintTable3(os.Stdout, rows)
 	}
 }
 

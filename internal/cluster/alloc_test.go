@@ -15,7 +15,7 @@ func TestArbitrateAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n, _ := c.Node("n1")
+	n := c.nodeByName["n1"]
 	ctrs := n.Placed()
 	demands := make([]Demand, len(ctrs))
 	grants := make([]Grant, len(ctrs))

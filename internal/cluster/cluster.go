@@ -47,14 +47,6 @@ func NewNode(name string, cores, memGB, diskMBps, netMbps float64) *Node {
 	}
 }
 
-// Containers returns a copy of the containers currently placed on the
-// node, sorted by ID.
-func (n *Node) Containers() []*Container {
-	out := make([]*Container, len(n.containers))
-	copy(out, n.containers)
-	return out
-}
-
 // Placed returns the node's containers sorted by ID as a shared read-only
 // view: no copy is made, and the slice is only valid until the next Place
 // or Remove on the owning cluster (watch Cluster.Epoch to detect that).
@@ -141,19 +133,6 @@ func New(nodes ...*Node) (*Cluster, error) {
 // read-only view (no copy); the slice must not be mutated.
 func (c *Cluster) NodesView() []*Node { return c.nodes }
 
-// Nodes returns a copy of the cluster's nodes in insertion order.
-func (c *Cluster) Nodes() []*Node {
-	out := make([]*Node, len(c.nodes))
-	copy(out, c.nodes)
-	return out
-}
-
-// Node looks a node up by name.
-func (c *Cluster) Node(name string) (*Node, bool) {
-	n, ok := c.nodeByName[name]
-	return n, ok
-}
-
 // Epoch returns a counter that changes whenever the container topology
 // does (every Place/Remove). Hot paths cache slot- and position-indexed
 // arenas and rebuild them when the epoch moves.
@@ -162,15 +141,6 @@ func (c *Cluster) Epoch() uint64 { return c.epoch }
 // NumSlots returns the size of the dense slot space (placed containers
 // plus currently free slots). Slot-indexed state slabs are sized by it.
 func (c *Cluster) NumSlots() int { return len(c.slots) }
-
-// BySlot returns the container occupying a slot, or nil if the slot is
-// free or out of range.
-func (c *Cluster) BySlot(slot int32) *Container {
-	if slot < 0 || int(slot) >= len(c.slots) {
-		return nil
-	}
-	return c.slots[slot]
-}
 
 // Place creates a container on the named node, assigning it a dense slot
 // and inserting it into the node's ID-sorted container list.
@@ -233,22 +203,6 @@ func (c *Cluster) Remove(id string) error {
 	ctr.pos = -1
 	c.epoch++
 	return nil
-}
-
-// Container looks a container up by ID.
-func (c *Cluster) Container(id string) (*Container, bool) {
-	ctr, ok := c.containers[id]
-	return ctr, ok
-}
-
-// Containers returns all containers sorted by ID (deterministic iteration).
-func (c *Cluster) Containers() []*Container {
-	out := make([]*Container, 0, len(c.containers))
-	for _, ctr := range c.containers {
-		out = append(out, ctr)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // LeastLoadedNode returns the node with the fewest containers; used by the

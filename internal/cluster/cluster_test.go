@@ -34,12 +34,12 @@ func TestPlaceAndLookup(t *testing.T) {
 	if ctr.Node() == nil || ctr.Node().Name != "n1" {
 		t.Error("container not attached to n1")
 	}
-	got, ok := c.Container("app/svc/0")
+	got, ok := c.containers["app/svc/0"]
 	if !ok || got != ctr {
 		t.Error("Container lookup failed")
 	}
-	n, ok := c.Node("n1")
-	if !ok || len(n.Containers()) != 1 {
+	n, ok := c.nodeByName["n1"]
+	if !ok || len(n.Placed()) != 1 {
 		t.Error("node lookup or container list failed")
 	}
 }
@@ -70,11 +70,10 @@ func TestRemove(t *testing.T) {
 	if err := c.Remove("r"); err != nil {
 		t.Fatalf("Remove: %v", err)
 	}
-	if _, ok := c.Container("r"); ok {
+	if _, ok := c.containers["r"]; ok {
 		t.Error("container still present after Remove")
 	}
-	n, _ := c.Node("n1")
-	if len(n.Containers()) != 0 {
+	if len(c.nodeByName["n1"].Placed()) != 0 {
 		t.Error("node still lists removed container")
 	}
 	if err := c.Remove("r"); err == nil {
@@ -89,7 +88,7 @@ func TestContainersSorted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := c.Containers()
+	got := c.nodeByName["n1"].Placed()
 	if len(got) != 3 || got[0].ID != "a" || got[1].ID != "b" || got[2].ID != "c" {
 		t.Errorf("Containers not sorted: %v %v %v", got[0].ID, got[1].ID, got[2].ID)
 	}
@@ -130,7 +129,7 @@ func arbitrate(n *Node, demands map[string]Demand) map[string]Grant {
 
 func TestArbitrateUncontended(t *testing.T) {
 	c := newTestCluster(t)
-	n, _ := c.Node("n1") // 8 cores, 400 MB/s disk, 1000 Mbps
+	n := c.nodeByName["n1"] // 8 cores, 400 MB/s disk, 1000 Mbps
 	if err := c.Place("n1", &Container{ID: "a"}); err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +145,7 @@ func TestArbitrateUncontended(t *testing.T) {
 
 func TestArbitrateCgroupLimit(t *testing.T) {
 	c := newTestCluster(t)
-	n, _ := c.Node("n1")
+	n := c.nodeByName["n1"]
 	if err := c.Place("n1", &Container{ID: "a", CPULimit: 1.5}); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +160,7 @@ func TestArbitrateCgroupLimit(t *testing.T) {
 
 func TestArbitrateHostContention(t *testing.T) {
 	c := newTestCluster(t)
-	n, _ := c.Node("n2") // 4 cores
+	n := c.nodeByName["n2"] // 4 cores
 	for _, id := range []string{"a", "b"} {
 		if err := c.Place("n2", &Container{ID: id}); err != nil {
 			t.Fatal(err)
@@ -183,7 +182,7 @@ func TestArbitrateHostContention(t *testing.T) {
 
 func TestArbitrateMaxMinFavorsSmall(t *testing.T) {
 	c := newTestCluster(t)
-	n, _ := c.Node("n2") // 4 cores
+	n := c.nodeByName["n2"] // 4 cores
 	for _, id := range []string{"small", "big"} {
 		if err := c.Place("n2", &Container{ID: id}); err != nil {
 			t.Fatal(err)
@@ -203,7 +202,7 @@ func TestArbitrateMaxMinFavorsSmall(t *testing.T) {
 
 func TestArbitrateDiskProportional(t *testing.T) {
 	c := newTestCluster(t)
-	n, _ := c.Node("n1") // 400 MB/s
+	n := c.nodeByName["n1"] // 400 MB/s
 	for _, id := range []string{"a", "b"} {
 		if err := c.Place("n1", &Container{ID: id}); err != nil {
 			t.Fatal(err)

@@ -14,8 +14,8 @@ import (
 // (frame.Schema.Hash: names, domains and the utilization/binary/time/log
 // flags, the same function the dataset layer and the serving wire protocol
 // use), and the training seed for provenance. cmd/train writes bundles;
-// cmd/evaluate, cmd/autoscalesim and cmd/serve load them through the one
-// loader below. This build reads the current format and its predecessor:
+// cmd/experiments -model and cmd/serve load them through the one loader
+// below. This build reads the current format and its predecessor:
 // version 3 requires a training-distribution fingerprint (per-column
 // moments + quantile sketch, frame.Fingerprint) validated against the
 // schema width — the drift-detection reference the lifecycle plane needs.

@@ -10,7 +10,6 @@ import (
 
 	"monitorless/internal/features"
 	"monitorless/internal/frame"
-	"monitorless/internal/ml/forest"
 )
 
 func TestBundleRoundTripIdenticalPredictions(t *testing.T) {
@@ -78,14 +77,10 @@ func TestBundleLegacyFallback(t *testing.T) {
 // a recalibrated (non-default) threshold survives the round trip.
 func TestBundleV3RoundTripFingerprintAndCalibration(t *testing.T) {
 	shared, _ := sharedModel(t)
-	m := *shared // copies of the model and its forest, so the new threshold does not disturb other tests
-	fr := forest.New(m.Forest.Config())
-	*fr = *m.Forest
-	m.Forest = fr
+	m := *shared // a copy, so the new threshold does not disturb other tests
 
 	const thr = 0.55
 	m.Threshold = thr
-	m.Forest.SetThreshold(thr)
 
 	var buf bytes.Buffer
 	if err := SaveBundle(&buf, &m, 9); err != nil {
@@ -98,9 +93,8 @@ func TestBundleV3RoundTripFingerprintAndCalibration(t *testing.T) {
 	if b.Version != 3 {
 		t.Fatalf("Version = %d, want 3", b.Version)
 	}
-	if b.Model.Threshold != thr || b.Model.Forest.Threshold() != thr {
-		t.Fatalf("calibrated threshold lost: model %v forest %v, want %v",
-			b.Model.Threshold, b.Model.Forest.Threshold(), thr)
+	if b.Model.Threshold != thr {
+		t.Fatalf("calibrated threshold lost: model %v, want %v", b.Model.Threshold, thr)
 	}
 	fp := b.Model.Fingerprint
 	if fp == nil {
@@ -351,8 +345,8 @@ func TestBundleV4QuantRoundTrip(t *testing.T) {
 // TestWatchListFollowsLivenessPlan: however a model is assembled — trained
 // or loaded from a bundle — its fingerprint watches exactly the raw
 // columns the pipeline's liveness plan proves live; the list is derived
-// state that never reaches the bundle bytes; and a pipeline whose plan
-// cannot see through a step (PCA) watches every column.
+// state that never reaches the bundle bytes; and a pipeline with no
+// streamer (PCA) watches every column.
 func TestWatchListFollowsLivenessPlan(t *testing.T) {
 	m, ds := sharedModel(t)
 	wantWatch := func(m *Model) []int32 {

@@ -6,3 +6,11 @@ var (
 	SharedModel     = sharedModel
 	SharedHistModel = sharedHistModel
 )
+
+// Forget drops a departed instance's feature state, as a re-registered
+// instance needs on the edge side of TestEdgeAgentMatchesCentral.
+func (e *EdgeAgent) Forget(id string) {
+	if e.eng != nil {
+		e.eng.Release(id)
+	}
+}

@@ -171,10 +171,3 @@ func (e *EdgeAgent) Observe(eng *apps.Engine) (PredictionReport, bool, error) {
 	e.BytesSaved += ObservationWireSize(obs) - report.WireSize()
 	return report, true, nil
 }
-
-// Forget drops a departed instance's feature state.
-func (e *EdgeAgent) Forget(id string) {
-	if e.eng != nil {
-		e.eng.Release(id)
-	}
-}

@@ -41,8 +41,7 @@ func measureAtPeak(t *testing.T, id int) (apps.InstanceState, *cluster.Node) {
 		t.Fatal(err)
 	}
 	eng.Run(25, nil)
-	node, _ := cl.Node("t")
-	return app.Services()[0].Instances()[0].State, node
+	return app.Services()[0].Instances()[0].State, cl.NodesView()[0]
 }
 
 // TestTable1BottlenecksMaterialize spot-checks that representative Table 1

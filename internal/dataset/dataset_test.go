@@ -56,8 +56,8 @@ func TestDatasetAccessors(t *testing.T) {
 func TestReadCSVGroupsRuns(t *testing.T) {
 	d := tinyDataset(t)
 	fr := d.Frame()
-	if err := fr.Validate(); err != nil {
-		t.Fatal(err)
+	if len(fr.Labels()) != fr.Rows() {
+		t.Fatalf("%d labels for %d rows", len(fr.Labels()), fr.Rows())
 	}
 	want := []frame.Span{{ID: 1, Start: 0, End: 2}, {ID: 2, Start: 2, End: 3}}
 	if !reflect.DeepEqual(fr.Spans(), want) {
@@ -84,7 +84,7 @@ func TestFilterRuns(t *testing.T) {
 	if fr.Rows() != 1 || !reflect.DeepEqual(f.RunIDs(), []int{2}) {
 		t.Fatalf("FilterRuns(2): %d rows, runs %v", fr.Rows(), f.RunIDs())
 	}
-	if fr.At(0, 0) != 5 || fr.At(0, 1) != 6.25 || f.t[0] != 0 || f.kpi[0] != 7 {
+	if fr.Col(0)[0] != 5 || fr.Col(1)[0] != 6.25 || f.t[0] != 0 || f.kpi[0] != 7 {
 		t.Errorf("FilterRuns(2) row = %v, t %d, kpi %v", fr.Row(0, nil), f.t[0], f.kpi[0])
 	}
 	if both := d.FilterRuns(2, 1); frameDigest(both.Frame()) != frameDigest(d.Frame()) ||
@@ -124,8 +124,13 @@ func TestReadCSVWithCatalog(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Kind/domain metadata must be restored from the catalog.
-	idx := cat.HostIndex("kernel.all.pswitch")
-	if back.Defs[idx].Kind != pcp.Counter {
+	restored := false
+	for _, d := range back.Defs {
+		if d.Name == "kernel.all.pswitch" {
+			restored = d.Kind == pcp.Counter
+		}
+	}
+	if !restored {
 		t.Error("catalog metadata not restored")
 	}
 }

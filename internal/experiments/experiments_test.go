@@ -382,8 +382,19 @@ func TestEngineeredTrainingSubsampling(t *testing.T) {
 	if sub.Rows() > 520 || sub.Rows() < 300 {
 		t.Errorf("subsample size %d, want ≈500", sub.Rows())
 	}
-	if err := sub.Validate(); err != nil || len(sub.Labels()) != sub.Rows() {
-		t.Fatalf("misaligned subsample: %v", err)
+	if len(sub.Labels()) != sub.Rows() {
+		t.Fatalf("misaligned subsample: %d labels for %d rows", len(sub.Labels()), sub.Rows())
+	}
+	// The spans must tile the rows: contiguous, non-backward, complete.
+	prev := 0
+	for _, sp := range sub.Spans() {
+		if sp.Start != prev || sp.End < sp.Start {
+			t.Fatalf("subsample spans %v do not tile its %d rows", sub.Spans(), sub.Rows())
+		}
+		prev = sp.End
+	}
+	if prev != sub.Rows() {
+		t.Fatalf("subsample spans end at %d, want %d rows", prev, sub.Rows())
 	}
 	// Strided subsampling must retain samples from many runs (grouped CV
 	// needs at least 5 groups).

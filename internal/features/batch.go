@@ -59,9 +59,6 @@ func (sl *StateSlab) prefStride() int {
 	return (1 + sl.s.prefRows()) * len(tm.prefIdx)
 }
 
-// Slots returns the slab capacity in slots.
-func (sl *StateSlab) Slots() int { return sl.slots }
-
 // EnsureSlots grows the slab to hold at least k slots, preserving existing
 // slot state (strides never change, so old state copies to the front).
 // New slots arrive zeroed with n=0, ready for use.
@@ -126,8 +123,6 @@ type BatchScratch struct {
 	// duplicate-slot detection
 	mark  []uint32
 	epoch uint32
-
-	rowBuf []float64
 
 	// padCol stands in for liveness-masked columns: every dead slot in a
 	// ping-pong view aliases it. Its contents are garbage by design — the
@@ -259,7 +254,7 @@ func (s *Streamer) StepBatchInto(sl *StateSlab, slots []int32, raws [][]float64,
 
 	var err error
 	for i, step := range s.pre {
-		if cur, err = s.batchApply(step, s.plan.pre[i], cur, n, b); err != nil {
+		if cur, err = batchApply(step, s.plan.pre[i], cur, n, b); err != nil {
 			return err
 		}
 	}
@@ -267,7 +262,7 @@ func (s *Streamer) StepBatchInto(sl *StateSlab, slots []int32, raws [][]float64,
 		return err
 	}
 	for i, step := range s.post {
-		if cur, err = s.batchApply(step, s.plan.post[i], cur, n, b); err != nil {
+		if cur, err = batchApply(step, s.plan.post[i], cur, n, b); err != nil {
 			return err
 		}
 	}
@@ -280,10 +275,8 @@ func (s *Streamer) StepBatchInto(sl *StateSlab, slots []int32, raws [][]float64,
 // the step passes through unchanged are aliased, not copied; only freshly
 // computed columns cost arena space, and outputs the liveness plan proves
 // dead (live[j] == false; nil live = all live) are skipped entirely — a
-// shared pad column keeps the view's indices aligned. Steps without a
-// columnar kernel (see kernelOutWidth) take a gather/TransformRow/scatter
-// fallback, counted in fallbackRows.
-func (s *Streamer) batchApply(step Step, live []bool, cols [][]float64, n int, b *BatchScratch) ([][]float64, error) {
+// shared pad column keeps the view's indices aligned.
+func batchApply(step Step, live []bool, cols [][]float64, n int, b *BatchScratch) ([][]float64, error) {
 	next := b.nxt[:0]
 	switch t := step.(type) {
 	case *Expand:
@@ -371,32 +364,6 @@ func (s *Streamer) batchApply(step Step, live []bool, cols [][]float64, n int, b
 				dst[k] = a[k] * c[k]
 			}
 			next = append(next, dst)
-		}
-	case RowStep:
-		// No columnar kernel (e.g. PCA): gather each row, run the
-		// allocating TransformRow, scatter the result. Same arithmetic,
-		// same order, just slow — and counted, so it cannot hide.
-		s.fallbackRows.Add(uint64(n))
-		for k := 0; k < n; k++ {
-			row := b.rowBuf[:0]
-			for _, c := range cols {
-				row = append(row, c[k])
-			}
-			b.rowBuf = row
-			nr, err := t.TransformRow(row)
-			if err != nil {
-				return nil, fmt.Errorf("features: stream %s: %w", step.Name(), err)
-			}
-			if next == nil || k == 0 {
-				for j := 0; j < len(nr); j++ {
-					next = append(next, b.allocCol(n))
-				}
-			} else if len(nr) != len(next) {
-				return nil, fmt.Errorf("features: stream %s: width changed mid-batch (%d -> %d)", step.Name(), len(next), len(nr))
-			}
-			for j, v := range nr {
-				next[j][k] = v
-			}
 		}
 	}
 	b.cur, b.nxt = next, cols[:0]

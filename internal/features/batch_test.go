@@ -83,8 +83,8 @@ func (d *slabDriver) flush() {
 	if err := d.str.StepBatchInto(d.sl, d.slots, d.raws, &d.b); err != nil {
 		d.t.Fatal(err)
 	}
-	if d.b.Len() != len(d.slots) || len(d.b.Cols()) != d.str.NumOutputs() {
-		d.t.Fatalf("batch is %d×%d, want %d×%d", d.b.Len(), len(d.b.Cols()), len(d.slots), d.str.NumOutputs())
+	if d.b.Len() != len(d.slots) || len(d.b.Cols()) != d.str.pipe.NumOutputs() {
+		d.t.Fatalf("batch is %d×%d, want %d×%d", d.b.Len(), len(d.b.Cols()), len(d.slots), d.str.pipe.NumOutputs())
 	}
 	for k, ri := range d.runs {
 		j := d.pos[ri]
@@ -236,9 +236,9 @@ func TestStateSlabBytes(t *testing.T) {
 	perSlot := int64(4 + 8*(str.baseRows()*len(tm.ringIdx)+(1+str.prefRows())*len(tm.prefIdx)))
 	for _, k := range []int{1, 40} {
 		sl.EnsureSlots(k)
-		want := int64(sl.Slots()) * perSlot
+		want := int64(sl.slots) * perSlot
 		if got := sl.Bytes(); got != want {
-			t.Fatalf("%d slots: Bytes = %d, want %d", sl.Slots(), got, want)
+			t.Fatalf("%d slots: Bytes = %d, want %d", sl.slots, got, want)
 		}
 	}
 }
@@ -268,7 +268,7 @@ func TestStepBatchRejectsBadInput(t *testing.T) {
 	if sl.Samples(0) != 0 || sl.Samples(1) != 0 {
 		t.Fatalf("bad-width batch mutated state: %d/%d samples", sl.Samples(0), sl.Samples(1))
 	}
-	if err := str.StepBatchInto(sl, []int32{0, int32(sl.Slots())}, [][]float64{good, good}, &b); err == nil {
+	if err := str.StepBatchInto(sl, []int32{0, int32(sl.slots)}, [][]float64{good, good}, &b); err == nil {
 		t.Fatal("expected slot-range error")
 	}
 	if err := str.StepBatchInto(sl, []int32{0}, [][]float64{good, good}, &b); err == nil {
@@ -293,7 +293,7 @@ func FuzzStepBatchVsTransformFrame(f *testing.F) {
 	f.Add(uint8(5), uint8(3), uint8(30), int64(6))
 	fxs := []streamFixture{
 		synth(DefaultConfig()),
-		synth(Config{Normalize: true, Reduce1: ReducePCA, TimeFeatures: true, PCAMax: 6}),
+		synth(Config{Normalize: true, TimeFeatures: true}),
 		synth(Config{Normalize: true, Reduce1: ReduceFilter, Products: true, FilterTopK: 10}),
 		synth(Config{TimeFeatures: true}),
 		historyFixture(),
@@ -331,8 +331,8 @@ func FuzzStepBatchVsTransformFrame(f *testing.F) {
 }
 
 // TestStepBatchAllocations holds the steady-state batch step to zero
-// allocations for append-path pipelines (the paper's selected layout has
-// no PCA, so nothing in the chain should allocate once scratch is warm).
+// allocations: every streaming step is a columnar kernel, so nothing in
+// the chain should allocate once scratch is warm.
 func TestStepBatchAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under the race detector")
@@ -348,9 +348,6 @@ func TestStepBatchAllocations(t *testing.T) {
 	str, err := pipe.Streamer()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(str.FallbackSteps()) != 0 {
-		t.Fatalf("default layout has fallback steps: %v", str.FallbackSteps())
 	}
 	sl := NewStateSlab(str)
 	sl.EnsureSlots(8)
@@ -372,8 +369,5 @@ func TestStepBatchAllocations(t *testing.T) {
 	tick := 8
 	if avg := testing.AllocsPerRun(20, func() { step(tick); tick++ }); avg > 0 {
 		t.Fatalf("steady-state StepBatchInto allocates %.1f per batch, want 0", avg)
-	}
-	if got := str.FallbackRows(); got != 0 {
-		t.Fatalf("append-path pipeline took %d fallback rows", got)
 	}
 }

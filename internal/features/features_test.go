@@ -38,18 +38,27 @@ func framesEqualBits(t *testing.T, want, got *frame.Frame) {
 // buildFrame lays out per-run rows as a frame whose span IDs count from 1,
 // labeled with the per-run labels, or unlabeled when labels is nil.
 func buildFrame(cols []Column, runs [][][]float64, labels [][]int) *frame.Frame {
-	fr := frame.New(cols, 0)
+	var spans []frame.Span
+	var lab []int
+	n := 0
 	for r, rows := range runs {
-		for i, row := range rows {
-			var err error
-			if labels == nil {
-				err = fr.Append(r+1, row)
-			} else {
-				err = fr.AppendLabeled(r+1, row, labels[r][i])
+		if len(rows) == 0 {
+			continue
+		}
+		spans = append(spans, frame.Span{ID: r + 1, Start: n, End: n + len(rows)})
+		n += len(rows)
+		if labels != nil {
+			lab = append(lab, labels[r][:len(rows)]...)
+		}
+	}
+	fr := frame.NewDense(cols, n, spans, lab)
+	i := 0
+	for _, rows := range runs {
+		for _, row := range rows {
+			for j, v := range row {
+				fr.Col(j)[i] = v
 			}
-			if err != nil {
-				panic(err)
-			}
+			i++
 		}
 	}
 	return fr
@@ -120,14 +129,14 @@ func TestExpandAddsLevelBits(t *testing.T) {
 	highIdx := colIndex(out, "C-CPU-HIGH")
 	veryIdx := colIndex(out, "C-CPU-VERYHIGH")
 	for i := 0; i < out.Rows(); i++ {
-		u := out.At(i, utilIdx)
-		if (u < 50) != (out.At(i, lowIdx) == 1) {
+		u := out.Col(utilIdx)[i]
+		if (u < 50) != (out.Col(lowIdx)[i] == 1) {
 			t.Fatal("LOW bit wrong")
 		}
-		if (u > 80) != (out.At(i, highIdx) == 1) {
+		if (u > 80) != (out.Col(highIdx)[i] == 1) {
 			t.Fatal("HIGH bit wrong")
 		}
-		if (u > 90) != (out.At(i, veryIdx) == 1) {
+		if (u > 90) != (out.Col(veryIdx)[i] == 1) {
 			t.Fatal("VERYHIGH bit wrong")
 		}
 	}
@@ -172,7 +181,7 @@ func TestStandardScale(t *testing.T) {
 	for i, v := range out.Col(0) {
 		sum += v
 		sq += v * v
-		if out.At(i, 3) != 0 {
+		if out.Col(3)[i] != 0 {
 			t.Fatal("constant column must scale to 0")
 		}
 	}
@@ -293,15 +302,15 @@ func TestTimeFeaturesValues(t *testing.T) {
 	avgIdx := colIndex(out, "m-AVG1")
 	lagIdx := colIndex(out, "m-LAGGED2")
 	// AVG1 at t=3: mean(3,4) = 3.5. LAGGED2 at t=3: value at t=1 → 2.
-	if v := out.At(3, avgIdx); v != 3.5 {
+	if v := out.Col(avgIdx)[3]; v != 3.5 {
 		t.Errorf("AVG1[3] = %v, want 3.5", v)
 	}
-	if v := out.At(3, lagIdx); v != 2 {
+	if v := out.Col(lagIdx)[3]; v != 2 {
 		t.Errorf("LAGGED2[3] = %v, want 2", v)
 	}
 	// Early rows: truncated average, clamped lag.
-	if out.At(0, avgIdx) != 1 || out.At(0, lagIdx) != 1 {
-		t.Errorf("row 0 time features = %v/%v, want 1/1", out.At(0, avgIdx), out.At(0, lagIdx))
+	if out.Col(avgIdx)[0] != 1 || out.Col(lagIdx)[0] != 1 {
+		t.Errorf("row 0 time features = %v/%v, want 1/1", out.Col(avgIdx)[0], out.Col(lagIdx)[0])
 	}
 	// Time-derived columns are marked.
 	if cols := out.Schema(); !cols[avgIdx].TimeDerived || !cols[lagIdx].TimeDerived {
@@ -317,7 +326,7 @@ func TestTimeFeaturesRunBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Run 2's first row must not see run 1's history.
-	if v := out.At(out.Spans()[1].Start, colIndex(out, "m-LAGGED1")); v != 99 {
+	if v := out.Col(colIndex(out, "m-LAGGED1"))[out.Spans()[1].Start]; v != 99 {
 		t.Errorf("lag leaked across runs: %v", v)
 	}
 }
@@ -368,7 +377,7 @@ func TestProductsEligibility(t *testing.T) {
 		}
 	}
 	// Product values are actual products.
-	if v := out.At(0, colIndex(out, "C-CPU-U × S-MEM-U")); v != 3600 {
+	if v := out.Col(colIndex(out, "C-CPU-U × S-MEM-U"))[0]; v != 3600 {
 		t.Errorf("product value %v, want 3600", v)
 	}
 }

@@ -47,15 +47,13 @@ type timePlan struct {
 }
 
 // RawLive is the plan's raw-input mask: the columns that can reach an
-// engineered feature. Nil means every column (nothing pruned, or an
-// opaque step degraded the plan to all-live). Besides the transposer it
-// tells the drift observer which raw columns are worth watching. Shared;
-// callers must not modify it.
+// engineered feature. Nil means every column (nothing pruned). Besides
+// the transposer it tells the drift observer which raw columns are worth
+// watching. Shared; callers must not modify it.
 func (s *Streamer) RawLive() []bool { return s.plan.rawLive }
 
-// kernelOutWidth reports a fitted row step's output width, or -1 for
-// steps without a columnar kernel in batchApply (whose routing the plan
-// cannot see).
+// kernelOutWidth reports a fitted row step's output width, or -1 for a
+// step batchApply has no columnar kernel for (Streamer refuses those).
 func kernelOutWidth(step Step) int {
 	switch t := step.(type) {
 	case *Expand:
@@ -104,71 +102,28 @@ func idxOf(mask []bool) []int {
 	return idx
 }
 
-func fullIdx(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
-}
-
-// fullTimePlan emits every window column and keeps both rings full width
-// (identity positions) — the plan when liveness cannot be traced past the
-// time stage.
-func (s *Streamer) fullTimePlan() *timePlan {
-	if s.tf == nil {
-		return nil
-	}
-	all := fullIdx(s.baseCols)
-	tp := &timePlan{prefIdx: all, ringIdx: all}
-	for range s.tf.AvgWindows {
-		tp.avgIdx = append(tp.avgIdx, all)
-		tp.avgPos = append(tp.avgPos, all)
-	}
-	for range s.tf.LagWindows {
-		tp.lagIdx = append(tp.lagIdx, all)
-		tp.lagPos = append(tp.lagPos, all)
-	}
-	return tp
-}
-
-// buildBatchPlan runs the backward liveness pass over the fitted chain.
-// If any step lacks a columnar kernel (PCA and friends — the logged
-// TransformRow fallback), the plan degrades to all-live: that path
-// gathers full rows, so no column is provably dead.
+// buildBatchPlan runs the backward liveness pass over the fitted chain
+// (every step of which has a columnar kernel: Streamer checked).
 func buildBatchPlan(s *Streamer) *batchPlan {
 	plan := &batchPlan{
 		pre:  make([][]bool, len(s.pre)),
 		post: make([][]bool, len(s.post)),
-		tm:   s.fullTimePlan(),
 	}
 
-	// Forward width walk; bail to the all-live plan on any opaque step.
+	// Forward width walk.
 	w := s.pipe.InCols
 	preIn := make([]int, len(s.pre))
 	postIn := make([]int, len(s.post))
-	opaque := false
 	for i, st := range s.pre {
 		preIn[i] = w
-		if w = kernelOutWidth(st); w < 0 {
-			opaque = true
-			break
-		}
+		w = kernelOutWidth(st)
 	}
-	if !opaque && s.tf != nil {
+	if s.tf != nil {
 		w = s.baseCols * (1 + len(s.tf.AvgWindows) + len(s.tf.LagWindows))
 	}
-	if !opaque {
-		for i, st := range s.post {
-			postIn[i] = w
-			if w = kernelOutWidth(st); w < 0 {
-				opaque = true
-				break
-			}
-		}
-	}
-	if opaque {
-		return plan
+	for i, st := range s.post {
+		postIn[i] = w
+		w = kernelOutWidth(st)
 	}
 
 	// Backward pass: start all-live at the engineered output, map each
@@ -230,10 +185,6 @@ func liveIn(step Step, out []bool, inW int) []bool {
 				in[pr[0]] = true
 				in[pr[1]] = true
 			}
-		}
-	default:
-		for i := range in {
-			in[i] = true
 		}
 	}
 	return in

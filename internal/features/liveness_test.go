@@ -97,11 +97,11 @@ func TestBatchPlanMasksDeadColumns(t *testing.T) {
 	if plan.rawLive == nil {
 		t.Fatal("rawLive mask is nil: no raw column pruned despite FilterTopK 8 of 40 inputs")
 	}
-	rawLive := countLive(plan.rawLive, str.NumInputs())
-	if rawLive >= str.NumInputs() {
+	rawLive := countLive(plan.rawLive, str.pipe.InCols)
+	if rawLive >= str.pipe.InCols {
 		t.Fatalf("rawLive keeps all %d raw columns", rawLive)
 	}
-	t.Logf("raw: %d/%d live", rawLive, str.NumInputs())
+	t.Logf("raw: %d/%d live", rawLive, str.pipe.InCols)
 	masked := 0
 	for i, m := range plan.pre {
 		if m != nil {
@@ -138,10 +138,10 @@ func TestBatchPlanMasksDeadColumns(t *testing.T) {
 	}
 }
 
-// TestBatchPlanOpaqueStepDisablesMasking: a step without a columnar
-// kernel (PCA) gathers full rows, so nothing upstream of the plan may be
-// pruned — the pass must degrade to the all-live plan.
-func TestBatchPlanOpaqueStepDisablesMasking(t *testing.T) {
+// TestStreamerRefusesPCA: a fitted step without a columnar kernel (PCA)
+// has no streaming path, so Streamer refuses the pipeline and names the
+// step; the offline transform still runs it.
+func TestStreamerRefusesPCA(t *testing.T) {
 	train := liveFrame(4, 120, 20, 19)
 	pipe, err := NewPipeline(Config{
 		Normalize:    true,
@@ -155,24 +155,12 @@ func TestBatchPlanOpaqueStepDisablesMasking(t *testing.T) {
 	if _, err := pipe.FitFrame(train); err != nil {
 		t.Fatal(err)
 	}
-	str, err := pipe.Streamer()
-	if err != nil {
-		t.Fatal(err)
+	const want = "features: streamer: step pca has no columnar kernel; it runs offline only"
+	if str, err := pipe.Streamer(); err == nil || err.Error() != want {
+		t.Fatalf("Streamer() = %v, %v; want error %q", str, err, want)
 	}
-	plan := str.plan
-	if plan.rawLive != nil {
-		t.Fatal("rawLive mask set despite an opaque (PCA) step in the chain")
-	}
-	for i, m := range plan.pre {
-		if m != nil {
-			t.Fatalf("pre[%d] mask set despite an opaque step", i)
-		}
-	}
-	if str.tf != nil {
-		if len(plan.tm.prefIdx) != str.baseCols || len(plan.tm.ringIdx) != str.baseCols {
-			t.Fatalf("opaque plan must maintain full rings: pref %d ring %d of %d",
-				len(plan.tm.prefIdx), len(plan.tm.ringIdx), str.baseCols)
-		}
+	if _, err := pipe.TransformFrame(train); err != nil {
+		t.Fatalf("offline transform: %v", err)
 	}
 }
 
@@ -207,7 +195,10 @@ func TestDropZeroVarianceLivenessMatchesBruteForce(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 0; k < width; k++ {
-		bumped := raw.Clone()
+		bumped, err := raw.SelectColumns(fullIdx(width)) // copies every column
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := range bumped.Col(k) {
 			bumped.Col(k)[i] += 1
 		}

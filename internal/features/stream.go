@@ -1,9 +1,6 @@
 package features
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // This file is the online half of the feature pipeline: an incremental
 // evaluator that engineers raw samples in O(1) work per sample, producing
@@ -36,30 +33,15 @@ import (
 // instances pack at a per-slot stride into a StateSlab, and the one
 // stepping path is StepBatchInto (batch.go): a single sample is a batch of
 // one.
-
-// RowStep is a fitted Step without a columnar batch kernel that can still
-// transform one row independently of its run context (PCA). The batch step
-// reaches it through a counted gather/TransformRow/scatter fallback.
-type RowStep interface {
-	Step
-	// TransformRow applies the fitted step to a single row, returning a
-	// fresh slice (the input is never mutated).
-	TransformRow(row []float64) ([]float64, error)
-}
-
-// TransformRow implements RowStep.
-func (p *PCAReduce) TransformRow(row []float64) ([]float64, error) {
-	if p.P == nil {
-		return nil, fmt.Errorf("features: pca: not fitted")
-	}
-	return p.P.Transform(row)
-}
+//
+// Only steps with a columnar kernel stream. A pipeline with any other
+// fitted step — PCA, which the offline ablation alone builds — is refused
+// here and runs offline only, through Pipeline.TransformFrame.
 
 // Streamer evaluates a fitted pipeline incrementally, one batch of raw
 // samples at a time (batch.go). It is immutable after construction — safe
 // for concurrent use; all per-instance mutable state lives in the
-// StateSlab values minted for it — except for the fallback-row counter,
-// which is atomic.
+// StateSlab values minted for it.
 type Streamer struct {
 	pipe      *Pipeline
 	pre, post []Step
@@ -68,21 +50,13 @@ type Streamer struct {
 	maxAvg    int
 	maxLag    int
 
-	// fallback names the steps with no columnar kernel: each sample
-	// through such a step costs a fresh TransformRow allocation. The set
-	// is fixed per fitted pipeline (= per model generation), so callers
-	// log it once at install time instead of discovering the hidden
-	// per-sample cost in a heap profile; fallbackRows counts the rows that
-	// actually took the slow path.
-	fallback     []string
-	fallbackRows atomic.Uint64
-
 	// plan is the static column-liveness plan the batch kernels run
 	// under (liveness.go); built once, immutable.
 	plan *batchPlan
 }
 
-// Streamer builds the incremental evaluator for a fitted pipeline.
+// Streamer builds the incremental evaluator for a fitted pipeline. It
+// fails, naming the step, when a fitted step has no columnar kernel.
 func (p *Pipeline) Streamer() (*Streamer, error) {
 	if len(p.Steps) == 0 {
 		return nil, fmt.Errorf("features: pipeline is not fitted")
@@ -100,10 +74,7 @@ func (p *Pipeline) Streamer() (*Streamer, error) {
 			return nil, fmt.Errorf("features: streamer: pipeline predates streaming support; re-fit and re-save the model")
 		}
 		if kernelOutWidth(st) < 0 {
-			if _, ok := st.(RowStep); !ok {
-				return nil, fmt.Errorf("features: streamer: step %s has no row path", st.Name())
-			}
-			s.fallback = append(s.fallback, st.Name())
+			return nil, fmt.Errorf("features: streamer: step %s has no columnar kernel; it runs offline only", st.Name())
 		}
 		if s.tf == nil {
 			s.pre = append(s.pre, st)
@@ -127,24 +98,6 @@ func (p *Pipeline) Streamer() (*Streamer, error) {
 	s.plan = buildBatchPlan(s)
 	return s, nil
 }
-
-// FallbackSteps names the fitted steps with no columnar kernel (e.g.
-// PCA): every sample through them allocates a fresh TransformRow
-// result. Empty for the paper's selected layout. The set is a property of
-// the pipeline — log it once per model generation.
-func (s *Streamer) FallbackSteps() []string { return s.fallback }
-
-// FallbackRows counts the rows that went through an allocating
-// TransformRow fallback since the streamer was built.
-func (s *Streamer) FallbackRows() uint64 { return s.fallbackRows.Load() }
-
-// NumOutputs returns the engineered feature count, matching the batch
-// pipeline.
-func (s *Streamer) NumOutputs() int { return s.pipe.NumOutputs() }
-
-// NumInputs returns the raw-metric column count the pipeline was fitted
-// on.
-func (s *Streamer) NumInputs() int { return s.pipe.InCols }
 
 // CheckWidth validates a raw sample's width, returning exactly the error
 // StepBatchInto would. Callers use it to validate before touching any

@@ -84,19 +84,16 @@ func historyFrame(lagged bool) func(runs, rowsPerRun int, seed int64) *frame.Fra
 
 // streamFixtures enumerates the pipeline layouts the equivalence tests
 // cover: the paper's selected layout (whose plan keeps no window column on
-// synthFrame), a PCA variant (full-width rings), a layout with no time
-// features (the degenerate stream), and the two history fixtures whose
-// packed rings are narrower than the base row and differ from each other.
+// synthFrame), a scaled layout with no reduction (every column live, so
+// full-width rings), a layout with no time features (the degenerate
+// stream), and the two history fixtures whose packed rings are narrower
+// than the base row and differ from each other.
 func streamFixtures() map[string]streamFixture {
 	return map[string]streamFixture{
 		"default": synth(DefaultConfig()),
-		"pca": synth(Config{
+		"full-rings": synth(Config{
 			Normalize:    true,
-			Reduce1:      ReducePCA,
 			TimeFeatures: true,
-			Products:     false,
-			Reduce2:      ReduceNone,
-			PCAMax:       6,
 		}),
 		"no-time": synth(Config{
 			Normalize:    true,
@@ -110,6 +107,14 @@ func streamFixtures() map[string]streamFixture {
 		"history":  historyFixture(),
 		"trailing": trailingFixture(),
 	}
+}
+
+func fullIdx(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
 }
 
 // TestRingFixtureGeometry pins what the history fixtures exist for: the
@@ -150,7 +155,7 @@ func TestRingFixtureGeometry(t *testing.T) {
 	}
 	sl := NewStateSlab(str)
 	sl.EnsureSlots(1)
-	if len(sl.base) != 0 || len(sl.prefix) != sl.Slots()*sl.prefStride() || sl.prefStride() == 0 {
+	if len(sl.base) != 0 || len(sl.prefix) != sl.slots*sl.prefStride() || sl.prefStride() == 0 {
 		t.Fatalf("trailing slab: base %d floats, prefix %d floats at stride %d", len(sl.base), len(sl.prefix), sl.prefStride())
 	}
 }
@@ -162,9 +167,6 @@ func TestStreamerMatchesBatchBitIdentical(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			held := fx.frame(3, 60, 23)
 			pipe, str := fitStreamer(t, fx)
-			if str.NumOutputs() != pipe.NumOutputs() {
-				t.Fatalf("streamer outputs %d, pipeline %d", str.NumOutputs(), pipe.NumOutputs())
-			}
 			d := newSlabDriver(t, pipe, str, held, held.NumRuns())
 			for ri, rows := range d.held {
 				for range rows {

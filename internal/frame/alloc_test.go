@@ -29,16 +29,10 @@ func TestFrameOpAllocations(t *testing.T) {
 		t.Errorf("Row into reused dst allocates %.1f per op, want 0", n)
 	}
 
-	if n := testing.AllocsPerRun(100, func() {
-		sink += f.At(9, 2)
-	}); n != 0 {
-		t.Errorf("At allocates %.1f per op, want 0", n)
-	}
-
 	// A row-range view is one Frame header plus one clipped-span slice.
 	if n := testing.AllocsPerRun(100, func() {
 		v := f.RowRange(25, 125)
-		sink += v.At(0, 0)
+		sink += v.Col(0)[0]
 	}); n > 3 {
 		t.Errorf("RowRange allocates %.1f per op, want <= 3", n)
 	}

@@ -182,9 +182,6 @@ func (b *Binned) ColCodes(j int) []uint8 {
 	return b.codes[j*b.rows : (j+1)*b.rows : (j+1)*b.rows]
 }
 
-// Code returns the bin of row i under column j.
-func (b *Binned) Code(i, j int) uint8 { return b.codes[j*b.rows+i] }
-
 // Edges returns the per-column bin edge sets (edges[j][b] = inclusive
 // upper value of bin b under column j). The returned slices alias the
 // Binned's internal state and must not be mutated; forest.Compile

@@ -37,7 +37,7 @@ func TestBinFrameDistinctValueEdges(t *testing.T) {
 	}
 	wantCodes := []uint8{2, 0, 1, 0, 2, 1}
 	for i, want := range wantCodes {
-		if got := bn.Code(i, 0); got != want {
+		if got := bn.ColCodes(0)[i]; got != want {
 			t.Errorf("Code(%d,0) = %d, want %d", i, got, want)
 		}
 	}
@@ -57,8 +57,8 @@ func TestBinFrameCodeEdgeConsistency(t *testing.T) {
 	bn := BinFrame(fr, 16, nil)
 	for j := 0; j < fr.NumCols(); j++ {
 		for i := 0; i < fr.Rows(); i++ {
-			v := fr.At(i, j)
-			c := int(bn.Code(i, j))
+			v := fr.Col(j)[i]
+			c := int(bn.ColCodes(j)[i])
 			for b := 0; b+1 < bn.NumBins(j); b++ {
 				if (c <= b) != (v <= bn.Edge(j, b)) {
 					t.Fatalf("col %d row %d: code=%d edge[%d]=%v value=%v disagree",
@@ -104,8 +104,8 @@ func TestBinFrameSubsetRows(t *testing.T) {
 	}
 	for j := 0; j < fr.NumCols(); j++ {
 		for i := 0; i < fr.Rows(); i++ {
-			v := fr.At(i, j)
-			c := int(bn.Code(i, j))
+			v := fr.Col(j)[i]
+			c := int(bn.ColCodes(j)[i])
 			if c > 0 && v <= bn.Edge(j, c-1) {
 				t.Fatalf("col %d row %d: value %v below own bin %d", j, i, v, c)
 			}

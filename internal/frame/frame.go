@@ -122,11 +122,6 @@ func (f *Frame) Cols(dst [][]float64) [][]float64 {
 	return dst
 }
 
-// At returns the value at row i, column j.
-func (f *Frame) At(i, j int) float64 {
-	return f.data[j*f.stride+f.off+i]
-}
-
 // Set assigns the value at row i, column j.
 func (f *Frame) Set(i, j int, v float64) {
 	f.data[j*f.stride+f.off+i] = v
@@ -275,18 +270,6 @@ func (f *Frame) Append(runID int, vals []float64) error {
 	return f.appendRow(runID, vals)
 }
 
-// AppendLabeled adds a labeled row to run runID.
-func (f *Frame) AppendLabeled(runID int, vals []float64, label int) error {
-	if f.labels == nil && f.rows > 0 {
-		return fmt.Errorf("frame: labeled append on an unlabeled frame")
-	}
-	if err := f.appendRow(runID, vals); err != nil {
-		return err
-	}
-	f.labels = append(f.labels, label)
-	return nil
-}
-
 // SelectColumns returns a new owning frame keeping the given column
 // indices in the given order. Column data is copied (one contiguous copy
 // per kept column); spans are copied and labels aliased.
@@ -327,23 +310,6 @@ func (f *Frame) SelectRows(idx []int) *Frame {
 	return out
 }
 
-// Clone deep-copies the view into a fresh dense owning frame (labels and
-// spans included). On a view, exactly the view's rows are copied: the
-// result's backing is rows·cols values (len == cap per column), labels
-// and spans are the view-relative ones — nothing of the parent outside
-// the view leaks into the clone.
-func (f *Frame) Clone() *Frame {
-	var lab []int
-	if f.labels != nil {
-		lab = append([]int(nil), f.labels...)
-	}
-	out := NewDense(f.schema.Clone(), f.rows, cloneSpans(f.spans), lab)
-	for j := range f.schema {
-		copy(out.Col(j), f.Col(j))
-	}
-	return out
-}
-
 // MaterializeRows gathers the frame into row-major [][]float64 slices
 // (one backing allocation) for the row-oriented adapter paths.
 func (f *Frame) MaterializeRows() [][]float64 {
@@ -374,24 +340,6 @@ func (f *Frame) CheckFinite() error {
 				return fmt.Errorf("frame: non-finite value %v at row %d, column %d (%s)", v, i, j, f.schema[j].Name)
 			}
 		}
-	}
-	return nil
-}
-
-// Validate checks internal consistency (span coverage and label length).
-func (f *Frame) Validate() error {
-	if f.labels != nil && len(f.labels) != f.rows {
-		return fmt.Errorf("frame: %d labels for %d rows", len(f.labels), f.rows)
-	}
-	prev := 0
-	for _, s := range f.spans {
-		if s.Start != prev || s.End < s.Start || s.End > f.rows {
-			return fmt.Errorf("frame: bad span %+v (rows=%d, expected start %d)", s, f.rows, prev)
-		}
-		prev = s.End
-	}
-	if len(f.spans) > 0 && prev != f.rows {
-		return fmt.Errorf("frame: spans cover %d of %d rows", prev, f.rows)
 	}
 	return nil
 }

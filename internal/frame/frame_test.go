@@ -1,6 +1,7 @@
 package frame
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -18,18 +19,40 @@ func testSchema(d int) Schema {
 func testFrame(runs, rowsPerRun, d int, seed int64) *Frame {
 	r := rand.New(rand.NewSource(seed))
 	f := New(testSchema(d), 0)
+	var labels []int
 	for g := 0; g < runs; g++ {
 		for i := 0; i < rowsPerRun; i++ {
 			vals := make([]float64, d)
 			for j := range vals {
 				vals[j] = r.NormFloat64()
 			}
-			if err := f.AppendLabeled(g+1, vals, i%2); err != nil {
+			if err := f.Append(g+1, vals); err != nil {
 				panic(err)
 			}
+			labels = append(labels, i%2)
 		}
 	}
+	f.labels = labels
 	return f
+}
+
+// validate checks a frame's bookkeeping: one label per row when labeled,
+// and spans that tile the rows in order.
+func validate(f *Frame) error {
+	if f.labels != nil && len(f.labels) != f.rows {
+		return fmt.Errorf("%d labels for %d rows", len(f.labels), f.rows)
+	}
+	prev := 0
+	for _, s := range f.spans {
+		if s.Start != prev || s.End < s.Start || s.End > f.rows {
+			return fmt.Errorf("bad span %+v (rows=%d, expected start %d)", s, f.rows, prev)
+		}
+		prev = s.End
+	}
+	if len(f.spans) > 0 && prev != f.rows {
+		return fmt.Errorf("spans cover %d of %d rows", prev, f.rows)
+	}
+	return nil
 }
 
 func TestAppendBuildsSpansAndLabels(t *testing.T) {
@@ -37,7 +60,7 @@ func TestAppendBuildsSpansAndLabels(t *testing.T) {
 	if f.Rows() != 30 || f.NumCols() != 4 || f.NumRuns() != 3 {
 		t.Fatalf("shape: rows=%d cols=%d runs=%d", f.Rows(), f.NumCols(), f.NumRuns())
 	}
-	if err := f.Validate(); err != nil {
+	if err := validate(f); err != nil {
 		t.Fatal(err)
 	}
 	want := []Span{{1, 0, 10}, {2, 10, 20}, {3, 20, 30}}
@@ -63,8 +86,8 @@ func TestAppendGrowsAcrossReallocation(t *testing.T) {
 		}
 	}
 	for i := 0; i < 300; i++ {
-		if f.At(i, 1) != float64(2*i) {
-			t.Fatalf("row %d col 1 = %v after growth", i, f.At(i, 1))
+		if f.Col(1)[i] != float64(2*i) {
+			t.Fatalf("row %d col 1 = %v after growth", i, f.Col(1)[i])
 		}
 	}
 	if f.NumRuns() != 1 || f.Spans()[0].End != 300 {
@@ -73,19 +96,12 @@ func TestAppendGrowsAcrossReallocation(t *testing.T) {
 }
 
 func TestAppendMixingLabeledUnlabeledFails(t *testing.T) {
-	f := New(testSchema(2), 4)
-	if err := f.AppendLabeled(1, []float64{1, 2}, 1); err != nil {
-		t.Fatal(err)
-	}
+	f := NewDense(testSchema(2), 1, []Span{{ID: 1, Start: 0, End: 1}}, []int{1})
 	if err := f.Append(1, []float64{3, 4}); err == nil {
 		t.Error("unlabeled append on labeled frame succeeded")
 	}
-	u := New(testSchema(2), 4)
-	if err := u.Append(1, []float64{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := u.AppendLabeled(1, []float64{3, 4}, 0); err == nil {
-		t.Error("labeled append on unlabeled frame succeeded")
+	if f.Rows() != 1 || len(f.Labels()) != 1 {
+		t.Errorf("rejected append changed the frame: %d rows, %d labels", f.Rows(), len(f.Labels()))
 	}
 }
 
@@ -99,10 +115,10 @@ func TestRowRangeAliasesBacking(t *testing.T) {
 	b := f.RowRange(10, 20)
 
 	a.Col(2)[9] = 1234.5 // parent row 14
-	if got := f.At(14, 2); got != 1234.5 {
+	if got := f.Col(2)[14]; got != 1234.5 {
 		t.Errorf("parent does not see view write: %v", got)
 	}
-	if got := b.At(4, 2); got != 1234.5 {
+	if got := b.Col(2)[4]; got != 1234.5 {
 		t.Errorf("sibling view does not see write: %v", got)
 	}
 	a.Set(0, 0, -7) // parent row 5
@@ -127,12 +143,12 @@ func TestSelectColumnsCopies(t *testing.T) {
 	if sel.Schema()[0] != f.Schema()[2] || sel.Schema()[1] != f.Schema()[0] {
 		t.Fatal("selected schema wrong")
 	}
-	before := f.At(3, 2)
+	before := f.Col(2)[3]
 	sel.Set(3, 0, before+99)
-	if f.At(3, 2) != before {
+	if f.Col(2)[3] != before {
 		t.Error("SelectColumns aliases source data; must copy")
 	}
-	if sel.At(5, 1) != f.At(5, 0) {
+	if sel.Col(1)[5] != f.Col(0)[5] {
 		t.Error("selected values wrong")
 	}
 }
@@ -149,7 +165,7 @@ func TestRowRangeSpanClipping(t *testing.T) {
 			t.Errorf("span %d = %+v, want %+v", i, s, want[i])
 		}
 	}
-	if err := v.Validate(); err != nil {
+	if err := validate(v); err != nil {
 		t.Fatal(err)
 	}
 	// Labels alias the parent.
@@ -166,7 +182,7 @@ func TestRunView(t *testing.T) {
 	if v.Rows() != 7 || v.Spans()[0].ID != 2 {
 		t.Fatalf("run view wrong: rows=%d spans=%+v", v.Rows(), v.Spans())
 	}
-	if v.At(0, 1) != f.At(7, 1) {
+	if v.Col(1)[0] != f.Col(1)[7] {
 		t.Error("run view misaligned")
 	}
 }
@@ -177,7 +193,7 @@ func TestSelectRowsGathers(t *testing.T) {
 	g := f.SelectRows(idx)
 	for p, i := range idx {
 		for j := 0; j < 3; j++ {
-			if g.At(p, j) != f.At(i, j) {
+			if g.Col(j)[p] != f.Col(j)[i] {
 				t.Errorf("gather (%d,%d) wrong", p, j)
 			}
 		}
@@ -195,7 +211,7 @@ func TestMaterializeRowsRoundTrip(t *testing.T) {
 	}
 	for i := range rows {
 		for j := range rows[i] {
-			if rows[i][j] != f.At(i, j) {
+			if rows[i][j] != f.Col(j)[i] {
 				t.Fatalf("row %d col %d mismatch", i, j)
 			}
 		}
@@ -214,16 +230,6 @@ func TestCheckFinite(t *testing.T) {
 	f.Set(3, 1, math.Inf(-1))
 	if err := f.CheckFinite(); err == nil {
 		t.Error("-Inf not rejected")
-	}
-}
-
-func TestCloneIsIndependent(t *testing.T) {
-	f := testFrame(2, 4, 2, 9)
-	c := f.Clone()
-	c.Set(0, 0, 555)
-	c.Labels()[0] = 5
-	if f.At(0, 0) == 555 || f.Labels()[0] == 5 {
-		t.Error("Clone shares state with source")
 	}
 }
 
@@ -269,7 +275,7 @@ func TestDeriveSharesSpansAndLabels(t *testing.T) {
 	if d.Labels()[3] != f.Labels()[3] {
 		t.Error("derive labels not aliased")
 	}
-	if err := d.Validate(); err != nil {
+	if err := validate(d); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -280,6 +286,7 @@ func buildDense(t *testing.T, rows, cols, runs int, seed int64) *Frame {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	fr := New(testSchema(cols), rows)
+	fr.labels = make([]int, 0, rows)
 	vals := make([]float64, cols)
 	for i := 0; i < rows; i++ {
 		run := i * runs / rows
@@ -291,58 +298,23 @@ func buildDense(t *testing.T, rows, cols, runs int, seed int64) *Frame {
 				vals[j] = rng.NormFloat64() * float64(j+1)
 			}
 		}
-		if err := fr.AppendLabeled(run, vals, rng.Intn(2)); err != nil {
+		if err := fr.appendRow(run, vals); err != nil {
 			t.Fatalf("append: %v", err)
 		}
+		fr.labels = append(fr.labels, rng.Intn(2))
 	}
 	return fr
 }
 
-// TestCloneRowRangeView is the regression test for Clone/SelectColumns on
-// row-range views: the clone must copy exactly the view's rows — correct
-// values, len == cap == view rows per column — and share nothing with
-// the parent outside the view.
-func TestCloneRowRangeView(t *testing.T) {
+// TestSelectColumnsRowRangeView is the regression test for SelectColumns
+// on row-range views: the copy must hold exactly the view's rows —
+// correct values, len == cap == view rows per column — and spans that
+// tile it.
+func TestSelectColumnsRowRangeView(t *testing.T) {
 	parent := buildDense(t, 200, 4, 2, 8)
 	lo, hi := 37, 141
 	v := parent.RowRange(lo, hi)
-	c := v.Clone()
 
-	if c.Rows() != hi-lo {
-		t.Fatalf("clone rows %d, want %d", c.Rows(), hi-lo)
-	}
-	for j := 0; j < c.NumCols(); j++ {
-		col := c.Col(j)
-		if len(col) != hi-lo || cap(col) != hi-lo {
-			t.Fatalf("clone column %d: len %d cap %d, want both %d", j, len(col), cap(col), hi-lo)
-		}
-		for i := range col {
-			if col[i] != parent.At(lo+i, j) {
-				t.Fatalf("clone cell (%d,%d) = %v, want parent(%d,%d) = %v", i, j, col[i], lo+i, j, parent.At(lo+i, j))
-			}
-		}
-	}
-	if got, want := len(c.Labels()), hi-lo; got != want {
-		t.Fatalf("clone labels %d, want %d", got, want)
-	}
-	for i, l := range c.Labels() {
-		if l != parent.Labels()[lo+i] {
-			t.Fatalf("clone label %d = %d, want %d", i, l, parent.Labels()[lo+i])
-		}
-	}
-	// Mutating the clone must not touch the parent.
-	before := parent.At(lo, 0)
-	c.Set(0, 0, before+1)
-	if parent.At(lo, 0) != before {
-		t.Fatalf("clone aliases the parent backing")
-	}
-	// Span bookkeeping must be view-relative and tile the clone.
-	if err := c.Validate(); err != nil {
-		t.Fatalf("clone validate: %v", err)
-	}
-
-	// SelectColumns on the same view: values restricted to view rows,
-	// exact-size columns.
 	sel, err := v.SelectColumns([]int{3, 1})
 	if err != nil {
 		t.Fatalf("select: %v", err)
@@ -356,12 +328,12 @@ func TestCloneRowRangeView(t *testing.T) {
 			t.Fatalf("select column %d: len %d cap %d, want both %d", p, len(col), cap(col), hi-lo)
 		}
 		for i := range col {
-			if col[i] != parent.At(lo+i, src) {
-				t.Fatalf("select cell (%d,%d) = %v, want %v", i, p, col[i], parent.At(lo+i, src))
+			if col[i] != parent.Col(src)[lo+i] {
+				t.Fatalf("select cell (%d,%d) = %v, want %v", i, p, col[i], parent.Col(src)[lo+i])
 			}
 		}
 	}
-	if err := sel.Validate(); err != nil {
+	if err := validate(sel); err != nil {
 		t.Fatalf("select validate: %v", err)
 	}
 }

@@ -41,19 +41,6 @@ func (s Schema) Names() []string {
 // Clone deep-copies the schema.
 func (s Schema) Clone() Schema { return append(Schema(nil), s...) }
 
-// Equal reports whether two schemas match exactly (order included).
-func (s Schema) Equal(o Schema) bool {
-	if len(s) != len(o) {
-		return false
-	}
-	for i := range s {
-		if s[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // flagBits packs the column flags into one byte.
 func (c Col) flagBits() byte {
 	var b byte

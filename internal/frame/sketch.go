@@ -116,9 +116,6 @@ func sketchColumn(name string, col []float64, bins int) ColFingerprint {
 	return cf
 }
 
-// NumCols returns the sketched column count.
-func (fp *Fingerprint) NumCols() int { return len(fp.Cols) }
-
 // SetWatch restricts drift observation to the columns live marks true —
 // the raw inputs the model's pipeline can actually read. A nil mask, or
 // one that does not match the column count, watches every column. Call

@@ -23,8 +23,8 @@ func testSketchFrame(t *testing.T, rows int, seed int64) *Frame {
 func TestFingerprintFrame(t *testing.T) {
 	fr := testSketchFrame(t, 1000, 3)
 	fp := FingerprintFrame(fr, 10)
-	if fp.Rows != 1000 || fp.NumCols() != 3 {
-		t.Fatalf("fingerprint shape rows=%d cols=%d", fp.Rows, fp.NumCols())
+	if fp.Rows != 1000 || len(fp.Cols) != 3 {
+		t.Fatalf("fingerprint shape rows=%d cols=%d", fp.Rows, len(fp.Cols))
 	}
 	if err := fp.Validate(3); err != nil {
 		t.Fatal(err)

@@ -240,13 +240,6 @@ func NewMonitor(fp *frame.Fingerprint, windowSamples int) *Monitor {
 	}
 }
 
-// Fingerprint returns the training reference the monitor scores against.
-func (m *Monitor) Fingerprint() *frame.Fingerprint {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.fp
-}
-
 // Reset rebinds the monitor to a new fingerprint (a swap to a
 // differently-trained bundle), dropping all partial windows and scores.
 func (m *Monitor) Reset(fp *frame.Fingerprint) {
@@ -312,21 +305,6 @@ func (m *Monitor) Scores() []AppDrift {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].App < out[j].App })
 	return out
-}
-
-// MaxPSI returns the worst current per-app MaxPSI across all scored
-// apps (0 when no window has completed) — the scalar the swap policy and
-// the drift gauges key on.
-func (m *Monitor) MaxPSI() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	worst := 0.0
-	for _, d := range m.scores {
-		if d.MaxPSI > worst {
-			worst = d.MaxPSI
-		}
-	}
-	return worst
 }
 
 // scoreWindow computes one app's drift score from a completed window,

@@ -145,9 +145,6 @@ func TestMonitorDetectsShiftedDistribution(t *testing.T) {
 	if len(d.Top) == 0 || d.Top[0].Name != "mc" {
 		t.Errorf("top offender list wrong: %+v", d.Top)
 	}
-	if mon.MaxPSI() != d.MaxPSI {
-		t.Errorf("Monitor.MaxPSI = %v, want %v", mon.MaxPSI(), d.MaxPSI)
-	}
 }
 
 // TestMonitorShardMergeMatchesSingleCell pins the shard-merge algebra:
@@ -209,7 +206,7 @@ func TestMonitorResetOnNewFingerprint(t *testing.T) {
 	}
 
 	mon.Reset(fp2)
-	if len(mon.Scores()) != 0 || mon.Fingerprint() != fp2 {
+	if len(mon.Scores()) != 0 || mon.fp != fp2 {
 		t.Fatal("Reset did not clear scores and rebind")
 	}
 	// A cell still bound to the old fingerprint is discarded, not merged.
@@ -268,7 +265,7 @@ func TestReservoirRingAndSnapshotSplit(t *testing.T) {
 		if s < 3 {
 			want = float64(s + 8)
 		}
-		if got := fit.At(s, 0); got != want {
+		if got := fit.Col(0)[s]; got != want {
 			t.Errorf("slot %d = %v, want %v", s, got, want)
 		}
 		if fit.Labels()[s] != int(want)%2 {
@@ -278,7 +275,7 @@ func TestReservoirRingAndSnapshotSplit(t *testing.T) {
 
 	// The snapshot is decoupled: later Adds must not mutate it.
 	r.Add([]float64{99, 99}, 1)
-	if fit.At(3, 0) == 99 {
+	if fit.Col(0)[3] == 99 {
 		t.Error("snapshot aliases the live ring")
 	}
 }
@@ -389,7 +386,7 @@ func TestManagerRetrainChallengerWinsAndSwaps(t *testing.T) {
 	if rep.FitSeconds <= 0 || rep.TrainRows == 0 || rep.HoldoutRows == 0 {
 		t.Errorf("report bookkeeping missing: %+v", rep)
 	}
-	if swapped == nil || mg.Champion() != swapped {
+	if swapped == nil || mg.champion != swapped {
 		t.Fatal("winning challenger was not promoted")
 	}
 	if swapped.Pipeline != champ.Pipeline {
@@ -401,8 +398,8 @@ func TestManagerRetrainChallengerWinsAndSwaps(t *testing.T) {
 	if harvests != 1 {
 		t.Errorf("Harvest called %d times, want 1", harvests)
 	}
-	if wins, losses, _ := mg.Counts(); wins != 1 || losses != 0 {
-		t.Errorf("counts = %d wins %d losses, want 1/0", wins, losses)
+	if st := mg.Status(); st.Wins != 1 || st.Losses != 0 {
+		t.Errorf("counts = %d wins %d losses, want 1/0", st.Wins, st.Losses)
 	}
 
 	st := mg.Status()
@@ -450,7 +447,7 @@ func TestManagerShadowPolicyNeverSwaps(t *testing.T) {
 	if !rep.Win {
 		t.Fatalf("challenger should still win under shadow: %+v", rep)
 	}
-	if rep.Swapped || mg.Champion() != champ {
+	if rep.Swapped || mg.champion != champ {
 		t.Fatal("shadow policy swapped the champion")
 	}
 }
@@ -482,7 +479,7 @@ func TestManagerSkipsUnderfilledReservoir(t *testing.T) {
 	if len(outcomes) != 2 || outcomes[0] != "skip" || outcomes[1] != "skip" {
 		t.Errorf("OnOutcome saw %v, want two skips", outcomes)
 	}
-	if _, _, skips := mg.Counts(); skips != 2 {
+	if skips := mg.Status().Skips; skips != 2 {
 		t.Errorf("skips = %d, want 2", skips)
 	}
 }

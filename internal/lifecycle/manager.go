@@ -146,16 +146,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	}, nil
 }
 
-// Policy returns the configured promotion policy.
-func (mg *Manager) Policy() Policy { return mg.cfg.Policy }
-
-// Champion returns the current champion model.
-func (mg *Manager) Champion() *core.Model {
-	mg.mu.Lock()
-	defer mg.mu.Unlock()
-	return mg.champion
-}
-
 // Status is the /model endpoint's lifecycle snapshot.
 type Status struct {
 	Policy         Policy             `json:"policy"`
@@ -184,13 +174,6 @@ func (mg *Manager) Status() Status {
 		ReservoirTotal: mg.Reservoir.Total(),
 		Reports:        append([]ChallengerReport(nil), mg.reports...),
 	}
-}
-
-// Counts returns the win/loss/skip tallies.
-func (mg *Manager) Counts() (wins, losses, skips uint64) {
-	mg.mu.Lock()
-	defer mg.mu.Unlock()
-	return mg.wins, mg.losses, mg.skips
 }
 
 // RetrainOnce runs one shadow-retrain round: snapshot the reservoir, fit

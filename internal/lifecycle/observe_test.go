@@ -25,7 +25,7 @@ type refAccum struct {
 }
 
 func newRefAccum(fp *frame.Fingerprint) *refAccum {
-	r := &refAccum{mean: make([]float64, fp.NumCols()), m2: make([]float64, fp.NumCols())}
+	r := &refAccum{mean: make([]float64, len(fp.Cols)), m2: make([]float64, len(fp.Cols))}
 	for j := range fp.Cols {
 		r.counts = append(r.counts, make([]uint32, len(fp.Cols[j].Edges)+1))
 	}
@@ -132,7 +132,7 @@ func appNames(n int) []string {
 // Welford step, bit for bit — with and without a watch list.
 func TestCellObserveMatchesReference(t *testing.T) {
 	base, fr := catalogFingerprint(t)
-	cols := base.NumCols()
+	cols := len(base.Cols)
 
 	// Three columns get edge arrays the real sketch rarely produces: none
 	// at all, duplicates, and the 63-edge maximum.
@@ -435,7 +435,7 @@ func BenchmarkCellObserve(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			fp := withEdges(base, nil)
 			if bc.watch != nil {
-				mask := make([]bool, fp.NumCols())
+				mask := make([]bool, len(fp.Cols))
 				for j := range mask {
 					mask[j] = bc.watch(j)
 				}

@@ -40,7 +40,7 @@ func BenchmarkPCAFitTransform(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := p.TransformAll(x); err != nil {
+		if _, err := transformAll(p, x); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -62,17 +62,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// T returns the transpose of m as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
 // MulVec returns a·x.
 func MulVec(a *Matrix, x []float64) ([]float64, error) {
 	if a.Cols != len(x) {

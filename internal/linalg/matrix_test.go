@@ -77,21 +77,6 @@ func TestFromRowsEmpty(t *testing.T) {
 	}
 }
 
-func TestTranspose(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	tr := m.T()
-	if tr.Rows != 3 || tr.Cols != 2 {
-		t.Fatalf("transpose dims %dx%d, want 3x2", tr.Rows, tr.Cols)
-	}
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			if m.At(i, j) != tr.At(j, i) {
-				t.Errorf("T mismatch at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
 func TestMul(t *testing.T) {
 	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
 	b, _ := FromRows([][]float64{{5, 6}, {7, 8}})

@@ -130,16 +130,3 @@ func (p *PCA) Transform(row []float64) ([]float64, error) {
 	}
 	return MulVec(p.Components, centered)
 }
-
-// TransformAll projects every row of x.
-func (p *PCA) TransformAll(x *Matrix) (*Matrix, error) {
-	out := New(x.Rows, p.NumComponents())
-	for i := 0; i < x.Rows; i++ {
-		proj, err := p.Transform(x.Row(i))
-		if err != nil {
-			return nil, err
-		}
-		copy(out.Row(i), proj)
-	}
-	return out, nil
-}

@@ -271,9 +271,6 @@ func (a *AdaBoost) Predict(x []float64) int {
 	return 0
 }
 
-// NumStages reports how many boosting stages were kept.
-func (a *AdaBoost) NumStages() int { return len(a.stages) }
-
 func clampProb(p float64) float64 {
 	const eps = 1e-9
 	if p < eps {

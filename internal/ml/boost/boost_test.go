@@ -74,10 +74,10 @@ func TestAdaBoostStagesBounded(t *testing.T) {
 	if err := a.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	if a.NumStages() > 10 {
-		t.Errorf("NumStages = %d, want <= 10", a.NumStages())
+	if len(a.stages) > 10 {
+		t.Errorf("NumStages = %d, want <= 10", len(a.stages))
 	}
-	if a.NumStages() == 0 {
+	if len(a.stages) == 0 {
 		t.Error("no stages were kept")
 	}
 }
@@ -90,8 +90,8 @@ func TestAdaBoostPerfectStageStops(t *testing.T) {
 	if err := a.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	if a.NumStages() != 1 {
-		t.Errorf("NumStages = %d, want 1 after a perfect stage", a.NumStages())
+	if len(a.stages) != 1 {
+		t.Errorf("NumStages = %d, want 1 after a perfect stage", len(a.stages))
 	}
 	if accOf(a.Predict, x, y) != 1 {
 		t.Error("perfect data not perfectly classified")

@@ -483,6 +483,3 @@ func (g *GBT) Predict(x []float64) int {
 	}
 	return 0
 }
-
-// NumRounds reports the number of fitted trees.
-func (g *GBT) NumRounds() int { return len(g.trees) }

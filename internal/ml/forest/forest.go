@@ -399,13 +399,6 @@ func (f *Forest) PredictFrameRows(fr *frame.Frame, rows []int) []int {
 	return out
 }
 
-// SetThreshold adjusts the decision threshold after training (the paper's
-// FN/FP asymmetry knob).
-func (f *Forest) SetThreshold(t float64) { f.cfg.Threshold = t }
-
-// Threshold returns the active decision threshold.
-func (f *Forest) Threshold() float64 { return f.cfg.Threshold }
-
 // FeatureImportances returns the tree-averaged impurity importances.
 func (f *Forest) FeatureImportances() []float64 {
 	out := make([]float64, len(f.importances))

@@ -110,13 +110,13 @@ func TestForestThreshold(t *testing.T) {
 	if err := f.Fit(x, y); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
-	if f.Threshold() != 0.4 {
-		t.Errorf("Threshold() = %v, want 0.4", f.Threshold())
+	if f.cfg.Threshold != 0.4 {
+		t.Errorf("threshold = %v, want 0.4", f.cfg.Threshold)
 	}
 	// A lower threshold can only increase the number of positives.
 	tx, _ := noisyBand(300, 3, 0.15, 6)
 	countPos := func(thr float64) int {
-		f.SetThreshold(thr)
+		f.cfg.Threshold = thr
 		n := 0
 		for _, row := range tx {
 			n += f.Predict(row)

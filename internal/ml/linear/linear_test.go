@@ -181,7 +181,7 @@ func TestSVCL1Sparsity(t *testing.T) {
 		}
 		return noise / signal
 	}
-	r1, r2 := relNoise(l1.Coefficients()), relNoise(l2.Coefficients())
+	r1, r2 := relNoise(l1.w), relNoise(l2.w)
 	if r1 >= r2 {
 		t.Errorf("L1 relative noise mass %v not below L2's %v", r1, r2)
 	}

@@ -154,10 +154,3 @@ func (m *LogReg) Predict(x []float64) int {
 	}
 	return 0
 }
-
-// Coefficients returns a copy of the weight vector (without bias).
-func (m *LogReg) Coefficients() []float64 {
-	out := make([]float64, len(m.w))
-	copy(out, m.w)
-	return out
-}

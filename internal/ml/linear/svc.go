@@ -164,10 +164,3 @@ func (m *SVC) Predict(x []float64) int {
 	}
 	return 0
 }
-
-// Coefficients returns a copy of the weight vector (without bias).
-func (m *SVC) Coefficients() []float64 {
-	out := make([]float64, len(m.w))
-	copy(out, m.w)
-	return out
-}

@@ -112,22 +112,6 @@ func (c Confusion) F1() float64 {
 	return 2 * float64(c.TP) / float64(den)
 }
 
-// Precision returns TP/(TP+FP), or 0 when undefined.
-func (c Confusion) Precision() float64 {
-	if c.TP+c.FP == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(c.TP+c.FP)
-}
-
-// Recall returns TP/(TP+FN), or 0 when undefined.
-func (c Confusion) Recall() float64 {
-	if c.TP+c.FN == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(c.TP+c.FN)
-}
-
 // String renders the matrix like the paper's table rows.
 func (c Confusion) String() string {
 	return fmt.Sprintf("TN=%d FP=%d FN=%d TP=%d F1=%.3f Acc=%.3f",

@@ -171,17 +171,11 @@ func TestMetricsFormulas(t *testing.T) {
 	if got, want := c.F1(), 16.0/19.0; math.Abs(got-want) > 1e-12 {
 		t.Errorf("F1 = %v, want %v", got, want)
 	}
-	if got, want := c.Precision(), 0.8; math.Abs(got-want) > 1e-12 {
-		t.Errorf("Precision = %v, want %v", got, want)
-	}
-	if got, want := c.Recall(), 8.0/9.0; math.Abs(got-want) > 1e-12 {
-		t.Errorf("Recall = %v, want %v", got, want)
-	}
 }
 
 func TestMetricsDegenerate(t *testing.T) {
 	var c Confusion
-	if c.Accuracy() != 0 || c.F1() != 0 || c.Precision() != 0 || c.Recall() != 0 {
+	if c.Accuracy() != 0 || c.F1() != 0 {
 		t.Error("zero matrix should yield zero metrics, not NaN")
 	}
 }

@@ -1,7 +1,6 @@
 package tree
 
 import (
-	"fmt"
 	"math/rand"
 
 	"monitorless/internal/frame"
@@ -322,13 +321,4 @@ func (hb *histBuilder) accumOne(f int, idx []int, nb int) {
 			pos[c] += wi
 		}
 	}
-}
-
-// FitBinned is the validated convenience entry: bin a frame's listed rows
-// and fit in one call (equivalent to FitFrame with Splitter == Hist).
-func (t *Tree) FitBinned(fr *frame.Frame, y []int, rows []int) error {
-	if t.cfg.Splitter != Hist {
-		return fmt.Errorf("tree: FitBinned requires Splitter == Hist, have %v", t.cfg.Splitter)
-	}
-	return t.FitFrame(fr, y, rows)
 }

@@ -113,8 +113,8 @@ func TestHistMatchesExactOnFewDistinctValues(t *testing.T) {
 	if err := hist.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	if exact.NumNodes() != hist.NumNodes() {
-		t.Fatalf("node count: exact %d, hist %d", exact.NumNodes(), hist.NumNodes())
+	if len(exact.feature) != len(hist.feature) {
+		t.Fatalf("node count: exact %d, hist %d", len(exact.feature), len(hist.feature))
 	}
 	for i := range exact.feature {
 		if exact.feature[i] != hist.feature[i] {
@@ -169,7 +169,7 @@ func TestHistRespectsDepthAndStops(t *testing.T) {
 	if err := tr.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	if d := tr.Depth(); d > 4 {
+	if d := depth(tr); d > 4 {
 		t.Errorf("Depth = %d, want <= 4", d)
 	}
 }
@@ -208,25 +208,15 @@ func TestHistGobRoundTrip(t *testing.T) {
 	if err := back.GobDecode(data); err != nil {
 		t.Fatal(err)
 	}
-	if back.NumNodes() != tr.NumNodes() || back.Depth() != tr.Depth() {
+	if len(back.feature) != len(tr.feature) || depth(&back) != depth(tr) {
 		t.Fatalf("round trip changed shape: %d/%d nodes, %d/%d depth",
-			back.NumNodes(), tr.NumNodes(), back.Depth(), tr.Depth())
+			len(back.feature), len(tr.feature), depth(&back), depth(tr))
 	}
 	probe, _ := bandData(100, 4, 32)
 	for i, row := range probe {
 		if a, b := tr.PredictProba(row), back.PredictProba(row); a != b {
 			t.Fatalf("probe %d: proba %v before, %v after round trip", i, a, b)
 		}
-	}
-}
-
-// FitBinned demands the Hist splitter so a mis-configured tree fails loud
-// instead of silently quantizing.
-func TestFitBinnedRequiresHistSplitter(t *testing.T) {
-	x, y := bandData(50, 2, 1)
-	tr := New(Config{})
-	if err := tr.FitBinned(ml.FrameOf(x), y, nil); err == nil {
-		t.Fatal("FitBinned with Splitter=Best should error")
 	}
 }
 
@@ -293,8 +283,8 @@ func TestTreeBuilderAllocations(t *testing.T) {
 	if err := exact.FitFrameSamples(fr, smp, y, w); err != nil {
 		t.Fatal(err)
 	}
-	if exact.NumNodes() < 100 {
-		t.Fatalf("exact tree too small (%d nodes) for the allocation claim", exact.NumNodes())
+	if len(exact.feature) < 100 {
+		t.Fatalf("exact tree too small (%d nodes) for the allocation claim", len(exact.feature))
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		if err := exact.FitFrameSamples(fr, smp, y, w); err != nil {
@@ -302,7 +292,7 @@ func TestTreeBuilderAllocations(t *testing.T) {
 		}
 	})
 	if allocs > 40 {
-		t.Errorf("exact refit allocations = %.0f for %d nodes, want <= 40 (per-node allocation regression)", allocs, exact.NumNodes())
+		t.Errorf("exact refit allocations = %.0f for %d nodes, want <= 40 (per-node allocation regression)", allocs, len(exact.feature))
 	}
 
 	// The same refit with entropy reads the unit-weight table, which is
@@ -319,7 +309,7 @@ func TestTreeBuilderAllocations(t *testing.T) {
 		}
 	})
 	if allocs > 40 {
-		t.Errorf("entropy exact refit allocations = %.0f for %d nodes, want <= 40", allocs, ent.NumNodes())
+		t.Errorf("entropy exact refit allocations = %.0f for %d nodes, want <= 40", allocs, len(ent.feature))
 	}
 
 	// Exact path, one of the two features offered per node, depth-capped:
@@ -346,8 +336,8 @@ func TestTreeBuilderAllocations(t *testing.T) {
 	if err := hist.FitFrameSamples(fr, smp, y, w); err != nil {
 		t.Fatal(err)
 	}
-	if hist.NumNodes() < 100 {
-		t.Fatalf("hist tree too small (%d nodes) for the allocation claim", hist.NumNodes())
+	if len(hist.feature) < 100 {
+		t.Fatalf("hist tree too small (%d nodes) for the allocation claim", len(hist.feature))
 	}
 	allocs = testing.AllocsPerRun(20, func() {
 		if err := hist.FitFrameSamples(fr, smp, y, w); err != nil {
@@ -355,6 +345,6 @@ func TestTreeBuilderAllocations(t *testing.T) {
 		}
 	})
 	if allocs > 160 {
-		t.Errorf("hist refit allocations = %.0f for %d nodes, want <= 160", allocs, hist.NumNodes())
+		t.Errorf("hist refit allocations = %.0f for %d nodes, want <= 160", allocs, len(hist.feature))
 	}
 }

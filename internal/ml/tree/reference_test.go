@@ -140,8 +140,8 @@ func TestExactSplitMatchesReference(t *testing.T) {
 							t.Fatal(err)
 						}
 						requireSameTree(t, got, want)
-						if depth == 0 && want.NumNodes() < 30 {
-							t.Fatalf("unlimited tree has only %d nodes; the corpus no longer exercises deep partitions", want.NumNodes())
+						if depth == 0 && len(want.feature) < 30 {
+							t.Fatalf("unlimited tree has only %d nodes; the corpus no longer exercises deep partitions", len(want.feature))
 						}
 						// Ranks shared across trees, ranked over the row subset.
 						shared := New(cfg)
@@ -201,8 +201,8 @@ func TestExactSplitMatchesReference(t *testing.T) {
 							t.Fatal(err)
 						}
 						requireSameTree(t, got, want)
-						if depth == 0 && want.NumNodes() < 30 {
-							t.Fatalf("unlimited tree has only %d nodes", want.NumNodes())
+						if depth == 0 && len(want.feature) < 30 {
+							t.Fatalf("unlimited tree has only %d nodes", len(want.feature))
 						}
 					})
 				}

@@ -790,9 +790,6 @@ func (t *Tree) FeatureImportances() []float64 {
 	return out
 }
 
-// NumNodes reports the size of the fitted tree.
-func (t *Tree) NumNodes() int { return len(t.feature) }
-
 // NumFeatures reports the row width the fitted tree reads.
 func (t *Tree) NumFeatures() int { return t.nFeatures }
 
@@ -803,26 +800,4 @@ func (t *Tree) NumFeatures() int { return t.nFeatures }
 // reads them to lower the tree into its packed form.
 func (t *Tree) Slabs() (feature, left, right []int32, threshold, prob []float64) {
 	return t.feature, t.left, t.right, t.threshold, t.prob
-}
-
-// Fitted reports whether the tree has been trained.
-func (t *Tree) Fitted() bool { return t.fitted }
-
-// Depth returns the depth of the fitted tree (root = 0 for a stump leaf).
-func (t *Tree) Depth() int {
-	if len(t.feature) == 0 {
-		return 0
-	}
-	var walk func(i int32) int
-	walk = func(i int32) int {
-		if t.feature[i] < 0 {
-			return 0
-		}
-		l, r := walk(t.left[i]), walk(t.right[i])
-		if l > r {
-			return l + 1
-		}
-		return r + 1
-	}
-	return walk(0)
 }

@@ -7,6 +7,21 @@ import (
 	"testing/quick"
 )
 
+// depth returns the depth of a fitted tree (0 for a single leaf).
+func depth(t *Tree) int {
+	if len(t.feature) == 0 {
+		return 0
+	}
+	var walk func(i int32) int
+	walk = func(i int32) int {
+		if t.feature[i] < 0 {
+			return 0
+		}
+		return 1 + max(walk(t.left[i]), walk(t.right[i]))
+	}
+	return walk(0)
+}
+
 // xorData is non-linearly separable: label = (x0 > 0.5) XOR (x1 > 0.5).
 func xorData(n int, seed int64) ([][]float64, []int) {
 	r := rand.New(rand.NewSource(seed))
@@ -85,7 +100,7 @@ func TestTreeMaxDepth(t *testing.T) {
 	if err := tr.Fit(x, y); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
-	if d := tr.Depth(); d > 2 {
+	if d := depth(tr); d > 2 {
 		t.Errorf("depth %d exceeds MaxDepth 2", d)
 	}
 }
@@ -96,7 +111,7 @@ func TestTreeStumpIsDepthOne(t *testing.T) {
 	if err := tr.Fit(x, y); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
-	if d := tr.Depth(); d != 1 {
+	if d := depth(tr); d != 1 {
 		t.Errorf("stump depth %d, want 1", d)
 	}
 }
@@ -109,8 +124,8 @@ func TestTreeMinSamplesLeaf(t *testing.T) {
 	}
 	// A strict leaf minimum must shrink the tree well below one leaf per
 	// sample.
-	if tr.NumNodes() > 20 {
-		t.Errorf("tree has %d nodes despite MinSamplesLeaf=50", tr.NumNodes())
+	if len(tr.feature) > 20 {
+		t.Errorf("tree has %d nodes despite MinSamplesLeaf=50", len(tr.feature))
 	}
 }
 
@@ -121,8 +136,8 @@ func TestTreePureLeafShortCircuit(t *testing.T) {
 	if err := tr.Fit(x, y); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
-	if tr.NumNodes() != 1 {
-		t.Errorf("pure training set should yield a single leaf, got %d nodes", tr.NumNodes())
+	if len(tr.feature) != 1 {
+		t.Errorf("pure training set should yield a single leaf, got %d nodes", len(tr.feature))
 	}
 	if p := tr.PredictProba([]float64{5}); p != 1 {
 		t.Errorf("PredictProba = %v, want 1", p)

@@ -25,9 +25,6 @@ func NewAgent(col *Collector) *Agent {
 	return &Agent{col: col}
 }
 
-// Catalog returns the metric schema.
-func (a *Agent) Catalog() *Catalog { return a.col.Catalog() }
-
 // Observation carries the processed per-instance vectors for one tick.
 // It is the wire-path boundary form: the map and its vectors are freshly
 // allocated on every Observe call, so callers may retain them. Map
@@ -163,9 +160,6 @@ func (a *Agent) Observe(eng *apps.Engine) (obs Observation, ok bool) {
 	}
 	return obs, true
 }
-
-// Reset clears the previous reading (e.g. between independent runs).
-func (a *Agent) Reset() { a.prev = nil }
 
 // processInto converts counters to per-second rates against prev, writing
 // into out; other kinds pass through. A nil prev (new container) yields

@@ -216,9 +216,6 @@ func DefaultCatalog() *Catalog {
 // NumHost returns the host vector width.
 func (c *Catalog) NumHost() int { return len(c.HostDefs) }
 
-// NumContainer returns the container vector width.
-func (c *Catalog) NumContainer() int { return len(c.ContainerDefs) }
-
 // CombinedDefs returns the per-instance feature schema: all host metrics
 // followed by all container metrics (the paper's M_{I,t} = H_{c,t} ∥ V_{I,t}).
 func (c *Catalog) CombinedDefs() []MetricDef {
@@ -226,16 +223,6 @@ func (c *Catalog) CombinedDefs() []MetricDef {
 	out = append(out, c.HostDefs...)
 	out = append(out, c.ContainerDefs...)
 	return out
-}
-
-// HostIndex returns the position of a host metric by name, or -1.
-func (c *Catalog) HostIndex(name string) int {
-	for i, d := range c.HostDefs {
-		if d.Name == name {
-			return i
-		}
-	}
-	return -1
 }
 
 // ContainerIndex returns the position of a container metric by name, or -1.

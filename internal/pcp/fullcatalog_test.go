@@ -11,8 +11,8 @@ func TestFullCatalogMatchesPaperWidths(t *testing.T) {
 	if cat.NumHost() != 952 {
 		t.Errorf("host metrics = %d, want the paper's 952", cat.NumHost())
 	}
-	if cat.NumContainer() != 88 {
-		t.Errorf("container metrics = %d, want the paper's 88", cat.NumContainer())
+	if len(cat.ContainerDefs) != 88 {
+		t.Errorf("container metrics = %d, want the paper's 88", len(cat.ContainerDefs))
 	}
 	// Unique names within each scope.
 	seen := map[string]bool{}
@@ -31,7 +31,7 @@ func TestFullCatalogMatchesPaperWidths(t *testing.T) {
 	}
 	// The core signal metrics survive the expansion.
 	for _, name := range []string{"H-CPU-U", "network.tcp.currestab", "mem.vmstat.pgmajfault"} {
-		if cat.HostIndex(name) < 0 {
+		if hostIndex(cat, name) < 0 {
 			t.Errorf("full catalog lost %s", name)
 		}
 	}
@@ -53,8 +53,8 @@ func TestFullCatalogCollection(t *testing.T) {
 			}
 		}
 	}
-	if len(vec) != cat.NumHost()+cat.NumContainer() {
-		t.Fatalf("vector width %d, want %d", len(vec), cat.NumHost()+cat.NumContainer())
+	if len(vec) != cat.NumHost()+len(cat.ContainerDefs) {
+		t.Fatalf("vector width %d, want %d", len(vec), cat.NumHost()+len(cat.ContainerDefs))
 	}
 	for i, v := range vec {
 		if math.IsNaN(v) || math.IsInf(v, 0) {

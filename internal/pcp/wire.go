@@ -1,7 +1,6 @@
 package pcp
 
 import (
-	"fmt"
 	"sort"
 
 	"monitorless/internal/frame"
@@ -94,20 +93,4 @@ func ToWire(obs Observation, schemaHash string, serviceOf map[string]string) Wir
 		})
 	}
 	return w
-}
-
-// Observation reassembles the in-process form. It fails on duplicate or
-// empty instance IDs so a malformed payload cannot silently drop samples.
-func (w WireObservation) Observation() (Observation, error) {
-	obs := Observation{T: w.T, Vectors: make(map[string][]float64, len(w.Samples))}
-	for _, s := range w.Samples {
-		if s.Instance == "" {
-			return Observation{}, fmt.Errorf("pcp: wire sample with empty instance ID")
-		}
-		if _, dup := obs.Vectors[s.Instance]; dup {
-			return Observation{}, fmt.Errorf("pcp: duplicate wire sample for %q", s.Instance)
-		}
-		obs.Vectors[s.Instance] = s.Values
-	}
-	return obs, nil
 }

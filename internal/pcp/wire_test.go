@@ -27,35 +27,17 @@ func TestWireObservationRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(blob, &back); err != nil {
 		t.Fatal(err)
 	}
-	got, err := back.Observation()
-	if err != nil {
-		t.Fatal(err)
+	if back.T != obs.T || len(back.Samples) != 2 {
+		t.Fatalf("round trip lost data: %+v", back)
 	}
-	if got.T != obs.T || len(got.Vectors) != 2 {
-		t.Fatalf("round trip lost data: %+v", got)
-	}
-	for id, vec := range obs.Vectors {
-		for i, v := range vec {
-			if got.Vectors[id][i] != v {
-				t.Fatalf("vector %s[%d] = %v, want %v", id, i, got.Vectors[id][i], v)
+	for _, s := range back.Samples {
+		for i, v := range obs.Vectors[s.Instance] {
+			if s.Values[i] != v {
+				t.Fatalf("vector %s[%d] = %v, want %v", s.Instance, i, s.Values[i], v)
 			}
 		}
 	}
 	if back.SchemaHash != cat.SchemaHash() {
 		t.Error("schema hash lost in round trip")
-	}
-}
-
-func TestWireObservationRejectsMalformed(t *testing.T) {
-	bad := WireObservation{T: 1, Samples: []WireSample{{Instance: "", Values: []float64{1}}}}
-	if _, err := bad.Observation(); err == nil {
-		t.Error("empty instance ID accepted")
-	}
-	dup := WireObservation{T: 1, Samples: []WireSample{
-		{Instance: "a/x/0", Values: []float64{1}},
-		{Instance: "a/x/0", Values: []float64{2}},
-	}}
-	if _, err := dup.Observation(); err == nil {
-		t.Error("duplicate instance ID accepted")
 	}
 }

@@ -149,13 +149,6 @@ func (c *Client) Forget(id string) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// Apps fetches the per-application decisions.
-func (c *Client) Apps() (map[string]AppStatus, error) {
-	var out map[string]AppStatus
-	err := c.get("/apps", &out)
-	return out, err
-}
-
 // Metrics fetches the raw Prometheus text exposition.
 func (c *Client) Metrics() (string, error) {
 	resp, err := c.http.Get(c.base + "/metrics")

@@ -54,10 +54,10 @@ func TestDriftWatchesOnlyLiveColumns(t *testing.T) {
 	m, ds := sharedTestModel(t)
 	fp := m.Fingerprint
 	watched := fp.Watched()
-	if len(watched) == 0 || len(watched) >= fp.NumCols() {
-		t.Fatalf("shared model watches %d of %d raw columns; need a proper subset", len(watched), fp.NumCols())
+	if len(watched) == 0 || len(watched) >= len(fp.Cols) {
+		t.Fatalf("shared model watches %d of %d raw columns; need a proper subset", len(watched), len(fp.Cols))
 	}
-	isWatched := make([]bool, fp.NumCols())
+	isWatched := make([]bool, len(fp.Cols))
 	live := -1 // the watched column with the finest sketch
 	for _, j := range watched {
 		isWatched[j] = true

@@ -1,7 +1,9 @@
 package serving
 
 import (
+	"bytes"
 	"fmt"
+	"net/http/httptest"
 	"reflect"
 	"slices"
 	"strconv"
@@ -257,9 +259,9 @@ func TestMidBatchRejectionConsistency(t *testing.T) {
 }
 
 // TestIngestAtomicAcrossShards pins the all-or-nothing contract of one
-// observation across shards: a bad sample (wrong width, a duplicate ID)
-// routed to a later shard than good samples must reject the whole
-// observation before any shard steps. No prediction, sample count,
+// observation across shards: a bad sample (wrong width, a duplicate or
+// empty ID) routed to a later shard than good samples must reject the
+// whole observation before any shard steps. No prediction, sample count,
 // aggregate or instance gauge moves, no new ID is registered, and the
 // next clean ticks equal those of a twin that never saw the bad
 // observation.
@@ -326,6 +328,9 @@ func TestIngestAtomicAcrossShards(t *testing.T) {
 		},
 		"duplicate": func(obs *pcp.WireObservation) {
 			obs.Samples = append(obs.Samples, pcp.WireSample{Instance: last, Values: rows[0]})
+		},
+		"empty instance ID": func(obs *pcp.WireObservation) {
+			obs.Samples = append(obs.Samples, pcp.WireSample{Instance: "", Values: rows[0]})
 		},
 		"new instance, wrong width": func(obs *pcp.WireObservation) {
 			obs.Samples = append(obs.Samples, pcp.WireSample{Instance: last + "x", Values: rows[0][:3]})
@@ -434,10 +439,9 @@ func TestInstanceStateBytesGauge(t *testing.T) {
 	}
 }
 
-// TestIngestFallbackCounter pins the fallback observability satellite: the
-// shared model's pipeline streams every step through a batch kernel, so
-// the fallback-rows counter must stay zero, while a PCA pipeline (no
-// streaming append path) must count every sample it engineers.
+// TestIngestFallbackCounter pins the monitorless_stream_fallback_rows_total
+// series the benchmark reads: it stays registered and reads 0 after
+// ingest, since every streaming step is a columnar kernel.
 func TestIngestFallbackCounter(t *testing.T) {
 	m, _ := sharedTestModel(t)
 	svc, err := New(Config{Model: m, Shards: 2})
@@ -457,10 +461,15 @@ func TestIngestFallbackCounter(t *testing.T) {
 	}
 	svc.PutResponse(resp)
 	if got := scrapeGauge(t, svc, "monitorless_stream_fallback_rows_total"); got != 0 {
-		t.Fatalf("fallback rows = %v on a fully-kernelized pipeline, want 0", got)
+		t.Fatalf("fallback rows = %v, want 0", got)
 	}
+}
 
-	_, ds := sharedTestModel(t)
+// TestPCAModelRefused: a PCA pipeline has no streaming path, so a service
+// cannot start on a PCA model, and POST /model with a PCA bundle answers
+// 400, keeps the serving model and counts the refused swap.
+func TestPCAModelRefused(t *testing.T) {
+	m, ds := sharedTestModel(t)
 	pm, err := core.Train(ds, core.TrainConfig{
 		Pipeline: features.Config{Normalize: true, Reduce1: features.ReducePCA, PCAVariance: 0.95, Seed: 7},
 		Forest:   forest.Config{NumTrees: 10, MinSamplesLeaf: 10, Criterion: tree.Entropy, Seed: 7},
@@ -468,19 +477,27 @@ func TestIngestFallbackCounter(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pca train: %v", err)
 	}
-	psvc, err := New(Config{Model: pm, Shards: 2})
+	if _, err := New(Config{Model: pm}); err == nil || !strings.Contains(err.Error(), "step pca has no columnar kernel") {
+		t.Fatalf("New on a PCA model: err = %v, want the PCA refusal", err)
+	}
+
+	svc, err := New(Config{Model: m, BundleVersion: core.BundleVersionFor(m)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if steps := psvc.active.Load().streamer.FallbackSteps(); len(steps) == 0 {
-		t.Fatal("PCA pipeline reports no fallback steps; test premise broken")
-	}
-	resp, err = psvc.IngestQuiet(obs)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := core.SaveBundle(&buf, pm, 1); err != nil {
 		t.Fatal(err)
 	}
-	psvc.PutResponse(resp)
-	if got := scrapeGauge(t, psvc, "monitorless_stream_fallback_rows_total"); got != 8 {
-		t.Fatalf("fallback rows = %v after 8 PCA samples, want 8", got)
+	rec := httptest.NewRecorder()
+	NewServer(svc).ServeHTTP(rec, httptest.NewRequest("POST", "/model", &buf))
+	if rec.Code != 400 {
+		t.Fatalf("POST /model with a PCA bundle: %d %s, want 400", rec.Code, rec.Body)
+	}
+	if mv := svc.active.Load(); mv.gen != 1 || mv.model != m {
+		t.Fatalf("serving generation %d after a refused swap, want 1 and the old model", mv.gen)
+	}
+	if got := scrapeGauge(t, svc, "monitorless_model_swap_rejects_total"); got != 1 {
+		t.Fatalf("swap rejects = %v, want 1", got)
 	}
 }

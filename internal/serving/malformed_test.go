@@ -112,7 +112,7 @@ func TestModelEndpointRejectsMalformedForest(t *testing.T) {
 	if rec.Code != 400 {
 		t.Fatalf("POST /model with a malformed forest: %d %s, want 400", rec.Code, rec.Body)
 	}
-	if g := svc.ModelGen(); g != 1 {
+	if g := svc.active.Load().gen; g != 1 {
 		t.Fatalf("model generation %d after a refused swap, want 1", g)
 	}
 	resp, err := svc.Ingest(pcp.WireObservation{T: 0, Samples: []pcp.WireSample{

@@ -118,9 +118,6 @@ func (c *ShardedCounter) Add(i int, v float64) {
 	}
 }
 
-// Inc adds one to shard i's cell.
-func (c *ShardedCounter) Inc(i int) { c.Add(i, 1) }
-
 // Value sums the cells.
 func (c *ShardedCounter) Value() float64 {
 	s := 0.0
@@ -180,45 +177,6 @@ func (h *Histogram) snapshot() (bounds []float64, counts []uint64, sum float64, 
 	return h.bounds, append([]uint64(nil), h.counts...), h.sum, h.total
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
-}
-
-// Quantile estimates the q-quantile (0 < q ≤ 1) by linear interpolation
-// within the owning bucket — the same estimate PromQL's histogram_quantile
-// would produce from a scrape.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(h.total)
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if float64(cum) >= rank {
-			hi := math.Inf(1)
-			if i < len(h.bounds) {
-				hi = h.bounds[i]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			if math.IsInf(hi, 1) {
-				return lo
-			}
-			frac := (rank - float64(cum-c)) / float64(c)
-			return lo + (hi-lo)*frac
-		}
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // ShardedHistogram splits one logical histogram into per-shard
 // histograms (each with its own short mutex) merged at scrape time, so
 // concurrent shard batches never serialize on one histogram lock.
@@ -244,15 +202,6 @@ func NewShardedHistogram(n int, bounds []float64) *ShardedHistogram {
 
 // Shard returns shard i's histogram.
 func (s *ShardedHistogram) Shard(i int) *Histogram { return s.hs[i] }
-
-// Count sums the per-shard observation counts.
-func (s *ShardedHistogram) Count() uint64 {
-	var t uint64
-	for _, h := range s.hs {
-		t += h.Count()
-	}
-	return t
-}
 
 // snapshot merges the per-shard histograms into one rendering image.
 func (s *ShardedHistogram) snapshot() (bounds []float64, counts []uint64, sum float64, total uint64) {

@@ -26,7 +26,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"log"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -319,10 +318,6 @@ type Service struct {
 	history []SwapEvent
 	nSwaps  atomic.Uint64
 
-	// fallbackBase accumulates retired streamers' fallback-row counts so
-	// the exported counter stays monotonic across cold swaps.
-	fallbackBase atomic.Uint64
-
 	// drift is nil when the model has no fingerprint or DriftWindow < 0.
 	drift *lifecycle.Monitor
 	// labelSink receives labeled engineered rows (nil box = disabled).
@@ -433,7 +428,6 @@ func New(cfg Config) (*Service, error) {
 		s.shards[i].apps = make(map[string]*shardApp)
 		s.shards[i].drift = lifecycle.NewCell()
 	}
-	logFallbackSteps(streamer, 1)
 	reg.CounterFunc("monitorless_ingest_samples_total",
 		"Per-instance metric vectors folded into streaming feature state.", nil, s.cSamples.Value)
 	reg.HistogramSource("monitorless_predict_seconds",
@@ -456,11 +450,13 @@ func New(cfg Config) (*Service, error) {
 			}
 			return float64(t)
 		})
+	// Always 0: a pipeline with a step that has no columnar kernel (PCA)
+	// does not stream, so no sample takes a per-row path. The series
+	// exists only for the benchmark, which reads it (bench/online.go,
+	// bench/replay.go); the next change to the benchmark removes the read
+	// and this series, as with Frame.Chunked.
 	reg.CounterFunc("monitorless_stream_fallback_rows_total",
-		"Samples engineered through an allocating per-row fallback because a pipeline step has no streaming append path (e.g. PCA).", nil, func() float64 {
-			mv := s.active.Load()
-			return float64(s.fallbackBase.Load() + mv.streamer.FallbackRows())
-		})
+		"Always 0: no sample takes a per-row feature path; a pipeline whose steps do not all stream is refused at load.", nil, func() float64 { return 0 })
 	reg.GaugeFunc("monitorless_model_generation",
 		"Active model generation (1 at startup, +1 per hot swap).", nil, func() float64 {
 			return float64(s.active.Load().gen)
@@ -478,16 +474,6 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// logFallbackSteps announces — once per model generation, at install
-// time — any pipeline steps whose samples will pay an allocating row
-// transform, so the cost is visible in logs instead of only in heap
-// profiles.
-func logFallbackSteps(str *features.Streamer, gen uint64) {
-	if steps := str.FallbackSteps(); len(steps) > 0 {
-		log.Printf("serving: model gen %d: pipeline steps %v have no streaming append path; every sample through them allocates (see monitorless_stream_fallback_rows_total)", gen, steps)
-	}
-}
-
 // Registry exposes the service's metrics registry so an HTTP layer can
 // add its own families and render /metrics.
 func (s *Service) Registry() *Registry { return s.reg }
@@ -503,9 +489,6 @@ func (s *Service) RawNames() []string {
 
 // Model returns the active model (for observability endpoints).
 func (s *Service) Model() *core.Model { return s.active.Load().model }
-
-// ModelGen returns the active model generation.
-func (s *Service) ModelGen() uint64 { return s.active.Load().gen }
 
 // SetLabelSink installs (or, with nil, removes) the sink that receives
 // labeled engineered rows from the ingest path.
@@ -1080,11 +1063,6 @@ func (s *Service) Swap(m *core.Model, bundleVersion int, reason string) (SwapEve
 	}
 	s.active.Store(nv)
 	if !warm {
-		// The outgoing streamer retires with the cold swap: fold its
-		// fallback-row count into the base so the exported counter stays
-		// monotonic, and announce the new generation's fallback steps.
-		s.fallbackBase.Add(cur.streamer.FallbackRows())
-		logFallbackSteps(nv.streamer, nv.gen)
 		s.resetInstances(nv)
 	}
 	if s.drift != nil && nv.fp != cur.fp && nv.fp != nil {

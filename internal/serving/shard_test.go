@@ -292,10 +292,8 @@ func TestScrapeDuringIngestRace(t *testing.T) {
 // rate. The response pool, route scratch, per-shard batch scratch, code
 // slabs and probability slabs must all be reused, and the columnar
 // feature step must run entirely inside the pooled arena — a steady-state
-// quiet batch over a fully-kernelized pipeline allocates nothing. The
-// test also pins that the pipeline really is fully kernelized: a silent
-// per-row TransformRow fallback (the old PCA failure mode) would show up
-// both here as allocations and in the fallback-row counter.
+// quiet batch allocates nothing: every streaming step is a columnar
+// kernel (Streamer refuses any other).
 func TestIngestAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under the race detector")
@@ -304,10 +302,6 @@ func TestIngestAllocations(t *testing.T) {
 	svc, err := New(Config{Model: m, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
-	}
-	str := svc.active.Load().streamer
-	if steps := str.FallbackSteps(); len(steps) > 0 {
-		t.Fatalf("shared pipeline has fallback steps %v; the zero-alloc lane needs full batch kernels", steps)
 	}
 	rows := rawRows(t)
 	const batch = 32
@@ -335,9 +329,6 @@ func TestIngestAllocations(t *testing.T) {
 	})
 	if perSample := allocs / batch; perSample > 2 {
 		t.Fatalf("steady-state quiet ingest allocates %.2f/sample (%v/batch), want ≤ 2/sample", perSample, allocs)
-	}
-	if got := str.FallbackRows(); got != 0 {
-		t.Fatalf("fallback rows = %d after kernelized ingest, want 0", got)
 	}
 }
 

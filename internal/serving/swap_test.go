@@ -131,7 +131,7 @@ func TestSwapRejectsSchemaAndLayoutMismatch(t *testing.T) {
 	if _, err := svc.Swap(nil, 0, "nil"); err == nil {
 		t.Fatal("nil model accepted")
 	}
-	if svc.ModelGen() != 1 || len(svc.SwapHistory()) != 0 {
+	if svc.active.Load().gen != 1 || len(svc.SwapHistory()) != 0 {
 		t.Fatal("rejected swaps mutated service state")
 	}
 }
@@ -521,8 +521,8 @@ func TestLifecycleEndToEndDriftRetrainSwap(t *testing.T) {
 	if !rep.Win || !rep.Swapped {
 		t.Fatalf("challenger should beat the inverted champion and swap: %+v", rep)
 	}
-	if svc.ModelGen() != 2 {
-		t.Fatalf("service generation = %d after promotion, want 2", svc.ModelGen())
+	if svc.active.Load().gen != 2 {
+		t.Fatalf("service generation = %d after promotion, want 2", svc.active.Load().gen)
 	}
 	hist := svc.SwapHistory()
 	if len(hist) != 1 || hist[0].Cold {
@@ -592,8 +592,8 @@ func TestModelEndpoint(t *testing.T) {
 	if !strings.Contains(rec.Body.String(), `"reason": "operator"`) {
 		t.Errorf("POST /model response: %s", rec.Body)
 	}
-	if svc.ModelGen() != 2 {
-		t.Errorf("operator swap did not land: gen %d", svc.ModelGen())
+	if svc.active.Load().gen != 2 {
+		t.Errorf("operator swap did not land: gen %d", svc.active.Load().gen)
 	}
 
 	rec = httptest.NewRecorder()

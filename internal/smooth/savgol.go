@@ -78,12 +78,6 @@ func centralCoeffs(window, order, at int) ([]float64, error) {
 	return coeffs, nil
 }
 
-// Window returns the filter's window length.
-func (f *SavGol) Window() int { return f.window }
-
-// Order returns the filter's polynomial order.
-func (f *SavGol) Order() int { return f.order }
-
 // Apply smooths y and returns a new slice of the same length. Edges are
 // handled by fitting the polynomial to the first/last full window and
 // evaluating it at the edge offsets (scipy's "interp" mode).

@@ -3,7 +3,8 @@
 #
 #   build / vet / test    — tier-1: everything compiles, vets and passes
 #   race                  — the whole suite under the race detector (-count=1 defeats the cache)
-#   reachability          — every exported package-level name under internal/ has a non-test caller (TestExportedNamesHaveCallers)
+#   reachability          — every exported package-level name and method under internal/ has a non-test caller, by a go/types scan
+#                           (TestExportedNamesHaveCallers), and the scan reports a planted orphan method (TestReachabilityScanSelf)
 #   simulator race        — cluster/apps/pcp tick path under -race
 #   frame allocs          — zero-copy views stay header-only, column access allocation-free
 #   tree arena allocs     — tree growth makes no per-node allocations
@@ -32,10 +33,11 @@
 #                           backward pass against a perturb-one-column reference; StateSlab.Bytes exact at the packed stride;
 #                           slot reuse over dirtied rings; duplicate-slot rejection
 #   engine callers        — shards and EdgeAgent agree bit for bit; fused vs float route; all-or-nothing ingest across shards; mid-batch rejection;
-#                           Table 7 closed loop in-process and over HTTP against its golden; state gauge; fallback counter
+#                           Table 7 closed loop in-process and over HTTP against its golden; state gauge; PCA refusal
 #   step fuzz             — FuzzStepBatchVsTransformFrame seeds (all six layouts, the two history fixtures included) plus 5 s of fresh schedules
 #   step allocs           — 0 allocs per steady-state batch step
 #   HTTP smoke            — real cmd/serve on loopback: ingest, predictions, /metrics counters, clean SIGTERM drain
+#   examples              — every examples/ program runs to exit 0; examples/edge reports 100.0 % edge/central agreement
 #   bench module          — bench/ is its own Go module; tier-1 covers its compilation (TestBenchModuleCompiles vets it against
 #                           the working tree), this lane covers the smoke run: its tests build the real cmd/serve and run all
 #                           four BENCHMARK.json workloads at toy size, so a flag, route or behaviour change that would break
@@ -65,7 +67,7 @@ lane "race"
 go test -race -count=1 $short ./...
 
 lane "reachability"
-go test -run TestExportedNamesHaveCallers -count=1 -v .
+go test -run 'TestExportedNamesHaveCallers|TestReachabilityScanSelf' -count=1 -v .
 
 lane "simulator race"
 go test -race -count=1 ./internal/cluster/ ./internal/apps/ ./internal/pcp/
@@ -137,7 +139,9 @@ go test -count=1 -run 'TestStepBatch|TestStateSlab|TestRingFixture|TestBatchPlan
 
 lane "engine callers"
 go test -count=1 -run 'TestEdgeAgentMatchesCentral' ./internal/core/
-go test -count=1 -run 'TestIngestAtomicAcrossShards|TestReplayClosedLoopMatchesInProcess|TestShardCountEquivalence|TestFusedIngestShardWorkerInvariance|TestMidBatchRejectionConsistency|TestInstanceStateBytesGauge|TestIngestFallbackCounter' ./internal/serving/
+go test -count=1 -run 'TestIngestAtomicAcrossShards|TestReplayClosedLoopMatchesInProcess|TestShardCountEquivalence|TestFusedIngestShardWorkerInvariance|TestMidBatchRejectionConsistency|TestInstanceStateBytesGauge|TestIngestFallbackCounter|TestPCAModelRefused' ./internal/serving/
+go test -count=1 -run 'TestStreamerRefusesPCA' ./internal/features/
+go test -count=1 -run 'TestFacadeRefusesPCA' .
 
 lane "step fuzz"
 go test -run '^FuzzStepBatchVsTransformFrame$' -fuzz '^FuzzStepBatchVsTransformFrame$' -fuzztime=5s ./internal/features/
@@ -147,6 +151,15 @@ go test -run TestStepBatchAllocations -count=1 -v ./internal/features/
 
 lane "HTTP smoke"
 go run ./scripts/smoke
+
+lane "examples"
+for ex in examples/*/; do
+    echo "--- $ex"
+    out=$(go run "./$ex")
+    if [ "$ex" = "examples/edge/" ]; then
+        grep -F '(100.0%)' <<<"$out"
+    fi
+done
 
 lane "bench module"
 (cd bench && go vet ./... && go test ./...)

@@ -63,8 +63,8 @@ func main() {
 	fmt.Printf("loaded model bundle v%d: %d trees, threshold %.2f, %d raw metrics, schema %.12s…\n",
 		b.Version, b.Model.Forest.NumTrees(), b.Model.Threshold, len(b.Model.RawNames()), b.SchemaHash)
 	if q := b.Model.Forest.Quant(); q != nil {
-		fmt.Printf("quantized batch predict: on (packed walk over uint8 codes of %d columns)\n", q.NumSlots())
-		fmt.Println("fused ingest: on (engineered columns quantize straight into the code slab)")
+		fmt.Printf("quantized batch predict: on (packed walk over order keys of %d columns)\n", q.NumSlots())
+		fmt.Println("fused ingest: on (engineered columns are keyed straight into the key slab)")
 	} else {
 		fmt.Println("quantized batch predict: off (float tree walk)")
 	}

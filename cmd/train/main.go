@@ -100,7 +100,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if q := ctx.Model.Forest.Quant(); q != nil {
-		fmt.Printf("compiled quantized predictor: %d trees packed over uint8 codes of %d columns\n",
+		fmt.Printf("compiled quantized predictor: %d trees packed over order keys of %d columns\n",
 			ctx.Model.Forest.NumTrees(), q.NumSlots())
 	}
 	fmt.Printf("model bundle (v%d) saved to %s\n", core.BundleVersionFor(ctx.Model), *out)

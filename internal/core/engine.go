@@ -123,10 +123,10 @@ func (e *Engine) Row(k int, dst []float64) []float64 { return e.batch.Row(k, dst
 
 // Predict scores the batch the last Step engineered; probs[k] belongs to
 // sample k. The route is decided from the model alone: a compiled forest
-// quantizes the engineered columns straight into the uint8 code slab and
-// walks codes; an uncompiled one (exact-splitter training) runs the float
-// walk over the same columns. Neither copies the batch, and the routes
-// are bit-identical.
+// writes the order keys of the engineered columns straight into its key
+// slab (QuantizeBatch) and walks the keys; an uncompiled one
+// (exact-splitter training) runs the float walk over the same columns.
+// Neither copies the batch, and the routes are bit-identical.
 func (e *Engine) Predict() []float64 {
 	n := e.batch.Len()
 	cols := e.batch.Cols()

@@ -2,6 +2,7 @@ package frame
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"monitorless/internal/parallel"
@@ -134,10 +135,10 @@ func binEdges(col []float64, rows []int, maxBins int) []float64 {
 // Quantize maps a value to its bin code under the given ascending edges:
 // the first bin whose upper edge is ≥ v, or len(edges) (the last bin)
 // when v exceeds every edge. It is the definition of quantization in the
-// repo — training codes (BinFrame), quantized inference (forest.Compile)
-// and the fingerprint's training occupancies (sketchColumn) all call it
-// (the drift observer's keyed search, lifecycle.Cell.Observe, is pinned
-// to it bit for bit by test), which is what makes the invariant
+// repo — training codes (BinFrame) and the fingerprint's training
+// occupancies (sketchColumn) call it (the drift observer's keyed search,
+// lifecycle.Cell.Observe, is pinned to it bit for bit by test), which is
+// what makes the invariant
 // Quantize(edges, v) ≤ b ⟺ v ≤ edges[b] hold for *every* float64 v:
 // −Inf codes to 0 and goes left everywhere, while +Inf and NaN code to
 // len(edges) (the predicate edges[m] ≥ v is false for both) and go right
@@ -155,6 +156,23 @@ func Quantize(edges []float64, v float64) uint8 {
 		}
 	}
 	return uint8(lo)
+}
+
+// OrderKey maps a float64 to a uint64 with the same order: for any
+// non-NaN a and b, OrderKey(a) ≤ OrderKey(b) ⟺ a ≤ b. v+0 first folds −0
+// onto +0 (equal as floats, not as bits); then a negative value has every
+// bit flipped and any other only its sign bit. NaN of either sign keys to
+// MaxUint64, above +Inf's key, so against any non-NaN threshold t the key
+// compare OrderKey(v) ≤ OrderKey(t) is false for NaN, as v ≤ t is. The
+// compiled forest walk (forest.Compile) and the drift observer's bin
+// search (lifecycle.Cell.Observe) compare these keys instead of floats.
+func OrderKey(v float64) uint64 {
+	b := math.Float64bits(v + 0)
+	k := b ^ (uint64(int64(b)>>63) | 1<<63)
+	if v != v {
+		k = math.MaxUint64
+	}
+	return k
 }
 
 // Rows returns the number of coded rows.

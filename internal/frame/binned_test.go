@@ -1,6 +1,7 @@
 package frame
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -161,4 +162,41 @@ func TestBinColumnsMatchesBinFrame(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzOrderKey holds OrderKey to the float order it encodes: for any two
+// bit patterns neither of which is NaN, OrderKey(a) ≤ OrderKey(b) ⟺
+// a ≤ b, and every NaN, of either sign and any payload, keys above +Inf.
+// The seeds cover ±0 (equal as floats, not as bits), NaN of both signs,
+// ±Inf, ±MaxFloat64, the subnormals around zero and adjacent normals.
+func FuzzOrderKey(f *testing.F) {
+	for _, s := range [][2]uint64{
+		{0, 1 << 63},                             // +0, −0
+		{0x7ff0000000000000, 0xfff0000000000000}, // +Inf, −Inf
+		{0xfff8000000000001, 0x7ff8000000000001}, // −NaN with payload, +NaN
+		{1, 0x8000000000000001},                  // ± smallest subnormal
+		{0x7fefffffffffffff, 0xffefffffffffffff}, // ±MaxFloat64
+		{0x3ff0000000000000, 0x3ff0000000000001}, // 1 and its successor
+		{0xbff0000000000000, 0xbff0000000000001}, // −1 and its predecessor
+		{0x000fffffffffffff, 0x0010000000000000}, // largest subnormal, smallest normal
+	} {
+		f.Add(s[0], s[1])
+	}
+	inf := OrderKey(math.Inf(1))
+	f.Fuzz(func(t *testing.T, ab, bb uint64) {
+		a, b := math.Float64frombits(ab), math.Float64frombits(bb)
+		ka, kb := OrderKey(a), OrderKey(b)
+		for _, p := range [][2]uint64{{ab, ka}, {bb, kb}} {
+			if math.IsNaN(math.Float64frombits(p[0])) && p[1] <= inf {
+				t.Fatalf("NaN %#x keys to %#x, not above +Inf's %#x", p[0], p[1], inf)
+			}
+		}
+		if math.IsNaN(a) || math.IsNaN(b) {
+			return
+		}
+		if (ka <= kb) != (a <= b) {
+			t.Fatalf("%v (%#x) ≤ %v (%#x) is %v, but their keys %#x ≤ %#x is %v",
+				a, ab, b, bb, a <= b, ka, kb, ka <= kb)
+		}
+	})
 }

@@ -34,7 +34,7 @@ const maxTopOffenders = 8
 // (frame.Fingerprint.Watched — the raw inputs the pipeline can read, or
 // all of them) and their sketch edges as flat slabs the hot loop walks
 // without touching the fingerprint. Edges are stored as order-preserving
-// integer keys (sortKey) so the bin search is integer arithmetic.
+// integer keys (frame.OrderKey) so the bin search is integer arithmetic.
 // Watched column k's keys are keys[koff[k]:koff[k+1]] and, with one more
 // bin than edges per column, its occupancy counts start at koff[k]+k.
 type plan struct {
@@ -49,19 +49,11 @@ func compilePlan(fp *frame.Fingerprint) plan {
 	p.koff = make([]int32, len(p.cols)+1)
 	for k, j := range p.cols {
 		for _, e := range fp.Cols[j].Edges {
-			p.keys = append(p.keys, sortKey(e))
+			p.keys = append(p.keys, frame.OrderKey(e))
 		}
 		p.koff[k+1] = int32(len(p.keys))
 	}
 	return p
-}
-
-// sortKey maps a non-NaN float64 to a uint64 with the same order: flip
-// every bit of a negative, only the sign bit otherwise. v+0 folds −0 onto
-// +0 first, which compare equal as floats but not as bits.
-func sortKey(v float64) uint64 {
-	b := math.Float64bits(v + 0)
-	return b ^ (uint64(int64(b)>>63) | 1<<63)
 }
 
 // accum is one application's rolling drift state over the watched
@@ -161,10 +153,7 @@ func (c *Cell) Observe(fp *frame.Fingerprint, app string, vals []float64) {
 		mean[k] = mu
 		m2[k] += d * (v - mu)
 
-		kv := sortKey(v)
-		if v != v {
-			kv = math.MaxUint64 // NaN of either sign: past every edge
-		}
+		kv := frame.OrderKey(v) // NaN of either sign: past every edge
 		// base ends at koff[k]+bin, and column k's counts start at koff[k]+k.
 		base, size := int(koff[k]), int(koff[k+1]-koff[k])
 		for ; size > 1; size -= size >> 1 {

@@ -104,16 +104,16 @@ func BenchmarkForestPredictBatchHistFloat(b *testing.B) {
 	benchPredictBatch(b, f, ml.FrameOf(x))
 }
 
-// BenchmarkForestPredictBatchQuant is the compiled uint8-code path over
-// the same hist-trained forest: row blocks quantized once, trees walked
-// over the resident code slab.
+// BenchmarkForestPredictBatchQuant is the compiled order-key path over
+// the same hist-trained forest: row blocks keyed once, trees walked over
+// the resident key slab.
 func BenchmarkForestPredictBatchQuant(b *testing.B) {
 	f, x := benchHistForest(b)
 	benchPredictBatch(b, f, ml.FrameOf(x))
 }
 
 // BenchmarkForestPredictBatchQuantSerial pins the single-worker quant
-// path (the serving-shard regime, where batches are one block and the
+// path (the serving-shard regime, where batches are one task and the
 // walk runs inline with zero closure allocation).
 func BenchmarkForestPredictBatchQuantSerial(b *testing.B) {
 	f, x := benchHistForest(b)
@@ -123,7 +123,9 @@ func BenchmarkForestPredictBatchQuantSerial(b *testing.B) {
 
 // TestQuantPredictSpeedup gates the quantized walk's reason to exist: on
 // the same hist-trained forest and frame as the benchmarks above it must
-// score a row at least 1.5× faster than the float walk (measured 2.83×).
+// score a row at least 1.5× faster than the float walk (the order-key
+// walk measured 4.2–4.7× at two workers on a 2-core Xeon VM, ~2.3×
+// serial).
 // The two are alternated so drift in the host's speed hits both sides,
 // and the medians of three runs each are compared.
 func TestQuantPredictSpeedup(t *testing.T) {

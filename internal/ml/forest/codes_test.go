@@ -22,11 +22,11 @@ func transposeCols(x [][]float64) [][]float64 {
 }
 
 // TestPredictCodesBitIdentical: quantizing feature columns into a
-// caller-owned slab and walking it must reproduce the regular quantized
+// caller-owned slab and walking it must reproduce the regular compiled
 // predict (and therefore the float walk) bit for bit, across multiple
-// blocks and at any block-level parallelism.
+// tasks and at any task-level parallelism.
 func TestPredictCodesBitIdentical(t *testing.T) {
-	x, y := quantData(2100, 7) // 9 blocks at 256 rows/block
+	x, y := quantData(2100, 7) // 66 blocks of 32 rows, 9 tasks of 256 rows
 	f := fitQuantForest(t, x, y, tree.Hist)
 	fr := ml.FrameOf(x)
 	q := f.Quant()
@@ -49,7 +49,8 @@ func TestPredictCodesBitIdentical(t *testing.T) {
 	}
 	q.SetParallelism(0)
 
-	// Short batches (single partial block — the serving shard regime).
+	// Short batches (one task, its last block partial — the serving shard
+	// regime).
 	short := 37
 	codes, err = q.QuantizeBatch(cols, short, codes)
 	if err != nil {
@@ -63,7 +64,7 @@ func TestPredictCodesBitIdentical(t *testing.T) {
 }
 
 // TestPredictCodesRejects pins the refusal paths: wrong column counts,
-// rows beyond the columns, and undersized slabs.
+// rows beyond the columns, and undersized or misaligned slabs.
 func TestPredictCodesRejects(t *testing.T) {
 	xh, yh := quantData(400, 3)
 	fh := fitQuantForest(t, xh, yh, tree.Hist)
@@ -82,11 +83,16 @@ func TestPredictCodesRejects(t *testing.T) {
 	if err := qh.PredictProbaCodes(codes[:len(codes)-1], make([]float64, len(xh))); err == nil {
 		t.Fatal("undersized slab must fail")
 	}
+	if err := qh.PredictProbaCodes(codes[1:], make([]float64, 32)); err == nil {
+		t.Fatal("a slab not 8-byte aligned must fail")
+	}
 }
 
 // TestPredictCodesAllocations: the fused path with caller-owned slab and
 // output must allocate nothing once the slab is sized — it is the serving
-// ingest hot loop.
+// ingest hot loop — serially over a multi-task batch, and at default
+// parallelism over a 256-row batch: one task, the shard regime, which
+// walks inline (fanning out per 32-row block would allocate here).
 func TestPredictCodesAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under the race detector")
@@ -94,24 +100,32 @@ func TestPredictCodesAllocations(t *testing.T) {
 	x, y := quantData(600, 5)
 	f := fitQuantForest(t, x, y, tree.Hist)
 	q := f.Quant()
-	q.SetParallelism(1)
-	defer q.SetParallelism(0)
 	cols := transposeCols(x)
-	codes, err := q.QuantizeBatch(cols, len(x), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([]float64, len(x))
-	if n := testing.AllocsPerRun(50, func() {
-		var err error
-		codes, err = q.QuantizeBatch(cols, len(x), codes)
+	for _, tc := range []struct {
+		name   string
+		par, n int
+	}{
+		{"serial, 600 rows", 1, len(x)},
+		{"default parallelism, 256-row shard", 0, 256},
+	} {
+		q.SetParallelism(tc.par)
+		codes, err := q.QuantizeBatch(cols, tc.n, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := q.PredictProbaCodes(codes, out); err != nil {
-			t.Fatal(err)
+		out := make([]float64, tc.n)
+		if n := testing.AllocsPerRun(50, func() {
+			var err error
+			codes, err = q.QuantizeBatch(cols, tc.n, codes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := q.PredictProbaCodes(codes, out); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: fused key+walk: %v allocs/op, want 0", tc.name, n)
 		}
-	}); n != 0 {
-		t.Errorf("fused quantize+walk: %v allocs/op, want 0", n)
 	}
+	q.SetParallelism(0)
 }

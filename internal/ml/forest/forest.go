@@ -236,7 +236,7 @@ func (f *Forest) fitFrame(fr *frame.Frame, y []int, rows []int) error {
 	f.fitted = true
 	if bn != nil {
 		// Histogram thresholds are exact bin-edge values, so compiling
-		// against the training edges lowers every node to a uint8 code
+		// against the training edges lowers every node to an order-key
 		// compare — batch prediction walks the packed form from here on,
 		// bit-identical to the float walk. A forest too wide or too deep
 		// for the packed word (see Compile) keeps the float walk instead.

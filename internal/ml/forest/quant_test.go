@@ -1,6 +1,8 @@
 package forest
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"math"
 	"math/rand"
@@ -120,11 +122,11 @@ func TestQuantBitIdentityDense(t *testing.T) {
 	assertBitIdentical(t, "row subset", floatProbs(f, fr, rows), f.PredictProbaFrameRows(fr, rows))
 }
 
-// TestQuantWorkerCountInvariance: disjoint per-block output ranges and
-// in-block tree-order accumulation make the result bit-identical at any
-// block-level parallelism.
+// TestQuantWorkerCountInvariance: disjoint per-task output ranges and
+// per-row tree-order accumulation make the result bit-identical at any
+// task-level parallelism.
 func TestQuantWorkerCountInvariance(t *testing.T) {
-	x, y := quantData(2100, 7) // 9 blocks at 256 rows/block
+	x, y := quantData(2100, 7) // 9 tasks of 256 rows
 	f := fitQuantForest(t, x, y, tree.Hist)
 	fr := ml.FrameOf(x)
 	q := f.Quant()
@@ -139,20 +141,38 @@ func TestQuantWorkerCountInvariance(t *testing.T) {
 	q.SetParallelism(0)
 }
 
-// TestQuantPredictEdgeValues feeds the traversal the inputs most likely
-// to break a quantized compare: values exactly on bin edges, one ulp on
-// either side of an edge, ±Inf, NaN, and values outside the training
-// range. Every one must decide identically to the float walk.
+// TestQuantPredictEdgeValues feeds the traversal the inputs where an
+// order-key compare could disagree with the float compare: values
+// exactly on bin edges, one ulp on either side of an edge, ±0, ±Inf,
+// NaN of either sign (a negative one with a payload), ± the smallest
+// subnormal, ±MaxFloat64, and values outside the training range. Every
+// one must decide identically to the float walk. A planted forest then
+// tests ±0 against −0 thresholds: a sign column trained to split at its
+// one edge, 0, with every such threshold re-signed to −0 (equal as a
+// float, a different bit pattern), which holds the key's −0 fold to the
+// float compare on both sides.
 func TestQuantPredictEdgeValues(t *testing.T) {
 	x, y := quantData(1500, 5)
+	for i, row := range x {
+		s := -1.0 // column 6: the label's sign, 10% flipped
+		if (y[i] == 1) != (i%10 == 0) {
+			s = 1
+		}
+		x[i] = append(row, s)
+	}
 	f := fitQuantForest(t, x, y, tree.Hist)
 	edges := f.Quant().edges
+	if len(edges[6]) != 1 || edges[6][0] != 0 {
+		t.Fatalf("sign column edges %v, want [0]", edges[6])
+	}
 
 	var probes [][]float64
 	add := func(mutate func(row []float64)) {
-		row := append([]float64(nil), x[0]...)
-		mutate(row)
-		probes = append(probes, row)
+		for _, base := range [][]float64{x[0], x[1]} {
+			row := append([]float64(nil), base...)
+			mutate(row)
+			probes = append(probes, row)
+		}
 	}
 	// Exact edge values and their ulp neighbours, for every column that
 	// has edges: first, middle and last edge of each.
@@ -167,13 +187,15 @@ func TestQuantPredictEdgeValues(t *testing.T) {
 			add(func(row []float64) { row[j] = math.Nextafter(v, math.Inf(1)) })
 		}
 	}
+	specials := []float64{
+		math.Inf(1), math.Inf(-1), math.NaN(), math.Float64frombits(0xfff8000000000001),
+		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.MaxFloat64, -math.MaxFloat64, 1e300, -1e300,
+	}
 	for j := range edges {
-		j := j
-		add(func(row []float64) { row[j] = math.Inf(1) })
-		add(func(row []float64) { row[j] = math.Inf(-1) })
-		add(func(row []float64) { row[j] = math.NaN() })
-		add(func(row []float64) { row[j] = 1e300 })
-		add(func(row []float64) { row[j] = -1e300 })
+		for _, v := range specials {
+			add(func(row []float64) { row[j] = v })
+		}
 	}
 
 	fr := ml.FrameOf(probes)
@@ -184,6 +206,72 @@ func TestQuantPredictEdgeValues(t *testing.T) {
 			t.Fatalf("probe %d: per-row %v vs batch %v", i, p, quant[i])
 		}
 	}
+
+	planted := plantNegZero(t, f)
+	var zeros [][]float64
+	for _, row := range x[:200] {
+		for _, v := range []float64{0, math.Copysign(0, -1)} {
+			z := append([]float64(nil), row...)
+			z[6] = v
+			zeros = append(zeros, z)
+		}
+	}
+	zfr := ml.FrameOf(zeros)
+	assertBitIdentical(t, "±0 against −0 thresholds", floatProbs(planted, zfr, nil), planted.PredictProbaFrameRows(zfr, nil))
+}
+
+// treeWireMirror has the field names of tree's gob wire form, so a test
+// can rewrite a fitted tree's thresholds through its own codec.
+type treeWireMirror struct {
+	Cfg         tree.Config
+	Features    []int32
+	Left        []int32
+	Right       []int32
+	Thresholds  []float64
+	Probs       []float64
+	NFeatures   int
+	Importances []float64
+	Fitted      bool
+}
+
+// plantNegZero returns a compiled copy of f whose zero thresholds are all
+// −0, round-tripping each tree through its gob form.
+func plantNegZero(t *testing.T, f *Forest) *Forest {
+	t.Helper()
+	p := *f
+	p.trees = make([]*tree.Tree, len(f.trees))
+	n := 0
+	for i, tr := range f.trees {
+		b, err := tr.GobEncode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var w treeWireMirror
+		if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
+			t.Fatal(err)
+		}
+		for k, thr := range w.Thresholds {
+			if w.Features[k] >= 0 && thr == 0 {
+				w.Thresholds[k] = math.Copysign(0, -1)
+				n++
+			}
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(w); err != nil {
+			t.Fatal(err)
+		}
+		p.trees[i] = new(tree.Tree)
+		if err := p.trees[i].GobDecode(buf.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n == 0 {
+		t.Fatal("no node splits at 0: nothing planted")
+	}
+	if err := p.CompileQuant(f.Quant().edges); err != nil {
+		t.Fatal(err)
+	}
+	return &p
 }
 
 // TestExactForestRefusesQuant: exact-splitter thresholds are midpoints
@@ -245,20 +333,20 @@ func TestCompileErrors(t *testing.T) {
 
 // TestForestBatchPredictAllocations pins the zero-allocation contract of
 // the caller-owned-buffer batch path: the float walk, the quantized walk
-// at parallelism 1 (pooled code scratch), and the single-block serving
+// at parallelism 1 (pooled key scratch), and the single-task serving
 // regime at default parallelism must all allocate nothing per call.
 func TestForestBatchPredictAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector; the verify.sh allocation lane runs this without -race")
 	}
-	x, y := quantData(600, 5) // 3 blocks
+	x, y := quantData(600, 5) // 3 tasks
 	f := fitQuantForest(t, x, y, tree.Hist)
 	ref := *f
 	ref.DropQuant()
 	fr := ml.FrameOf(x)
 	dst := make([]float64, fr.Rows())
 
-	shard := ml.FrameOf(x[:32]) // one block: inline path at any parallelism
+	shard := ml.FrameOf(x[:32]) // one task: inline path at any parallelism
 	shardDst := make([]float64, 32)
 
 	cases := []struct {
@@ -379,46 +467,5 @@ func TestQuantWideForestPacks(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestQuantizeColMatchesQuantize holds quantizeCol's grid path to
-// frame.Quantize at every position of its four-row unroll and in the
-// tail: every edge and its ±1-ulp neighbours, ±0, NaN and ±Inf, over an
-// edge range starting above zero (a grid cell computed from the wrong
-// offset starts its scan past the true code) and one straddling zero.
-func TestQuantizeColMatchesQuantize(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	ranges := [][2]float64{{10, 100}, {-3, 5}}
-	for _, rg := range ranges {
-		edges := make([]float64, 64)
-		for i := range edges {
-			edges[i] = rg[0] + (rg[1]-rg[0])*(float64(i)+0.3*r.Float64())/float64(len(edges)-1)
-		}
-		edges[0], edges[len(edges)-1] = rg[0], rg[1]
-		g := buildGrid(edges)
-		if g.start == nil {
-			t.Fatalf("edges %v..%v built no grid", rg[0], rg[1])
-		}
-		inputs := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)}
-		for _, e := range edges {
-			inputs = append(inputs, math.Nextafter(e, math.Inf(-1)), e, math.Nextafter(e, math.Inf(1)))
-		}
-		// Shifting by 0..3 puts every input at every unroll position;
-		// lengths not divisible by four also run the tail.
-		for shift := 0; shift < 4; shift++ {
-			src := append(make([]float64, shift), inputs...)
-			for k := range src[:shift] {
-				src[k] = edges[k]
-			}
-			dst := make([]uint8, len(src))
-			quantizeCol(edges, &g, src, dst)
-			for i, v := range src {
-				if want := frame.Quantize(edges, v); dst[i] != want {
-					t.Fatalf("range %v, shift %d, row %d (unroll slot %d): quantizeCol(%v) = %d, Quantize = %d",
-						rg, shift, i, i%4, v, dst[i], want)
-				}
-			}
-		}
 	}
 }

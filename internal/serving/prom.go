@@ -135,7 +135,7 @@ var DefaultLatencyBuckets = []float64{
 }
 
 // predictStageBuckets spans 100ns – 1ms: the per-sample forest predict
-// stage (quantize + tree walk, amortized over a shard batch) sits orders
+// stage (key + tree walk, amortized over a shard batch) sits orders
 // of magnitude below request latency, so the stage histogram needs its
 // own resolution to show a batch-predict speedup at all.
 var predictStageBuckets = []float64{

@@ -433,7 +433,7 @@ func New(cfg Config) (*Service, error) {
 	reg.HistogramSource("monitorless_predict_seconds",
 		"Per-sample inference latency (feature step + batched forest vote).", nil, s.hPredict)
 	reg.HistogramSource("monitorless_predict_stage_seconds",
-		"Per-sample forest-predict stage latency (quantize + tree walk only, excluding wire decode and feature streaming) — the number that attributes a batch-predict speedup.", nil, s.hPredictStage)
+		"Per-sample forest-predict stage latency (key + tree walk only, excluding wire decode and feature streaming) — the number that attributes a batch-predict speedup.", nil, s.hPredictStage)
 	reg.GaugeFunc("monitorless_instances",
 		"Instances with live streaming feature state.", nil, func() float64 {
 			var t int64

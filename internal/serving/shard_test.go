@@ -406,7 +406,7 @@ func TestJSONIngestAllocations(t *testing.T) {
 }
 
 // TestPredictStageMetric pins the /metrics attribution contract: after N
-// ingested samples the predict-stage histogram (quantize + tree walk
+// ingested samples the predict-stage histogram (key + tree walk
 // only, excluding decode and feature streaming) must report exactly N
 // observations, nest inside the whole-pipeline predict histogram, and
 // carry a positive total.

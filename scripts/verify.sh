@@ -24,9 +24,15 @@
 #   drift fuzz            — FuzzCellObserveVsReference: checked-in seeds plus 5 s of fuzzer-chosen edges and values against the naive reference
 #   wire fuzz             — FuzzWireDecode over the checked-in corpus plus 5 s of fresh mutations
 #   json fuzz             — FuzzDecodeJSONVsReference: DecodeJSONScratch against json.Decoder+DisallowUnknownFields, seeds plus 5 s of fresh mutations
-#   quant parity          — quantizeCol ≡ frame.Quantize at every unroll position (edges, ±1 ulp, ±0, NaN, ±Inf); packed walk bit-identical to the float walk, unit columns, a 300+-column forest (whole frame and row lists) and Table 2 corpus at workers 1/4/8; compile refuses exact forests, bad edge sets and forests past the packed limits; TestQuantPredictSpeedup: >= 1.5x the float walk per row
+#   quant parity          — FuzzOrderKey: seeds plus 5 s of bit patterns, OrderKey(a) ≤ OrderKey(b) ⟺ a ≤ b off NaN and every NaN above +Inf;
+#                           packed order-key walk bit-identical to the float walk on edge probes (edges, ±1 ulp, ±0 also against planted
+#                           −0 thresholds, NaN of both signs, ± smallest subnormal, ±MaxFloat64, ±Inf), unit columns, the fused
+#                           QuantizeBatch/PredictProbaCodes route, a 300+-column forest (whole frame and row lists) and Table 2 corpus at
+#                           workers 1/4/8; compile refuses exact forests, bad edge sets and forests past the packed limits;
+#                           TestQuantPredictSpeedup: >= 1.5x the float walk per row
 #   malformed bundles     — a bundle whose forest would loop, index past the row, emit a non-probability or carry a bad edge set fails to load, and POST /model answers 400 and keeps the old model
-#   predict allocs        — 0 allocs/op batch predict in the float, quant-serial and quant-sharded regimes
+#   predict allocs        — 0 allocs/op batch predict in the float, quant-serial and quant-sharded regimes; the fused key+walk
+#                           route at 0 allocs serially and, at default parallelism, on a 256-row shard batch (one task, walked inline)
 #   online-engine parity  — StepBatchInto bit-identical to Pipeline.TransformFrame under every batch partition, over compact rings (each
 #                           ring row packed to the plan's ring set) on the history fixtures: one whose prefix and base rings hold
 #                           different proper subsets (TestRingFixtureGeometry), one with a prefix ring only; liveness masking, and the
@@ -123,7 +129,9 @@ lane "json fuzz"
 go test -run '^FuzzDecodeJSONVsReference$' -fuzz '^FuzzDecodeJSONVsReference$' -fuzztime=5s ./internal/serving/
 
 lane "quant parity"
-go test -count=1 -run 'TestQuant(BitIdentity|WorkerCountInvariance|PredictEdgeValues|WideForestPacks)|TestQuantizeColMatchesQuantize|TestExactForestRefusesQuant|TestCompileErrors' -v ./internal/ml/forest/
+go test -count=1 -run '^FuzzOrderKey$' -v ./internal/frame/
+go test -run '^FuzzOrderKey$' -fuzz '^FuzzOrderKey$' -fuzztime=5s ./internal/frame/
+go test -count=1 -run 'TestQuant(BitIdentity|WorkerCountInvariance|PredictEdgeValues|WideForestPacks)|TestPredictCodesBitIdentical|TestExactForestRefusesQuant|TestCompileErrors' -v ./internal/ml/forest/
 go test -count=1 -run TestTable2QuantBitIdentity $short ./internal/experiments/
 go test -run TestQuantPredictSpeedup -count=1 -v ./internal/ml/forest/
 
@@ -132,7 +140,7 @@ go test -count=1 -run TestLoadBundleRejectsMalformedForest -v ./internal/core/
 go test -count=1 -run TestModelEndpointRejectsMalformedForest -v ./internal/serving/
 
 lane "predict allocs"
-go test -run TestForestBatchPredictAllocations -count=1 -v ./internal/ml/forest/
+go test -run 'TestForestBatchPredictAllocations|TestPredictCodesAllocations' -count=1 -v ./internal/ml/forest/
 
 lane "online-engine parity"
 go test -count=1 -run 'TestStepBatch|TestStateSlab|TestRingFixture|TestBatchPlan|TestDropZeroVarianceLiveness|TestStreamer' ./internal/features/

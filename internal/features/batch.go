@@ -1,21 +1,24 @@
 package features
 
-import "fmt"
+import (
+	"fmt"
+	"math"
 
-// This file is the one feature-stepping path: a batch of n ≥ 1 raw
-// samples is transposed once into a column-major scratch and each pipeline
-// step runs over the whole batch column-wise — one dispatch per step per
-// batch, contiguous inner loops. Per-instance ring state lives in a
-// struct-of-arrays StateSlab (slot × stride into two flat float64 slabs)
-// so the batch time stage touches dense memory rather than a heap object
-// per instance.
-//
-// The hard contract is bit-identity with the offline pipeline: per sample,
-// every kernel below performs exactly the operations Pipeline.TransformFrame
-// performs on that instance's history, in the same order — only the loop
-// nesting differs, and no sample's arithmetic ever depends on another
-// sample in the batch (each instance's rings are disjoint slab slots, which
-// is why a batch naming one slot twice is rejected).
+	"monitorless/internal/frame"
+)
+
+// This file holds every step's arithmetic but PCA's, once: one columnar
+// kernel per step, run by the offline fit and transform (offline.go) and
+// by online stepping alike. Online, a batch of n ≥ 1 raw samples is
+// transposed once into a column-major scratch and each step runs over the
+// whole batch column-wise — one dispatch per step per batch, contiguous
+// inner loops. Per-instance ring state lives in a struct-of-arrays
+// StateSlab (slot × stride into two flat float64 slabs). No sample's
+// arithmetic depends on another sample in the batch (each instance's
+// rings are disjoint slots, which is why a batch naming one slot twice is
+// rejected), so offline and online rows agree bit for bit by
+// construction; the goldens and the naive test-only reference pin the
+// arithmetic itself.
 
 // StateSlab holds the incremental stream state for many instances of one
 // Streamer as dense struct-of-arrays storage: sample counts plus the
@@ -111,6 +114,8 @@ type BatchScratch struct {
 	arena []float64
 	aUsed int
 
+	into *frame.Frame // if set, row-local kernels write output j to into.Col(j)
+
 	cur, nxt [][]float64
 	out      [][]float64
 	n        int
@@ -153,6 +158,15 @@ func (b *BatchScratch) Row(k int, dst []float64) []float64 {
 	return dst
 }
 
+// dst returns where a row-local kernel writes its output column j (not
+// zeroed): the offline driver's output frame, or a fresh arena column.
+func (b *BatchScratch) dst(j, n int) []float64 {
+	if b.into != nil {
+		return b.into.Col(j)
+	}
+	return b.allocCol(n)
+}
+
 // allocCol carves an n-float column out of the arena. On overflow a
 // fresh, larger arena replaces it — columns handed out earlier keep
 // pointing into the old one, which stays alive until the batch ends — so
@@ -182,10 +196,9 @@ func (b *BatchScratch) allocCol(n int) []float64 {
 // of the stream into batches: samples never interact (disjoint slots), so
 // a slot may appear at most once per batch — a repeat is rejected.
 //
-// Errors before the time stage (width, slot range, duplicate slot) leave
-// all slot state untouched; an error in a post-time step (impossible for
-// a consistently fitted pipeline) leaves the batch absorbed into the
-// rings.
+// Every error (width, slot range, duplicate slot) is raised before any
+// slot state changes; the kernels themselves cannot fail, because
+// Pipeline.Streamer checked the chain's widths once.
 func (s *Streamer) StepBatchInto(sl *StateSlab, slots []int32, raws [][]float64, b *BatchScratch) error {
 	if sl.s != s {
 		return fmt.Errorf("features: stream batch: slab minted for a different streamer")
@@ -252,49 +265,36 @@ func (s *Streamer) StepBatchInto(sl *StateSlab, slots []int32, raws [][]float64,
 	}
 	b.cur = cur
 
-	var err error
 	for i, step := range s.pre {
-		if cur, err = batchApply(step, s.plan.pre[i], cur, n, b); err != nil {
-			return err
-		}
+		cur = batchApply(step, s.plan.pre[i], cur, n, b)
 	}
-	if cur, err = s.batchTime(sl, slots, cur, n, b); err != nil {
-		return err
-	}
+	cur = s.batchTime(sl, slots, cur, n, b)
 	for i, step := range s.post {
-		if cur, err = batchApply(step, s.plan.post[i], cur, n, b); err != nil {
-			return err
-		}
+		cur = batchApply(step, s.plan.post[i], cur, n, b)
 	}
 	b.out = cur
 	b.n = n
 	return nil
 }
 
-// batchApply runs one row step over the whole batch column-wise. Columns
-// the step passes through unchanged are aliased, not copied; only freshly
-// computed columns cost arena space, and outputs the liveness plan proves
-// dead (live[j] == false; nil live = all live) are skipped entirely — a
-// shared pad column keeps the view's indices aligned.
-func batchApply(step Step, live []bool, cols [][]float64, n int, b *BatchScratch) ([][]float64, error) {
+// batchApply runs one fitted row step's kernel over n samples held
+// column-wise; cols must be as wide as the step was fitted on (stepWidth).
+// Columns the step passes through unchanged are aliased, not copied; only
+// computed columns are written (b.dst), and outputs the liveness plan
+// proves dead (live[j] == false; nil live = all live) are skipped
+// entirely — a shared pad column keeps the view's indices aligned.
+func batchApply(step Step, live []bool, cols [][]float64, n int, b *BatchScratch) [][]float64 {
 	next := b.nxt[:0]
 	switch t := step.(type) {
 	case *Expand:
-		if t.In == 0 {
-			return nil, fmt.Errorf("features: stream %s: fitted before streaming support; re-fit the pipeline", step.Name())
-		}
-		if len(cols) != t.In {
-			return nil, fmt.Errorf("features: stream %s: fitted on %d cols, got %d", step.Name(), t.In, len(cols))
-		}
 		next = append(next, cols...)
 		for _, ci := range t.LogIdx {
 			if live != nil && !live[ci] {
 				continue
 			}
-			src := cols[ci]
-			dst := b.allocCol(n)
+			src, dst := cols[ci], b.dst(ci, n)
 			for k := 0; k < n; k++ {
-				dst[k] = log10p1(src[k])
+				dst[k] = math.Log10(1 + math.Max(src[k], 0))
 			}
 			next[ci] = dst
 		}
@@ -305,7 +305,7 @@ func batchApply(step Step, live []bool, cols [][]float64, n int, b *BatchScratch
 					next = append(next, b.pad(n))
 					continue
 				}
-				dst := b.allocCol(n)
+				dst := b.dst(len(next), n)
 				for r := 0; r < n; r++ {
 					if spec.Test(src[r]) {
 						dst[r] = 1
@@ -317,15 +317,12 @@ func batchApply(step Step, live []bool, cols [][]float64, n int, b *BatchScratch
 			}
 		}
 	case *StandardScale:
-		if len(cols) != len(t.Mean) {
-			return nil, fmt.Errorf("features: stream %s: fitted on %d cols, got %d", step.Name(), len(t.Mean), len(cols))
-		}
 		for j, src := range cols {
 			if live != nil && !live[j] {
 				next = append(next, b.pad(n))
 				continue
 			}
-			dst := b.allocCol(n)
+			dst := b.dst(j, n)
 			if t.Std[j] > 0 {
 				m, sd := t.Mean[j], t.Std[j]
 				for k := 0; k < n; k++ {
@@ -339,19 +336,14 @@ func batchApply(step Step, live []bool, cols [][]float64, n int, b *BatchScratch
 			next = append(next, dst)
 		}
 	case *RFFilter:
-		var err error
-		if next, err = aliasSelect(next, cols, t.Keep, step.Name()); err != nil {
-			return nil, err
+		for _, k := range t.Keep {
+			next = append(next, cols[k])
 		}
 	case *DropZeroVariance:
-		var err error
-		if next, err = aliasSelect(next, cols, t.Keep, step.Name()); err != nil {
-			return nil, err
+		for _, k := range t.Keep {
+			next = append(next, cols[k])
 		}
 	case *Products:
-		if len(cols) != t.InCols {
-			return nil, fmt.Errorf("features: stream %s: fitted on %d cols, got %d", step.Name(), t.InCols, len(cols))
-		}
 		next = append(next, cols...)
 		for pi, pr := range t.Pairs {
 			if live != nil && !live[t.InCols+pi] {
@@ -359,7 +351,7 @@ func batchApply(step Step, live []bool, cols [][]float64, n int, b *BatchScratch
 				continue
 			}
 			a, c := cols[pr[0]], cols[pr[1]]
-			dst := b.allocCol(n)
+			dst := b.dst(t.InCols+pi, n)
 			for k := 0; k < n; k++ {
 				dst[k] = a[k] * c[k]
 			}
@@ -367,37 +359,22 @@ func batchApply(step Step, live []bool, cols [][]float64, n int, b *BatchScratch
 		}
 	}
 	b.cur, b.nxt = next, cols[:0]
-	return next, nil
+	return next
 }
 
-// aliasSelect projects columns by index without copying any data.
-func aliasSelect(dst, cols [][]float64, keep []int, name string) ([][]float64, error) {
-	for _, k := range keep {
-		if k >= len(cols) {
-			return nil, fmt.Errorf("features: stream %s: column %d out of range (%d cols)", name, k, len(cols))
-		}
-		dst = append(dst, cols[k])
-	}
-	return dst, nil
-}
-
-// batchTime is the time-feature stage over the whole batch: per-sample
+// batchTime is the time-feature kernel over the whole batch: per-sample
 // ring offsets are tabulated once, then every loop runs column-outer over
-// contiguous input columns. Each sample touches only its own slot's rows,
-// so the per-sample arithmetic — prefix accumulation order, clamped spans,
-// lag clamping — mirrors TimeFeatures.Transform exactly: averages divide a
-// prefix-sum difference by the clamped span, lags clamp to row 0. The
-// batch is absorbed here: every slot's count advances before the post
-// steps run.
-func (s *Streamer) batchTime(sl *StateSlab, slots []int32, cols [][]float64, n int, b *BatchScratch) ([][]float64, error) {
+// contiguous input columns. Each sample touches only its own slot's rows:
+// its prefix sums accumulate in arrival order from the slot's zero row,
+// a trailing average divides a prefix-sum difference by the span clamped
+// to the run start, and a lag clamps to the run's first row. The batch is
+// absorbed here: every slot's count advances before the post steps run.
+func (s *Streamer) batchTime(sl *StateSlab, slots []int32, cols [][]float64, n int, b *BatchScratch) [][]float64 {
 	if s.tf == nil {
 		for _, slot := range slots {
 			sl.n[slot]++
 		}
-		return cols, nil
-	}
-	if len(cols) != s.baseCols {
-		return nil, fmt.Errorf("features: stream time-features fitted on %d cols, got %d", s.baseCols, len(cols))
+		return cols
 	}
 	nc := s.baseCols
 	tm := s.plan.tm
@@ -545,7 +522,7 @@ func (s *Streamer) batchTime(sl *StateSlab, slots []int32, cols [][]float64, n i
 		sl.n[slot]++
 	}
 	b.cur, b.nxt = next, cols[:0]
-	return next, nil
+	return next
 }
 
 func ensureInts(s []int, n int) []int {

@@ -1,6 +1,7 @@
 package features
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -24,8 +25,12 @@ func fitStreamer(t testing.TB, fx streamFixture) (*Pipeline, *Streamer) {
 	return pipe, str
 }
 
-// runRows materializes each run of fr as its own row-major slice.
+// runRows materializes each run of fr as its own row-major slice; a
+// frame without spans is one run.
 func runRows(fr *frame.Frame) [][][]float64 {
+	if fr.NumRuns() == 0 {
+		return [][][]float64{fr.MaterializeRows()}
+	}
 	out := make([][][]float64, fr.NumRuns())
 	for k := range out {
 		out[k] = fr.RunView(k).MaterializeRows()
@@ -35,13 +40,15 @@ func runRows(fr *frame.Frame) [][][]float64 {
 
 // slabDriver steps the runs of a held-out frame — one run is one
 // instance's history — through a single StateSlab and compares every
-// engineered row, bit for bit, with the offline reference: the fitted
-// pipeline's TransformFrame over that run's full history.
+// engineered row, bit for bit, with the test-only reference
+// (refTransformFrame) over that run's full history. Building it first
+// holds Pipeline.TransformFrame over the whole frame to the same
+// reference.
 type slabDriver struct {
 	t    testing.TB
 	str  *Streamer
 	held [][][]float64 // raw histories, per run
-	want [][][]float64 // pipe.TransformFrame(held), per run
+	want [][][]float64 // refTransformFrame(held), per run
 	cols []string      // engineered column names
 	sl   *StateSlab
 	b    BatchScratch
@@ -55,14 +62,20 @@ type slabDriver struct {
 
 func newSlabDriver(t testing.TB, pipe *Pipeline, str *Streamer, held *frame.Frame, nSlots int) *slabDriver {
 	t.Helper()
-	want, err := pipe.TransformFrame(held)
+	want, err := refTransformFrame(pipe, held)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got, err := pipe.TransformFrame(held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	framesEqualBits(t, want, got)
 	sl := NewStateSlab(str)
 	sl.EnsureSlots(nSlots)
-	return &slabDriver{t: t, str: str, held: runRows(held), want: runRows(want), cols: want.Schema().Names(),
-		sl: sl, pos: make([]int, held.NumRuns())}
+	runs := runRows(held)
+	return &slabDriver{t: t, str: str, held: runs, want: runRows(want), cols: want.Schema().Names(),
+		sl: sl, pos: make([]int, len(runs))}
 }
 
 // add queues the next unstepped row of run ri, playing in slot, for the
@@ -92,11 +105,11 @@ func (d *slabDriver) flush() {
 		want := d.want[ri][j]
 		d.row = d.b.Row(k, d.row[:0])
 		if len(d.row) != len(want) {
-			d.t.Fatalf("run %d row %d: stream width %d, offline %d", ri, j, len(d.row), len(want))
+			d.t.Fatalf("run %d row %d: stream width %d, reference %d", ri, j, len(d.row), len(want))
 		}
 		for c := range want {
-			if d.row[c] != want[c] {
-				d.t.Fatalf("run %d row %d col %d (%s): stream %v, offline %v",
+			if math.Float64bits(d.row[c]) != math.Float64bits(want[c]) {
+				d.t.Fatalf("run %d row %d col %d (%s): stream %v, reference %v",
 					ri, j, c, d.cols[c], d.row[c], want[c])
 			}
 		}
@@ -107,8 +120,9 @@ func (d *slabDriver) flush() {
 	d.slots, d.raws, d.runs = d.slots[:0], d.raws[:0], d.runs[:0]
 }
 
-// driveInterleaved plays 2×nSlots runs through nSlots slots in batches of
-// at most size. Every tick a seeded shuffle picks which slots report, so
+// driveInterleaved plays 2×nSlots runs of unequal length (averaging
+// ticks rows, one run a single row) through nSlots slots in batches of at
+// most size. Every tick a seeded shuffle picks which slots report, so
 // batches interleave instances in varying order and subsets. Each slot is
 // recycled once: its first occupant stops after a random prefix of its
 // history, the slot is ResetSlot, and a second run starts in it on rings
@@ -116,15 +130,17 @@ func (d *slabDriver) flush() {
 func driveInterleaved(t *testing.T, fx streamFixture, nSlots, ticks, size int, seed int64) {
 	t.Helper()
 	pipe, str := fitStreamer(t, fx)
-	d := newSlabDriver(t, pipe, str, fx.frame(2*nSlots, ticks, 23+seed), nSlots)
 	rng := rand.New(rand.NewSource(seed))
+	held := fx.frame(2*nSlots, ticks, 23+seed)
+	d := newSlabDriver(t, pipe, str, recut(held, unevenLens(held.Rows(), 2*nSlots, rng)), nSlots)
 	occupant := make([]int, nSlots) // slot -> run currently playing
 	stopAt := make([]int, nSlots)   // first occupant's prefix length
 	for s := range occupant {
 		occupant[s] = s
-		stopAt[s] = 1 + rng.Intn(ticks)
+		stopAt[s] = 1 + rng.Intn(len(d.held[s]))
 	}
-	for tick := 0; tick < 2*ticks; tick++ {
+	for left := true; left; {
+		left = false
 		for _, s := range rng.Perm(nSlots) {
 			ri := occupant[s]
 			if ri < nSlots && d.pos[ri] >= stopAt[s] {
@@ -132,8 +148,12 @@ func driveInterleaved(t *testing.T, fx streamFixture, nSlots, ticks, size int, s
 				ri += nSlots
 				occupant[s] = ri
 			}
-			if d.pos[ri] >= ticks || rng.Intn(4) == 0 {
-				continue // history exhausted, or this instance skips the tick
+			if d.pos[ri] >= len(d.held[ri]) {
+				continue // history exhausted
+			}
+			left = true
+			if rng.Intn(4) == 0 {
+				continue // this instance skips the tick
 			}
 			d.add(int32(s), ri)
 			if len(d.slots) == size {
@@ -279,11 +299,12 @@ func TestStepBatchRejectsBadInput(t *testing.T) {
 	}
 }
 
-// FuzzStepBatchVsTransformFrame drives random pipeline layouts and
-// fuzzer-chosen batch schedules — which instances report each tick, in
-// what order, and where the tick is cut into batches — asserting every
-// StepBatchInto row stays bit-identical to the offline pipeline over the
-// instance's full history.
+// FuzzStepBatchVsTransformFrame drives random pipeline layouts, held-out
+// run layouts (heldShape) and fuzzer-chosen batch schedules — which
+// instances report each tick, in what order, and where the tick is cut
+// into batches — asserting every StepBatchInto row, and the whole
+// TransformFrame output, stay bit-identical to the test-only reference
+// over each instance's full history.
 func FuzzStepBatchVsTransformFrame(f *testing.F) {
 	f.Add(uint8(0), uint8(3), uint8(20), int64(1))
 	f.Add(uint8(1), uint8(1), uint8(40), int64(2))
@@ -313,11 +334,17 @@ func FuzzStepBatchVsTransformFrame(f *testing.F) {
 		p := pipes[int(cfgSel)%len(pipes)]
 		nInst := 1 + int(nInstRaw)%6
 		ticks := 1 + int(ticksRaw)%40
-		d := newSlabDriver(t, p.pipe, p.str, p.frame(nInst, ticks, seed), nInst)
 		rng := rand.New(rand.NewSource(seed ^ 0x9e3779b9))
-		for tick := 0; tick < 2*ticks; tick++ {
-			for _, i := range rng.Perm(nInst) {
-				if d.pos[i] >= ticks || rng.Intn(3) == 0 {
+		held := heldShape(p.frame(nInst, ticks, seed), int(uint64(seed)%4), rng)
+		d := newSlabDriver(t, p.pipe, p.str, held, max(held.NumRuns(), 1))
+		for left := true; left; {
+			left = false
+			for _, i := range rng.Perm(len(d.held)) {
+				if d.pos[i] >= len(d.held[i]) {
+					continue
+				}
+				left = true
+				if rng.Intn(3) == 0 {
 					continue
 				}
 				d.add(int32(i), i)

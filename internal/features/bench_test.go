@@ -34,12 +34,9 @@ func BenchmarkPipelineFit(b *testing.B) {
 // fitApply fits step on fr and returns the transformed frame.
 func fitApply(b *testing.B, step Step, fr *frame.Frame) *frame.Frame {
 	b.Helper()
-	if err := step.Fit(fr); err != nil {
-		b.Fatalf("%s fit: %v", step.Name(), err)
-	}
-	out, err := step.Transform(fr)
+	out, err := fitTransform(step, fr)
 	if err != nil {
-		b.Fatalf("%s transform: %v", step.Name(), err)
+		b.Fatalf("%s: %v", step.Name(), err)
 	}
 	return out
 }
@@ -77,4 +74,37 @@ func BenchmarkRFFilterFit(b *testing.B) {
 			}
 		})
 	}
+}
+
+// transformSink keeps BenchmarkTransformFrame's result live.
+var transformSink *frame.Frame
+
+// BenchmarkTransformFrame measures the offline feature path on a fixed
+// paper-layout frame: the default pipeline, fitted once on a 600 s Table 1
+// corpus, transforms a held-out corpus of the same shape (seed 2). It
+// reports ns per held-out row; -benchmem gives B/op.
+func BenchmarkTransformFrame(b *testing.B) {
+	train, _, err := dataset.GenerateFrame(dataset.Table1(), dataset.GenOptions{Duration: 600, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	held, _, err := dataset.GenerateFrame(dataset.Table1(), dataset.GenOptions{Duration: 600, Seed: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := NewPipeline(DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := p.FitFrame(train); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if transformSink, err = p.TransformFrame(held); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*held.Rows()), "ns/row")
 }

@@ -15,7 +15,7 @@ import (
 
 // framesEqualBits compares two dense frames bit-for-bit: schema names,
 // dimensions and every cell's float64 bit pattern.
-func framesEqualBits(t *testing.T, want, got *frame.Frame) {
+func framesEqualBits(t testing.TB, want, got *frame.Frame) {
 	t.Helper()
 	if got.NumCols() != want.NumCols() || got.Rows() != want.Rows() {
 		t.Fatalf("shape mismatch: got %dx%d, want %dx%d",
@@ -100,12 +100,13 @@ func colIndex(fr *frame.Frame, name string) int {
 	return -1
 }
 
-// fitTransform fits s on fr and returns the transformed frame.
+// fitTransform fits s on fr and returns the frame the offline driver
+// makes of fr through it.
 func fitTransform(s Step, fr *frame.Frame) (*frame.Frame, error) {
 	if err := s.Fit(fr); err != nil {
 		return nil, err
 	}
-	return s.Transform(fr)
+	return applyStep(s, fr)
 }
 
 func TestExpandAddsLevelBits(t *testing.T) {
@@ -392,6 +393,64 @@ func TestDropZeroVariance(t *testing.T) {
 	}
 	if colIndex(out, "C-CPU-U") < 0 {
 		t.Error("varying column dropped")
+	}
+}
+
+// TestKeepStepsCopyColumns: the column-keeping steps (RFFilter,
+// DropZeroVariance) copy what they keep into the output frame, in Keep
+// order, so mutating the output must not leak into the input.
+func TestKeepStepsCopyColumns(t *testing.T) {
+	in := synthFrame(1, 8, 3)
+	keep := []int{2, 0}
+	for _, step := range []Step{&RFFilter{Keep: keep}, &DropZeroVariance{Keep: keep}} {
+		out, err := applyStep(step, in)
+		if err != nil {
+			t.Fatalf("%s: %v", step.Name(), err)
+		}
+		if out.Schema()[0] != in.Schema()[2] || out.Schema()[1] != in.Schema()[0] {
+			t.Fatalf("%s: kept schema wrong", step.Name())
+		}
+		before := in.Col(2)[3]
+		out.Set(3, 0, before+99)
+		if in.Col(2)[3] != before {
+			t.Fatalf("%s: output aliases the input; it must copy", step.Name())
+		}
+		if out.Col(1)[5] != in.Col(0)[5] {
+			t.Fatalf("%s: kept values wrong", step.Name())
+		}
+	}
+}
+
+// TestKeepStepsRowRangeView: on a RowRange view inside a larger frame the
+// keep steps' copy holds exactly the view's rows — correct values,
+// len == cap == view rows per column — and spans that tile it.
+func TestKeepStepsRowRangeView(t *testing.T) {
+	parent := synthFrame(3, 70, 8)
+	lo, hi := 37, 141
+	v := parent.RowRange(lo, hi)
+	keep := []int{3, 1}
+	for _, step := range []Step{&RFFilter{Keep: keep}, &DropZeroVariance{Keep: keep}} {
+		out, err := applyStep(step, v)
+		if err != nil {
+			t.Fatalf("%s: %v", step.Name(), err)
+		}
+		if out.Rows() != hi-lo || !slices.Equal(out.Spans(), v.Spans()) {
+			t.Fatalf("%s: %d rows, spans %v; want %d rows, spans %v", step.Name(), out.Rows(), out.Spans(), hi-lo, v.Spans())
+		}
+		for p, src := range keep {
+			if out.Schema()[p] != v.Schema()[src] {
+				t.Fatalf("%s: column %d is %q, want %q", step.Name(), p, out.Schema()[p].Name, v.Schema()[src].Name)
+			}
+			col := out.Col(p)
+			if len(col) != hi-lo || cap(col) != hi-lo {
+				t.Fatalf("%s: column %d: len %d cap %d, want both %d", step.Name(), p, len(col), cap(col), hi-lo)
+			}
+			for i := range col {
+				if col[i] != parent.Col(src)[lo+i] {
+					t.Fatalf("%s: cell (%d,%d) = %v, want %v", step.Name(), i, p, col[i], parent.Col(src)[lo+i])
+				}
+			}
+		}
 	}
 }
 

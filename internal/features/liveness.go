@@ -1,5 +1,7 @@
 package features
 
+import "fmt"
+
 // Static column liveness for the batch kernels. The fitted step chain is
 // a dataflow graph with fixed column routing — every RFFilter Keep set,
 // Products pair, Expand dummy block is frozen at fit time — so one
@@ -10,12 +12,11 @@ package features
 // makes the skip free: a dead column's slot in the ping-pong view is a
 // shared uninitialized pad column that no live computation ever reads.
 //
-// Bit-identity with the offline pipeline is untouched by construction: a
-// masked-off value is, by the backward pass, not an operand of any
-// computation whose result survives to the final vector, and every
-// surviving value is produced by exactly the offline arithmetic. The
-// equivalence and fuzz tests compare final vectors, so they hold the
-// plan to that claim.
+// Pipeline.TransformFrame runs under the same plan (offline.go). Masking
+// cannot move a bit: a masked-off value is, by the backward pass, not an
+// operand of any computation whose result survives to the final vector.
+// The equivalence and fuzz tests compare final vectors with a test-only
+// reference, so they hold the plan to that claim.
 //
 // The rings are pruned the same way, and packed: a prefix ring row holds
 // only the columns some live trailing average reads (prefIdx), a base ring
@@ -52,26 +53,40 @@ type timePlan struct {
 // watching. Shared; callers must not modify it.
 func (s *Streamer) RawLive() []bool { return s.plan.rawLive }
 
-// kernelOutWidth reports a fitted row step's output width, or -1 for a
-// step batchApply has no columnar kernel for (Streamer refuses those).
-func kernelOutWidth(step Step) int {
+// stepWidth checks that a fitted step's kernel, which indexes columns
+// unchecked, can read w input columns, and returns its output width; a
+// step without a kernel (PCA) is an error.
+func stepWidth(step Step, w int) (int, error) {
+	in, out := w, 0
+	var keep []int
 	switch t := step.(type) {
 	case *Expand:
-		out := t.In
+		in, out = t.In, t.In
 		for _, cpu := range t.TargetCPU {
 			out += len(levelSpecs(cpu))
 		}
-		return out
 	case *StandardScale:
-		return len(t.Mean)
-	case *RFFilter:
-		return len(t.Keep)
-	case *DropZeroVariance:
-		return len(t.Keep)
+		in, out = len(t.Mean), len(t.Mean)
+	case *TimeFeatures:
+		in, out = t.InCols, t.InCols*(1+len(t.AvgWindows)+len(t.LagWindows))
 	case *Products:
-		return t.InCols + len(t.Pairs)
+		in, out = t.InCols, t.InCols+len(t.Pairs)
+	case *RFFilter:
+		keep, out = t.Keep, len(t.Keep)
+	case *DropZeroVariance:
+		keep, out = t.Keep, len(t.Keep)
+	default:
+		return 0, fmt.Errorf("step %s has no columnar kernel; it runs offline only", step.Name())
 	}
-	return -1
+	if in != w {
+		return 0, fmt.Errorf("%s: fitted on %d cols, got %d", step.Name(), in, w)
+	}
+	for _, k := range keep {
+		if k < 0 || k >= w {
+			return 0, fmt.Errorf("%s: column %d out of range (%d cols)", step.Name(), k, w)
+		}
+	}
+	return out, nil
 }
 
 func allTrue(mask []bool) bool {
@@ -102,33 +117,20 @@ func idxOf(mask []bool) []int {
 	return idx
 }
 
-// buildBatchPlan runs the backward liveness pass over the fitted chain
-// (every step of which has a columnar kernel: Streamer checked).
-func buildBatchPlan(s *Streamer) *batchPlan {
+// buildBatchPlan runs the backward liveness pass over the streamer's
+// chain, whose step i reads widths[i] columns and whose output is
+// widths[len(widths)-1] wide (stepWidth checked them all).
+func buildBatchPlan(s *Streamer, widths []int) *batchPlan {
 	plan := &batchPlan{
 		pre:  make([][]bool, len(s.pre)),
 		post: make([][]bool, len(s.post)),
 	}
+	preIn := widths[:len(s.pre)]
+	postIn := widths[len(widths)-1-len(s.post) : len(widths)-1]
 
-	// Forward width walk.
-	w := s.pipe.InCols
-	preIn := make([]int, len(s.pre))
-	postIn := make([]int, len(s.post))
-	for i, st := range s.pre {
-		preIn[i] = w
-		w = kernelOutWidth(st)
-	}
-	if s.tf != nil {
-		w = s.baseCols * (1 + len(s.tf.AvgWindows) + len(s.tf.LagWindows))
-	}
-	for i, st := range s.post {
-		postIn[i] = w
-		w = kernelOutWidth(st)
-	}
-
-	// Backward pass: start all-live at the engineered output, map each
-	// step's live outputs onto the inputs it actually reads.
-	live := make([]bool, w)
+	// Start all-live at the engineered output, map each step's live
+	// outputs onto the inputs it actually reads.
+	live := make([]bool, widths[len(widths)-1])
 	for i := range live {
 		live[i] = true
 	}

@@ -167,7 +167,7 @@ func (p *Pipeline) FitFrame(fr *frame.Frame) (*frame.Frame, error) {
 			return nil, fmt.Errorf("features: fit %s: %w", step.Name(), err)
 		}
 		fitted := time.Now()
-		next, err := step.Transform(cur)
+		next, err := applyStep(step, cur)
 		if err != nil {
 			return nil, fmt.Errorf("features: transform %s during fit: %w", step.Name(), err)
 		}
@@ -185,7 +185,8 @@ func (p *Pipeline) FitFrame(fr *frame.Frame) (*frame.Frame, error) {
 }
 
 // TransformFrame applies the fitted pipeline to a frame with the same raw
-// schema as the training frame.
+// schema as the training frame: the kernels and liveness plan of
+// Streamer.StepBatchInto, so the same bits (offline.go).
 func (p *Pipeline) TransformFrame(fr *frame.Frame) (*frame.Frame, error) {
 	if len(p.Steps) == 0 {
 		return nil, fmt.Errorf("features: pipeline is not fitted")
@@ -193,15 +194,18 @@ func (p *Pipeline) TransformFrame(fr *frame.Frame) (*frame.Frame, error) {
 	if fr.NumCols() != p.InCols {
 		return nil, fmt.Errorf("features: pipeline fitted on %d raw cols, got %d", p.InCols, fr.NumCols())
 	}
-	cur := fr
-	for _, step := range p.Steps {
-		next, err := step.Transform(cur)
-		if err != nil {
-			return nil, fmt.Errorf("features: transform %s: %w", step.Name(), err)
+	s, err := p.Streamer()
+	if err != nil {
+		// No kernel plan (a PCA pipeline): every column stays live.
+		cur := fr
+		for _, step := range p.Steps {
+			if cur, err = applyStep(step, cur); err != nil {
+				return nil, fmt.Errorf("features: transform %s: %w", step.Name(), err)
+			}
 		}
-		cur = next
+		return cur, nil
 	}
-	return cur, nil
+	return s.transformFrame(fr), nil
 }
 
 // OutputNames lists the engineered feature names after fitting.
@@ -220,25 +224,14 @@ func (p *Pipeline) NumOutputs() int { return len(p.OutCols) }
 // instance every X-AVG/X-LAG window reads only real history instead of
 // the clamped run start (1 when time features are disabled).
 func (p *Pipeline) WindowSize() int {
-	if !p.Cfg.TimeFeatures {
-		return 1
-	}
-	maxW := 0
-	for _, s := range p.Steps {
-		if tf, ok := s.(*TimeFeatures); ok {
-			for _, w := range tf.AvgWindows {
-				if w > maxW {
-					maxW = w
-				}
-			}
-			for _, w := range tf.LagWindows {
-				if w > maxW {
-					maxW = w
-				}
+	if p.Cfg.TimeFeatures {
+		for _, s := range p.Steps {
+			if tf, ok := s.(*TimeFeatures); ok {
+				return max(tf.maxWindows()) + 1
 			}
 		}
 	}
-	return maxW + 1
+	return 1
 }
 
 func registerGobTypes() {

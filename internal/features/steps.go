@@ -14,17 +14,16 @@ import (
 	"monitorless/internal/parallel"
 )
 
-// Step is one fitted pipeline stage over the columnar data plane. Fit
-// learns parameters on the training frame; Transform applies them to any
-// frame with the same input schema, treating the input as read-only and
-// returning a fresh frame (spans and labels are aliased, never mutated).
+// Step is one pipeline stage over the columnar data plane: Fit learns its
+// parameters on the training frame. Applying them is not a method: every
+// step but PCAReduce has one columnar kernel (batch.go), which FitFrame,
+// TransformFrame and Streamer.StepBatchInto all run. PCAReduce is
+// offline-only, and its frame Transform is its one implementation.
 type Step interface {
 	// Name identifies the step for diagnostics.
 	Name() string
 	// Fit learns the step's parameters (labels may be consulted).
 	Fit(fr *frame.Frame) error
-	// Transform applies the fitted step.
-	Transform(fr *frame.Frame) (*frame.Frame, error)
 }
 
 // ---------------------------------------------------------------------
@@ -63,11 +62,10 @@ func levelSpecs(cpu bool) []levelSpec {
 type Expand struct {
 	// Sources lists the utilization columns that received level bits.
 	Sources []string
-	// In, LogIdx, TargetIdx and TargetCPU are the fitted row-apply state
-	// for the streaming path: the raw input width, the columns moved to a
-	// log scale, the utilization columns receiving level bits, and whether
-	// each target gets the extra CPU bits. Batch Transform derives the
-	// same information from the input frame's schema.
+	// In, LogIdx, TargetIdx and TargetCPU are the fitted state the kernel
+	// applies: the raw input width, the columns moved to a log scale, the
+	// utilization columns receiving level bits, and whether each target
+	// gets the extra CPU bits.
 	In        int
 	LogIdx    []int
 	TargetIdx []int
@@ -78,10 +76,6 @@ var _ Step = (*Expand)(nil)
 
 // Name implements Step.
 func (e *Expand) Name() string { return "expand" }
-
-// log10p1 is the §3.3.2 log scaling, shared verbatim by the batch and
-// streaming paths so their outputs agree bit for bit.
-func log10p1(v float64) float64 { return math.Log10(1 + math.Max(v, 0)) }
 
 // expandTargets returns the util columns that receive level bits with
 // their bit-name prefixes.
@@ -125,51 +119,6 @@ func (e *Expand) Fit(fr *frame.Frame) error {
 	return nil
 }
 
-// Transform implements Step.
-func (e *Expand) Transform(fr *frame.Frame) (*frame.Frame, error) {
-	in := []Column(fr.Schema())
-	idx, prefixes, isCPU := expandTargets(in)
-
-	schema := fr.Schema().Clone()
-	for k, i := range idx {
-		for _, spec := range levelSpecs(isCPU[k]) {
-			schema = append(schema, Column{
-				Name:   prefixes[k] + "-" + spec.Suffix,
-				Domain: in[i].Domain,
-				Binary: true,
-			})
-		}
-	}
-
-	out := fr.Derive(schema)
-	// Base columns: copied, with §3.3.2 log scaling applied column-wise.
-	for j := range in {
-		src, dst := fr.Col(j), out.Col(j)
-		if in[j].Log {
-			for i, v := range src {
-				dst[i] = log10p1(v)
-			}
-		} else {
-			copy(dst, src)
-		}
-	}
-	// Appended level bits, derived from the raw (pre-log) utilization.
-	c := len(in)
-	for k, i := range idx {
-		src := fr.Col(i)
-		for _, spec := range levelSpecs(isCPU[k]) {
-			dst := out.Col(c)
-			c++
-			for r, v := range src {
-				if spec.Test(v) {
-					dst[r] = 1
-				}
-			}
-		}
-	}
-	return out, nil
-}
-
 // ---------------------------------------------------------------------
 // Step 2: standard-score normalization (§3.3.3).
 // ---------------------------------------------------------------------
@@ -207,25 +156,6 @@ func (s *StandardScale) Fit(fr *frame.Frame) error {
 		s.Std[j] = math.Sqrt(s.Std[j] / float64(n))
 	}
 	return nil
-}
-
-// Transform implements Step.
-func (s *StandardScale) Transform(fr *frame.Frame) (*frame.Frame, error) {
-	if len(s.Mean) != fr.NumCols() {
-		return nil, fmt.Errorf("features: standardize: fitted on %d cols, got %d", len(s.Mean), fr.NumCols())
-	}
-	out := fr.Derive(fr.Schema().Clone())
-	for j := 0; j < fr.NumCols(); j++ {
-		src, dst := fr.Col(j), out.Col(j)
-		if s.Std[j] > 0 {
-			m, sd := s.Mean[j], s.Std[j]
-			for i, v := range src {
-				dst[i] = (v - m) / sd
-			}
-		}
-		// Zero-variance columns stay 0 (Derive zeroes the backing).
-	}
-	return out, nil
 }
 
 // ---------------------------------------------------------------------
@@ -278,7 +208,7 @@ func (f *RFFilter) Fit(fr *frame.Frame) error {
 	// Each run's forest is seeded by its run ID, so the runs fit side by
 	// side and Keep is the same at any worker count.
 	tops, err := parallel.Map(fr.NumRuns(), func(k int) ([]int, error) {
-		return f.runTopK(fr.RunView(k), maxFeat)
+		return runTopK(f, fr.RunView(k), maxFeat)
 	})
 	if err != nil {
 		return err
@@ -317,7 +247,7 @@ func (f *RFFilter) Fit(fr *frame.Frame) error {
 // columns, ranked by importance descending and then column index, and
 // stopping at the first zero importance. Runs without labels or with a
 // single class carry no importance signal and return nil.
-func (f *RFFilter) runTopK(run *frame.Frame, maxFeat int) ([]int, error) {
+func runTopK(f *RFFilter, run *frame.Frame, maxFeat int) ([]int, error) {
 	labels := run.Labels()
 	if len(labels) == 0 || !slices.ContainsFunc(labels, func(l int) bool { return l != labels[0] }) {
 		return nil, nil
@@ -351,15 +281,6 @@ func (f *RFFilter) runTopK(run *frame.Frame, maxFeat int) ([]int, error) {
 		}
 	}
 	return top, nil
-}
-
-// Transform implements Step.
-func (f *RFFilter) Transform(fr *frame.Frame) (*frame.Frame, error) {
-	out, err := fr.SelectColumns(f.Keep)
-	if err != nil {
-		return nil, fmt.Errorf("features: rf-filter: %w", err)
-	}
-	return out, nil
 }
 
 // PCAReduce projects the table onto principal components (§3.3.4's
@@ -442,6 +363,17 @@ var _ Step = (*TimeFeatures)(nil)
 // Name implements Step.
 func (tf *TimeFeatures) Name() string { return "time-features" }
 
+// maxWindows returns the longest trailing-average and lag windows.
+func (tf *TimeFeatures) maxWindows() (avg, lag int) {
+	for _, w := range tf.AvgWindows {
+		avg = max(avg, w)
+	}
+	for _, w := range tf.LagWindows {
+		lag = max(lag, w)
+	}
+	return avg, lag
+}
+
 // Fit implements Step.
 func (tf *TimeFeatures) Fit(fr *frame.Frame) error {
 	if len(tf.AvgWindows) == 0 {
@@ -452,81 +384,6 @@ func (tf *TimeFeatures) Fit(fr *frame.Frame) error {
 	}
 	tf.InCols = fr.NumCols()
 	return nil
-}
-
-// Transform implements Step.
-func (tf *TimeFeatures) Transform(fr *frame.Frame) (*frame.Frame, error) {
-	if fr.NumCols() != tf.InCols {
-		return nil, fmt.Errorf("features: time-features fitted on %d cols, got %d", tf.InCols, fr.NumCols())
-	}
-	base := fr.NumCols()
-	schema := fr.Schema().Clone()
-	for _, w := range tf.AvgWindows {
-		for _, c := range fr.Schema() {
-			nc := c
-			nc.Name = c.Name + fmt.Sprintf("-AVG%d", w)
-			nc.TimeDerived = true
-			nc.Binary = false
-			schema = append(schema, nc)
-		}
-	}
-	for _, w := range tf.LagWindows {
-		for _, c := range fr.Schema() {
-			nc := c
-			nc.Name = c.Name + fmt.Sprintf("-LAGGED%d", w)
-			nc.TimeDerived = true
-			nc.Binary = false
-			schema = append(schema, nc)
-		}
-	}
-
-	out := fr.Derive(schema)
-	for c := 0; c < base; c++ {
-		copy(out.Col(c), fr.Col(c))
-	}
-	// Windows never cross a run boundary: every span restarts its
-	// prefix-sum and lag clamping, exactly like the per-run row path.
-	spans := fr.Spans()
-	if len(spans) == 0 {
-		spans = []frame.Span{{ID: 0, Start: 0, End: fr.Rows()}}
-	}
-	prefix := make([]float64, 0)
-	for _, sp := range spans {
-		n := sp.End - sp.Start
-		if cap(prefix) < n+1 {
-			prefix = make([]float64, n+1)
-		}
-		prefix = prefix[:n+1]
-		for c := 0; c < base; c++ {
-			src := fr.Col(c)[sp.Start:sp.End]
-			prefix[0] = 0
-			for j, v := range src {
-				prefix[j+1] = prefix[j] + v
-			}
-			for wi, w := range tf.AvgWindows {
-				dst := out.Col(base + wi*base + c)
-				for j := 0; j < n; j++ {
-					lo := j - w
-					if lo < 0 {
-						lo = 0
-					}
-					dst[sp.Start+j] = (prefix[j+1] - prefix[lo]) / float64(j-lo+1)
-				}
-			}
-			lagBase := base + len(tf.AvgWindows)*base
-			for wi, w := range tf.LagWindows {
-				dst := out.Col(lagBase + wi*base + c)
-				for j := 0; j < n; j++ {
-					s2 := j - w
-					if s2 < 0 {
-						s2 = 0
-					}
-					dst[sp.Start+j] = src[s2]
-				}
-			}
-		}
-	}
-	return out, nil
 }
 
 // ---------------------------------------------------------------------
@@ -578,38 +435,6 @@ func (p *Products) Fit(fr *frame.Frame) error {
 	return nil
 }
 
-// Transform implements Step.
-func (p *Products) Transform(fr *frame.Frame) (*frame.Frame, error) {
-	if fr.NumCols() != p.InCols {
-		return nil, fmt.Errorf("features: products fitted on %d cols, got %d", p.InCols, fr.NumCols())
-	}
-	cols := fr.Schema()
-	schema := fr.Schema().Clone()
-	for _, pr := range p.Pairs {
-		a, b := cols[pr[0]], cols[pr[1]]
-		dom := a.Domain
-		if b.Domain != a.Domain {
-			dom = a.Domain + "*" + b.Domain
-		}
-		schema = append(schema, Column{
-			Name:   a.Name + " × " + b.Name,
-			Domain: dom,
-		})
-	}
-	out := fr.Derive(schema)
-	for j := 0; j < fr.NumCols(); j++ {
-		copy(out.Col(j), fr.Col(j))
-	}
-	for pi, pr := range p.Pairs {
-		ca, cb := fr.Col(pr[0]), fr.Col(pr[1])
-		dst := out.Col(fr.NumCols() + pi)
-		for i := range dst {
-			dst[i] = ca[i] * cb[i]
-		}
-	}
-	return out, nil
-}
-
 // ---------------------------------------------------------------------
 // Step 6: zero-variance removal (§3.3.7 step 6).
 // ---------------------------------------------------------------------
@@ -644,13 +469,4 @@ func (z *DropZeroVariance) Fit(fr *frame.Frame) error {
 		return fmt.Errorf("features: all columns have zero variance")
 	}
 	return nil
-}
-
-// Transform implements Step.
-func (z *DropZeroVariance) Transform(fr *frame.Frame) (*frame.Frame, error) {
-	out, err := fr.SelectColumns(z.Keep)
-	if err != nil {
-		return nil, fmt.Errorf("features: drop-zero-variance: %w", err)
-	}
-	return out, nil
 }

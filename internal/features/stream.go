@@ -3,9 +3,9 @@ package features
 import "fmt"
 
 // This file is the online half of the feature pipeline: an incremental
-// evaluator that engineers raw samples in O(1) work per sample, producing
-// vectors that are bit-identical to running the fitted batch pipeline
-// (Pipeline.TransformFrame) over the instance's full history.
+// evaluator that engineers raw samples in O(1) work per sample through
+// the same kernels (batch.go) the offline pipeline runs, so its vectors
+// equal the offline ones over the instance's full history bit for bit.
 //
 // Every pipeline step except TimeFeatures is row-local once fitted, so the
 // stream splits the fitted step chain into the row steps before the time
@@ -17,12 +17,9 @@ import "fmt"
 //   - a ring of the last maxAvg+2 per-column prefix-sum vectors
 //     P[j][c] = Σ_{i≤j} base[i][c], accumulated in arrival order,
 //
-// so that the trailing average over [lo..j] is (P[j]-P[lo-1])/span — the
-// exact expression, with the exact floating-point evaluation order, that
-// the batch TimeFeatures.Transform computes from its full-run prefix sums.
-// That is what makes streaming-vs-batch equivalence bit-level rather than
-// approximate: a running windowed sum (add new, subtract evicted) would
-// drift from the batch prefix differences in the last ulps.
+// so that the trailing average over [lo..j] is (P[j]-P[lo-1])/span. The
+// offline driver plays a frame's runs through the same rings; a running
+// windowed sum (add new, subtract evicted) would drift in the last ulps.
 //
 // Both rings are flat row-major slabs whose rows hold only the columns
 // the liveness plan's ring sets name (liveness.go): a prefix row is
@@ -34,9 +31,8 @@ import "fmt"
 // stepping path is StepBatchInto (batch.go): a single sample is a batch of
 // one.
 //
-// Only steps with a columnar kernel stream. A pipeline with any other
-// fitted step — PCA, which the offline ablation alone builds — is refused
-// here and runs offline only, through Pipeline.TransformFrame.
+// PCA, the one step without a kernel (only the offline ablation builds
+// it), is refused here and runs offline only.
 
 // Streamer evaluates a fitted pipeline incrementally, one batch of raw
 // samples at a time (batch.go). It is immutable after construction — safe
@@ -56,47 +52,42 @@ type Streamer struct {
 }
 
 // Streamer builds the incremental evaluator for a fitted pipeline. It
-// fails, naming the step, when a fitted step has no columnar kernel.
+// fails, naming the step, when a fitted step has no columnar kernel or
+// was fitted on a width its predecessor does not produce.
 func (p *Pipeline) Streamer() (*Streamer, error) {
 	if len(p.Steps) == 0 {
 		return nil, fmt.Errorf("features: pipeline is not fitted")
 	}
 	s := &Streamer{pipe: p}
+	widths := []int{p.InCols} // each step's input width, then the output's
 	for _, st := range p.Steps {
+		if e, isExpand := st.(*Expand); isExpand && e.In == 0 {
+			return nil, fmt.Errorf("features: streamer: pipeline predates streaming support; re-fit and re-save the model")
+		}
+		w, err := stepWidth(st, widths[len(widths)-1])
+		if err != nil {
+			return nil, fmt.Errorf("features: streamer: %w", err)
+		}
+		widths = append(widths, w)
 		if tf, ok := st.(*TimeFeatures); ok {
 			if s.tf != nil {
 				return nil, fmt.Errorf("features: streamer: multiple time-feature steps")
 			}
-			s.tf = tf
-			continue
-		}
-		if e, isExpand := st.(*Expand); isExpand && e.In == 0 {
-			return nil, fmt.Errorf("features: streamer: pipeline predates streaming support; re-fit and re-save the model")
-		}
-		if kernelOutWidth(st) < 0 {
-			return nil, fmt.Errorf("features: streamer: step %s has no columnar kernel; it runs offline only", st.Name())
-		}
-		if s.tf == nil {
+			s.setTime(tf)
+		} else if s.tf == nil {
 			s.pre = append(s.pre, st)
 		} else {
 			s.post = append(s.post, st)
 		}
 	}
-	if s.tf != nil {
-		s.baseCols = s.tf.InCols
-		for _, w := range s.tf.AvgWindows {
-			if w > s.maxAvg {
-				s.maxAvg = w
-			}
-		}
-		for _, w := range s.tf.LagWindows {
-			if w > s.maxLag {
-				s.maxLag = w
-			}
-		}
-	}
-	s.plan = buildBatchPlan(s)
+	s.plan = buildBatchPlan(s, widths)
 	return s, nil
+}
+
+// setTime makes tf the streamer's time step, sizing its rings.
+func (s *Streamer) setTime(tf *TimeFeatures) {
+	s.tf, s.baseCols = tf, tf.InCols
+	s.maxAvg, s.maxLag = tf.maxWindows()
 }
 
 // CheckWidth validates a raw sample's width, returning exactly the error

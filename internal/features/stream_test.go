@@ -160,19 +160,86 @@ func TestRingFixtureGeometry(t *testing.T) {
 	}
 }
 
+// heldShapes names the run layouts heldShape cuts a held-out frame into.
+var heldShapes = []string{"equal-runs", "unequal-runs", "no-spans", "clipped-view"}
+
+// heldShape lays a held-out frame out as heldShapes[shape]: as built
+// (equal runs); the same rows cut into runs of unequal length, one of
+// them a single row; no spans at all, which the pipeline treats as one
+// run; or a RowRange view starting inside the first run, so that run's
+// windows restart at the clip.
+func heldShape(fr *frame.Frame, shape int, rng *rand.Rand) *frame.Frame {
+	switch heldShapes[shape] {
+	case "unequal-runs":
+		return recut(fr, unevenLens(fr.Rows(), max(fr.NumRuns(), 2), rng))
+	case "no-spans":
+		return recut(fr, nil)
+	case "clipped-view":
+		lo := 0
+		if first := fr.Spans()[0]; first.End-first.Start > 1 {
+			lo = first.Start + 1 + rng.Intn(first.End-first.Start-1)
+		}
+		return fr.RowRange(lo, fr.Rows())
+	}
+	return fr
+}
+
+// recut copies fr into a frame whose runs are consecutive spans of the
+// given lengths (no spans when lens is nil).
+func recut(fr *frame.Frame, lens []int) *frame.Frame {
+	var spans []frame.Span
+	start := 0
+	for i, n := range lens {
+		spans = append(spans, frame.Span{ID: i + 1, Start: start, End: start + n})
+		start += n
+	}
+	out := frame.NewDense(fr.Schema(), fr.Rows(), spans, fr.Labels())
+	for j := 0; j < fr.NumCols(); j++ {
+		copy(out.Col(j), fr.Col(j))
+	}
+	return out
+}
+
+// unevenLens cuts rows into min(runs, rows) run lengths at random points,
+// one of the runs a single row, in shuffled order.
+func unevenLens(rows, runs int, rng *rand.Rand) []int {
+	runs = min(runs, rows)
+	if runs == 1 {
+		return []int{rows}
+	}
+	cuts := []int{0, 1, rows}
+	for _, c := range rng.Perm(rows - 2)[:runs-2] {
+		cuts = append(cuts, c+2)
+	}
+	slices.Sort(cuts)
+	lens := make([]int, runs)
+	for i := range lens {
+		lens[i] = cuts[i+1] - cuts[i]
+	}
+	rng.Shuffle(runs, func(i, j int) { lens[i], lens[j] = lens[j], lens[i] })
+	return lens
+}
+
 // TestStreamerMatchesBatchBitIdentical streams each held-out run alone,
-// one sample per step (a batch of one), against the offline pipeline.
+// one sample per step (a batch of one), against the test-only reference,
+// over every held-out run layout; building the driver holds
+// TransformFrame to the same reference.
 func TestStreamerMatchesBatchBitIdentical(t *testing.T) {
 	for name, fx := range streamFixtures() {
 		t.Run(name, func(t *testing.T) {
-			held := fx.frame(3, 60, 23)
 			pipe, str := fitStreamer(t, fx)
-			d := newSlabDriver(t, pipe, str, held, held.NumRuns())
-			for ri, rows := range d.held {
-				for range rows {
-					d.add(int32(ri), ri)
-					d.flush()
-				}
+			rng := rand.New(rand.NewSource(23))
+			for shape, shapeName := range heldShapes {
+				t.Run(shapeName, func(t *testing.T) {
+					held := heldShape(fx.frame(3, 60, 23), shape, rng)
+					d := newSlabDriver(t, pipe, str, held, max(held.NumRuns(), 1))
+					for ri, rows := range d.held {
+						for range rows {
+							d.add(int32(ri), ri)
+							d.flush()
+						}
+					}
+				})
 			}
 		})
 	}

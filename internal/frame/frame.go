@@ -24,7 +24,7 @@
 //
 // Rows are grouped into contiguous runs (the paper's cross-validation
 // groups, §3.4) described by Spans; labels are optional and aliased, not
-// copied, across views and column selections — they are never mutated by
+// copied, across views and derived frames — they are never mutated by
 // transforms.
 package frame
 
@@ -270,24 +270,6 @@ func (f *Frame) Append(runID int, vals []float64) error {
 	return f.appendRow(runID, vals)
 }
 
-// SelectColumns returns a new owning frame keeping the given column
-// indices in the given order. Column data is copied (one contiguous copy
-// per kept column); spans are copied and labels aliased.
-func (f *Frame) SelectColumns(keep []int) (*Frame, error) {
-	schema := make(Schema, len(keep))
-	for i, k := range keep {
-		if k < 0 || k >= len(f.schema) {
-			return nil, fmt.Errorf("frame: select column %d out of range (%d cols)", k, len(f.schema))
-		}
-		schema[i] = f.schema[k]
-	}
-	out := NewDense(schema, f.rows, cloneSpans(f.spans), f.labels)
-	for i, k := range keep {
-		copy(out.Col(i), f.Col(k))
-	}
-	return out, nil
-}
-
 // SelectRows gathers the given row indices into a new owning frame. The
 // result carries the gathered labels and a single synthetic span (run
 // structure is not preserved across an arbitrary gather).
@@ -342,11 +324,4 @@ func (f *Frame) CheckFinite() error {
 		}
 	}
 	return nil
-}
-
-func cloneSpans(s []Span) []Span {
-	if s == nil {
-		return nil
-	}
-	return append([]Span(nil), s...)
 }

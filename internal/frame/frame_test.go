@@ -132,27 +132,6 @@ func TestRowRangeAliasesBacking(t *testing.T) {
 	}
 }
 
-// TestSelectColumnsCopies locks the opposite contract: column selection is
-// a copy, so mutating the selection must NOT leak into the source.
-func TestSelectColumnsCopies(t *testing.T) {
-	f := testFrame(1, 8, 4, 3)
-	sel, err := f.SelectColumns([]int{2, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sel.Schema()[0] != f.Schema()[2] || sel.Schema()[1] != f.Schema()[0] {
-		t.Fatal("selected schema wrong")
-	}
-	before := f.Col(2)[3]
-	sel.Set(3, 0, before+99)
-	if f.Col(2)[3] != before {
-		t.Error("SelectColumns aliases source data; must copy")
-	}
-	if sel.Col(1)[5] != f.Col(0)[5] {
-		t.Error("selected values wrong")
-	}
-}
-
 func TestRowRangeSpanClipping(t *testing.T) {
 	f := testFrame(3, 10, 2, 4)
 	v := f.RowRange(5, 25)
@@ -277,63 +256,5 @@ func TestDeriveSharesSpansAndLabels(t *testing.T) {
 	}
 	if err := validate(d); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// buildDense makes a labeled multi-run dense frame with deterministic
-// pseudo-random contents.
-func buildDense(t *testing.T, rows, cols, runs int, seed int64) *Frame {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	fr := New(testSchema(cols), rows)
-	fr.labels = make([]int, 0, rows)
-	vals := make([]float64, cols)
-	for i := 0; i < rows; i++ {
-		run := i * runs / rows
-		for j := range vals {
-			// Mix of continuous values and heavy ties.
-			if j%4 == 3 {
-				vals[j] = float64(rng.Intn(3))
-			} else {
-				vals[j] = rng.NormFloat64() * float64(j+1)
-			}
-		}
-		if err := fr.appendRow(run, vals); err != nil {
-			t.Fatalf("append: %v", err)
-		}
-		fr.labels = append(fr.labels, rng.Intn(2))
-	}
-	return fr
-}
-
-// TestSelectColumnsRowRangeView is the regression test for SelectColumns
-// on row-range views: the copy must hold exactly the view's rows —
-// correct values, len == cap == view rows per column — and spans that
-// tile it.
-func TestSelectColumnsRowRangeView(t *testing.T) {
-	parent := buildDense(t, 200, 4, 2, 8)
-	lo, hi := 37, 141
-	v := parent.RowRange(lo, hi)
-
-	sel, err := v.SelectColumns([]int{3, 1})
-	if err != nil {
-		t.Fatalf("select: %v", err)
-	}
-	if sel.Rows() != hi-lo {
-		t.Fatalf("select rows %d, want %d", sel.Rows(), hi-lo)
-	}
-	for p, src := range []int{3, 1} {
-		col := sel.Col(p)
-		if len(col) != hi-lo || cap(col) != hi-lo {
-			t.Fatalf("select column %d: len %d cap %d, want both %d", p, len(col), cap(col), hi-lo)
-		}
-		for i := range col {
-			if col[i] != parent.Col(src)[lo+i] {
-				t.Fatalf("select cell (%d,%d) = %v, want %v", i, p, col[i], parent.Col(src)[lo+i])
-			}
-		}
-	}
-	if err := validate(sel); err != nil {
-		t.Fatalf("select validate: %v", err)
 	}
 }

@@ -16,7 +16,7 @@
 #                           (per-node sort, entropy always computed): TestExactSplitMatchesReference (weighted cases, and unit weights
 #                           nil/explicit at n 400/1024/1025 in both order modes), TestUnitEntropyTableExact, 5 s of
 #                           FuzzExactSplitVsReference, and TestRFFilterKeepWorkerInvariant (filter Keep equal at workers 1/4/8)
-#   benchmark smoke       — tree/forest/filter/append/engine/agent benchmarks still compile and run (-benchtime=1x)
+#   benchmark smoke       — tree/forest/filter/transform-frame/append/engine/agent benchmarks still compile and run (-benchtime=1x)
 #   serving race          — sharded ingest + concurrent scrape under -race
 #   ingest allocs         — steady-state ingest allocation budget; JSON path: warm DecodeJSONScratch allocates only the ID strings, ServeHTTP JSON ingest with echo ≤ 2 KB/sample
 #   lifecycle race        — ingest + drift harvest + reads + warm hot swaps under -race
@@ -33,14 +33,18 @@
 #   malformed bundles     — a bundle whose forest would loop, index past the row, emit a non-probability or carry a bad edge set fails to load, and POST /model answers 400 and keeps the old model
 #   predict allocs        — 0 allocs/op batch predict in the float, quant-serial and quant-sharded regimes; the fused key+walk
 #                           route at 0 allocs serially and, at default parallelism, on a 256-row shard batch (one task, walked inline)
-#   online-engine parity  — StepBatchInto bit-identical to Pipeline.TransformFrame under every batch partition, over compact rings (each
-#                           ring row packed to the plan's ring set) on the history fixtures: one whose prefix and base rings hold
-#                           different proper subsets (TestRingFixtureGeometry), one with a prefix ring only; liveness masking, and the
-#                           backward pass against a perturb-one-column reference; StateSlab.Bytes exact at the packed stride;
-#                           slot reuse over dirtied rings; duplicate-slot rejection
+#   online-engine parity  — one kernel per feature step: StepBatchInto and Pipeline.TransformFrame both bit-identical to the test-only
+#                           naive reference refTransformFrame (reference_test.go) under every batch partition, over runs of unequal
+#                           length (one a single row), a frame with no spans (one implicit run) and a RowRange view whose first run
+#                           is clipped; compact rings (each ring row packed to the plan's ring set) on the history fixtures: one
+#                           whose prefix and base rings hold different proper subsets (TestRingFixtureGeometry), one with a prefix
+#                           ring only; liveness masking, and the backward pass against a perturb-one-column reference; the
+#                           column-keeping steps copy, never alias; the pipeline golden; StateSlab.Bytes exact at the packed
+#                           stride; slot reuse over dirtied rings; duplicate-slot rejection
 #   engine callers        — shards and EdgeAgent agree bit for bit; fused vs float route; all-or-nothing ingest across shards; mid-batch rejection;
 #                           Table 7 closed loop in-process and over HTTP against its golden; state gauge; PCA refusal
-#   step fuzz             — FuzzStepBatchVsTransformFrame seeds (all six layouts, the two history fixtures included) plus 5 s of fresh schedules
+#   step fuzz             — FuzzStepBatchVsTransformFrame against the test-only reference: seeds (all six layouts, the two history
+#                           fixtures included, and all four held-out run layouts) plus 5 s of fresh layouts and schedules
 #   step allocs           — 0 allocs per steady-state batch step
 #   HTTP smoke            — real cmd/serve on loopback: ingest, predictions, /metrics counters, clean SIGTERM drain
 #   examples              — every examples/ program runs to exit 0; examples/edge reports 100.0 % edge/central agreement
@@ -101,7 +105,7 @@ go test -run '^FuzzExactSplitVsReference$' -fuzz '^FuzzExactSplitVsReference$' -
 lane "benchmark smoke"
 go test -run '^$' -bench 'BenchmarkTreeFit' -benchtime=1x ./internal/ml/tree/
 go test -run '^$' -bench 'BenchmarkForest' -benchtime=1x ./internal/ml/forest/
-go test -run '^$' -bench 'BenchmarkRFFilterFit' -benchtime=1x ./internal/features/
+go test -run '^$' -bench 'BenchmarkRFFilterFit|BenchmarkTransformFrame' -benchtime=1x ./internal/features/
 go test -run '^$' -bench 'BenchmarkAppendStreaming' -benchtime=1x ./internal/frame/
 go test -run '^$' -bench 'BenchmarkEngineTick' -benchtime=1x ./internal/apps/
 go test -run '^$' -bench 'BenchmarkAgentObserveTick' -benchtime=1x ./internal/pcp/
@@ -143,7 +147,7 @@ lane "predict allocs"
 go test -run 'TestForestBatchPredictAllocations|TestPredictCodesAllocations' -count=1 -v ./internal/ml/forest/
 
 lane "online-engine parity"
-go test -count=1 -run 'TestStepBatch|TestStateSlab|TestRingFixture|TestBatchPlan|TestDropZeroVarianceLiveness|TestStreamer' ./internal/features/
+go test -count=1 -run 'TestStepBatch|TestStateSlab|TestRingFixture|TestBatchPlan|TestDropZeroVarianceLiveness|TestStreamer|TestKeepSteps|TestPipelineGolden' ./internal/features/
 
 lane "engine callers"
 go test -count=1 -run 'TestEdgeAgentMatchesCentral' ./internal/core/

@@ -191,22 +191,18 @@ func (e *EvalData) ModelPredictions(m *core.Model) (appPred []int, perInst map[s
 }
 
 // ClassifierPredictions runs an arbitrary classifier over the engineered
-// features of a fitted pipeline (the Table 3 comparison path). The
-// engineered frame is walked span by span through one gather buffer.
+// features of a fitted pipeline (the Table 3 comparison path). The whole
+// engineered frame is scored in one ml.PredictFrameRows call, so a forest
+// takes its batch walk, and each span's series is a slice of the result.
 func (e *EvalData) ClassifierPredictions(pipe *features.Pipeline, clf ml.Classifier) ([]int, error) {
 	engineered, err := pipe.TransformFrame(e.Raw)
 	if err != nil {
 		return nil, err
 	}
+	all := ml.PredictFrameRows(clf, engineered, nil)
 	preds := map[int][]int{}
-	buf := make([]float64, engineered.NumCols())
 	for _, sp := range engineered.Spans() {
-		ps := make([]int, sp.End-sp.Start)
-		for i := sp.Start; i < sp.End; i++ {
-			buf = engineered.Row(i, buf)
-			ps[i-sp.Start] = clf.Predict(buf)
-		}
-		preds[sp.ID] = ps
+		preds[sp.ID] = all[sp.Start:sp.End:sp.End]
 	}
 	app, _, err := e.aggregate(preds)
 	return app, err

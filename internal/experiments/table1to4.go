@@ -283,8 +283,7 @@ func engineeredTrainingFrame(ctx *Context, maxRows int) (*frame.Frame, error) {
 }
 
 // subsampleGrouped gathers the (increasing) row indices into a fresh frame,
-// rebuilding run spans so grouped CV still sees the run structure that
-// Frame.SelectRows (single anonymous span) deliberately discards.
+// rebuilding run spans so grouped CV still sees the run structure.
 func subsampleGrouped(fr *frame.Frame, idx []int) *frame.Frame {
 	gids := fr.GroupIDs()
 	var spans []frame.Span
@@ -340,7 +339,7 @@ func Table3(ctx *Context, elgg *EvalData) ([]Table3Row, error) {
 			return nil, err
 		}
 		start := time.Now()
-		if err := ml.FitFrame(clf, fr, nil, nil); err != nil {
+		if err := clf.FitFrame(fr, nil, nil); err != nil {
 			return nil, fmt.Errorf("experiments: table3 fit %s: %w", spec.Name, err)
 		}
 		trainTime := time.Since(start)

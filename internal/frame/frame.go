@@ -270,30 +270,9 @@ func (f *Frame) Append(runID int, vals []float64) error {
 	return f.appendRow(runID, vals)
 }
 
-// SelectRows gathers the given row indices into a new owning frame. The
-// result carries the gathered labels and a single synthetic span (run
-// structure is not preserved across an arbitrary gather).
-func (f *Frame) SelectRows(idx []int) *Frame {
-	out := NewDense(f.schema, len(idx), []Span{{ID: 0, Start: 0, End: len(idx)}}, nil)
-	for j := 0; j < len(f.schema); j++ {
-		src := f.Col(j)
-		dst := out.Col(j)
-		for p, i := range idx {
-			dst[p] = src[i]
-		}
-	}
-	if f.labels != nil {
-		lab := make([]int, len(idx))
-		for p, i := range idx {
-			lab[p] = f.labels[i]
-		}
-		out.labels = lab
-	}
-	return out
-}
-
 // MaterializeRows gathers the frame into row-major [][]float64 slices
-// (one backing allocation) for the row-oriented adapter paths.
+// (one backing allocation) for the row-iterating learners and callers
+// that replay rows one at a time.
 func (f *Frame) MaterializeRows() [][]float64 {
 	d := len(f.schema)
 	flat := make([]float64, f.rows*d)

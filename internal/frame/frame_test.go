@@ -166,22 +166,6 @@ func TestRunView(t *testing.T) {
 	}
 }
 
-func TestSelectRowsGathers(t *testing.T) {
-	f := testFrame(2, 5, 3, 6)
-	idx := []int{9, 0, 4}
-	g := f.SelectRows(idx)
-	for p, i := range idx {
-		for j := 0; j < 3; j++ {
-			if g.Col(j)[p] != f.Col(j)[i] {
-				t.Errorf("gather (%d,%d) wrong", p, j)
-			}
-		}
-		if g.Labels()[p] != f.Labels()[i] {
-			t.Errorf("gathered label %d wrong", p)
-		}
-	}
-}
-
 func TestMaterializeRowsRoundTrip(t *testing.T) {
 	f := testFrame(2, 6, 4, 7)
 	rows := f.MaterializeRows()

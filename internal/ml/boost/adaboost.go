@@ -59,7 +59,6 @@ type AdaBoost struct {
 }
 
 var _ ml.Classifier = (*AdaBoost)(nil)
-var _ ml.FrameFitter = (*AdaBoost)(nil)
 
 // NewAdaBoost returns an unfitted AdaBoost classifier.
 func NewAdaBoost(cfg AdaBoostConfig) *AdaBoost {
@@ -78,15 +77,6 @@ func NewAdaBoost(cfg AdaBoostConfig) *AdaBoost {
 	return &AdaBoost{cfg: cfg}
 }
 
-// Fit trains the boosted ensemble. Thin adapter: validate once, transpose
-// once, then the frame-native stage loop.
-func (a *AdaBoost) Fit(x [][]float64, y []int) error {
-	if _, err := ml.ValidateTrainingSet(x, y); err != nil {
-		return err
-	}
-	return a.fitFrame(ml.FrameOf(x), y, nil)
-}
-
 // FitFrame trains on the frame rows listed in rows (nil = all), with y
 // holding one label per frame row (nil = fr.Labels()). Every boosting
 // round refits the base tree over the same frame with new weights — no
@@ -96,10 +86,6 @@ func (a *AdaBoost) FitFrame(fr *frame.Frame, y []int, rows []int) error {
 	if err != nil {
 		return err
 	}
-	return a.fitFrame(fr, y, rows)
-}
-
-func (a *AdaBoost) fitFrame(fr *frame.Frame, y []int, rows []int) error {
 	if rows == nil {
 		rows = make([]int, fr.Rows())
 		for i := range rows {

@@ -5,8 +5,24 @@ import (
 	"math/rand"
 	"testing"
 
+	"monitorless/internal/frame"
 	"monitorless/internal/ml/tree"
 )
+
+// frameOf transposes row-major test data into an anonymous-schema frame.
+func frameOf(x [][]float64) *frame.Frame {
+	d := 0
+	if len(x) > 0 {
+		d = len(x[0])
+	}
+	fr := frame.NewDense(make(frame.Schema, d), len(x), nil, nil)
+	for i, row := range x {
+		for j, v := range row {
+			fr.Set(i, j, v)
+		}
+	}
+	return fr
+}
 
 func xorData(n int, seed int64) ([][]float64, []int) {
 	r := rand.New(rand.NewSource(seed))
@@ -49,8 +65,8 @@ func accOf(predict func([]float64) int, x [][]float64, y []int) float64 {
 func TestAdaBoostSAMMELearnsXOR(t *testing.T) {
 	x, y := xorData(600, 1)
 	a := NewAdaBoost(AdaBoostConfig{NumEstimators: 30, Variant: SAMME, Seed: 1})
-	if err := a.Fit(x, y); err != nil {
-		t.Fatalf("Fit: %v", err)
+	if err := a.FitFrame(frameOf(x), y, nil); err != nil {
+		t.Fatalf("FitFrame: %v", err)
 	}
 	if acc := accOf(a.Predict, x, y); acc < 0.93 {
 		t.Errorf("SAMME accuracy %v, want >= 0.93", acc)
@@ -60,8 +76,8 @@ func TestAdaBoostSAMMELearnsXOR(t *testing.T) {
 func TestAdaBoostSAMMERLearnsRing(t *testing.T) {
 	x, y := ringData(600, 2)
 	a := NewAdaBoost(AdaBoostConfig{NumEstimators: 30, Variant: SAMMER, Seed: 2})
-	if err := a.Fit(x, y); err != nil {
-		t.Fatalf("Fit: %v", err)
+	if err := a.FitFrame(frameOf(x), y, nil); err != nil {
+		t.Fatalf("FitFrame: %v", err)
 	}
 	if acc := accOf(a.Predict, x, y); acc < 0.9 {
 		t.Errorf("SAMME.R accuracy %v, want >= 0.9", acc)
@@ -71,7 +87,7 @@ func TestAdaBoostSAMMERLearnsRing(t *testing.T) {
 func TestAdaBoostStagesBounded(t *testing.T) {
 	x, y := xorData(300, 3)
 	a := NewAdaBoost(AdaBoostConfig{NumEstimators: 10, Seed: 3})
-	if err := a.Fit(x, y); err != nil {
+	if err := a.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(a.stages) > 10 {
@@ -87,7 +103,7 @@ func TestAdaBoostPerfectStageStops(t *testing.T) {
 	x := [][]float64{{0}, {0.1}, {0.9}, {1}}
 	y := []int{0, 0, 1, 1}
 	a := NewAdaBoost(AdaBoostConfig{NumEstimators: 25, Seed: 4})
-	if err := a.Fit(x, y); err != nil {
+	if err := a.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(a.stages) != 1 {
@@ -106,7 +122,7 @@ func TestAdaBoostRandomSplitterVariant(t *testing.T) {
 		TreeCriterion: tree.Entropy,
 		Seed:          5,
 	})
-	if err := a.Fit(x, y); err != nil {
+	if err := a.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatal(err)
 	}
 	if acc := accOf(a.Predict, x, y); acc < 0.85 {
@@ -126,7 +142,7 @@ func TestAdaBoostUnfitted(t *testing.T) {
 
 func TestAdaBoostValidation(t *testing.T) {
 	a := NewAdaBoost(AdaBoostConfig{})
-	if err := a.Fit(nil, nil); err == nil {
+	if err := a.FitFrame(frameOf(nil), nil, nil); err == nil {
 		t.Error("expected error on empty input")
 	}
 }
@@ -134,8 +150,8 @@ func TestAdaBoostValidation(t *testing.T) {
 func TestGBTLearnsXOR(t *testing.T) {
 	x, y := xorData(600, 6)
 	g := NewGBT(GBTConfig{NumRounds: 60, MaxDepth: 3, Seed: 6})
-	if err := g.Fit(x, y); err != nil {
-		t.Fatalf("Fit: %v", err)
+	if err := g.FitFrame(frameOf(x), y, nil); err != nil {
+		t.Fatalf("FitFrame: %v", err)
 	}
 	if acc := accOf(g.Predict, x, y); acc < 0.95 {
 		t.Errorf("GBT accuracy %v, want >= 0.95", acc)
@@ -145,7 +161,7 @@ func TestGBTLearnsXOR(t *testing.T) {
 func TestGBTGeneralizesRing(t *testing.T) {
 	x, y := ringData(800, 7)
 	g := NewGBT(GBTConfig{NumRounds: 80, MaxDepth: 4, LearningRate: 0.2, Seed: 7})
-	if err := g.Fit(x, y); err != nil {
+	if err := g.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatal(err)
 	}
 	tx, ty := ringData(300, 99)
@@ -158,10 +174,10 @@ func TestGBTGammaPrunes(t *testing.T) {
 	x, y := xorData(300, 8)
 	loose := NewGBT(GBTConfig{NumRounds: 10, MaxDepth: 4, Gamma: 0, Seed: 8})
 	tight := NewGBT(GBTConfig{NumRounds: 10, MaxDepth: 4, Gamma: 1e6, Seed: 8})
-	if err := loose.Fit(x, y); err != nil {
+	if err := loose.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := tight.Fit(x, y); err != nil {
+	if err := tight.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatal(err)
 	}
 	nodes := func(g *GBT) int {
@@ -179,7 +195,7 @@ func TestGBTGammaPrunes(t *testing.T) {
 func TestGBTMinChildWeight(t *testing.T) {
 	x, y := xorData(300, 9)
 	g := NewGBT(GBTConfig{NumRounds: 5, MaxDepth: 6, MinChildWeight: 1e9, Seed: 9})
-	if err := g.Fit(x, y); err != nil {
+	if err := g.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, tr := range g.trees {
@@ -192,7 +208,7 @@ func TestGBTMinChildWeight(t *testing.T) {
 func TestGBTSubsample(t *testing.T) {
 	x, y := xorData(500, 10)
 	g := NewGBT(GBTConfig{NumRounds: 60, MaxDepth: 3, Subsample: 0.7, Seed: 10})
-	if err := g.Fit(x, y); err != nil {
+	if err := g.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatal(err)
 	}
 	if acc := accOf(g.Predict, x, y); acc < 0.9 {
@@ -205,7 +221,7 @@ func TestGBTBaseRate(t *testing.T) {
 	x := [][]float64{{1}, {2}, {3}, {4}}
 	y := []int{0, 0, 0, 0}
 	g := NewGBT(GBTConfig{NumRounds: 3, Seed: 11})
-	if err := g.Fit(x, y); err != nil {
+	if err := g.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatal(err)
 	}
 	if math.IsInf(g.base, 0) || math.IsNaN(g.base) {
@@ -227,7 +243,7 @@ func TestGBTUnfitted(t *testing.T) {
 
 func TestGBTValidation(t *testing.T) {
 	g := NewGBT(GBTConfig{})
-	if err := g.Fit(nil, nil); err == nil {
+	if err := g.FitFrame(frameOf(nil), nil, nil); err == nil {
 		t.Error("expected error on empty input")
 	}
 }

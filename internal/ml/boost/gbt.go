@@ -53,7 +53,6 @@ type GBT struct {
 }
 
 var _ ml.Classifier = (*GBT)(nil)
-var _ ml.FrameFitter = (*GBT)(nil)
 
 type gbtNode struct {
 	feature   int32
@@ -91,15 +90,6 @@ func NewGBT(cfg GBTConfig) *GBT {
 		cfg.ColsampleByTree = 1
 	}
 	return &GBT{cfg: cfg}
-}
-
-// Fit trains the ensemble on binary logistic loss. Thin adapter:
-// validate once, transpose once, columnar after that.
-func (g *GBT) Fit(x [][]float64, y []int) error {
-	if _, err := ml.ValidateTrainingSet(x, y); err != nil {
-		return err
-	}
-	return g.fitColumns(ml.FrameOf(x).Cols(nil), y)
 }
 
 // FitFrame trains on the frame rows listed in rows (nil = all), with y

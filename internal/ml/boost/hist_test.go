@@ -31,8 +31,8 @@ func wideRing(n, d int, seed int64) ([][]float64, []int) {
 func TestGBTHistLearnsRing(t *testing.T) {
 	x, y := ringData(600, 3)
 	g := NewGBT(GBTConfig{NumRounds: 40, MaxDepth: 4, Hist: true, Seed: 1})
-	if err := g.Fit(x, y); err != nil {
-		t.Fatalf("Fit: %v", err)
+	if err := g.FitFrame(frameOf(x), y, nil); err != nil {
+		t.Fatalf("FitFrame: %v", err)
 	}
 	tx, ty := ringData(300, 4)
 	if acc := accOf(g.Predict, tx, ty); acc < 0.9 {
@@ -50,8 +50,8 @@ func TestGBTHistDeterministicAcrossWorkers(t *testing.T) {
 		parallel.SetDefaultWorkers(workers)
 		defer parallel.SetDefaultWorkers(0)
 		g := NewGBT(GBTConfig{NumRounds: 15, MaxDepth: 5, Hist: true, Seed: 3})
-		if err := g.Fit(x, y); err != nil {
-			t.Fatalf("Fit: %v", err)
+		if err := g.FitFrame(frameOf(x), y, nil); err != nil {
+			t.Fatalf("FitFrame: %v", err)
 		}
 		out := make([]float64, len(probe))
 		for i := range probe {
@@ -75,7 +75,7 @@ func TestGBTHistCloseToExact(t *testing.T) {
 	tx, ty := ringData(400, 6)
 	fit := func(hist bool) *GBT {
 		g := NewGBT(GBTConfig{NumRounds: 30, MaxDepth: 4, Hist: hist, Seed: 2})
-		if err := g.Fit(x, y); err != nil {
+		if err := g.FitFrame(frameOf(x), y, nil); err != nil {
 			t.Fatalf("Fit(hist=%v): %v", hist, err)
 		}
 		return g
@@ -96,8 +96,8 @@ func TestAdaBoostHistLearnsXOR(t *testing.T) {
 		TreeBins:      128,
 		Seed:          1,
 	})
-	if err := a.Fit(x, y); err != nil {
-		t.Fatalf("Fit: %v", err)
+	if err := a.FitFrame(frameOf(x), y, nil); err != nil {
+		t.Fatalf("FitFrame: %v", err)
 	}
 	if acc := accOf(a.Predict, x, y); acc < 0.93 {
 		t.Errorf("hist AdaBoost accuracy %v, want >= 0.93", acc)
@@ -121,8 +121,8 @@ func TestAdaBoostDeterministicAcrossWorkers(t *testing.T) {
 					TreeSplitter:  sp,
 					Seed:          5,
 				})
-				if err := a.Fit(x, y); err != nil {
-					t.Fatalf("Fit: %v", err)
+				if err := a.FitFrame(frameOf(x), y, nil); err != nil {
+					t.Fatalf("FitFrame: %v", err)
 				}
 				out := make([]float64, len(probe))
 				for i := range probe {

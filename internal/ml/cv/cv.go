@@ -96,7 +96,7 @@ func CrossValidateFrame(factory Factory, params map[string]any, fr *frame.Frame,
 		if err != nil {
 			return score.Confusion{}, fmt.Errorf("cv: factory: %w", err)
 		}
-		if err := ml.FitFrame(clf, fr, y, trainRows); err != nil {
+		if err := clf.FitFrame(fr, y, trainRows); err != nil {
 			return score.Confusion{}, fmt.Errorf("cv: fit: %w", err)
 		}
 		// Batch holdout scoring: classifiers with a frame-native batch

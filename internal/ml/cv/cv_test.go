@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"monitorless/internal/frame"
 	"monitorless/internal/ml"
 )
 
@@ -11,7 +12,7 @@ import (
 // threshold; useful for verifying that grid search recovers the best value.
 type thresholdClassifier struct{ thr float64 }
 
-func (c *thresholdClassifier) Fit(x [][]float64, y []int) error { return nil }
+func (c *thresholdClassifier) FitFrame(fr *frame.Frame, y []int, rows []int) error { return nil }
 func (c *thresholdClassifier) PredictProba(x []float64) float64 {
 	if x[0] > c.thr {
 		return 1

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"monitorless/internal/frame"
-	"monitorless/internal/ml"
 	"monitorless/internal/ml/tree"
 )
 
@@ -32,7 +31,7 @@ func benchFit(b *testing.B, sp tree.Splitter) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f := New(Config{NumTrees: 30, MinSamplesLeaf: 10, Splitter: sp, Seed: int64(i)})
-		if err := f.Fit(x, y); err != nil {
+		if err := f.FitFrame(frameOf(x), y, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -44,7 +43,7 @@ func BenchmarkForestFitHist(b *testing.B) { benchFit(b, tree.Hist) }
 func BenchmarkForestPredict(b *testing.B) {
 	x, y := benchData(2000, 50)
 	f := New(Config{NumTrees: 30, MinSamplesLeaf: 10, Seed: 1})
-	if err := f.Fit(x, y); err != nil {
+	if err := f.FitFrame(frameOf(x), y, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -73,10 +72,10 @@ func benchPredictBatch(b *testing.B, f *Forest, fr *frame.Frame) {
 func BenchmarkForestPredictBatch(b *testing.B) {
 	x, y := benchData(2000, 50)
 	f := New(Config{NumTrees: 30, MinSamplesLeaf: 10, Seed: 1})
-	if err := f.Fit(x, y); err != nil {
+	if err := f.FitFrame(frameOf(x), y, nil); err != nil {
 		b.Fatal(err)
 	}
-	benchPredictBatch(b, f, ml.FrameOf(x))
+	benchPredictBatch(b, f, frameOf(x))
 }
 
 // benchHistForest fits the histogram-splitter twin of the forest above:
@@ -86,7 +85,7 @@ func benchHistForest(b testing.TB) (*Forest, [][]float64) {
 	b.Helper()
 	x, y := benchData(2000, 50)
 	f := New(Config{NumTrees: 30, MinSamplesLeaf: 10, Splitter: tree.Hist, Seed: 1})
-	if err := f.Fit(x, y); err != nil {
+	if err := f.FitFrame(frameOf(x), y, nil); err != nil {
 		b.Fatal(err)
 	}
 	if f.Quant() == nil {
@@ -101,7 +100,7 @@ func benchHistForest(b testing.TB) (*Forest, [][]float64) {
 func BenchmarkForestPredictBatchHistFloat(b *testing.B) {
 	f, x := benchHistForest(b)
 	f.DropQuant()
-	benchPredictBatch(b, f, ml.FrameOf(x))
+	benchPredictBatch(b, f, frameOf(x))
 }
 
 // BenchmarkForestPredictBatchQuant is the compiled order-key path over
@@ -109,7 +108,7 @@ func BenchmarkForestPredictBatchHistFloat(b *testing.B) {
 // the resident key slab.
 func BenchmarkForestPredictBatchQuant(b *testing.B) {
 	f, x := benchHistForest(b)
-	benchPredictBatch(b, f, ml.FrameOf(x))
+	benchPredictBatch(b, f, frameOf(x))
 }
 
 // BenchmarkForestPredictBatchQuantSerial pins the single-worker quant
@@ -118,7 +117,7 @@ func BenchmarkForestPredictBatchQuant(b *testing.B) {
 func BenchmarkForestPredictBatchQuantSerial(b *testing.B) {
 	f, x := benchHistForest(b)
 	f.Quant().SetParallelism(1)
-	benchPredictBatch(b, f, ml.FrameOf(x))
+	benchPredictBatch(b, f, frameOf(x))
 }
 
 // TestQuantPredictSpeedup gates the quantized walk's reason to exist: on
@@ -135,7 +134,7 @@ func TestQuantPredictSpeedup(t *testing.T) {
 	f, x := benchHistForest(t)
 	ref := *f
 	ref.DropQuant()
-	fr := ml.FrameOf(x)
+	fr := frameOf(x)
 	nsPerRow := func(f *Forest) float64 {
 		r := testing.Benchmark(func(b *testing.B) { benchPredictBatch(b, f, fr) })
 		return float64(r.NsPerOp()) / float64(fr.Rows())

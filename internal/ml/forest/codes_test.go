@@ -3,7 +3,6 @@ package forest
 import (
 	"testing"
 
-	"monitorless/internal/ml"
 	"monitorless/internal/ml/tree"
 )
 
@@ -28,7 +27,7 @@ func transposeCols(x [][]float64) [][]float64 {
 func TestPredictCodesBitIdentical(t *testing.T) {
 	x, y := quantData(2100, 7) // 66 blocks of 32 rows, 9 tasks of 256 rows
 	f := fitQuantForest(t, x, y, tree.Hist)
-	fr := ml.FrameOf(x)
+	fr := frameOf(x)
 	q := f.Quant()
 	want := floatProbs(f, fr, nil)
 

@@ -73,7 +73,6 @@ type Forest struct {
 
 var _ ml.Classifier = (*Forest)(nil)
 var _ ml.FeatureImporter = (*Forest)(nil)
-var _ ml.FrameFitter = (*Forest)(nil)
 var _ ml.FramePredictor = (*Forest)(nil)
 
 // New returns an unfitted forest.
@@ -92,15 +91,6 @@ func New(cfg Config) *Forest {
 	return &Forest{cfg: cfg}
 }
 
-// Fit trains the forest on x, y. It is a thin adapter over the columnar
-// path: validate once, transpose once, then FitFrame over the whole frame.
-func (f *Forest) Fit(x [][]float64, y []int) error {
-	if _, err := ml.ValidateTrainingSet(x, y); err != nil {
-		return err
-	}
-	return f.fitFrame(ml.FrameOf(x), y, nil)
-}
-
 // FitFrame trains the forest on the frame rows listed in rows (nil = all
 // rows), with y holding one label per frame row (nil = fr.Labels()). The
 // frame is shared read-only across all tree-fitting goroutines; every
@@ -110,11 +100,6 @@ func (f *Forest) FitFrame(fr *frame.Frame, y []int, rows []int) error {
 	if err != nil {
 		return err
 	}
-	return f.fitFrame(fr, y, rows)
-}
-
-// fitFrame is the shared post-validation fitting path.
-func (f *Forest) fitFrame(fr *frame.Frame, y []int, rows []int) error {
 	if f.cfg.Splitter != tree.Best && f.cfg.Splitter != tree.Hist {
 		return fmt.Errorf("forest: splitter %v is not supported (want %v or %v)", f.cfg.Splitter, tree.Best, tree.Hist)
 	}
@@ -124,8 +109,7 @@ func (f *Forest) fitFrame(fr *frame.Frame, y []int, rows []int) error {
 			rows[i] = i
 		}
 	}
-	// ty is the compact label vector of the training subset, matching what
-	// the row-oriented path called y.
+	// ty is the compact label vector of the training subset.
 	ty := make([]int, len(rows))
 	for p, i := range rows {
 		ty[p] = y[i]

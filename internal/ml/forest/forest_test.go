@@ -7,9 +7,24 @@ import (
 	"testing"
 	"testing/quick"
 
-	"monitorless/internal/ml"
+	"monitorless/internal/frame"
 	"monitorless/internal/ml/tree"
 )
+
+// frameOf transposes row-major test data into an anonymous-schema frame.
+func frameOf(x [][]float64) *frame.Frame {
+	d := 0
+	if len(x) > 0 {
+		d = len(x[0])
+	}
+	fr := frame.NewDense(make(frame.Schema, d), len(x), nil, nil)
+	for i, row := range x {
+		for j, v := range row {
+			fr.Set(i, j, v)
+		}
+	}
+	return fr
+}
 
 func xorData(n int, seed int64) ([][]float64, []int) {
 	r := rand.New(rand.NewSource(seed))
@@ -45,8 +60,8 @@ func noisyBand(n, d int, noise float64, seed int64) ([][]float64, []int) {
 func TestForestLearnsXOR(t *testing.T) {
 	x, y := xorData(800, 1)
 	f := New(Config{NumTrees: 40, Seed: 1})
-	if err := f.Fit(x, y); err != nil {
-		t.Fatalf("Fit: %v", err)
+	if err := f.FitFrame(frameOf(x), y, nil); err != nil {
+		t.Fatalf("FitFrame: %v", err)
 	}
 	tx, ty := xorData(300, 77)
 	correct := 0
@@ -63,8 +78,8 @@ func TestForestLearnsXOR(t *testing.T) {
 func TestForestOutperformsNoiseFloor(t *testing.T) {
 	x, y := noisyBand(1000, 8, 0.05, 2)
 	f := New(Config{NumTrees: 30, MinSamplesLeaf: 5, Seed: 2})
-	if err := f.Fit(x, y); err != nil {
-		t.Fatalf("Fit: %v", err)
+	if err := f.FitFrame(frameOf(x), y, nil); err != nil {
+		t.Fatalf("FitFrame: %v", err)
 	}
 	tx, ty := noisyBand(400, 8, 0.05, 3)
 	correct := 0
@@ -81,8 +96,8 @@ func TestForestOutperformsNoiseFloor(t *testing.T) {
 func TestForestImportances(t *testing.T) {
 	x, y := noisyBand(600, 6, 0, 4)
 	f := New(Config{NumTrees: 25, Seed: 4})
-	if err := f.Fit(x, y); err != nil {
-		t.Fatalf("Fit: %v", err)
+	if err := f.FitFrame(frameOf(x), y, nil); err != nil {
+		t.Fatalf("FitFrame: %v", err)
 	}
 	imp := f.FeatureImportances()
 	if len(imp) != 6 {
@@ -107,8 +122,8 @@ func TestForestImportances(t *testing.T) {
 func TestForestThreshold(t *testing.T) {
 	x, y := noisyBand(500, 3, 0.15, 5)
 	f := New(Config{NumTrees: 20, Seed: 5, Threshold: 0.4})
-	if err := f.Fit(x, y); err != nil {
-		t.Fatalf("Fit: %v", err)
+	if err := f.FitFrame(frameOf(x), y, nil); err != nil {
+		t.Fatalf("FitFrame: %v", err)
 	}
 	if f.cfg.Threshold != 0.4 {
 		t.Errorf("threshold = %v, want 0.4", f.cfg.Threshold)
@@ -132,10 +147,10 @@ func TestForestDeterminism(t *testing.T) {
 	x, y := noisyBand(300, 4, 0.1, 7)
 	f1 := New(Config{NumTrees: 10, Seed: 99})
 	f2 := New(Config{NumTrees: 10, Seed: 99})
-	if err := f1.Fit(x, y); err != nil {
+	if err := f1.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := f2.Fit(x, y); err != nil {
+	if err := f2.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(1))
@@ -151,19 +166,19 @@ func TestForestClassWeightModes(t *testing.T) {
 	x, y := noisyBand(400, 3, 0.1, 8)
 	for _, mode := range []string{"", "balanced", "subsample"} {
 		f := New(Config{NumTrees: 8, Seed: 8, ClassWeight: mode})
-		if err := f.Fit(x, y); err != nil {
+		if err := f.FitFrame(frameOf(x), y, nil); err != nil {
 			t.Errorf("ClassWeight=%q: %v", mode, err)
 		}
 	}
 	f := New(Config{NumTrees: 4, ClassWeight: "bogus"})
-	if err := f.Fit(x, y); err == nil {
+	if err := f.FitFrame(frameOf(x), y, nil); err == nil {
 		t.Error("expected error for unknown class weight")
 	}
 }
 
 func TestForestEmptyInput(t *testing.T) {
 	f := New(Config{NumTrees: 4})
-	if err := f.Fit(nil, nil); err == nil {
+	if err := f.FitFrame(frameOf(nil), nil, nil); err == nil {
 		t.Error("expected error for empty training set")
 	}
 }
@@ -174,7 +189,7 @@ func TestForestRejectsUnsupportedSplitter(t *testing.T) {
 	x, y := xorData(50, 1)
 	for _, sp := range []tree.Splitter{tree.Random, tree.Splitter(9)} {
 		f := New(Config{NumTrees: 2, Splitter: sp})
-		err := f.FitFrame(ml.FrameOf(x), y, nil)
+		err := f.FitFrame(frameOf(x), y, nil)
 		if err == nil {
 			t.Fatalf("splitter %v: FitFrame succeeded", sp)
 		}
@@ -183,7 +198,7 @@ func TestForestRejectsUnsupportedSplitter(t *testing.T) {
 				t.Errorf("splitter %v: error %q does not name %q", sp, err, want)
 			}
 		}
-		if err := f.Fit(x, y); err == nil {
+		if err := f.FitFrame(frameOf(x), y, nil); err == nil {
 			t.Errorf("splitter %v: Fit succeeded", sp)
 		}
 	}
@@ -199,7 +214,7 @@ func TestForestUnfitted(t *testing.T) {
 func TestForestNumTrees(t *testing.T) {
 	x, y := noisyBand(200, 2, 0.1, 9)
 	f := New(Config{NumTrees: 7, Seed: 9})
-	if err := f.Fit(x, y); err != nil {
+	if err := f.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatal(err)
 	}
 	if f.NumTrees() != 7 {
@@ -220,7 +235,7 @@ func TestForestProbaBounds(t *testing.T) {
 			y[i] = r.Intn(2)
 		}
 		fr := New(Config{NumTrees: 5, Seed: seed})
-		if err := fr.Fit(x, y); err != nil {
+		if err := fr.FitFrame(frameOf(x), y, nil); err != nil {
 			return false
 		}
 		for i := 0; i < 10; i++ {

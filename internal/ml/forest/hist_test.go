@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"monitorless/internal/ml"
 	"monitorless/internal/ml/tree"
 	"monitorless/internal/parallel"
 )
@@ -14,8 +13,8 @@ func fitGob(t *testing.T, cfg Config, x [][]float64, y []int, workers int) []byt
 	parallel.SetDefaultWorkers(workers)
 	defer parallel.SetDefaultWorkers(0)
 	f := New(cfg)
-	if err := f.Fit(x, y); err != nil {
-		t.Fatalf("Fit: %v", err)
+	if err := f.FitFrame(frameOf(x), y, nil); err != nil {
+		t.Fatalf("FitFrame: %v", err)
 	}
 	b, err := f.GobEncode()
 	if err != nil {
@@ -41,7 +40,7 @@ func TestForestDeterministicAcrossWorkers(t *testing.T) {
 		seqCfg := cfg
 		seqCfg.Parallelism = 1
 		seq := New(seqCfg)
-		if err := seq.Fit(x, y); err != nil {
+		if err := seq.FitFrame(frameOf(x), y, nil); err != nil {
 			t.Fatal(err)
 		}
 		var pool Forest
@@ -65,7 +64,7 @@ func TestForestHistCloseToExact(t *testing.T) {
 
 	fit := func(sp tree.Splitter) *Forest {
 		f := New(Config{NumTrees: 25, MinSamplesLeaf: 5, Splitter: sp, Seed: 11})
-		if err := f.Fit(x, y); err != nil {
+		if err := f.FitFrame(frameOf(x), y, nil); err != nil {
 			t.Fatalf("Fit(%v): %v", sp, err)
 		}
 		return f
@@ -103,11 +102,11 @@ func TestForestHistCloseToExact(t *testing.T) {
 func TestForestBatchPredictBitIdentical(t *testing.T) {
 	x, y := noisyBand(500, 5, 0.1, 7)
 	f := New(Config{NumTrees: 15, MinSamplesLeaf: 4, Threshold: 0.4, Seed: 2})
-	if err := f.Fit(x, y); err != nil {
+	if err := f.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatal(err)
 	}
 	px, _ := noisyBand(200, 5, 0.1, 8)
-	fr := ml.FrameOf(px)
+	fr := frameOf(px)
 
 	all := f.PredictProbaFrameRows(fr, nil)
 	cls := f.PredictFrameRows(fr, nil)
@@ -131,7 +130,7 @@ func TestForestBatchPredictBitIdentical(t *testing.T) {
 
 func TestForestBatchPredictUnfitted(t *testing.T) {
 	f := New(Config{NumTrees: 3})
-	fr := ml.FrameOf([][]float64{{1, 2}, {3, 4}})
+	fr := frameOf([][]float64{{1, 2}, {3, 4}})
 	for _, p := range f.PredictProbaFrameRows(fr, nil) {
 		if p != 0.5 {
 			t.Fatalf("unfitted batch proba = %v, want 0.5", p)

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"monitorless/internal/frame"
-	"monitorless/internal/ml"
 	"monitorless/internal/ml/tree"
 )
 
@@ -47,7 +46,7 @@ func quantData(n int, seed int64) ([][]float64, []int) {
 func fitQuantForest(t *testing.T, x [][]float64, y []int, sp tree.Splitter) *Forest {
 	t.Helper()
 	f := New(Config{NumTrees: 20, MinSamplesLeaf: 5, Splitter: sp, Seed: 11})
-	if err := f.Fit(x, y); err != nil {
+	if err := f.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatalf("fit: %v", err)
 	}
 	return f
@@ -90,9 +89,9 @@ func TestHistForestCompilesFullyQuantized(t *testing.T) {
 		t.Fatal("no tested column — forest learned nothing")
 	}
 	// Column 2 is constant: unsplittable, so no slot may be assigned.
-	if q.NumSlots() >= ml.FrameOf(x).NumCols() {
+	if q.NumSlots() >= frameOf(x).NumCols() {
 		t.Fatalf("slot count %d not below column count %d (constant column got a slot)",
-			q.NumSlots(), ml.FrameOf(x).NumCols())
+			q.NumSlots(), frameOf(x).NumCols())
 	}
 	if got := len(q.edges); got != len(x[0]) {
 		t.Fatalf("%d edge sets for %d columns", got, len(x[0]))
@@ -105,7 +104,7 @@ func TestHistForestCompilesFullyQuantized(t *testing.T) {
 func TestQuantBitIdentityDense(t *testing.T) {
 	x, y := quantData(1500, 5)
 	f := fitQuantForest(t, x, y, tree.Hist)
-	fr := ml.FrameOf(x)
+	fr := frameOf(x)
 
 	quant := f.PredictProbaFrameRows(fr, nil)
 	assertBitIdentical(t, "dense full-frame", floatProbs(f, fr, nil), quant)
@@ -128,7 +127,7 @@ func TestQuantBitIdentityDense(t *testing.T) {
 func TestQuantWorkerCountInvariance(t *testing.T) {
 	x, y := quantData(2100, 7) // 9 tasks of 256 rows
 	f := fitQuantForest(t, x, y, tree.Hist)
-	fr := ml.FrameOf(x)
+	fr := frameOf(x)
 	q := f.Quant()
 
 	q.SetParallelism(1)
@@ -198,7 +197,7 @@ func TestQuantPredictEdgeValues(t *testing.T) {
 		}
 	}
 
-	fr := ml.FrameOf(probes)
+	fr := frameOf(probes)
 	quant := f.PredictProbaFrameRows(fr, nil)
 	assertBitIdentical(t, "edge probes", floatProbs(f, fr, nil), quant)
 	for i, row := range probes {
@@ -216,7 +215,7 @@ func TestQuantPredictEdgeValues(t *testing.T) {
 			zeros = append(zeros, z)
 		}
 	}
-	zfr := ml.FrameOf(zeros)
+	zfr := frameOf(zeros)
 	assertBitIdentical(t, "±0 against −0 thresholds", floatProbs(planted, zfr, nil), planted.PredictProbaFrameRows(zfr, nil))
 }
 
@@ -284,7 +283,7 @@ func TestExactForestRefusesQuant(t *testing.T) {
 	if f.Quant() != nil {
 		t.Fatal("exact fit must not auto-compile")
 	}
-	fr := ml.FrameOf(x)
+	fr := frameOf(x)
 	want := f.PredictProbaFrameRows(fr, nil)
 
 	if err := f.CompileQuant(frame.BinFrame(fr, 0, nil).Edges()); err == nil {
@@ -343,10 +342,10 @@ func TestForestBatchPredictAllocations(t *testing.T) {
 	f := fitQuantForest(t, x, y, tree.Hist)
 	ref := *f
 	ref.DropQuant()
-	fr := ml.FrameOf(x)
+	fr := frameOf(x)
 	dst := make([]float64, fr.Rows())
 
-	shard := ml.FrameOf(x[:32]) // one task: inline path at any parallelism
+	shard := frameOf(x[:32]) // one task: inline path at any parallelism
 	shardDst := make([]float64, 32)
 
 	cases := []struct {
@@ -400,7 +399,7 @@ func wideData(n, d int, seed int64) ([][]float64, []int) {
 func TestQuantWideForestPacks(t *testing.T) {
 	x, y := wideData(1500, 320, 1)
 	f := New(Config{NumTrees: 24, MinSamplesLeaf: 3, Splitter: tree.Hist, Seed: 5})
-	if err := f.Fit(x, y); err != nil {
+	if err := f.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatal(err)
 	}
 	q := f.Quant()
@@ -410,7 +409,7 @@ func TestQuantWideForestPacks(t *testing.T) {
 	if q.NumSlots() < 300 {
 		t.Fatalf("forest tests %d columns, want >= 300", q.NumSlots())
 	}
-	dense := ml.FrameOf(x)
+	dense := frameOf(x)
 	var rows []int
 	for i := len(x) - 1; i >= 0; i -= 7 {
 		rows = append(rows, i, i/2) // out of order, with repeats
@@ -449,13 +448,13 @@ func TestQuantWideForestPacks(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			x, y := tc.data()
 			f := New(tc.cfg)
-			if err := f.Fit(x, y); err != nil {
+			if err := f.FitFrame(frameOf(x), y, nil); err != nil {
 				t.Fatal(err)
 			}
 			if f.Quant() != nil {
 				t.Fatalf("forest past the packed limits compiled (%d slots)", f.Quant().NumSlots())
 			}
-			fr := ml.FrameOf(x)
+			fr := frameOf(x)
 			_, err := Compile(f, frame.BinFrame(fr, 0, nil).Edges())
 			if err == nil || !strings.Contains(err.Error(), tc.refusal) {
 				t.Fatalf("compile error %v, want one naming %q", err, tc.refusal)

@@ -4,7 +4,24 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"monitorless/internal/frame"
 )
+
+// frameOf transposes row-major test data into an anonymous-schema frame.
+func frameOf(x [][]float64) *frame.Frame {
+	d := 0
+	if len(x) > 0 {
+		d = len(x[0])
+	}
+	fr := frame.NewDense(make(frame.Schema, d), len(x), nil, nil)
+	for i, row := range x {
+		for j, v := range row {
+			fr.Set(i, j, v)
+		}
+	}
+	return fr
+}
 
 // separable generates a linearly separable problem with margin.
 func separable(n, d int, seed int64) ([][]float64, []int) {
@@ -43,8 +60,8 @@ func accOf(predict func([]float64) int, x [][]float64, y []int) float64 {
 func TestLogRegSeparable(t *testing.T) {
 	x, y := separable(500, 4, 1)
 	m := NewLogReg(LogRegConfig{C: 1, MaxEpochs: 50, Seed: 1})
-	if err := m.Fit(x, y); err != nil {
-		t.Fatalf("Fit: %v", err)
+	if err := m.FitFrame(frameOf(x), y, nil); err != nil {
+		t.Fatalf("FitFrame: %v", err)
 	}
 	if acc := accOf(m.Predict, x, y); acc < 0.95 {
 		t.Errorf("accuracy %v, want >= 0.95 on separable data", acc)
@@ -54,8 +71,8 @@ func TestLogRegSeparable(t *testing.T) {
 func TestLogRegProbabilitiesCalibratedDirection(t *testing.T) {
 	x, y := separable(500, 2, 2)
 	m := NewLogReg(LogRegConfig{C: 1, MaxEpochs: 50, Seed: 2})
-	if err := m.Fit(x, y); err != nil {
-		t.Fatalf("Fit: %v", err)
+	if err := m.FitFrame(frameOf(x), y, nil); err != nil {
+		t.Fatalf("FitFrame: %v", err)
 	}
 	pFar := m.PredictProba([]float64{5, 0})
 	pNear := m.PredictProba([]float64{0.3, 0})
@@ -84,10 +101,10 @@ func TestLogRegBalancedWeights(t *testing.T) {
 	}
 	plain := NewLogReg(LogRegConfig{MaxEpochs: 40, Seed: 3})
 	bal := NewLogReg(LogRegConfig{MaxEpochs: 40, Seed: 3, ClassWeight: "balanced"})
-	if err := plain.Fit(x, y); err != nil {
+	if err := plain.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := bal.Fit(x, y); err != nil {
+	if err := bal.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatal(err)
 	}
 	recall := func(m *LogReg) float64 {
@@ -110,17 +127,17 @@ func TestLogRegBalancedWeights(t *testing.T) {
 
 func TestLogRegValidation(t *testing.T) {
 	m := NewLogReg(LogRegConfig{})
-	if err := m.Fit(nil, nil); err == nil {
+	if err := m.FitFrame(frameOf(nil), nil, nil); err == nil {
 		t.Error("expected error on empty input")
 	}
-	if err := m.Fit([][]float64{{1}}, []int{3}); err == nil {
+	if err := m.FitFrame(frameOf([][]float64{{1}}), []int{3}, nil); err == nil {
 		t.Error("expected error on non-binary label")
 	}
-	if err := m.Fit([][]float64{{1}}, []int{0, 1}); err == nil {
+	if err := m.FitFrame(frameOf([][]float64{{1}}), []int{0, 1}, nil); err == nil {
 		t.Error("expected error on length mismatch")
 	}
 	m2 := NewLogReg(LogRegConfig{ClassWeight: "wat"})
-	if err := m2.Fit([][]float64{{1}, {2}}, []int{0, 1}); err == nil {
+	if err := m2.FitFrame(frameOf([][]float64{{1}, {2}}), []int{0, 1}, nil); err == nil {
 		t.Error("expected error for bad class weight")
 	}
 }
@@ -135,8 +152,8 @@ func TestLogRegUnfitted(t *testing.T) {
 func TestSVCSeparable(t *testing.T) {
 	x, y := separable(500, 4, 4)
 	m := NewSVC(SVCConfig{C: 10, MaxEpochs: 40, Seed: 4})
-	if err := m.Fit(x, y); err != nil {
-		t.Fatalf("Fit: %v", err)
+	if err := m.FitFrame(frameOf(x), y, nil); err != nil {
+		t.Fatalf("FitFrame: %v", err)
 	}
 	if acc := accOf(m.Predict, x, y); acc < 0.93 {
 		t.Errorf("accuracy %v, want >= 0.93 on separable data", acc)
@@ -162,10 +179,10 @@ func TestSVCL1Sparsity(t *testing.T) {
 	}
 	l1 := NewSVC(SVCConfig{C: 0.5, Penalty: L1, MaxEpochs: 30, Seed: 5})
 	l2 := NewSVC(SVCConfig{C: 0.5, Penalty: L2, MaxEpochs: 30, Seed: 5})
-	if err := l1.Fit(x, y); err != nil {
+	if err := l1.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := l2.Fit(x, y); err != nil {
+	if err := l2.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatal(err)
 	}
 	// L1 concentrates weight mass on the signal feature: the irrelevant
@@ -190,7 +207,7 @@ func TestSVCL1Sparsity(t *testing.T) {
 func TestSVCDecisionSign(t *testing.T) {
 	x, y := separable(300, 2, 6)
 	m := NewSVC(SVCConfig{C: 10, MaxEpochs: 40, Seed: 6})
-	if err := m.Fit(x, y); err != nil {
+	if err := m.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := range x {
@@ -218,11 +235,11 @@ func TestSVCUnfitted(t *testing.T) {
 
 func TestSVCValidation(t *testing.T) {
 	m := NewSVC(SVCConfig{})
-	if err := m.Fit(nil, nil); err == nil {
+	if err := m.FitFrame(frameOf(nil), nil, nil); err == nil {
 		t.Error("expected error on empty input")
 	}
 	m2 := NewSVC(SVCConfig{ClassWeight: "wat"})
-	if err := m2.Fit([][]float64{{1}, {2}}, []int{0, 1}); err == nil {
+	if err := m2.FitFrame(frameOf([][]float64{{1}, {2}}), []int{0, 1}, nil); err == nil {
 		t.Error("expected error for bad class weight")
 	}
 }

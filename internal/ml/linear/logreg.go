@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 
+	"monitorless/internal/frame"
 	"monitorless/internal/ml"
 )
 
@@ -58,13 +59,15 @@ func sigmoid(z float64) float64 {
 	return e / (1 + e)
 }
 
-// Fit trains with SAG: it keeps a memory of the last gradient scalar per
-// sample and steps along the running average of all stored gradients.
-func (m *LogReg) Fit(x [][]float64, y []int) error {
-	d, err := ml.ValidateTrainingSet(x, y)
+// FitFrame trains with SAG on the listed frame rows (nil = all): it keeps
+// a memory of the last gradient scalar per sample and steps along the
+// running average of all stored gradients.
+func (m *LogReg) FitFrame(fr *frame.Frame, y []int, rows []int) error {
+	x, y, err := ml.TrainingRows(fr, y, rows)
 	if err != nil {
 		return err
 	}
+	d := fr.NumCols()
 	sw, err := ml.ClassWeights(y, m.cfg.ClassWeight)
 	if err != nil {
 		return fmt.Errorf("linear: %w", err)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"monitorless/internal/frame"
 	"monitorless/internal/ml"
 )
 
@@ -60,12 +61,14 @@ func NewSVC(cfg SVCConfig) *SVC {
 	return &SVC{cfg: cfg}
 }
 
-// Fit trains the SVC. Labels are mapped to ±1 internally.
-func (m *SVC) Fit(x [][]float64, y []int) error {
-	d, err := ml.ValidateTrainingSet(x, y)
+// FitFrame trains the SVC on the listed frame rows (nil = all). Labels
+// are mapped to ±1 internally.
+func (m *SVC) FitFrame(fr *frame.Frame, y []int, rows []int) error {
+	x, y, err := ml.TrainingRows(fr, y, rows)
 	if err != nil {
 		return err
 	}
+	d := fr.NumCols()
 	sw, err := ml.ClassWeights(y, m.cfg.ClassWeight)
 	if err != nil {
 		return fmt.Errorf("linear: %w", err)

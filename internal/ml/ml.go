@@ -2,53 +2,35 @@
 // (tree, forest, linear, boost, nn) and their consumers (feature pipeline,
 // cross-validation, the monitorless core). Everything is stdlib-only.
 //
-// Training data enters through one of two doors: the columnar frame path
-// (FrameFitter, the native representation) or the legacy row-oriented
-// [][]float64 path, which is a thin adapter that transposes once and then
-// runs the same columnar fit. Data hygiene — NaN/Inf rejection, label and
-// shape checks — happens exactly once at whichever door the data enters
-// (ValidateTrainingSet or ValidateFrame); internal refits (bootstrap
-// resamples, boosting rounds) never re-scan.
+// Training data enters through one door: Classifier.FitFrame, over a
+// columnar frame and an optional row subset (a CV fold or a run
+// selection is an index list, never a copied matrix). Data hygiene —
+// NaN/Inf rejection, label and shape checks — is ValidateFrame, run once
+// per FitFrame call over the whole frame; the refits inside one fit
+// (bootstrap resamples, boosting rounds) never re-scan. The learners that
+// iterate rows by design (linear, nn) take their row-major copy of the
+// listed rows from TrainingRows.
 package ml
 
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"monitorless/internal/frame"
 )
 
 // Classifier is a binary classifier over dense float feature vectors.
-// Labels are 0 (not saturated) and 1 (saturated). Training data must be
-// finite: Fit rejects NaN and ±Inf values at the boundary (via
-// ValidateTrainingSet), so individual learners never handle non-finite
-// values ad hoc.
+// Labels are 0 (not saturated) and 1 (saturated).
 type Classifier interface {
-	// Fit trains the classifier. Implementations must not retain x or y,
-	// and must reject non-finite feature values.
-	Fit(x [][]float64, y []int) error
-	// PredictProba returns the estimated probability of class 1.
-	PredictProba(x []float64) float64
-	// Predict returns the predicted class label.
-	Predict(x []float64) int
-}
-
-// FrameFitter is implemented by classifiers with a frame-native fit path.
-// It is the preferred training door: no per-row gathering, and fold/run
-// subsets are index views instead of copied matrices.
-type FrameFitter interface {
 	// FitFrame trains on the frame rows listed in rows (nil = all rows).
 	// y holds one label per frame row; nil means fr.Labels().
 	// Implementations must treat fr as read-only, must not retain fr, y
 	// or rows, and must reject non-finite values once (ValidateFrame).
 	FitFrame(fr *frame.Frame, y []int, rows []int) error
-}
-
-// WeightedFitter is implemented by classifiers that accept per-sample
-// weights (used by AdaBoost and by balanced class weighting).
-type WeightedFitter interface {
-	FitWeighted(x [][]float64, y []int, w []float64) error
+	// PredictProba returns the estimated probability of class 1.
+	PredictProba(x []float64) float64
+	// Predict returns the predicted class label.
+	Predict(x []float64) int
 }
 
 // FramePredictor is implemented by classifiers with a batch frame-native
@@ -69,41 +51,8 @@ type FeatureImporter interface {
 	FeatureImportances() []float64
 }
 
-// ErrNoData is returned when Fit receives an empty training set.
+// ErrNoData is returned when FitFrame receives an empty training set.
 var ErrNoData = errors.New("ml: empty training set")
-
-// ValidateTrainingSet checks the common preconditions shared by all
-// learners — shape, binary labels, and finiteness (NaN/Inf rejection) —
-// and returns the feature dimensionality. It is the single hygiene gate
-// of the row-oriented adapter path; the frame path uses ValidateFrame.
-func ValidateTrainingSet(x [][]float64, y []int) (int, error) {
-	if len(x) == 0 {
-		return 0, ErrNoData
-	}
-	if len(x) != len(y) {
-		return 0, fmt.Errorf("ml: %d samples but %d labels", len(x), len(y))
-	}
-	d := len(x[0])
-	if d == 0 {
-		return 0, errors.New("ml: samples have zero features")
-	}
-	for i, row := range x {
-		if len(row) != d {
-			return 0, fmt.Errorf("ml: ragged training set: sample %d has %d features, want %d", i, len(row), d)
-		}
-		for j, v := range row {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return 0, fmt.Errorf("ml: non-finite value %v at sample %d, feature %d", v, i, j)
-			}
-		}
-	}
-	for i, label := range y {
-		if label != 0 && label != 1 {
-			return 0, fmt.Errorf("ml: label %d at sample %d is not binary", label, i)
-		}
-	}
-	return d, nil
-}
 
 // ValidateFrame is the hygiene gate of the frame-native fit path: it
 // resolves y (nil means fr.Labels()), checks shape and binary labels for
@@ -147,45 +96,34 @@ func ValidateFrame(fr *frame.Frame, y []int, rows []int) ([]int, error) {
 	return y, nil
 }
 
-// FrameOf transposes a row-oriented matrix into an anonymous-schema frame.
-// It is the adapter used by the legacy [][]float64 Fit entry points: one
-// transpose at the boundary, columnar everywhere after.
-func FrameOf(x [][]float64) *frame.Frame {
-	d := 0
-	if len(x) > 0 {
-		d = len(x[0])
-	}
-	fr := frame.NewDense(make(frame.Schema, d), len(x), nil, nil)
-	for j := 0; j < d; j++ {
-		col := fr.Col(j)
-		for i, row := range x {
-			col[i] = row[j]
-		}
-	}
-	return fr
-}
-
-// FitFrame trains c on the selected frame rows, using the frame-native
-// path when c implements FrameFitter and falling back to a one-shot row
-// materialization otherwise (linear and neural learners iterate rows by
-// design).
-func FitFrame(c Classifier, fr *frame.Frame, y []int, rows []int) error {
-	if ff, ok := c.(FrameFitter); ok {
-		return ff.FitFrame(fr, y, rows)
-	}
-	if y == nil {
-		y = fr.Labels()
+// TrainingRows is the fit door of the learners that iterate rows by
+// design (linear, nn): it runs ValidateFrame, then gathers the listed
+// rows (nil = all) once, straight into row-major slices over one backing
+// array, and returns them with their compact labels (ty[p] is the label
+// of rows[p]; with rows nil, the resolved per-frame-row labels).
+func TrainingRows(fr *frame.Frame, y []int, rows []int) (x [][]float64, ty []int, err error) {
+	y, err = ValidateFrame(fr, y, rows)
+	if err != nil {
+		return nil, nil, err
 	}
 	if rows == nil {
-		x := fr.MaterializeRows()
-		return c.Fit(x, y)
+		return fr.MaterializeRows(), y, nil
 	}
-	sub := fr.SelectRows(rows)
-	ty := make([]int, len(rows))
+	d := fr.NumCols()
+	flat := make([]float64, len(rows)*d)
+	x = make([][]float64, len(rows))
+	ty = make([]int, len(rows))
 	for p, i := range rows {
+		x[p] = flat[p*d : (p+1)*d : (p+1)*d]
 		ty[p] = y[i]
 	}
-	return c.Fit(sub.MaterializeRows(), ty)
+	for j := 0; j < d; j++ {
+		col := fr.Col(j)
+		for p, i := range rows {
+			x[p][j] = col[i]
+		}
+	}
+	return x, ty, nil
 }
 
 // PredictFrameRows classifies the listed frame rows (nil = all rows),

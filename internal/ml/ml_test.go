@@ -3,34 +3,91 @@ package ml
 import (
 	"math"
 	"testing"
+
+	"monitorless/internal/frame"
 )
 
-func TestValidateTrainingSet(t *testing.T) {
+// frameOf builds a frame from row-major values, with labels y (may be nil).
+func frameOf(x [][]float64, y []int) *frame.Frame {
+	d := 0
+	if len(x) > 0 {
+		d = len(x[0])
+	}
+	fr := frame.NewDense(make(frame.Schema, d), len(x), nil, y)
+	for i, row := range x {
+		for j, v := range row {
+			fr.Set(i, j, v)
+		}
+	}
+	return fr
+}
+
+func TestValidateFrame(t *testing.T) {
+	two := [][]float64{{1, 2}, {3, 4}}
 	cases := []struct {
 		name    string
-		x       [][]float64
+		fr      *frame.Frame
 		y       []int
-		wantD   int
+		rows    []int
 		wantErr bool
 	}{
-		{"ok", [][]float64{{1, 2}, {3, 4}}, []int{0, 1}, 2, false},
-		{"empty", nil, nil, 0, true},
-		{"mismatch", [][]float64{{1}}, []int{0, 1}, 0, true},
-		{"zero features", [][]float64{{}}, []int{0}, 0, true},
-		{"ragged", [][]float64{{1, 2}, {3}}, []int{0, 1}, 0, true},
-		{"bad label", [][]float64{{1}}, []int{2}, 0, true},
-		{"negative label", [][]float64{{1}}, []int{-1}, 0, true},
+		{"ok", frameOf(two, nil), []int{0, 1}, nil, false},
+		{"frame labels", frameOf(two, []int{1, 0}), nil, nil, false},
+		{"row subset", frameOf(two, nil), []int{0, 1}, []int{1}, false},
+		{"empty", frameOf(nil, nil), nil, nil, true},
+		{"nil frame", nil, nil, nil, true},
+		{"mismatch", frameOf([][]float64{{1}}, nil), []int{0, 1}, nil, true},
+		{"no labels", frameOf(two, nil), nil, nil, true},
+		{"zero features", frameOf([][]float64{{}}, nil), []int{0}, nil, true},
+		{"bad label", frameOf([][]float64{{1}}, nil), []int{2}, nil, true},
+		{"negative label", frameOf([][]float64{{1}}, nil), []int{-1}, nil, true},
+		{"empty rows", frameOf(two, nil), []int{0, 1}, []int{}, true},
+		{"row out of range", frameOf(two, nil), []int{0, 1}, []int{2}, true},
+		{"negative row", frameOf(two, nil), []int{0, 1}, []int{-1}, true},
+		{"bad label in rows", frameOf(two, nil), []int{0, 2}, []int{1}, true},
+		{"bad label outside rows", frameOf(two, nil), []int{0, 2}, []int{0}, false},
+		{"NaN", frameOf([][]float64{{1, math.NaN()}, {3, 4}}, nil), []int{0, 1}, nil, true},
+		{"+Inf", frameOf([][]float64{{1, 2}, {math.Inf(1), 4}}, nil), []int{0, 1}, nil, true},
+		{"-Inf", frameOf([][]float64{{1, 2}, {3, math.Inf(-1)}}, nil), []int{0, 1}, nil, true},
+		{"NaN outside rows", frameOf([][]float64{{1, math.NaN()}, {3, 4}}, nil), []int{0, 1}, []int{1}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d, err := ValidateTrainingSet(tc.x, tc.y)
+			y, err := ValidateFrame(tc.fr, tc.y, tc.rows)
 			if (err != nil) != tc.wantErr {
 				t.Fatalf("err=%v, wantErr=%v", err, tc.wantErr)
 			}
-			if !tc.wantErr && d != tc.wantD {
-				t.Errorf("d=%d, want %d", d, tc.wantD)
+			if err == nil && len(y) != tc.fr.Rows() {
+				t.Errorf("resolved %d labels for %d rows", len(y), tc.fr.Rows())
 			}
 		})
+	}
+}
+
+func TestTrainingRowsGathers(t *testing.T) {
+	fr := frameOf([][]float64{{1, 2}, {3, 4}, {5, 6}}, []int{0, 1, 1})
+	x, y, err := TrainingRows(fr, nil, []int{2, 0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]float64{{5, 6}, {1, 2}, {5, 6}}
+	wantY := []int{1, 0, 1}
+	for p := range want {
+		for j := range want[p] {
+			if x[p][j] != want[p][j] {
+				t.Errorf("x[%d][%d] = %v, want %v", p, j, x[p][j], want[p][j])
+			}
+		}
+		if y[p] != wantY[p] {
+			t.Errorf("y[%d] = %d, want %d", p, y[p], wantY[p])
+		}
+	}
+	x, y, err = TrainingRows(fr, nil, nil)
+	if err != nil || len(x) != 3 || x[1][1] != 4 || y[2] != 1 {
+		t.Errorf("all rows: x=%v y=%v err=%v", x, y, err)
+	}
+	if _, _, err := TrainingRows(frameOf([][]float64{{math.NaN()}}, []int{0}), nil, nil); err == nil {
+		t.Error("TrainingRows accepted a NaN frame")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 
+	"monitorless/internal/frame"
 	"monitorless/internal/ml"
 )
 
@@ -141,12 +142,14 @@ func sigmoid(z float64) float64 {
 	return e / (1 + e)
 }
 
-// Fit trains the network with SGD.
-func (n *Net) Fit(x [][]float64, y []int) error {
-	d, err := ml.ValidateTrainingSet(x, y)
+// FitFrame trains the network with SGD on the listed frame rows (nil =
+// all).
+func (n *Net) FitFrame(fr *frame.Frame, y []int, rows []int) error {
+	x, y, err := ml.TrainingRows(fr, y, rows)
 	if err != nil {
 		return err
 	}
+	d := fr.NumCols()
 	outDim := 1
 	if n.cfg.Act3 == Softmax {
 		outDim = 2

@@ -4,7 +4,24 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"monitorless/internal/frame"
 )
+
+// frameOf transposes row-major test data into an anonymous-schema frame.
+func frameOf(x [][]float64) *frame.Frame {
+	d := 0
+	if len(x) > 0 {
+		d = len(x[0])
+	}
+	fr := frame.NewDense(make(frame.Schema, d), len(x), nil, nil)
+	for i, row := range x {
+		for j, v := range row {
+			fr.Set(i, j, v)
+		}
+	}
+	return fr
+}
 
 func blobs(n int, seed int64) ([][]float64, []int) {
 	r := rand.New(rand.NewSource(seed))
@@ -49,8 +66,8 @@ func accOf(n *Net, x [][]float64, y []int) float64 {
 func TestNetLearnsBlobs(t *testing.T) {
 	x, y := blobs(500, 1)
 	n := New(Config{Hidden1: 16, Hidden2: 8, Epochs: 40, Seed: 1})
-	if err := n.Fit(x, y); err != nil {
-		t.Fatalf("Fit: %v", err)
+	if err := n.FitFrame(frameOf(x), y, nil); err != nil {
+		t.Fatalf("FitFrame: %v", err)
 	}
 	if acc := accOf(n, x, y); acc < 0.95 {
 		t.Errorf("accuracy %v, want >= 0.95", acc)
@@ -60,8 +77,8 @@ func TestNetLearnsBlobs(t *testing.T) {
 func TestNetLearnsXOR(t *testing.T) {
 	x, y := xorData(800, 2)
 	n := New(Config{Hidden1: 32, Hidden2: 16, Epochs: 150, LearningRate: 0.05, Seed: 2})
-	if err := n.Fit(x, y); err != nil {
-		t.Fatalf("Fit: %v", err)
+	if err := n.FitFrame(frameOf(x), y, nil); err != nil {
+		t.Fatalf("FitFrame: %v", err)
 	}
 	if acc := accOf(n, x, y); acc < 0.9 {
 		t.Errorf("XOR accuracy %v, want >= 0.9 (MLP should solve XOR)", acc)
@@ -71,8 +88,8 @@ func TestNetLearnsXOR(t *testing.T) {
 func TestNetSoftmaxHead(t *testing.T) {
 	x, y := blobs(400, 3)
 	n := New(Config{Hidden1: 16, Hidden2: 8, Act3: Softmax, Epochs: 40, Seed: 3})
-	if err := n.Fit(x, y); err != nil {
-		t.Fatalf("Fit: %v", err)
+	if err := n.FitFrame(frameOf(x), y, nil); err != nil {
+		t.Fatalf("FitFrame: %v", err)
 	}
 	if acc := accOf(n, x, y); acc < 0.95 {
 		t.Errorf("softmax accuracy %v, want >= 0.95", acc)
@@ -93,7 +110,7 @@ func TestNetActivationGrid(t *testing.T) {
 	for _, a1 := range []Activation{ReLU, Sigmoid, Linear} {
 		for _, a3 := range []Activation{Sigmoid, Softmax, Linear, ReLU} {
 			n := New(Config{Hidden1: 8, Hidden2: 4, Act1: a1, Act2: ReLU, Act3: a3, Epochs: 10, Seed: 4})
-			if err := n.Fit(x, y); err != nil {
+			if err := n.FitFrame(frameOf(x), y, nil); err != nil {
 				t.Errorf("act1=%s act3=%s: %v", a1, a3, err)
 				continue
 			}
@@ -109,10 +126,10 @@ func TestNetDeterministic(t *testing.T) {
 	x, y := blobs(200, 5)
 	n1 := New(Config{Hidden1: 8, Hidden2: 4, Epochs: 5, Seed: 42})
 	n2 := New(Config{Hidden1: 8, Hidden2: 4, Epochs: 5, Seed: 42})
-	if err := n1.Fit(x, y); err != nil {
+	if err := n1.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := n2.Fit(x, y); err != nil {
+	if err := n2.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
@@ -124,7 +141,7 @@ func TestNetDeterministic(t *testing.T) {
 
 func TestNetValidation(t *testing.T) {
 	n := New(Config{})
-	if err := n.Fit(nil, nil); err == nil {
+	if err := n.FitFrame(frameOf(nil), nil, nil); err == nil {
 		t.Error("expected error on empty input")
 	}
 }
@@ -139,7 +156,7 @@ func TestNetUnfitted(t *testing.T) {
 func TestNetDimensionPanic(t *testing.T) {
 	x, y := blobs(100, 6)
 	n := New(Config{Hidden1: 4, Hidden2: 4, Epochs: 2, Seed: 6})
-	if err := n.Fit(x, y); err != nil {
+	if err := n.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatal(err)
 	}
 	defer func() {

@@ -27,7 +27,7 @@ func benchTreeFit(b *testing.B, n, d int, cfg Config) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t := New(cfg)
-		if err := t.Fit(x, y); err != nil {
+		if err := t.FitFrame(frameOf(x), y, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
-
-	"monitorless/internal/ml"
 )
 
 // gridData returns n samples over d integer-valued features (few distinct
@@ -61,7 +59,7 @@ func TestScanSplitsStableTieBreak(t *testing.T) {
 		}
 	}
 	tr := New(Config{})
-	if err := tr.Fit(x, y); err != nil {
+	if err := tr.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := tr.feature[0]; got != 0 {
@@ -85,7 +83,7 @@ func TestScanSplitsStableTieBreak(t *testing.T) {
 	var ref []byte
 	for rep := 0; rep < 5; rep++ {
 		tr := New(Config{Seed: 1})
-		if err := tr.FitWeighted(xs, ys, ws); err != nil {
+		if err := tr.FitFrameSamples(frameOf(xs), nil, ys, ws); err != nil {
 			t.Fatal(err)
 		}
 		b := gobBytes(t, tr)
@@ -107,10 +105,10 @@ func TestHistMatchesExactOnFewDistinctValues(t *testing.T) {
 	x, y := gridData(400, 5, 3)
 	exact := New(Config{MinSamplesLeaf: 3})
 	hist := New(Config{MinSamplesLeaf: 3, Splitter: Hist})
-	if err := exact.Fit(x, y); err != nil {
+	if err := exact.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := hist.Fit(x, y); err != nil {
+	if err := hist.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(exact.feature) != len(hist.feature) {
@@ -143,7 +141,7 @@ func TestHistMatchesExactOnFewDistinctValues(t *testing.T) {
 func TestHistLearnsXOR(t *testing.T) {
 	x, y := xorData(200, 5)
 	tr := New(Config{Splitter: Hist})
-	if err := tr.Fit(x, y); err != nil {
+	if err := tr.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatal(err)
 	}
 	if acc := accuracy(tr, x, y); acc < 0.99 {
@@ -155,7 +153,7 @@ func TestHistGeneralizes(t *testing.T) {
 	x, y := bandData(600, 4, 21)
 	xt, yt := bandData(300, 4, 22)
 	tr := New(Config{MinSamplesLeaf: 5, Splitter: Hist, Bins: 64})
-	if err := tr.Fit(x, y); err != nil {
+	if err := tr.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatal(err)
 	}
 	if acc := accuracy(tr, xt, yt); acc < 0.85 {
@@ -166,7 +164,7 @@ func TestHistGeneralizes(t *testing.T) {
 func TestHistRespectsDepthAndStops(t *testing.T) {
 	x, y := bandData(500, 3, 9)
 	tr := New(Config{MaxDepth: 4, Splitter: Hist})
-	if err := tr.Fit(x, y); err != nil {
+	if err := tr.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatal(err)
 	}
 	if d := depth(tr); d > 4 {
@@ -182,7 +180,7 @@ func TestHistDeterministicRefit(t *testing.T) {
 		var ref []byte
 		for rep := 0; rep < 3; rep++ {
 			tr := New(Config{MinSamplesLeaf: 2, Splitter: Hist, MaxFeatures: maxFeat, Seed: 42})
-			if err := tr.Fit(x, y); err != nil {
+			if err := tr.FitFrame(frameOf(x), y, nil); err != nil {
 				t.Fatal(err)
 			}
 			b := gobBytes(t, tr)
@@ -200,7 +198,7 @@ func TestHistDeterministicRefit(t *testing.T) {
 func TestHistGobRoundTrip(t *testing.T) {
 	x, y := bandData(300, 4, 31)
 	tr := New(Config{MinSamplesLeaf: 2, Splitter: Hist, Seed: 7})
-	if err := tr.Fit(x, y); err != nil {
+	if err := tr.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatal(err)
 	}
 	data := gobBytes(t, tr)
@@ -263,7 +261,7 @@ func TestTreeBuilderAllocations(t *testing.T) {
 			y[i] = 1 - y[i]
 		}
 	}
-	fr := ml.FrameOf(x)
+	fr := frameOf(x)
 	smp := make([]int, fr.Rows())
 	for i := range smp {
 		smp[i] = i

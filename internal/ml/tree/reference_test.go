@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"monitorless/internal/frame"
-	"monitorless/internal/ml"
 )
 
 // referenceOrder is the per-node comparison sort every exact tree used
@@ -103,7 +102,7 @@ func splitCorpus(n int, seed int64) (*frame.Frame, []int) {
 			y[i] = 1 - y[i]
 		}
 	}
-	return ml.FrameOf(x), y
+	return frameOf(x), y
 }
 
 func TestExactSplitMatchesReference(t *testing.T) {
@@ -274,7 +273,7 @@ func fuzzSplitCase(data []byte) (fr *frame.Frame, smp, y []int, w []float64, cfg
 	if unit && nilW {
 		w = nil
 	}
-	return ml.FrameOf(x), smp, y, w, cfg
+	return frameOf(x), smp, y, w, cfg
 }
 
 func FuzzExactSplitVsReference(f *testing.F) {

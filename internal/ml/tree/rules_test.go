@@ -9,7 +9,7 @@ func TestRulesFromStump(t *testing.T) {
 	x := [][]float64{{0}, {0.2}, {0.8}, {1}}
 	y := []int{0, 0, 1, 1}
 	tr := New(Config{MaxDepth: 1, MinSamplesLeaf: 1})
-	if err := tr.Fit(x, y); err != nil {
+	if err := tr.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatal(err)
 	}
 	rules := tr.Rules([]string{"C-CPU-U"})
@@ -44,7 +44,7 @@ func TestRulesCoverAllLeavesAndDoNotAlias(t *testing.T) {
 	}
 	y := []int{0, 0, 0, 1, 0, 0, 0, 1} // a AND b
 	tr := New(Config{MinSamplesLeaf: 1})
-	if err := tr.Fit(x, y); err != nil {
+	if err := tr.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatal(err)
 	}
 	rules := tr.Rules([]string{"a", "b"})
@@ -68,7 +68,7 @@ func TestRulesFallbackNames(t *testing.T) {
 	x := [][]float64{{0, 1}, {1, 0}, {0, 0}, {1, 1}}
 	y := []int{0, 1, 0, 1}
 	tr := New(Config{MaxDepth: 1, MinSamplesLeaf: 1})
-	if err := tr.Fit(x, y); err != nil {
+	if err := tr.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatal(err)
 	}
 	rules := tr.Rules(nil) // no names provided
@@ -93,7 +93,7 @@ func TestRuleStringAlwaysLeaf(t *testing.T) {
 	x := [][]float64{{1}, {2}}
 	y := []int{1, 1}
 	tr := New(Config{})
-	if err := tr.Fit(x, y); err != nil {
+	if err := tr.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatal(err)
 	}
 	rules := tr.Rules([]string{"m"})

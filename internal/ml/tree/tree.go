@@ -179,9 +179,7 @@ type Tree struct {
 }
 
 var _ ml.Classifier = (*Tree)(nil)
-var _ ml.WeightedFitter = (*Tree)(nil)
 var _ ml.FeatureImporter = (*Tree)(nil)
-var _ ml.FrameFitter = (*Tree)(nil)
 
 // New returns an unfitted tree with the given configuration.
 func New(cfg Config) *Tree {
@@ -230,21 +228,6 @@ func (t *Tree) compact() {
 	copy(floats[n:], t.prob)
 	t.threshold = floats[:n:n]
 	t.prob = floats[n : 2*n : 2*n]
-}
-
-// Fit trains the tree with uniform sample weights. It is a thin adapter:
-// the matrix is validated and transposed once, then fitting runs on the
-// columnar path.
-func (t *Tree) Fit(x [][]float64, y []int) error {
-	return t.FitWeighted(x, y, nil)
-}
-
-// FitWeighted trains the tree. w may be nil for uniform weights.
-func (t *Tree) FitWeighted(x [][]float64, y []int, w []float64) error {
-	if _, err := ml.ValidateTrainingSet(x, y); err != nil {
-		return err
-	}
-	return t.FitFrameSamples(ml.FrameOf(x), nil, y, w)
 }
 
 // FitFrame trains on the frame rows listed in rows (nil = all), with y
@@ -316,12 +299,12 @@ func (t *Tree) finishFit() {
 // allowed, which is how the forest's bootstrap resampling avoids copying
 // feature rows. y and w are per-sample (aligned with smp, len(smp)
 // entries); smp nil means every frame row once, w nil means uniform.
-// The caller is responsible for boundary validation (ValidateFrame or
-// ValidateTrainingSet); this path never re-scans for NaN/Inf. With
-// Splitter == Hist the frame is quantized here (edges from the sampled
-// rows); callers fitting many trees on one frame should bin once with
-// frame.BinFrame and use FitBinnedSamples instead — or, for the exact
-// splitters, rank once with RankFrame and use FitRankedSamples.
+// The caller is responsible for boundary validation (ValidateFrame);
+// this path never re-scans for NaN/Inf. With Splitter == Hist the frame
+// is quantized here (edges from the sampled rows); callers fitting many
+// trees on one frame should bin once with frame.BinFrame and use
+// FitBinnedSamples instead — or, for the exact splitters, rank once with
+// RankFrame and use FitRankedSamples.
 func (t *Tree) FitFrameSamples(fr *frame.Frame, smp []int, y []int, w []float64) error {
 	if fr == nil || fr.Rows() == 0 || fr.NumCols() == 0 {
 		return ml.ErrNoData

@@ -5,7 +5,24 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"monitorless/internal/frame"
 )
+
+// frameOf transposes row-major test data into an anonymous-schema frame.
+func frameOf(x [][]float64) *frame.Frame {
+	d := 0
+	if len(x) > 0 {
+		d = len(x[0])
+	}
+	fr := frame.NewDense(make(frame.Schema, d), len(x), nil, nil)
+	for i, row := range x {
+		for j, v := range row {
+			fr.Set(i, j, v)
+		}
+	}
+	return fr
+}
 
 // depth returns the depth of a fitted tree (0 for a single leaf).
 func depth(t *Tree) int {
@@ -68,8 +85,8 @@ func accuracy(t *Tree, x [][]float64, y []int) float64 {
 func TestTreeLearnsXOR(t *testing.T) {
 	x, y := xorData(600, 1)
 	tr := New(Config{})
-	if err := tr.Fit(x, y); err != nil {
-		t.Fatalf("Fit: %v", err)
+	if err := tr.FitFrame(frameOf(x), y, nil); err != nil {
+		t.Fatalf("FitFrame: %v", err)
 	}
 	if acc := accuracy(tr, x, y); acc < 0.95 {
 		t.Errorf("training accuracy %v, want >= 0.95 (trees handle XOR)", acc)
@@ -79,8 +96,8 @@ func TestTreeLearnsXOR(t *testing.T) {
 func TestTreeGeneralizes(t *testing.T) {
 	x, y := bandData(800, 5, 2)
 	tr := New(Config{MinSamplesLeaf: 5})
-	if err := tr.Fit(x, y); err != nil {
-		t.Fatalf("Fit: %v", err)
+	if err := tr.FitFrame(frameOf(x), y, nil); err != nil {
+		t.Fatalf("FitFrame: %v", err)
 	}
 	tx, ty := bandData(400, 5, 99)
 	correct := 0
@@ -97,8 +114,8 @@ func TestTreeGeneralizes(t *testing.T) {
 func TestTreeMaxDepth(t *testing.T) {
 	x, y := xorData(500, 3)
 	tr := New(Config{MaxDepth: 2})
-	if err := tr.Fit(x, y); err != nil {
-		t.Fatalf("Fit: %v", err)
+	if err := tr.FitFrame(frameOf(x), y, nil); err != nil {
+		t.Fatalf("FitFrame: %v", err)
 	}
 	if d := depth(tr); d > 2 {
 		t.Errorf("depth %d exceeds MaxDepth 2", d)
@@ -108,8 +125,8 @@ func TestTreeMaxDepth(t *testing.T) {
 func TestTreeStumpIsDepthOne(t *testing.T) {
 	x, y := bandData(200, 3, 4)
 	tr := New(Config{MaxDepth: 1})
-	if err := tr.Fit(x, y); err != nil {
-		t.Fatalf("Fit: %v", err)
+	if err := tr.FitFrame(frameOf(x), y, nil); err != nil {
+		t.Fatalf("FitFrame: %v", err)
 	}
 	if d := depth(tr); d != 1 {
 		t.Errorf("stump depth %d, want 1", d)
@@ -119,8 +136,8 @@ func TestTreeStumpIsDepthOne(t *testing.T) {
 func TestTreeMinSamplesLeaf(t *testing.T) {
 	x, y := bandData(300, 2, 5)
 	tr := New(Config{MinSamplesLeaf: 50})
-	if err := tr.Fit(x, y); err != nil {
-		t.Fatalf("Fit: %v", err)
+	if err := tr.FitFrame(frameOf(x), y, nil); err != nil {
+		t.Fatalf("FitFrame: %v", err)
 	}
 	// A strict leaf minimum must shrink the tree well below one leaf per
 	// sample.
@@ -133,8 +150,8 @@ func TestTreePureLeafShortCircuit(t *testing.T) {
 	x := [][]float64{{1}, {2}, {3}}
 	y := []int{1, 1, 1}
 	tr := New(Config{})
-	if err := tr.Fit(x, y); err != nil {
-		t.Fatalf("Fit: %v", err)
+	if err := tr.FitFrame(frameOf(x), y, nil); err != nil {
+		t.Fatalf("FitFrame: %v", err)
 	}
 	if len(tr.feature) != 1 {
 		t.Errorf("pure training set should yield a single leaf, got %d nodes", len(tr.feature))
@@ -147,8 +164,8 @@ func TestTreePureLeafShortCircuit(t *testing.T) {
 func TestTreeImportancesConcentrate(t *testing.T) {
 	x, y := bandData(800, 6, 6)
 	tr := New(Config{MinSamplesLeaf: 10})
-	if err := tr.Fit(x, y); err != nil {
-		t.Fatalf("Fit: %v", err)
+	if err := tr.FitFrame(frameOf(x), y, nil); err != nil {
+		t.Fatalf("FitFrame: %v", err)
 	}
 	imp := tr.FeatureImportances()
 	sum := 0.0
@@ -180,12 +197,12 @@ func TestTreeWeightedFitShiftsDecision(t *testing.T) {
 	y := []int{0, 0, 1, 0, 1}
 	w := []float64{1, 1, 10, 1, 10}
 	tr := New(Config{MaxDepth: 1, MinSamplesLeaf: 1})
-	if err := tr.FitWeighted(x, y, w); err != nil {
-		t.Fatalf("FitWeighted: %v", err)
+	if err := tr.FitFrameSamples(frameOf(x), nil, y, w); err != nil {
+		t.Fatalf("FitFrameSamples: %v", err)
 	}
 	tu := New(Config{MaxDepth: 1, MinSamplesLeaf: 1})
-	if err := tu.Fit(x, y); err != nil {
-		t.Fatalf("Fit: %v", err)
+	if err := tu.FitFrame(frameOf(x), y, nil); err != nil {
+		t.Fatalf("FitFrame: %v", err)
 	}
 	if tr.PredictProba([]float64{0.55}) <= tu.PredictProba([]float64{0.55}) {
 		t.Error("upweighting positives did not raise the predicted probability")
@@ -196,20 +213,20 @@ func TestTreeWeightValidation(t *testing.T) {
 	x := [][]float64{{1}, {2}}
 	y := []int{0, 1}
 	tr := New(Config{})
-	if err := tr.FitWeighted(x, y, []float64{1}); err == nil {
+	if err := tr.FitFrameSamples(frameOf(x), nil, y, []float64{1}); err == nil {
 		t.Error("expected weight-length error")
 	}
-	if err := tr.FitWeighted(x, y, []float64{0, 0}); err == nil {
+	if err := tr.FitFrameSamples(frameOf(x), nil, y, []float64{0, 0}); err == nil {
 		t.Error("expected zero-total-weight error")
 	}
 }
 
 func TestTreeInvalidInputs(t *testing.T) {
 	tr := New(Config{})
-	if err := tr.Fit(nil, nil); err == nil {
+	if err := tr.FitFrame(frameOf(nil), nil, nil); err == nil {
 		t.Error("expected error for empty input")
 	}
-	if err := tr.Fit([][]float64{{1}, {2}}, []int{0}); err == nil {
+	if err := tr.FitFrame(frameOf([][]float64{{1}, {2}}), []int{0}, nil); err == nil {
 		t.Error("expected error for length mismatch")
 	}
 }
@@ -224,8 +241,8 @@ func TestTreeUnfittedPredict(t *testing.T) {
 func TestTreeRandomSplitter(t *testing.T) {
 	x, y := bandData(600, 4, 7)
 	tr := New(Config{Splitter: Random, Seed: 3, MinSamplesLeaf: 5})
-	if err := tr.Fit(x, y); err != nil {
-		t.Fatalf("Fit: %v", err)
+	if err := tr.FitFrame(frameOf(x), y, nil); err != nil {
+		t.Fatalf("FitFrame: %v", err)
 	}
 	if acc := accuracy(tr, x, y); acc < 0.85 {
 		t.Errorf("random splitter accuracy %v, want >= 0.85", acc)
@@ -235,8 +252,8 @@ func TestTreeRandomSplitter(t *testing.T) {
 func TestTreeEntropyCriterion(t *testing.T) {
 	x, y := xorData(400, 8)
 	tr := New(Config{Criterion: Entropy})
-	if err := tr.Fit(x, y); err != nil {
-		t.Fatalf("Fit: %v", err)
+	if err := tr.FitFrame(frameOf(x), y, nil); err != nil {
+		t.Fatalf("FitFrame: %v", err)
 	}
 	if acc := accuracy(tr, x, y); acc < 0.95 {
 		t.Errorf("entropy tree accuracy %v, want >= 0.95", acc)
@@ -266,10 +283,10 @@ func TestTreeDeterministicWithSeed(t *testing.T) {
 	x, y := bandData(300, 4, 9)
 	t1 := New(Config{MaxFeatures: 2, Seed: 42})
 	t2 := New(Config{MaxFeatures: 2, Seed: 42})
-	if err := t1.Fit(x, y); err != nil {
+	if err := t1.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := t2.Fit(x, y); err != nil {
+	if err := t2.FitFrame(frameOf(x), y, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
@@ -292,7 +309,7 @@ func TestTreeProbaBounds(t *testing.T) {
 			y[i] = r.Intn(2)
 		}
 		tr := New(Config{})
-		if err := tr.Fit(x, y); err != nil {
+		if err := tr.FitFrame(frameOf(x), y, nil); err != nil {
 			return false
 		}
 		for i := 0; i < 20; i++ {

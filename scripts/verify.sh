@@ -16,6 +16,8 @@
 #                           (per-node sort, entropy always computed): TestExactSplitMatchesReference (weighted cases, and unit weights
 #                           nil/explicit at n 400/1024/1025 in both order modes), TestUnitEntropyTableExact, 5 s of
 #                           FuzzExactSplitVsReference, and TestRFFilterKeepWorkerInvariant (filter Keep equal at workers 1/4/8)
+#   learner contract      — ValidateFrame's table (shape, labels, row subsets, NaN/±Inf); all six Table 3 learners' FitFrame pinned
+#                           on all rows and on a CV-style row subset against a fixture; the AdaBoost grouped-CV and Table 2 pipeline goldens
 #   benchmark smoke       — tree/forest/filter/transform-frame/append/engine/agent benchmarks still compile and run (-benchtime=1x)
 #   serving race          — sharded ingest + concurrent scrape under -race
 #   ingest allocs         — steady-state ingest allocation budget; JSON path: warm DecodeJSONScratch allocates only the ID strings, ServeHTTP JSON ingest with echo ≤ 2 KB/sample
@@ -101,6 +103,9 @@ lane "exact split parity"
 go test -count=1 -run '^(TestExactSplitMatchesReference|TestUnitEntropyTableExact)$' -v ./internal/ml/tree/
 go test -count=1 -run '^TestRFFilterKeepWorkerInvariant$' -v ./internal/features/
 go test -run '^FuzzExactSplitVsReference$' -fuzz '^FuzzExactSplitVsReference$' -fuzztime=5s ./internal/ml/tree/
+
+lane "learner contract"
+go test -count=1 -run '^(TestValidateFrame|TestLearnerFitGolden|TestAdaBoostGroupedCVGolden|TestTable2PipelineParityGolden)$' ./internal/ml/ ./internal/experiments/
 
 lane "benchmark smoke"
 go test -run '^$' -bench 'BenchmarkTreeFit' -benchtime=1x ./internal/ml/tree/

@@ -12,10 +12,10 @@
 // GET /schema, GET /healthz, GET /metrics (Prometheus text), GET/POST /model
 // (model identity, drift scores, swap history; POST hot-swaps a bundle).
 //
-// The model lifecycle plane is controlled by -drift-window (per-app drift
-// scoring against the bundle's training fingerprint), -swap-policy
-// (off|shadow|auto shadow retraining from labeled ingest samples) and
-// -retrain-interval (how often the challenger is refit and compared).
+// -drift-window sizes per-app drift scoring against the bundle's training
+// fingerprint. Drift is an alarm: the served model reads platform metrics
+// only, so an operator answers it by retraining offline (cmd/train) and
+// hot-swapping the new bundle with POST /model.
 package main
 
 import (
@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"monitorless/internal/core"
-	"monitorless/internal/lifecycle"
 	"monitorless/internal/serving"
 )
 
@@ -50,9 +49,6 @@ func main() {
 		drain      = flag.Duration("drain", 5*time.Second, "graceful-shutdown drain timeout")
 
 		driftWindow = flag.Int("drift-window", 0, "per-app drift window in samples (0 = default 2048, -1 = disable drift scoring)")
-		swapPolicy  = flag.String("swap-policy", "off", "shadow-retrain policy: off | shadow (train+compare only) | auto (promote winning challengers)")
-		retrainIvl  = flag.Duration("retrain-interval", 10*time.Minute, "how often the shadow challenger is refit and compared")
-		reservoir   = flag.Int("reservoir", 0, "labeled-sample reservoir capacity for shadow retraining (0 = default 8192)")
 	)
 	flag.Parse()
 
@@ -86,60 +82,14 @@ func main() {
 		fmt.Println("drift scoring disabled: model carries no training fingerprint")
 	}
 
-	mg, err := buildLifecycle(svc, b.Model, *swapPolicy, *reservoir)
-	if err != nil {
+	if err := runServe(svc, *addr, *drain); err != nil {
 		log.Fatal(err)
 	}
-
-	if err := runServe(svc, mg, *retrainIvl, *addr, *drain); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// buildLifecycle assembles the shadow-retrain manager around the serving
-// plane: labeled ingest samples feed its reservoir, challenger promotions
-// go through the service's atomic hot swap, and per-outcome counters land
-// on the service's metrics registry. Returns nil for policy "off".
-func buildLifecycle(svc *serving.Service, champion *core.Model, policy string, reservoirCap int) (*lifecycle.Manager, error) {
-	pol, err := lifecycle.ParsePolicy(policy)
-	if err != nil {
-		return nil, err
-	}
-	if pol == lifecycle.PolicyOff {
-		return nil, nil
-	}
-	outcomes := make(map[string]*serving.Counter, 4)
-	for _, o := range []string{"win", "loss", "skip", "error"} {
-		outcomes[o] = svc.Registry().Counter("monitorless_retrain_rounds_total",
-			"Shadow retrain rounds by outcome.", serving.Labels{"outcome": o})
-	}
-	mg, err := lifecycle.NewManager(lifecycle.Config{
-		Champion:     champion,
-		Policy:       pol,
-		ReservoirCap: reservoirCap,
-		Swap: func(m *core.Model, trainSamples int, reason string) error {
-			_, err := svc.Swap(m, 0, reason)
-			return err
-		},
-		Harvest: svc.HarvestDrift,
-		OnOutcome: func(o string) {
-			if c := outcomes[o]; c != nil {
-				c.Inc()
-			}
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	svc.SetLabelSink(mg.Reservoir)
-	fmt.Printf("shadow retraining enabled: policy %s, reservoir %d labeled samples\n", pol, mg.Reservoir.Cap())
-	return mg, nil
 }
 
 // runServe hosts the service until SIGINT/SIGTERM, then drains in-flight
-// requests before exiting. When a lifecycle manager is attached, its
-// retrain loop runs alongside the server and stops with it.
-func runServe(svc *serving.Service, mg *lifecycle.Manager, retrainIvl time.Duration, addr string, drain time.Duration) error {
+// requests before exiting.
+func runServe(svc *serving.Service, addr string, drain time.Duration) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -147,13 +97,8 @@ func runServe(svc *serving.Service, mg *lifecycle.Manager, retrainIvl time.Durat
 	if err != nil {
 		return err
 	}
-	handler := serving.NewServer(svc)
-	if mg != nil {
-		handler.AttachLifecycle(mg)
-		go mg.Run(ctx, retrainIvl)
-	}
 	server := &http.Server{
-		Handler:           handler,
+		Handler:           serving.NewServer(svc),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		IdleTimeout:       60 * time.Second,

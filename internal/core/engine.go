@@ -14,12 +14,12 @@ import "monitorless/internal/features"
 //
 // A batch has n ≥ 1 samples; serial inference is a batch of one. Every
 // probability is bit-identical to Model.PredictFrame over the instance's
-// full history. The two phases are separate calls so a caller can tap the
-// engineered rows (Row) or time the forest stage between them.
+// full history. The two phases are separate calls so a caller can time
+// the forest stage between them.
 //
 // An Engine is not synchronised: one goroutine at a time, the caller
-// holds whatever lock guards it. Slices returned by Predict and Row alias
-// engine scratch and are valid until the next Step.
+// holds whatever lock guards it. The slice returned by Predict aliases
+// engine scratch and is valid until the next Step.
 type Engine struct {
 	model    *Model
 	streamer *features.Streamer
@@ -117,9 +117,6 @@ func (e *Engine) StateBytes() int64 { return e.states.Bytes() }
 func (e *Engine) Step(slots []int32, raws [][]float64) error {
 	return e.streamer.StepBatchInto(e.states, slots, raws, &e.batch)
 }
-
-// Row gathers stepped sample k's engineered vector, appending onto dst.
-func (e *Engine) Row(k int, dst []float64) []float64 { return e.batch.Row(k, dst) }
 
 // Predict scores the batch the last Step engineered; probs[k] belongs to
 // sample k. The route is decided from the model alone: a compiled forest

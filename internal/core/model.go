@@ -123,9 +123,8 @@ func TrainFrame(raw *frame.Frame, cfg TrainConfig) (*Model, error) {
 
 // watchLiveInputs narrows the fingerprint's drift watch list to the raw
 // columns the pipeline's liveness plan proves it can read. Drift on any
-// other column can only trigger a retrain that cannot help: retraining
-// refits the forest behind this same frozen pipeline. A pipeline with no
-// streamer keeps the default (watch everything).
+// other column says nothing about the served model, which never reads
+// it. A pipeline with no streamer keeps the default (watch everything).
 func (m *Model) watchLiveInputs() {
 	if m.Fingerprint == nil {
 		return
@@ -142,17 +141,6 @@ func (m *Model) WindowSize() int { return m.Pipeline.WindowSize() }
 // Streamer returns the incremental feature evaluator for online serving:
 // O(features) per sample, bit-identical to the batch table path.
 func (m *Model) Streamer() (*features.Streamer, error) { return m.Pipeline.Streamer() }
-
-// EngineeredSchema returns the engineered feature schema the forest
-// consumes — the column layout of the lifecycle reservoir.
-func (m *Model) EngineeredSchema() frame.Schema {
-	names := m.Pipeline.OutputNames()
-	out := make(frame.Schema, len(names))
-	for i, n := range names {
-		out[i] = frame.Col{Name: n}
-	}
-	return out
-}
 
 // PredictFrame classifies every row of a raw frame (batch evaluation) and
 // returns per-run prediction series aligned with the frame's spans. All

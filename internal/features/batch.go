@@ -150,14 +150,6 @@ func (b *BatchScratch) Cols() [][]float64 { return b.out }
 // Len returns the number of samples in the last batch.
 func (b *BatchScratch) Len() int { return b.n }
 
-// Row gathers sample k's engineered vector, appending onto dst.
-func (b *BatchScratch) Row(k int, dst []float64) []float64 {
-	for _, c := range b.out {
-		dst = append(dst, c[k])
-	}
-	return dst
-}
-
 // dst returns where a row-local kernel writes its output column j (not
 // zeroed): the offline driver's output frame, or a fresh arena column.
 func (b *BatchScratch) dst(j, n int) []float64 {

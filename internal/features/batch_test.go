@@ -103,7 +103,10 @@ func (d *slabDriver) flush() {
 		j := d.pos[ri]
 		d.pos[ri]++
 		want := d.want[ri][j]
-		d.row = d.b.Row(k, d.row[:0])
+		d.row = d.row[:0]
+		for _, c := range d.b.Cols() {
+			d.row = append(d.row, c[k])
+		}
 		if len(d.row) != len(want) {
 			d.t.Fatalf("run %d row %d: stream width %d, reference %d", ri, j, len(d.row), len(want))
 		}

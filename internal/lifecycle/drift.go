@@ -1,18 +1,18 @@
-// Package lifecycle is the model-lifecycle plane of the serving system:
-// feature-distribution drift detection against the training fingerprint
-// stored in v3 model bundles, a bounded frame-native reservoir of recent
-// labeled windows, and a shadow-retrain loop that fits challenger
-// forests on the fast histogram path and promotes them through an atomic
-// hot swap when they beat the champion on held-out data. It turns the
-// paper's train-once artifact into a self-healing service: the networkdeg
-// exemplar's adaptive-baseline idea (rolling statistics instead of frozen
-// cutoffs) applied to the model itself.
+// Package lifecycle is the drift alarm of the serving plane: per-app
+// feature-distribution drift scores (PSI and standardized mean shift)
+// against the training fingerprint stored in v3 model bundles. It is an
+// alarm, not a loop: the served model reads platform metrics only, and
+// application KPIs label training data offline, so an operator answers
+// drift by retraining with cmd/train and hot-swapping the new bundle
+// through POST /model. The adaptive baseline is the networkdeg
+// exemplar's idea (rolling statistics instead of frozen cutoffs) applied
+// to the model's inputs.
 //
 // The package is serving-agnostic: serving owns the per-shard Cells and
-// the swap mechanics; lifecycle owns the statistics and the policy.
-// Lock ordering: a Cell is guarded by its owning shard's lock; Monitor
-// and Reservoir have internal locks that are only ever acquired *inside*
-// a shard lock (Absorb) or with no shard lock held, never the reverse.
+// the swap mechanics; lifecycle owns the statistics.
+// Lock ordering: a Cell is guarded by its owning shard's lock; the
+// Monitor's internal lock is only ever acquired *inside* a shard lock
+// (Absorb) or with no shard lock held, never the reverse.
 package lifecycle
 
 import (

@@ -82,7 +82,7 @@ func NewAdaBoost(cfg AdaBoostConfig) *AdaBoost {
 // round refits the base tree over the same frame with new weights — no
 // per-round matrix copies.
 func (a *AdaBoost) FitFrame(fr *frame.Frame, y []int, rows []int) error {
-	y, err := ml.ValidateFrame(fr, y, rows)
+	ty, err := ml.ValidateFrame(fr, y, rows)
 	if err != nil {
 		return err
 	}
@@ -93,10 +93,6 @@ func (a *AdaBoost) FitFrame(fr *frame.Frame, y []int, rows []int) error {
 		}
 	}
 	n := len(rows)
-	ty := make([]int, n)
-	for p, i := range rows {
-		ty[p] = y[i]
-	}
 	w := make([]float64, n)
 	for i := range w {
 		w[i] = 1 / float64(n)

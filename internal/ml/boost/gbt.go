@@ -97,20 +97,16 @@ func NewGBT(cfg GBTConfig) *GBT {
 // gathered once into compact columns; the full-frame case fits on the
 // frame's columns zero-copy.
 func (g *GBT) FitFrame(fr *frame.Frame, y []int, rows []int) error {
-	y, err := ml.ValidateFrame(fr, y, rows)
+	ty, err := ml.ValidateFrame(fr, y, rows)
 	if err != nil {
 		return err
 	}
 	if rows == nil {
-		return g.fitColumns(fr.Cols(nil), y)
+		return g.fitColumns(fr.Cols(nil), ty)
 	}
 	d := fr.NumCols()
 	cols := make([][]float64, d)
 	flat := make([]float64, len(rows)*d)
-	ty := make([]int, len(rows))
-	for p, i := range rows {
-		ty[p] = y[i]
-	}
 	for j := 0; j < d; j++ {
 		src := fr.Col(j)
 		dst := flat[j*len(rows) : (j+1)*len(rows)]

@@ -96,7 +96,8 @@ func New(cfg Config) *Forest {
 // frame is shared read-only across all tree-fitting goroutines; every
 // bootstrap resample is an index array, never a copied matrix.
 func (f *Forest) FitFrame(fr *frame.Frame, y []int, rows []int) error {
-	y, err := ml.ValidateFrame(fr, y, rows)
+	// ty is the compact label vector of the training subset.
+	ty, err := ml.ValidateFrame(fr, y, rows)
 	if err != nil {
 		return err
 	}
@@ -108,11 +109,6 @@ func (f *Forest) FitFrame(fr *frame.Frame, y []int, rows []int) error {
 		for i := range rows {
 			rows[i] = i
 		}
-	}
-	// ty is the compact label vector of the training subset.
-	ty := make([]int, len(rows))
-	for p, i := range rows {
-		ty[p] = y[i]
 	}
 	baseW, err := ml.ClassWeights(ty, f.cfg.ClassWeight)
 	if err != nil {
@@ -395,28 +391,3 @@ func (f *Forest) NumTrees() int { return len(f.trees) }
 
 // NumFeatures returns the row width the fitted forest reads.
 func (f *Forest) NumFeatures() int { return f.nFeatures }
-
-// Config returns a copy of the forest's hyper-parameters — the
-// champion's recipe a lifecycle retrain reuses for its challenger.
-func (f *Forest) Config() Config { return f.cfg }
-
-// Retrain is the model-lifecycle retrain entry point: it fits a fresh
-// challenger forest with base's hyper-parameters on the listed frame
-// rows (nil = all; y nil = fr.Labels()), forcing the histogram splitter —
-// the fast path, since a shadow retrain competes with serving for the
-// box — and the given seed so repeated retrains are deterministic
-// functions of (reservoir contents, seed). The base forest is not
-// modified.
-func Retrain(base *Forest, fr *frame.Frame, y []int, rows []int, seed int64) (*Forest, error) {
-	if base == nil {
-		return nil, fmt.Errorf("forest: retrain: nil base forest")
-	}
-	cfg := base.Config()
-	cfg.Splitter = tree.Hist
-	cfg.Seed = seed
-	nf := New(cfg)
-	if err := nf.FitFrame(fr, y, rows); err != nil {
-		return nil, fmt.Errorf("forest: retrain: %w", err)
-	}
-	return nf, nil
-}

@@ -57,7 +57,9 @@ var ErrNoData = errors.New("ml: empty training set")
 // ValidateFrame is the hygiene gate of the frame-native fit path: it
 // resolves y (nil means fr.Labels()), checks shape and binary labels for
 // the selected rows, and rejects NaN/Inf once via frame.CheckFinite.
-// It returns the resolved label vector (one entry per frame row).
+// It returns the compact labels of the training rows: ty[p] is the label
+// of rows[p], or, with rows nil, the resolved y itself (one entry per
+// frame row, not a copy).
 func ValidateFrame(fr *frame.Frame, y []int, rows []int) ([]int, error) {
 	if fr == nil || fr.Rows() == 0 {
 		return nil, ErrNoData
@@ -93,29 +95,33 @@ func ValidateFrame(fr *frame.Frame, y []int, rows []int) ([]int, error) {
 	if err := fr.CheckFinite(); err != nil {
 		return nil, fmt.Errorf("ml: %w", err)
 	}
-	return y, nil
+	if rows == nil {
+		return y, nil
+	}
+	ty := make([]int, len(rows))
+	for p, i := range rows {
+		ty[p] = y[i]
+	}
+	return ty, nil
 }
 
 // TrainingRows is the fit door of the learners that iterate rows by
 // design (linear, nn): it runs ValidateFrame, then gathers the listed
 // rows (nil = all) once, straight into row-major slices over one backing
-// array, and returns them with their compact labels (ty[p] is the label
-// of rows[p]; with rows nil, the resolved per-frame-row labels).
+// array, and returns them with ValidateFrame's compact labels.
 func TrainingRows(fr *frame.Frame, y []int, rows []int) (x [][]float64, ty []int, err error) {
-	y, err = ValidateFrame(fr, y, rows)
+	ty, err = ValidateFrame(fr, y, rows)
 	if err != nil {
 		return nil, nil, err
 	}
 	if rows == nil {
-		return fr.MaterializeRows(), y, nil
+		return fr.MaterializeRows(), ty, nil
 	}
 	d := fr.NumCols()
 	flat := make([]float64, len(rows)*d)
 	x = make([][]float64, len(rows))
-	ty = make([]int, len(rows))
-	for p, i := range rows {
+	for p := range rows {
 		x[p] = flat[p*d : (p+1)*d : (p+1)*d]
-		ty[p] = y[i]
 	}
 	for j := 0; j < d; j++ {
 		col := fr.Col(j)

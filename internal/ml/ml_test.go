@@ -2,6 +2,7 @@ package ml
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"monitorless/internal/frame"
@@ -57,10 +58,27 @@ func TestValidateFrame(t *testing.T) {
 			if (err != nil) != tc.wantErr {
 				t.Fatalf("err=%v, wantErr=%v", err, tc.wantErr)
 			}
-			if err == nil && len(y) != tc.fr.Rows() {
-				t.Errorf("resolved %d labels for %d rows", len(y), tc.fr.Rows())
+			if err != nil {
+				return
+			}
+			want := tc.fr.Rows()
+			if tc.rows != nil {
+				want = len(tc.rows)
+			}
+			if len(y) != want {
+				t.Errorf("resolved %d labels for %d training rows", len(y), want)
 			}
 		})
+	}
+
+	// A row subset gets its compact labels: ty[p] is the label of rows[p],
+	// repeats included.
+	ty, err := ValidateFrame(frameOf([][]float64{{1}, {2}, {3}}, []int{0, 1, 1}), nil, []int{2, 0, 2, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{1, 0, 1, 1}; !slices.Equal(ty, want) {
+		t.Errorf("compact labels = %v, want %v", ty, want)
 	}
 }
 

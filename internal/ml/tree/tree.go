@@ -234,18 +234,11 @@ func (t *Tree) compact() {
 // holding one label per frame row (nil = fr.Labels()). This is the
 // validated frame-boundary entry point.
 func (t *Tree) FitFrame(fr *frame.Frame, y []int, rows []int) error {
-	y, err := ml.ValidateFrame(fr, y, rows)
+	ty, err := ml.ValidateFrame(fr, y, rows)
 	if err != nil {
 		return err
 	}
-	if rows == nil {
-		return t.FitFrameSamples(fr, nil, y, nil)
-	}
-	sy := make([]int, len(rows))
-	for p, i := range rows {
-		sy[p] = y[i]
-	}
-	return t.FitFrameSamples(fr, rows, sy, nil)
+	return t.FitFrameSamples(fr, rows, ty, nil)
 }
 
 // prepSamples normalizes the (smp, y, w) triple shared by the exact and

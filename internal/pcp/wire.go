@@ -20,12 +20,9 @@ type WireSample struct {
 	App     string `json:"app,omitempty"`
 	Service string `json:"service,omitempty"`
 	// Values is the combined host∥container vector in catalog order.
+	// Samples carry platform metrics only: application KPIs label
+	// training data offline and never reach the serving plane.
 	Values []float64 `json:"values"`
-	// Label is an optional ground-truth saturation label (0/1) for this
-	// sample — the feed for the serving plane's shadow-retrain reservoir.
-	// JSON encoding only; the binary batch frame carries unlabeled
-	// telemetry and leaves it nil.
-	Label *int `json:"label,omitempty"`
 }
 
 // WireObservation is one tick's batch of samples.

@@ -166,7 +166,7 @@ func TestSwapResetsDriftOnlyOnNewFingerprint(t *testing.T) {
 			fp := *m.Fingerprint
 			m2.Fingerprint = &fp
 		}
-		if ev, err := svc.Swap(&m2, 0, "cold"); err != nil || !ev.Cold {
+		if ev, err := svc.Swap(&m2, 0); err != nil || !ev.Cold {
 			t.Fatalf("swap: %+v, %v", ev, err)
 		}
 		return feed(window - before), feed(before)

@@ -56,16 +56,13 @@ func readBody(r *http.Request, bp *[]byte) ([]byte, error) {
 //	DELETE /instances?id=     drop an instance's state (scale-in)
 //	GET    /schema            raw metric names + schema hash
 //	GET    /model             active model: generation, fingerprint, drift
-//	                          scores, swap history, lifecycle status
+//	                          scores, swap history
 //	POST   /model             hot-swap a model bundle (body = bundle bytes)
 //	GET    /healthz           liveness + service stats
 //	GET    /metrics           Prometheus text exposition
 type Server struct {
 	svc *Service
 	mux *http.ServeMux
-
-	lcMu sync.Mutex
-	lc   *lifecycle.Manager
 }
 
 // NewServer wraps a service with its HTTP API.
@@ -91,21 +88,6 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 		}
 		h(w, r)
 	})
-}
-
-// AttachLifecycle surfaces a lifecycle manager's retrain status on
-// /model. Safe to call at any point (cmd/serve attaches it after wiring
-// the swap callback).
-func (s *Server) AttachLifecycle(mg *lifecycle.Manager) {
-	s.lcMu.Lock()
-	s.lc = mg
-	s.lcMu.Unlock()
-}
-
-func (s *Server) lifecycleManager() *lifecycle.Manager {
-	s.lcMu.Lock()
-	defer s.lcMu.Unlock()
-	return s.lc
 }
 
 // statusWriter captures the response code and matched route for request
@@ -285,7 +267,7 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 }
 
 // ModelInfo is the GET /model response: the active model's identity and
-// the lifecycle plane's view of it.
+// the drift monitor's view of it.
 type ModelInfo struct {
 	Gen           uint64  `json:"gen"`
 	BundleVersion int     `json:"bundle_version"`
@@ -307,8 +289,6 @@ type ModelInfo struct {
 	Drift []lifecycle.AppDrift `json:"drift,omitempty"`
 	// Swaps is the retained hot-swap history, oldest first.
 	Swaps []SwapEvent `json:"swaps,omitempty"`
-	// Lifecycle is the shadow-retrain status when a manager is attached.
-	Lifecycle *lifecycle.Status `json:"lifecycle,omitempty"`
 }
 
 // maxBundleBytes bounds one POST /model body (a 250-tree bundle with
@@ -340,10 +320,6 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		if d := s.svc.Drift(); d != nil {
 			info.Drift = d.Scores()
 		}
-		if mg := s.lifecycleManager(); mg != nil {
-			lst := mg.Status()
-			info.Lifecycle = &lst
-		}
 		writeJSON(w, http.StatusOK, info)
 	case http.MethodPost:
 		r.Body = http.MaxBytesReader(w, r.Body, maxBundleBytes)
@@ -352,7 +328,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		ev, err := s.svc.Swap(b.Model, b.Version, "operator")
+		ev, err := s.svc.Swap(b.Model, b.Version)
 		if err != nil {
 			code := http.StatusBadRequest
 			if errors.Is(err, ErrSchemaMismatch) {

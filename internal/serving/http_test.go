@@ -151,6 +151,14 @@ func TestHTTPRejectsBadRequests(t *testing.T) {
 		return resp.StatusCode
 	}
 
+	// Samples carry platform metrics only: a "label" key is an unknown
+	// field, rejected and counted as malformed like any other.
+	if code := post(`{"t":0,"samples":[{"instance":"a/x/0","values":[1],"label":1}]}`); code != http.StatusBadRequest {
+		t.Errorf("labeled sample → %d, want 400", code)
+	}
+	if metrics, _ := NewClient(srv.URL).Metrics(); !strings.Contains(metrics, `monitorless_ingest_rejects_total{reason="malformed"} 1`) {
+		t.Error("labeled sample not counted as malformed")
+	}
 	if code := post("{not json"); code != http.StatusBadRequest {
 		t.Errorf("malformed JSON → %d, want 400", code)
 	}

@@ -33,7 +33,6 @@ const (
 	fieldApp
 	fieldService
 	fieldValues
-	fieldLabel
 )
 
 // valSpan locates one sample's values in the scratch value slab while the
@@ -433,13 +432,6 @@ func (d *jsonDecoder) sample() error {
 		case "values":
 			if err = d.claim(&seen, fieldValues, key); err == nil && !d.null() {
 				err = d.values(i)
-			}
-		case "label":
-			if err = d.claim(&seen, fieldLabel, key); err == nil && !d.null() {
-				var n int
-				if n, err = d.integer("label"); err == nil {
-					s.Label = &n
-				}
 			}
 		default:
 			err = d.errorf("sample %d: unknown field %q", i, key)

@@ -79,7 +79,7 @@ func referenceDecode(b []byte) (pcp.WireObservation, error) {
 // pcp.WireSample.
 var jsonFieldNames = map[string]bool{
 	"t": true, "schema_hash": true, "samples": true,
-	"instance": true, "app": true, "service": true, "values": true, "label": true,
+	"instance": true, "app": true, "service": true, "values": true,
 }
 
 // strictJSON reports whether b is one JSON value whose object keys are
@@ -145,7 +145,7 @@ func jsonObsEqual(a, b pcp.WireObservation) bool {
 }
 
 // jsonSeeds is the fuzz seed corpus: agent-shaped bodies, every body
-// TestHTTPRejectsBadRequests posts, labels, nulls, escapes and the number
+// TestHTTPRejectsBadRequests posts, nulls, escapes and the number
 // grammar's edges.
 func jsonSeeds(tb testing.TB) []string {
 	seeds := []string{
@@ -157,9 +157,10 @@ func jsonSeeds(tb testing.TB) []string {
 		`{"t":0,"schema_hash":"deadbeef","samples":[{"instance":"a/x/0","values":[1]}]}`,
 		`{"t":0,"samples":[{"instance":"a/x/0","values":[1,2,3]}]}`,
 		`{"t":0,"samples":[{"instance":"a/x/0","values":[1]},{"instance":"a/x/0","values":[1]}]}`,
-		// Labels, app and service, nulls.
-		`{"t":3,"samples":[{"instance":"a/x/0","app":"a","service":"x","values":[1,2],"label":1},{"instance":"a/x/1","values":[0.5,-2],"label":0}]}`,
-		`{"t":null,"schema_hash":null,"samples":[{"instance":"a/x/0","app":null,"service":null,"values":[1,null,3],"label":null},null]}`,
+		`{"t":0,"samples":[{"instance":"a/x/0","values":[1],"label":1}]}`,
+		// App and service, nulls.
+		`{"t":3,"samples":[{"instance":"a/x/0","app":"a","service":"x","values":[1,2]},{"instance":"a/x/1","values":[0.5,-2]}]}`,
+		`{"t":null,"schema_hash":null,"samples":[{"instance":"a/x/0","app":null,"service":null,"values":[1,null,3]},null]}`,
 		`{"samples":null}`,
 		`{"samples":[{"instance":"a/x/0","values":null}]}`,
 		`{"samples":[{"instance":"a/x/0","values":[]}]}`,
@@ -188,12 +189,14 @@ func jsonSeeds(tb testing.TB) []string {
 		`{"t":1.5,"samples":[]}`,
 		`{"t":9223372036854775808,"samples":[]}`,
 		`{"t":-9223372036854775808,"samples":[]}`,
-		`{"t":1,"samples":[{"instance":"a/x/0","values":[1],"label":1e0}]}`,
 		// Type mismatches.
 		`{"t":"1","samples":[]}`,
 		`{"t":1,"samples":{}}`,
 		`{"t":1,"samples":[{"instance":5,"values":[1]}]}`,
 		`{"t":1,"samples":[{"instance":"a/x/0","values":[true]}]}`,
+		// A field the wire does not carry, in any form.
+		`{"t":1,"samples":[{"instance":"a/x/0","values":[1],"label":null}]}`,
+		`{"t":1,"samples":[{"instance":"a/x/0","values":[1],"label":1e0}]}`,
 		`[]`,
 		// The three tightenings, and trailing garbage.
 		`{"T":1,"samples":[]}`,
@@ -218,7 +221,7 @@ func FuzzDecodeJSONVsReference(f *testing.F) {
 	for _, s := range jsonSeeds(f) {
 		f.Add([]byte(s))
 	}
-	dirty := []byte(`{"t":9,"schema_hash":"x","samples":[{"instance":"d/d/0","app":"d","service":"d","values":[9,9,9,9],"label":1}]}`)
+	dirty := []byte(`{"t":9,"schema_hash":"x","samples":[{"instance":"d/d/0","app":"d","service":"d","values":[9,9,9,9]}]}`)
 	var sc WireScratch
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if _, err := DecodeJSONScratch(dirty, &sc); err != nil {
@@ -303,6 +306,13 @@ func TestDecodeJSONErrors(t *testing.T) {
 	var se *json.SyntaxError
 	if errors.As(err, &se) {
 		t.Fatal("grammar errors are the decoder's own, not encoding/json's")
+	}
+	// Samples carry no label: the key is unknown, null or not.
+	for _, v := range []string{"1", "null"} {
+		_, err = DecodeJSONScratch([]byte(`{"t":1,"samples":[{"instance":"a/x/0","values":[1],"label":`+v+`}]}`), nil)
+		if err == nil || !strings.Contains(err.Error(), `unknown field "label"`) {
+			t.Fatalf("label %s: err = %v, want unknown field \"label\"", v, err)
+		}
 	}
 }
 

@@ -169,8 +169,8 @@ type SwapEvent struct {
 	Gen uint64 `json:"gen"`
 	// At is the wall-clock swap time.
 	At time.Time `json:"at"`
-	// Reason is the caller-supplied provenance ("operator", "challenger
-	// round 3: F1 …").
+	// Reason is the swap's provenance; every swap is an operator's
+	// POST /model, so it always reads "operator".
 	Reason string `json:"reason"`
 	// Cold reports that the pipeline changed, so per-instance streaming
 	// state was reset (warm swaps keep it and stay bit-identical).
@@ -179,22 +179,12 @@ type SwapEvent struct {
 	Trees        int `json:"trees"`
 	TrainSamples int `json:"train_samples"`
 	// BundleVersion is the installed bundle's format version (0 for
-	// in-process models, e.g. lifecycle challengers).
+	// in-process models).
 	BundleVersion int `json:"bundle_version,omitempty"`
 }
 
 // maxSwapHistory bounds the retained swap event log.
 const maxSwapHistory = 64
-
-// LabelSink receives labeled engineered feature rows from the ingest
-// path (the lifecycle reservoir implements it). Add must copy vec before
-// returning: the slice aliases per-shard scratch.
-type LabelSink interface {
-	Add(vec []float64, label int)
-}
-
-// labelSinkBox wraps the interface so it fits an atomic.Pointer.
-type labelSinkBox struct{ sink LabelSink }
 
 // shardApp is one application's aggregate within a single shard: how many
 // tracked instances name the app, and how many of those are currently
@@ -228,7 +218,6 @@ type shard struct {
 
 	slots []int32
 	raws  [][]float64
-	vec   []float64
 	pend  []pendSample
 	// bytes mirrors eng.StateBytes() so the instance-state gauge reads it
 	// without taking the shard lock.
@@ -296,8 +285,8 @@ type routeScratch struct {
 
 // Service holds the model, sharded per-instance streaming state, and
 // cross-shard per-app debouncers. All methods are safe for concurrent
-// use; lock order is appsMu before shard.mu; the lifecycle monitor and
-// label-sink locks nest inside shard.mu and are never held around either.
+// use; lock order is appsMu before shard.mu; the drift monitor's lock
+// nests inside shard.mu and is never held around either.
 type Service struct {
 	// active is the serving model generation; swapped atomically, loaded
 	// once per shard batch.
@@ -320,8 +309,6 @@ type Service struct {
 
 	// drift is nil when the model has no fingerprint or DriftWindow < 0.
 	drift *lifecycle.Monitor
-	// labelSink receives labeled engineered rows (nil box = disabled).
-	labelSink atomic.Pointer[labelSinkBox]
 
 	reg       *Registry
 	respPool  sync.Pool
@@ -489,16 +476,6 @@ func (s *Service) RawNames() []string {
 
 // Model returns the active model (for observability endpoints).
 func (s *Service) Model() *core.Model { return s.active.Load().model }
-
-// SetLabelSink installs (or, with nil, removes) the sink that receives
-// labeled engineered rows from the ingest path.
-func (s *Service) SetLabelSink(sink LabelSink) {
-	if sink == nil {
-		s.labelSink.Store(nil)
-		return
-	}
-	s.labelSink.Store(&labelSinkBox{sink: sink})
-}
 
 // Drift returns the lifecycle drift monitor (nil when the model carries
 // no training fingerprint or monitoring is disabled).
@@ -679,7 +656,6 @@ func (s *Service) ingestShard(si int, w *pcp.WireObservation, idxs []int32, resp
 	// landing mid-batch does not mix generations within the batch, and
 	// every prediction below is stamped with the generation it used.
 	mv := s.active.Load()
-	sink := s.labelSink.Load()
 	sh := &s.shards[si]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -740,16 +716,6 @@ func (s *Service) ingestShard(si int, w *pcp.WireObservation, idxs []int32, resp
 	if s.drift != nil && mv.fp != nil {
 		for k := range sh.pend {
 			sh.drift.Observe(mv.fp, sh.pend[k].app, sh.raws[k])
-		}
-	}
-	if sink != nil {
-		for k, i := range idxs {
-			if lbl := w.Samples[i].Label; lbl != nil {
-				// The sink copies the row before returning (it aliases
-				// per-shard scratch).
-				sh.vec = sh.eng.Row(k, sh.vec[:0])
-				sink.sink.Add(sh.vec, *lbl)
-			}
 		}
 	}
 
@@ -1003,7 +969,7 @@ func (s *Service) Stats() Stats {
 // Otherwise the swap is cold: all instance state is reset and rebuilt
 // from subsequent traffic. In-flight shard batches finish on the
 // generation they loaded; there is no pause.
-func (s *Service) Swap(m *core.Model, bundleVersion int, reason string) (SwapEvent, error) {
+func (s *Service) Swap(m *core.Model, bundleVersion int) (SwapEvent, error) {
 	if m == nil || m.Forest == nil || m.Pipeline == nil {
 		s.mSwapRejects.Inc()
 		return SwapEvent{}, fmt.Errorf("serving: swap: incomplete model")
@@ -1074,7 +1040,7 @@ func (s *Service) Swap(m *core.Model, bundleVersion int, reason string) (SwapEve
 	ev := SwapEvent{
 		Gen:           nv.gen,
 		At:            time.Now().UTC(),
-		Reason:        reason,
+		Reason:        "operator",
 		Cold:          !warm,
 		Trees:         m.Forest.NumTrees(),
 		TrainSamples:  m.TrainSamples,
@@ -1116,8 +1082,8 @@ func (s *Service) resetInstances(nv *modelVersion) {
 
 // HarvestDrift drains every shard's drift cell into the monitor and
 // refreshes the per-app drift gauges. The /metrics handler calls it
-// before rendering, so scrapes see current scores; the lifecycle
-// manager calls it before each retrain round. No-op without a monitor.
+// before rendering and GET /model before reading, so both see current
+// scores. No-op without a monitor.
 func (s *Service) HarvestDrift() {
 	if s.drift == nil {
 		return

@@ -10,8 +10,6 @@ import (
 
 	"monitorless/internal/core"
 	"monitorless/internal/features"
-	"monitorless/internal/lifecycle"
-	"monitorless/internal/ml/forest"
 	"monitorless/internal/pcp"
 )
 
@@ -68,14 +66,14 @@ func TestHotSwapByteIdenticalBitIdentical(t *testing.T) {
 	for tick := 0; tick < ticks; tick++ {
 		if tick == swapAt {
 			m2, ver := reloadedModel(t, m)
-			ev, err := swapped.Swap(m2, ver, "test reload")
+			ev, err := swapped.Swap(m2, ver)
 			if err != nil {
 				t.Fatalf("swap: %v", err)
 			}
 			if ev.Cold {
 				t.Fatal("byte-identical bundle produced a cold swap")
 			}
-			if ev.Gen != 2 || ev.BundleVersion != ver {
+			if ev.Gen != 2 || ev.BundleVersion != ver || ev.Reason != "operator" {
 				t.Fatalf("swap event: %+v (bundle version %d)", ev, ver)
 			}
 		}
@@ -111,7 +109,7 @@ func TestHotSwapByteIdenticalBitIdentical(t *testing.T) {
 	if got := swapped.Stats(); got.Swaps != 1 || got.ModelGen != 2 {
 		t.Errorf("stats after swap: %+v", got)
 	}
-	if hist := swapped.SwapHistory(); len(hist) != 1 || hist[0].Reason != "test reload" {
+	if hist := swapped.SwapHistory(); len(hist) != 1 || hist[0].Reason != "operator" {
 		t.Errorf("swap history: %+v", hist)
 	}
 }
@@ -124,11 +122,11 @@ func TestSwapRejectsSchemaAndLayoutMismatch(t *testing.T) {
 	bad := *m
 	bad.RawSchema = m.RawSchema.Clone()
 	bad.RawSchema[0].Name = "kernel.all.cpu.borrowed"
-	if _, err := svc.Swap(&bad, 0, "bad schema"); err == nil || !strings.Contains(err.Error(), "schema") {
+	if _, err := svc.Swap(&bad, 0); err == nil || !strings.Contains(err.Error(), "schema") {
 		t.Fatalf("schema mismatch: got %v", err)
 	}
 
-	if _, err := svc.Swap(nil, 0, "nil"); err == nil {
+	if _, err := svc.Swap(nil, 0); err == nil {
 		t.Fatal("nil model accepted")
 	}
 	if svc.active.Load().gen != 1 || len(svc.SwapHistory()) != 0 {
@@ -171,7 +169,7 @@ func TestColdSwapResetsInstanceState(t *testing.T) {
 	pipe2.RawCols[0].Domain = "tweaked-for-cold-swap"
 	m2 := *m
 	m2.Pipeline = pipe2
-	ev, err := svc.Swap(&m2, 0, "cold")
+	ev, err := svc.Swap(&m2, 0)
 	if err != nil {
 		t.Fatalf("cold swap: %v", err)
 	}
@@ -212,9 +210,9 @@ func TestLifecycleSwapRace(t *testing.T) {
 		ticks   = 30
 		perObs  = 6
 	)
-	// A challenger-shaped model: same pipeline pointer, same forest —
-	// every swap is warm, so writers are never reset mid-run.
-	challenger := *m
+	// A twin model: same pipeline pointer, same forest — every swap is
+	// warm, so writers are never reset mid-run.
+	twin := *m
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 
@@ -229,9 +227,9 @@ func TestLifecycleSwapRace(t *testing.T) {
 			}
 			mm := m
 			if i%2 == 0 {
-				mm = &challenger
+				mm = &twin
 			}
-			if _, err := svc.Swap(mm, 0, fmt.Sprintf("churn %d", i)); err != nil {
+			if _, err := svc.Swap(mm, 0); err != nil {
 				t.Errorf("swap churn: %v", err)
 				return
 			}
@@ -308,7 +306,7 @@ func TestSwapChurnAllocations(t *testing.T) {
 			Values:   rows[i%len(rows)],
 		})
 	}
-	challenger := *m
+	twin := *m
 	for w := 0; w < 3; w++ {
 		resp, err := svc.IngestQuiet(obs)
 		if err != nil {
@@ -320,10 +318,10 @@ func TestSwapChurnAllocations(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() {
 		mm := m
 		if i%2 == 0 {
-			mm = &challenger
+			mm = &twin
 		}
 		i++
-		if _, err := svc.Swap(mm, 0, "churn"); err != nil {
+		if _, err := svc.Swap(mm, 0); err != nil {
 			t.Fatal(err)
 		}
 		resp, err := svc.IngestQuiet(obs)
@@ -394,160 +392,8 @@ func TestDriftMonitorScoresShiftedTraffic(t *testing.T) {
 	}
 }
 
-// fakeSink records labeled rows handed to the label sink.
-type fakeSink struct {
-	mu   sync.Mutex
-	vecs [][]float64
-	ys   []int
-}
-
-func (f *fakeSink) Add(vec []float64, label int) {
-	f.mu.Lock()
-	f.vecs = append(f.vecs, append([]float64(nil), vec...))
-	f.ys = append(f.ys, label)
-	f.mu.Unlock()
-}
-
-func TestLabelSinkReceivesEngineeredRows(t *testing.T) {
-	m, _ := sharedTestModel(t)
-	svc, err := New(Config{Model: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := &fakeSink{}
-	svc.SetLabelSink(sink)
-	rows := rawRows(t)
-	one := 1
-	for tick := 0; tick < 4; tick++ {
-		smp := pcp.WireSample{Instance: "lab/s/0", Values: rows[tick]}
-		if tick%2 == 1 {
-			smp.Label = &one
-		}
-		resp, err := svc.IngestQuiet(pcp.WireObservation{T: tick, Samples: []pcp.WireSample{smp}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		svc.PutResponse(resp)
-	}
-	if len(sink.ys) != 2 {
-		t.Fatalf("sink saw %d labeled rows, want 2 (only labeled samples feed it)", len(sink.ys))
-	}
-	if w := len(m.Pipeline.OutputNames()); len(sink.vecs[0]) != w {
-		t.Fatalf("sink rows have %d features, want engineered width %d", len(sink.vecs[0]), w)
-	}
-	svc.SetLabelSink(nil)
-	resp, err := svc.IngestQuiet(pcp.WireObservation{T: 9, Samples: []pcp.WireSample{
-		{Instance: "lab/s/0", Values: rows[9], Label: &one},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc.PutResponse(resp)
-	if len(sink.ys) != 2 {
-		t.Fatal("removed sink still receives rows")
-	}
-}
-
-// TestLifecycleEndToEndDriftRetrainSwap is the tentpole integration: a
-// service starts on a deliberately bad champion (forest fit on inverted
-// labels), labeled traffic fills the lifecycle reservoir through the
-// ingest label sink, a shadow retrain trains a challenger on the truth,
-// wins the holdout comparison, and promotes itself through the service's
-// atomic warm swap — all while the instance streaming state survives.
-func TestLifecycleEndToEndDriftRetrainSwap(t *testing.T) {
-	m, ds := sharedTestModel(t)
-	eng, err := m.Pipeline.TransformFrame(ds.Frame())
-	if err != nil {
-		t.Fatal(err)
-	}
-	inverted := make([]int, eng.Rows())
-	for i, y := range eng.Labels() {
-		inverted[i] = 1 - y
-	}
-	badForest, err := forest.Retrain(m.Forest, eng, inverted, nil, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	champ := &core.Model{
-		Pipeline: m.Pipeline, Forest: badForest, Threshold: m.Threshold,
-		RawSchema: m.RawSchema, Fingerprint: m.Fingerprint,
-	}
-
-	svc, err := New(Config{Model: champ, Shards: 4, DriftWindow: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mg, err := lifecycle.NewManager(lifecycle.Config{
-		Champion:      champ,
-		Policy:        lifecycle.PolicyAuto,
-		ReservoirCap:  4096,
-		MinFitSamples: 256,
-		Seed:          17,
-		Swap: func(nm *core.Model, trainSamples int, reason string) error {
-			_, err := svc.Swap(nm, 0, reason)
-			return err
-		},
-		Harvest: svc.HarvestDrift,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc.SetLabelSink(mg.Reservoir)
-
-	// Labeled traffic: stream the raw training frame through ingest, one
-	// wire sample per row, labels riding along.
-	raw := ds.Frame()
-	labels := raw.Labels()
-	vec := make([]float64, raw.NumCols())
-	for i := 0; i < raw.Rows() && i < 1200; i++ {
-		vec = raw.Row(i, vec)
-		lbl := labels[i]
-		resp, err := svc.IngestQuiet(pcp.WireObservation{T: i, Samples: []pcp.WireSample{
-			{Instance: fmt.Sprintf("fleet/s/%d", i%4), Values: vec, Label: &lbl},
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		svc.PutResponse(resp)
-	}
-	if got := int(mg.Reservoir.Total()); got < 1000 {
-		t.Fatalf("reservoir collected %d labeled rows, want ≥ 1000", got)
-	}
-
-	rep := mg.RetrainOnce()
-	if rep.Skipped != "" || rep.Err != "" {
-		t.Fatalf("retrain round failed: %+v", rep)
-	}
-	if !rep.Win || !rep.Swapped {
-		t.Fatalf("challenger should beat the inverted champion and swap: %+v", rep)
-	}
-	if svc.active.Load().gen != 2 {
-		t.Fatalf("service generation = %d after promotion, want 2", svc.active.Load().gen)
-	}
-	hist := svc.SwapHistory()
-	if len(hist) != 1 || hist[0].Cold {
-		t.Fatalf("challenger promotion must be a single warm swap: %+v", hist)
-	}
-	if got := svc.Stats().Instances; got != 4 {
-		t.Fatalf("warm promotion reset instance state: %d instances, want 4", got)
-	}
-
-	// The service keeps serving on the promoted generation.
-	rows := rawRows(t)
-	resp, err := svc.Ingest(pcp.WireObservation{T: 5000, Samples: []pcp.WireSample{
-		{Instance: "fleet/s/0", Values: rows[0]},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := resp.Predictions["fleet/s/0"]; p.ModelGen != 2 {
-		t.Fatalf("post-promotion prediction generation = %d, want 2", p.ModelGen)
-	}
-	svc.PutResponse(resp)
-}
-
-// TestModelEndpoint exercises GET /model (identity + fingerprint +
-// lifecycle status) and POST /model (operator hot swap).
+// TestModelEndpoint exercises GET /model (identity + fingerprint) and
+// POST /model (operator hot swap).
 func TestModelEndpoint(t *testing.T) {
 	m, _ := sharedTestModel(t)
 	// sharedTestModel is exact-trained (no compiled quantized predictor),
@@ -558,11 +404,6 @@ func TestModelEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServer(svc)
-	mg, err := lifecycle.NewManager(lifecycle.Config{Champion: m, Policy: lifecycle.PolicyShadow})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.AttachLifecycle(mg)
 
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/model", nil))
@@ -572,8 +413,8 @@ func TestModelEndpoint(t *testing.T) {
 	body := rec.Body.String()
 	for _, want := range []string{
 		`"gen": 1`, `"bundle_version": 3`, `"schema_hash"`, `"fingerprint"`,
-		`"lifecycle"`, `"policy": "shadow"`,
-		fmt.Sprintf(`"watched_cols": %d,`, len(m.Fingerprint.Watched())),
+		// The last field while no drift window has closed and no swap ran.
+		fmt.Sprintf("\"watched_cols\": %d\n", len(m.Fingerprint.Watched())),
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("GET /model missing %s in:\n%s", want, body[:min(len(body), 600)])

@@ -103,7 +103,7 @@ func main() {
 		fmt.Printf("compiled quantized predictor: %d trees packed over order keys of %d columns\n",
 			ctx.Model.Forest.NumTrees(), q.NumSlots())
 	}
-	fmt.Printf("model bundle (v%d) saved to %s\n", core.BundleVersionFor(ctx.Model), *out)
+	fmt.Printf("model bundle (v%d) saved to %s\n", core.BundleVersion, *out)
 
 	if *table4 {
 		experiments.PrintTable4(os.Stdout, experiments.Table4(ctx, 30))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/sha256"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -15,20 +16,19 @@ import (
 // flags, the same function the dataset layer and the serving wire protocol
 // use), and the training seed for provenance. cmd/train writes bundles;
 // cmd/experiments -model and cmd/serve load them through the one loader
-// below. This build reads the current format and its predecessor:
-// version 3 requires a training-distribution fingerprint (per-column
-// moments + quantile sketch, frame.Fingerprint) validated against the
-// schema width — the drift-detection reference the lifecycle plane needs.
-// Version 4 additionally carries the forest's compiled quantized predictor
-// (per-feature bin edges + per-node uint8 code thresholds, forest.Compile)
-// inside the forest gob, so a loaded model batch-predicts through the
-// quantized path immediately; models without a compiled form
-// (exact-splitter training, explicit DropQuant) are written as version 3.
+// below. Every readable version requires a training-distribution
+// fingerprint (per-column moments + quantile sketch, frame.Fingerprint)
+// validated against the schema width — the drift-detection reference the
+// lifecycle plane needs. SaveBundle writes version 5, whose header adds
+// the sha256 of the model blob; the loader checks it before it decodes
+// the blob. Versions 3 and 4 carry no checksum and still load. The
+// compiled forest form a version 4 file also stores is ignored: the
+// forest decoder compiles every forest from its trees.
 
-// BundleVersion is the current bundle format version; minBundleVersion is
-// the oldest this build still reads.
+// BundleVersion is the bundle format version SaveBundle writes;
+// minBundleVersion is the oldest this build still reads.
 const (
-	BundleVersion    = 4
+	BundleVersion    = 5
 	minBundleVersion = 3
 )
 
@@ -48,29 +48,20 @@ type Bundle struct {
 	Model *Model
 }
 
-// bundleWire is the gob image of a bundle.
+// bundleWire is the gob image of a bundle. ModelSHA256 is the sha256 of
+// ModelBlob (version 5; zero in older files).
 type bundleWire struct {
-	Magic      string
-	Version    int
-	SchemaHash string
-	TrainSeed  int64
-	ModelBlob  []byte
+	Magic       string
+	Version     int
+	SchemaHash  string
+	TrainSeed   int64
+	ModelBlob   []byte
+	ModelSHA256 [sha256.Size]byte
 }
 
-// BundleVersionFor reports the format version SaveBundle will write for
-// a model: 4 when the forest carries a compiled quantized predictor, 3
-// otherwise — so the stored version always tells readers which
-// capabilities the bundle carries.
-func BundleVersionFor(m *Model) int {
-	if m.Forest == nil || m.Forest.Quant() == nil {
-		return 3
-	}
-	return BundleVersion
-}
-
-// SaveBundle writes the bundle at the version matching the model's
-// capabilities (see BundleVersionFor). A model without a training
-// fingerprint cannot be saved: every readable format requires one.
+// SaveBundle writes the bundle at BundleVersion. A model without a
+// training fingerprint cannot be saved: every readable format requires
+// one.
 func SaveBundle(w io.Writer, m *Model, trainSeed int64) error {
 	if m.Fingerprint == nil {
 		return fmt.Errorf("core: save bundle: model carries no training fingerprint")
@@ -80,11 +71,12 @@ func SaveBundle(w io.Writer, m *Model, trainSeed int64) error {
 		return fmt.Errorf("core: save bundle: %w", err)
 	}
 	wire := bundleWire{
-		Magic:      bundleMagic,
-		Version:    BundleVersionFor(m),
-		SchemaHash: m.RawSchema.Hash(),
-		TrainSeed:  trainSeed,
-		ModelBlob:  blob,
+		Magic:       bundleMagic,
+		Version:     BundleVersion,
+		SchemaHash:  m.RawSchema.Hash(),
+		TrainSeed:   trainSeed,
+		ModelBlob:   blob,
+		ModelSHA256: sha256.Sum256(blob),
 	}
 	if err := gob.NewEncoder(w).Encode(wire); err != nil {
 		return fmt.Errorf("core: save bundle: %w", err)
@@ -92,10 +84,11 @@ func SaveBundle(w io.Writer, m *Model, trainSeed int64) error {
 	return nil
 }
 
-// LoadBundle reads a bundle written by SaveBundle. It verifies the stored
-// schema hash against the decoded model and refuses every format version
-// outside [minBundleVersion, BundleVersion]; a gob stream without the
-// bundle header counts as version 0.
+// LoadBundle reads a bundle written by SaveBundle. It refuses every
+// format version outside [minBundleVersion, BundleVersion] (a gob stream
+// without the bundle header counts as version 0), checks a version-5
+// blob against its sha256 before decoding it, and verifies the stored
+// schema hash against the decoded model.
 func LoadBundle(r io.Reader) (*Bundle, error) {
 	var wire bundleWire
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
@@ -112,6 +105,9 @@ func LoadBundle(r io.Reader) (*Bundle, error) {
 	if wire.Version < minBundleVersion {
 		return nil, fmt.Errorf("core: load bundle: format version %d: retrain with this build (it reads %d–%d)", wire.Version, minBundleVersion, BundleVersion)
 	}
+	if wire.Version >= 5 && sha256.Sum256(wire.ModelBlob) != wire.ModelSHA256 {
+		return nil, fmt.Errorf("core: load bundle: model blob does not match its sha256 checksum (corrupt bundle)")
+	}
 	m, err := LoadBytes(wire.ModelBlob)
 	if err != nil {
 		return nil, fmt.Errorf("core: load bundle: %w", err)
@@ -124,11 +120,6 @@ func LoadBundle(r io.Reader) (*Bundle, error) {
 	}
 	if err := m.Fingerprint.Validate(len(m.RawSchema)); err != nil {
 		return nil, fmt.Errorf("core: load bundle: %w", err)
-	}
-	if wire.Version >= 4 && (m.Forest == nil || m.Forest.Quant() == nil) {
-		// The forest gob already verified the compiled thresholds against a
-		// recompile; here only presence remains to check.
-		return nil, fmt.Errorf("core: load bundle: version %d bundle carries no compiled quantized predictor (corrupt bundle)", wire.Version)
 	}
 	return &Bundle{Version: wire.Version, SchemaHash: wire.SchemaHash, TrainSeed: wire.TrainSeed, Model: m}, nil
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/gob"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -23,10 +25,8 @@ func TestBundleRoundTripIdenticalPredictions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// sharedModel trains with the exact splitter, so the saved bundle has
-	// no compiled quantized predictor and downgrades to version 3.
-	if want := BundleVersionFor(m); b.Version != want {
-		t.Errorf("Version = %d, want %d", b.Version, want)
+	if b.Version != BundleVersion {
+		t.Errorf("Version = %d, want %d", b.Version, BundleVersion)
 	}
 	if b.TrainSeed != 42 {
 		t.Errorf("TrainSeed = %d, want 42", b.TrainSeed)
@@ -72,9 +72,10 @@ func TestBundleLegacyFallback(t *testing.T) {
 	}
 }
 
-// TestBundleV3RoundTripFingerprintAndCalibration pins the v3 format: the
-// bundle carries the training fingerprint through gob encode/decode, and
-// a recalibrated (non-default) threshold survives the round trip.
+// TestBundleV3RoundTripFingerprintAndCalibration pins what the v3 format
+// introduced and every later one keeps: the bundle carries the training
+// fingerprint through gob encode/decode, and a recalibrated (non-default)
+// threshold survives the round trip.
 func TestBundleV3RoundTripFingerprintAndCalibration(t *testing.T) {
 	shared, _ := sharedModel(t)
 	m := *shared // a copy, so the new threshold does not disturb other tests
@@ -90,8 +91,8 @@ func TestBundleV3RoundTripFingerprintAndCalibration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Version != 3 {
-		t.Fatalf("Version = %d, want 3", b.Version)
+	if b.Version != BundleVersion {
+		t.Fatalf("Version = %d, want %d", b.Version, BundleVersion)
 	}
 	if b.Model.Threshold != thr {
 		t.Fatalf("calibrated threshold lost: model %v, want %v", b.Model.Threshold, thr)
@@ -161,7 +162,7 @@ func TestBundleCrossVersionRefusal(t *testing.T) {
 
 	mismatched := encode(bundleWire{
 		Magic: bundleMagic, Version: BundleVersion,
-		SchemaHash: strings.Repeat("ab", 32), ModelBlob: blob,
+		SchemaHash: strings.Repeat("ab", 32), ModelBlob: blob, ModelSHA256: sha256.Sum256(blob),
 	})
 	if _, err := LoadBundle(bytes.NewReader(mismatched)); err == nil ||
 		!strings.Contains(err.Error(), "does not match") {
@@ -276,19 +277,15 @@ func TestBundleFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBundleV4QuantRoundTrip pins the v4 format: a histogram-trained
-// model saves with its compiled quantized predictor (version 4), the
-// loaded model carries the recompiled predictor, its
-// predictions are bit-identical to the original's, and dropping the
-// compiled form downgrades the next save to v3.
+// TestBundleV4QuantRoundTrip: a histogram-trained model saves at the
+// current version, the loaded model carries the compiled predictor
+// rebuilt from its trees, and its predictions are bit-identical to the
+// original's.
 func TestBundleV4QuantRoundTrip(t *testing.T) {
 	_, ds := trainSubset(t)
 	m := sharedHistModel(t)
 	if m.Forest.Quant() == nil {
 		t.Fatal("hist training did not install a compiled quantized predictor")
-	}
-	if v := BundleVersionFor(m); v != BundleVersion {
-		t.Fatalf("BundleVersionFor(hist model) = %d, want %d", v, BundleVersion)
 	}
 
 	var buf bytes.Buffer
@@ -302,43 +299,61 @@ func TestBundleV4QuantRoundTrip(t *testing.T) {
 	if b.Version != BundleVersion {
 		t.Fatalf("loaded Version = %d, want %d", b.Version, BundleVersion)
 	}
-	lf := b.Model.Forest
-	if lf.Quant() == nil {
-		t.Fatal("loaded v4 bundle has no quantized predictor")
+	if b.Model.Forest.Quant() == nil {
+		t.Fatal("loaded bundle has no quantized predictor")
 	}
+	assertSameProbs(t, "loaded", m, b.Model, ds.FilterRuns(1).Frame())
+}
 
-	raw := ds.FilterRuns(1).Frame()
-	_, origProbs, err := m.PredictFrame(raw)
+// assertSameProbs fails on the first probability of got that differs in
+// its bits from want's on the raw frame fr.
+func assertSameProbs(t *testing.T, label string, want, got *Model, fr *frame.Frame) {
+	t.Helper()
+	_, wantProbs, err := want.PredictFrame(fr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, gotProbs, err := b.Model.PredictFrame(raw)
+	_, gotProbs, err := got.PredictFrame(fr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id := range origProbs {
-		for i := range origProbs[id] {
-			if origProbs[id][i] != gotProbs[id][i] {
-				t.Fatalf("run %d tick %d: loaded %v vs original %v", id, i, gotProbs[id][i], origProbs[id][i])
+	for id := range wantProbs {
+		for i := range wantProbs[id] {
+			if math.Float64bits(wantProbs[id][i]) != math.Float64bits(gotProbs[id][i]) {
+				t.Fatalf("%s: run %d tick %d: %v, want %v", label, id, i, gotProbs[id][i], wantProbs[id][i])
 			}
 		}
 	}
+}
 
-	// Dropping the compiled form downgrades the written version to 3.
-	b.Model.Forest.DropQuant()
-	if v := BundleVersionFor(b.Model); v != 3 {
-		t.Fatalf("BundleVersionFor after DropQuant = %d, want 3", v)
-	}
-	var buf3 bytes.Buffer
-	if err := SaveBundle(&buf3, b.Model, 7); err != nil {
-		t.Fatal(err)
-	}
-	b3, err := LoadBundle(bytes.NewReader(buf3.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b3.Version != 3 || b3.Model.Forest.Quant() != nil {
-		t.Fatalf("downgraded bundle: version %d, quant %v", b3.Version, b3.Model.Forest.Quant() != nil)
+// TestBundleLoadsV3AndV5: the same model saved as v5 and rewritten as v3
+// (version 3, no checksum field) loads from both, compiled, and predicts
+// the in-memory model's probabilities bit for bit from each — for the
+// exact and the hist model. v4 is TestStreamedBundleStillLoads' fixture.
+func TestBundleLoadsV3AndV5(t *testing.T) {
+	exact, ds := sharedModel(t)
+	fr := ds.FilterRuns(1).Frame()
+	for name, m := range map[string]*Model{"exact": exact, "hist": sharedHistModel(t)} {
+		var buf bytes.Buffer
+		if err := SaveBundle(&buf, m, 7); err != nil {
+			t.Fatal(err)
+		}
+		v5 := buf.Bytes()
+		var bw legacyBundleMirror
+		v3 := gobRoundTrip(t, v5, &bw, func() { bw.Version = 3 })
+		for _, c := range []struct {
+			version int
+			blob    []byte
+		}{{5, v5}, {3, v3}} {
+			b, err := LoadBundle(bytes.NewReader(c.blob))
+			if err != nil {
+				t.Fatalf("%s v%d: %v", name, c.version, err)
+			}
+			if b.Version != c.version || b.Model.Forest.Quant() == nil {
+				t.Fatalf("%s v%d: loaded version %d, compiled %v", name, c.version, b.Version, b.Model.Forest.Quant() != nil)
+			}
+			assertSameProbs(t, fmt.Sprintf("%s v%d", name, c.version), m, b.Model, fr)
+		}
 	}
 }
 

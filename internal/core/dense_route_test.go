@@ -168,8 +168,8 @@ func TestStreamedBundleStillLoads(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if b.Version != BundleVersion {
-		t.Errorf("version %d, want %d", b.Version, BundleVersion)
+	if b.Version != 4 {
+		t.Errorf("version %d, want 4", b.Version)
 	}
 	m := b.Model
 	if err := m.Fingerprint.Validate(len(m.RawSchema)); err != nil {

@@ -16,13 +16,23 @@ import (
 // observations, and a real EdgeAgent that scores next to the agent and
 // ships only probability reports. Both score on core.Engine, so every
 // report probability must equal the Service's InstancePrediction to the
-// bit — on the float route (exact-splitter model) and the fused code-slab
-// route (hist model), and across a Forget/re-register of an instance.
+// bit — on the fused key-slab route (exact and hist model alike), on the
+// float route (a copy of the exact model with its compiled form dropped,
+// as a forest past the packed word's limits runs), and across a
+// Forget/re-register of an instance.
 func TestEdgeAgentMatchesCentral(t *testing.T) {
 	exact, _ := core.SharedModel(t)
-	for name, m := range map[string]*core.Model{"float-route": exact, "fused-route": core.SharedHistModel(t)} {
+	floatForest := *exact.Forest
+	floatForest.DropQuant()
+	float := *exact
+	float.Forest = &floatForest
+	for name, m := range map[string]*core.Model{
+		"float-route":       &float,
+		"fused-route":       core.SharedHistModel(t),
+		"fused-route-exact": exact,
+	} {
 		t.Run(name, func(t *testing.T) {
-			if fused := m.Forest.Quant() != nil; fused != (name == "fused-route") {
+			if fused := m.Forest.Quant() != nil; fused != (name != "float-route") {
 				t.Fatalf("%s: model compiled for the fused route = %v", name, fused)
 			}
 			c, err := cluster.New(apps.TrainingNode("edge-1"))

@@ -120,10 +120,12 @@ func (e *Engine) Step(slots []int32, raws [][]float64) error {
 
 // Predict scores the batch the last Step engineered; probs[k] belongs to
 // sample k. The route is decided from the model alone: a compiled forest
-// writes the order keys of the engineered columns straight into its key
-// slab (QuantizeBatch) and walks the keys; an uncompiled one
-// (exact-splitter training) runs the float walk over the same columns.
-// Neither copies the batch, and the routes are bit-identical.
+// — every forest within the packed word's limits, exact or hist — writes
+// the order keys of the engineered columns straight into its key slab
+// (QuantizeBatch) and walks the keys; the float walk over the same
+// columns is only for a forest Compile refused (too wide or too deep for
+// the packed word). Neither copies the batch, and the routes are
+// bit-identical.
 func (e *Engine) Predict() []float64 {
 	n := e.batch.Len()
 	cols := e.batch.Cols()

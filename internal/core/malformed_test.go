@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/gob"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -20,7 +22,7 @@ var (
 )
 
 // sharedHistModel trains (once per test binary) a histogram-splitter
-// model: its bundle is version 4, carrying the compiled forest's edges.
+// model.
 func sharedHistModel(t *testing.T) *Model {
 	t.Helper()
 	_, ds := trainSubset(t)
@@ -49,6 +51,16 @@ func (b *gobBlob) GobDecode(p []byte) error {
 	return nil
 }
 
+// legacyBundleMirror is bundleWire without the version-5 checksum: the
+// header of a version 3 or 4 file.
+type legacyBundleMirror struct {
+	Magic      string
+	Version    int
+	SchemaHash string
+	TrainSeed  int64
+	ModelBlob  []byte
+}
+
 // modelMirror, forestMirror and treeMirror repeat the field names of
 // modelWire and the forest's and tree's wire structs (gob matches fields
 // by name), with the nested encoders held as blobs.
@@ -68,9 +80,6 @@ type forestMirror struct {
 	Importances []float64
 	NFeatures   int
 	Fitted      bool
-	BinEdges    [][]float64
-	QuantThr    [][]uint8
-	QuantFlags  [][]uint8
 }
 
 type treeMirror struct {
@@ -98,7 +107,8 @@ func gobRoundTrip(t *testing.T, data []byte, v any, edit func()) []byte {
 	return buf.Bytes()
 }
 
-// editForest rewrites a bundle's forest in place: edit sees the forest
+// editForest rewrites a bundle's forest in place and re-signs the model
+// blob, so the load reaches the forest's own checks: edit sees the forest
 // with each of its trees in turn (ti is the tree's index).
 func editForest(t *testing.T, bundle []byte, edit func(fm *forestMirror, ti int, tm *treeMirror)) []byte {
 	t.Helper()
@@ -114,16 +124,16 @@ func editForest(t *testing.T, bundle []byte, edit func(fm *forestMirror, ti int,
 				}
 			})
 		})
+		bw.ModelSHA256 = sha256.Sum256(bw.ModelBlob)
 	})
 }
 
 // TestLoadBundleRejectsMalformedForest: POST /model takes bundle bytes
 // from the network, so a forest whose trees would loop, index past the
-// row, or emit a non-probability — or whose edge sets are not code maps —
-// must fail to load rather than hang or crash the server later.
+// row, emit a non-probability or split on a NaN threshold must fail to
+// load rather than hang or crash the server later — and so must a bundle
+// whose model blob no longer matches its checksum.
 func TestLoadBundleRejectsMalformedForest(t *testing.T) {
-	m := sharedHistModel(t)
-	exact, _ := sharedModel(t)
 	bundle := func(m *Model) []byte {
 		var buf bytes.Buffer
 		if err := SaveBundle(&buf, m, 1); err != nil {
@@ -131,20 +141,9 @@ func TestLoadBundleRejectsMalformedForest(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	v4, v3 := bundle(m), bundle(exact)
+	exactModel, _ := sharedModel(t)
+	hist, exact := bundle(sharedHistModel(t)), bundle(exactModel)
 
-	// An edge set no node reads (a column with zero importance is never
-	// split on): a bad one there must still be refused.
-	spare := -1
-	for j, imp := range m.Forest.FeatureImportances() {
-		if imp == 0 {
-			spare = j
-			break
-		}
-	}
-	if spare < 0 {
-		t.Fatal("every engineered column is tested; no spare column for the edge-set cases")
-	}
 	firstInternal := func(tm *treeMirror) int {
 		for i, f := range tm.Features {
 			if f >= 0 {
@@ -162,51 +161,46 @@ func TestLoadBundleRejectsMalformedForest(t *testing.T) {
 		}
 		return 0
 	}
+	tree0 := func(edit func(tm *treeMirror)) func(*forestMirror, int, *treeMirror) {
+		return func(_ *forestMirror, ti int, tm *treeMirror) {
+			if ti == 0 {
+				edit(tm)
+			}
+		}
+	}
 
-	// Tree-level cases edit tree 0 of the v4 bundle.
+	// flipped is the hist bundle with one byte of its model blob flipped
+	// and the checksum left as saved.
+	var bw bundleWire
+	flipped := gobRoundTrip(t, hist, &bw, func() { bw.ModelBlob[len(bw.ModelBlob)/2] ^= 0x10 })
+
 	cases := []struct {
 		name   string
 		bundle []byte
-		edit   func(fm *forestMirror, ti int, tm *treeMirror)
+		want   string // a substring of the refusal, when it must name one
 	}{
-		{"truncated child slabs", v4, func(_ *forestMirror, ti int, tm *treeMirror) {
-			if ti == 0 {
-				tm.Left, tm.Right = nil, nil
-			}
-		}},
-		{"child not after its parent", v4, func(_ *forestMirror, ti int, tm *treeMirror) {
-			if ti == 0 {
-				i := firstInternal(tm)
-				tm.Left[i] = int32(i)
-			}
-		}},
-		{"feature index past the row", v4, func(_ *forestMirror, ti int, tm *treeMirror) {
-			if ti == 0 {
-				tm.Features[firstInternal(tm)] = int32(tm.NFeatures)
-			}
-		}},
-		{"NaN leaf probability", v4, func(_ *forestMirror, ti int, tm *treeMirror) {
-			if ti == 0 {
-				tm.Probs[firstLeaf(tm)] = math.NaN()
-			}
-		}},
-		{"300-edge column", v4, func(fm *forestMirror, _ int, _ *treeMirror) {
-			e := make([]float64, 300)
-			for i := range e {
-				e[i] = float64(i)
-			}
-			fm.BinEdges[spare] = e
-		}},
-		{"descending edge", v4, func(fm *forestMirror, _ int, _ *treeMirror) { fm.BinEdges[spare] = []float64{1, 3, 2} }},
+		{"truncated child slabs", editForest(t, hist, tree0(func(tm *treeMirror) { tm.Left, tm.Right = nil, nil })), ""},
+		{"child not after its parent", editForest(t, hist, tree0(func(tm *treeMirror) {
+			i := firstInternal(tm)
+			tm.Left[i] = int32(i)
+		})), ""},
+		{"feature index past the row", editForest(t, hist, tree0(func(tm *treeMirror) {
+			tm.Features[firstInternal(tm)] = int32(tm.NFeatures)
+		})), ""},
+		{"NaN leaf probability", editForest(t, hist, tree0(func(tm *treeMirror) { tm.Probs[firstLeaf(tm)] = math.NaN() })), ""},
+		{"NaN threshold", editForest(t, exact, tree0(func(tm *treeMirror) {
+			tm.Thresholds[firstInternal(tm)] = math.NaN()
+		})), "NaN threshold"},
 		// Every tree and the forest agree on a width one past the
 		// pipeline's, and tree 0 reads that extra column.
-		{"forest wider than the pipeline", v3, func(fm *forestMirror, ti int, tm *treeMirror) {
+		{"forest wider than the pipeline", editForest(t, exact, func(fm *forestMirror, ti int, tm *treeMirror) {
 			if ti == 0 {
 				fm.NFeatures++
 				tm.Features[firstInternal(tm)] = int32(tm.NFeatures)
 			}
 			tm.NFeatures++
-		}},
+		}), ""},
+		{"flipped model blob byte", flipped, "checksum"},
 	}
 	load := func(t *testing.T, b []byte) error {
 		t.Helper()
@@ -220,18 +214,21 @@ func TestLoadBundleRejectsMalformedForest(t *testing.T) {
 			return nil
 		}
 	}
-	for _, b := range [][]byte{v4, v3} {
+	for _, b := range [][]byte{hist, exact} {
 		if err := load(t, editForest(t, b, func(*forestMirror, int, *treeMirror) {})); err != nil {
 			t.Fatalf("unedited round trip through the mirrors: %v", err)
 		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := load(t, editForest(t, tc.bundle, tc.edit)); err == nil {
-				t.Fatal("malformed forest loaded")
-			} else {
-				t.Log(err)
+			err := load(t, tc.bundle)
+			if err == nil {
+				t.Fatal("malformed bundle loaded")
 			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("refusal %q does not name %q", err, tc.want)
+			}
+			t.Log(err)
 		})
 	}
 }

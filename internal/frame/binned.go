@@ -200,12 +200,6 @@ func (b *Binned) ColCodes(j int) []uint8 {
 	return b.codes[j*b.rows : (j+1)*b.rows : (j+1)*b.rows]
 }
 
-// Edges returns the per-column bin edge sets (edges[j][b] = inclusive
-// upper value of bin b under column j). The returned slices alias the
-// Binned's internal state and must not be mutated; forest.Compile
-// retains them as the quantized predictor's code map.
-func (b *Binned) Edges() [][]float64 { return b.edges }
-
 // Edge returns the real-valued inclusive upper edge of bin bin in column
 // j — the threshold a "bin ≤ bin" split records. It panics for the last
 // bin, which has no upper edge (no split can cut above it).

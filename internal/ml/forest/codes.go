@@ -1,7 +1,8 @@
 // Key-slab entry points: the fused serving ingest path keys engineered
 // feature columns straight into a caller-owned slab (QuantizeBatch) and
 // walks it (PredictProbaCodes), so the key stage can be timed apart from
-// the walk. The slab layout, the key loop and the walk are exactly the
+// the walk. Every compiled forest takes this path, whichever splitter
+// trained it. The slab layout, the key loop and the walk are exactly the
 // ones runTask uses, so the fused route is bit-identical to accumCols —
 // same keys, same walk, same tree accumulation order, same final
 // division.

@@ -31,7 +31,8 @@ type Config struct {
 	MinSamplesLeaf  int
 	// Criterion is gini or entropy (paper: information gain = entropy).
 	Criterion tree.Criterion
-	// MaxFeatures per split; -1 = √d (default), 0 = all.
+	// MaxFeatures per split: 0 or -1 = √d (the default), -2 = all,
+	// n > 0 = n. New stores "all" as 0, the trees' own value for it.
 	MaxFeatures int
 	// ClassWeight is "", "balanced" or "subsample" (Table 2).
 	ClassWeight string
@@ -64,10 +65,10 @@ type Forest struct {
 	nFeatures   int
 	fitted      bool
 
-	// quant is the compiled quantized predictor the histogram fit builds
-	// from its training bin edges (nil for exact-splitter forests). When
-	// present, every batch prediction walks it. Its edges serialize with
-	// the forest (bundle v4) and are recompiled on load.
+	// quant is the compiled packed predictor FitFrame and GobDecode build
+	// from the trees (nil when Compile refuses the forest: past the packed
+	// word's limits). When present, every batch prediction walks it. It
+	// is never serialized.
 	quant *QuantForest
 }
 
@@ -214,41 +215,21 @@ func (f *Forest) FitFrame(fr *frame.Frame, y []int, rows []int) error {
 		}
 	}
 	f.fitted = true
-	if bn != nil {
-		// Histogram thresholds are exact bin-edge values, so compiling
-		// against the training edges lowers every node to an order-key
-		// compare — batch prediction walks the packed form from here on,
-		// bit-identical to the float walk. A forest too wide or too deep
-		// for the packed word (see Compile) keeps the float walk instead.
-		if err := f.CompileQuant(bn.Edges()); err != nil {
-			f.quant = nil
-		}
-	}
+	// Batch prediction walks the packed form from here on, bit-identical
+	// to the float walk; a forest too wide or too deep for the packed
+	// word (see Compile) keeps the float walk instead.
+	f.quant, _ = Compile(f)
 	return nil
 }
 
-// CompileQuant compiles the fitted forest against the given per-feature
-// bin edges and installs the result: every later batch prediction walks
-// the packed form. The histogram fit calls this with its training edges
-// and the bundle loader with the stored ones; on error (see Compile) the
-// forest is left as it was.
-func (f *Forest) CompileQuant(edges [][]float64) error {
-	q, err := Compile(f, edges)
-	if err != nil {
-		return err
-	}
-	f.quant = q
-	return nil
-}
-
-// Quant returns the compiled quantized predictor, or nil when the
-// forest has not been compiled (exact-splitter fit, v3 bundle).
+// Quant returns the compiled packed predictor, or nil when the forest
+// is unfitted or past the packed word's limits.
 func (f *Forest) Quant() *QuantForest { return f.quant }
 
-// DropQuant discards the compiled quantized form and its edges; the
-// forest predicts through the float walk and serializes as a v3 bundle.
-// A copy with the form dropped (ref := *f; ref.DropQuant()) is the float
-// reference for the compiled walk.
+// DropQuant discards the compiled packed form; the forest predicts
+// through the float walk. A copy with the form dropped
+// (ref := *f; ref.DropQuant()) is the float reference for the compiled
+// walk.
 func (f *Forest) DropQuant() { f.quant = nil }
 
 // PredictProba returns the mean leaf probability across trees.

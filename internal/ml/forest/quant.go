@@ -8,20 +8,19 @@
 // the non-NaN float64s (−0 folded onto +0) into the uint64s, and it keys
 // NaN of either sign to MaxUint64, past every threshold key. So
 // OrderKey(v) ≤ OrderKey(thr) ⟺ v ≤ thr for every float64 v the walk
-// can see (±Inf and NaN included) and every threshold (never NaN), and
-// the key walk takes the float walk's branch at every node. Keying a
-// value is a handful of ALU ops with no table and no search. Accumulation
-// order per row is tree order, the same as the float walk, so the
-// compiled path returns bit-identical probabilities at any worker count.
+// can see (±Inf and NaN included) and every threshold (never NaN: the
+// tree decoder refuses one), and the key walk takes the float walk's
+// branch at every node. Keying a value is a handful of ALU ops with no
+// table and no search. Accumulation order per row is tree order, the same
+// as the float walk, so the compiled path returns bit-identical
+// probabilities at any worker count.
 //
-// A forest compiles only when every node's float threshold is exactly
-// some edges[c] of its feature — the edges the histogram trainer binned
-// with. Histogram-trained trees record thresholds as exact edge values,
-// so they compile; exact-splitter trees (midpoint thresholds) do not,
-// and keep the float walk. The key compare itself needs no edges; the
-// code threshold c is kept because the v4 bundle stores it and the
-// loader checks it (checkWire). There is no partial form: a compiled
-// forest is packed end to end.
+// Every fitted forest compiles from its own thresholds — exact-splitter
+// midpoints and histogram edges alike — unless it is too wide or too deep
+// for the packed word (see Compile); those keep the float walk. There is
+// no partial form: a compiled forest is packed end to end. The compiled
+// form is never stored: the fit and the gob decoder both build it from
+// the trees.
 //
 // Two micro-architectural choices make the compiled walk fast:
 //
@@ -41,12 +40,10 @@
 package forest
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 	"unsafe"
 
@@ -65,20 +62,16 @@ const (
 	taskRows     = 256
 )
 
-// Packed-node field layout (quantTree.packed): bits 0-7 code threshold,
-// 8-16 feature slot, 17-31 left child; nodes are renumbered breadth-
-// first at pack time so a node's right child is always left+1 and a
-// single 15-bit field addresses both. Because a block's key slab is
-// column-major with a 256-byte column stride, `w & 0x1ff00` IS the
-// slot's byte offset into the block (slot × 256) — the walk extracts it
-// with one AND, no shift. The walk compares keys, not the threshold
-// byte: that byte is the node's edge index (the v4 wire form), and its
-// reserved value 0xff marks a leaf — real thresholds are edge indices,
-// which are < len(edges) ≤ 255 and therefore ≤ 254, so 0xff is
-// unreachable for internal nodes. A leaf's threshold key is MaxUint64,
-// which no key exceeds, so its step "goes left" into its own index
-// (self-loop) and rows that finish early spin harmlessly until the whole
-// interleave group is done.
+// Packed-node field layout (quantTree.packed): bits 0-7 leaf mark, 8-16
+// feature slot, 17-31 left child; nodes are renumbered breadth-first at
+// pack time so a node's right child is always left+1 and a single 15-bit
+// field addresses both. Because a block's key slab is column-major with a
+// 256-byte column stride, `w & 0x1ff00` IS the slot's byte offset into
+// the block (slot × 256) — the walk extracts it with one AND, no shift.
+// The low byte is 0xff for a leaf and 0 for an internal node. A leaf's
+// threshold key is MaxUint64, which no key exceeds, so its step "goes
+// left" into its own index (self-loop) and rows that finish early spin
+// harmlessly until the whole interleave group is done.
 const (
 	packedSlotMask = 0x1ff00
 	packedShiftKid = 17
@@ -92,11 +85,6 @@ const (
 // the parallelism knob and the internal scratch pool.
 type QuantForest struct {
 	nFeatures int
-	// edges[j] is the ascending bin-edge set of source column j; nil or
-	// empty for columns no node tests (single-distinct-value columns,
-	// columns the forest never splits on). The walk does not read them;
-	// they serialize with the forest and are recompiled on load.
-	edges [][]float64
 	// slotCols maps key-slab slot -> source column: only columns some
 	// node actually tests get keyed per block.
 	slotCols []int32
@@ -106,71 +94,40 @@ type QuantForest struct {
 	pool sync.Pool // *[]uint64, one task's key slab
 }
 
-// quantTree is one compiled tree: qthr holds each source node's code
-// threshold in the source tree's numbering (0 for leaves; the v4 wire
-// form), packed/tkey/prob the walk form in its own breadth-first
-// numbering.
+// quantTree is one compiled tree in its breadth-first numbering: the
+// packed node words, the threshold keys and the leaf probabilities.
 type quantTree struct {
-	qthr   []uint8
 	packed []uint32
 	tkey   []uint64
 	prob   []float64
 }
 
-// Compile lowers a fitted forest into its packed form against the given
-// per-source-column bin edges (edges[j] ascending, nil/empty for columns
-// without a useful binning). It does not modify f. It returns the whole
-// forest packed or an error — never a partial form: every edge set must
-// be a valid code map (at most frame.MaxBins-1 edges, no NaN, none below
-// its predecessor), every node's threshold must be an edge of the column
-// it tests, and the forest must fit the packed word (at most 512 tested
-// columns, 32 768 nodes per tree). A histogram-trained forest compiled
-// against its own training edges meets all three at the repository's
-// shapes; an exact-splitter forest fails the second.
-func Compile(f *Forest, edges [][]float64) (*QuantForest, error) {
+// Compile lowers a fitted forest into its packed form from its own
+// thresholds. It does not modify f. It returns the whole forest packed or
+// an error — never a partial form: the forest must be fitted and fit the
+// packed word (at most 512 tested columns, 32 768 nodes per tree).
+func Compile(f *Forest) (*QuantForest, error) {
 	if f == nil || !f.fitted {
 		return nil, fmt.Errorf("forest: compile: forest is not fitted")
 	}
-	if len(edges) != f.nFeatures {
-		return nil, fmt.Errorf("forest: compile: %d edge sets for %d features", len(edges), f.nFeatures)
-	}
-	for j, e := range edges {
-		if len(e) > frame.MaxBins-1 {
-			return nil, fmt.Errorf("forest: compile: column %d has %d edges, at most %d allowed", j, len(e), frame.MaxBins-1)
-		}
-		for i, v := range e {
-			if math.IsNaN(v) || (i > 0 && v < e[i-1]) {
-				return nil, fmt.Errorf("forest: compile: column %d edge %d (%v) is NaN or below its predecessor", j, i, v)
-			}
-		}
-	}
-	// Pass 1: every node must compare against an edge; the columns tested
-	// get a slot in the per-block key slab, in column order.
-	q := &QuantForest{
-		nFeatures: f.nFeatures,
-		edges:     edges,
-		par:       f.cfg.Parallelism,
-		trees:     make([]quantTree, len(f.trees)),
-	}
+	// The columns tested get a slot in the per-block key slab, in column
+	// order.
 	used := make([]bool, f.nFeatures)
 	for ti, t := range f.trees {
-		feat, _, _, thr, _ := t.Slabs()
+		feat, _, _, _, _ := t.Slabs()
 		if len(feat) == 0 || len(feat) > packedMaxNodes {
 			return nil, fmt.Errorf("forest: compile: tree %d has %d nodes, the packed form holds 1 to %d", ti, len(feat), packedMaxNodes)
 		}
-		qthr := make([]uint8, len(feat))
-		for i, fc := range feat {
-			if fc < 0 {
-				continue
+		for _, fc := range feat {
+			if fc >= 0 {
+				used[fc] = true
 			}
-			c, ok := edgeIndex(edges[fc], thr[i])
-			if !ok {
-				return nil, fmt.Errorf("forest: compile: tree %d node %d: threshold %v is not a bin edge of column %d", ti, i, thr[i], fc)
-			}
-			qthr[i] = uint8(c)
-			used[fc] = true
 		}
-		q.trees[ti].qthr = qthr
+	}
+	q := &QuantForest{
+		nFeatures: f.nFeatures,
+		par:       f.cfg.Parallelism,
+		trees:     make([]quantTree, len(f.trees)),
 	}
 	slotOf := make([]int32, f.nFeatures) // source column -> slot, tested columns only
 	for j, u := range used {
@@ -182,7 +139,6 @@ func Compile(f *Forest, edges [][]float64) (*QuantForest, error) {
 	if len(q.slotCols) > packedMaxSlots {
 		return nil, fmt.Errorf("forest: compile: %d tested columns, the packed form holds %d", len(q.slotCols), packedMaxSlots)
 	}
-	// Pass 2: pack each tree.
 	for ti, t := range f.trees {
 		feat, left, right, thr, prob := t.Slabs()
 		q.trees[ti].pack(feat, left, right, thr, prob, slotOf)
@@ -193,9 +149,9 @@ func Compile(f *Forest, edges [][]float64) (*QuantForest, error) {
 // pack builds the branchless walk form: one uint32 and one threshold key
 // per node in a breadth-first renumbering that makes every right child
 // its left sibling + 1, plus the leaf probabilities in the same
-// numbering. Leaves carry the reserved threshold byte 0xff, slot 0, the
-// threshold key MaxUint64, and self-loop through their child field.
-// slotOf maps a source column to its key-slab slot.
+// numbering. Leaves carry the leaf mark 0xff, slot 0, the threshold key
+// MaxUint64, and self-loop through their child field. slotOf maps a
+// source column to its key-slab slot.
 func (qt *quantTree) pack(feat, left, right []int32, thr, prob []float64, slotOf []int32) {
 	n := len(feat)
 	// Breadth-first order. Children are appended as a pair, so the right
@@ -219,23 +175,10 @@ func (qt *quantTree) pack(feat, left, right []int32, thr, prob []float64, slotOf
 			qt.tkey[ni] = math.MaxUint64
 			continue
 		}
-		qt.packed[ni] = uint32(qt.qthr[old]) |
-			uint32(slotOf[feat[old]])*keyColBytes |
+		qt.packed[ni] = uint32(slotOf[feat[old]])*keyColBytes |
 			uint32(newIdx[left[old]])<<packedShiftKid
 		qt.tkey[ni] = frame.OrderKey(thr[old])
 	}
-}
-
-// edgeIndex reports whether thr is exactly one of the ascending edges,
-// and at which index. Exact float equality is required: that is the
-// compile contract (histogram thresholds are edges), and the index is
-// the code threshold the v4 wire form stores.
-func edgeIndex(edges []float64, thr float64) (int, bool) {
-	c := sort.SearchFloat64s(edges, thr)
-	if c < len(edges) && edges[c] == thr {
-		return c, true
-	}
-	return 0, false
 }
 
 // NumSlots returns how many source columns the per-block keying touches
@@ -374,11 +317,11 @@ func (qt *quantTree) accumBlock(keys []uint64, out []float64) {
 			w1 := *(*uint32)(unsafe.Add(pp, k1*4))
 			w2 := *(*uint32)(unsafe.Add(pp, k2*4))
 			w3 := *(*uint32)(unsafe.Add(pp, k3*4))
-			// All four at leaves ⟺ the AND of the threshold bytes is the
-			// reserved 0xff (internal thresholds are ≤ 254, so each clears
-			// at least one bit). Checked every other level: finished lanes
-			// self-loop, so the extra un-checked step is harmless, and the
-			// saved compare+branch outweighs the occasional spin level.
+			// All four at leaves ⟺ the AND of the low bytes is the leaf
+			// mark 0xff (an internal node's is 0). Checked every other
+			// level: finished lanes self-loop, so the extra un-checked step
+			// is harmless, and the saved compare+branch outweighs the
+			// occasional spin level.
 			if w0&w1&w2&w3&0xff == packedLeafThr {
 				break
 			}
@@ -427,30 +370,4 @@ func keyStep(w uint32, tp unsafe.Pointer, k uintptr, kg unsafe.Pointer, lane uin
 	v := *(*uint64)(unsafe.Add(kg, uintptr(w&packedSlotMask)+lane))
 	_, right := bits.Sub64(*(*uint64)(unsafe.Add(tp, k*8)), v, 0)
 	return uintptr(w>>packedShiftKid) + uintptr(right)
-}
-
-// checkWire verifies stored compiled thresholds against this (freshly
-// recompiled) form — the bundle loader's integrity check that a v4 file
-// was not corrupted between the schema hash and the forest blob. The
-// stored side-channel flags are a retired format field: every one must
-// be zero.
-func (q *QuantForest) checkWire(qthr, flags [][]uint8) error {
-	if len(qthr) != len(q.trees) || len(flags) != len(q.trees) {
-		return fmt.Errorf("forest: quantized form: %d/%d stored threshold sets for %d trees",
-			len(qthr), len(flags), len(q.trees))
-	}
-	for i := range q.trees {
-		if !bytes.Equal(qthr[i], q.trees[i].qthr) {
-			return fmt.Errorf("forest: quantized form: tree %d stored code thresholds diverge from recompiled form (corrupt bundle)", i)
-		}
-		if len(flags[i]) != len(qthr[i]) {
-			return fmt.Errorf("forest: quantized form: tree %d has %d stored flags for %d nodes (corrupt bundle)", i, len(flags[i]), len(qthr[i]))
-		}
-		for _, fl := range flags[i] {
-			if fl != 0 {
-				return fmt.Errorf("forest: quantized form: tree %d carries float side-channel flags, which this build does not read", i)
-			}
-		}
-	}
-	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -93,9 +94,6 @@ func TestHistForestCompilesFullyQuantized(t *testing.T) {
 		t.Fatalf("slot count %d not below column count %d (constant column got a slot)",
 			q.NumSlots(), frameOf(x).NumCols())
 	}
-	if got := len(q.edges); got != len(x[0]) {
-		t.Fatalf("%d edge sets for %d columns", got, len(x[0]))
-	}
 }
 
 // TestQuantBitIdentityDense: the compiled path must reproduce the float
@@ -140,16 +138,72 @@ func TestQuantWorkerCountInvariance(t *testing.T) {
 	q.SetParallelism(0)
 }
 
-// TestQuantPredictEdgeValues feeds the traversal the inputs where an
-// order-key compare could disagree with the float compare: values
-// exactly on bin edges, one ulp on either side of an edge, ±0, ±Inf,
-// NaN of either sign (a negative one with a payload), ± the smallest
-// subnormal, ±MaxFloat64, and values outside the training range. Every
-// one must decide identically to the float walk. A planted forest then
-// tests ±0 against −0 thresholds: a sign column trained to split at its
-// one edge, 0, with every such threshold re-signed to −0 (equal as a
-// float, a different bit pattern), which holds the key's −0 fold to the
-// float compare on both sides.
+// thresholdsOf returns each column's distinct thresholds over every
+// node of the forest, ascending (nil for a column no node tests).
+func thresholdsOf(f *Forest) [][]float64 {
+	seen := make([]map[float64]bool, f.nFeatures)
+	out := make([][]float64, f.nFeatures)
+	for _, tr := range f.trees {
+		feat, _, _, thr, _ := tr.Slabs()
+		for i, j := range feat {
+			if j < 0 {
+				continue
+			}
+			if seen[j] == nil {
+				seen[j] = map[float64]bool{}
+			}
+			if !seen[j][thr[i]] {
+				seen[j][thr[i]] = true
+				out[j] = append(out[j], thr[i])
+			}
+		}
+	}
+	for _, th := range out {
+		sort.Float64s(th)
+	}
+	return out
+}
+
+// edgeProbes builds the inputs where an order-key compare could disagree
+// with the float compare, each written into copies of two base rows:
+// every threshold the forest tests and one ulp on either side of it, ±0,
+// ±Inf, NaN of either sign (a negative one with a payload), ± the
+// smallest subnormal, ±MaxFloat64, and values outside the training range.
+func edgeProbes(f *Forest, base [][]float64) [][]float64 {
+	var probes [][]float64
+	add := func(j int, v float64) {
+		for _, b := range base {
+			row := append([]float64(nil), b...)
+			row[j] = v
+			probes = append(probes, row)
+		}
+	}
+	for j, th := range thresholdsOf(f) {
+		for _, v := range th {
+			add(j, v)
+			add(j, math.Nextafter(v, math.Inf(-1)))
+			add(j, math.Nextafter(v, math.Inf(1)))
+		}
+	}
+	specials := []float64{
+		math.Inf(1), math.Inf(-1), math.NaN(), math.Float64frombits(0xfff8000000000001),
+		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.MaxFloat64, -math.MaxFloat64, 1e300, -1e300,
+	}
+	for j := 0; j < f.nFeatures; j++ {
+		for _, v := range specials {
+			add(j, v)
+		}
+	}
+	return probes
+}
+
+// TestQuantPredictEdgeValues runs a hist forest's packed walk over the
+// edgeProbes inputs: every one must decide identically to the float
+// walk. A planted forest then tests ±0 against −0 thresholds: a sign
+// column trained to split at its one edge, 0, with every such threshold
+// re-signed to −0 (equal as a float, a different bit pattern), which
+// holds the key's −0 fold to the float compare on both sides.
 func TestQuantPredictEdgeValues(t *testing.T) {
 	x, y := quantData(1500, 5)
 	for i, row := range x {
@@ -160,43 +214,11 @@ func TestQuantPredictEdgeValues(t *testing.T) {
 		x[i] = append(row, s)
 	}
 	f := fitQuantForest(t, x, y, tree.Hist)
-	edges := f.Quant().edges
-	if len(edges[6]) != 1 || edges[6][0] != 0 {
-		t.Fatalf("sign column edges %v, want [0]", edges[6])
+	if th := thresholdsOf(f)[6]; len(th) != 1 || th[0] != 0 {
+		t.Fatalf("sign column thresholds %v, want [0]", th)
 	}
 
-	var probes [][]float64
-	add := func(mutate func(row []float64)) {
-		for _, base := range [][]float64{x[0], x[1]} {
-			row := append([]float64(nil), base...)
-			mutate(row)
-			probes = append(probes, row)
-		}
-	}
-	// Exact edge values and their ulp neighbours, for every column that
-	// has edges: first, middle and last edge of each.
-	for j, e := range edges {
-		if len(e) == 0 {
-			continue
-		}
-		for _, c := range []int{0, len(e) / 2, len(e) - 1} {
-			v := e[c]
-			add(func(row []float64) { row[j] = v })
-			add(func(row []float64) { row[j] = math.Nextafter(v, math.Inf(-1)) })
-			add(func(row []float64) { row[j] = math.Nextafter(v, math.Inf(1)) })
-		}
-	}
-	specials := []float64{
-		math.Inf(1), math.Inf(-1), math.NaN(), math.Float64frombits(0xfff8000000000001),
-		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
-		math.MaxFloat64, -math.MaxFloat64, 1e300, -1e300,
-	}
-	for j := range edges {
-		for _, v := range specials {
-			add(func(row []float64) { row[j] = v })
-		}
-	}
-
+	probes := edgeProbes(f, x[:2])
 	fr := frameOf(probes)
 	quant := f.PredictProbaFrameRows(fr, nil)
 	assertBitIdentical(t, "edge probes", floatProbs(f, fr, nil), quant)
@@ -267,66 +289,48 @@ func plantNegZero(t *testing.T, f *Forest) *Forest {
 	if n == 0 {
 		t.Fatal("no node splits at 0: nothing planted")
 	}
-	if err := p.CompileQuant(f.Quant().edges); err != nil {
+	var err error
+	if p.quant, err = Compile(&p); err != nil {
 		t.Fatal(err)
 	}
 	return &p
 }
 
-// TestExactForestRefusesQuant: exact-splitter thresholds are midpoints
-// between training values, not bin edges, so compiling an exact forest
-// against BinFrame edges must fail and leave the forest on its float
-// walk with no predictor installed.
-func TestExactForestRefusesQuant(t *testing.T) {
+// TestExactForestCompiles: an exact-splitter forest compiles from its
+// own midpoint thresholds at fit, and its packed walk matches the float
+// walk of a DropQuant copy bit for bit on the edge probes — every
+// threshold and ±1 ulp around it, ±0, NaN of both signs, ±Inf — at 1, 4
+// and 8 workers.
+func TestExactForestCompiles(t *testing.T) {
 	x, y := quantData(1200, 9)
 	f := fitQuantForest(t, x, y, tree.Best)
-	if f.Quant() != nil {
-		t.Fatal("exact fit must not auto-compile")
+	q := f.Quant()
+	if q == nil {
+		t.Fatal("exact fit did not compile")
 	}
-	fr := frameOf(x)
-	want := f.PredictProbaFrameRows(fr, nil)
-
-	if err := f.CompileQuant(frame.BinFrame(fr, 0, nil).Edges()); err == nil {
-		t.Fatal("exact forest compiled; its continuous-column midpoints are not bin edges")
-	}
-	if f.Quant() != nil {
-		t.Fatal("failed CompileQuant left a predictor behind")
-	}
-	assertBitIdentical(t, "float walk after refusal", want, f.PredictProbaFrameRows(fr, nil))
-}
-
-// TestCompileErrors pins the refusal paths: an unfitted forest, a
-// mismatched edge-set count, and edge sets that are not valid code maps
-// (too many edges for a uint8 code, NaN, descending) even on a column no
-// node tests. Equal neighbours are legal.
-func TestCompileErrors(t *testing.T) {
-	if _, err := Compile(New(Config{NumTrees: 3}), nil); err == nil {
-		t.Fatal("compile of an unfitted forest must fail")
-	}
-	x, y := quantData(400, 3)
-	f := fitQuantForest(t, x, y, tree.Hist)
-	if _, err := Compile(f, make([][]float64, 2)); err == nil {
-		t.Fatal("compile with a mismatched edge-set count must fail")
-	}
-	wide := make([]float64, frame.MaxBins)
-	for i := range wide {
-		wide[i] = float64(i)
-	}
-	for name, e := range map[string][]float64{
-		"too many edges": wide,
-		"NaN edge":       {1, math.NaN(), 3},
-		"descending":     {1, 3, 2},
-	} {
-		edges := append([][]float64(nil), f.Quant().edges...)
-		edges[2] = e // the constant column: never tested
-		if _, err := Compile(f, edges); err == nil {
-			t.Errorf("%s: compile succeeded", name)
+	probes := edgeProbes(f, x[:2])
+	fr := frameOf(probes)
+	want := floatProbs(f, fr, nil)
+	for i, row := range probes {
+		if p := f.PredictProba(row); math.Float64bits(p) != math.Float64bits(want[i]) {
+			t.Fatalf("probe %d: per-row %v vs float batch %v", i, p, want[i])
 		}
 	}
-	edges := append([][]float64(nil), f.Quant().edges...)
-	edges[2] = []float64{1, 2, 2, 3}
-	if _, err := Compile(f, edges); err != nil {
-		t.Errorf("equal neighbouring edges refused: %v", err)
+	for _, w := range []int{1, 4, 8} {
+		q.SetParallelism(w)
+		assertBitIdentical(t, fmt.Sprintf("edge probes, %d workers", w), want, f.PredictProbaFrameRows(fr, nil))
+	}
+	q.SetParallelism(0)
+}
+
+// TestCompileErrors pins the refusal of a forest with nothing to compile;
+// the packed word's limits are TestQuantWideForestPacks' subtests.
+func TestCompileErrors(t *testing.T) {
+	if _, err := Compile(nil); err == nil {
+		t.Fatal("compile of a nil forest must fail")
+	}
+	if _, err := Compile(New(Config{NumTrees: 3})); err == nil {
+		t.Fatal("compile of an unfitted forest must fail")
 	}
 }
 
@@ -455,7 +459,7 @@ func TestQuantWideForestPacks(t *testing.T) {
 				t.Fatalf("forest past the packed limits compiled (%d slots)", f.Quant().NumSlots())
 			}
 			fr := frameOf(x)
-			_, err := Compile(f, frame.BinFrame(fr, 0, nil).Edges())
+			_, err := Compile(f)
 			if err == nil || !strings.Contains(err.Error(), tc.refusal) {
 				t.Fatalf("compile error %v, want one naming %q", err, tc.refusal)
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 )
 
 // treeWire mirrors Tree for gob encoding (the working fields are
@@ -68,11 +69,14 @@ func (t *Tree) GobDecode(data []byte) error {
 
 // valid checks that the decoded slabs form a tree every walk finishes in
 // range: the five node slabs have one entry per node, a fitted tree has a
-// root, every internal node i tests a feature in [0, NFeatures) and has
-// two children in (i, n) that no other node claims — the builders append
-// children after their parent, so every fitted tree passes, strictly
-// increasing indices rule out cycles and single parents rule out shared
-// subtrees — and every leaf probability lies in [0, 1].
+// root, every internal node i tests a feature in [0, NFeatures), has two
+// children in (i, n) that no other node claims and a non-NaN threshold,
+// and every leaf probability lies in [0, 1]. The builders append children
+// after their parent and train on finite values only, so every fitted
+// tree passes. Strictly increasing indices rule out cycles, single
+// parents rule out shared subtrees, and a non-NaN threshold keeps the
+// float walk and the forest's order-key walk (which keys NaN past every
+// value) on the same branch.
 func (w *treeWire) valid() error {
 	n := len(w.Features)
 	if len(w.Left) != n || len(w.Right) != n || len(w.Thresholds) != n || len(w.Probs) != n {
@@ -92,6 +96,9 @@ func (w *treeWire) valid() error {
 		}
 		if int(f) >= w.NFeatures {
 			return fmt.Errorf("node %d tests feature %d of %d", i, f, w.NFeatures)
+		}
+		if math.IsNaN(w.Thresholds[i]) {
+			return fmt.Errorf("node %d: NaN threshold", i)
 		}
 		l, r := int(w.Left[i]), int(w.Right[i])
 		if l <= i || r <= i || l >= n || r >= n {

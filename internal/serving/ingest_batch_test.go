@@ -481,7 +481,7 @@ func TestPCAModelRefused(t *testing.T) {
 		t.Fatalf("New on a PCA model: err = %v, want the PCA refusal", err)
 	}
 
-	svc, err := New(Config{Model: m, BundleVersion: core.BundleVersionFor(m)})
+	svc, err := New(Config{Model: m, BundleVersion: core.BundleVersion})
 	if err != nil {
 		t.Fatal(err)
 	}

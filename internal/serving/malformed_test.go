@@ -2,8 +2,11 @@ package serving
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/gob"
+	"math"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"monitorless/internal/core"
@@ -26,11 +29,12 @@ func (b *gobBlob) GobDecode(p []byte) error {
 }
 
 type bundleMirror struct {
-	Magic      string
-	Version    int
-	SchemaHash string
-	TrainSeed  int64
-	ModelBlob  []byte
+	Magic       string
+	Version     int
+	SchemaHash  string
+	TrainSeed   int64
+	ModelBlob   []byte
+	ModelSHA256 [sha256.Size]byte
 }
 
 type modelMirror struct {
@@ -49,9 +53,6 @@ type forestMirror struct {
 	Importances []float64
 	NFeatures   int
 	Fitted      bool
-	BinEdges    [][]float64
-	QuantThr    [][]uint8
-	QuantFlags  [][]uint8
 }
 
 type treeMirror struct {
@@ -81,12 +82,13 @@ func reencode(t *testing.T, data []byte, v any, edit func()) gobBlob {
 }
 
 // TestModelEndpointRejectsMalformedForest: POST /model with a bundle
-// whose first tree tests a column past the engineered row — a walk that
-// would panic under the shard lock — is refused with 400, and the
-// serving model keeps answering.
+// whose first tree tests a column past the engineered row (a walk that
+// would panic under the shard lock) or splits on a NaN threshold, or
+// whose model blob no longer matches its checksum, is refused with 400,
+// and the serving model and its generation stay and keep answering.
 func TestModelEndpointRejectsMalformedForest(t *testing.T) {
 	m, _ := sharedTestModel(t)
-	svc, err := New(Config{Model: m, BundleVersion: core.BundleVersionFor(m)})
+	svc, err := New(Config{Model: m, BundleVersion: core.BundleVersion})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,34 +97,49 @@ func TestModelEndpointRejectsMalformedForest(t *testing.T) {
 	if err := core.SaveBundle(&buf, m, 1); err != nil {
 		t.Fatal(err)
 	}
-	var bw bundleMirror
-	var mm modelMirror
-	var fm forestMirror
-	var tm treeMirror
-	bad := reencode(t, buf.Bytes(), &bw, func() {
-		bw.ModelBlob = reencode(t, bw.ModelBlob, &mm, func() {
-			mm.Forest = reencode(t, mm.Forest, &fm, func() {
-				fm.Trees[0] = reencode(t, fm.Trees[0], &tm, func() { tm.Features[0] = 1 << 20 })
+	// editTree0 rewrites the bundle's first tree and re-signs the model
+	// blob, so the refusal comes from the tree's own checks.
+	editTree0 := func(edit func(tm *treeMirror)) []byte {
+		var bw bundleMirror
+		var mm modelMirror
+		var fm forestMirror
+		var tm treeMirror
+		return reencode(t, buf.Bytes(), &bw, func() {
+			bw.ModelBlob = reencode(t, bw.ModelBlob, &mm, func() {
+				mm.Forest = reencode(t, mm.Forest, &fm, func() {
+					fm.Trees[0] = reencode(t, fm.Trees[0], &tm, func() { edit(&tm) })
+				})
 			})
+			bw.ModelSHA256 = sha256.Sum256(bw.ModelBlob)
 		})
-	})
-
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/model", bytes.NewReader(bad)))
-	if rec.Code != 400 {
-		t.Fatalf("POST /model with a malformed forest: %d %s, want 400", rec.Code, rec.Body)
 	}
-	if g := svc.active.Load().gen; g != 1 {
-		t.Fatalf("model generation %d after a refused swap, want 1", g)
+	var bw bundleMirror
+	cases := map[string][]byte{
+		"feature index past the row": editTree0(func(tm *treeMirror) { tm.Features[0] = 1 << 20 }),
+		"NaN threshold":              editTree0(func(tm *treeMirror) { tm.Thresholds[0] = math.NaN() }),
+		"flipped model blob byte":    reencode(t, buf.Bytes(), &bw, func() { bw.ModelBlob[len(bw.ModelBlob)/2] ^= 0x10 }),
 	}
-	resp, err := svc.Ingest(pcp.WireObservation{T: 0, Samples: []pcp.WireSample{
-		{Instance: "shop/web/0", Values: rawRows(t)[0]},
-	}})
-	if err != nil {
-		t.Fatal(err)
+	for name, bad := range cases {
+		t.Run(name, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest("POST", "/model", bytes.NewReader(bad)))
+			if rec.Code != 400 {
+				t.Fatalf("POST /model: %d %s, want 400", rec.Code, rec.Body)
+			}
+			t.Log(strings.TrimSpace(rec.Body.String()))
+			if mv := svc.active.Load(); mv.gen != 1 || mv.model != m {
+				t.Fatalf("model generation %d (same model %v) after a refused swap, want 1 and the old model", mv.gen, mv.model == m)
+			}
+			resp, err := svc.Ingest(pcp.WireObservation{T: 0, Samples: []pcp.WireSample{
+				{Instance: "shop/web/0", Values: rawRows(t)[0]},
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p := resp.Predictions["shop/web/0"]; p.ModelGen != 1 {
+				t.Fatalf("prediction from generation %d, want 1", p.ModelGen)
+			}
+			svc.PutResponse(resp)
+		})
 	}
-	if p := resp.Predictions["shop/web/0"]; p.ModelGen != 1 {
-		t.Fatalf("prediction from generation %d, want 1", p.ModelGen)
-	}
-	svc.PutResponse(resp)
 }

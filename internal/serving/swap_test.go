@@ -396,10 +396,9 @@ func TestDriftMonitorScoresShiftedTraffic(t *testing.T) {
 // POST /model (operator hot swap).
 func TestModelEndpoint(t *testing.T) {
 	m, _ := sharedTestModel(t)
-	// sharedTestModel is exact-trained (no compiled quantized predictor),
-	// so its real bundle version is 3 — the literal the response
+	// Every saved bundle is version 5 — the literal the response
 	// expectations below pin.
-	svc, err := New(Config{Model: m, BundleVersion: core.BundleVersionFor(m), DriftWindow: 64})
+	svc, err := New(Config{Model: m, BundleVersion: core.BundleVersion, DriftWindow: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +411,7 @@ func TestModelEndpoint(t *testing.T) {
 	}
 	body := rec.Body.String()
 	for _, want := range []string{
-		`"gen": 1`, `"bundle_version": 3`, `"schema_hash"`, `"fingerprint"`,
+		`"gen": 1`, `"bundle_version": 5`, `"schema_hash"`, `"fingerprint"`,
 		// The last field while no drift window has closed and no swap ran.
 		fmt.Sprintf("\"watched_cols\": %d\n", len(m.Fingerprint.Watched())),
 	} {
@@ -447,7 +446,7 @@ func TestModelEndpoint(t *testing.T) {
 	rec = httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
 	hb := rec.Body.String()
-	for _, want := range []string{`"model_gen": 2`, `"bundle_version": 3`, `"schema_hash"`, `"legacy_bundle": false`, `"swaps": 1`} {
+	for _, want := range []string{`"model_gen": 2`, `"bundle_version": 5`, `"schema_hash"`, `"legacy_bundle": false`, `"swaps": 1`} {
 		if !strings.Contains(hb, want) {
 			t.Errorf("/healthz missing %s in:\n%s", want, hb)
 		}

@@ -30,9 +30,12 @@
 #                           packed order-key walk bit-identical to the float walk on edge probes (edges, ±1 ulp, ±0 also against planted
 #                           −0 thresholds, NaN of both signs, ± smallest subnormal, ±MaxFloat64, ±Inf), unit columns, the fused
 #                           QuantizeBatch/PredictProbaCodes route, a 300+-column forest (whole frame and row lists) and Table 2 corpus at
-#                           workers 1/4/8; compile refuses exact forests, bad edge sets and forests past the packed limits;
+#                           workers 1/4/8; an exact forest compiles and matches its float walk on the same probes at workers 1/4/8;
+#                           compile refuses only unfitted forests and forests past the packed limits;
 #                           TestQuantPredictSpeedup: >= 1.5x the float walk per row
-#   malformed bundles     — a bundle whose forest would loop, index past the row, emit a non-probability or carry a bad edge set fails to load, and POST /model answers 400 and keeps the old model
+#   malformed bundles     — a bundle whose forest would loop, index past the row, emit a non-probability or split on a NaN threshold,
+#                           or whose model blob fails its sha256 checksum, fails to load, and POST /model answers 400 and keeps the old
+#                           model and generation; v3, v4 and v5 bundles load and predict bit for bit
 #   predict allocs        — 0 allocs/op batch predict in the float, quant-serial and quant-sharded regimes; the fused key+walk
 #                           route at 0 allocs serially and, at default parallelism, on a 256-row shard batch (one task, walked inline)
 #   online-engine parity  — one kernel per feature step: StepBatchInto and Pipeline.TransformFrame both bit-identical to the test-only
@@ -140,12 +143,12 @@ go test -run '^FuzzDecodeJSONVsReference$' -fuzz '^FuzzDecodeJSONVsReference$' -
 lane "quant parity"
 go test -count=1 -run '^FuzzOrderKey$' -v ./internal/frame/
 go test -run '^FuzzOrderKey$' -fuzz '^FuzzOrderKey$' -fuzztime=5s ./internal/frame/
-go test -count=1 -run 'TestQuant(BitIdentity|WorkerCountInvariance|PredictEdgeValues|WideForestPacks)|TestPredictCodesBitIdentical|TestExactForestRefusesQuant|TestCompileErrors' -v ./internal/ml/forest/
+go test -count=1 -run 'TestQuant(BitIdentity|WorkerCountInvariance|PredictEdgeValues|WideForestPacks)|TestPredictCodesBitIdentical|TestExactForestCompiles|TestCompileErrors' -v ./internal/ml/forest/
 go test -count=1 -run TestTable2QuantBitIdentity $short ./internal/experiments/
 go test -run TestQuantPredictSpeedup -count=1 -v ./internal/ml/forest/
 
 lane "malformed bundles"
-go test -count=1 -run TestLoadBundleRejectsMalformedForest -v ./internal/core/
+go test -count=1 -run 'TestLoadBundleRejectsMalformedForest|TestBundleLoadsV3AndV5|TestStreamedBundleStillLoads' -v ./internal/core/
 go test -count=1 -run TestModelEndpointRejectsMalformedForest -v ./internal/serving/
 
 lane "predict allocs"

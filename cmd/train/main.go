@@ -124,10 +124,15 @@ func main() {
 }
 
 // printFitReport breaks the feature pipeline's share of the training time
-// down by step.
+// down by step. Time features and products are fitted on their input
+// schema and widen nothing themselves, so their rows carry fit time only;
+// the step after them carries the widening (an rf-filter: per run in its
+// fit, one pass of the chain in its transform). "in cols" is each step's
+// logical input width.
 func printFitReport(rows []features.StepReport) {
 	fmt.Printf("  %-18s %7s %9s %12s\n", "pipeline step", "in cols", "fit s", "transform s")
 	for _, r := range rows {
 		fmt.Printf("  %-18s %7d %9.3f %12.3f\n", r.Step, r.InCols, r.FitSeconds, r.TransformSeconds)
 	}
+	fmt.Println("  (time-features and products: fit only; the step after them carries their widening)")
 }

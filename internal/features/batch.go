@@ -3,8 +3,6 @@ package features
 import (
 	"fmt"
 	"math"
-
-	"monitorless/internal/frame"
 )
 
 // This file holds every step's arithmetic but PCA's, once: one columnar
@@ -114,8 +112,6 @@ type BatchScratch struct {
 	arena []float64
 	aUsed int
 
-	into *frame.Frame // if set, row-local kernels write output j to into.Col(j)
-
 	cur, nxt [][]float64
 	out      [][]float64
 	n        int
@@ -150,15 +146,6 @@ func (b *BatchScratch) Cols() [][]float64 { return b.out }
 // Len returns the number of samples in the last batch.
 func (b *BatchScratch) Len() int { return b.n }
 
-// dst returns where a row-local kernel writes its output column j (not
-// zeroed): the offline driver's output frame, or a fresh arena column.
-func (b *BatchScratch) dst(j, n int) []float64 {
-	if b.into != nil {
-		return b.into.Col(j)
-	}
-	return b.allocCol(n)
-}
-
 // allocCol carves an n-float column out of the arena. On overflow a
 // fresh, larger arena replaces it — columns handed out earlier keep
 // pointing into the old one, which stays alive until the batch ends — so
@@ -166,14 +153,7 @@ func (b *BatchScratch) dst(j, n int) []float64 {
 // memory is NOT zeroed.
 func (b *BatchScratch) allocCol(n int) []float64 {
 	if b.aUsed+n > len(b.arena) {
-		size := 2 * len(b.arena)
-		if size < b.aUsed+n {
-			size = b.aUsed + n
-		}
-		if size < 4096 {
-			size = 4096
-		}
-		b.arena = make([]float64, size)
+		b.arena = make([]float64, max(2*len(b.arena), b.aUsed+n, 4096))
 		b.aUsed = 0
 	}
 	c := b.arena[b.aUsed : b.aUsed+n : b.aUsed+n]
@@ -272,9 +252,10 @@ func (s *Streamer) StepBatchInto(sl *StateSlab, slots []int32, raws [][]float64,
 // batchApply runs one fitted row step's kernel over n samples held
 // column-wise; cols must be as wide as the step was fitted on (stepWidth).
 // Columns the step passes through unchanged are aliased, not copied; only
-// computed columns are written (b.dst), and outputs the liveness plan
-// proves dead (live[j] == false; nil live = all live) are skipped
-// entirely — a shared pad column keeps the view's indices aligned.
+// computed columns are written, each into a fresh arena column, and
+// outputs the liveness plan proves dead (live[j] == false; nil live = all
+// live) are skipped entirely — a shared pad column keeps the view's
+// indices aligned.
 func batchApply(step Step, live []bool, cols [][]float64, n int, b *BatchScratch) [][]float64 {
 	next := b.nxt[:0]
 	switch t := step.(type) {
@@ -284,7 +265,7 @@ func batchApply(step Step, live []bool, cols [][]float64, n int, b *BatchScratch
 			if live != nil && !live[ci] {
 				continue
 			}
-			src, dst := cols[ci], b.dst(ci, n)
+			src, dst := cols[ci], b.allocCol(n)
 			for k := 0; k < n; k++ {
 				dst[k] = math.Log10(1 + math.Max(src[k], 0))
 			}
@@ -297,7 +278,7 @@ func batchApply(step Step, live []bool, cols [][]float64, n int, b *BatchScratch
 					next = append(next, b.pad(n))
 					continue
 				}
-				dst := b.dst(len(next), n)
+				dst := b.allocCol(n)
 				for r := 0; r < n; r++ {
 					if spec.Test(src[r]) {
 						dst[r] = 1
@@ -314,7 +295,7 @@ func batchApply(step Step, live []bool, cols [][]float64, n int, b *BatchScratch
 				next = append(next, b.pad(n))
 				continue
 			}
-			dst := b.dst(j, n)
+			dst := b.allocCol(n)
 			if t.Std[j] > 0 {
 				m, sd := t.Mean[j], t.Std[j]
 				for k := 0; k < n; k++ {
@@ -343,7 +324,7 @@ func batchApply(step Step, live []bool, cols [][]float64, n int, b *BatchScratch
 				continue
 			}
 			a, c := cols[pr[0]], cols[pr[1]]
-			dst := b.dst(t.InCols+pi, n)
+			dst := b.allocCol(n)
 			for k := 0; k < n; k++ {
 				dst[k] = a[k] * c[k]
 			}

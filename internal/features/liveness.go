@@ -32,6 +32,9 @@ type batchPlan struct {
 	pre     [][]bool // live-output mask per s.pre step
 	post    [][]bool // live-output mask per s.post step
 	tm      *timePlan
+	// computed counts the live columns the kernels compute per sample,
+	// the offline driver's arena size in columns.
+	computed int
 }
 
 // timePlan is the time stage's slice of the plan as index lists (the
@@ -136,17 +139,40 @@ func buildBatchPlan(s *Streamer, widths []int) *batchPlan {
 	}
 	for i := len(s.post) - 1; i >= 0; i-- {
 		plan.post[i] = maskOrNil(live)
+		plan.computed += computedCols(s.post[i], live)
 		live = liveIn(s.post[i], live, postIn[i])
 	}
 	if s.tf != nil {
+		plan.computed += len(idxOf(live[s.baseCols:])) // live windows
 		plan.tm, live = s.timePlanFrom(live)
 	}
 	for i := len(s.pre) - 1; i >= 0; i-- {
 		plan.pre[i] = maskOrNil(live)
+		plan.computed += computedCols(s.pre[i], live)
 		live = liveIn(s.pre[i], live, preIn[i])
 	}
 	plan.rawLive = maskOrNil(live)
 	return plan
+}
+
+// computedCols counts the live outputs a row step's kernel computes
+// rather than passes through or selects.
+func computedCols(step Step, out []bool) int {
+	n, from := 0, len(out) // from: the first appended output
+	switch t := step.(type) {
+	case *Expand:
+		for _, j := range t.LogIdx {
+			if out[j] {
+				n++
+			}
+		}
+		from = t.In
+	case *StandardScale:
+		from = 0
+	case *Products:
+		from = t.InCols
+	}
+	return n + len(idxOf(out[from:]))
 }
 
 // liveIn maps a step's live-output mask onto its inputs.

@@ -8,13 +8,16 @@ import (
 )
 
 // This file is the offline driver: FitFrame and TransformFrame run the
-// kernels StepBatchInto runs (batch.go), entering below its transposer. A
-// row-local kernel runs once over a frame's columns (n = rows), writing
-// straight into the output frame; the time step runs the ring kernel with
-// one slot per run span, tick t being one batch of the runs alive at t.
-// TransformFrame runs under the streamer's liveness plan; FitFrame, which
-// fits each step on its predecessor's whole output, keeps every column
-// live. PCAReduce, the one step without a kernel, runs its own Transform.
+// kernels StepBatchInto runs (batch.go), entering below its transposer.
+// A chain of fitted steps runs over a frame's columns as views (n = rows):
+// pass-through and selected columns alias their input, dead columns share
+// one pad, and only the live computed columns are allocated, in one arena
+// sized by the liveness plan; the final engineered columns are copied
+// into the output frame. The time step runs the ring kernel with one slot
+// per run span, tick t being one batch of the runs alive at t.
+// TransformFrame runs the pipeline's chain under its liveness plan;
+// applyStep runs one step, whose outputs are all live. PCAReduce, the one
+// step without a kernel, runs its own Transform.
 
 // timeGroup bounds the runs the time stage holds at once — the slab and
 // each block's arena grow with it — so a frame with more runs plays them
@@ -32,49 +35,49 @@ func applyStep(step Step, fr *frame.Frame) (*frame.Frame, error) {
 	if p, ok := step.(*PCAReduce); ok {
 		return p.Transform(fr)
 	}
-	w, err := stepWidth(step, fr.NumCols())
+	return applyChain([]Step{step}, fr)
+}
+
+// applyChain applies a chain of fitted steps, each with a kernel, to fr.
+// Every output column is live, and only the intermediate columns they
+// read are computed.
+func applyChain(steps []Step, fr *frame.Frame) (*frame.Frame, error) {
+	s, err := chainStreamer(steps, fr.NumCols())
 	if err != nil {
 		return nil, err
 	}
-	if tf, ok := step.(*TimeFeatures); ok {
-		s := &Streamer{}
-		s.setTime(tf)
-		s.plan = buildBatchPlan(s, []int{tf.InCols, w})
-		return timeFrame(s, fr), nil
-	}
-	return applyRow(step, nil, fr), nil
+	return s.transformFrame(fr), nil
+}
+
+// chainStreamer builds the streamer of a chain of fitted steps, each with
+// a kernel, that reads w columns.
+func chainStreamer(steps []Step, w int) (*Streamer, error) {
+	return (&Pipeline{Steps: steps, InCols: w}).Streamer()
 }
 
 // transformFrame runs the streamer's chain over a whole frame (whose width
 // the caller checked) under its liveness plan: an intermediate column no
-// engineered feature reads is never computed and stays zero.
+// engineered feature reads is never computed. fr is read-only.
 func (s *Streamer) transformFrame(fr *frame.Frame) *frame.Frame {
-	cur := fr
+	schema := fr.Schema()
+	for _, step := range s.pipe.Steps {
+		schema = stepSchema(step, schema)
+	}
+	n := fr.Rows()
+	b := BatchScratch{arena: make([]float64, s.plan.computed*n)}
+	cols := fr.Cols(nil)
 	for i, step := range s.pre {
-		cur = applyRow(step, s.plan.pre[i], cur)
+		cols = batchApply(step, s.plan.pre[i], cols, n, &b)
 	}
 	if s.tf != nil {
-		cur = timeFrame(s, cur)
+		cols = s.timeCols(fr.Spans(), cols, n, &b)
 	}
 	for i, step := range s.post {
-		cur = applyRow(step, s.plan.post[i], cur)
+		cols = batchApply(step, s.plan.post[i], cols, n, &b)
 	}
-	return cur
-}
-
-// applyRow runs a row-local step's kernel once over fr's columns, its
-// live computed columns landing straight in the output frame.
-func applyRow(step Step, live []bool, fr *frame.Frame) *frame.Frame {
-	out := fr.Derive(stepSchema(step, fr.Schema()))
-	b := BatchScratch{into: out}
-	cols := batchApply(step, live, fr.Cols(nil), fr.Rows(), &b)
-	if fr.Rows() > 0 {
-		// Live columns passed through or selected come back aliasing fr.
-		for j, c := range cols {
-			if dst := out.Col(j); (live == nil || live[j]) && &c[0] != &dst[0] {
-				copy(dst, c)
-			}
-		}
+	out := frame.NewDense(schema, n, fr.Spans(), fr.Labels())
+	for j, c := range cols {
+		copy(out.Col(j), c)
 	}
 	return out
 }
@@ -133,27 +136,38 @@ func appendTimeCols(out, in frame.Schema, suffix string) frame.Schema {
 	return out
 }
 
-// timeFrame applies s's time step to fr: base columns are copied, live
-// windows come from the ring kernel (a frame without spans is one run;
-// rows outside every span keep zero windows). A block of ticks' inputs is
-// gathered, and its windows scattered, column by column, so each pass
-// walks a few pages per run rather than a page per run and column a tick.
-func timeFrame(s *Streamer, fr *frame.Frame) *frame.Frame {
+// timeCols runs s's time step over n rows held column-wise, rows grouped
+// into spans (none: one run). Base columns pass through; each live window
+// is a fresh column of out's arena, which stays zero on rows outside
+// every span; dead windows alias out's pad. A block of ticks' ring-set
+// inputs is gathered, and its windows scattered, column by column, so
+// each pass walks a few pages per run rather than a page per run and
+// column a tick.
+func (s *Streamer) timeCols(spans []frame.Span, in [][]float64, n int, out *BatchScratch) [][]float64 {
 	tm, nc := s.plan.tm, s.baseCols
-	out := fr.Derive(stepSchema(s.tf, fr.Schema()))
-	in := fr.Cols(nil)
-	for c, src := range in {
-		copy(out.Col(c), src)
-	}
-	var win []int // live window columns of out
-	for wi, idx := range append(tm.avgIdx, tm.lagIdx...) {
-		for _, c := range idx {
-			win = append(win, nc*(1+wi)+c)
+	next := append(out.nxt[:0], in...)
+	var (
+		win  []int       // live window columns' indices in next
+		dsts [][]float64 // and their columns
+	)
+	need := make([]bool, nc) // the ring set: the inputs a live window reads
+	for _, wins := range [][][]int{tm.avgIdx, tm.lagIdx} {
+		for _, idx := range wins {
+			for c := 0; c < nc; c++ {
+				if len(idx) == 0 || idx[0] != c {
+					next = append(next, out.pad(n))
+					continue
+				}
+				idx = idx[1:]
+				need[c] = true
+				win = append(win, len(next))
+				dsts = append(dsts, out.allocCol(n))
+				next = append(next, dsts[len(dsts)-1])
+			}
 		}
 	}
-	spans := fr.Spans()
 	if len(spans) == 0 {
-		spans = []frame.Span{{End: fr.Rows()}}
+		spans = []frame.Span{{End: n}}
 	}
 	sl := NewStateSlab(s)
 	sl.EnsureSlots(min(len(spans), timeGroup))
@@ -190,6 +204,9 @@ func timeFrame(s *Streamer, fr *frame.Frame) *frame.Frame {
 			b.aUsed = 0
 			ins = slices.Grow(ins[:0], len(ends)*nc)[:len(ends)*nc]
 			for c, src := range in {
+				if !need[c] {
+					continue
+				}
 				col := b.allocCol(len(rows))
 				for i, r := range rows {
 					col[i] = src[r]
@@ -210,8 +227,7 @@ func timeFrame(s *Streamer, fr *frame.Frame) *frame.Frame {
 				}
 				lo = hi
 			}
-			for q, j := range win {
-				dst := out.Col(j)
+			for q, dst := range dsts {
 				lo := 0
 				for τ, hi := range ends {
 					src := wins[τ*len(win)+q]
@@ -223,5 +239,6 @@ func timeFrame(s *Streamer, fr *frame.Frame) *frame.Frame {
 			}
 		}
 	}
-	return out
+	out.cur, out.nxt = next, in[:0]
+	return next
 }

@@ -134,14 +134,8 @@ func (p *Pipeline) buildReduce(kind ReduceKind, seedOffset int64) Step {
 	}
 }
 
-// FitFrame learns every step on the training frame and returns the
-// transformed training frame.
-func (p *Pipeline) FitFrame(fr *frame.Frame) (*frame.Frame, error) {
-	p.InCols = fr.NumCols()
-	p.RawCols = append([]Column(nil), fr.Schema()...)
-	p.Steps = nil
-	p.report = nil
-
+// fitPlan lists the configured layout's unfitted steps in order.
+func (p *Pipeline) fitPlan() []Step {
 	plan := []Step{&Expand{}}
 	if p.Cfg.Normalize {
 		plan = append(plan, &StandardScale{})
@@ -158,27 +152,79 @@ func (p *Pipeline) FitFrame(fr *frame.Frame) (*frame.Frame, error) {
 	if s := p.buildReduce(p.Cfg.Reduce2, 211); s != nil {
 		plan = append(plan, s)
 	}
-	plan = append(plan, &DropZeroVariance{})
+	return append(plan, &DropZeroVariance{})
+}
 
-	cur := fr
-	for _, step := range plan {
+// FitFrame learns every step on the training frame and returns the
+// transformed training frame. TimeFeatures and Products read only their
+// input schema, so they are fitted on it and their widening deferred: an
+// RFFilter after them fits run by run, each worker widening its own run,
+// and its output is one pass of the whole chain computing only the kept
+// columns (offline.go); any other step first gets the widened frame. So
+// the ledger's rows for the widening steps carry their fit alone, and the
+// step after them carries the widening: the filter's per-run widening in
+// its fit and the chain pass in its transform, another step's widened
+// frame in its fit. Each row's InCols is the step's logical input width.
+func (p *Pipeline) FitFrame(fr *frame.Frame) (*frame.Frame, error) {
+	p.InCols = fr.NumCols()
+	p.RawCols = append([]Column(nil), fr.Schema()...)
+	p.Steps = nil
+	p.report = nil
+
+	cur, schema := fr, fr.Schema() // schema: cur's, widened by wide
+	var wide []Step                // fitted steps cur has not been through
+	for _, step := range p.fitPlan() {
 		start := time.Now()
-		if err := step.Fit(cur); err != nil {
+		rep := StepReport{Step: step.Name(), InCols: len(schema)}
+		var err error
+		switch st := step.(type) {
+		case *TimeFeatures, *Products:
+			err = st.Fit(frame.NewDense(schema, 0, nil, nil))
+		case *RFFilter:
+			if len(wide) > 0 {
+				var s *Streamer
+				if s, err = chainStreamer(wide, cur.NumCols()); err == nil {
+					err = st.fitRuns(schema, cur.NumRuns(), func(k int) *frame.Frame {
+						return s.transformFrame(cur.RunView(k))
+					})
+				}
+				break
+			}
+			err = st.Fit(cur)
+		default:
+			if len(wide) > 0 {
+				cur, err = applyChain(wide, cur)
+				wide = nil
+			}
+			if err == nil {
+				err = step.Fit(cur)
+			}
+		}
+		if err != nil {
 			return nil, fmt.Errorf("features: fit %s: %w", step.Name(), err)
 		}
 		fitted := time.Now()
-		next, err := applyStep(step, cur)
-		if err != nil {
-			return nil, fmt.Errorf("features: transform %s during fit: %w", step.Name(), err)
+		var next *frame.Frame
+		switch step.(type) {
+		case *TimeFeatures, *Products:
+			wide = append(wide, step)
+			schema = stepSchema(step, schema)
+		default:
+			if len(wide) > 0 {
+				next, err = applyChain(append(wide, step), cur)
+				wide = nil
+			} else {
+				next, err = applyStep(step, cur)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("features: transform %s during fit: %w", step.Name(), err)
+			}
+			cur, schema = next, next.Schema()
 		}
 		p.Steps = append(p.Steps, step)
-		p.report = append(p.report, StepReport{
-			Step:             step.Name(),
-			InCols:           cur.NumCols(),
-			FitSeconds:       fitted.Sub(start).Seconds(),
-			TransformSeconds: time.Since(fitted).Seconds(),
-		})
-		cur = next
+		rep.FitSeconds = fitted.Sub(start).Seconds()
+		rep.TransformSeconds = time.Since(fitted).Seconds()
+		p.report = append(p.report, rep)
 	}
 	p.OutCols = append([]Column(nil), cur.Schema()...)
 	return cur, nil

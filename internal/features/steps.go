@@ -184,6 +184,13 @@ func (f *RFFilter) Name() string { return "rf-filter" }
 
 // Fit implements Step.
 func (f *RFFilter) Fit(fr *frame.Frame) error {
+	return f.fitRuns(fr.Schema(), fr.NumRuns(), fr.RunView)
+}
+
+// fitRuns fits the filter on the nruns runs of a frame with the given
+// schema, run(k) returning run k's rows. The runs fit side by side, and
+// each is dropped once ranked, so a caller may build it on demand.
+func (f *RFFilter) fitRuns(schema frame.Schema, nruns int, run func(k int) *frame.Frame) error {
 	if f.TopK <= 0 {
 		f.TopK = 30
 	}
@@ -202,13 +209,13 @@ func (f *RFFilter) Fit(fr *frame.Frame) error {
 	// fit cost; those candidates all derive from already-selected signal
 	// features.
 	maxFeat := -2 // all features
-	if fr.NumCols() > 600 {
+	if len(schema) > 600 {
 		maxFeat = -1 // √d
 	}
-	// Each run's forest is seeded by its run ID, so the runs fit side by
-	// side and Keep is the same at any worker count.
-	tops, err := parallel.Map(fr.NumRuns(), func(k int) ([]int, error) {
-		return runTopK(f, fr.RunView(k), maxFeat)
+	// Each run's forest is seeded by its run ID, so Keep is the same at
+	// any worker count.
+	tops, err := parallel.Map(nruns, func(k int) ([]int, error) {
+		return runTopK(f, run(k), maxFeat)
 	})
 	if err != nil {
 		return err
@@ -226,7 +233,7 @@ func (f *RFFilter) Fit(fr *frame.Frame) error {
 	// level bits: the paper reports them as highly important and they are
 	// the scale-portable backbone of the model (§3.3.1, §3.5). They are
 	// few, so this never blows up the feature budget.
-	for i, c := range fr.Schema() {
+	for i, c := range schema {
 		if (c.Util || c.Binary) && !c.TimeDerived {
 			keep[i] = true
 		}
@@ -238,7 +245,7 @@ func (f *RFFilter) Fit(fr *frame.Frame) error {
 	sort.Ints(f.Keep)
 	f.KeepNames = make([]string, len(f.Keep))
 	for i, k := range f.Keep {
-		f.KeepNames[i] = fr.Schema()[k].Name
+		f.KeepNames[i] = schema[k].Name
 	}
 	return nil
 }

@@ -48,6 +48,10 @@
 #                           stride; slot reuse over dirtied rings; duplicate-slot rejection
 #   engine callers        — shards and EdgeAgent agree bit for bit; fused vs float route; all-or-nothing ingest across shards; mid-batch rejection;
 #                           Table 7 closed loop in-process and over HTTP against its golden; state gauge; PCA refusal
+#   offline memory        — FitFrame's deferred widening (time features and products fitted on the schema, the second filter
+#                           fitted run by run) equals the eager fit step for step and bit for bit, for every second reduction
+#                           with and without products, at GOMAXPROCS 1 and 8 (TestFitFrameMatchesEagerFit); one TransformFrame
+#                           allocates ≤ 1.25 × (live computed + output columns) × rows × 8 B plus 1 MiB (TestTransformFrameAllocationBound)
 #   step fuzz             — FuzzStepBatchVsTransformFrame against the test-only reference: seeds (all six layouts, the two history
 #                           fixtures included, and all four held-out run layouts) plus 5 s of fresh layouts and schedules
 #   step allocs           — 0 allocs per steady-state batch step
@@ -162,6 +166,9 @@ go test -count=1 -run 'TestEdgeAgentMatchesCentral' ./internal/core/
 go test -count=1 -run 'TestIngestAtomicAcrossShards|TestReplayClosedLoopMatchesInProcess|TestShardCountEquivalence|TestFusedIngestShardWorkerInvariance|TestMidBatchRejectionConsistency|TestInstanceStateBytesGauge|TestIngestFallbackCounter|TestPCAModelRefused' ./internal/serving/
 go test -count=1 -run 'TestStreamerRefusesPCA' ./internal/features/
 go test -count=1 -run 'TestFacadeRefusesPCA' .
+
+lane "offline memory"
+go test -count=1 -run '^(TestFitFrameMatchesEagerFit|TestTransformFrameAllocationBound)$' -v ./internal/features/
 
 lane "step fuzz"
 go test -run '^FuzzStepBatchVsTransformFrame$' -fuzz '^FuzzStepBatchVsTransformFrame$' -fuzztime=5s ./internal/features/

@@ -14,8 +14,8 @@ import (
 
 	"monitorless/internal/apps"
 	"monitorless/internal/cluster"
-	"monitorless/internal/core"
 	"monitorless/internal/pcp"
+	"monitorless/internal/serving"
 	"monitorless/internal/workload"
 )
 
@@ -66,7 +66,10 @@ func main() {
 	// Edge path: the same collection, but inference happens at the agent
 	// and only a compact report crosses the "network"; the center just
 	// applies the threshold and the OR.
-	edgeAgent := core.NewEdgeAgent(pcp.NewAgent(pcp.NewCollector(pcp.DefaultCatalog(), 21)), model)
+	edgeAgent, err := serving.NewEdgeAgent(pcp.NewAgent(pcp.NewCollector(pcp.DefaultCatalog(), 21)), model)
+	if err != nil {
+		log.Fatal(err)
+	}
 	edgeBytes := 0
 
 	agreements, decisions := 0, 0
@@ -75,7 +78,7 @@ func main() {
 
 		obs, ok := centralAgent.Observe(eng)
 		if ok {
-			centralBytes += core.ObservationWireSize(obs)
+			centralBytes += wireSize(obs)
 			if _, err := central.Predict(obs); err != nil {
 				log.Fatal(err)
 			}
@@ -107,4 +110,15 @@ func main() {
 	fmt.Printf("edge-inference traffic:    %d bytes\n", edgeBytes)
 	fmt.Printf("reduction:                 %.0fx\n", float64(centralBytes)/float64(edgeBytes))
 	fmt.Printf("bytes saved (agent view):  %d\n", edgeAgent.BytesSaved)
+}
+
+// wireSize estimates the bytes of the centralized architecture's
+// full-vector message on the terms of PredictionReport.WireSize: a small
+// framing overhead plus each instance's ID and its float64 values.
+func wireSize(obs pcp.WireObservation) int {
+	size := 8
+	for _, smp := range obs.Samples {
+		size += len(smp.Instance) + 8*len(smp.Values)
+	}
+	return size
 }

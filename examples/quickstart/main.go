@@ -48,9 +48,9 @@ func main() {
 	fmt.Printf("trained: %d engineered features, decision threshold %.1f\n",
 		model.Pipeline.NumOutputs(), model.Threshold)
 
-	// 3. Persist and reload (what a production model server would do).
+	// 3. Persist and reload as a bundle, the file cmd/serve loads.
 	var buf bytes.Buffer
-	if err := model.Save(&buf); err != nil {
+	if err := monitorless.SaveModel(&buf, model); err != nil {
 		log.Fatal(err)
 	}
 	size := buf.Len()
@@ -58,7 +58,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("model round-tripped through %d bytes of gob\n", size)
+	fmt.Printf("model round-tripped through a %d-byte bundle\n", size)
 
 	// 4. Deploy a fresh application the model has never seen: a web shop
 	//    front-end that saturates its single core under the load spike.

@@ -159,14 +159,16 @@ func (NoScaling) Name() string { return "No Scaling (baseline)" }
 func (NoScaling) Decide(Snapshot) []string { return nil }
 
 // Predictor supplies per-instance saturation predictions for one tick's
-// observation. It is the seam between the scaling loop and the one fleet
-// state, serving.Service: in-process the Service itself implements it,
-// over the wire a serving.Client ships the observation to a remote model
-// server, closing the §2 loop over HTTP.
+// observation, in the wire form the agent emits (pcp.Agent.Observe). It
+// is the seam between the scaling loop and the one fleet state,
+// serving.Service: in-process the Service itself implements it, over the
+// wire a serving.Client ships the observation to a remote model server,
+// closing the §2 loop over HTTP.
 type Predictor interface {
 	// Predict ingests one observation and returns the saturated instances
-	// among those in obs.
-	Predict(obs pcp.Observation) (map[string]bool, error)
+	// among those in obs. The observation's samples alias the agent's
+	// buffers: Predict consumes them before it returns and keeps none.
+	Predict(obs pcp.WireObservation) (map[string]bool, error)
 	// Forget drops a departed instance's inference state (scale-in) and
 	// reports whether the instance was known.
 	Forget(id string) bool

@@ -66,7 +66,7 @@ func SaveBundle(w io.Writer, m *Model, trainSeed int64) error {
 	if m.Fingerprint == nil {
 		return fmt.Errorf("core: save bundle: model carries no training fingerprint")
 	}
-	blob, err := m.SaveBytes()
+	blob, err := m.encode()
 	if err != nil {
 		return fmt.Errorf("core: save bundle: %w", err)
 	}
@@ -108,7 +108,7 @@ func LoadBundle(r io.Reader) (*Bundle, error) {
 	if wire.Version >= 5 && sha256.Sum256(wire.ModelBlob) != wire.ModelSHA256 {
 		return nil, fmt.Errorf("core: load bundle: model blob does not match its sha256 checksum (corrupt bundle)")
 	}
-	m, err := LoadBytes(wire.ModelBlob)
+	m, err := decodeModel(wire.ModelBlob)
 	if err != nil {
 		return nil, fmt.Errorf("core: load bundle: %w", err)
 	}

@@ -62,11 +62,11 @@ func TestBundleRoundTripIdenticalPredictions(t *testing.T) {
 // format) is refused with the retrain advice instead of loading.
 func TestBundleLegacyFallback(t *testing.T) {
 	m, _ := sharedModel(t)
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil { // bare-model format
+	blob, err := m.encode() // bare-model format
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, err := LoadBundle(bytes.NewReader(buf.Bytes()))
+	_, err = LoadBundle(bytes.NewReader(blob))
 	if err == nil || !strings.Contains(err.Error(), "format version 0 bare-model file must be retrained with this build") {
 		t.Fatalf("bare model gob: got %v, want a version-0 refusal", err)
 	}
@@ -127,7 +127,7 @@ func TestBundleV3RoundTripFingerprintAndCalibration(t *testing.T) {
 // refused rather than served.
 func TestBundleCrossVersionRefusal(t *testing.T) {
 	m, _ := sharedModel(t)
-	blob, err := m.SaveBytes()
+	blob, err := m.encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestBundleLegacyNoFingerprint(t *testing.T) {
 		t.Fatalf("refused save wrote %d bytes", buf.Len())
 	}
 
-	blob, err := m.SaveBytes()
+	blob, err := m.encode()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math"
 	"sync"
 	"testing"
@@ -125,15 +124,17 @@ func TestTrainAndEvaluateHeldOutRun(t *testing.T) {
 	}
 }
 
+// TestModelSaveLoadRoundTrip: a model's gob image (the blob a bundle
+// carries) decodes to a model that predicts bit for bit as the original.
 func TestModelSaveLoadRoundTrip(t *testing.T) {
 	m, ds := sharedModel(t)
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	back, err := Load(&buf)
+	blob, err := m.encode()
 	if err != nil {
-		t.Fatalf("Load: %v", err)
+		t.Fatalf("encode: %v", err)
+	}
+	back, err := decodeModel(blob)
+	if err != nil {
+		t.Fatalf("decodeModel: %v", err)
 	}
 	if back.Threshold != m.Threshold || back.TrainSamples != m.TrainSamples {
 		t.Error("model metadata lost in round trip")
@@ -157,16 +158,10 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSaveBytesLoadBytes: the model blob decoder refuses bytes that are
+// not a model's gob image.
 func TestSaveBytesLoadBytes(t *testing.T) {
-	m, _ := sharedModel(t)
-	blob, err := m.SaveBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadBytes(blob); err != nil {
-		t.Fatalf("LoadBytes: %v", err)
-	}
-	if _, err := LoadBytes([]byte("garbage")); err == nil {
+	if _, err := decodeModel([]byte("garbage")); err == nil {
 		t.Error("expected error for corrupt payload")
 	}
 }

@@ -4,7 +4,7 @@ import "monitorless/internal/features"
 
 // Engine is the one online inference engine: everything that turns raw
 // per-instance metric vectors into saturation probabilities goes through
-// it — the serving shards and the EdgeAgent. It owns an ID→slot registry
+// it, as the serving shards run it. It owns an ID→slot registry
 // (dense int32 slots, LIFO free list), the features.StateSlab holding
 // every slot's ring state, and the batch scratch of the two phases:
 //

@@ -3,8 +3,6 @@ package core
 import (
 	"strings"
 	"testing"
-
-	"monitorless/internal/pcp"
 )
 
 func TestDistillReadableRules(t *testing.T) {
@@ -54,18 +52,5 @@ func TestDistillFidelityGrowsWithDepth(t *testing.T) {
 	}
 	if deep < shallow-1e-9 {
 		t.Errorf("deeper surrogate less faithful: %.3f vs %.3f", deep, shallow)
-	}
-}
-
-func TestEdgeAgentSavesTraffic(t *testing.T) {
-	// Wire-size accounting: a full observation of realistic width dwarfs
-	// the per-instance probability report.
-	vec := make([]float64, 290)
-	obs := pcp.Observation{T: 1, Vectors: map[string][]float64{"app/svc/0": vec}}
-	rep := PredictionReport{T: 1, Probs: map[string]float64{"app/svc/0": 0.5}}
-	full := ObservationWireSize(obs)
-	compact := rep.WireSize()
-	if full < 50*compact {
-		t.Errorf("expected ≥50x reduction, got %d vs %d bytes", full, compact)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"io"
 
 	"monitorless/internal/dataset"
 	"monitorless/internal/features"
@@ -213,11 +212,11 @@ type modelWire struct {
 	TrainSaturatedFrac float64
 }
 
-// Save serializes the model.
-func (m *Model) Save(w io.Writer) error {
+// encode is the model's gob image: the blob a bundle carries.
+func (m *Model) encode() ([]byte, error) {
 	blob, err := m.Pipeline.EncodeGob()
 	if err != nil {
-		return fmt.Errorf("core: save: %w", err)
+		return nil, fmt.Errorf("core: save: %w", err)
 	}
 	wire := modelWire{
 		PipelineBlob:       blob,
@@ -228,16 +227,17 @@ func (m *Model) Save(w io.Writer) error {
 		TrainSamples:       m.TrainSamples,
 		TrainSaturatedFrac: m.TrainSaturatedFrac,
 	}
-	if err := gob.NewEncoder(w).Encode(wire); err != nil {
-		return fmt.Errorf("core: save: %w", err)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(wire); err != nil {
+		return nil, fmt.Errorf("core: save: %w", err)
 	}
-	return nil
+	return buf.Bytes(), nil
 }
 
-// Load deserializes a model written by Save.
-func Load(r io.Reader) (*Model, error) {
+// decodeModel decodes a model blob written by encode.
+func decodeModel(b []byte) (*Model, error) {
 	var wire modelWire
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&wire); err != nil {
 		return nil, fmt.Errorf("core: load: %w", err)
 	}
 	pipe, err := features.DecodePipeline(wire.PipelineBlob)
@@ -261,15 +261,3 @@ func Load(r io.Reader) (*Model, error) {
 	m.watchLiveInputs()
 	return m, nil
 }
-
-// SaveBytes is a convenience wrapper around Save.
-func (m *Model) SaveBytes() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// LoadBytes is a convenience wrapper around Load.
-func LoadBytes(b []byte) (*Model, error) { return Load(bytes.NewReader(b)) }

@@ -12,30 +12,20 @@ import (
 type Agent struct {
 	col  *Collector
 	prev *rawTick
+	// schemaHash is the catalog's SchemaHash, stamped on every Observe.
+	schemaHash string
 
 	// Processed slabs, reused across ticks (rebuilt on plan change).
 	gen      uint64
 	hostProc [][]float64 // by plan node index
 	vecs     [][]float64 // by plan ref index: host ∥ container processed
 	ts       TickSample
+	samples  []WireSample // Observe's samples, reused across ticks
 }
 
 // NewAgent returns an agent over the collector.
 func NewAgent(col *Collector) *Agent {
-	return &Agent{col: col}
-}
-
-// Observation carries the processed per-instance vectors for one tick.
-// It is the wire-path boundary form: the map and its vectors are freshly
-// allocated on every Observe call, so callers may retain them. Map
-// iteration order is irrelevant by construction — every consumer either
-// looks vectors up by ID or sorts the keys before iterating.
-type Observation struct {
-	// T is the simulation second.
-	T int
-	// Vectors maps container ID to its combined processed metric vector,
-	// laid out as Catalog.CombinedDefs().
-	Vectors map[string][]float64
+	return &Agent{col: col, schemaHash: col.Catalog().SchemaHash()}
 }
 
 // TickSample is one tick's processed per-instance vectors in the agent's
@@ -79,9 +69,9 @@ func (ts *TickSample) Index(ctr *cluster.Container) int {
 
 // ObserveTick samples the engine and returns the tick's processed vectors
 // in the agent's reusable slab — the frame-native hot path: no maps, no
-// steady-state allocations. The first call after construction or Reset
-// (or after the engine's cluster changed) returns ok=false because
-// counters need two readings to become rates.
+// steady-state allocations. The first call after construction (or after
+// the engine's cluster changed) returns ok=false because counters need
+// two readings to become rates.
 func (a *Agent) ObserveTick(eng *apps.Engine) (ts *TickSample, ok bool) {
 	cur := a.col.collectRaw(eng)
 	prev := a.prev
@@ -140,24 +130,24 @@ func (a *Agent) ObserveTick(eng *apps.Engine) (ts *TickSample, ok bool) {
 	return &a.ts, true
 }
 
-// Observe samples the engine and returns processed vectors keyed by
-// container ID — the boundary adapter over ObserveTick for the serving
-// wire path and other retaining callers: the map and every vector are
-// freshly allocated, so they stay valid indefinitely. The first call
-// after construction (or Reset) returns ok=false because counters need
-// two readings to become rates.
-func (a *Agent) Observe(eng *apps.Engine) (obs Observation, ok bool) {
+// Observe samples the engine and returns the tick as the wire form the
+// serving plane ingests: one sample per instance in container-ID order,
+// Instance set to the container ID, stamped with the catalog's schema
+// hash. Under TickSample's rule the samples slice and every Values
+// vector alias the agent's reusable slabs, so they are only valid until
+// the next Observe or ObserveTick call. Like ObserveTick, it returns
+// ok=false (and no samples) while the counters have no rate baseline.
+func (a *Agent) Observe(eng *apps.Engine) (obs WireObservation, ok bool) {
 	ts, ok := a.ObserveTick(eng)
+	obs = WireObservation{T: ts.T, SchemaHash: a.schemaHash}
 	if !ok {
-		return Observation{T: ts.T}, false
+		return obs, false
 	}
-	obs = Observation{T: ts.T, Vectors: make(map[string][]float64, ts.Len())}
+	a.samples = a.samples[:0]
 	for i := 0; i < ts.Len(); i++ {
-		src := ts.Vector(i)
-		vec := make([]float64, len(src))
-		copy(vec, src)
-		obs.Vectors[ts.Container(i).ID] = vec
+		a.samples = append(a.samples, WireSample{Instance: ts.Container(i).ID, Values: ts.Vector(i)})
 	}
+	obs.Samples = a.samples
 	return obs, true
 }
 

@@ -28,25 +28,30 @@ func newAllocRig(t testing.TB) *apps.Engine {
 	return eng
 }
 
-// TestObserveTickAllocations pins the frame-native collection path at
-// zero steady-state allocations: with a warm plan and slabs, one tick of
+// TestObserveTickAllocations pins both collection doors at zero
+// steady-state allocations: with a warm plan and slabs, one tick of
 // collection + rate conversion over 21 containers must not touch the
-// heap. (The map-keyed Observe adapter allocates by design; it is the
-// wire-path boundary.)
+// heap, whether read as the TickSample slab or as Observe's wire form
+// (whose samples alias that slab).
 func TestObserveTickAllocations(t *testing.T) {
-	eng := newAllocRig(t)
-	agent := NewAgent(NewCollector(DefaultCatalog(), 1))
-	for i := 0; i < 3; i++ {
-		eng.Tick()
-		agent.ObserveTick(eng)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		eng.Tick()
-		if _, ok := agent.ObserveTick(eng); !ok {
-			t.Fatal("observation unexpectedly dropped")
+	for name, observe := range map[string]func(*Agent, *apps.Engine) bool{
+		"ObserveTick": func(a *Agent, eng *apps.Engine) bool { _, ok := a.ObserveTick(eng); return ok },
+		"Observe":     func(a *Agent, eng *apps.Engine) bool { _, ok := a.Observe(eng); return ok },
+	} {
+		eng := newAllocRig(t)
+		agent := NewAgent(NewCollector(DefaultCatalog(), 1))
+		for i := 0; i < 3; i++ {
+			eng.Tick()
+			observe(agent, eng)
 		}
-	})
-	if allocs > 0 {
-		t.Errorf("Tick+ObserveTick allocates %.1f objects/op steady state, want 0", allocs)
+		allocs := testing.AllocsPerRun(50, func() {
+			eng.Tick()
+			if !observe(agent, eng) {
+				t.Fatal("observation unexpectedly dropped")
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("Tick+%s allocates %.1f objects/op steady state, want 0", name, allocs)
+		}
 	}
 }

@@ -37,8 +37,7 @@ func BenchmarkAgentObserve(b *testing.B) {
 }
 
 // BenchmarkAgentObserveTick measures the same collection through the
-// frame-native path: derived vectors land in reusable index-addressed
-// buffers with no per-tick Observation map or vector copies.
+// frame-native path, without Observe's wire-form sample list.
 func BenchmarkAgentObserveTick(b *testing.B) {
 	c, err := cluster.New(apps.EvalNodes()...)
 	if err != nil {

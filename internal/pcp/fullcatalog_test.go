@@ -48,8 +48,8 @@ func TestFullCatalogCollection(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		eng.Tick()
 		if obs, ok := agent.Observe(eng); ok {
-			for _, v := range obs.Vectors {
-				vec = v
+			for _, smp := range obs.Samples {
+				vec = smp.Values
 			}
 		}
 	}

@@ -128,13 +128,61 @@ func TestAgentFirstObservationDropped(t *testing.T) {
 	if !ok {
 		t.Fatal("second observation must succeed")
 	}
-	if len(obs.Vectors) != 1 {
-		t.Fatalf("got %d vectors, want 1", len(obs.Vectors))
+	if len(obs.Samples) != 1 {
+		t.Fatalf("got %d samples, want 1", len(obs.Samples))
 	}
 	agent.prev = nil // what a fresh agent starts from
 	eng.Tick()
 	if _, ok := agent.Observe(eng); ok {
 		t.Error("observation after Reset must be dropped")
+	}
+}
+
+// TestObserveMatchesObserveTick holds Observe's wire form to the slab it
+// is built from: on every tick after the first, an agent's observation
+// carries the tick, the instance IDs in order and the values bit for bit
+// of an identically seeded agent's ObserveTick, stamped with the
+// catalog's schema hash.
+func TestObserveMatchesObserveTick(t *testing.T) {
+	eng := newAllocRig(t)
+	wire := NewAgent(NewCollector(DefaultCatalog(), 9))
+	slab := NewAgent(NewCollector(DefaultCatalog(), 9))
+	for tick := 0; tick < 5; tick++ {
+		eng.Tick()
+		obs, ok := wire.Observe(eng)
+		ts, okTick := slab.ObserveTick(eng)
+		if tick == 0 && ok {
+			t.Fatal("first observation must be dropped (no rate baseline)")
+		}
+		if ok != okTick {
+			t.Fatalf("tick %d: Observe ok=%v, ObserveTick ok=%v", tick, ok, okTick)
+		}
+		if obs.SchemaHash != wire.col.Catalog().SchemaHash() {
+			t.Fatalf("tick %d: schema hash %q, want the catalog's", tick, obs.SchemaHash)
+		}
+		if !ok {
+			continue
+		}
+		if obs.T != ts.T || len(obs.Samples) != ts.Len() {
+			t.Fatalf("tick %d: observation T=%d with %d samples, slab T=%d with %d", tick, obs.T, len(obs.Samples), ts.T, ts.Len())
+		}
+		for i, smp := range obs.Samples {
+			if smp.Instance != ts.Container(i).ID || smp.App != "" || smp.Service != "" {
+				t.Fatalf("tick %d sample %d: %q (app %q, service %q), slab has %q", tick, i, smp.Instance, smp.App, smp.Service, ts.Container(i).ID)
+			}
+			if i > 0 && obs.Samples[i-1].Instance >= smp.Instance {
+				t.Fatalf("tick %d: samples not in ID order at %d", tick, i)
+			}
+			vec := ts.Vector(i)
+			if len(smp.Values) != len(vec) {
+				t.Fatalf("tick %d %s: %d values, slab %d", tick, smp.Instance, len(smp.Values), len(vec))
+			}
+			for j, v := range smp.Values {
+				if math.Float64bits(v) != math.Float64bits(vec[j]) {
+					t.Fatalf("tick %d %s[%d] = %v, slab %v", tick, smp.Instance, j, v, vec[j])
+				}
+			}
+		}
 	}
 }
 
@@ -149,11 +197,11 @@ func TestVectorLayoutAndFiniteness(t *testing.T) {
 	if !ok {
 		t.Fatal("expected observation")
 	}
-	for id, vec := range obs.Vectors {
-		if len(vec) != cat.NumHost()+len(cat.ContainerDefs) {
-			t.Fatalf("vector for %s has %d values, want %d", id, len(vec), cat.NumHost()+len(cat.ContainerDefs))
+	for _, smp := range obs.Samples {
+		if len(smp.Values) != cat.NumHost()+len(cat.ContainerDefs) {
+			t.Fatalf("vector for %s has %d values, want %d", smp.Instance, len(smp.Values), cat.NumHost()+len(cat.ContainerDefs))
 		}
-		for j, v := range vec {
+		for j, v := range smp.Values {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Fatalf("metric %d is %v", j, v)
 			}
@@ -173,8 +221,8 @@ func TestCPUSignalTracksSaturation(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			eng.Tick()
 			if obs, ok := agent.Observe(eng); ok {
-				for _, v := range obs.Vectors {
-					last = v
+				for _, smp := range obs.Samples {
+					last = smp.Values
 				}
 			}
 		}
@@ -219,8 +267,8 @@ func TestMemorySignalTracksThrashing(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			eng.Tick()
 			if obs, ok := agent.Observe(eng); ok {
-				for _, v := range obs.Vectors {
-					host = v[:cat.NumHost()]
+				for _, smp := range obs.Samples {
+					host = smp.Values[:cat.NumHost()]
 				}
 			}
 		}
@@ -245,8 +293,8 @@ func TestConnectionsTrackConcurrency(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			eng.Tick()
 			if obs, ok := agent.Observe(eng); ok {
-				for _, vec := range obs.Vectors {
-					v = vec[connIdx]
+				for _, smp := range obs.Samples {
+					v = smp.Values[connIdx]
 				}
 			}
 		}
@@ -266,8 +314,8 @@ func TestDeterministicCollection(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			eng.Tick()
 			if obs, ok := agent.Observe(eng); ok {
-				for _, v := range obs.Vectors {
-					last = v
+				for _, smp := range obs.Samples {
+					last = smp.Values
 				}
 			}
 		}

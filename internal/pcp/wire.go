@@ -1,10 +1,6 @@
 package pcp
 
-import (
-	"sort"
-
-	"monitorless/internal/frame"
-)
+import "monitorless/internal/frame"
 
 // Wire encoding for the agents→model-server network path: one observation
 // per tick, carrying each instance's processed metric vector in catalog
@@ -72,22 +68,3 @@ func (c *Catalog) FrameSchema() frame.Schema { return SchemaFromDefs(c.CombinedD
 // (frame.Schema.Hash over FrameSchema, covering names, domains and the
 // utilization/log flags).
 func (c *Catalog) SchemaHash() string { return c.FrameSchema().Hash() }
-
-// ToWire converts an observation for transmission, with instances sorted
-// for deterministic encodings. serviceOf may be nil.
-func ToWire(obs Observation, schemaHash string, serviceOf map[string]string) WireObservation {
-	w := WireObservation{T: obs.T, SchemaHash: schemaHash}
-	ids := make([]string, 0, len(obs.Vectors))
-	for id := range obs.Vectors {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		w.Samples = append(w.Samples, WireSample{
-			Instance: id,
-			Service:  serviceOf[id],
-			Values:   obs.Vectors[id],
-		})
-	}
-	return w
-}

@@ -19,19 +19,12 @@ import (
 type Client struct {
 	base string
 	http *http.Client
-	// ServiceOf optionally annotates outgoing samples with service names.
-	ServiceOf map[string]string
 	// Wire selects the binary batch frame encoding for /ingest (the JSON
 	// compat encoding is the default). Both land on the same endpoint and
 	// the same server-side ingest path.
 	Wire bool
-	// Quiet asks the server to omit the per-instance prediction echo from
-	// ingest responses (?quiet=1) — the high-throughput agent mode.
-	// Predict requires the echo and must not be combined with Quiet.
-	Quiet bool
 
-	schemaHash string
-	wireBuf    []byte
+	wireBuf []byte
 }
 
 // NewClient returns a client for a server at base (e.g.
@@ -77,35 +70,24 @@ func (c *Client) Schema() (Schema, error) {
 }
 
 // Ingest ships one observation and returns the refreshed predictions.
-// The first call fetches the server's schema hash so subsequent
-// observations are pinned to it.
-func (c *Client) Ingest(obs pcp.Observation) (*IngestResponse, error) {
-	if c.schemaHash == "" {
-		s, err := c.Schema()
-		if err != nil {
-			return nil, err
-		}
-		c.schemaHash = s.SchemaHash
-	}
-	wire := pcp.ToWire(obs, c.schemaHash, c.ServiceOf)
+// The observation travels as the sender stamped it: a schema hash from
+// the agent's catalog lets the server refuse a vector laid out against
+// another catalog.
+func (c *Client) Ingest(obs pcp.WireObservation) (*IngestResponse, error) {
 	contentType := "application/json"
 	var body []byte
 	var err error
 	if c.Wire {
 		contentType = WireContentType
-		c.wireBuf, err = AppendWire(c.wireBuf[:0], wire)
+		c.wireBuf, err = AppendWire(c.wireBuf[:0], obs)
 		body = c.wireBuf
 	} else {
-		body, err = json.Marshal(wire)
+		body, err = json.Marshal(obs)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("serving client: encode: %w", err)
 	}
-	url := c.base + "/ingest"
-	if c.Quiet {
-		url += "?quiet=1"
-	}
-	resp, err := c.http.Post(url, contentType, bytes.NewReader(body))
+	resp, err := c.http.Post(c.base+"/ingest", contentType, bytes.NewReader(body))
 	if err != nil {
 		return nil, fmt.Errorf("serving client: POST /ingest: %w", err)
 	}
@@ -123,7 +105,7 @@ func (c *Client) Ingest(obs pcp.Observation) (*IngestResponse, error) {
 // Predict ingests the observation over HTTP and returns the saturated
 // instances among those in obs: the autoscaler's Predictor seam, served
 // remotely (Service.Predict is the same contract in-process).
-func (c *Client) Predict(obs pcp.Observation) (map[string]bool, error) {
+func (c *Client) Predict(obs pcp.WireObservation) (map[string]bool, error) {
 	resp, err := c.Ingest(obs)
 	if err != nil {
 		return nil, err

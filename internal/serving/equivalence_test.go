@@ -10,9 +10,6 @@ import (
 
 	"monitorless/internal/core"
 	"monitorless/internal/dataset"
-	"monitorless/internal/features"
-	"monitorless/internal/ml/forest"
-	"monitorless/internal/ml/tree"
 	"monitorless/internal/pcp"
 )
 
@@ -60,10 +57,10 @@ func streamMatchesBatchOpt(t *testing.T, m *core.Model, ds *dataset.Dataset, wir
 	}
 
 	for j := 0; j < maxLen; j++ {
-		obs := pcp.Observation{T: j, Vectors: map[string][]float64{}}
+		obs := pcp.WireObservation{T: j}
 		for _, run := range runs {
 			if j < len(run.Rows) {
-				obs.Vectors[ids[run.ID]] = run.Rows[j]
+				obs.Samples = append(obs.Samples, pcp.WireSample{Instance: ids[run.ID], Values: run.Rows[j]})
 			}
 		}
 		resp, err := c.Ingest(obs)
@@ -143,30 +140,7 @@ func TestHTTPStreamingMatchesBatchPredictions(t *testing.T) {
 	})
 
 	t.Run("hist-bundle", func(t *testing.T) {
-		hm, err := core.Train(ds, core.TrainConfig{
-			Pipeline: features.Config{
-				Normalize:    true,
-				Reduce1:      features.ReduceFilter,
-				TimeFeatures: true,
-				Products:     true,
-				Reduce2:      features.ReduceFilter,
-				FilterTopK:   30,
-				FilterTrees:  20,
-				Seed:         7,
-			},
-			Forest: forest.Config{
-				NumTrees:       30,
-				MinSamplesLeaf: 10,
-				Criterion:      tree.Entropy,
-				Splitter:       tree.Hist,
-				Bins:           128,
-				Seed:           7,
-			},
-			Threshold: 0.4,
-		})
-		if err != nil {
-			t.Fatalf("hist train: %v", err)
-		}
+		hm := histTestModel(t)
 		var buf bytes.Buffer
 		if err := core.SaveBundle(&buf, hm, 3); err != nil {
 			t.Fatalf("SaveBundle: %v", err)
@@ -212,10 +186,10 @@ func TestBinaryIngestMatchesJSONIngest(t *testing.T) {
 
 	const ticks = 40
 	for j := 0; j < ticks; j++ {
-		obs := pcp.Observation{T: j, Vectors: map[string][]float64{}}
+		obs := pcp.WireObservation{T: j}
 		for _, run := range runs {
 			if j < len(run.Rows) {
-				obs.Vectors[fmt.Sprintf("eq/run%d/0", run.ID)] = run.Rows[j]
+				obs.Samples = append(obs.Samples, pcp.WireSample{Instance: fmt.Sprintf("eq/run%d/0", run.ID), Values: run.Rows[j]})
 			}
 		}
 		resps := make([]*IngestResponse, 2)

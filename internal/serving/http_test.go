@@ -15,16 +15,16 @@ import (
 
 // testObservation builds one observation with n instances of app "tea"
 // carrying the model's expected vector width.
-func testObservation(t *testing.T, svc *Service, tick, n int) pcp.Observation {
+func testObservation(t *testing.T, svc *Service, tick, n int) pcp.WireObservation {
 	t.Helper()
 	width := len(svc.RawNames())
-	obs := pcp.Observation{T: tick, Vectors: map[string][]float64{}}
+	obs := pcp.WireObservation{T: tick}
 	for i := 0; i < n; i++ {
 		vec := make([]float64, width)
 		for j := range vec {
 			vec[j] = float64((i+1)*(j%7)) * 0.1
 		}
-		obs.Vectors[instanceID(i)] = vec
+		obs.Samples = append(obs.Samples, pcp.WireSample{Instance: instanceID(i), Values: vec})
 	}
 	return obs
 }
@@ -283,7 +283,7 @@ func TestHTTPRejectsNonFiniteFrame(t *testing.T) {
 		return rec
 	}
 	for tick := 0; tick < 2; tick++ {
-		if rec := post(pcp.ToWire(testObservation(t, svc, tick, 2), "", nil)); rec.Code != http.StatusOK {
+		if rec := post(testObservation(t, svc, tick, 2)); rec.Code != http.StatusOK {
 			t.Fatalf("tick %d: %d %s", tick, rec.Code, rec.Body)
 		}
 	}
@@ -293,7 +293,7 @@ func TestHTTPRejectsNonFiniteFrame(t *testing.T) {
 		t.Fatal("instance missing after ingest")
 	}
 	for k, v := range []float64{math.NaN(), math.Inf(1)} {
-		obs := pcp.ToWire(testObservation(t, svc, 2+k, 2), "", nil)
+		obs := testObservation(t, svc, 2+k, 2)
 		obs.Samples[1].Values[3] = v
 		if rec := post(obs); rec.Code != http.StatusBadRequest {
 			t.Fatalf("frame with %v: %d, want 400", v, rec.Code)

@@ -11,15 +11,15 @@
 // The service is built for fleet-sized deployments: per-instance state is
 // sharded by an FNV-1a hash of the instance ID across a power-of-two
 // number of independently locked shards, each shard scores its slice of a
-// tick as one batch on its own core.Engine (the same engine the
-// EdgeAgent runs), and the hot counters live in per-shard padded cells
-// aggregated only at /metrics scrape time. Per-application aggregation
-// keeps per-shard (instances, saturated) counts that are merged at read
-// time, so ingesting a sample is O(1) in the fleet size.
+// tick as one batch on its own core.Engine, and the hot counters live in
+// per-shard padded cells aggregated only at /metrics scrape time.
+// Per-application aggregation keeps per-shard (instances, saturated)
+// counts that are merged at read time, so ingesting a sample is O(1) in
+// the fleet size.
 //
 // The Service is the one fleet-state holder: cmd/serve wraps it in HTTP,
-// and the Table 7 autoscaler, the edge check and the root facade drive it
-// in-process.
+// and the Table 7 autoscaler, the EdgeAgent (§5's agent-side inference)
+// and the root facade drive it in-process.
 package serving
 
 import (
@@ -818,11 +818,11 @@ func (s *Service) appStatus(app string) AppStatus {
 	return st
 }
 
-// Predict ingests one map-keyed observation and returns the saturated
-// instances among those in obs: the autoscaler's Predictor seam, served
-// in-process (Client.Predict is the same contract over HTTP).
-func (s *Service) Predict(obs pcp.Observation) (map[string]bool, error) {
-	resp, err := s.Ingest(pcp.ToWire(obs, s.schemaHash, nil))
+// Predict ingests one observation and returns the saturated instances
+// among those in obs: the autoscaler's Predictor seam, served in-process
+// (Client.Predict is the same contract over HTTP).
+func (s *Service) Predict(obs pcp.WireObservation) (map[string]bool, error) {
+	resp, err := s.Ingest(obs)
 	if err != nil {
 		return nil, err
 	}

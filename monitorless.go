@@ -22,7 +22,8 @@
 //   - internal/ml/... — from-scratch learners (random forest, CART,
 //     AdaBoost, gradient-boosted trees, logistic regression, linear SVC,
 //     MLP) plus scoring and grouped cross-validation;
-//   - internal/core — model training, persistence and the online engine;
+//   - internal/core — model training, bundle persistence and the online
+//     engine;
 //   - internal/serving — the §2 central component: sharded per-instance
 //     state, per-application OR aggregation and its HTTP server;
 //   - internal/autoscale — the §4.2.2 autoscaling study;
@@ -33,11 +34,13 @@
 //	report, _ := monitorless.GenerateTrainingData(monitorless.DataOptions{})
 //	model, _ := monitorless.Train(report.Dataset, monitorless.DefaultTrainConfig())
 //	svc, _ := monitorless.NewService(model)
-//	// feed pcp observations → svc.Predict(obs); read svc.Apps()
+//	// each tick: obs, ok := agent.Observe(eng) from a pcp.Agent;
+//	// if ok, svc.Predict(obs); then read svc.Apps()
 package monitorless
 
 import (
 	"fmt"
+	"io"
 
 	"monitorless/internal/core"
 	"monitorless/internal/dataset"
@@ -65,8 +68,9 @@ type Dataset = dataset.Dataset
 // DataReport carries a generated corpus plus the per-run Υ thresholds.
 type DataReport = dataset.Report
 
-// Observation is one tick's processed per-instance metric vectors.
-type Observation = pcp.Observation
+// Observation is one tick's processed per-instance metric vectors in the
+// wire form an agent emits and a Service ingests.
+type Observation = pcp.WireObservation
 
 // DefaultTrainConfig returns the paper's selected configuration: the
 // normalize → filter → time+products → filter pipeline and a 250-tree
@@ -76,11 +80,19 @@ func DefaultTrainConfig() TrainConfig { return core.DefaultTrainConfig() }
 // Train fits the feature pipeline and classifier on a labeled dataset.
 func Train(ds *Dataset, cfg TrainConfig) (*Model, error) { return core.Train(ds, cfg) }
 
-// LoadModel deserializes a model saved with Model.Save.
-var LoadModel = core.Load
+// SaveModel writes the model as a bundle, the one on-disk model format:
+// cmd/serve and cmd/experiments -model load the file it writes.
+func SaveModel(w io.Writer, m *Model) error { return core.SaveBundle(w, m, 0) }
 
-// LoadModelBytes deserializes a model from a byte slice.
-var LoadModelBytes = core.LoadBytes
+// LoadModel reads a bundle written by SaveModel or cmd/train, refusing a
+// corrupt blob, a schema-hash mismatch or a missing training fingerprint.
+func LoadModel(r io.Reader) (*Model, error) {
+	b, err := core.LoadBundle(r)
+	if err != nil {
+		return nil, err
+	}
+	return b.Model, nil
+}
 
 // NewService returns an in-process Service over a trained model with the
 // serving defaults (1-of-1 debounce, DefaultShards shards).

@@ -10,6 +10,7 @@ import (
 
 	"monitorless"
 	"monitorless/internal/features"
+	"monitorless/internal/pcp"
 )
 
 var (
@@ -65,21 +66,15 @@ func TestFacadeTrainAndPredict(t *testing.T) {
 	if model.WindowSize() < 1 {
 		t.Error("window size must be positive")
 	}
-	// Round-trip through the exported persistence helpers.
+	// Round-trip through the exported persistence helpers: the facade
+	// writes the bundle format the commands load.
 	var buf bytes.Buffer
-	if err := model.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
+	if err := monitorless.SaveModel(&buf, model); err != nil {
+		t.Fatalf("SaveModel: %v", err)
 	}
 	back, err := monitorless.LoadModel(&buf)
 	if err != nil {
 		t.Fatalf("LoadModel: %v", err)
-	}
-	blob, err := model.SaveBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := monitorless.LoadModelBytes(blob); err != nil {
-		t.Fatalf("LoadModelBytes: %v", err)
 	}
 
 	// Serve a synthetic observation stream through the facade.
@@ -99,7 +94,7 @@ func TestFacadeTrainAndPredict(t *testing.T) {
 		t.Fatal("no saturated training sample")
 	}
 	for i := 0; i < back.WindowSize()+1; i++ {
-		obs := monitorless.Observation{T: i, Vectors: map[string][]float64{"app/svc/0": satVec}}
+		obs := monitorless.Observation{T: i, Samples: []pcp.WireSample{{Instance: "app/svc/0", Values: satVec}}}
 		if _, err := svc.Predict(obs); err != nil {
 			t.Fatalf("Predict: %v", err)
 		}

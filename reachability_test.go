@@ -28,7 +28,6 @@ var exportedNoCallerAllowlist = map[string]string{
 // pkg.Type.Method. At most five.
 var methodNoCallerAllowlist = map[string]string{
 	"forest.Forest.DropQuant":           "the float-walk reference the core, serving and experiments tests compare the packed walk against; a cross-package test hook cannot live in export_test.go",
-	"pcp.Catalog.SchemaHash":            "bench/traffic_test.go calls it, and the bench module's tests count only as compiled (TestBenchModuleCompiles), not as callers",
 	"forest.QuantForest.SetParallelism": "the worker-count hook through which the experiments and serving tests pin the packed walk's worker invariance on their models; production fixes the count at Compile from forest.Config.Parallelism, and a cross-package test hook cannot live in export_test.go",
 }
 

@@ -92,13 +92,13 @@ func run() error {
 	}
 	const ticks, instances = 20, 2
 	for t := 0; t < ticks; t++ {
-		obs := pcp.Observation{T: t, Vectors: map[string][]float64{}}
+		obs := pcp.WireObservation{T: t, SchemaHash: schema.SchemaHash}
 		for i := 0; i < instances; i++ {
 			vec := make([]float64, width)
 			for j := range vec {
 				vec[j] = float64((i+1)*(j%11)) * 0.09
 			}
-			obs.Vectors[fmt.Sprintf("tea/auth/%d", i)] = vec
+			obs.Samples = append(obs.Samples, pcp.WireSample{Instance: fmt.Sprintf("tea/auth/%d", i), Values: vec})
 		}
 		resp, err := client.Ingest(obs)
 		if err != nil {

@@ -8,7 +8,7 @@
 #   simulator race        — cluster/apps/pcp tick path under -race
 #   frame allocs          — zero-copy views stay header-only, column access allocation-free
 #   tree arena allocs     — tree growth makes no per-node allocations
-#   simulator allocs      — arbitration, tick arena and frame-native collection stay 0 allocs/op
+#   simulator allocs      — arbitration, tick arena and collection (ObserveTick and the wire-form Observe) stay 0 allocs/op
 #   dataset golden        — generated frames hash to the recorded fixture at several worker counts; frame, T and KPI identical at
 #                           GOMAXPROCS 1 and 8; CSV round trip; GenerateFrame ≡ Generate (same frame, same bundle); the corpus
 #                           frame Dataset.Frame shares is left untouched by training and transforming
@@ -46,7 +46,8 @@
 #                           ring only; liveness masking, and the backward pass against a perturb-one-column reference; the
 #                           column-keeping steps copy, never alias; the pipeline golden; StateSlab.Bytes exact at the packed
 #                           stride; slot reuse over dirtied rings; duplicate-slot rejection
-#   engine callers        — shards and EdgeAgent agree bit for bit; fused vs float route; all-or-nothing ingest across shards; mid-batch rejection;
+#   engine callers        — the edge agent's Service and a central one agree bit for bit, and it forgets departed instances;
+#                           fused vs float route; all-or-nothing ingest across shards; mid-batch rejection;
 #                           Table 7 closed loop in-process and over HTTP against its golden; state gauge; PCA refusal
 #   offline memory        — FitFrame's deferred widening (time features and products fitted on the schema, the second filter
 #                           fitted run by run) equals the eager fit step for step and bit for bit, for every second reduction
@@ -162,7 +163,7 @@ lane "online-engine parity"
 go test -count=1 -run 'TestStepBatch|TestStateSlab|TestRingFixture|TestBatchPlan|TestDropZeroVarianceLiveness|TestStreamer|TestKeepSteps|TestPipelineGolden' ./internal/features/
 
 lane "engine callers"
-go test -count=1 -run 'TestEdgeAgentMatchesCentral' ./internal/core/
+go test -count=1 -run 'TestEdgeAgentMatchesCentral|TestEdgeAgentForgetsDepartedInstances' ./internal/serving/
 go test -count=1 -run 'TestIngestAtomicAcrossShards|TestReplayClosedLoopMatchesInProcess|TestShardCountEquivalence|TestFusedIngestShardWorkerInvariance|TestMidBatchRejectionConsistency|TestInstanceStateBytesGauge|TestIngestFallbackCounter|TestPCAModelRefused' ./internal/serving/
 go test -count=1 -run 'TestStreamerRefusesPCA' ./internal/features/
 go test -count=1 -run 'TestFacadeRefusesPCA' .

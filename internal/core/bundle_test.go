@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"monitorless/internal/features"
 	"monitorless/internal/frame"
 )
 
@@ -360,10 +359,11 @@ func TestBundleLoadsV3AndV5(t *testing.T) {
 // TestWatchListFollowsLivenessPlan: however a model is assembled — trained
 // or loaded from a bundle — its fingerprint watches exactly the raw
 // columns the pipeline's liveness plan proves live; the list is derived
-// state that never reaches the bundle bytes; and a pipeline with no
-// streamer (PCA) watches every column.
+// state that never reaches the bundle bytes. A PCA pipeline is planned
+// like any other: its watch list is the raw columns its first filter
+// keeps alive.
 func TestWatchListFollowsLivenessPlan(t *testing.T) {
-	m, ds := sharedModel(t)
+	m, _ := sharedModel(t)
 	wantWatch := func(m *Model) []int32 {
 		t.Helper()
 		s, err := m.Streamer()
@@ -415,13 +415,5 @@ func TestWatchListFollowsLivenessPlan(t *testing.T) {
 		t.Fatalf("bundle bytes depend on the watch list: %d vs %d bytes", buf.Len(), buf2.Len())
 	}
 
-	cfg := smallTrainConfig()
-	cfg.Pipeline.Reduce2 = features.ReducePCA
-	pm, err := Train(ds.FilterRuns(1, 8), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(pm.Fingerprint.Watched()); got != len(pm.RawSchema) {
-		t.Fatalf("PCA pipeline watches %d of %d raw columns, want all", got, len(pm.RawSchema))
-	}
+	check("pca", sharedPCAModel(t))
 }

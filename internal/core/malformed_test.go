@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"monitorless/internal/features"
 	"monitorless/internal/frame"
 	"monitorless/internal/ml/forest"
 	"monitorless/internal/ml/tree"
@@ -19,7 +20,27 @@ var (
 	histModelOnce sync.Once
 	histModelV    *Model
 	histModelErr  error
+
+	pcaModelOnce sync.Once
+	pcaModelV    *Model
+	pcaModelErr  error
 )
+
+// sharedPCAModel trains (once per test binary) a model whose second
+// reduction is PCA.
+func sharedPCAModel(t *testing.T) *Model {
+	t.Helper()
+	_, ds := trainSubset(t)
+	pcaModelOnce.Do(func() {
+		cfg := smallTrainConfig()
+		cfg.Pipeline.Reduce2 = features.ReducePCA
+		pcaModelV, pcaModelErr = Train(ds.FilterRuns(1, 8), cfg)
+	})
+	if pcaModelErr != nil {
+		t.Fatalf("Train: %v", pcaModelErr)
+	}
+	return pcaModelV
+}
 
 // sharedHistModel trains (once per test binary) a histogram-splitter
 // model.
@@ -128,11 +149,38 @@ func editForest(t *testing.T, bundle []byte, edit func(fm *forestMirror, ti int,
 	})
 }
 
+// editPCA rewrites a bundle's PCA steps in place and re-signs the model
+// blob, so the load reaches the pipeline's own checks.
+func editPCA(t *testing.T, bundle []byte, edit func(p *features.PCAReduce)) []byte {
+	t.Helper()
+	var bw bundleWire
+	var mm modelMirror
+	return gobRoundTrip(t, bundle, &bw, func() {
+		bw.ModelBlob = gobRoundTrip(t, bw.ModelBlob, &mm, func() {
+			pipe, err := features.DecodePipeline(mm.PipelineBlob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, st := range pipe.Steps {
+				if p, ok := st.(*features.PCAReduce); ok {
+					edit(p)
+				}
+			}
+			if mm.PipelineBlob, err = pipe.EncodeGob(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		bw.ModelSHA256 = sha256.Sum256(bw.ModelBlob)
+	})
+}
+
 // TestLoadBundleRejectsMalformedForest: POST /model takes bundle bytes
 // from the network, so a forest whose trees would loop, index past the
 // row, emit a non-probability or split on a NaN threshold must fail to
 // load rather than hang or crash the server later — and so must a bundle
-// whose model blob no longer matches its checksum.
+// whose model blob no longer matches its checksum, or whose PCA step has
+// no projection or one whose shape disagrees with itself (the PCA kernel
+// indexes it unchecked).
 func TestLoadBundleRejectsMalformedForest(t *testing.T) {
 	bundle := func(m *Model) []byte {
 		var buf bytes.Buffer
@@ -142,7 +190,7 @@ func TestLoadBundleRejectsMalformedForest(t *testing.T) {
 		return buf.Bytes()
 	}
 	exactModel, _ := sharedModel(t)
-	hist, exact := bundle(sharedHistModel(t)), bundle(exactModel)
+	hist, exact, pca := bundle(sharedHistModel(t)), bundle(exactModel), bundle(sharedPCAModel(t))
 
 	firstInternal := func(tm *treeMirror) int {
 		for i, f := range tm.Features {
@@ -201,6 +249,11 @@ func TestLoadBundleRejectsMalformedForest(t *testing.T) {
 			tm.NFeatures++
 		}), ""},
 		{"flipped model blob byte", flipped, "checksum"},
+		{"PCA step not fitted", editPCA(t, pca, func(p *features.PCAReduce) { p.P = nil }), "pca: not fitted"},
+		{"PCA components wider than the means", editPCA(t, pca, func(p *features.PCAReduce) { p.P.Mean = p.P.Mean[1:] }), "components"},
+		{"PCA component data cut short", editPCA(t, pca, func(p *features.PCAReduce) {
+			p.P.Components.Data = p.P.Components.Data[1:]
+		}), "components"},
 	}
 	load := func(t *testing.T, b []byte) error {
 		t.Helper()
@@ -214,10 +267,13 @@ func TestLoadBundleRejectsMalformedForest(t *testing.T) {
 			return nil
 		}
 	}
-	for _, b := range [][]byte{hist, exact} {
+	for _, b := range [][]byte{hist, exact, pca} {
 		if err := load(t, editForest(t, b, func(*forestMirror, int, *treeMirror) {})); err != nil {
 			t.Fatalf("unedited round trip through the mirrors: %v", err)
 		}
+	}
+	if err := load(t, editPCA(t, pca, func(*features.PCAReduce) {})); err != nil {
+		t.Fatalf("unedited round trip through the pipeline: %v", err)
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

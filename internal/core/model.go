@@ -116,21 +116,25 @@ func TrainFrame(raw *frame.Frame, cfg TrainConfig) (*Model, error) {
 		TrainSamples:       raw.Rows(),
 		TrainSaturatedFrac: float64(saturated) / float64(raw.Rows()),
 	}
-	m.watchLiveInputs()
+	if err := m.watchLiveInputs(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	return m, nil
 }
 
 // watchLiveInputs narrows the fingerprint's drift watch list to the raw
 // columns the pipeline's liveness plan proves it can read. Drift on any
 // other column says nothing about the served model, which never reads
-// it. A pipeline with no streamer keeps the default (watch everything).
-func (m *Model) watchLiveInputs() {
-	if m.Fingerprint == nil {
-		return
+// it. It fails when the pipeline has no streamer: a step is malformed.
+func (m *Model) watchLiveInputs() error {
+	s, err := m.Pipeline.Streamer()
+	if err != nil {
+		return err
 	}
-	if s, err := m.Pipeline.Streamer(); err == nil {
+	if m.Fingerprint != nil {
 		m.Fingerprint.SetWatch(s.RawLive())
 	}
+	return nil
 }
 
 // WindowSize returns the pipeline's warm-up horizon in samples (see
@@ -258,6 +262,8 @@ func decodeModel(b []byte) (*Model, error) {
 		TrainSamples:       wire.TrainSamples,
 		TrainSaturatedFrac: wire.TrainSaturatedFrac,
 	}
-	m.watchLiveInputs()
+	if err := m.watchLiveInputs(); err != nil {
+		return nil, fmt.Errorf("core: load: %w", err)
+	}
 	return m, nil
 }

@@ -156,11 +156,18 @@ func CollectEval(build BuildTarget, load workload.Pattern, opt CollectOptions) (
 	if len(data.Truth) == 0 {
 		return nil, fmt.Errorf("experiments: evaluation recorded no samples")
 	}
-	data.Raw = frame.New(cat.FrameSchema(), len(ids)*len(data.Truth))
+	// One run span per instance, its ticks in order.
+	n := len(data.Truth)
+	spans := make([]frame.Span, len(ids))
+	for i := range spans {
+		spans[i] = frame.Span{ID: i, Start: i * n, End: (i + 1) * n}
+	}
+	data.Raw = frame.NewDense(cat.FrameSchema(), len(ids)*n, spans, nil)
+	cols := data.Raw.Cols(nil)
 	for i, inst := range rows {
-		for _, vec := range inst {
-			if err := data.Raw.Append(i, vec); err != nil {
-				return nil, fmt.Errorf("experiments: %w", err)
+		for k, vec := range inst {
+			for j, v := range vec {
+				cols[j][spans[i].Start+k] = v
 			}
 		}
 	}

@@ -39,7 +39,7 @@ func learnerFitFrame() *frame.Frame {
 	for i := 0; i < n; i++ {
 		shift := float64(i/perRun) * 0.15
 		for j := 0; j < cols; j++ {
-			fr.Set(i, j, rng.NormFloat64()+shift)
+			fr.Col(j)[i] = rng.NormFloat64() + shift
 		}
 		x := func(j int) float64 { return fr.Col(j)[i] }
 		score := 0.9*x(0) + 0.6*x(1)*x(2) - 0.4*x(3) + 0.3*rng.NormFloat64()
@@ -121,7 +121,7 @@ func TestLearnerFitGolden(t *testing.T) {
 // fitting or panicking.
 func TestLearnersRejectBadTrainingData(t *testing.T) {
 	nan := learnerFitFrame()
-	nan.Set(17, 3, math.NaN())
+	nan.Col(3)[17] = math.NaN()
 	bad := learnerFitFrame()
 	y := append([]int(nil), bad.Labels()...)
 	y[42] = 2

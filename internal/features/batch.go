@@ -5,9 +5,9 @@ import (
 	"math"
 )
 
-// This file holds every step's arithmetic but PCA's, once: one columnar
-// kernel per step, run by the offline fit and transform (offline.go) and
-// by online stepping alike. Online, a batch of n ≥ 1 raw samples is
+// This file holds every step's arithmetic once: one columnar kernel per
+// step, run by the offline fit and transform (offline.go) and by online
+// stepping alike. Online, a batch of n ≥ 1 raw samples is
 // transposed once into a column-major scratch and each step runs over the
 // whole batch column-wise — one dispatch per step per batch, contiguous
 // inner loops. Per-instance ring state lives in a struct-of-arrays
@@ -308,13 +308,27 @@ func batchApply(step Step, live []bool, cols [][]float64, n int, b *BatchScratch
 			}
 			next = append(next, dst)
 		}
-	case *RFFilter:
-		for _, k := range t.Keep {
+	case selection:
+		for _, k := range t.kept() {
 			next = append(next, cols[k])
 		}
-	case *DropZeroVariance:
-		for _, k := range t.Keep {
-			next = append(next, cols[k])
+	case *PCAReduce:
+		// Each component accumulates its centred inputs in ascending
+		// order from zero, a row's matrix-vector product taken column-wise.
+		for c := 0; c < t.P.Components.Rows; c++ {
+			if live != nil && !live[c] {
+				next = append(next, b.pad(n))
+				continue
+			}
+			dst := b.allocCol(n)
+			clear(dst)
+			for j, w := range t.P.Components.Row(c) {
+				src, m := cols[j], t.P.Mean[j]
+				for k := 0; k < n; k++ {
+					dst[k] += w * (src[k] - m)
+				}
+			}
+			next = append(next, dst)
 		}
 	case *Products:
 		next = append(next, cols...)

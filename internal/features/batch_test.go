@@ -315,6 +315,8 @@ func FuzzStepBatchVsTransformFrame(f *testing.F) {
 	f.Add(uint8(3), uint8(4), uint8(15), int64(4))
 	f.Add(uint8(4), uint8(5), uint8(39), int64(5))
 	f.Add(uint8(5), uint8(3), uint8(30), int64(6))
+	f.Add(uint8(6), uint8(4), uint8(25), int64(7))
+	f.Add(uint8(7), uint8(2), uint8(33), int64(8))
 	fxs := []streamFixture{
 		synth(DefaultConfig()),
 		synth(Config{Normalize: true, TimeFeatures: true}),
@@ -322,6 +324,8 @@ func FuzzStepBatchVsTransformFrame(f *testing.F) {
 		synth(Config{TimeFeatures: true}),
 		historyFixture(),
 		trailingFixture(),
+		synth(pcaFirst),
+		synth(pcaLast),
 	}
 	type fitted struct {
 		pipe  *Pipeline

@@ -106,7 +106,7 @@ func fitTransform(s Step, fr *frame.Frame) (*frame.Frame, error) {
 	if err := s.Fit(fr); err != nil {
 		return nil, err
 	}
-	return applyStep(s, fr)
+	return applyChain([]Step{s}, fr)
 }
 
 func TestExpandAddsLevelBits(t *testing.T) {
@@ -403,7 +403,7 @@ func TestKeepStepsCopyColumns(t *testing.T) {
 	in := synthFrame(1, 8, 3)
 	keep := []int{2, 0}
 	for _, step := range []Step{&RFFilter{Keep: keep}, &DropZeroVariance{Keep: keep}} {
-		out, err := applyStep(step, in)
+		out, err := applyChain([]Step{step}, in)
 		if err != nil {
 			t.Fatalf("%s: %v", step.Name(), err)
 		}
@@ -411,7 +411,7 @@ func TestKeepStepsCopyColumns(t *testing.T) {
 			t.Fatalf("%s: kept schema wrong", step.Name())
 		}
 		before := in.Col(2)[3]
-		out.Set(3, 0, before+99)
+		out.Col(0)[3] = before + 99
 		if in.Col(2)[3] != before {
 			t.Fatalf("%s: output aliases the input; it must copy", step.Name())
 		}
@@ -430,7 +430,7 @@ func TestKeepStepsRowRangeView(t *testing.T) {
 	v := parent.RowRange(lo, hi)
 	keep := []int{3, 1}
 	for _, step := range []Step{&RFFilter{Keep: keep}, &DropZeroVariance{Keep: keep}} {
-		out, err := applyStep(step, v)
+		out, err := applyChain([]Step{step}, v)
 		if err != nil {
 			t.Fatalf("%s: %v", step.Name(), err)
 		}

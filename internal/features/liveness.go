@@ -1,6 +1,9 @@
 package features
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Static column liveness for the batch kernels. The fitted step chain is
 // a dataflow graph with fixed column routing — every RFFilter Keep set,
@@ -57,8 +60,9 @@ type timePlan struct {
 func (s *Streamer) RawLive() []bool { return s.plan.rawLive }
 
 // stepWidth checks that a fitted step's kernel, which indexes columns
-// unchecked, can read w input columns, and returns its output width; a
-// step without a kernel (PCA) is an error.
+// unchecked, can read w input columns, and returns its output width. A
+// bundle arrives from outside the program, so a PCA projection whose
+// shape disagrees with itself is refused here too.
 func stepWidth(step Step, w int) (int, error) {
 	in, out := w, 0
 	var keep []int
@@ -74,12 +78,20 @@ func stepWidth(step Step, w int) (int, error) {
 		in, out = t.InCols, t.InCols*(1+len(t.AvgWindows)+len(t.LagWindows))
 	case *Products:
 		in, out = t.InCols, t.InCols+len(t.Pairs)
-	case *RFFilter:
-		keep, out = t.Keep, len(t.Keep)
-	case *DropZeroVariance:
-		keep, out = t.Keep, len(t.Keep)
+	case selection:
+		keep = t.kept()
+		out = len(keep)
+	case *PCAReduce:
+		if t.P == nil || t.P.Components == nil {
+			return 0, fmt.Errorf("%s: not fitted", step.Name())
+		}
+		c := t.P.Components
+		if c.Rows < 0 || c.Cols != len(t.P.Mean) || len(c.Data) != c.Rows*c.Cols {
+			return 0, fmt.Errorf("%s: %d×%d components over %d values for %d means", step.Name(), c.Rows, c.Cols, len(c.Data), len(t.P.Mean))
+		}
+		in, out = c.Cols, c.Rows
 	default:
-		return 0, fmt.Errorf("step %s has no columnar kernel; it runs offline only", step.Name())
+		return 0, fmt.Errorf("unknown step %s", step.Name())
 	}
 	if in != w {
 		return 0, fmt.Errorf("%s: fitted on %d cols, got %d", step.Name(), in, w)
@@ -167,7 +179,7 @@ func computedCols(step Step, out []bool) int {
 			}
 		}
 		from = t.In
-	case *StandardScale:
+	case *StandardScale, *PCAReduce:
 		from = 0
 	case *Products:
 		from = t.InCols
@@ -194,16 +206,17 @@ func liveIn(step Step, out []bool, inW int) []bool {
 		}
 	case *StandardScale:
 		copy(in, out)
-	case *RFFilter:
-		for i, kidx := range t.Keep {
+	case selection:
+		for i, kidx := range t.kept() {
 			if out[i] && kidx < len(in) {
 				in[kidx] = true
 			}
 		}
-	case *DropZeroVariance:
-		for i, kidx := range t.Keep {
-			if out[i] && kidx < len(in) {
-				in[kidx] = true
+	case *PCAReduce:
+		// A live component reads every input.
+		if slices.Contains(out, true) {
+			for i := range in {
+				in[i] = true
 			}
 		}
 	case *Products:

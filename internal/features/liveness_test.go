@@ -138,32 +138,6 @@ func TestBatchPlanMasksDeadColumns(t *testing.T) {
 	}
 }
 
-// TestStreamerRefusesPCA: a fitted step without a columnar kernel (PCA)
-// has no streaming path, so Streamer refuses the pipeline and names the
-// step; the offline transform still runs it.
-func TestStreamerRefusesPCA(t *testing.T) {
-	train := liveFrame(4, 120, 20, 19)
-	pipe, err := NewPipeline(Config{
-		Normalize:    true,
-		Reduce1:      ReducePCA,
-		TimeFeatures: true,
-		PCAMax:       4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pipe.FitFrame(train); err != nil {
-		t.Fatal(err)
-	}
-	const want = "features: streamer: step pca has no columnar kernel; it runs offline only"
-	if str, err := pipe.Streamer(); err == nil || err.Error() != want {
-		t.Fatalf("Streamer() = %v, %v; want error %q", str, err, want)
-	}
-	if _, err := pipe.TransformFrame(train); err != nil {
-		t.Fatalf("offline transform: %v", err)
-	}
-}
-
 // TestDropZeroVarianceLivenessMatchesBruteForce checks the backward pass
 // through a DropZeroVariance step whose outputs are only partly live
 // (an importance filter after it keeps two of its four outputs) against

@@ -16,8 +16,7 @@ import (
 // into the output frame. The time step runs the ring kernel with one slot
 // per run span, tick t being one batch of the runs alive at t.
 // TransformFrame runs the pipeline's chain under its liveness plan;
-// applyStep runs one step, whose outputs are all live. PCAReduce, the one
-// step without a kernel, runs its own Transform.
+// applyChain runs a chain whose outputs are all live.
 
 // timeGroup bounds the runs the time stage holds at once — the slab and
 // each block's arena grow with it — so a frame with more runs plays them
@@ -28,19 +27,9 @@ const (
 	tickBlock = 16
 )
 
-// applyStep applies one fitted step to fr with every output column live.
-// fr is read-only; the fresh frame it returns aliases fr's spans and
-// labels.
-func applyStep(step Step, fr *frame.Frame) (*frame.Frame, error) {
-	if p, ok := step.(*PCAReduce); ok {
-		return p.Transform(fr)
-	}
-	return applyChain([]Step{step}, fr)
-}
-
-// applyChain applies a chain of fitted steps, each with a kernel, to fr.
-// Every output column is live, and only the intermediate columns they
-// read are computed.
+// applyChain applies a chain of fitted steps to fr. Every output column
+// is live, and only the intermediate columns they read are computed. fr
+// is read-only; the fresh frame returned aliases its spans and labels.
 func applyChain(steps []Step, fr *frame.Frame) (*frame.Frame, error) {
 	s, err := chainStreamer(steps, fr.NumCols())
 	if err != nil {
@@ -49,8 +38,8 @@ func applyChain(steps []Step, fr *frame.Frame) (*frame.Frame, error) {
 	return s.transformFrame(fr), nil
 }
 
-// chainStreamer builds the streamer of a chain of fitted steps, each with
-// a kernel, that reads w columns.
+// chainStreamer builds the streamer of a chain of fitted steps that reads
+// w columns.
 func chainStreamer(steps []Step, w int) (*Streamer, error) {
 	return (&Pipeline{Steps: steps, InCols: w}).Streamer()
 }
@@ -93,10 +82,13 @@ func stepSchema(step Step, in frame.Schema) frame.Schema {
 				out = append(out, Column{Name: t.Sources[k] + "-" + spec.Suffix, Domain: in[i].Domain, Binary: true})
 			}
 		}
-	case *RFFilter:
-		return selectSchema(in, t.Keep)
-	case *DropZeroVariance:
-		return selectSchema(in, t.Keep)
+	case selection:
+		return selectSchema(in, t.kept())
+	case *PCAReduce:
+		out = make(frame.Schema, t.P.NumComponents())
+		for i := range out {
+			out[i] = Column{Name: fmt.Sprintf("PC%02d", i+1), Domain: "pca"}
+		}
 	case *TimeFeatures:
 		for _, w := range t.AvgWindows {
 			out = appendTimeCols(out, in, fmt.Sprintf("-AVG%d", w))

@@ -29,7 +29,7 @@ func loadTable1Corpus(t testing.TB) *frame.Frame {
 }
 
 // eagerFit is the test-only reference for FitFrame: every plan step is
-// fitted on its predecessor's whole output, which applyStep materialises
+// fitted on its predecessor's whole output, which applyChain materialises
 // with every column live.
 func eagerFit(p *Pipeline, fr *frame.Frame) ([]Step, *frame.Frame, error) {
 	var steps []Step
@@ -38,7 +38,7 @@ func eagerFit(p *Pipeline, fr *frame.Frame) ([]Step, *frame.Frame, error) {
 		if err := step.Fit(cur); err != nil {
 			return nil, nil, fmt.Errorf("fit %s: %w", step.Name(), err)
 		}
-		next, err := applyStep(step, cur)
+		next, err := applyChain([]Step{step}, cur)
 		if err != nil {
 			return nil, nil, fmt.Errorf("apply %s: %w", step.Name(), err)
 		}
@@ -120,7 +120,7 @@ func planComputed(s *Streamer) int {
 					}
 				}
 				from = t.In
-			case *StandardScale:
+			case *StandardScale, *PCAReduce:
 				from = 0
 			case *Products:
 				from = t.InCols

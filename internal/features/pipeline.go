@@ -210,12 +210,8 @@ func (p *Pipeline) FitFrame(fr *frame.Frame) (*frame.Frame, error) {
 			wide = append(wide, step)
 			schema = stepSchema(step, schema)
 		default:
-			if len(wide) > 0 {
-				next, err = applyChain(append(wide, step), cur)
-				wide = nil
-			} else {
-				next, err = applyStep(step, cur)
-			}
+			next, err = applyChain(append(wide, step), cur)
+			wide = nil
 			if err != nil {
 				return nil, fmt.Errorf("features: transform %s during fit: %w", step.Name(), err)
 			}
@@ -242,14 +238,7 @@ func (p *Pipeline) TransformFrame(fr *frame.Frame) (*frame.Frame, error) {
 	}
 	s, err := p.Streamer()
 	if err != nil {
-		// No kernel plan (a PCA pipeline): every column stays live.
-		cur := fr
-		for _, step := range p.Steps {
-			if cur, err = applyStep(step, cur); err != nil {
-				return nil, fmt.Errorf("features: transform %s: %w", step.Name(), err)
-			}
-		}
-		return cur, nil
+		return nil, err
 	}
 	return s.transformFrame(fr), nil
 }

@@ -13,13 +13,17 @@ import (
 // with full-run prefix sums for the time windows. The equivalence tests
 // and the step fuzz hold both Pipeline.TransformFrame and
 // Streamer.StepBatchInto to it bit for bit, so neither is checked only
-// against itself. PCA has no kernel; it runs its own Transform here too.
+// against itself.
 func refTransformFrame(p *Pipeline, fr *frame.Frame) (*frame.Frame, error) {
 	if len(p.Steps) == 0 {
 		return nil, fmt.Errorf("features: pipeline is not fitted")
 	}
 	if fr.NumCols() != p.InCols {
 		return nil, fmt.Errorf("features: pipeline fitted on %d raw cols, got %d", p.InCols, fr.NumCols())
+	}
+	// derive returns a zeroed frame over fr's rows, spans and labels.
+	derive := func(fr *frame.Frame, schema frame.Schema) *frame.Frame {
+		return frame.NewDense(schema, fr.Rows(), fr.Spans(), fr.Labels())
 	}
 	// selectColumns copies the kept columns into a new frame.
 	selectColumns := func(fr *frame.Frame, keep []int) (*frame.Frame, error) {
@@ -56,7 +60,7 @@ func refTransformFrame(p *Pipeline, fr *frame.Frame) (*frame.Frame, error) {
 				}
 			}
 
-			out = fr.Derive(schema)
+			out = derive(fr, schema)
 			// Base columns: copied, with §3.3.2 log scaling applied column-wise.
 			for j := range in {
 				src, dst := fr.Col(j), out.Col(j)
@@ -87,7 +91,7 @@ func refTransformFrame(p *Pipeline, fr *frame.Frame) (*frame.Frame, error) {
 			if len(s.Mean) != fr.NumCols() {
 				return nil, fmt.Errorf("features: standardize: fitted on %d cols, got %d", len(s.Mean), fr.NumCols())
 			}
-			out = fr.Derive(fr.Schema().Clone())
+			out = derive(fr, fr.Schema().Clone())
 			for j := 0; j < fr.NumCols(); j++ {
 				src, dst := fr.Col(j), out.Col(j)
 				if s.Std[j] > 0 {
@@ -96,7 +100,7 @@ func refTransformFrame(p *Pipeline, fr *frame.Frame) (*frame.Frame, error) {
 						dst[i] = (v - m) / sd
 					}
 				}
-				// Zero-variance columns stay 0 (Derive zeroes the backing).
+				// Zero-variance columns stay 0 (derive zeroes the backing).
 			}
 		case *RFFilter:
 			var err error
@@ -104,9 +108,27 @@ func refTransformFrame(p *Pipeline, fr *frame.Frame) (*frame.Frame, error) {
 				return nil, fmt.Errorf("features: rf-filter: %w", err)
 			}
 		case *PCAReduce:
-			var err error
-			if out, err = st.Transform(fr); err != nil {
-				return nil, err
+			// Row by row: centre on the mean, then one dot product per
+			// component, in component order.
+			pc := st.P
+			schema := make(frame.Schema, pc.NumComponents())
+			for i := range schema {
+				schema[i] = Column{Name: fmt.Sprintf("PC%02d", i+1), Domain: "pca"}
+			}
+			out = derive(fr, schema)
+			row := make([]float64, fr.NumCols())
+			for i := 0; i < fr.Rows(); i++ {
+				row = fr.Row(i, row)
+				for j := range row {
+					row[j] -= pc.Mean[j]
+				}
+				for c := range schema {
+					var s float64
+					for j, w := range pc.Components.Row(c) {
+						s += w * row[j]
+					}
+					out.Col(c)[i] = s
+				}
 			}
 		case *TimeFeatures:
 			tf := st
@@ -134,7 +156,7 @@ func refTransformFrame(p *Pipeline, fr *frame.Frame) (*frame.Frame, error) {
 				}
 			}
 
-			out = fr.Derive(schema)
+			out = derive(fr, schema)
 			for c := 0; c < base; c++ {
 				copy(out.Col(c), fr.Col(c))
 			}
@@ -198,7 +220,7 @@ func refTransformFrame(p *Pipeline, fr *frame.Frame) (*frame.Frame, error) {
 					Domain: dom,
 				})
 			}
-			out = fr.Derive(schema)
+			out = derive(fr, schema)
 			for j := 0; j < fr.NumCols(); j++ {
 				copy(out.Col(j), fr.Col(j))
 			}

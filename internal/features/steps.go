@@ -16,9 +16,8 @@ import (
 
 // Step is one pipeline stage over the columnar data plane: Fit learns its
 // parameters on the training frame. Applying them is not a method: every
-// step but PCAReduce has one columnar kernel (batch.go), which FitFrame,
-// TransformFrame and Streamer.StepBatchInto all run. PCAReduce is
-// offline-only, and its frame Transform is its one implementation.
+// step has one columnar kernel (batch.go), which FitFrame, TransformFrame
+// and Streamer.StepBatchInto all run.
 type Step interface {
 	// Name identifies the step for diagnostics.
 	Name() string
@@ -179,6 +178,12 @@ type RFFilter struct {
 
 var _ Step = (*RFFilter)(nil)
 
+// selection is a step whose output is its kept input columns, in order:
+// RFFilter and DropZeroVariance share one arm in every kernel switch.
+type selection interface{ kept() []int }
+
+func (f *RFFilter) kept() []int { return f.Keep }
+
 // Name implements Step.
 func (f *RFFilter) Name() string { return "rf-filter" }
 
@@ -325,31 +330,6 @@ func (p *PCAReduce) Fit(fr *frame.Frame) error {
 	return nil
 }
 
-// Transform implements Step.
-func (p *PCAReduce) Transform(fr *frame.Frame) (*frame.Frame, error) {
-	if p.P == nil {
-		return nil, fmt.Errorf("features: pca: not fitted")
-	}
-	k := p.P.NumComponents()
-	schema := make(frame.Schema, k)
-	for i := range schema {
-		schema[i] = Column{Name: fmt.Sprintf("PC%02d", i+1), Domain: "pca"}
-	}
-	out := fr.Derive(schema)
-	buf := make([]float64, fr.NumCols())
-	for i := 0; i < fr.Rows(); i++ {
-		buf = fr.Row(i, buf)
-		proj, err := p.P.Transform(buf)
-		if err != nil {
-			return nil, fmt.Errorf("features: pca transform: %w", err)
-		}
-		for j, v := range proj {
-			out.Set(i, j, v)
-		}
-	}
-	return out, nil
-}
-
 // ---------------------------------------------------------------------
 // Step 4a: time-dependent features (§3.3.5).
 // ---------------------------------------------------------------------
@@ -452,6 +432,8 @@ type DropZeroVariance struct {
 }
 
 var _ Step = (*DropZeroVariance)(nil)
+
+func (z *DropZeroVariance) kept() []int { return z.Keep }
 
 // Name implements Step.
 func (z *DropZeroVariance) Name() string { return "drop-zero-variance" }

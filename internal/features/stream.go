@@ -30,9 +30,6 @@ import "fmt"
 // instances pack at a per-slot stride into a StateSlab, and the one
 // stepping path is StepBatchInto (batch.go): a single sample is a batch of
 // one.
-//
-// PCA, the one step without a kernel (only the offline ablation builds
-// it), is refused here and runs offline only.
 
 // Streamer evaluates a fitted pipeline incrementally, one batch of raw
 // samples at a time (batch.go). It is immutable after construction — safe
@@ -52,8 +49,8 @@ type Streamer struct {
 }
 
 // Streamer builds the incremental evaluator for a fitted pipeline. It
-// fails, naming the step, when a fitted step has no columnar kernel or
-// was fitted on a width its predecessor does not produce.
+// fails, naming the step, when a fitted step is malformed or was fitted
+// on a width its predecessor does not produce.
 func (p *Pipeline) Streamer() (*Streamer, error) {
 	if len(p.Steps) == 0 {
 		return nil, fmt.Errorf("features: pipeline is not fitted")

@@ -82,12 +82,21 @@ func historyFrame(lagged bool) func(runs, rowsPerRun int, seed int64) *frame.Fra
 	}
 }
 
+// pcaFirst reduces by PCA before the time features and products (which
+// find no pair among the components); pcaLast reduces by PCA after them.
+// Each PCA reads a few dozen columns at most, so its cubic eigensolver
+// stays cheap, and PCAMax keeps the component count small.
+var (
+	pcaFirst = Config{Normalize: true, Reduce1: ReducePCA, TimeFeatures: true, Products: true, PCAMax: 4}
+	pcaLast  = Config{Normalize: true, Reduce1: ReduceFilter, TimeFeatures: true, Products: true, Reduce2: ReducePCA, FilterTopK: 4, PCAMax: 6}
+)
+
 // streamFixtures enumerates the pipeline layouts the equivalence tests
 // cover: the paper's selected layout (whose plan keeps no window column on
 // synthFrame), a scaled layout with no reduction (every column live, so
 // full-width rings), a layout with no time features (the degenerate
-// stream), and the two history fixtures whose packed rings are narrower
-// than the base row and differ from each other.
+// stream), the two history fixtures whose packed rings are narrower than
+// the base row and differ from each other, and the two PCA layouts.
 func streamFixtures() map[string]streamFixture {
 	return map[string]streamFixture{
 		"default": synth(DefaultConfig()),
@@ -103,9 +112,11 @@ func streamFixtures() map[string]streamFixture {
 			Reduce2:      ReduceNone,
 			FilterTopK:   10,
 		}),
-		"bare":     synth(Config{}),
-		"history":  historyFixture(),
-		"trailing": trailingFixture(),
+		"bare":      synth(Config{}),
+		"history":   historyFixture(),
+		"trailing":  trailingFixture(),
+		"pca-first": synth(pcaFirst),
+		"pca-last":  synth(pcaLast),
 	}
 }
 

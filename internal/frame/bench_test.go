@@ -55,21 +55,6 @@ func BenchmarkColumnScanRowOriented(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkAppendStreaming(b *testing.B) {
-	vals := make([]float64, 32)
-	for j := range vals {
-		vals[j] = float64(j)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		f := New(testSchema(32), 0)
-		for i := 0; i < 1000; i++ {
-			_ = f.Append(1, vals)
-		}
-	}
-}
-
 func BenchmarkRowRangeView(b *testing.B) {
 	f := testFrame(10, 400, 32, 22)
 	b.ReportAllocs()

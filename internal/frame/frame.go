@@ -10,17 +10,15 @@
 // Layout and aliasing rules:
 //
 //   - The backing array holds stride·cols values; column j of a view
-//     occupies data[j·stride+off : j·stride+off+rows]. For a frame that
-//     owns its backing, off = 0 and stride ≥ rows.
+//     occupies data[j·stride+off : j·stride+off+rows]. For a frame
+//     NewDense made, off = 0 and stride = rows.
 //   - Col returns the live backing segment: writes through it are visible
 //     to every view sharing the backing, and vice versa. Transforms treat
 //     input frames as read-only.
 //   - RowRange and RunView return zero-copy views that alias the parent's
-//     backing, labels and spans. Views cannot append.
-//   - Append… is only legal on owning frames and may reallocate the
-//     backing when capacity is exhausted; views minted before the
-//     reallocation keep reading the old backing (same semantics as Go
-//     slice growth).
+//     backing, labels and spans.
+//   - NewDense is the one constructor: a frame is allocated at its final
+//     size and filled column by column; it never grows.
 //
 // Rows are grouped into contiguous runs (the paper's cross-validation
 // groups, §3.4) described by Spans; labels are optional and aliased, not
@@ -45,17 +43,16 @@ type Span struct {
 type Frame struct {
 	schema Schema
 	data   []float64
-	stride int // backing row capacity per column
+	stride int // backing rows per column
 	off    int // first backing row of this view
 	rows   int
 	spans  []Span
 	labels []int // nil, or exactly rows entries aligned with the view
-	owned  bool  // false for views; only owners may append
 }
 
-// NewDense returns an exact-size owning frame with rows zeroed rows, the
-// given spans (aliased) and labels (aliased, may be nil). It is the
-// constructor transforms use: allocate once, fill columns in place.
+// NewDense returns an exact-size frame with rows zeroed rows, the given
+// spans (aliased) and labels (aliased, may be nil): allocate once, fill
+// columns in place.
 func NewDense(schema Schema, rows int, spans []Span, labels []int) *Frame {
 	if rows < 0 {
 		panic(fmt.Sprintf("frame: negative row count %d", rows))
@@ -70,27 +67,7 @@ func NewDense(schema Schema, rows int, spans []Span, labels []int) *Frame {
 		rows:   rows,
 		spans:  spans,
 		labels: labels,
-		owned:  true,
 	}
-}
-
-// New returns an empty owning frame with capacity for capRows rows.
-func New(schema Schema, capRows int) *Frame {
-	if capRows < 0 {
-		capRows = 0
-	}
-	return &Frame{
-		schema: schema,
-		data:   make([]float64, capRows*len(schema)),
-		stride: capRows,
-		owned:  true,
-	}
-}
-
-// Derive returns an exact-size owning frame with a new schema but this
-// frame's row count, spans and labels (both aliased). The data is zeroed.
-func (f *Frame) Derive(schema Schema) *Frame {
-	return NewDense(schema, f.rows, f.spans, f.labels)
 }
 
 // Schema returns the column metadata. Callers must not mutate it.
@@ -120,11 +97,6 @@ func (f *Frame) Cols(dst [][]float64) [][]float64 {
 		dst = append(dst, f.Col(j))
 	}
 	return dst
-}
-
-// Set assigns the value at row i, column j.
-func (f *Frame) Set(i, j int, v float64) {
-	f.data[j*f.stride+f.off+i] = v
 }
 
 // Row gathers row i into dst (reused when cap suffices) and returns it.
@@ -218,57 +190,6 @@ func (f *Frame) Chunked() bool { return false }
 // Discard is a no-op kept only for the same benchmark call as Chunked,
 // and goes with it.
 func (f *Frame) Discard() error { return nil }
-
-// grow reallocates the backing so at least need more rows fit.
-func (f *Frame) grow(need int) {
-	want := f.rows + need
-	if f.stride >= want {
-		return
-	}
-	ns := 2 * f.stride
-	if ns < want {
-		ns = want
-	}
-	if ns < 64 {
-		ns = 64
-	}
-	nd := make([]float64, ns*len(f.schema))
-	for j := range f.schema {
-		copy(nd[j*ns:j*ns+f.rows], f.data[j*f.stride:j*f.stride+f.rows])
-	}
-	f.data, f.stride = nd, ns
-}
-
-// appendRow writes vals as a new row, extending the trailing span when the
-// run ID matches and opening a new span otherwise.
-func (f *Frame) appendRow(runID int, vals []float64) error {
-	if !f.owned {
-		return fmt.Errorf("frame: append on a view")
-	}
-	if len(vals) != len(f.schema) {
-		return fmt.Errorf("frame: append row has %d values, schema has %d", len(vals), len(f.schema))
-	}
-	f.grow(1)
-	i := f.rows
-	for j, v := range vals {
-		f.data[j*f.stride+i] = v
-	}
-	f.rows++
-	if n := len(f.spans); n > 0 && f.spans[n-1].ID == runID && f.spans[n-1].End == i {
-		f.spans[n-1].End = i + 1
-	} else {
-		f.spans = append(f.spans, Span{ID: runID, Start: i, End: i + 1})
-	}
-	return nil
-}
-
-// Append adds an unlabeled row to run runID (streaming ingest path).
-func (f *Frame) Append(runID int, vals []float64) error {
-	if f.labels != nil {
-		return fmt.Errorf("frame: unlabeled append on a labeled frame")
-	}
-	return f.appendRow(runID, vals)
-}
 
 // MaterializeRows gathers the frame into row-major [][]float64 slices
 // (one backing allocation) for the row-iterating learners and callers

@@ -16,23 +16,26 @@ func testSchema(d int) Schema {
 	return s
 }
 
+// testFrame builds runs runs of rowsPerRun standard-normal rows each,
+// drawn row by row, with span IDs counting from 1 and labels alternating
+// 0, 1 within a run.
 func testFrame(runs, rowsPerRun, d int, seed int64) *Frame {
 	r := rand.New(rand.NewSource(seed))
-	f := New(testSchema(d), 0)
-	var labels []int
-	for g := 0; g < runs; g++ {
-		for i := 0; i < rowsPerRun; i++ {
-			vals := make([]float64, d)
-			for j := range vals {
-				vals[j] = r.NormFloat64()
-			}
-			if err := f.Append(g+1, vals); err != nil {
-				panic(err)
-			}
-			labels = append(labels, i%2)
+	n := runs * rowsPerRun
+	spans := make([]Span, runs)
+	labels := make([]int, n)
+	for g := range spans {
+		spans[g] = Span{ID: g + 1, Start: g * rowsPerRun, End: (g + 1) * rowsPerRun}
+		for i := spans[g].Start; i < spans[g].End; i++ {
+			labels[i] = (i - spans[g].Start) % 2
 		}
 	}
-	f.labels = labels
+	f := NewDense(testSchema(d), n, spans, labels)
+	for i := 0; i < n; i++ {
+		for j := 0; j < d; j++ {
+			f.Col(j)[i] = r.NormFloat64()
+		}
+	}
 	return f
 }
 
@@ -55,56 +58,6 @@ func validate(f *Frame) error {
 	return nil
 }
 
-func TestAppendBuildsSpansAndLabels(t *testing.T) {
-	f := testFrame(3, 10, 4, 1)
-	if f.Rows() != 30 || f.NumCols() != 4 || f.NumRuns() != 3 {
-		t.Fatalf("shape: rows=%d cols=%d runs=%d", f.Rows(), f.NumCols(), f.NumRuns())
-	}
-	if err := validate(f); err != nil {
-		t.Fatal(err)
-	}
-	want := []Span{{1, 0, 10}, {2, 10, 20}, {3, 20, 30}}
-	for i, s := range f.Spans() {
-		if s != want[i] {
-			t.Errorf("span %d = %+v, want %+v", i, s, want[i])
-		}
-	}
-	g := f.GroupIDs()
-	if g[0] != 1 || g[15] != 2 || g[29] != 3 {
-		t.Errorf("group ids wrong: %v", g)
-	}
-	if len(f.Labels()) != 30 {
-		t.Errorf("labels len %d", len(f.Labels()))
-	}
-}
-
-func TestAppendGrowsAcrossReallocation(t *testing.T) {
-	f := New(testSchema(3), 2)
-	for i := 0; i < 300; i++ {
-		if err := f.Append(7, []float64{float64(i), float64(2 * i), float64(3 * i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 300; i++ {
-		if f.Col(1)[i] != float64(2*i) {
-			t.Fatalf("row %d col 1 = %v after growth", i, f.Col(1)[i])
-		}
-	}
-	if f.NumRuns() != 1 || f.Spans()[0].End != 300 {
-		t.Errorf("spans after growth: %+v", f.Spans())
-	}
-}
-
-func TestAppendMixingLabeledUnlabeledFails(t *testing.T) {
-	f := NewDense(testSchema(2), 1, []Span{{ID: 1, Start: 0, End: 1}}, []int{1})
-	if err := f.Append(1, []float64{3, 4}); err == nil {
-		t.Error("unlabeled append on labeled frame succeeded")
-	}
-	if f.Rows() != 1 || len(f.Labels()) != 1 {
-		t.Errorf("rejected append changed the frame: %d rows, %d labels", f.Rows(), len(f.Labels()))
-	}
-}
-
 // TestRowRangeAliasesBacking locks the zero-copy contract: a mutation
 // through a row-range view's column is visible through the parent and
 // through a second overlapping view, because all three share one backing
@@ -121,14 +74,9 @@ func TestRowRangeAliasesBacking(t *testing.T) {
 	if got := b.Col(2)[4]; got != 1234.5 {
 		t.Errorf("sibling view does not see write: %v", got)
 	}
-	a.Set(0, 0, -7) // parent row 5
+	a.Col(0)[0] = -7 // parent row 5
 	if got := f.Col(0)[5]; got != -7 {
-		t.Errorf("Set through view invisible to parent col: %v", got)
-	}
-
-	// Appending cannot be done through a view.
-	if err := a.Append(1, []float64{0, 0, 0}); err == nil {
-		t.Error("append through a view succeeded")
+		t.Errorf("write through view invisible to parent col: %v", got)
 	}
 }
 
@@ -164,6 +112,9 @@ func TestRunView(t *testing.T) {
 	if v.Col(1)[0] != f.Col(1)[7] {
 		t.Error("run view misaligned")
 	}
+	if g := f.GroupIDs(); g[0] != 1 || g[10] != 2 || g[20] != 3 {
+		t.Errorf("group ids wrong: %v", g)
+	}
 }
 
 func TestMaterializeRowsRoundTrip(t *testing.T) {
@@ -186,11 +137,11 @@ func TestCheckFinite(t *testing.T) {
 	if err := f.CheckFinite(); err != nil {
 		t.Fatalf("finite frame rejected: %v", err)
 	}
-	f.Set(3, 1, math.NaN())
+	f.Col(1)[3] = math.NaN()
 	if err := f.CheckFinite(); err == nil {
 		t.Error("NaN not rejected")
 	}
-	f.Set(3, 1, math.Inf(-1))
+	f.Col(1)[3] = math.Inf(-1)
 	if err := f.CheckFinite(); err == nil {
 		t.Error("-Inf not rejected")
 	}
@@ -226,19 +177,5 @@ func TestSchemaHashSensitivity(t *testing.T) {
 	}
 	if s.Hash() != base {
 		t.Error("hash is not deterministic")
-	}
-}
-
-func TestDeriveSharesSpansAndLabels(t *testing.T) {
-	f := testFrame(2, 5, 3, 10)
-	d := f.Derive(testSchema(2))
-	if d.Rows() != f.Rows() || d.NumCols() != 2 {
-		t.Fatalf("derive shape wrong")
-	}
-	if d.Labels()[3] != f.Labels()[3] {
-		t.Error("derive labels not aliased")
-	}
-	if err := validate(d); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -62,23 +62,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// MulVec returns a·x.
-func MulVec(a *Matrix, x []float64) ([]float64, error) {
-	if a.Cols != len(x) {
-		return nil, fmt.Errorf("linalg: dimension mismatch %dx%d × vec(%d)", a.Rows, a.Cols, len(x))
-	}
-	out := make([]float64, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
 // ErrSingular is returned when a linear system has no unique solution.
 var ErrSingular = errors.New("linalg: singular matrix")
 

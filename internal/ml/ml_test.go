@@ -17,7 +17,7 @@ func frameOf(x [][]float64, y []int) *frame.Frame {
 	fr := frame.NewDense(make(frame.Schema, d), len(x), nil, y)
 	for i, row := range x {
 		for j, v := range row {
-			fr.Set(i, j, v)
+			fr.Col(j)[i] = v
 		}
 	}
 	return fr

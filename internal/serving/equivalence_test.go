@@ -110,10 +110,11 @@ func streamMatchesBatchOpt(t *testing.T, m *core.Model, ds *dataset.Dataset, wir
 // exactly (Go emits the shortest round-tripping representation), so any
 // mismatch is a real divergence in the incremental feature math.
 //
-// The check runs twice: once on the shared exact-splitter model, and once
-// on a histogram-trained model that additionally passes through the v2
-// bundle format — the flattened SoA trees must survive the gob round trip
-// and serve the hot path unchanged.
+// The check runs on the shared exact-splitter model over JSON and over
+// the binary transport, on a histogram-trained model that additionally
+// passes through the bundle format — the flattened SoA trees must survive
+// the gob round trip and serve the hot path unchanged — and on a PCA
+// model through the bundle format.
 func TestHTTPStreamingMatchesBatchPredictions(t *testing.T) {
 	m, ds := sharedTestModel(t)
 
@@ -151,6 +152,19 @@ func TestHTTPStreamingMatchesBatchPredictions(t *testing.T) {
 		}
 		if b.Version != core.BundleVersion {
 			t.Fatalf("bundle version %d, want %d", b.Version, core.BundleVersion)
+		}
+		streamMatchesBatch(t, b.Model, ds)
+	})
+
+	t.Run("pca-bundle", func(t *testing.T) {
+		// The PCA kernel serves a loaded PCA bundle bit for bit.
+		var buf bytes.Buffer
+		if err := core.SaveBundle(&buf, pcaTestModel(t), 3); err != nil {
+			t.Fatalf("SaveBundle: %v", err)
+		}
+		b, err := core.LoadBundle(&buf)
+		if err != nil {
+			t.Fatalf("LoadBundle: %v", err)
 		}
 		streamMatchesBatch(t, b.Model, ds)
 	})

@@ -22,7 +22,29 @@ var (
 	histOnce  sync.Once
 	histModel *core.Model
 	histErr   error
+
+	pcaOnce  sync.Once
+	pcaModel *core.Model
+	pcaErr   error
 )
+
+// pcaTestModel trains (once per test binary) a model whose first
+// reduction is PCA on the shared dataset: it streams through the PCA
+// kernel and engineers columns (PC01…) no other test model has.
+func pcaTestModel(tb testing.TB) *core.Model {
+	tb.Helper()
+	_, ds := sharedTestModel(tb)
+	pcaOnce.Do(func() {
+		pcaModel, pcaErr = core.Train(ds, core.TrainConfig{
+			Pipeline: features.Config{Normalize: true, Reduce1: features.ReducePCA, PCAVariance: 0.95, Seed: 7},
+			Forest:   forest.Config{NumTrees: 10, MinSamplesLeaf: 10, Criterion: tree.Entropy, Seed: 7},
+		})
+	})
+	if pcaErr != nil {
+		tb.Fatalf("pca test model: %v", pcaErr)
+	}
+	return pcaModel
+}
 
 // histTestModel trains (once per test binary) a histogram-splitter model
 // on the shared dataset. Hist-trained forests compile fully quantized, so
@@ -465,20 +487,16 @@ func TestIngestFallbackCounter(t *testing.T) {
 	}
 }
 
-// TestPCAModelRefused: a PCA pipeline has no streaming path, so a service
-// cannot start on a PCA model, and POST /model with a PCA bundle answers
-// 400, keeps the serving model and counts the refused swap.
+// TestPCAModelRefused: a PCA model starts a service of its own (the PCA
+// step streams through its kernel), but POST /model with a PCA bundle
+// onto a service serving a non-PCA model engineers other columns, so it
+// answers 400 naming the layout, keeps the serving model and its
+// generation, and counts the refused swap.
 func TestPCAModelRefused(t *testing.T) {
-	m, ds := sharedTestModel(t)
-	pm, err := core.Train(ds, core.TrainConfig{
-		Pipeline: features.Config{Normalize: true, Reduce1: features.ReducePCA, PCAVariance: 0.95, Seed: 7},
-		Forest:   forest.Config{NumTrees: 10, MinSamplesLeaf: 10, Criterion: tree.Entropy, Seed: 7},
-	})
-	if err != nil {
-		t.Fatalf("pca train: %v", err)
-	}
-	if _, err := New(Config{Model: pm}); err == nil || !strings.Contains(err.Error(), "step pca has no columnar kernel") {
-		t.Fatalf("New on a PCA model: err = %v, want the PCA refusal", err)
+	m, _ := sharedTestModel(t)
+	pm := pcaTestModel(t)
+	if _, err := New(Config{Model: pm}); err != nil {
+		t.Fatalf("New on a PCA model: %v", err)
 	}
 
 	svc, err := New(Config{Model: m, BundleVersion: core.BundleVersion})
@@ -491,10 +509,10 @@ func TestPCAModelRefused(t *testing.T) {
 	}
 	rec := httptest.NewRecorder()
 	NewServer(svc).ServeHTTP(rec, httptest.NewRequest("POST", "/model", &buf))
-	if rec.Code != 400 {
-		t.Fatalf("POST /model with a PCA bundle: %d %s, want 400", rec.Code, rec.Body)
+	if rec.Code != 400 || !strings.Contains(rec.Body.String(), "engineered layout") {
+		t.Fatalf("POST /model with a PCA bundle: %d %s, want 400 naming the layout", rec.Code, rec.Body)
 	}
-	if mv := svc.active.Load(); mv.gen != 1 || mv.model != m {
+	if mv := svc.active.Load(); mv.gen != 1 || mv.model != m || len(svc.SwapHistory()) != 0 {
 		t.Fatalf("serving generation %d after a refused swap, want 1 and the old model", mv.gen)
 	}
 	if got := scrapeGauge(t, svc, "monitorless_model_swap_rejects_total"); got != 1 {

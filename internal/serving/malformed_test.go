@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"monitorless/internal/core"
+	"monitorless/internal/features"
 	"monitorless/internal/frame"
 	"monitorless/internal/ml/forest"
 	"monitorless/internal/ml/tree"
@@ -83,9 +84,11 @@ func reencode(t *testing.T, data []byte, v any, edit func()) gobBlob {
 
 // TestModelEndpointRejectsMalformedForest: POST /model with a bundle
 // whose first tree tests a column past the engineered row (a walk that
-// would panic under the shard lock) or splits on a NaN threshold, or
-// whose model blob no longer matches its checksum, is refused with 400,
-// and the serving model and its generation stay and keep answering.
+// would panic under the shard lock) or splits on a NaN threshold, whose
+// PCA components are narrower than its means (a projection that would
+// panic the same way), or whose model blob no longer matches its
+// checksum, is refused with 400, and the serving model and its
+// generation stay and keep answering.
 func TestModelEndpointRejectsMalformedForest(t *testing.T) {
 	m, _ := sharedTestModel(t)
 	svc, err := New(Config{Model: m, BundleVersion: core.BundleVersion})
@@ -113,11 +116,35 @@ func TestModelEndpointRejectsMalformedForest(t *testing.T) {
 			bw.ModelSHA256 = sha256.Sum256(bw.ModelBlob)
 		})
 	}
+	// editPCA rewrites a PCA bundle's PCA step and re-signs the model
+	// blob, so the refusal comes from the pipeline's own checks.
+	editPCA := func(edit func(p *features.PCAReduce)) []byte {
+		var pca bytes.Buffer
+		if err := core.SaveBundle(&pca, pcaTestModel(t), 1); err != nil {
+			t.Fatal(err)
+		}
+		var bw bundleMirror
+		var mm modelMirror
+		return reencode(t, pca.Bytes(), &bw, func() {
+			bw.ModelBlob = reencode(t, bw.ModelBlob, &mm, func() {
+				pipe, err := features.DecodePipeline(mm.PipelineBlob)
+				if err != nil {
+					t.Fatal(err)
+				}
+				edit(pipe.Steps[2].(*features.PCAReduce))
+				if mm.PipelineBlob, err = pipe.EncodeGob(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			bw.ModelSHA256 = sha256.Sum256(bw.ModelBlob)
+		})
+	}
 	var bw bundleMirror
 	cases := map[string][]byte{
 		"feature index past the row": editTree0(func(tm *treeMirror) { tm.Features[0] = 1 << 20 }),
 		"NaN threshold":              editTree0(func(tm *treeMirror) { tm.Thresholds[0] = math.NaN() }),
 		"flipped model blob byte":    reencode(t, buf.Bytes(), &bw, func() { bw.ModelBlob[len(bw.ModelBlob)/2] ^= 0x10 }),
+		"malformed PCA step":         editPCA(func(p *features.PCAReduce) { p.P.Mean = p.P.Mean[1:] }),
 	}
 	for name, bad := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -360,7 +360,7 @@ func idHash(id string) uint64 {
 }
 
 // New builds a service around a trained model. It fails if the model's
-// pipeline predates streaming support.
+// pipeline predates streaming support or has a malformed step.
 func New(cfg Config) (*Service, error) {
 	if cfg.Model == nil {
 		return nil, fmt.Errorf("serving: nil model")
@@ -437,13 +437,12 @@ func New(cfg Config) (*Service, error) {
 			}
 			return float64(t)
 		})
-	// Always 0: a pipeline with a step that has no columnar kernel (PCA)
-	// does not stream, so no sample takes a per-row path. The series
-	// exists only for the benchmark, which reads it (bench/online.go,
-	// bench/replay.go); the next change to the benchmark removes the read
-	// and this series, as with Frame.Chunked.
+	// Always 0: every step has a columnar kernel, so no sample takes a
+	// per-row path. The series exists only for the benchmark, which reads
+	// it (bench/online.go, bench/replay.go); the next change to the
+	// benchmark removes the read and this series, as with Frame.Chunked.
 	reg.CounterFunc("monitorless_stream_fallback_rows_total",
-		"Always 0: no sample takes a per-row feature path; a pipeline whose steps do not all stream is refused at load.", nil, func() float64 { return 0 })
+		"Always 0: every feature step streams through its columnar kernel; no sample takes a per-row path.", nil, func() float64 { return 0 })
 	reg.GaugeFunc("monitorless_model_generation",
 		"Active model generation (1 at startup, +1 per hot swap).", nil, func() float64 {
 			return float64(s.active.Load().gen)

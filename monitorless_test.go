@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"os"
 	"os/exec"
-	"strings"
 	"sync"
 	"testing"
 
 	"monitorless"
-	"monitorless/internal/features"
 	"monitorless/internal/pcp"
 )
 
@@ -108,22 +106,6 @@ func TestFacadeTrainAndPredict(t *testing.T) {
 	}
 	if !svc.Apps()["app"].Raw {
 		t.Error("OR aggregation missed the saturated instance")
-	}
-}
-
-// TestFacadeRefusesPCA: a PCA-reduced pipeline has no streaming path, so
-// NewService refuses the model and names the step.
-func TestFacadeRefusesPCA(t *testing.T) {
-	_, report := facade(t)
-	cfg := monitorless.DefaultTrainConfig()
-	cfg.Pipeline = features.Config{Normalize: true, Reduce1: features.ReducePCA, PCAMax: 8, Seed: 5}
-	cfg.Forest.NumTrees = 5
-	m, err := monitorless.Train(report.Dataset, cfg)
-	if err != nil {
-		t.Fatalf("pca train: %v", err)
-	}
-	if _, err := monitorless.NewService(m); err == nil || !strings.Contains(err.Error(), "step pca has no columnar kernel") {
-		t.Fatalf("NewService on a PCA model: err = %v, want the PCA refusal", err)
 	}
 }
 

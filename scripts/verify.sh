@@ -18,7 +18,7 @@
 #                           FuzzExactSplitVsReference, and TestRFFilterKeepWorkerInvariant (filter Keep equal at workers 1/4/8)
 #   learner contract      — ValidateFrame's table (shape, labels, row subsets, NaN/±Inf); all six Table 3 learners' FitFrame pinned
 #                           on all rows and on a CV-style row subset against a fixture; the AdaBoost grouped-CV and Table 2 pipeline goldens
-#   benchmark smoke       — tree/forest/filter/transform-frame/append/engine/agent benchmarks still compile and run (-benchtime=1x)
+#   benchmark smoke       — tree/forest/filter/transform-frame/engine/agent benchmarks still compile and run (-benchtime=1x)
 #   serving race          — sharded ingest + concurrent scrape under -race
 #   ingest allocs         — steady-state ingest allocation budget; JSON path: warm DecodeJSONScratch allocates only the ID strings, ServeHTTP JSON ingest with echo ≤ 2 KB/sample
 #   lifecycle race        — ingest + drift harvest + reads + warm hot swaps under -race
@@ -34,27 +34,30 @@
 #                           compile refuses only unfitted forests and forests past the packed limits;
 #                           TestQuantPredictSpeedup: >= 1.5x the float walk per row
 #   malformed bundles     — a bundle whose forest would loop, index past the row, emit a non-probability or split on a NaN threshold,
-#                           or whose model blob fails its sha256 checksum, fails to load, and POST /model answers 400 and keeps the old
-#                           model and generation; v3, v4 and v5 bundles load and predict bit for bit
+#                           whose PCA step has no projection or a mis-shaped one, or whose model blob fails its sha256 checksum,
+#                           fails to load, and POST /model answers 400 and keeps the old model and generation; v3, v4 and v5
+#                           bundles load and predict bit for bit
 #   predict allocs        — 0 allocs/op batch predict in the float, quant-serial and quant-sharded regimes; the fused key+walk
 #                           route at 0 allocs serially and, at default parallelism, on a 256-row shard batch (one task, walked inline)
 #   online-engine parity  — one kernel per feature step: StepBatchInto and Pipeline.TransformFrame both bit-identical to the test-only
 #                           naive reference refTransformFrame (reference_test.go) under every batch partition, over runs of unequal
 #                           length (one a single row), a frame with no spans (one implicit run) and a RowRange view whose first run
-#                           is clipped; compact rings (each ring row packed to the plan's ring set) on the history fixtures: one
-#                           whose prefix and base rings hold different proper subsets (TestRingFixtureGeometry), one with a prefix
-#                           ring only; liveness masking, and the backward pass against a perturb-one-column reference; the
-#                           column-keeping steps copy, never alias; the pipeline golden; StateSlab.Bytes exact at the packed
-#                           stride; slot reuse over dirtied rings; duplicate-slot rejection
+#                           is clipped, on every layout, the two PCA ones (pca-first, pca-last) included; compact rings (each
+#                           ring row packed to the plan's ring set) on the history fixtures: one whose prefix and base rings
+#                           hold different proper subsets (TestRingFixtureGeometry), one with a prefix ring only; liveness
+#                           masking, and the backward pass against a perturb-one-column reference; the column-keeping steps
+#                           copy, never alias; the pipeline golden; StateSlab.Bytes exact at the packed stride; slot reuse over
+#                           dirtied rings; duplicate-slot rejection
 #   engine callers        — the edge agent's Service and a central one agree bit for bit, and it forgets departed instances;
 #                           fused vs float route; all-or-nothing ingest across shards; mid-batch rejection;
-#                           Table 7 closed loop in-process and over HTTP against its golden; state gauge; PCA refusal
+#                           Table 7 closed loop in-process and over HTTP against its golden; state gauge; PCA bundle served
+#                           bit for bit and refused by a service of another engineered layout
 #   offline memory        — FitFrame's deferred widening (time features and products fitted on the schema, the second filter
 #                           fitted run by run) equals the eager fit step for step and bit for bit, for every second reduction
 #                           with and without products, at GOMAXPROCS 1 and 8 (TestFitFrameMatchesEagerFit); one TransformFrame
 #                           allocates ≤ 1.25 × (live computed + output columns) × rows × 8 B plus 1 MiB (TestTransformFrameAllocationBound)
-#   step fuzz             — FuzzStepBatchVsTransformFrame against the test-only reference: seeds (all six layouts, the two history
-#                           fixtures included, and all four held-out run layouts) plus 5 s of fresh layouts and schedules
+#   step fuzz             — FuzzStepBatchVsTransformFrame against the test-only reference: seeds (all eight layouts, the two history
+#                           fixtures and the two PCA layouts pca-first and pca-last included, and all four held-out run layouts) plus 5 s of fresh layouts and schedules
 #   step allocs           — 0 allocs per steady-state batch step
 #   HTTP smoke            — real cmd/serve on loopback: ingest, predictions, /metrics counters, clean SIGTERM drain
 #   examples              — every examples/ program runs to exit 0; examples/edge reports 100.0 % edge/central agreement
@@ -119,7 +122,6 @@ lane "benchmark smoke"
 go test -run '^$' -bench 'BenchmarkTreeFit' -benchtime=1x ./internal/ml/tree/
 go test -run '^$' -bench 'BenchmarkForest' -benchtime=1x ./internal/ml/forest/
 go test -run '^$' -bench 'BenchmarkRFFilterFit|BenchmarkTransformFrame' -benchtime=1x ./internal/features/
-go test -run '^$' -bench 'BenchmarkAppendStreaming' -benchtime=1x ./internal/frame/
 go test -run '^$' -bench 'BenchmarkEngineTick' -benchtime=1x ./internal/apps/
 go test -run '^$' -bench 'BenchmarkAgentObserveTick' -benchtime=1x ./internal/pcp/
 
@@ -165,8 +167,7 @@ go test -count=1 -run 'TestStepBatch|TestStateSlab|TestRingFixture|TestBatchPlan
 lane "engine callers"
 go test -count=1 -run 'TestEdgeAgentMatchesCentral|TestEdgeAgentForgetsDepartedInstances' ./internal/serving/
 go test -count=1 -run 'TestIngestAtomicAcrossShards|TestReplayClosedLoopMatchesInProcess|TestShardCountEquivalence|TestFusedIngestShardWorkerInvariance|TestMidBatchRejectionConsistency|TestInstanceStateBytesGauge|TestIngestFallbackCounter|TestPCAModelRefused' ./internal/serving/
-go test -count=1 -run 'TestStreamerRefusesPCA' ./internal/features/
-go test -count=1 -run 'TestFacadeRefusesPCA' .
+go test -count=1 -run 'TestHTTPStreamingMatchesBatchPredictions/pca-bundle' ./internal/serving/
 
 lane "offline memory"
 go test -count=1 -run '^(TestFitFrameMatchesEagerFit|TestTransformFrameAllocationBound)$' -v ./internal/features/
